@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"runtime"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/trace/promtext"
 )
@@ -44,13 +45,6 @@ func (a *App) QueueWait() *Hist { return a.core.QueueWait() }
 // dispatch queues — a live saturation gauge.
 func (a *App) QueueDepth() int64 { return a.core.QueueDepth() }
 
-// statGauges names the Stats fields that are instantaneous or high-water
-// observations rather than monotonic counters.
-var statGauges = map[string]bool{
-	"QueueHighWater": true,
-	"TokensPerFrame": true,
-}
-
 // MetricsHandler returns an http.Handler serving the application's state in
 // the Prometheus text exposition format: every Stats counter (prefixed
 // dps_), the live pending-call and queue-depth gauges, the process
@@ -61,7 +55,7 @@ var statGauges = map[string]bool{
 func (a *App) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		enc := &promtext.Encoder{}
-		enc.Struct("dps", a.Stats(), statGauges)
+		enc.Struct("dps", a.Stats(), core.StatsHighWater())
 		enc.Gauge("dps_pending_calls", "Graph calls admitted and not yet settled.", float64(a.PendingCalls()))
 		enc.Gauge("dps_queue_depth", "Tokens sitting in dispatch queues right now.", float64(a.QueueDepth()))
 		enc.Gauge("dps_goroutines", "Goroutines in this process.", float64(runtime.NumGoroutine()))

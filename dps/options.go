@@ -256,8 +256,7 @@ func WithBatch(maxBytes, maxTokens int, delay time.Duration) Option {
 
 // WithCompression DEFLATE-compresses batch frame bodies that shrink
 // (incompressible payloads ride raw). Requires WithBatch — unbatched frames
-// are never compressed by the engine; for transport-level compression of
-// every TCP frame see the tcptransport.WithCompression option instead.
+// are never compressed.
 func WithCompression() Option {
 	return func(c *config) error {
 		c.engine.Compress = true

@@ -14,16 +14,12 @@
 //   - poolown: values drawn from sync.Pool wrappers are not used after
 //     their Put and not retained in fields, globals or spawned goroutines
 //     (the buffer-ownership-transfer contract of PR 1);
-//   - wirekinds: every wire-kind constant is handled by the dispatch
-//     switches, batchable kinds by the batch decoder too, and every
-//     transmitting send path flushes the batcher first (preSend — the
-//     ordering invariant of PR 7);
+//   - wirekinds: every kernel control-kind constant is handled by the
+//     dispatch switch (the engine's own kinds dispatch through the table
+//     in internal/core/kinds.go and need no rule);
 //   - determinism: seeded components (chaos schedule generation, simnet
 //     fault draws) take no wall-clock or global-PRNG input, so faults
-//     reproduce exactly from CHAOS_SEED;
-//   - tracepoints: every wire kind dispatched on the receive path records a
-//     trace span or delivers into an instrumented path, so a new kind
-//     cannot become an invisible hop in sampled calls' timelines (PR 10).
+//     reproduce exactly from CHAOS_SEED.
 //
 // Escape hatch: a finding may be silenced with a directive on its line or
 // the line above:

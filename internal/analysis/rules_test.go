@@ -41,24 +41,6 @@ func TestWirekindsGolden(t *testing.T) {
 		PkgSuffix:     "wirekinds",
 		KindPrefix:    "msg",
 		DispatchFuncs: []string{"handle"},
-		BatchKinds:    []string{"msgToken"},
-		BatchFuncs:    []string{"decodeBatch"},
-		PreSend: &PreSendConfig{
-			RecvType:      "link",
-			MethodPrefix:  "send",
-			TransmitCalls: []string{"trSend"},
-			FlushCalls:    []string{"preSend"},
-			Exempt:        []string{"sendToken"},
-		},
-	}}))
-}
-
-func TestTracepointsGolden(t *testing.T) {
-	runGolden(t, "testdata/tracepoints", "vettest/tracepoints", Tracepoints([]TracepointsConfig{{
-		PkgSuffix:     "tracepoints",
-		KindPrefix:    "msg",
-		DispatchFuncs: []string{"handle"},
-		SpanCalls:     []string{"traceWire", "deliverToken"},
 	}}))
 }
 

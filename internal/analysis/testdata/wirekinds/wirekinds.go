@@ -1,9 +1,9 @@
-// Package fixture exercises wire-kind dispatch coverage and the pre-send
-// batch-flush obligation with a miniature link.
+// Package fixture exercises wire-kind dispatch coverage with a miniature
+// dispatch switch.
 package fixture
 
 const (
-	msgToken  = 1 // want "wirekinds: batchable wire kind msgToken is not a case in the batch decoder"
+	msgToken  = 1
 	msgAck    = 2
 	msgOrphan = 3 // want "wirekinds: wire kind msgOrphan is not a case in any dispatch switch"
 )
@@ -21,32 +21,4 @@ func notDispatch(kind int) {
 	switch kind {
 	case msgOrphan:
 	}
-}
-
-func decodeBatch(kind int) {
-	switch kind {
-	case msgAck:
-	}
-}
-
-type link struct{}
-
-func (l *link) trSend([]byte) {}
-func (l *link) preSend()      {}
-
-func (l *link) sendAck() {
-	l.preSend()
-	l.trSend(nil) // ok: flushed first
-}
-
-func (l *link) sendOrphan() { // want "wirekinds: link.sendOrphan transmits without flushing the pending batch"
-	l.trSend(nil)
-}
-
-func (l *link) sendToken() {
-	l.trSend(nil) // ok: exempt, routes through the batcher itself
-}
-
-func (l *link) sendNothing() {
-	// ok: no transmit call, nothing to order
 }

@@ -15,43 +15,16 @@ type WirekindsConfig struct {
 	// DispatchFuncs names the receive-side dispatch functions; every kind
 	// constant must appear as a switch case in at least one of them.
 	DispatchFuncs []string
-	// BatchKinds lists the kinds that may travel inside a batch frame; each
-	// must additionally appear as a case in one of BatchFuncs, so a
-	// batchable kind cannot silently fall out of the batch decoder.
-	BatchKinds []string
-	BatchFuncs []string
-	// PreSend configures the ordering half of the invariant: transmitting
-	// send methods must flush the destination's pending batch first. Nil
-	// disables the check (packages without a batcher).
-	PreSend *PreSendConfig
-}
-
-// PreSendConfig describes the batched wire path's ordering obligation.
-type PreSendConfig struct {
-	// RecvType is the receiver type whose send methods are checked ("link").
-	RecvType string
-	// MethodPrefix selects the checked methods by name ("send").
-	MethodPrefix string
-	// TransmitCalls are the callee names that put bytes on the wire; a
-	// method containing one must also contain one of FlushCalls.
-	TransmitCalls []string
-	// FlushCalls are the callee names that serialize against the pending
-	// batch (preSend, or the batcher's own locked flush).
-	FlushCalls []string
-	// Exempt lists methods that route through the batcher itself and so
-	// already order against it.
-	Exempt []string
 }
 
 // Wirekinds builds the wire-kind coverage rule: a kind constant someone can
-// send but no dispatch switch handles is dead on arrival at the receiver
-// (PR 5's replay and PR 7's batcher both grew kinds that every node must
-// understand), and a send path that skips the batcher flush reorders the
-// wire against send order, breaking the PR 7 ordering invariant.
+// send but no dispatch switch handles is dead on arrival at the receiver.
+// It polices protocols that dispatch by switch (the kernel's ctl* kinds);
+// the engine's msg* kinds dispatch through a table and need no rule.
 func Wirekinds(cfgs []WirekindsConfig) *Rule {
 	r := &Rule{
 		Name: "wirekinds",
-		Doc:  "every wire-kind constant is dispatched, batchable kinds are batch-decoded, and send paths flush the batcher",
+		Doc:  "every wire-kind constant is a case of a dispatch switch",
 	}
 	r.Run = func(p *Pass) {
 		for i := range cfgs {
@@ -69,21 +42,10 @@ func runWirekinds(p *Pass, cfg *WirekindsConfig) {
 		return
 	}
 	dispatched := caseIdents(p, cfg.DispatchFuncs)
-	batched := caseIdents(p, cfg.BatchFuncs)
-	batchable := make(map[string]bool, len(cfg.BatchKinds))
-	for _, k := range cfg.BatchKinds {
-		batchable[k] = true
-	}
 	for _, k := range kinds {
 		if !dispatched[k.name] {
 			p.Reportf(k.pos.Pos(), "wire kind %s is not a case in any dispatch switch (%s): receivers will reject it as unknown", k.name, strings.Join(cfg.DispatchFuncs, ", "))
 		}
-		if batchable[k.name] && !batched[k.name] {
-			p.Reportf(k.pos.Pos(), "batchable wire kind %s is not a case in the batch decoder (%s): it would be lost inside batch frames", k.name, strings.Join(cfg.BatchFuncs, ", "))
-		}
-	}
-	if cfg.PreSend != nil {
-		checkPreSend(p, cfg.PreSend)
 	}
 }
 
@@ -150,80 +112,4 @@ func caseIdents(p *Pass, funcs []string) map[string]bool {
 		}
 	}
 	return out
-}
-
-// checkPreSend verifies each transmitting send method orders itself against
-// the pending batch.
-func checkPreSend(p *Pass, cfg *PreSendConfig) {
-	exempt := make(map[string]bool, len(cfg.Exempt))
-	for _, e := range cfg.Exempt {
-		exempt[e] = true
-	}
-	transmit := make(map[string]bool, len(cfg.TransmitCalls))
-	for _, t := range cfg.TransmitCalls {
-		transmit[t] = true
-	}
-	flush := make(map[string]bool, len(cfg.FlushCalls))
-	for _, fl := range cfg.FlushCalls {
-		flush[fl] = true
-	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil {
-				continue
-			}
-			if recvTypeName(fd) != cfg.RecvType ||
-				!strings.HasPrefix(fd.Name.Name, cfg.MethodPrefix) ||
-				exempt[fd.Name.Name] {
-				continue
-			}
-			var transmits, flushes bool
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				name := calleeName(call)
-				if transmit[name] {
-					transmits = true
-				}
-				if flush[name] {
-					flushes = true
-				}
-				return true
-			})
-			if transmits && !flushes {
-				p.Reportf(fd.Name.Pos(), "%s.%s transmits without flushing the pending batch (call %s first): batched tokens sent earlier would arrive after it", cfg.RecvType, fd.Name.Name, strings.Join(cfg.FlushCalls, " or "))
-			}
-		}
-	}
-}
-
-// recvTypeName returns the bare receiver type name of a method ("link" for
-// func (l *link) ...).
-func recvTypeName(fd *ast.FuncDecl) string {
-	if len(fd.Recv.List) != 1 {
-		return ""
-	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		t = star.X
-	}
-	if id, ok := t.(*ast.Ident); ok {
-		return id.Name
-	}
-	return ""
-}
-
-// calleeName returns the terminal name of a call's function expression
-// (trSend for l.trSend(...), preSend for l.preSend(...)).
-func calleeName(call *ast.CallExpr) string {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name
-	case *ast.SelectorExpr:
-		return fn.Sel.Name
-	}
-	return ""
 }

@@ -513,7 +513,7 @@ func Table2(opt Options) (*Report, error) {
 			return nil, err
 		}
 
-		var samples trace.Samples
+		var samples trace.Hist
 		stop := make(chan struct{})
 		callsDone := make(chan int)
 		if blk[0] > 0 {

@@ -472,13 +472,13 @@ func (app *App) registerCall(ctx context.Context, rt *Runtime) (uint64, *callEnt
 	if max := app.cfg.MaxInFlightCalls; max > 0 {
 		if app.callreg.pending.Add(1) > int64(max) {
 			app.callreg.pending.Add(-1)
-			rt.stats.callsRejected.Add(1)
+			atomic.AddInt64(&rt.stats.CallsRejected, 1)
 			return 0, nil, ErrOverload
 		}
 	} else {
 		app.callreg.pending.Add(1)
 	}
-	rt.stats.callsAdmitted.Add(1)
+	atomic.AddInt64(&rt.stats.CallsAdmitted, 1)
 	id := app.callSeq.Add(1)
 	ce := getCallEntry(ctx, rt)
 	ce.start = time.Now().UnixNano()
@@ -568,7 +568,7 @@ func (app *App) cancelCall(id uint64, cause error) {
 	sh.mu.Unlock()
 	app.callreg.pending.Add(-1)
 	if ce.rt != nil && errors.Is(cause, context.DeadlineExceeded) {
-		ce.rt.stats.callsExpired.Add(1)
+		atomic.AddInt64(&ce.rt.stats.CallsExpired, 1)
 	}
 	select {
 	case ce.ch <- CallResult{Err: cause}:

@@ -21,9 +21,9 @@ import (
 //	  uvarint nstreams, nstreams × string   — FT sender-stream dictionary
 //	  uvarint nentries
 //	  per entry:
-//	    kind byte                           — msgToken | msgGroupEnd |
-//	                                          msgTokenFT | msgGroupEndFT
-//	    FT kinds only: uvarint streamIdx, uvarint seq
+//	    kind byte                           — a kind whose table row has an
+//	                                          entry function (kinds.go)
+//	    sequenced kinds only: uvarint streamIdx, uvarint seq
 //	    uvarint bodyLen, bodyLen bytes      — the message body WITHOUT its
 //	                                          kind/stream/seq prefix
 //
@@ -84,11 +84,11 @@ func (be *batchEncoder) streamIdx(stream string) int {
 	return i
 }
 
-// add appends one entry. kind must be one of the four batchable kinds;
-// stream/seq are only consulted for the FT kinds. body is copied.
+// add appends one entry. kind must be batchable; stream/seq are only
+// consulted for the sequenced kinds. body is copied.
 func (be *batchEncoder) add(kind byte, stream string, seq uint64, body []byte) {
 	be.entries = append(be.entries, kind)
-	if kind == msgTokenFT || kind == msgGroupEndFT {
+	if wireKinds[kind].sequenced {
 		be.entries = binary.AppendUvarint(be.entries, uint64(be.streamIdx(stream)))
 		be.entries = binary.AppendUvarint(be.entries, seq)
 	}
@@ -191,9 +191,10 @@ func decodeBatch(b []byte, fn func(kind byte, stream string, seq uint64, body []
 		b = b[1:]
 		var stream string
 		var seq uint64
-		switch kind {
-		case msgToken, msgGroupEnd:
-		case msgTokenFT, msgGroupEndFT:
+		if wireKinds[kind].entry == nil {
+			return fmt.Errorf("dps: kind %d is not batchable", kind)
+		}
+		if wireKinds[kind].sequenced {
 			var idx uint64
 			if idx, b, err = readUint64(b); err != nil {
 				return err
@@ -205,8 +206,6 @@ func decodeBatch(b []byte, fn func(kind byte, stream string, seq uint64, body []
 				return err
 			}
 			stream = streams[idx]
-		default:
-			return fmt.Errorf("dps: kind %d is not batchable", kind)
 		}
 		blen, rest, err := readUint64(b)
 		if err != nil {

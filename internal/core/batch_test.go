@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -281,5 +282,21 @@ func TestBatchDecodeHostile(t *testing.T) {
 	short := append([]byte{batchFlagCompressed}, binary.AppendUvarint(nil, uint64(len(body)))...)
 	if _, _, err := decodeBatchFrame(append(short, packed[:len(packed)/2]...)); err == nil {
 		t.Error("truncated flate stream accepted")
+	}
+
+	// An envelope header claiming more frames than its bytes could encode
+	// (every frame is at least four bytes) must fail before the frame slice
+	// is allocated: 20 bytes must not buy a 2.6 MB allocation.
+	hdr := appendEnvelopeBody(nil, &envelope{Graph: "g", CallOrigin: "n"})
+	lie = appendInt(hdr[:len(hdr)-1], 1<<16) // replace the trailing zero frame count
+	lie = append(lie, make([]byte, 8)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := decodeEnvelope(lie); err == nil {
+		t.Error("envelope with a frame count past its own length accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("decoding a %d-byte hostile envelope allocated %d bytes", len(lie), grew)
 	}
 }

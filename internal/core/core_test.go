@@ -151,6 +151,29 @@ func TestUppercaseOverSimnet(t *testing.T) {
 	}
 }
 
+// TestCallsCompletedCountsWireResults: a completed call is counted once, on
+// its origin node, whether the result was handed over locally or crossed
+// the wire. The merge runs on the master, so calls entered on n1 get their
+// result in a msgResult frame.
+func TestCallsCompletedCountsWireResults(t *testing.T) {
+	net := simnet.New(simnet.Config{Bandwidth: 100e6, Latency: 20 * time.Microsecond, TimeScale: 1})
+	defer net.Close()
+	app, err := core.NewSimApp(core.Config{}, net, "n0", "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	g := buildUppercase(t, app, "upper", "n1")
+	for i, origin := range []string{"n1", "n1", "n1", "n1", "n1", "n0", "n0", "n0"} {
+		if _, err := g.CallTimeout(origin, &StringToken{Str: "count me"}, 20*time.Second); err != nil {
+			t.Fatalf("call %d from %s: %v", i, origin, err)
+		}
+	}
+	if got := app.Stats().CallsCompleted; got != 8 {
+		t.Fatalf("CallsCompleted = %d after 5 calls from n1 and 3 from the master, want 8", got)
+	}
+}
+
 func TestPipelinedConcurrentCalls(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0", "node1")
 	g := buildUppercase(t, app, "upper", "node0 node1")

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 )
 
@@ -299,7 +300,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 			if c.env.TraceID != 0 {
 				stallNs = time.Now().UnixNano()
 			}
-			c.rt.stats.windowStalls.Add(1)
+			atomic.AddInt64(&c.rt.stats.WindowStalls, 1)
 			c.yieldInstLock()
 		}, failed)
 		if stalled {

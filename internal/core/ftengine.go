@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core/ft"
@@ -330,8 +331,8 @@ func (rt *Runtime) runCheckpoint(it workItem, tk sched.Ticket, fromDrainer bool)
 	rec.Key = place.Key{Collection: inst.tc.Name(), Thread: inst.index}
 	rec.Seq = rt.app.ftCkptSeq.Add(1)
 	rec.State = stateBytes
-	rt.stats.checkpointsTaken.Add(1)
-	rt.stats.checkpointBytes.Add(int64(len(stateBytes)))
+	atomic.AddInt64(&rt.stats.CheckpointsTaken, 1)
+	atomic.AddInt64(&rt.stats.CheckpointBytes, int64(len(stateBytes)))
 	rt.lnk.sendCheckpoint(rt.app.MasterNode(), rec)
 	return fromDrainer
 }
@@ -375,10 +376,10 @@ func (app *App) ftProbeLoop() {
 				if name == master.name || app.ftDead.IsDead(name) {
 					continue
 				}
-				// trSend retries through the suspect-grace window, so a probe
-				// confirms death only once a transient fault had its chance to
-				// clear — the probe path and the traffic path degrade alike.
-				if err := master.lnk.trSend(name, []byte{msgPing}); err != nil {
+				// The probe retries through the suspect-grace window like real
+				// traffic, so it confirms death only once a transient fault had
+				// its chance to clear.
+				if err := master.lnk.ping(name); err != nil {
 					app.suspect(name, err)
 				}
 			}
@@ -623,7 +624,7 @@ func (app *App) failover(dead string) error {
 		}
 	}
 
-	master.stats.failoversCompleted.Add(1)
+	atomic.AddInt64(&master.stats.FailoversCompleted, 1)
 	for i := range moves {
 		moves[i].tc.notifyRecover(moves[i].key.Thread, dead, moves[i].to)
 	}
@@ -756,7 +757,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 		if traceID != 0 {
 			rt.traceSpan(traceID, "replay", e.Stream, time.Now().UnixNano(), 0)
 		}
-		rt.stats.tokensReplayed.Add(1)
+		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
 		rt.lnk.sendToken(env, to)
 	case ft.EntryGroupEnd:
 		m, err := decodeGroupEndFT(e.Bytes[1:])
@@ -764,7 +765,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 			rt.failApp(fmt.Errorf("dps: corrupt retained group-end: %w", err))
 			return
 		}
-		rt.stats.tokensReplayed.Add(1)
+		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
 		rt.lnk.sendGroupEnd(to, m)
 	}
 }

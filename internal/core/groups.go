@@ -163,7 +163,7 @@ func (rt *Runtime) openGroup(c *Ctx, opener int) *splitGroup {
 			groupID:    outer.GroupID,
 		}
 	}
-	rt.stats.groupsOpened.Add(1)
+	atomic.AddInt64(&rt.stats.GroupsOpened, 1)
 	return sg
 }
 
@@ -262,11 +262,9 @@ func (rt *Runtime) deliverToGroup(inst *threadInstance, g *Flowgraph, node *Grap
 // been consumed by the merge, releasing flow-control window space and
 // load-balancing credits.
 func (rt *Runtime) ackConsumed(bt bufferedToken) {
-	rt.stats.acksSent.Add(1)
+	atomic.AddInt64(&rt.stats.AcksSent, 1)
 	m := ackMsg{GroupID: bt.groupID, Worker: bt.lastWorker, RouteNode: bt.creditNode}
-	if err := rt.lnk.sendAck(bt.origin, m); err != nil {
-		rt.failApp(err)
-	}
+	rt.lnk.sendAck(bt.origin, m)
 }
 
 // dropEnvelope discards a token of a canceled call. Its top frame is

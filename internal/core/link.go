@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core/ft"
 	"repro/internal/serial"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -16,62 +16,44 @@ import (
 // serialization and buffer pooling over a transport.Transport. It owns the
 // decision between same-address-space pointer handoff and serialized
 // network transfer (paper §4) and recycles wire buffers per the transport
-// ownership contract. Decoded inbound traffic is handed upward through the
-// narrow linkSink interface; the codecs themselves live in wire.go and the
-// pools in pool.go.
-
-// linkSink is the upward interface of the link layer: the engine receives
-// decoded messages and failures through it. Tokens and group-ends carry the
-// transport-level source node — the placement layer's fence gates are per
-// sender (fences themselves name their original sender in the message, as
-// forwarding rewrites the transport source).
+// ownership contract. What differs between message kinds lives in the kind
+// table (kinds.go); the codecs live in wire.go and the pools in pool.go.
 //
-// linkDown and linkSuspect are the fault-tolerance hooks: traffic to a
-// node declared dead is suppressed (retained copies replay during
-// recovery), and a transport send failure is offered to the failure
+// Outbound, every kind makes the local / colocated / remote choice in route
+// and reaches the transport through transmit. Inbound, handle dispatches
+// through the table into the runtime. Tokens and group-ends are delivered
+// with the transport-level source node — the placement layer's fence gates
+// are per sender (fences themselves name their original sender in the
+// message, as forwarding rewrites the transport source).
+//
+// The runtime's linkDown and linkSuspect are the fault-tolerance hooks:
+// traffic to a node declared dead is suppressed (retained copies replay
+// during recovery), and a transport send failure is offered to the failure
 // detector before it may surface as an application failure — a send error
 // to a dead or removed peer must never be dropped on the floor.
-type linkSink interface {
-	deliverToken(env *envelope, src string)
-	deliverGroupEnd(m *groupEndMsg, src string)
-	deliverAck(m ackMsg)
-	deliverResult(callID uint64, tok Token)
-	deliverMigrate(m *migrateMsg)
-	deliverFence(m *fenceMsg)
-	deliverCheckpoint(rec *ft.Record)
-	deliverReplay(m *replayMsg, src string)
-	deliverCut(m cutMsg)
-	deliverDeath(m deathMsg, src string)
-	linkFail(err error)
-	linkDown(dst string) bool
-	linkSuspect(dst string, err error) bool
-}
 
 // link frames and serializes outbound messages and decodes inbound ones.
 type link struct {
 	tr    transport.Transport
 	reg   *serial.Registry
+	rt    *Runtime // the node runtime this link serves
 	name  string
 	force bool          // ForceSerialize: marshal even same-node transfers
 	ftOn  bool          // fault tolerance enabled: consult linkDown/linkSuspect
 	grace time.Duration // SuspectGrace: retry window for failing sends
-	sink  linkSink
-	stats *statCounters
-	ring  *trace.Ring // receiver-side wire spans of sampled transfers
 
-	// Colocated fast path: peers resolves a destination node to the sink of
-	// a runtime sharing this address space (nil function, or nil result: no
-	// fast path — the destination is remote or the transport cannot tell).
-	// Positive resolutions are cached; negatives are not, because nodes
-	// attach over time.
-	peers  func(dst string) linkSink
-	coPeer sync.Map // dst -> linkSink
+	// Colocated fast path: co attests that a destination's transport
+	// endpoint shares this address space (nil: the transport cannot tell, or
+	// ForceSerialize). Resolved peer runtimes are cached; misses are not,
+	// because nodes attach over time.
+	co     transport.Colocated
+	coPeer sync.Map // dst -> *Runtime
 
 	// Per-destination token coalescing (Config.Batch).
 	batch       bool
 	batchBytes  int
 	batchTokens int
-	batchLarge  int // token bodies this big skip coalescing (single frame)
+	batchLarge  int // entry bodies this big skip coalescing (single frame)
 	batchDelay  time.Duration
 	compress    bool
 	bmu         sync.Mutex
@@ -90,17 +72,16 @@ const (
 	DefaultBatchDelay     = 500 * time.Microsecond
 )
 
-func (l *link) init(tr transport.Transport, reg *serial.Registry, cfg *Config, ftOn bool, sink linkSink, stats *statCounters, peers func(dst string) linkSink) {
+func (l *link) init(rt *Runtime, tr transport.Transport, cfg *Config) {
 	l.tr = tr
-	l.reg = reg
+	l.reg = rt.app.reg
+	l.rt = rt
 	l.name = tr.Local()
 	l.force = cfg.ForceSerialize
-	l.ftOn = ftOn
+	l.ftOn = rt.app.ftOn
 	l.grace = cfg.SuspectGrace
-	l.sink = sink
-	l.stats = stats
 	if !cfg.ForceSerialize {
-		l.peers = peers
+		l.co, _ = tr.(transport.Colocated)
 	}
 	if cfg.Batch {
 		l.batch = true
@@ -125,40 +106,149 @@ func (l *link) init(tr transport.Transport, reg *serial.Registry, cfg *Config, f
 	}
 }
 
-// peerSink resolves the fast-path delivery sink of a colocated destination:
-// a runtime in this process whose transport endpoint shares our address
-// space (transport.Colocated), so messages hand over as pointers with no
-// serialization. Disabled by ForceSerialize. Every message kind to a
-// colocated destination takes the fast path or none do — mixing would
-// reorder the wire stream against the direct deliveries.
-func (l *link) peerSink(dst string) linkSink {
-	if l.peers == nil {
+// --- outbound: route, transmit --------------------------------------------
+
+// route makes the local / colocated / remote choice for one message of kind
+// to dst. A non-nil runtime takes the message by pointer: this node's own,
+// or that of a colocated peer — a runtime of this application whose
+// transport endpoint shares our address space (the paper's same-node
+// shortcut extended to same-process lanes; every kind to such a destination
+// takes the shortcut or none does, since mixing would reorder the wire
+// stream against the direct deliveries). Otherwise wire says whether to
+// serialize the message onto the transport; false means dst is declared
+// dead and the kind is one the table suppresses.
+func (l *link) route(kind byte, dst string) (rt *Runtime, wire bool) {
+	if dst == l.name {
+		return l.rt, false
+	}
+	if l.suppressed(kind, dst) {
+		return nil, false
+	}
+	if l.co != nil {
+		if v, ok := l.coPeer.Load(dst); ok {
+			return v.(*Runtime), false
+		}
+		if l.co.Colocated(dst) {
+			// A cross-app fabric is safe: an unknown name yields no shortcut.
+			if peer, ok := l.rt.app.runtime(dst); ok {
+				l.coPeer.Store(dst, peer)
+				return peer, false
+			}
+		}
+	}
+	return nil, true
+}
+
+// suppressed reports whether a message of kind toward dst must be dropped
+// because a node has been declared dead. It is a branch on a local bool
+// while fault tolerance is off.
+func (l *link) suppressed(kind byte, dst string) bool {
+	return l.ftOn && wireKinds[kind].suppress && l.rt.linkDown(dst)
+}
+
+// transmit is the link's one exit to the transport: every frame, of every
+// kind, leaves through it, which is what makes three properties hold by
+// construction. Wire order equals send order: a frame that is not itself a
+// flushed batch flushes the destination's pending batch and goes out under
+// the batcher lock (preSend), so it can neither overtake nor be overtaken
+// by tokens batched before it; held says the caller is that batcher,
+// flushing under its own lock. Stats.BytesSent counts every frame handed to
+// the transport. And a frame the transport refused returns to the wire pool
+// (transports release ownership on error) before the failure is routed by
+// the kind's policy — past the failure detector, which absorbs faults of
+// peers it is about to declare dead (the retained copies replay during
+// recovery). The error is non-nil for failReturn kinds only.
+func (l *link) transmit(dst string, buf []byte, held bool) error {
+	var b *batcher
+	if l.batch && !held {
+		b = l.preSend(dst)
+	}
+	atomic.AddInt64(&l.rt.stats.BytesSent, int64(len(buf)))
+	err := l.trSend(dst, buf)
+	if b != nil {
+		b.mu.Unlock()
+	}
+	if err == nil {
 		return nil
 	}
-	if v, ok := l.coPeer.Load(dst); ok {
-		return v.(linkSink)
+	policy := wireKinds[buf[0]].fail
+	putWireBuf(buf)
+	if policy == failReturn {
+		return err
 	}
-	s := l.peers(dst)
-	if s != nil {
-		l.coPeer.Store(dst, s)
+	if l.ftOn && l.rt.linkSuspect(dst, err) {
+		return nil
 	}
-	return s
+	switch policy {
+	case failPanic:
+		panic(opError{err})
+	case failLink:
+		l.rt.linkFail(err)
+	}
+	return nil
 }
+
+// Grace retry tuning: first backoff and cap. The overall window is
+// Config.SuspectGrace.
+const (
+	graceRetryBase = time.Millisecond
+	graceRetryCap  = 50 * time.Millisecond
+)
+
+// trSend hands one frame to the transport, retrying transient failures with
+// capped exponential backoff and jitter until the suspect-grace window
+// closes. On success the payload's ownership has transferred to the
+// transport; on error it remains with the caller (transports release
+// ownership on failure), which is what makes retrying the same buffer
+// sound. A destination declared dead mid-retry aborts the loop — the
+// failure detector already owns the fault, and transmit absorbs the error
+// so the retained copy replays.
+//
+// Successful sends take the single branch on the error and pay nothing
+// else; the grace machinery only runs once a send has already failed.
+// Sequenced posts hold their route lock across the retries, so the grace
+// window also bounds how long one fault can stall a route.
+func (l *link) trSend(dst string, buf []byte) error {
+	err := l.tr.Send(dst, buf)
+	if err == nil || l.grace <= 0 {
+		return err
+	}
+	deadline := time.Now().Add(l.grace)
+	backoff := graceRetryBase
+	for {
+		if l.ftOn && l.rt.linkDown(dst) {
+			return err
+		}
+		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
+		if time.Now().Add(d).After(deadline) {
+			return err
+		}
+		time.Sleep(d)
+		if backoff < graceRetryCap {
+			backoff *= 2
+		}
+		atomic.AddInt64(&l.rt.stats.SendRetries, 1)
+		if err = l.tr.Send(dst, buf); err == nil {
+			return nil
+		}
+	}
+}
+
+// --- outbound: batching ---------------------------------------------------
 
 // batcher coalesces the batchable traffic of one destination (Config.Batch).
 // Its mutex is the per-destination ordering domain of the batched wire
-// path: batchable sends append under it, and every non-batchable send to
-// the same destination flushes and transmits while holding it (preSend), so
-// wire order is exactly send order even though batched entries leave late.
+// path: batchable sends append under it, and every other send to the same
+// destination flushes and transmits while holding it (preSend), so wire
+// order is exactly send order even though batched entries leave late.
 type batcher struct {
 	l   *link
 	dst string
 
-	mu      sync.Mutex
-	enc     batchEncoder
-	scratch []byte // entry-body staging, reused across appends
-	timer   *time.Timer
-	armed   bool
+	mu    sync.Mutex
+	enc   batchEncoder
+	timer *time.Timer
+	armed bool
 }
 
 func (l *link) batcherFor(dst string) *batcher {
@@ -172,19 +262,40 @@ func (l *link) batcherFor(dst string) *batcher {
 	return b
 }
 
-// preSend serializes a non-batchable send to dst with its pending batch:
-// the batch flushes first and the batcher lock is held across the caller's
-// own transmit (run the returned unlock after it), so a latency- or
-// order-sensitive message can never overtake — or be overtaken by — tokens
-// batched before it. Returns nil with batching off or for local targets.
-func (l *link) preSend(dst string) func() {
-	if !l.batch || dst == l.name {
+// preSend flushes dst's pending batch and returns its batcher locked, for
+// transmit to unlock once its own frame is out. Nil for a self-send, which
+// no batch can be pending for.
+func (l *link) preSend(dst string) *batcher {
+	if dst == l.name {
 		return nil
 	}
 	b := l.batcherFor(dst)
 	b.mu.Lock()
 	b.flushLocked()
-	return b.mu.Unlock
+	return b
+}
+
+// coalesce offers the single frame of a token or group-end to dst's pending
+// batch; stream and seq are the frame's fault-tolerance stamp. The entry is
+// the frame minus its kind byte and stamp — those fold into the batch
+// header and stream dictionary — so a batch of N entries decodes to exactly
+// the messages N singles would. A body too large to gain from coalescing is
+// refused (bulk bypass): the caller transmits the frame alone, in order
+// behind the pending batch like any other.
+func (l *link) coalesce(dst string, frame []byte, stream string, seq uint64) bool {
+	body := frame[1:]
+	if wireKinds[frame[0]].sequenced {
+		body = skipFTStamp(body)
+	}
+	if len(body) >= l.batchLarge {
+		return false
+	}
+	b := l.batcherFor(dst)
+	b.mu.Lock()
+	b.addLocked(frame[0], stream, seq, body)
+	b.mu.Unlock()
+	putWireBuf(frame)
+	return true
 }
 
 func (b *batcher) timedFlush() {
@@ -212,10 +323,9 @@ func (b *batcher) addLocked(kind byte, stream string, seq uint64, body []byte) {
 	}
 }
 
-// flushLocked assembles and transmits the pending frame. It must not panic
-// — the age timer calls it from its own goroutine: a send failure is either
-// absorbed by the failure detector (the batched tokens' retained FT copies
-// replay during recovery) or surfaces through linkFail.
+// flushLocked assembles and transmits the pending frame. It cannot panic —
+// the age timer calls it from its own goroutine — because msgBatch's
+// failure policy is linkFail.
 func (b *batcher) flushLocked() {
 	if b.enc.empty() {
 		return
@@ -225,38 +335,40 @@ func (b *batcher) flushLocked() {
 		b.armed = false
 		b.timer.Stop()
 	}
-	if l.down(b.dst) {
+	if l.suppressed(msgBatch, b.dst) {
 		b.enc.reset()
 		return
 	}
+	stats := &l.rt.stats
 	tokens := int64(b.enc.tokens)
 	buf, rawLen, gotLen := b.enc.appendFrame(getWireBuf(), l.compress)
 	b.enc.reset()
-	l.stats.framesBatched.Add(1)
-	l.stats.maxTokensPerFrame(tokens)
-	if l.compress {
-		l.stats.uncompressedBytes.Add(int64(rawLen))
-		l.stats.compressedBytes.Add(int64(gotLen))
-	}
-	l.stats.bytesSent.Add(int64(len(buf)))
-	if err := l.trSend(b.dst, buf); err != nil {
-		putWireBuf(buf)
-		if !l.sendFailed(b.dst, err) {
-			l.sink.linkFail(err)
+	atomic.AddInt64(&stats.FramesBatched, 1)
+	for {
+		cur := atomic.LoadInt64(&stats.TokensPerFrame)
+		if tokens <= cur || atomic.CompareAndSwapInt64(&stats.TokensPerFrame, cur, tokens) {
+			break
 		}
 	}
+	if l.compress {
+		atomic.AddInt64(&stats.UncompressedBytes, int64(rawLen))
+		atomic.AddInt64(&stats.CompressedBytes, int64(gotLen))
+	}
+	l.transmit(b.dst, buf, true)
 }
+
+// --- outbound: one sender per kind ----------------------------------------
 
 // appendTokenFrame appends env's complete single-token wire frame: the
 // traced wrapper when the envelope is sampled, then the sequenced or plain
-// framing and the serialized token. Freshly stamped envelopes reuse the
-// retention log's encoding — which already carries the traced wrapper when
-// sampled (ftOutbound) — instead of serializing the token a second time.
+// framing and the serialized token (a single copy, straight behind the
+// header). Freshly stamped envelopes reuse the retention log's encoding —
+// the wire message byte for byte, which already carries the traced wrapper
+// when sampled (ftOutbound) — instead of serializing the token a second
+// time; copied, because the transport takes ownership of what it sends.
 func (l *link) appendTokenFrame(buf []byte, env *envelope) ([]byte, error) {
 	if env.ftWire != nil {
-		buf = append(buf, env.ftWire...)
-		env.ftWire = nil
-		return buf, nil
+		return append(buf, env.ftWire...), nil
 	}
 	if env.TraceID != 0 {
 		buf = appendTracedHeader(buf, env.TraceID, time.Now().UnixNano())
@@ -269,507 +381,57 @@ func (l *link) appendTokenFrame(buf []byte, env *envelope) ([]byte, error) {
 	return l.reg.Append(buf, env.Token)
 }
 
-// batchToken coalesces one remote token into its destination's pending
-// frame. The entry body is the message encoding minus its kind/stream/seq
-// prefix — those fold into the frame header and stream dictionary — so a
-// batch of N entries decodes to exactly the envelopes N singles would.
-func (l *link) batchToken(env *envelope, dst string) {
-	b := l.batcherFor(dst)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if env.TraceID != 0 {
-		// Sampled tokens never join a batch frame: the traced wrapper frames
-		// them alone, bulk-bypass style — the pending batch flushes first and
-		// the send runs under the batcher lock, keeping wire order equal to
-		// send order — so the batch codec and unsampled coalescing stay
-		// byte-identical with tracing on.
-		b.flushLocked()
-		buf, err := l.appendTokenFrame(getWireBuf(), env)
-		if err != nil {
-			panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
-		}
-		l.stats.tokensRemote.Add(1)
-		l.stats.bytesSent.Add(int64(len(buf)))
-		if err := l.trSend(dst, buf); err != nil {
-			if l.sendFailed(dst, err) {
-				putWireBuf(buf)
-				putEnvelope(env)
-				return
-			}
-			panic(opError{err})
-		}
-		putEnvelope(env)
-		return
-	}
-	var kind byte
-	var err error
-	body := b.scratch[:0]
-	switch {
-	case env.ftWire != nil:
-		// The retention log's encoding is [kind][stream][seq][body]; strip
-		// the prefix instead of serializing the token a second time.
-		rest := env.ftWire[1:]
-		if _, rest, err = readString(rest); err == nil {
-			_, rest, err = readUint64(rest)
-		}
-		if err != nil {
-			panic(opError{fmt.Errorf("dps: corrupt retained encoding of %T: %w", env.Token, err)})
-		}
-		kind = msgTokenFT
-		body = append(body, rest...)
-		env.ftWire = nil
-	case env.FTSeq > 0:
-		kind = msgTokenFT
-		body = appendEnvelopeBody(body, env)
-		body, err = l.reg.Append(body, env.Token)
-	default:
-		kind = msgToken
-		body = appendEnvelopeBody(body, env)
-		body, err = l.reg.Append(body, env.Token)
-	}
-	if err != nil {
-		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
-	}
-	b.scratch = body
-	l.stats.tokensRemote.Add(1)
-	if len(body) >= l.batchLarge {
-		// Bulk bypass: a body this size dwarfs what coalescing saves, so
-		// frame it alone — the pending batch flushes first and the send runs
-		// under the batcher lock, keeping wire order equal to send order.
-		b.flushLocked()
-		var buf []byte
-		if kind == msgTokenFT {
-			buf = appendString(append(getWireBuf(), msgTokenFT), env.FTStream)
-			buf = appendUint64(buf, env.FTSeq)
-		} else {
-			buf = append(getWireBuf(), msgToken)
-		}
-		buf = append(buf, body...)
-		l.stats.bytesSent.Add(int64(len(buf)))
-		if err := l.trSend(dst, buf); err != nil {
-			if l.sendFailed(dst, err) {
-				putWireBuf(buf)
-				putEnvelope(env)
-				return
-			}
-			panic(opError{err})
-		}
-		putEnvelope(env)
-		return
-	}
-	b.addLocked(kind, env.FTStream, env.FTSeq, body)
-	putEnvelope(env)
-}
-
-// batchGroupEnd coalesces a group-end announcement behind its group's
-// batched tokens.
-func (l *link) batchGroupEnd(m *groupEndMsg, dst string) {
-	b := l.batcherFor(dst)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	kind := byte(msgGroupEnd)
-	if m.FTSeq > 0 {
-		kind = msgGroupEndFT
-	}
-	body := appendGroupEndBody(b.scratch[:0], m)
-	b.scratch = body
-	b.addLocked(kind, m.FTStream, m.FTSeq, body)
-}
-
-// Grace retry tuning: first backoff and cap. The overall window is
-// Config.SuspectGrace.
-const (
-	graceRetryBase = time.Millisecond
-	graceRetryCap  = 50 * time.Millisecond
-)
-
-// trSend transmits one frame, retrying transient transport failures with
-// capped exponential backoff and jitter until the suspect-grace window
-// closes. On success the payload's ownership has transferred to the
-// transport; on error it remains with the caller (transports release
-// ownership on failure), which is what makes retrying the same buffer
-// sound. A destination declared dead mid-retry aborts the loop — the
-// failure detector already owns the fault, and the caller's sendFailed
-// path absorbs the error so the retained copy replays.
-//
-// Successful sends take the single branch on the error and pay nothing
-// else; the grace machinery only runs once a send has already failed.
-// Sequenced posts hold their route lock across the retries, so the grace
-// window also bounds how long one fault can stall a route.
-func (l *link) trSend(dst string, buf []byte) error {
-	err := l.tr.Send(dst, buf)
-	if err == nil || l.grace <= 0 {
-		return err
-	}
-	deadline := time.Now().Add(l.grace)
-	backoff := graceRetryBase
-	for {
-		if l.ftOn && l.sink.linkDown(dst) {
-			return err
-		}
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		if time.Now().Add(d).After(deadline) {
-			return err
-		}
-		time.Sleep(d)
-		if backoff < graceRetryCap {
-			backoff *= 2
-		}
-		l.stats.sendRetries.Add(1)
-		if err = l.tr.Send(dst, buf); err == nil {
-			return nil
-		}
-	}
-}
-
-// down reports whether traffic toward dst must be suppressed. It is a
-// no-op branch on a local bool while fault tolerance is off.
-func (l *link) down(dst string) bool {
-	return l.ftOn && l.sink.linkDown(dst)
-}
-
-// sendFailed routes one transport send failure: absorbed by the failure
-// detector (true) or left to the caller to surface (false). The payload
-// buffer's ownership returns to the caller either way (transports release
-// ownership on error).
-func (l *link) sendFailed(dst string, err error) bool {
-	return l.ftOn && l.sink.linkSuspect(dst, err)
-}
-
-// traceWire records the receiver-side wire span of a sampled transfer:
-// sender transmit clock to receiver decode clock. Across processes the two
-// clocks are not synchronized, so the duration carries their skew; within
-// one process (the test and bench deployments) they agree.
-func (l *link) traceWire(traceID uint64, sentNs int64, src string) {
-	if l.ring == nil {
-		return
-	}
-	d := time.Now().UnixNano() - sentNs
-	if d < 0 {
-		d = 0
-	}
-	l.ring.Record(trace.Span{Trace: traceID, Kind: "wire", Node: l.name, Name: src, Start: sentNs, Dur: d})
-}
-
-// handle is the transport receive entry point. Per the transport ownership
-// contract the payload belongs to this handler once invoked; every decoded
-// field is copied out, so the buffer is recycled into the wire pool before
-// returning.
-//
-// Observability (dps-vet rule tracepoints): each case either records or
-// leads to a span for sampled traffic, or carries an explicit ignore naming
-// why the kind needs none. Token deliveries record queue/execute spans in
-// dispatch; results record their span at call completion.
-func (l *link) handle(src string, payload []byte) {
-	if len(payload) == 0 {
-		l.sink.linkFail(fmt.Errorf("dps: empty message from %q", src))
-		return
-	}
-	kind, body := payload[0], payload[1:]
-	switch kind {
-	case msgTraced:
-		traceID, sentNs, inner, err := decodeTracedHeader(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad traced frame from %q: %w", src, err))
-			return
-		}
-		var env *envelope
-		switch inner[0] {
-		case msgToken:
-			env, err = decodeEnvelope(inner[1:])
-		case msgTokenFT:
-			env, err = decodeTokenFT(inner[1:])
-		default:
-			err = fmt.Errorf("unexpected inner kind %d", inner[0])
-		}
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad traced frame from %q: %w", src, err))
-			return
-		}
-		tok, _, err := l.reg.Unmarshal(env.Payload)
-		if err != nil {
-			putEnvelope(env)
-			l.sink.linkFail(fmt.Errorf("dps: cannot deserialize token from %q: %w", src, err))
-			return
-		}
-		env.Token = tok
-		env.Payload = nil // aliases the wire buffer recycled below
-		env.TraceID = traceID
-		l.traceWire(traceID, sentNs, src)
-		putWireBuf(payload)
-		l.sink.deliverToken(env, src)
-		return
-	case msgToken:
-		env, err := decodeEnvelope(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad token message from %q: %w", src, err))
-			return
-		}
-		tok, _, err := l.reg.Unmarshal(env.Payload)
-		if err != nil {
-			putEnvelope(env)
-			l.sink.linkFail(fmt.Errorf("dps: cannot deserialize token from %q: %w", src, err))
-			return
-		}
-		env.Token = tok
-		env.Payload = nil // aliases the wire buffer recycled below
-		putWireBuf(payload)
-		l.sink.deliverToken(env, src)
-		return
-	//dpsvet:ignore tracepoints group accounting only; the group's tokens carry the trace
-	case msgGroupEnd:
-		m, err := decodeGroupEnd(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad group-end from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverGroupEnd(m, src)
-	//dpsvet:ignore tracepoints flow-control ack, no token aboard
-	case msgAck:
-		m, err := decodeAck(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad ack from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverAck(m)
-	case msgResult:
-		m, err := decodeResult(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad result from %q: %w", src, err))
-			return
-		}
-		tok, _, err := l.reg.Unmarshal(m.Payload)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: cannot deserialize result: %w", err))
-			return
-		}
-		putWireBuf(payload)
-		l.sink.deliverResult(m.CallID, tok)
-		return
-	//dpsvet:ignore tracepoints state handoff; relays record forward spans at re-send
-	case msgMigrate:
-		m, err := decodeMigrate(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad migration envelope from %q: %w", src, err))
-			return
-		}
-		// m.State aliases the wire buffer; deliverMigrate fully consumes it
-		// (the state is deserialized synchronously) before the recycle below.
-		l.sink.deliverMigrate(m)
-	//dpsvet:ignore tracepoints remap handshake control message
-	case msgFence:
-		m, err := decodeFence(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad fence from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverFence(m)
-	case msgTokenFT:
-		env, err := decodeTokenFT(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad sequenced token from %q: %w", src, err))
-			return
-		}
-		tok, _, err := l.reg.Unmarshal(env.Payload)
-		if err != nil {
-			putEnvelope(env)
-			l.sink.linkFail(fmt.Errorf("dps: cannot deserialize token from %q: %w", src, err))
-			return
-		}
-		env.Token = tok
-		env.Payload = nil // aliases the wire buffer recycled below
-		putWireBuf(payload)
-		l.sink.deliverToken(env, src)
-		return
-	//dpsvet:ignore tracepoints group accounting only; the group's tokens carry the trace
-	case msgGroupEndFT:
-		m, err := decodeGroupEndFT(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad sequenced group-end from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverGroupEnd(m, src)
-	//dpsvet:ignore tracepoints checkpoint record in transit to the store
-	case msgCheckpoint:
-		rec, err := ft.DecodeRecord(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad checkpoint from %q: %w", src, err))
-			return
-		}
-		// DecodeRecord copies every byte slice out of the wire buffer.
-		l.sink.deliverCheckpoint(rec)
-	//dpsvet:ignore tracepoints replay spans are recorded by the resending master
-	case msgReplay:
-		m, err := decodeReplay(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad recovery envelope from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverReplay(m, src)
-	//dpsvet:ignore tracepoints log-truncation control message
-	case msgCut:
-		m, err := decodeCut(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad log cut from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverCut(m)
-	//dpsvet:ignore tracepoints failure broadcast, not part of any call
-	case msgDeath:
-		m, err := decodeDeath(body)
-		if err != nil {
-			l.sink.linkFail(fmt.Errorf("dps: bad death notice from %q: %w", src, err))
-			return
-		}
-		l.sink.deliverDeath(m, src)
-	case msgBatch:
-		l.handleBatch(src, payload, body)
-		return
-	//dpsvet:ignore tracepoints liveness probe carries nothing
-	case msgPing:
-		// Liveness probe: receipt is the answer (detection is send-error
-		// driven); nothing to do.
-	default:
-		l.sink.linkFail(fmt.Errorf("dps: unknown message kind %d from %q", kind, src))
-		return
-	}
-	putWireBuf(payload)
-}
-
-// handleBatch decodes one batch frame and delivers its entries in frame
-// order — which is send order, so the receiver-side FIFO assumptions
-// (prefix duplicate filters, group-end-after-tokens) hold exactly as they
-// do for singles. body is payload minus the kind byte.
-func (l *link) handleBatch(src string, payload, body []byte) {
-	frame, inflated, err := decodeBatchFrame(body)
-	if err != nil {
-		l.sink.linkFail(fmt.Errorf("dps: bad batch frame from %q: %w", src, err))
-		return
-	}
-	if inflated {
-		// The frame body was inflated into a fresh buffer; the wire buffer
-		// has no further readers and recycles early.
-		putWireBuf(payload)
-	}
-	err = decodeBatch(frame, func(kind byte, stream string, seq uint64, eb []byte) error {
-		switch kind {
-		case msgToken, msgTokenFT:
-			env, err := decodeEnvelope(eb)
+// sendToken moves an envelope to the node hosting its destination thread:
+// by pointer inside an address space, bypassing the communication layer
+// (paper §4), serialized into a pooled wire buffer otherwise. The envelope
+// is consumed either way.
+func (l *link) sendToken(env *envelope, dst string) {
+	stats := &l.rt.stats
+	atomic.AddInt64(&stats.TokensPosted, 1)
+	rt, wire := l.route(msgToken, dst)
+	if rt != nil {
+		if l.force {
+			// ForceSerialize: full marshalling, then local delivery.
+			tok, err := l.roundTrip(env.Token)
 			if err != nil {
-				return err
-			}
-			tok, _, err := l.reg.Unmarshal(env.Payload)
-			if err != nil {
-				putEnvelope(env)
-				return err
+				panic(opError{err})
 			}
 			env.Token = tok
-			env.Payload = nil // aliases the frame buffer recycled below
-			env.FTStream, env.FTSeq = stream, seq
-			l.sink.deliverToken(env, src)
-		default: // msgGroupEnd, msgGroupEndFT (decodeBatch validated the kind)
-			m, err := decodeGroupEnd(eb)
-			if err != nil {
-				return err
-			}
-			m.FTStream, m.FTSeq = stream, seq
-			l.sink.deliverGroupEnd(m, src)
+		} else {
+			atomic.AddInt64(&stats.TokensLocal, 1)
+			env.ftWire = nil // the retention log keeps its own copy
 		}
-		return nil
-	})
-	if err != nil {
-		l.sink.linkFail(fmt.Errorf("dps: bad batch frame from %q: %w", src, err))
+		rt.deliverToken(env, l.name)
 		return
 	}
-	if inflated {
-		putWireBuf(frame)
-	} else {
-		putWireBuf(payload)
-	}
-}
-
-// sendToken routes an envelope toward the node hosting its destination
-// thread: pointer handoff for same-node transfers (unless ForceSerialize),
-// single-copy serialization into a pooled wire buffer otherwise. Failures
-// propagate as opError panics, matching operation execution contexts —
-// unless the fault-tolerance layer absorbs them (dead destination: the
-// retained copy replays during recovery).
-func (l *link) sendToken(env *envelope, targetNode string) {
-	l.stats.tokensPosted.Add(1)
-	if targetNode == l.name && !l.force {
-		// Same address space: transfer the pointer directly, bypassing the
-		// communication layer (paper §4).
-		l.stats.tokensLocal.Add(1)
-		l.sink.deliverToken(env, l.name)
-		return
-	}
-	if targetNode == l.name {
-		// ForceSerialize: full marshalling, then local delivery.
-		tok, err := l.roundTrip(env.Token)
-		if err != nil {
-			panic(opError{err})
-		}
-		env.Token = tok
-		l.sink.deliverToken(env, l.name)
-		return
-	}
-	if l.down(targetNode) {
+	if !wire {
 		putEnvelope(env)
 		return
 	}
-	if peer := l.peerSink(targetNode); peer != nil {
-		// Colocated destination: hand the pointer across address-space-wide,
-		// the paper's same-node shortcut extended to same-process lanes.
-		l.stats.tokensLocal.Add(1)
-		env.ftWire = nil // the retention log keeps its own copy
-		peer.deliverToken(env, l.name)
-		return
-	}
-	if l.batch {
-		l.batchToken(env, targetNode)
-		return
-	}
-	// The token is serialized straight into a pooled wire buffer after the
-	// envelope header (single copy); the receiving runtime recycles the
-	// buffer once decoded. Sequenced tokens use the msgTokenFT framing;
-	// freshly stamped ones reuse the retention log's encoding (the wire
-	// message byte for byte) instead of serializing the token again —
-	// copied, because the transport takes ownership of what it sends.
 	buf, err := l.appendTokenFrame(getWireBuf(), env)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
 	}
-	l.stats.tokensRemote.Add(1)
-	l.stats.bytesSent.Add(int64(len(buf)))
-	if err := l.trSend(targetNode, buf); err != nil {
-		if l.sendFailed(targetNode, err) {
-			putWireBuf(buf)
-			putEnvelope(env)
-			return
-		}
-		panic(opError{err})
-	}
+	atomic.AddInt64(&stats.TokensRemote, 1)
+	// Sampled tokens never join a batch frame: the traced wrapper frames them
+	// alone, so the batch codec and unsampled coalescing stay byte-identical
+	// with tracing on and the wire span keeps real timing.
+	coalesced := l.batch && env.TraceID == 0 && l.coalesce(dst, buf, env.FTStream, env.FTSeq)
 	putEnvelope(env)
+	if !coalesced {
+		l.transmit(dst, buf, false)
+	}
 }
 
 // sendGroupEnd announces a completed group's total to the paired merge's
-// node. Failures propagate as opError panics (the opener's execution
-// context is unwinding its group) unless the fault-tolerance layer absorbs
-// them.
-func (l *link) sendGroupEnd(target string, m *groupEndMsg) {
-	if target == l.name {
-		l.sink.deliverGroupEnd(m, l.name)
+// node, behind the group's tokens (batched with them under Config.Batch).
+func (l *link) sendGroupEnd(dst string, m *groupEndMsg) {
+	rt, wire := l.route(msgGroupEnd, dst)
+	if rt != nil {
+		rt.handleGroupEnd(m, l.name)
 		return
 	}
-	if l.down(target) {
-		return
-	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverGroupEnd(m, l.name)
-		return
-	}
-	if l.batch {
-		l.batchGroupEnd(m, target)
+	if !wire {
 		return
 	}
 	var buf []byte
@@ -778,82 +440,18 @@ func (l *link) sendGroupEnd(target string, m *groupEndMsg) {
 	} else {
 		buf = appendGroupEnd(getWireBuf(), m)
 	}
-	if err := l.trSend(target, buf); err != nil {
-		if l.sendFailed(target, err) {
-			putWireBuf(buf)
-			return
-		}
-		panic(opError{err})
+	if l.batch && l.coalesce(dst, buf, m.FTStream, m.FTSeq) {
+		return
 	}
+	l.transmit(dst, buf, false)
 }
 
-// sendMigrate ships a migration envelope to the instance's new owner.
-func (l *link) sendMigrate(target string, m *migrateMsg) error {
-	if target == l.name {
-		l.sink.deliverMigrate(m)
-		return nil
-	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverMigrate(m)
-		return nil
-	}
-	buf := appendMigrate(getWireBuf(), m)
-	l.stats.bytesSent.Add(int64(len(buf)))
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	return l.trSend(target, buf)
-}
-
-// sendFence emits one fence half of the live-remap handshake.
-func (l *link) sendFence(target string, m *fenceMsg) error {
-	if target == l.name {
-		l.sink.deliverFence(m)
-		return nil
-	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverFence(m)
-		return nil
-	}
-	buf := appendFence(getWireBuf(), m)
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	return l.trSend(target, buf)
-}
-
-// sendAck returns a consumption acknowledgement to the split-side node.
-func (l *link) sendAck(target string, m ackMsg) error {
-	if target == l.name {
-		l.sink.deliverAck(m)
-		return nil
-	}
-	if l.down(target) {
-		// The split side died; its window state is gone and the recovery
-		// replays the group from its origin's retained log.
-		return nil
-	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverAck(m)
-		return nil
-	}
-	buf := appendAck(getWireBuf(), m)
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	if err := l.trSend(target, buf); err != nil {
-		if l.sendFailed(target, err) {
-			putWireBuf(buf)
-			return nil
-		}
-		return err
-	}
-	return nil
-}
-
-// sendResult delivers a graph's final output to the calling node.
+// sendResult delivers a graph's final output to the calling node. A result
+// is the latency-sensitive message of the wire path — a caller is blocked on
+// it — so it flushes the destination's pending batch rather than join it.
 func (l *link) sendResult(env *envelope, tok Token) {
-	if env.CallOrigin == l.name {
+	rt, wire := l.route(msgResult, env.CallOrigin)
+	if rt != nil {
 		if l.force {
 			out, err := l.roundTrip(tok)
 			if err != nil {
@@ -861,135 +459,87 @@ func (l *link) sendResult(env *envelope, tok Token) {
 			}
 			tok = out
 		}
-		l.stats.callsCompleted.Add(1)
-		l.sink.deliverResult(env.CallID, tok)
+		rt.deliverResult(env.CallID, tok)
 		return
 	}
-	if l.down(env.CallOrigin) {
-		// The caller's node died; nobody is waiting for this result.
+	if !wire {
 		return
 	}
-	if peer := l.peerSink(env.CallOrigin); peer != nil {
-		l.stats.callsCompleted.Add(1)
-		peer.deliverResult(env.CallID, tok)
-		return
-	}
-	// Serialize the result straight after the message header into a pooled
-	// buffer (single copy, mirroring the token path). A result is the
-	// latency-sensitive message of the wire path — a caller is blocked on
-	// it — so it flushes the destination's pending batch rather than join it.
-	buf := appendResultHeader(getWireBuf(), env.CallID)
-	buf, err := l.reg.Append(buf, tok)
+	buf, err := l.reg.Append(appendResultHeader(getWireBuf(), env.CallID), tok)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize result: %w", err)})
 	}
-	if unlock := l.preSend(env.CallOrigin); unlock != nil {
-		defer unlock()
-	}
-	if err := l.trSend(env.CallOrigin, buf); err != nil {
-		if l.sendFailed(env.CallOrigin, err) {
-			putWireBuf(buf)
-			return
-		}
-		panic(opError{err})
+	l.transmit(env.CallOrigin, buf, false)
+}
+
+// sendAck returns a consumption acknowledgement to the split-side node.
+func (l *link) sendAck(dst string, m ackMsg) {
+	if rt, wire := l.route(msgAck, dst); rt != nil {
+		rt.handleAck(m)
+	} else if wire {
+		l.transmit(dst, appendAck(getWireBuf(), m), false)
 	}
 }
 
-// sendCheckpoint ships a checkpoint record to the store node. Failures
-// feed the detector; a lost checkpoint merely leaves the previous one
-// authoritative.
-func (l *link) sendCheckpoint(target string, rec *ft.Record) {
-	if target == l.name {
-		l.sink.deliverCheckpoint(rec)
-		return
+// sendMigrate ships a migration envelope to the instance's new owner.
+func (l *link) sendMigrate(dst string, m *migrateMsg) error {
+	if rt, _ := l.route(msgMigrate, dst); rt != nil {
+		rt.installMigrated(m)
+		return nil
 	}
-	if l.down(target) {
-		return
+	return l.transmit(dst, appendMigrate(getWireBuf(), m), false)
+}
+
+// sendFence emits one fence half of the live-remap handshake.
+func (l *link) sendFence(dst string, m *fenceMsg) error {
+	if rt, _ := l.route(msgFence, dst); rt != nil {
+		rt.deliverFence(m)
+		return nil
 	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverCheckpoint(rec)
-		return
-	}
-	buf := appendCheckpoint(getWireBuf(), rec)
-	l.stats.bytesSent.Add(int64(len(buf)))
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	if err := l.trSend(target, buf); err != nil {
-		if !l.sendFailed(target, err) {
-			l.sink.linkFail(err)
-		}
-		putWireBuf(buf)
+	return l.transmit(dst, appendFence(getWireBuf(), m), false)
+}
+
+// sendCheckpoint ships a checkpoint record to the store node.
+func (l *link) sendCheckpoint(dst string, rec *ft.Record) {
+	if rt, wire := l.route(msgCheckpoint, dst); rt != nil {
+		rt.commitCheckpoint(rec)
+	} else if wire {
+		l.transmit(dst, appendCheckpoint(getWireBuf(), rec), false)
 	}
 }
 
 // sendReplay ships a recovery envelope to a failover survivor.
-func (l *link) sendReplay(target string, m *replayMsg) {
-	if target == l.name {
-		l.sink.deliverReplay(m, l.name)
-		return
-	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverReplay(m, l.name)
-		return
-	}
-	buf := appendReplay(getWireBuf(), m)
-	l.stats.bytesSent.Add(int64(len(buf)))
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	if err := l.trSend(target, buf); err != nil {
-		if !l.sendFailed(target, err) {
-			l.sink.linkFail(err)
-		}
-		putWireBuf(buf)
+func (l *link) sendReplay(dst string, m *replayMsg) {
+	if rt, wire := l.route(msgReplay, dst); rt != nil {
+		rt.installRecovered(m, l.name)
+	} else if wire {
+		l.transmit(dst, appendReplay(getWireBuf(), m), false)
 	}
 }
 
 // sendCut tells a sender stream's node that retained entries are durable.
-// Best effort: a lost cut only delays truncation until the next one.
-func (l *link) sendCut(target string, m cutMsg) {
-	if target == l.name {
-		l.sink.deliverCut(m)
-		return
-	}
-	if l.down(target) {
-		return
-	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverCut(m)
-		return
-	}
-	buf := appendCut(getWireBuf(), m)
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	if err := l.trSend(target, buf); err != nil {
-		if !l.sendFailed(target, err) {
-			l.sink.linkFail(err)
-		}
-		putWireBuf(buf)
+func (l *link) sendCut(dst string, m cutMsg) {
+	if rt, wire := l.route(msgCut, dst); rt != nil {
+		rt.applyCut(m)
+	} else if wire {
+		l.transmit(dst, appendCut(getWireBuf(), m), false)
 	}
 }
 
-// sendDeath broadcasts a death notice. Best effort.
-func (l *link) sendDeath(target string, m deathMsg) {
-	if target == l.name {
-		l.sink.deliverDeath(m, l.name)
-		return
+// sendDeath broadcasts a death notice.
+func (l *link) sendDeath(dst string, m deathMsg) {
+	if rt, wire := l.route(msgDeath, dst); rt != nil {
+		rt.handleDeath(m, l.name)
+	} else if wire {
+		l.transmit(dst, appendDeath(getWireBuf(), m), false)
 	}
-	if peer := l.peerSink(target); peer != nil {
-		peer.deliverDeath(m, l.name)
-		return
-	}
-	buf := appendDeath(getWireBuf(), m)
-	if unlock := l.preSend(target); unlock != nil {
-		defer unlock()
-	}
-	if err := l.tr.Send(target, buf); err != nil {
-		_ = l.sendFailed(target, err)
-		putWireBuf(buf)
-	}
+}
+
+// ping sends the failure detector's liveness probe over the wire path that
+// real traffic takes, so probe and traffic degrade alike (trSend's grace
+// retries included); the error is the probe's answer.
+func (l *link) ping(dst string) error {
+	return l.transmit(dst, append(getWireBuf(), msgPing), false)
 }
 
 // roundTrip marshals and unmarshals a token, exercising the full
@@ -1005,4 +555,159 @@ func (l *link) roundTrip(tok Token) (Token, error) {
 		return nil, fmt.Errorf("dps: cannot deserialize %T: %w", tok, err)
 	}
 	return out, nil
+}
+
+// --- inbound --------------------------------------------------------------
+
+// handle is the transport receive entry point. Per the transport ownership
+// contract the frame belongs to this handler once invoked; every decoded
+// field is copied out, so it is recycled into the wire pool — by the kind's
+// receive function where the table says so, here otherwise. A frame that
+// fails to decode fails the application and is left to the collector.
+func (l *link) handle(src string, frame []byte) {
+	if len(frame) == 0 {
+		l.rt.linkFail(fmt.Errorf("dps: empty message from %q", src))
+		return
+	}
+	k := &wireKinds[frame[0]]
+	if k.recv == nil {
+		l.rt.linkFail(fmt.Errorf("dps: unknown message kind %d from %q", frame[0], src))
+		return
+	}
+	if err := k.recv(l, src, frame); err != nil {
+		l.rt.linkFail(fmt.Errorf("dps: bad %s from %q: %w", k.name, src, err))
+		return
+	}
+	if !k.recycles {
+		putWireBuf(frame)
+	}
+}
+
+// recvToken is the one decode-unmarshal-deliver path of every token on the
+// wire: alone in a frame, inside a traced wrapper, or as a batch entry.
+// body is the envelope header and serialized token; stream/seq and traceID
+// are what the framing around it carried. frame, when non-nil, is the wire
+// buffer body aliases, recycled here once nothing reads it any more (a
+// batch frame outlives its entries and is recycled by recvBatch).
+func (l *link) recvToken(src, stream string, seq, traceID uint64, body, frame []byte) error {
+	env, err := decodeEnvelope(body)
+	if err != nil {
+		return err
+	}
+	tok, _, err := l.reg.Unmarshal(env.Payload)
+	if err != nil {
+		putEnvelope(env)
+		return fmt.Errorf("cannot deserialize token: %w", err)
+	}
+	env.Token = tok
+	env.Payload = nil // aliases the wire buffer
+	env.FTStream, env.FTSeq, env.TraceID = stream, seq, traceID
+	if frame != nil {
+		putWireBuf(frame)
+	}
+	l.rt.deliverToken(env, src)
+	return nil
+}
+
+func (l *link) recvTokenEntry(src, stream string, seq uint64, body []byte) error {
+	return l.recvToken(src, stream, seq, 0, body, nil)
+}
+
+// readStamp splits the single frame of a batchable kind into its
+// fault-tolerance stamp (zero unless the kind is sequenced) and entry body.
+func readStamp(frame []byte) (stream string, seq uint64, body []byte, err error) {
+	if wireKinds[frame[0]].sequenced {
+		return readFTStamp(frame[1:])
+	}
+	return "", 0, frame[1:], nil
+}
+
+func (l *link) recvLoneToken(src string, frame []byte) error {
+	stream, seq, body, err := readStamp(frame)
+	if err != nil {
+		return err
+	}
+	return l.recvToken(src, stream, seq, 0, body, frame)
+}
+
+// recvTraced unwraps a sampled token's frame and records the receiver-side
+// wire span: sender transmit clock to receiver decode clock. Across
+// processes the two clocks are not synchronized, so the duration carries
+// their skew; within one process (the test and bench deployments) they
+// agree.
+func (l *link) recvTraced(src string, frame []byte) error {
+	traceID, sentNs, inner, err := decodeTracedHeader(frame[1:])
+	if err != nil {
+		return err
+	}
+	if inner[0] != msgToken && inner[0] != msgTokenFT {
+		return fmt.Errorf("unexpected inner kind %d", inner[0])
+	}
+	stream, seq, body, err := readStamp(inner)
+	if err != nil {
+		return err
+	}
+	d := time.Now().UnixNano() - sentNs
+	if d < 0 {
+		d = 0
+	}
+	l.rt.traceSpan(traceID, "wire", src, sentNs, d)
+	return l.recvToken(src, stream, seq, traceID, body, frame)
+}
+
+func (l *link) recvGroupEnd(src, stream string, seq uint64, body []byte) error {
+	m, err := decodeGroupEnd(body)
+	if err != nil {
+		return err
+	}
+	m.FTStream, m.FTSeq = stream, seq
+	l.rt.handleGroupEnd(m, src)
+	return nil
+}
+
+func (l *link) recvLoneGroupEnd(src string, frame []byte) error {
+	stream, seq, body, err := readStamp(frame)
+	if err != nil {
+		return err
+	}
+	return l.recvGroupEnd(src, stream, seq, body)
+}
+
+// recvBatch decodes one batch frame and delivers its entries in frame
+// order — which is send order, so the receiver-side FIFO assumptions
+// (prefix duplicate filters, group-end-after-tokens) hold exactly as they
+// do for singles.
+func (l *link) recvBatch(src string, frame []byte) error {
+	body, inflated, err := decodeBatchFrame(frame[1:])
+	if err != nil {
+		return err
+	}
+	if inflated {
+		// The entries now live in a fresh buffer; the wire buffer has no
+		// further readers and recycles early.
+		putWireBuf(frame)
+		frame = body
+	}
+	err = decodeBatch(body, func(kind byte, stream string, seq uint64, eb []byte) error {
+		return wireKinds[kind].entry(l, src, stream, seq, eb)
+	})
+	if err != nil {
+		return err
+	}
+	putWireBuf(frame)
+	return nil
+}
+
+func (l *link) recvResult(src string, frame []byte) error {
+	m, err := decodeResult(frame[1:])
+	if err != nil {
+		return err
+	}
+	tok, _, err := l.reg.Unmarshal(m.Payload)
+	if err != nil {
+		return fmt.Errorf("cannot deserialize result: %w", err)
+	}
+	putWireBuf(frame)
+	l.rt.deliverResult(m.CallID, tok)
+	return nil
 }

@@ -1,0 +1,271 @@
+package core
+
+import (
+	"errors"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core/ft"
+	"repro/internal/core/place"
+	"repro/internal/serial"
+	"repro/internal/transport"
+)
+
+// TestWireKindTable checks the declaration the link layer is driven by:
+// every kind constant (frozenWireKinds is held complete against wire.go by
+// the freeze tests) has a complete row, every batchable row passes the
+// batch decoder's kind check, and a byte without a row is rejected.
+func TestWireKindTable(t *testing.T) {
+	for name, kind := range frozenWireKinds {
+		k := wireKinds[kind]
+		if k.name == "" || k.recv == nil || k.span == 0 || k.fail == 0 {
+			t.Errorf("%s: incomplete row %+v (name, recv, span and fail are mandatory)", name, k)
+		}
+		if (k.span == spanNone) != (k.why != "") {
+			t.Errorf("%s: a row gives a reason exactly when it records no span (span %d, why %q)", name, k.span, k.why)
+		}
+		if k.entry != nil {
+			body := []byte{1, 1, 's', 1, kind} // one stream "s", one entry
+			if k.sequenced {
+				body = append(body, 0, 1) // stream index, seq
+			}
+			body = append(body, 0) // empty entry body
+			if err := decodeBatch(body, func(byte, string, uint64, []byte) error { return nil }); err != nil {
+				t.Errorf("%s is batchable but decodeBatch refuses it: %v", name, err)
+			}
+		}
+	}
+	known := make(map[byte]bool)
+	for _, kind := range frozenWireKinds {
+		known[kind] = true
+	}
+	for kind := 0; kind < len(wireKinds); kind++ {
+		if !known[byte(kind)] && wireKinds[kind].recv != nil {
+			t.Errorf("kind byte %d has a row but no msg* constant", kind)
+		}
+	}
+	l, _, app := newRecordedLink(t, Config{})
+	l.handle("far", []byte{200})
+	if err := app.Err(); err == nil || !strings.Contains(err.Error(), "unknown message kind 200") {
+		t.Errorf("frame of kind 200: app error %v, want unknown message kind", err)
+	}
+}
+
+// recTransport records the frames a link hands it, or refuses them.
+type recTransport struct {
+	mu      sync.Mutex
+	frames  [][]byte
+	refuse  bool
+	refused []byte // the last refused buffer itself, not a copy
+}
+
+func (r *recTransport) Local() string                { return "near" }
+func (r *recTransport) SetHandler(transport.Handler) {}
+func (r *recTransport) Close() error                 { return nil }
+func (r *recTransport) Send(_ string, b []byte) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.refuse {
+		r.refused = b
+		return errors.New("recTransport: refused")
+	}
+	r.frames = append(r.frames, append([]byte(nil), b...))
+	return nil
+}
+
+// take returns and forgets the frames seen so far.
+func (r *recTransport) take() (frames [][]byte, bytes int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	frames, r.frames = r.frames, nil
+	for _, f := range frames {
+		bytes += int64(len(f))
+	}
+	return frames, bytes
+}
+
+type linkTok struct{ N int }
+
+func newRecordedLink(t *testing.T, cfg Config) (*link, *recTransport, *App) {
+	t.Helper()
+	cfg.Registry = serial.NewRegistry()
+	if err := serial.Register[linkTok](cfg.Registry); err != nil {
+		t.Fatal(err)
+	}
+	tr := &recTransport{}
+	app := NewApp(cfg)
+	rt, err := app.AttachTransport(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	return &rt.lnk, tr, app
+}
+
+func tokenEnv() *envelope {
+	env := getEnvelope()
+	env.Graph, env.CallOrigin, env.Token = "g", "far", &linkTok{N: 7}
+	return env
+}
+
+// sendOneOf sends one message of each wire kind to dst through the link's
+// sender for that kind.
+var sendOneOf = map[byte]func(l *link, dst string) error{
+	msgToken: func(l *link, dst string) error { l.sendToken(tokenEnv(), dst); return nil },
+	msgTokenFT: func(l *link, dst string) error {
+		env := tokenEnv()
+		env.FTStream, env.FTSeq = "s", 3
+		l.sendToken(env, dst)
+		return nil
+	},
+	msgTraced: func(l *link, dst string) error {
+		env := tokenEnv()
+		env.TraceID = 99
+		l.sendToken(env, dst)
+		return nil
+	},
+	msgGroupEnd: func(l *link, dst string) error { l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1}); return nil },
+	msgGroupEndFT: func(l *link, dst string) error {
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: "s", FTSeq: 4})
+		return nil
+	},
+	msgBatch: func(l *link, dst string) error {
+		l.sendToken(tokenEnv(), dst)
+		l.batcherFor(dst).timedFlush()
+		return nil
+	},
+	msgAck: func(l *link, dst string) error { l.sendAck(dst, ackMsg{GroupID: 1, Graph: "g"}); return nil },
+	msgResult: func(l *link, dst string) error {
+		l.sendResult(&envelope{CallID: 5, CallOrigin: dst}, &linkTok{N: 1})
+		return nil
+	},
+	msgMigrate: func(l *link, dst string) error {
+		return l.sendMigrate(dst, &migrateMsg{Collection: "c", State: []byte("st")})
+	},
+	msgFence: func(l *link, dst string) error { return l.sendFence(dst, &fenceMsg{Collection: "c", Src: "near"}) },
+	msgCheckpoint: func(l *link, dst string) error {
+		l.sendCheckpoint(dst, &ft.Record{Key: place.Key{Collection: "c"}})
+		return nil
+	},
+	msgReplay: func(l *link, dst string) error {
+		l.sendReplay(dst, &replayMsg{Epoch: 2, Rec: &ft.Record{Key: place.Key{Collection: "c"}}})
+		return nil
+	},
+	msgCut: func(l *link, dst string) error {
+		l.sendCut(dst, cutMsg{Stream: "s", DstCollection: "c", Seq: 9})
+		return nil
+	},
+	msgDeath: func(l *link, dst string) error { l.sendDeath(dst, deathMsg{Node: "gone"}); return nil },
+	msgPing:  func(l *link, dst string) error { return l.ping(dst) },
+}
+
+// TestTransmitChokePoint drives every row of the kind table through the
+// link's one transmit path and a recording transport.
+func TestTransmitChokePoint(t *testing.T) {
+	for name, kind := range frozenWireKinds {
+		name, kind, row := name, kind, wireKinds[kind]
+		send := sendOneOf[kind]
+		if send == nil {
+			t.Errorf("%s: no sender in this test; add one with the kind's table row", name)
+			continue
+		}
+
+		// (a) BytesSent grows by exactly the bytes the transport saw.
+		if kind != msgBatch { // batch frames only exist with batching on
+			t.Run(name+"/bytes", func(t *testing.T) {
+				l, tr, _ := newRecordedLink(t, Config{})
+				if err := send(l, "far"); err != nil {
+					t.Fatal(err)
+				}
+				frames, seen := tr.take()
+				if len(frames) != 1 || frames[0][0] != kind {
+					t.Fatalf("transport saw %d frames (first kind %v), want one frame of kind %d", len(frames), frames, kind)
+				}
+				if got := l.rt.Stats().BytesSent; got != seen {
+					t.Errorf("BytesSent = %d, transport saw %d bytes", got, seen)
+				}
+			})
+		}
+
+		// (b) With batching on, a token batched earlier reaches the transport
+		// first — in a batch frame flushed ahead of this kind's own frame, or
+		// (batchable kinds) as an earlier entry of the same batch frame — and
+		// the byte accounting still matches.
+		t.Run(name+"/order", func(t *testing.T) {
+			l, tr, _ := newRecordedLink(t, Config{Batch: true})
+			l.sendToken(tokenEnv(), "far")
+			if frames, _ := tr.take(); len(frames) != 0 {
+				t.Fatalf("a lone small token left unbatched: %v", frames)
+			}
+			if err := send(l, "far"); err != nil {
+				t.Fatal(err)
+			}
+			l.batcherFor("far").timedFlush()
+			frames, seen := tr.take()
+			if len(frames) == 0 || frames[0][0] != msgBatch {
+				t.Fatalf("first frame on the wire is not the pending batch: %v", frames)
+			}
+			body, _, err := decodeBatchFrame(frames[0][1:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var entries []byte
+			if err := decodeBatch(body, func(k byte, _ string, _ uint64, _ []byte) error {
+				entries = append(entries, k)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if entries[0] != msgToken {
+				t.Errorf("batch entries %v: the earlier token is not first", entries)
+			}
+			switch {
+			case row.entry != nil || kind == msgBatch:
+				if len(frames) != 1 || len(entries) != 2 {
+					t.Errorf("batchable kind: %d frames, entries %v; want one batch frame of two entries", len(frames), entries)
+				}
+			default:
+				if len(frames) != 2 || len(entries) != 1 || frames[1][0] != kind {
+					t.Errorf("got %d frames, batch entries %v; want the batch then one frame of kind %d", len(frames), entries, kind)
+				}
+			}
+			if got := l.rt.Stats().BytesSent; got != seen {
+				t.Errorf("BytesSent = %d, transport saw %d bytes", got, seen)
+			}
+		})
+
+		// (c) A refused frame returns to the wire pool and the failure
+		// surfaces as the row's policy says. sync.Pool may drop a Put (it
+		// does so on purpose under the race detector), so the pool check
+		// retries; code that never recycles never passes it.
+		t.Run(name+"/failure", func(t *testing.T) {
+			l, tr, app := newRecordedLink(t, Config{Batch: kind == msgBatch})
+			tr.refuse = true
+			recycled := false
+			for attempt := 0; attempt < 20 && !recycled; attempt++ {
+				var panicked any
+				var err error
+				func() {
+					defer func() { panicked = recover() }()
+					err = send(l, "far")
+				}()
+				_, isOpError := panicked.(opError)
+				if (row.fail == failPanic) != isOpError || (panicked != nil && !isOpError) {
+					t.Fatalf("panic %v, policy %d", panicked, row.fail)
+				}
+				if (row.fail == failReturn) != (err != nil) {
+					t.Fatalf("returned error %v, policy %d", err, row.fail)
+				}
+				if (row.fail == failLink) != (app.Err() != nil) {
+					t.Fatalf("application error %v, policy %d", app.Err(), row.fail)
+				}
+				got := getWireBuf()
+				recycled = cap(got) > 0 && &got[:1][0] == &tr.refused[:1][0]
+			}
+			if !recycled {
+				t.Error("the refused buffer never came back from the wire pool")
+			}
+		})
+	}
+}

@@ -324,13 +324,13 @@ func (rt *Runtime) forwardItem(it placeItem, target string) {
 	}()
 	switch {
 	case it.env != nil:
-		rt.stats.tokensForwarded.Add(1)
+		atomic.AddInt64(&rt.stats.TokensForwarded, 1)
 		if it.env.TraceID != 0 {
 			rt.traceSpan(it.env.TraceID, "forward", target, time.Now().UnixNano(), 0)
 		}
 		rt.lnk.sendToken(it.env, target)
 	case it.ge != nil:
-		rt.stats.tokensForwarded.Add(1)
+		atomic.AddInt64(&rt.stats.TokensForwarded, 1)
 		rt.lnk.sendGroupEnd(target, it.ge)
 	case it.fence != nil:
 		if err := rt.lnk.sendFence(target, it.fence); err != nil {
@@ -835,8 +835,8 @@ func (app *App) migrateThread(ctx context.Context, tc *ThreadCollection, thread 
 	for {
 		select {
 		case <-installed:
-			rtOld.stats.migrationsCompleted.Add(1)
-			rtOld.stats.migrationBytes.Add(int64(len(payload)))
+			atomic.AddInt64(&rtOld.stats.MigrationsCompleted, 1)
+			atomic.AddInt64(&rtOld.stats.MigrationBytes, int64(len(payload)))
 			return nil
 		case <-time.After(200 * time.Microsecond):
 			if err := app.Err(); err != nil {

@@ -30,6 +30,11 @@ import (
 //   - link:    envelope framing, buffer pooling and send/receive over
 //     transport.Transport (link.go, wire.go, pool.go).
 type Runtime struct {
+	// stats is counted into with atomic.AddInt64 on its fields, never by a
+	// plain write; Stats() snapshots it. First in the struct, which keeps
+	// the fields 64-bit aligned on 32-bit platforms.
+	stats Stats
+
 	app     *App
 	lnk     link
 	name    string
@@ -39,8 +44,6 @@ type Runtime struct {
 	groups groupTable
 	policy flowctl.Policy
 	place  placeState
-
-	stats statCounters
 
 	// Fault-tolerance layer (nil / zero unless Config.Checkpoint is set):
 	// ftNode sequences and retains graph-call entry posts originating on
@@ -140,24 +143,7 @@ func newRuntime(app *App, tr transport.Transport, idx int) *Runtime {
 		rt.ftNode = ft.NewState(ft.NodeStream(rt.name))
 	}
 	rt.groups.init(idx)
-	// Colocated fast path: when the transport can attest that a destination
-	// shares this process (Inproc fabric), resolve it to the peer runtime's
-	// linkSink so tokens skip serialization entirely. Cross-app fabrics are
-	// safe: an unknown name simply yields no fast path.
-	var peers func(dst string) linkSink
-	if co, ok := tr.(transport.Colocated); ok {
-		peers = func(dst string) linkSink {
-			if !co.Colocated(dst) {
-				return nil
-			}
-			if peer, ok := app.runtime(dst); ok {
-				return peer
-			}
-			return nil
-		}
-	}
-	rt.lnk.init(tr, app.reg, &app.cfg, app.ftOn, rt, &rt.stats, peers)
-	rt.lnk.ring = rt.ring
+	rt.lnk.init(rt, tr, &app.cfg)
 	rt.sched.Init(sched.Config{Workers: app.cfg.Workers, QueueCap: app.cfg.Queue}, rt.runItem)
 	return rt
 }
@@ -220,7 +206,7 @@ func (rt *Runtime) credit(graph string, node int, threads int) *flowctl.Credits 
 	return ct
 }
 
-// --- linkSink: decoded inbound traffic from the link layer ---------------
+// --- inbound traffic and failure hooks of the link layer -----------------
 
 // deliverToken hands an envelope (token decoded) to its destination thread
 // on this node. Tokens of canceled calls are dropped here, with their
@@ -290,25 +276,18 @@ func (rt *Runtime) dispatchToken(g *Flowgraph, node *GraphNode, env *envelope) {
 	}
 }
 
-func (rt *Runtime) deliverGroupEnd(m *groupEndMsg, src string) { rt.handleGroupEnd(m, src) }
-
-func (rt *Runtime) deliverMigrate(m *migrateMsg) { rt.installMigrated(m) }
-
-func (rt *Runtime) deliverAck(m ackMsg) { rt.handleAck(m) }
-
+// deliverResult settles a graph call with its result on the call's origin
+// node — the one place a completed call is counted, however the result
+// travelled.
 func (rt *Runtime) deliverResult(callID uint64, tok Token) {
+	atomic.AddInt64(&rt.stats.CallsCompleted, 1)
 	rt.app.completeCall(callID, CallResult{Value: tok})
 }
 
-func (rt *Runtime) deliverCheckpoint(rec *ft.Record) { rt.commitCheckpoint(rec) }
-
-func (rt *Runtime) deliverReplay(m *replayMsg, src string) { rt.installRecovered(m, src) }
-
-func (rt *Runtime) deliverCut(m cutMsg) { rt.applyCut(m) }
-
-func (rt *Runtime) deliverDeath(m deathMsg, src string) {
-	// A peer (possibly in another process) declared a node dead: converge
-	// on the same recovery; the detector folds duplicate reports.
+// handleDeath takes a peer's (possibly another process's) notice that a node
+// was declared dead: converge on the same recovery; the detector folds
+// duplicate reports.
+func (rt *Runtime) handleDeath(m deathMsg, src string) {
 	rt.app.suspect(m.Node, fmt.Errorf("dps: node %q declared dead by %q", m.Node, src))
 }
 

@@ -1,11 +1,20 @@
 package core
 
-import "sync/atomic"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // Stats are cumulative counters of a node runtime (and, aggregated, of a
 // whole application). They expose the macro-dataflow activity the paper
 // describes — tokens circulating, local pointer handoffs vs serialized
 // network transfers — and are used by the experiment harness and tests.
+//
+// This struct is the single declaration of the engine's counters: a runtime
+// counts into a Stats value (atomic.AddInt64 on its fields), and snapshots,
+// Add and the metrics exporter's gauge set are derived from it by
+// reflection. Every field is an int64; a field tagged `stat:"max"` is a
+// high-water mark, aggregated by maximum rather than by sum.
 type Stats struct {
 	// TokensPosted counts operation outputs (including final results).
 	TokensPosted int64
@@ -13,7 +22,8 @@ type Stats struct {
 	TokensLocal int64
 	// TokensRemote counts tokens serialized and sent over the transport.
 	TokensRemote int64
-	// BytesSent counts serialized token bytes (envelope headers included).
+	// BytesSent counts the bytes of every engine frame handed to the
+	// transport: tokens, batch frames and every control kind alike.
 	BytesSent int64
 	// GroupsOpened counts split/stream groups created on the node.
 	GroupsOpened int64
@@ -35,7 +45,7 @@ type Stats struct {
 	CallsExpired int64
 	// QueueHighWater is the deepest per-instance dispatch queue observed by
 	// the scheduler layer. Aggregation takes the maximum, not the sum.
-	QueueHighWater int64
+	QueueHighWater int64 `stat:"max"`
 	// DrainerHandoffs counts scheduler drainer-role handoffs (an operation
 	// blocked mid-execution and passed its queue to another goroutine).
 	DrainerHandoffs int64
@@ -69,7 +79,7 @@ type Stats struct {
 	FramesBatched int64
 	// TokensPerFrame is the largest number of tokens coalesced into one
 	// batch frame. Aggregation takes the maximum, like QueueHighWater.
-	TokensPerFrame int64
+	TokensPerFrame int64 `stat:"max"`
 	// CompressedBytes / UncompressedBytes count batch frame bodies before
 	// and after DEFLATE (Config.Compress): UncompressedBytes is what would
 	// have crossed the wire raw, CompressedBytes what actually did. Frames
@@ -78,109 +88,56 @@ type Stats struct {
 	UncompressedBytes int64
 }
 
-// Add accumulates o into s. Every counter is a sum except QueueHighWater,
-// which takes the maximum (a per-node high-water mark has no meaningful
-// cluster-wide sum).
+// statsMax marks, by field index, the Stats fields tagged stat:"max".
+var statsMax = func() []bool {
+	t := reflect.TypeOf(Stats{})
+	max := make([]bool, t.NumField())
+	for i := range max {
+		max[i] = t.Field(i).Tag.Get("stat") == "max"
+	}
+	return max
+}()
+
+// StatsHighWater names the Stats fields that are high-water marks rather
+// than monotonic counters (an exporter publishes them as gauges).
+func StatsHighWater() map[string]bool {
+	t := reflect.TypeOf(Stats{})
+	names := make(map[string]bool)
+	for i, max := range statsMax {
+		if max {
+			names[t.Field(i).Name] = true
+		}
+	}
+	return names
+}
+
+// Add accumulates o into s: counters sum, high-water marks take the maximum
+// (a per-node high-water mark has no meaningful cluster-wide sum).
 func (s *Stats) Add(o *Stats) {
-	s.TokensPosted += o.TokensPosted
-	s.TokensLocal += o.TokensLocal
-	s.TokensRemote += o.TokensRemote
-	s.BytesSent += o.BytesSent
-	s.GroupsOpened += o.GroupsOpened
-	s.AcksSent += o.AcksSent
-	s.WindowStalls += o.WindowStalls
-	s.CallsCompleted += o.CallsCompleted
-	s.CallsAdmitted += o.CallsAdmitted
-	s.CallsRejected += o.CallsRejected
-	s.CallsExpired += o.CallsExpired
-	if o.QueueHighWater > s.QueueHighWater {
-		s.QueueHighWater = o.QueueHighWater
-	}
-	s.DrainerHandoffs += o.DrainerHandoffs
-	s.MigrationsCompleted += o.MigrationsCompleted
-	s.TokensForwarded += o.TokensForwarded
-	s.MigrationBytes += o.MigrationBytes
-	s.CheckpointsTaken += o.CheckpointsTaken
-	s.CheckpointBytes += o.CheckpointBytes
-	s.TokensReplayed += o.TokensReplayed
-	s.FailoversCompleted += o.FailoversCompleted
-	s.SendRetries += o.SendRetries
-	s.FramesBatched += o.FramesBatched
-	if o.TokensPerFrame > s.TokensPerFrame {
-		s.TokensPerFrame = o.TokensPerFrame
-	}
-	s.CompressedBytes += o.CompressedBytes
-	s.UncompressedBytes += o.UncompressedBytes
-}
-
-// statCounters is the atomic backing store embedded in each Runtime.
-// Scheduler-layer counters (queue depth, handoffs) live in the scheduler
-// itself and are merged into snapshots.
-type statCounters struct {
-	tokensPosted        atomic.Int64
-	tokensLocal         atomic.Int64
-	tokensRemote        atomic.Int64
-	bytesSent           atomic.Int64
-	groupsOpened        atomic.Int64
-	acksSent            atomic.Int64
-	windowStalls        atomic.Int64
-	callsCompleted      atomic.Int64
-	callsAdmitted       atomic.Int64
-	callsRejected       atomic.Int64
-	callsExpired        atomic.Int64
-	migrationsCompleted atomic.Int64
-	tokensForwarded     atomic.Int64
-	migrationBytes      atomic.Int64
-	checkpointsTaken    atomic.Int64
-	checkpointBytes     atomic.Int64
-	tokensReplayed      atomic.Int64
-	failoversCompleted  atomic.Int64
-	sendRetries         atomic.Int64
-	framesBatched       atomic.Int64
-	tokensPerFrame      atomic.Int64 // high-water mark, not a sum
-	compressedBytes     atomic.Int64
-	uncompressedBytes   atomic.Int64
-}
-
-// maxTokensPerFrame raises the tokens-per-frame high-water mark.
-func (c *statCounters) maxTokensPerFrame(n int64) {
-	for {
-		cur := c.tokensPerFrame.Load()
-		if n <= cur || c.tokensPerFrame.CompareAndSwap(cur, n) {
-			return
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(o).Elem()
+	for i, max := range statsMax {
+		f, v := sv.Field(i), ov.Field(i).Int()
+		if !max {
+			f.SetInt(f.Int() + v)
+		} else if v > f.Int() {
+			f.SetInt(v)
 		}
 	}
 }
 
-func (c *statCounters) snapshot() *Stats {
-	return &Stats{
-		TokensPosted:        c.tokensPosted.Load(),
-		TokensLocal:         c.tokensLocal.Load(),
-		TokensRemote:        c.tokensRemote.Load(),
-		BytesSent:           c.bytesSent.Load(),
-		GroupsOpened:        c.groupsOpened.Load(),
-		AcksSent:            c.acksSent.Load(),
-		WindowStalls:        c.windowStalls.Load(),
-		CallsCompleted:      c.callsCompleted.Load(),
-		CallsAdmitted:       c.callsAdmitted.Load(),
-		CallsRejected:       c.callsRejected.Load(),
-		CallsExpired:        c.callsExpired.Load(),
-		MigrationsCompleted: c.migrationsCompleted.Load(),
-		TokensForwarded:     c.tokensForwarded.Load(),
-		MigrationBytes:      c.migrationBytes.Load(),
-		CheckpointsTaken:    c.checkpointsTaken.Load(),
-		CheckpointBytes:     c.checkpointBytes.Load(),
-		TokensReplayed:      c.tokensReplayed.Load(),
-		FailoversCompleted:  c.failoversCompleted.Load(),
-		SendRetries:         c.sendRetries.Load(),
-		FramesBatched:       c.framesBatched.Load(),
-		TokensPerFrame:      c.tokensPerFrame.Load(),
-		CompressedBytes:     c.compressedBytes.Load(),
-		UncompressedBytes:   c.uncompressedBytes.Load(),
+// snapshot copies a Stats value that is being counted into concurrently.
+func (s *Stats) snapshot() *Stats {
+	out := &Stats{}
+	sv, ov := reflect.ValueOf(s).Elem(), reflect.ValueOf(out).Elem()
+	for i := range statsMax {
+		ov.Field(i).SetInt(atomic.LoadInt64(sv.Field(i).Addr().Interface().(*int64)))
 	}
+	return out
 }
 
-// Stats returns a snapshot of this node runtime's counters.
+// Stats returns a snapshot of this node runtime's counters. The two
+// scheduler-layer counters (queue depth, handoffs) live in the scheduler
+// itself and are merged in here.
 func (rt *Runtime) Stats() *Stats {
 	s := rt.stats.snapshot()
 	ss := rt.sched.Stats()

@@ -1,148 +1,62 @@
 package core
 
 import (
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"reflect"
-	"sort"
-	"strings"
 	"testing"
-	"unicode"
 )
 
-// maxStatsFields are the Stats fields aggregated by maximum; everything
-// else must sum. Extend this set (and Add) when adding a high-water mark.
-var maxStatsFields = map[string]bool{
-	"QueueHighWater": true,
-	"TokensPerFrame": true,
-}
-
-// schedOwnedFields live in the scheduler, not statCounters, and are merged
-// into snapshots by Runtime.Stats.
-var schedOwnedFields = map[string]bool{
-	"QueueHighWater":  true,
-	"DrainerHandoffs": true,
-}
-
-// TestStatsAddCoversEveryField drives Add field by field through reflection:
-// a field someone adds to Stats but forgets in Add keeps its old value and
-// fails here, so per-node counters can never silently vanish from cluster
-// aggregates.
-func TestStatsAddCoversEveryField(t *testing.T) {
+// Stats is one declaration that snapshot, Add and the exporter's gauge set
+// are derived from by reflection, so a new counter cannot be forgotten in
+// any of them. What can still go wrong is the declaration itself: a field
+// that is not an int64 (the derivations would panic), a misspelt tag (a
+// high-water mark silently summed), or the tag coming off one of the two
+// known high-water marks.
+func TestStatsDeclaration(t *testing.T) {
 	typ := reflect.TypeOf(Stats{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
 		if f.Type.Kind() != reflect.Int64 {
-			t.Errorf("Stats.%s is %s; counters are int64 (update this test if that changes deliberately)", f.Name, f.Type)
-			continue
+			t.Errorf("Stats.%s is %s; every counter is an int64", f.Name, f.Type)
 		}
-		s, o := &Stats{}, &Stats{}
-		reflect.ValueOf(s).Elem().Field(i).SetInt(2)
-		reflect.ValueOf(o).Elem().Field(i).SetInt(3)
-		s.Add(o)
-		got := reflect.ValueOf(s).Elem().Field(i).Int()
-		want := int64(5)
-		if maxStatsFields[f.Name] {
-			want = 3
+		if tag := f.Tag.Get("stat"); tag != "" && tag != "max" {
+			t.Errorf("Stats.%s has tag stat:%q; the only aggregation tag is \"max\"", f.Name, tag)
 		}
-		if got != want {
-			t.Errorf("Add over Stats.%s: got %d, want %d (sum fields add, %v take the max); a field missing from Add drops per-node counts on aggregation", f.Name, got, want, keys(maxStatsFields))
-		}
-		if maxStatsFields[f.Name] {
-			// Max must also hold when the accumulator is already larger.
-			s, o = &Stats{}, &Stats{}
-			reflect.ValueOf(s).Elem().Field(i).SetInt(5)
-			reflect.ValueOf(o).Elem().Field(i).SetInt(3)
+	}
+	want := map[string]bool{"QueueHighWater": true, "TokensPerFrame": true}
+	if got := StatsHighWater(); !reflect.DeepEqual(got, want) {
+		t.Errorf("high-water fields = %v, want %v", got, want)
+	}
+}
+
+// TestStatsAddAndSnapshot drives the two derivations field by field: sums
+// add, high-water marks take the maximum in both directions, and a
+// snapshot carries every field.
+func TestStatsAddAndSnapshot(t *testing.T) {
+	highWater := StatsHighWater()
+	typ := reflect.TypeOf(Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		add := func(acc, inc int64) int64 {
+			s, o := &Stats{}, &Stats{}
+			reflect.ValueOf(s).Elem().Field(i).SetInt(acc)
+			reflect.ValueOf(o).Elem().Field(i).SetInt(inc)
 			s.Add(o)
-			if got := reflect.ValueOf(s).Elem().Field(i).Int(); got != 5 {
-				t.Errorf("Add over max field Stats.%s: got %d, want 5 (maximum, not overwrite)", f.Name, got)
+			return reflect.ValueOf(s).Elem().Field(i).Int()
+		}
+		if highWater[name] {
+			if got := add(2, 3); got != 3 {
+				t.Errorf("Add over high-water Stats.%s: 2 then 3 gives %d, want 3", name, got)
 			}
-		}
-	}
-}
-
-// TestStatCountersMirrorStats keeps the atomic backing store and the public
-// struct in lockstep: every Stats field has a statCounters field of the
-// same (first-rune-lowered) name, except the scheduler-owned pair, and
-// vice versa.
-func TestStatCountersMirrorStats(t *testing.T) {
-	counters := make(map[string]bool)
-	ct := reflect.TypeOf(statCounters{})
-	for i := 0; i < ct.NumField(); i++ {
-		counters[ct.Field(i).Name] = true
-	}
-	st := reflect.TypeOf(Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		if schedOwnedFields[name] {
-			continue
-		}
-		if !counters[lowerFirst(name)] {
-			t.Errorf("Stats.%s has no statCounters.%s backing it: the runtime can never report it", name, lowerFirst(name))
-		}
-		delete(counters, lowerFirst(name))
-	}
-	for leftover := range counters {
-		t.Errorf("statCounters.%s has no Stats field: the counter is recorded but never published", leftover)
-	}
-}
-
-// TestSnapshotCoversEveryCounter parses stats.go and checks the snapshot
-// composite literal assigns every non-scheduler Stats field, so a counter
-// cannot be backed and bumped yet dropped at snapshot time.
-func TestSnapshotCoversEveryCounter(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "stats.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assigned := make(map[string]bool)
-	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Name.Name != "snapshot" {
-			continue
-		}
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			kv, ok := n.(*ast.KeyValueExpr)
-			if !ok {
-				return true
+			if got := add(5, 3); got != 5 {
+				t.Errorf("Add over high-water Stats.%s: 5 then 3 gives %d, want 5", name, got)
 			}
-			if id, ok := kv.Key.(*ast.Ident); ok {
-				assigned[id.Name] = true
-			}
-			return true
-		})
-	}
-	if len(assigned) == 0 {
-		t.Fatal("found no snapshot composite literal in stats.go; the test is broken")
-	}
-	st := reflect.TypeOf(Stats{})
-	for i := 0; i < st.NumField(); i++ {
-		name := st.Field(i).Name
-		if schedOwnedFields[name] {
-			continue
+		} else if got := add(2, 3); got != 5 {
+			t.Errorf("Add over Stats.%s: 2 + 3 gives %d", name, got)
 		}
-		if !assigned[name] {
-			t.Errorf("snapshot does not assign Stats.%s: the counter would read zero in every report", name)
+		live := &Stats{}
+		reflect.ValueOf(live).Elem().Field(i).SetInt(int64(i) + 1)
+		if got := reflect.ValueOf(live.snapshot()).Elem().Field(i).Int(); got != int64(i)+1 {
+			t.Errorf("snapshot of Stats.%s = %d, want %d", name, got, i+1)
 		}
 	}
-}
-
-func lowerFirst(s string) string {
-	if s == "" {
-		return s
-	}
-	r := []rune(s)
-	r[0] = unicode.ToLower(r[0])
-	return string(r)
-}
-
-func keys(m map[string]bool) string {
-	var out []string
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return strings.Join(out, ", ")
 }

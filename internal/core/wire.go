@@ -163,14 +163,31 @@ func appendTokenFT(b []byte, e *envelope) []byte {
 	return appendEnvelopeBody(b, e)
 }
 
+// readFTStamp parses the sequenced framings' prefix: the sender stream and
+// sequence number that travel ahead of the standard body.
+func readFTStamp(b []byte) (stream string, seq uint64, rest []byte, err error) {
+	if stream, b, err = readString(b); err != nil {
+		return "", 0, nil, err
+	}
+	if seq, b, err = readUint64(b); err != nil {
+		return "", 0, nil, err
+	}
+	return stream, seq, b, nil
+}
+
+// skipFTStamp is readFTStamp for a stamp this process encoded itself: it
+// steps over the prefix without validating it or allocating the stream name.
+func skipFTStamp(b []byte) []byte {
+	n, w := binary.Uvarint(b)
+	b = b[w+int(n):]
+	_, w = binary.Uvarint(b)
+	return b[w:]
+}
+
 // decodeTokenFT parses a sequenced token message body (stream, sequence,
 // then the standard envelope header; Payload aliases b like decodeEnvelope).
 func decodeTokenFT(b []byte) (*envelope, error) {
-	stream, b, err := readString(b)
-	if err != nil {
-		return nil, err
-	}
-	seq, b, err := readUint64(b)
+	stream, seq, b, err := readFTStamp(b)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +261,9 @@ func decodeEnvelopeInto(e *envelope, b []byte) error {
 	if nframes, b, err = readInt(b); err != nil {
 		return err
 	}
-	if nframes < 0 || nframes > 1<<16 {
+	// Every encoded frame is at least four bytes, so the bytes present bound
+	// the count before anything is allocated for it.
+	if nframes < 0 || nframes > 1<<16 || nframes > len(b)/4 {
 		return fmt.Errorf("dps: implausible frame count %d", nframes)
 	}
 	e.Frames = make([]frame, nframes)
@@ -282,11 +301,7 @@ func appendGroupEndFT(b []byte, m *groupEndMsg) []byte {
 }
 
 func decodeGroupEndFT(b []byte) (*groupEndMsg, error) {
-	stream, b, err := readString(b)
-	if err != nil {
-		return nil, err
-	}
-	seq, b, err := readUint64(b)
+	stream, seq, b, err := readFTStamp(b)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,10 @@ package tcptransport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -213,6 +216,55 @@ func TestFrameRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, p) {
 			t.Fatalf("got %q want %q", got, p)
 		}
+	}
+}
+
+// TestHelloWithSessionFlagRefused: a dialer whose handshake asks for a
+// session feature (a flags byte trailing the epoch — bit 0 was per-frame
+// compression) is turned away before any of its frames is delivered, so a
+// peer still running that framing cannot have its frames misread as plain
+// ones. A zero flags byte asks for nothing and is served.
+func TestHelloWithSessionFlagRefused(t *testing.T) {
+	_, b := startPair(t)
+	got := make(chan string, 2)
+	b.SetHandler(func(src string, payload []byte) { got <- src + ":" + string(payload) })
+	dial := func(name string, flags byte) net.Conn {
+		c, err := net.Dial("tcp", b.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		hello := append(binary.AppendUvarint(nil, 7), flags)
+		for _, f := range [][]byte{[]byte(name), hello} {
+			if err := writeFrame(c, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	flagged := dial("old", 1)
+	_ = writeFrame(flagged, []byte("frame")) // may already hit the closed socket
+	_ = flagged.SetReadDeadline(time.Now().Add(5 * time.Second))
+	// EOF, or a reset because the listener closed with the frame unread.
+	var ne net.Error
+	if _, err := flagged.Read(make([]byte, 1)); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Fatalf("flagged session: read = %v, want the connection closed by the listener", err)
+	}
+	if err := writeFrame(dial("plain", 0), []byte("frame")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case m := <-got:
+		if m != "plain:frame" {
+			t.Fatalf("delivered %q, want only the unflagged session's frame", m)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("unflagged session's frame never delivered")
+	}
+	select {
+	case m := <-got:
+		t.Fatalf("flagged session's frame delivered: %q", m)
+	default:
 	}
 }
 
