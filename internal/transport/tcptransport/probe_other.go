@@ -4,7 +4,9 @@ package tcptransport
 
 import "net"
 
-// connDead is a no-op where the MSG_PEEK probe is not implemented; the
-// retry loop then relies on write errors alone, as the pre-vectored-write
-// framing did.
-func connDead(net.Conn) bool { return false }
+// liveness is a no-op where the MSG_PEEK probe is not implemented; the
+// retry loop then relies on write errors alone.
+type liveness struct{}
+
+func (*liveness) arm(net.Conn) {}
+func (*liveness) dead() bool   { return false }

@@ -97,7 +97,7 @@ func TestSendRetriesThroughPeerRestart(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("payload never arrived at the restarted peer")
 	}
-	if a.Retries() == 0 {
+	if a.Stats().Retries == 0 {
 		t.Fatal("the outage was absorbed without a single recorded retry")
 	}
 }

@@ -19,14 +19,17 @@
 //   - writes carry a deadline, so a hung peer surfaces as a bounded-stall
 //     send error (and from there a detector event) instead of blocking a
 //     dispatch lane forever.
+//
+// The file split follows the data: tcp.go owns nodes, handshakes and the
+// connection registry, send.go the per-destination send path (inline write
+// or outbox), recv.go the buffered receive loop.
 package tcptransport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -82,30 +85,46 @@ func IsTransient(err error) bool {
 const (
 	retryBase = 2 * time.Millisecond
 	retryCap  = 100 * time.Millisecond
-	// DefaultRetryBudget bounds the in-Send redial loop for transient
-	// failures. It is deliberately shorter than typical detector grace
-	// windows: the transport absorbs the blip, the engine's suspect grace
-	// absorbs the outage.
+	// DefaultRetryBudget bounds the redial loop for transient failures. It
+	// is deliberately shorter than typical detector grace windows: the
+	// transport absorbs the blip, the engine's suspect grace absorbs the
+	// outage.
 	DefaultRetryBudget = 2 * time.Second
-	// DefaultWriteTimeout bounds one frame write; a peer that accepts the
+	// DefaultWriteTimeout bounds one socket write; a peer that accepts the
 	// connection but stops reading surfaces as a send error after at most
 	// this stall.
 	DefaultWriteTimeout = 10 * time.Second
+	// closeFlushTimeout bounds what Close spends per destination on writes
+	// still in flight and on the last write of queued frames.
+	closeFlushTimeout = time.Second
 )
 
 // Option tunes a Node at Listen time.
 type Option func(*Node)
 
-// WithRetryBudget bounds how long Send retries transient failures before
-// surfacing them. Zero disables in-Send retries (every failure surfaces
+// WithRetryBudget bounds how long a failing write is redialed before the
+// failure surfaces. Zero disables retries (every failure surfaces
 // immediately, classified).
 func WithRetryBudget(d time.Duration) Option {
 	return func(n *Node) { n.retryBudget = d }
 }
 
-// WithWriteTimeout bounds each frame write. Zero disables write deadlines.
+// WithWriteTimeout bounds each socket write. Zero disables write deadlines.
 func WithWriteTimeout(d time.Duration) Option {
 	return func(n *Node) { n.writeTimeout = d }
+}
+
+// Stats counts a node's traffic since Listen. Frames over writes (reads)
+// is how far the send (receive) path coalesces; FramesQueued is how many
+// frames took the outbox rather than the caller's own write.
+type Stats struct {
+	FramesSent     int64 // frames wholly handed to the kernel
+	Writes         int64 // socket writes attempted (write or writev)
+	FramesQueued   int64 // frames accepted into an outbox
+	Dials          int64 // outbound connection attempts
+	Retries        int64 // attempts repeated after a transient failure
+	FramesReceived int64 // frames delivered to the handler
+	Reads          int64 // socket reads
 }
 
 // Node is one TCP-attached cluster endpoint.
@@ -115,28 +134,35 @@ type Node struct {
 	resolve      Resolver
 	retryBudget  time.Duration
 	writeTimeout time.Duration
-	retries      atomic.Int64
+	// dial opens the socket to a resolved address; tests substitute
+	// scripted connections.
+	dial func(addr string) (net.Conn, error)
 
-	mu      sync.Mutex
-	handler transport.Handler
-	conns   map[string]*conn
-	// dialEpochs holds the last session epoch this node used toward each
-	// destination; sessions holds the highest epoch accepted from each
-	// inbound peer. Epochs from different dialers are unrelated — only
-	// inbound epochs of the same peer are comparable.
-	dialEpochs map[string]uint64
-	sessions   map[string]uint64
-	closed     bool
-	wg         sync.WaitGroup
+	stats struct {
+		framesSent, writes, framesQueued, dials, retries, framesReceived, reads atomic.Int64
+	}
+	handler atomic.Pointer[transport.Handler]
+	peers   sync.Map // name → *peer; entries are never removed
+	closed  atomic.Bool
+	done    chan struct{} // closed by Close: interrupts backoff sleeps
+
+	// mu orders handshakes, registrations and Close; no per-frame path
+	// takes it.
+	mu sync.Mutex
+	// socks holds every socket accepted or dialed and still being read,
+	// registered as a send path or not, so Close can end all their readers.
+	socks map[net.Conn]struct{}
+	wg    sync.WaitGroup
 }
 
+// conn is one established socket and what writing to it needs.
 type conn struct {
-	mu sync.Mutex // serializes writes
-	c  net.Conn
+	c net.Conn
 	// inbound connections carry the peer's session epoch; a later epoch
 	// from the same peer supersedes them.
 	inbound bool
 	epoch   uint64
+	probe   liveness
 }
 
 // Listen starts a node listening on addr (e.g. "127.0.0.1:0"). The returned
@@ -153,9 +179,9 @@ func Listen(name, addr string, resolve Resolver, opts ...Option) (*Node, error) 
 		resolve:      resolve,
 		retryBudget:  DefaultRetryBudget,
 		writeTimeout: DefaultWriteTimeout,
-		conns:        make(map[string]*conn),
-		dialEpochs:   make(map[string]uint64),
-		sessions:     make(map[string]uint64),
+		dial:         func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+		done:         make(chan struct{}),
+		socks:        make(map[net.Conn]struct{}),
 	}
 	for _, opt := range opts {
 		opt(n)
@@ -171,24 +197,45 @@ func (n *Node) Addr() string { return n.listener.Addr().String() }
 // Local implements transport.Transport.
 func (n *Node) Local() string { return n.name }
 
-// Retries reports how many transient-failure redial attempts Send has
-// made so far.
-func (n *Node) Retries() int64 { return n.retries.Load() }
+// Stats returns the node's traffic counters.
+func (n *Node) Stats() Stats {
+	s := &n.stats
+	return Stats{
+		FramesSent:     s.framesSent.Load(),
+		Writes:         s.writes.Load(),
+		FramesQueued:   s.framesQueued.Load(),
+		Dials:          s.dials.Load(),
+		Retries:        s.retries.Load(),
+		FramesReceived: s.framesReceived.Load(),
+		Reads:          s.reads.Load(),
+	}
+}
 
 // SessionEpoch reports the highest session epoch accepted from the named
 // peer (zero before its first inbound connection). Each reconnect of a
 // restarting peer registers a strictly higher epoch.
-func (n *Node) SessionEpoch(peer string) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.sessions[peer]
+func (n *Node) SessionEpoch(name string) uint64 {
+	if p, ok := n.peers.Load(name); ok {
+		return p.(*peer).session.Load()
+	}
+	return 0
 }
 
 // SetHandler implements transport.Transport.
-func (n *Node) SetHandler(h transport.Handler) {
-	n.mu.Lock()
-	n.handler = h
-	n.mu.Unlock()
+func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
+
+// peer returns the state kept per remote node name, creating it on first
+// use.
+func (n *Node) peer(name string) *peer {
+	if p, ok := n.peers.Load(name); ok {
+		return p.(*peer)
+	}
+	p := &peer{n: n, name: name}
+	p.cond.L = &p.mu
+	if prev, loaded := n.peers.LoadOrStore(name, p); loaded {
+		return prev.(*peer)
+	}
+	return p
 }
 
 func (n *Node) acceptLoop() {
@@ -206,6 +253,31 @@ func (n *Node) acceptLoop() {
 	}
 }
 
+// trackLocked records a socket whose reader is about to start, unless the
+// node closed first (false): the caller closes it instead.
+func (n *Node) trackLocked(c net.Conn) bool {
+	if n.closed.Load() {
+		return false
+	}
+	n.socks[c] = struct{}{}
+	return true
+}
+
+// untrack closes a socket whose reader ended and forgets it, as a send path
+// too if it was one.
+func (n *Node) untrack(p *peer, cc *conn) {
+	n.dropConn(p, cc)
+	n.mu.Lock()
+	delete(n.socks, cc.c)
+	n.mu.Unlock()
+}
+
+// dropConn closes a connection and retires it as p's send path.
+func (n *Node) dropConn(p *peer, cc *conn) {
+	_ = cc.c.Close()
+	p.conn.CompareAndSwap(cc, nil)
+}
+
 // serveConn handles one inbound connection: the peer first sends its name
 // and session epoch, then a stream of frames. A connection whose epoch is
 // below the peer's current session is a remnant of a dead session (the
@@ -213,310 +285,176 @@ func (n *Node) acceptLoop() {
 // supersedes — and closes — the previous inbound connection, so frames of
 // the old session can never interleave with the new stream.
 func (n *Node) serveConn(c net.Conn) {
-	peer, err := readFrame(c)
+	br := n.reader(c)
+	name, epoch, err := readHello(br)
 	if err != nil {
 		_ = c.Close()
 		return
 	}
-	epochBuf, err := readFrame(c)
-	if err != nil {
+	p := n.peer(name)
+	cc := newConn(c, true, epoch)
+
+	n.mu.Lock()
+	if epoch < p.session.Load() || !n.trackLocked(c) {
+		n.mu.Unlock()
 		_ = c.Close()
 		return
+	}
+	p.session.Store(epoch)
+	if old := p.conn.Load(); old != nil && old.inbound && old.epoch < epoch {
+		// The peer reconnected (restart or dropped socket): retire the dead
+		// session's connection before registering the new one.
+		n.dropConn(p, old)
+	}
+	// Remember the inbound connection for replies, so two nodes exchanging
+	// traffic need only one socket pair (as with the paper's on-demand TCP
+	// connections) — unless an existing connection (outbound dial that won
+	// a race) already serves the peer. The socket is read either way: when
+	// both sides dialed at once each sends on the one it registered, and
+	// what arrives on the other is the peer's traffic all the same.
+	p.conn.CompareAndSwap(nil, cc)
+	n.mu.Unlock()
+
+	n.readLoop(br, p, cc)
+}
+
+// readHello reads a connection's first two frames: the dialer's name and
+// its session epoch.
+func readHello(br *bufio.Reader) (name string, epoch uint64, err error) {
+	nameBuf, err := readFrame(br)
+	if err != nil {
+		return "", 0, err
+	}
+	epochBuf, err := readFrame(br)
+	if err != nil {
+		return "", 0, err
 	}
 	epoch, k := binary.Uvarint(epochBuf)
 	if k <= 0 {
-		_ = c.Close()
-		return
+		return "", 0, errors.New("tcptransport: malformed session epoch")
 	}
 	// A flags byte may trail the epoch varint, asking for a session feature.
 	// This node implements none (bit 0 once negotiated per-frame compression
 	// and stays reserved), so a dialer that sets any is refused before it
 	// can send frames this side would misread.
 	if len(epochBuf) > k && epochBuf[k] != 0 {
-		_ = c.Close()
-		return
+		return "", 0, errors.New("tcptransport: unsupported session flags")
 	}
-	peerName := string(peer)
-
-	n.mu.Lock()
-	if n.closed || epoch < n.sessions[peerName] {
-		n.mu.Unlock()
-		_ = c.Close()
-		return
-	}
-	n.sessions[peerName] = epoch
-	if old, ok := n.conns[peerName]; ok && old.inbound && old.epoch < epoch {
-		// The peer reconnected (restart or dropped socket): retire the dead
-		// session's connection before registering the new one.
-		delete(n.conns, peerName)
-		_ = old.c.Close()
-	}
-	// Remember the inbound connection for replies, so two nodes exchanging
-	// traffic need only one socket pair (as with the paper's on-demand TCP
-	// connections) — unless an existing connection (outbound dial that won
-	// a race) already serves the peer.
-	if _, exists := n.conns[peerName]; !exists {
-		n.conns[peerName] = &conn{c: c, inbound: true, epoch: epoch}
-	}
-	n.mu.Unlock()
-
-	for {
-		payload, err := readFrame(c)
-		if err != nil {
-			n.dropConn(peerName, c)
-			return
-		}
-		n.mu.Lock()
-		stale := n.sessions[peerName] != epoch
-		h := n.handler
-		n.mu.Unlock()
-		if stale {
-			// A newer session superseded this one while the frame was in
-			// flight; drop it — the peer re-sends on the new session.
-			n.dropConn(peerName, c)
-			_ = c.Close()
-			return
-		}
-		if h != nil {
-			h(peerName, payload)
-		}
-	}
+	return string(nameBuf), epoch, nil
 }
 
-func (n *Node) dropConn(peer string, c net.Conn) {
-	_ = c.Close()
-	n.mu.Lock()
-	if cc, ok := n.conns[peer]; ok && cc.c == c {
-		delete(n.conns, peer)
-	}
-	n.mu.Unlock()
-}
-
-// Send implements transport.Transport, dialing the destination lazily on
-// first use. Transient failures — refused dials while the peer restarts,
-// resets, stalled writes — are redialed with capped exponential backoff
-// and jitter until the retry budget runs out; only then (or on a fatal
-// error, immediately) does the error surface. A frame whose write failed
-// was not fully handed to the kernel, and the failing connection is closed
-// before the redial, so the receiver sees at most a torn frame that dies
-// with its session — a retried frame is never delivered twice.
-func (n *Node) Send(dst string, payload []byte) error {
-	err := n.trySend(dst, payload)
-	if err == nil || !IsTransient(err) || n.retryBudget <= 0 {
-		return err
-	}
-	deadline := time.Now().Add(n.retryBudget)
-	backoff := retryBase
-	for {
-		// Full jitter on the capped exponential backoff, so senders that
-		// failed together do not redial in lockstep.
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		if time.Now().Add(d).After(deadline) {
-			return fmt.Errorf("tcptransport: send to %s: retries exhausted: %w", dst, err)
-		}
-		time.Sleep(d)
-		if backoff < retryCap {
-			backoff *= 2
-		}
-		n.retries.Add(1)
-		if err = n.trySend(dst, payload); err == nil || !IsTransient(err) {
-			return err
-		}
-	}
-}
-
-// trySend performs one connect-and-write attempt. Header and payload go
-// out in a single vectored write (writev on TCP), so bulk frames cost one
-// syscall and never split the length prefix from its body across segments
-// gratuitously.
-func (n *Node) trySend(dst string, payload []byte) error {
-	cc, err := n.connTo(dst)
-	if err != nil {
-		return err
-	}
-	cc.mu.Lock()
-	if connDead(cc.c) {
-		cc.mu.Unlock()
-		n.dropConn(dst, cc.c)
-		return fmt.Errorf("tcptransport: send to %s: connection already closed by peer", dst)
-	}
-	if n.writeTimeout > 0 {
-		_ = cc.c.SetWriteDeadline(time.Now().Add(n.writeTimeout))
-	}
-	err = writeFrameVec(cc.c, payload)
-	cc.mu.Unlock()
-	if err != nil {
-		n.dropConn(dst, cc.c)
-		return err
-	}
-	return nil
-}
-
-// nextEpoch assigns the session epoch for a fresh outbound connection.
-// Epochs must grow across process restarts (a restarted sender knows
-// nothing of its predecessor's counter), so they start from the wall
+// nextEpochLocked assigns the session epoch for a fresh outbound
+// connection. Epochs must grow across process restarts (a restarted sender
+// knows nothing of its predecessor's counter), so they start from the wall
 // clock and only fall back to prev+1 if the clock stands still or runs
 // backwards.
-func (n *Node) nextEpoch(dst string) uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	e := n.dialEpochs[dst] + 1
+func (n *Node) nextEpochLocked(p *peer) uint64 {
+	e := p.dialEpoch + 1
 	if now := uint64(time.Now().UnixNano()); now > e {
 		e = now
 	}
-	n.dialEpochs[dst] = e
+	p.dialEpoch = e
 	return e
 }
 
-func (n *Node) connTo(dst string) (*conn, error) {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return nil, ErrClosed
-	}
-	if cc, ok := n.conns[dst]; ok {
-		n.mu.Unlock()
+// connTo returns p's send path, dialing it if there is none. Only the
+// goroutine that owns p's socket (see peer) calls it, so a node never has
+// two dials to one destination in flight.
+func (n *Node) connTo(p *peer) (*conn, error) {
+	if cc := p.conn.Load(); cc != nil {
 		return cc, nil
 	}
-	n.mu.Unlock()
-
-	addr, err := n.resolve(dst)
+	if n.closed.Load() {
+		return nil, ErrClosed
+	}
+	addr, err := n.resolve(p.name)
 	if err != nil {
 		// The name server does not know the destination; redialing cannot
 		// help until registration changes, which real traffic should not
 		// wait on.
 		return nil, &FatalError{Err: err}
 	}
-	c, err := net.Dial("tcp", addr)
+	n.stats.dials.Add(1)
+	c, err := n.dial(addr)
 	if err != nil {
-		return nil, fmt.Errorf("tcptransport: dial %s (%s): %w", dst, addr, err)
+		return nil, fmt.Errorf("tcptransport: dial %s (%s): %w", p.name, addr, err)
 	}
-	epoch := n.nextEpoch(dst)
+	n.mu.Lock()
+	epoch := n.nextEpochLocked(p)
+	n.mu.Unlock()
 	var eb [binary.MaxVarintLen64]byte
-	if err := writeFrame(c, []byte(n.name)); err != nil {
-		_ = c.Close()
-		return nil, err
-	}
-	if err := writeFrame(c, eb[:binary.PutUvarint(eb[:], epoch)]); err != nil {
+	hello := appendFrame(appendFrame(nil, []byte(n.name)), eb[:binary.PutUvarint(eb[:], epoch)])
+	if _, err := c.Write(hello); err != nil {
 		_ = c.Close()
 		return nil, err
 	}
 
+	cc := newConn(c, false, epoch)
 	n.mu.Lock()
-	if n.closed {
+	if !n.trackLocked(c) {
 		n.mu.Unlock()
 		_ = c.Close()
 		return nil, ErrClosed
 	}
-	if existing, ok := n.conns[dst]; ok {
-		// Lost the race with a concurrent dial or an inbound connection.
-		n.mu.Unlock()
-		_ = c.Close()
-		return existing, nil
+	// An inbound connection may have registered while this one was being
+	// dialed. The hello is out, so the peer may already have made this
+	// socket its own send path: it stays open and read, never closed, and
+	// this side keeps sending on the one registered first.
+	use := cc
+	for !p.conn.CompareAndSwap(nil, cc) {
+		if use = p.conn.Load(); use != nil {
+			break
+		}
 	}
-	cc := &conn{c: c, epoch: epoch}
-	n.conns[dst] = cc
-	n.mu.Unlock()
-
 	// Read frames arriving on the outbound connection too (the peer may
 	// reply on it rather than dialing back).
 	n.wg.Add(1)
+	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
-		for {
-			payload, err := readFrame(c)
-			if err != nil {
-				n.dropConn(dst, c)
-				return
-			}
-			n.mu.Lock()
-			h := n.handler
-			n.mu.Unlock()
-			if h != nil {
-				h(dst, payload)
-			}
-		}
+		n.readLoop(n.reader(c), p, cc)
 	}()
-	return cc, nil
+	return use, nil
 }
 
-// Close implements transport.Transport.
+// Close implements transport.Transport. Frames an outbox accepted get one
+// last write on the connection that exists (nothing is redialed); then
+// every socket the node reads is closed, so Close returns without waiting
+// for any peer to close its end.
 func (n *Node) Close() error {
 	n.mu.Lock()
-	if n.closed {
+	if n.closed.Swap(true) {
 		n.mu.Unlock()
 		return nil
 	}
-	n.closed = true
-	conns := make([]*conn, 0, len(n.conns))
-	for _, cc := range n.conns {
-		conns = append(conns, cc)
-	}
-	n.conns = make(map[string]*conn)
 	n.mu.Unlock()
+	close(n.done)
 	err := n.listener.Close()
-	for _, cc := range conns {
-		_ = cc.c.Close()
+	n.peers.Range(func(_, v any) bool {
+		v.(*peer).shutdown()
+		return true
+	})
+	// closed was set under mu, so every later trackLocked refuses: socks
+	// only shrinks from here.
+	n.mu.Lock()
+	for c := range n.socks {
+		_ = c.Close()
 	}
+	n.mu.Unlock()
 	n.wg.Wait()
 	return err
 }
 
 var _ transport.Transport = (*Node)(nil)
 
-const maxFrame = 1 << 30
-
-func writeFrame(w io.Writer, payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:hn]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+func newConn(c net.Conn, inbound bool, epoch uint64) *conn {
+	cc := &conn{c: c, inbound: inbound, epoch: epoch}
+	cc.probe.arm(c)
+	return cc
 }
 
-// writeFrameVec writes one frame ([len][payload]) with a single vectored
-// write, without copying the payload.
-func writeFrameVec(c net.Conn, payload []byte) error {
-	var hdr [binary.MaxVarintLen64]byte
-	hn := binary.PutUvarint(hdr[:], uint64(len(payload)))
-	bufs := net.Buffers{hdr[:hn], payload}
-	_, err := bufs.WriteTo(c)
-	return err
-}
-
-func readFrame(r io.Reader) ([]byte, error) {
-	br := byteReaderFor(r)
-	size, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	if size > maxFrame {
-		return nil, fmt.Errorf("tcptransport: frame of %d bytes exceeds limit", size)
-	}
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// singleByteReader adapts an io.Reader to io.ByteReader without buffering
-// (we must not read ahead past the varint header).
-type singleByteReader struct{ r io.Reader }
-
-func (s singleByteReader) ReadByte() (byte, error) {
-	var b [1]byte
-	if _, err := io.ReadFull(s.r, b[:]); err != nil {
-		return 0, err
-	}
-	return b[0], nil
-}
-
-func byteReaderFor(r io.Reader) io.ByteReader {
-	if br, ok := r.(io.ByteReader); ok {
-		return br
-	}
-	return singleByteReader{r: r}
+// reader wraps a socket in the connection's one buffered reader, counting
+// the reads that reach the socket.
+func (n *Node) reader(c net.Conn) *bufio.Reader {
+	return bufio.NewReaderSize(&countedReader{r: c, n: &n.stats.reads}, readBufSize)
 }

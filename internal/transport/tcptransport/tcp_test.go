@@ -129,6 +129,10 @@ func TestUnknownDestination(t *testing.T) {
 	}
 }
 
+// TestConcurrentSendersOneDest: several nodes, each with several goroutines,
+// send to one destination while every goroutine's pattern flips between
+// bursts (which take the outbox) and pauses (which write inline). The
+// receiver sees each goroutine's sequence complete, in order, nothing twice.
 func TestConcurrentSendersOneDest(t *testing.T) {
 	table := map[string]string{}
 	resolver := StaticResolver(table)
@@ -140,19 +144,29 @@ func TestConcurrentSendersOneDest(t *testing.T) {
 	table["dst"] = dst.Addr()
 
 	const senders = 6
-	const per = 100
+	const lanes = 3 // goroutines per sending node
+	const per = 100 // frames per goroutine
 	var mu sync.Mutex
 	counts := map[string]int{}
+	next := map[string]*[lanes]uint32{} // per source and lane, the sequence number expected
 	done := make(chan struct{})
 	total := 0
 	dst.SetHandler(func(src string, payload []byte) {
+		lane, seq := parseSeqFrame(payload)
 		mu.Lock()
+		defer mu.Unlock()
+		if next[src] == nil {
+			next[src] = new([lanes]uint32)
+		}
+		if want := next[src][lane]; seq != want {
+			t.Errorf("%s lane %d: frame %d arrived, %d expected", src, lane, seq, want)
+		}
+		next[src][lane] = seq + 1
 		counts[src]++
 		total++
-		if total == senders*per {
+		if total == senders*lanes*per {
 			close(done)
 		}
-		mu.Unlock()
 	})
 
 	// Register every sender before any goroutine starts: the resolver
@@ -168,25 +182,44 @@ func TestConcurrentSendersOneDest(t *testing.T) {
 		table[name] = n.Addr()
 		nodes[i] = n
 	}
-	for _, n := range nodes {
-		go func(n *Node) {
-			for j := 0; j < per; j++ {
-				if err := n.Send("dst", []byte("m")); err != nil {
-					t.Error(err)
-					return
+	for i, n := range nodes {
+		for lane := 0; lane < lanes; lane++ {
+			go func(n *Node, lane, phase int) {
+				for j := 0; j < per; j++ {
+					if err := n.Send("dst", seqFrame(uint32(lane), uint32(j), 16)); err != nil {
+						t.Error(err)
+						return
+					}
+					// Bursts of ten, then a pause well past the streak gap;
+					// lanes and nodes are out of step with each other.
+					if (j+phase)%10 == 0 {
+						time.Sleep(300 * time.Microsecond)
+					}
 				}
-			}
-		}(n)
+			}(n, lane, i+3*lane)
+		}
 	}
 	select {
 	case <-done:
 	case <-time.After(20 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
 		t.Fatalf("timeout: %d received", total)
 	}
+	mu.Lock()
+	defer mu.Unlock()
 	for src, c := range counts {
-		if c != per {
-			t.Errorf("%s: %d messages, want %d", src, c, per)
+		if c != lanes*per {
+			t.Errorf("%s: %d messages, want %d", src, c, lanes*per)
 		}
+	}
+	var queued, sent int64
+	for _, n := range nodes {
+		st := n.Stats()
+		queued, sent = queued+st.FramesQueued, sent+st.FramesSent
+	}
+	if queued == 0 || queued == sent {
+		t.Errorf("%d of %d frames took the outbox: the pattern was meant to use both paths", queued, sent)
 	}
 }
 

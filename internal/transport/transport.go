@@ -45,10 +45,20 @@ type Transport interface {
 	// Local returns this node's cluster-unique name.
 	Local() string
 	// Send transmits payload to the named peer. It may buffer; delivery is
-	// asynchronous but FIFO per (sender, destination) pair. Ownership of
-	// the payload transfers to the transport: the sender must not modify
-	// or reuse it after the call (on in-process fabrics the same bytes are
-	// handed to the receiving Handler).
+	// asynchronous but FIFO per (sender, destination) pair. On a nil
+	// return ownership of the payload has transferred to the transport:
+	// the sender must not modify or reuse it (on in-process fabrics the
+	// same bytes are handed to the receiving Handler; tcptransport may
+	// still hold them in a destination's outbox). On an error the payload
+	// was not accepted and stays the caller's, who may send it again.
+	//
+	// An error is about the destination, not necessarily about this
+	// payload: a transport that buffers reports a failure of earlier,
+	// accepted payloads on a later Send — it keeps those and delivers
+	// them, in order, once the destination is reachable again — so a nil
+	// return means "accepted and will not be dropped while this node is
+	// open", and the first non-nil return after a fault is when the
+	// caller learns of it.
 	Send(dst string, payload []byte) error
 	// SetHandler installs the receive callback. Must be called before any
 	// peer sends to this node.
