@@ -1,68 +1,36 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"runtime"
+	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/dps"
 	"repro/internal/bench"
-	"repro/internal/trace"
 )
 
-func TestWriteJSON(t *testing.T) {
-	r := &bench.Report{
-		ID: "figure6",
-		Table: &trace.Table{
-			Header: []string{"size[B]", "DPS[MB/s]"},
-			Rows:   [][]string{{"1024", "12.5"}},
-		},
-		Stats: &dps.Stats{TokensPosted: 42, MigrationsCompleted: 1, TokensForwarded: 7},
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	runtime.ReadMemStats(&after)
-	m := measure(r, 1500*time.Millisecond, &before, &after)
-	if m.NsOp != 1500*time.Millisecond.Nanoseconds() {
-		t.Fatalf("NsOp = %d", m.NsOp)
-	}
+func statsText(s *dps.Stats) string { return (&bench.Report{Stats: s}).StatsText() }
 
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := writeJSON(path, []measurement{m}, bench.Options{Quick: true}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc benchFile
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("emitted JSON does not parse: %v", err)
-	}
-	if doc.Schema != "dps-bench/1" || !doc.Quick {
-		t.Fatalf("doc header = %+v", doc)
-	}
-	if len(doc.Experiments) != 1 {
-		t.Fatalf("experiments = %d", len(doc.Experiments))
-	}
-	e := doc.Experiments[0]
-	if e.ID != "figure6" || e.NsOp != m.NsOp || len(e.Rows) != 1 || e.Rows[0][1] != "12.5" {
-		t.Fatalf("experiment = %+v", e)
-	}
-	if e.Stats == nil || e.Stats.TokensPosted != 42 || e.Stats.MigrationsCompleted != 1 {
-		t.Fatalf("stats = %+v", e.Stats)
+// TestFormatStatsCoversEveryField perturbs each dps.Stats field in turn and
+// requires what -stats prints to change: the rendering is a reflection walk,
+// so this holds for a counter added tomorrow too.
+func TestFormatStatsCoversEveryField(t *testing.T) {
+	baseline := statsText(&dps.Stats{})
+	typ := reflect.TypeOf(dps.Stats{})
+	for i := 0; i < typ.NumField(); i++ {
+		s := &dps.Stats{}
+		reflect.ValueOf(s).Elem().Field(i).SetInt(7919)
+		if statsText(s) == baseline {
+			t.Errorf("-stats output does not change with Stats.%s", typ.Field(i).Name)
+		}
 	}
 }
 
 func TestFormatStatsIncludesMigrationCounters(t *testing.T) {
-	out := formatStats(&dps.Stats{MigrationsCompleted: 3, TokensForwarded: 17, MigrationBytes: 512})
-	for _, want := range []string{"migrations        3", "forwarded 17 tokens", "512 state bytes"} {
+	out := statsText(&dps.Stats{MigrationsCompleted: 3, TokensForwarded: 17, MigrationBytes: 512})
+	for _, want := range []string{"dps_migrations_completed 3\n", "dps_tokens_forwarded 17\n", "dps_migration_bytes 512\n"} {
 		if !strings.Contains(out, want) {
-			t.Fatalf("formatStats output missing %q:\n%s", want, out)
+			t.Fatalf("-stats output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -14,24 +14,25 @@
 //	dps-gateway -listen 127.0.0.1:8080 -nodes 3
 //	hey -z 10s -c 200 -m POST -d "dynamic parallel schedules" http://127.0.0.1:8080/call
 //	curl -d "hello gateway" http://127.0.0.1:8080/call
-//	curl http://127.0.0.1:8080/statsz
+//	curl http://127.0.0.1:8080/metrics
 //
 // Endpoints:
 //
-//	POST /call    body is the request text; the response body is the result.
+//	POST /call    body is the request text (at most 1 MiB); the response
+//	              body is the result.
+//	              413 when the body is larger than that,
 //	              429 Retry-After when the call budget is exhausted,
 //	              504 when the per-call deadline expires.
 //	GET  /healthz 200 while the engine is healthy, 503 after a fatal error.
-//	GET  /statsz  engine statistics plus the live in-flight call count.
-//	GET  /metrics the same state in the Prometheus text exposition format:
-//	              every engine counter, live gauges, and the call-latency
-//	              histogram (plus queue waits when -trace-sample is set).
+//	GET  /metrics the engine's state in the Prometheus text exposition
+//	              format: every engine counter, live gauges (in-flight
+//	              calls, queue depth), and the call-latency histogram (plus
+//	              queue waits when -trace-sample is set).
 //	GET  /debug/pprof/  the standard net/http/pprof profiles.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -72,7 +73,6 @@ type gatewayConfig struct {
 	nodes       int           // loopback TCP kernels to embed
 	deadline    time.Duration // per-call deadline
 	maxInflight int           // admission budget (0 = unbounded)
-	shards      int           // pending-call registry shards (0 = default)
 	window      int           // per-split flow-control window (0 = default)
 	workers     int           // scheduler worker lanes per node
 	batch       bool          // coalesce small tokens into wire frames
@@ -119,7 +119,6 @@ func newGateway(cfg gatewayConfig) (*gateway, error) {
 	}
 	opts := []dps.Option{
 		dps.WithWorkers(cfg.workers),
-		dps.WithCallShards(cfg.shards),
 		dps.WithMaxInFlightCalls(cfg.maxInflight),
 		dps.WithFlowPolicy(dps.DeadlinePolicy(cfg.window, 0)),
 	}
@@ -206,14 +205,13 @@ func newGateway(cfg gatewayConfig) (*gateway, error) {
 	return gw, nil
 }
 
-// handler routes the three endpoints. Every /call runs under the gateway's
+// handler routes the endpoints. Every /call runs under the gateway's
 // per-call deadline on top of whatever deadline the client connection
 // already carries.
 func (gw *gateway) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/call", gw.handleCall)
 	mux.HandleFunc("/healthz", gw.handleHealthz)
-	mux.HandleFunc("/statsz", gw.handleStatsz)
 	mux.Handle("/metrics", gw.app.MetricsHandler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -223,14 +221,23 @@ func (gw *gateway) handler() http.Handler {
 	return mux
 }
 
+// maxCallBody bounds a /call request body; a larger one is refused with 413
+// rather than truncated.
+const maxCallBody = 1 << 20
+
 func (gw *gateway) handleCall(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a text body to /call", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxCallBody))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), gw.cfg.deadline)
@@ -262,22 +269,11 @@ func (gw *gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (gw *gateway) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		PendingCalls int        `json:"pending_calls"`
-		Stats        *dps.Stats `json:"stats"`
-	}{gw.app.PendingCalls(), gw.app.Stats()})
-}
-
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 	nodes := flag.Int("nodes", 3, "loopback TCP kernels to embed")
 	deadline := flag.Duration("deadline", 2*time.Second, "per-call deadline")
 	maxInflight := flag.Int("max-inflight", 2048, "in-flight call budget; beyond it calls shed with 429 (0 = unbounded)")
-	shards := flag.Int("shards", 0, "pending-call registry shards (0 = engine default)")
 	window := flag.Int("window", 0, "per-split flow-control window (0 = engine default)")
 	workers := flag.Int("workers", 0, "scheduler worker lanes per node (0 = per-instance drainers)")
 	batch := flag.Bool("batch", true, "coalesce small tokens into wire frames")
@@ -288,7 +284,6 @@ func main() {
 		nodes:       *nodes,
 		deadline:    *deadline,
 		maxInflight: *maxInflight,
-		shards:      *shards,
 		window:      *window,
 		workers:     *workers,
 		batch:       *batch,

@@ -2,10 +2,11 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -88,34 +89,46 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("GET /healthz: status %d", resp.StatusCode)
 	}
 
-	resp, err = http.Get(srv.URL + "/statsz")
+	resp, err = http.Get(srv.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var stats struct {
-		PendingCalls int `json:"pending_calls"`
-		Stats        struct {
-			CallsCompleted int64 `json:"CallsCompleted"`
-			CallsAdmitted  int64 `json:"CallsAdmitted"`
-		} `json:"stats"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	metrics, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Stats.CallsCompleted < 33 || stats.Stats.CallsAdmitted < 33 {
-		t.Fatalf("statsz: completed %d admitted %d, want >= 33 each",
-			stats.Stats.CallsCompleted, stats.Stats.CallsAdmitted)
+	completed := metric(t, metrics, "dps_calls_completed")
+	admitted := metric(t, metrics, "dps_calls_admitted")
+	if completed < 33 || admitted < 33 {
+		t.Fatalf("metrics: completed %v admitted %v, want >= 33 each", completed, admitted)
 	}
-	if stats.PendingCalls != 0 {
-		t.Fatalf("statsz: %d calls pending after the drain", stats.PendingCalls)
+	if pending := metric(t, metrics, "dps_pending_calls"); pending != 0 {
+		t.Fatalf("metrics: %v calls pending after the drain", pending)
 	}
+}
+
+// metric reads one unlabelled sample off a /metrics exposition.
+func metric(t *testing.T, exposition []byte, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(string(exposition), "\n") {
+		if rest, ok := strings.CutPrefix(line, name+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("metric %s: %v", name, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("no %s sample in /metrics", name)
+	return 0
 }
 
 // TestGatewayStatusMapping checks the overload contract of the HTTP edge
 // against injected engine errors: budget exhaustion surfaces as 429 with a
 // Retry-After, an expired per-call deadline as 504, a vanished client as
-// 499, anything else as 500.
+// 499, anything else as 500 — and a body over the 1 MiB bound as 413 without
+// reaching the engine, never a truncated body answered 200.
 func TestGatewayStatusMapping(t *testing.T) {
 	gw, err := newGateway(gatewayConfig{nodes: 1, deadline: time.Second})
 	if err != nil {
@@ -154,6 +167,24 @@ func TestGatewayStatusMapping(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /call: status %d, want 405", rec.Code)
 	}
+
+	t.Run("too-large", func(t *testing.T) {
+		called := false
+		gw.call = func(ctx context.Context, text string) (string, error) { called = true; return text, nil }
+		rec := httptest.NewRecorder()
+		gw.handleCall(rec, httptest.NewRequest(http.MethodPost, "/call", strings.NewReader(strings.Repeat("x", 2<<20))))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("2 MiB body: status %d, want 413", rec.Code)
+		}
+		if called {
+			t.Fatal("a truncated body reached the engine")
+		}
+		rec = httptest.NewRecorder()
+		gw.handleCall(rec, httptest.NewRequest(http.MethodPost, "/call", strings.NewReader(strings.Repeat("x", maxCallBody))))
+		if rec.Code != http.StatusOK || rec.Body.Len() != maxCallBody+1 {
+			t.Fatalf("body of exactly the bound: status %d, %d bytes back", rec.Code, rec.Body.Len())
+		}
+	})
 }
 
 // TestGatewayOverloadSheds saturates a budget of one with concurrent

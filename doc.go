@@ -35,5 +35,7 @@
 // evaluation. See README.md for the layout and the core→dps migration
 // table, DESIGN.md for the engine layering and testbed substitutions, and
 // EXPERIMENTS.md (generated by cmd/dps-bench -write) for the measured
-// tables.
+// tables. Those figures run on the simulated cluster and reproduce shapes;
+// how fast the engine is on real sockets is measured only by cmd/dps-perf
+// (declared in BENCHMARK.json, documented in internal/perf/README.md).
 package repro

@@ -54,9 +54,6 @@ func buildConfig(opts []Option) (*config, error) {
 	if cfg.engine.SuspectGrace > 0 && cfg.engine.Checkpoint == 0 {
 		return nil, fmt.Errorf("dps: WithSuspectGrace requires WithCheckpoint (there is no failure detector to grace without the recovery layer)")
 	}
-	if cfg.engine.Compress && !cfg.engine.Batch {
-		return nil, fmt.Errorf("dps: WithCompression requires WithBatch (only batch frame bodies are compressed)")
-	}
 	return cfg, nil
 }
 
@@ -124,20 +121,6 @@ func WithQueue(n int) Option {
 			return fmt.Errorf("dps: negative queue bound %d", n)
 		}
 		c.engine.Queue = n
-		return nil
-	}
-}
-
-// WithCallShards sets the number of lock shards in the pending-call
-// registry; zero keeps the engine default, values are rounded up to a power
-// of two. One shard reproduces the historical single-mutex table — useful
-// only for measurement.
-func WithCallShards(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("dps: negative call shard count %d", n)
-		}
-		c.engine.CallShards = n
 		return nil
 	}
 }
@@ -250,16 +233,6 @@ func WithBatch(maxBytes, maxTokens int, delay time.Duration) Option {
 		c.engine.BatchMaxBytes = maxBytes
 		c.engine.BatchMaxTokens = maxTokens
 		c.engine.BatchDelay = delay
-		return nil
-	}
-}
-
-// WithCompression DEFLATE-compresses batch frame bodies that shrink
-// (incompressible payloads ride raw). Requires WithBatch — unbatched frames
-// are never compressed.
-func WithCompression() Option {
-	return func(c *config) error {
-		c.engine.Compress = true
 		return nil
 	}
 }

@@ -22,10 +22,6 @@ type PoolownConfig struct {
 	// ExtraGets lists additional functions whose results are pool-owned
 	// (e.g. a decoder that returns a pooled envelope).
 	ExtraGets []string
-	// SyncPools lists package-level sync.Pool variables used directly
-	// (flateWriters.Get() / flateWriters.Put(x)) rather than through named
-	// wrapper functions.
-	SyncPools []string
 }
 
 // Poolown builds the pooled-value ownership rule. Pools recycle buffers and
@@ -54,23 +50,10 @@ func Poolown(cfg PoolownConfig) *Rule {
 	for _, g := range cfg.ExtraGets {
 		gets[g] = true
 	}
-	syncPools := make(map[string]bool, len(cfg.SyncPools))
-	for _, v := range cfg.SyncPools {
-		syncPools[v] = true
-	}
-	isGet := func(call *ast.CallExpr) bool {
-		name, method := callParts(call)
-		if method == "" {
-			return gets[name]
-		}
-		return syncPools[name] && method == "Get"
-	}
+	isGet := func(call *ast.CallExpr) bool { return gets[calleeName(call)] }
 	isPut := func(call *ast.CallExpr) (string, bool) {
-		name, method := callParts(call)
-		if method == "" {
-			return name, puts[name]
-		}
-		return name + "." + method, syncPools[name] && method == "Put"
+		name := calleeName(call)
+		return name, puts[name]
 	}
 	r := &Rule{
 		Name: "poolown",
@@ -102,24 +85,18 @@ func Poolown(cfg PoolownConfig) *Rule {
 	return r
 }
 
-// callParts decomposes a call into (name, method): ("getBuf", "") for
-// getBuf(...), ("flateWriters", "Get") for flateWriters.Get(...).
-func callParts(call *ast.CallExpr) (name, method string) {
-	switch fn := call.Fun.(type) {
-	case *ast.Ident:
-		return fn.Name, ""
-	case *ast.SelectorExpr:
-		if id, ok := fn.X.(*ast.Ident); ok {
-			return id.Name, fn.Sel.Name
-		}
+// calleeName is the name of a call to a package-local function: "getBuf"
+// for getBuf(...), "" for anything else.
+func calleeName(call *ast.CallExpr) string {
+	if id, ok := call.Fun.(*ast.Ident); ok {
+		return id.Name
 	}
-	return "", ""
+	return ""
 }
 
 // pooledLocals collects the names of locals whose binding expression
 // contains a pool Get call — `buf := getWireBuf()` as well as derivations
-// like `buf := appendHeader(getWireBuf(), m)` or the type-asserted
-// `fw, _ := flateWriters.Get().(*flate.Writer)`.
+// like `buf := appendHeader(getWireBuf(), m)`.
 func pooledLocals(body *ast.BlockStmt, isGet func(*ast.CallExpr) bool) map[string]bool {
 	pooled := make(map[string]bool)
 	ast.Inspect(body, func(n ast.Node) bool {

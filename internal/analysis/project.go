@@ -29,9 +29,9 @@ func ProjectRules() []*Rule {
 		// the convention): project-wide, the convention is global.
 		Lockheld(),
 
-		// Pooled wire buffers and envelopes (internal/core/pool.go) and the
-		// batch codec's bare sync.Pool flate coders. decodeEnvelope hands
-		// out a pooled envelope, so its result is pool-owned too.
+		// Pooled wire buffers and envelopes (internal/core/pool.go).
+		// decodeEnvelope hands out a pooled envelope, so its result is
+		// pool-owned too.
 		Poolown(PoolownConfig{
 			PkgSuffixes: []string{"internal/core"},
 			Pools: []PoolSpec{
@@ -39,7 +39,6 @@ func ProjectRules() []*Rule {
 				{Get: "getWireBuf", Put: "putWireBuf"},
 			},
 			ExtraGets: []string{"decodeEnvelope"},
-			SyncPools: []string{"flateWriterPool", "flateReaderPool"},
 		}),
 
 		// Wire kinds: the kernel's control kinds dispatch by switch in

@@ -32,7 +32,6 @@ func TestPoolownGolden(t *testing.T) {
 		PkgSuffixes: []string{"poolown"},
 		Pools:       []PoolSpec{{Get: "getBuf", Put: "putBuf"}},
 		ExtraGets:   []string{"decodeBuf"},
-		SyncPools:   []string{"coders"},
 	}))
 }
 

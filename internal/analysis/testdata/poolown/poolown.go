@@ -73,33 +73,3 @@ func handoff() {
 		putBuf(b) // ok: ownership transferred through the parameter
 	}(b)
 }
-
-type pool struct{}
-
-func (pool) Get() interface{}  { return nil }
-func (pool) Put(interface{})   {}
-func (pool) Other(interface{}) {}
-
-var coders pool
-
-func syncPoolOK() {
-	c := coders.Get().(*buf)
-	c.b = nil
-	coders.Put(c)
-}
-
-func syncPoolUseAfterPut() {
-	c := coders.Get().(*buf)
-	coders.Put(c)
-	c.b = nil // want "poolown: c used after coders.Put\\(c\\) returned it to the pool"
-}
-
-func syncPoolRetain(h *holder) {
-	c, _ := coders.Get().(*buf)
-	h.b = c // want "poolown: pooled value c stored into h.b outlives its owner's frame"
-}
-
-func notAPoolMethod(h *holder, v *buf) {
-	coders.Other(v)
-	v.b = nil // ok: Other is not Put
-}

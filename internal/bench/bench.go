@@ -26,6 +26,7 @@ import (
 	"repro/internal/ringbench"
 	"repro/internal/simnet"
 	"repro/internal/trace"
+	"repro/internal/trace/promtext"
 )
 
 // Options tunes experiment scale.
@@ -54,12 +55,6 @@ type Report struct {
 	// Stats aggregates the engine counters of every application the
 	// experiment ran (cmd/dps-bench -stats dumps them).
 	Stats *core.Stats
-	// Hists carries the experiment's latency distributions in structured
-	// form, keyed by the same row key the table prints (e.g. "echo/sharded",
-	// "recovery/ring"). The table rows keep their formatted percentile cells
-	// for humans; -json emits these so -compare reads exact values instead
-	// of re-parsing printed columns.
-	Hists map[string]*trace.Hist
 }
 
 func (r *Report) String() string {
@@ -68,6 +63,15 @@ func (r *Report) String() string {
 		s += "note: " + n + "\n"
 	}
 	return s
+}
+
+// StatsText renders the aggregated engine counters in the text form
+// /metrics serves — the same reflection walk over core.Stats, so a new
+// counter is printed without being listed anywhere.
+func (r *Report) StatsText() string {
+	enc := &promtext.Encoder{}
+	enc.Struct("dps", r.Stats, core.StatsHighWater())
+	return enc.String()
 }
 
 func nodeNames(prefix string, n int) []string {
@@ -699,7 +703,6 @@ func Chaos(opt Options) (*Report, error) {
 		Header: []string{"workload", "faults", "crashes", "calls", "retries", "injected", "failovers", "rec p50", "rec max"},
 	}
 	agg := &core.Stats{}
-	hists := make(map[string]*trace.Hist)
 	runs := []struct {
 		crashes int
 		run     func(chaos.Spec) (*chaos.Result, error)
@@ -715,15 +718,6 @@ func Chaos(opt Options) (*Report, error) {
 			return nil, fmt.Errorf("chaos (reproduce with -seed %d): %w", seed, err)
 		}
 		agg.Add(res.Stats)
-		if res.Recovery.Len() > 0 {
-			key := "recovery/" + res.Workload
-			if h := hists[key]; h != nil {
-				h.Merge(&res.Recovery)
-			} else {
-				rec := res.Recovery
-				hists[key] = &rec
-			}
-		}
 		p50, max := "-", "-"
 		if res.Recovery.Len() > 0 {
 			p50 = res.Recovery.Median().Round(time.Millisecond).String()
@@ -744,7 +738,6 @@ func Chaos(opt Options) (*Report, error) {
 		ID:    "chaos",
 		Table: t,
 		Stats: agg,
-		Hists: hists,
 		Notes: []string{
 			"check (enforced in-harness): every call completes, transient faults cause zero failovers, every crash exactly one.",
 			"check (enforced in-harness): the life world after crash-recovery is byte-identical to an undisturbed replay.",
@@ -752,17 +745,4 @@ func Chaos(opt Options) (*Report, error) {
 			"schedules are deterministic from the seed; rerun with the same -seed to reproduce a failure.",
 		},
 	}, nil
-}
-
-// All runs every experiment in paper order.
-func All(opt Options) ([]*Report, error) {
-	var out []*Report
-	for _, f := range []func(Options) (*Report, error){Figure6, Table1, Figure9, Table2, Figure15} {
-		r, err := f(opt)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

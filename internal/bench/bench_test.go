@@ -163,45 +163,3 @@ func TestFigure15Shape(t *testing.T) {
 		t.Errorf("pipelined (%vms) should not be slower than non-pipelined (%vms) at max nodes", pipLast, nonLast)
 	}
 }
-
-// TestThroughputShape runs the real-TCP throughput experiment at quick
-// sizes and checks the deterministic (byte-count) acceptance properties;
-// the tokens/s columns are wall-clock and too noisy to assert on a loaded
-// test host — CI gates those via dps-bench -compare instead.
-func TestThroughputShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("moves tens of MB over loopback TCP")
-	}
-	r, err := Throughput(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + r.String())
-	if len(r.Table.Rows)%4 != 0 || len(r.Table.Rows) == 0 {
-		t.Fatalf("expected 4 variants per size, got %d rows", len(r.Table.Rows))
-	}
-	for size := 0; size < len(r.Table.Rows)/4; size++ {
-		base := size * 4
-		for v := 0; v < 4; v++ {
-			if rate := cellF(t, r, base+v, 2); rate <= 0 {
-				t.Errorf("row %d: tokens/s = %v", base+v, rate)
-			}
-		}
-		// Egress ratios are byte counters, not timing: FT-on egress must
-		// stay within 1.2x of FT-off (row order: plain, batch, ft, batch+ft).
-		plain := cellF(t, r, base, 4)
-		ft := cellF(t, r, base+2, 4)
-		batch := cellF(t, r, base+1, 4)
-		batchFT := cellF(t, r, base+3, 4)
-		if ft > plain*1.2 {
-			t.Errorf("size row %d: FT egress %.3f > 1.2x of FT-off %.3f", size, ft, plain)
-		}
-		if batchFT > batch*1.2 {
-			t.Errorf("size row %d: batched FT egress %.3f > 1.2x of batched FT-off %.3f", size, batchFT, batch)
-		}
-		// Sanity: egress can never undercut the payload it carries.
-		if plain < 1.0 || batch < 1.0 {
-			t.Errorf("size row %d: egress/payload below 1 (plain %.3f, batch %.3f)", size, plain, batch)
-		}
-	}
-}

@@ -156,8 +156,7 @@ func TestSoak(t *testing.T) {
 }
 
 // TestRingCrashBatched re-runs the one-crash ring soak with wire batching
-// and batch-body compression on: exactly-once delivery and the single
-// failover must survive whole batch frames stalling in partitions and
+// on: exactly-once delivery and the single failover must survive whole batch frames stalling in partitions and
 // replaying after the crash.
 func TestRingCrashBatched(t *testing.T) {
 	res, err := RunRing(Spec{Seed: 11, Span: 2 * time.Second, Crashes: 1, Batch: true})
@@ -175,8 +174,8 @@ func TestRingCrashBatched(t *testing.T) {
 }
 
 // TestParlifeBatchedByteIdentical: the end-to-end exactly-once oracle (the
-// world matches a clean replay byte for byte) with batching + compression
-// on and a crash landing mid-run.
+// world matches a clean replay byte for byte) with batching on and a crash
+// landing mid-run.
 func TestParlifeBatchedByteIdentical(t *testing.T) {
 	res, err := RunParlife(Spec{Seed: 3, Span: time.Second, Crashes: 1, Batch: true})
 	if err != nil {

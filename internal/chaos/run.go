@@ -26,11 +26,10 @@ type Spec struct {
 	// workload's victim count); zero gives a transient-only schedule that
 	// must end with zero failovers.
 	Crashes int
-	// Batch runs the workload with wire batching and batch-body compression
-	// on (Config.Batch/Config.Compress): the same invariants — exactly one
-	// failover per crash, zero failed calls, byte-identical replay — must
-	// hold when whole batch frames stall in partitions and replay after
-	// crashes.
+	// Batch runs the workload with wire batching on (Config.Batch): the
+	// same invariants — exactly one failover per crash, zero failed calls,
+	// byte-identical replay — must hold when whole batch frames stall in
+	// partitions and replay after crashes.
 	Batch bool
 }
 
@@ -44,7 +43,6 @@ type Spec struct {
 func (spec Spec) engineCfg(cfg core.Config) core.Config {
 	if spec.Batch {
 		cfg.Batch = true
-		cfg.Compress = true
 		cfg.TraceSample = 0.25
 	} else {
 		cfg.TraceSample = 1

@@ -1,12 +1,8 @@
 package core
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"sync"
 )
 
 // Batch frame codec (Config.Batch; the batcher itself lives in link.go).
@@ -14,9 +10,8 @@ import (
 // A batch frame coalesces tokens and group-ends bound for one destination
 // node into a single transport frame:
 //
-//	[msgBatch][flags]
-//	  flags bit0 set: body is DEFLATE-compressed, preceded by
-//	                  uvarint(rawLen); otherwise the body follows raw.
+//	[msgBatch][flags]                       — flags is 0; a frame with any
+//	                                          bit set is refused
 //	body:
 //	  uvarint nstreams, nstreams × string   — FT sender-stream dictionary
 //	  uvarint nentries
@@ -35,14 +30,11 @@ import (
 // entry is appendGroupEndBody — so a batch of N entries decodes to exactly
 // the same messages as N individual frames.
 
+// Hostile-input bounds: a decoder must not allocate proportionally to
+// claimed counts before validating them against the bytes present.
 const (
-	batchFlagCompressed byte = 1 << 0
-
-	// Hostile-input bounds: a decoder must not allocate proportionally to
-	// claimed counts before validating them against the bytes present.
 	maxBatchStreams = 1 << 16
 	maxBatchEntries = 1 << 20
-	maxBatchRaw     = 1 << 30
 )
 
 // batchEncoder accumulates entries of one batch frame. The zero value is
@@ -51,9 +43,8 @@ type batchEncoder struct {
 	entries []byte // encoded entries section
 	streams []string
 	idx     map[string]int
-	n       int    // entry count
-	tokens  int    // token entries (stats: tokens per frame)
-	hdr     []byte // per-flush header staging, reused
+	n       int // entry count
+	tokens  int // token entries (stats: tokens per frame)
 }
 
 func (be *batchEncoder) reset() {
@@ -100,65 +91,34 @@ func (be *batchEncoder) add(kind byte, stream string, seq uint64, body []byte) {
 	}
 }
 
-// appendFrame assembles the full wire frame into buf. With compress set the
-// body is DEFLATE-compressed when that actually shrinks it; the returned
-// rawLen/gotLen report the body sizes before and after (equal when the
-// frame went out raw) for the compression counters.
-func (be *batchEncoder) appendFrame(buf []byte, compress bool) (out []byte, rawLen, gotLen int) {
-	hdr := binary.AppendUvarint(be.hdr[:0], uint64(len(be.streams)))
-	for _, s := range be.streams {
-		hdr = appendString(hdr, s)
-	}
-	hdr = binary.AppendUvarint(hdr, uint64(be.n))
-	be.hdr = hdr
-	rawLen = len(hdr) + len(be.entries)
-
-	if compress && rawLen > batchCompressMin {
-		if packed, ok := deflateBatch(hdr, be.entries); ok {
-			buf = append(buf, msgBatch, batchFlagCompressed)
-			buf = binary.AppendUvarint(buf, uint64(rawLen))
-			return append(buf, packed...), rawLen, len(packed)
-		}
-	}
-	// The body assembles straight into the frame buffer — header and
-	// entries are never concatenated anywhere else first.
+// appendFrame assembles the full wire frame into buf. The body assembles
+// straight into the frame buffer — header and entries are never
+// concatenated anywhere else first.
+func (be *batchEncoder) appendFrame(buf []byte) []byte {
 	buf = append(buf, msgBatch, 0)
-	buf = append(buf, hdr...)
-	return append(buf, be.entries...), rawLen, rawLen
+	buf = binary.AppendUvarint(buf, uint64(len(be.streams)))
+	for _, s := range be.streams {
+		buf = appendString(buf, s)
+	}
+	buf = binary.AppendUvarint(buf, uint64(be.n))
+	return append(buf, be.entries...)
 }
-
-// batchCompressMin is the smallest body worth offering to DEFLATE; tiny
-// frames only grow.
-const batchCompressMin = 256
 
 // decodeBatchFrame unwraps a batch frame's body (everything after the
-// msgBatch kind byte): it validates the flags and, for compressed frames,
-// inflates into a fresh buffer bounded by the claimed raw length. The
-// returned body either aliases b (raw) or is freshly allocated (inflated);
-// inflated reports which, so the caller can recycle the wire buffer early.
-func decodeBatchFrame(b []byte) (body []byte, inflated bool, err error) {
+// msgBatch kind byte): it validates the flags byte, which reserves every
+// bit (bit 0 once marked a DEFLATE-compressed body). The returned body
+// aliases b.
+func decodeBatchFrame(b []byte) (body []byte, err error) {
 	if len(b) < 1 {
-		return nil, false, fmt.Errorf("dps: truncated batch frame")
+		return nil, fmt.Errorf("dps: truncated batch frame")
 	}
-	flags, b := b[0], b[1:]
-	if flags&^batchFlagCompressed != 0 {
-		return nil, false, fmt.Errorf("dps: unknown batch flags %#x", flags)
+	if flags := b[0]; flags != 0 {
+		return nil, fmt.Errorf("dps: unknown batch flags %#x", flags)
 	}
-	if flags&batchFlagCompressed == 0 {
-		return b, false, nil
-	}
-	rawLen, n := binary.Uvarint(b)
-	if n <= 0 || rawLen > maxBatchRaw {
-		return nil, false, fmt.Errorf("dps: implausible batch raw length %d", rawLen)
-	}
-	body, err = inflateBatch(b[n:], int(rawLen))
-	if err != nil {
-		return nil, false, err
-	}
-	return body, true, nil
+	return b[1:], nil
 }
 
-// decodeBatch iterates a batch frame body (after decompression), invoking
+// decodeBatch iterates a batch frame body, invoking
 // fn once per entry in frame order. The entry body passed to fn aliases b.
 // Every claimed count and length is validated against the bytes actually
 // present before any allocation scales with it.
@@ -223,67 +183,4 @@ func decodeBatch(b []byte, fn func(kind byte, stream string, seq uint64, body []
 		return fmt.Errorf("dps: %d trailing bytes after batch entries", len(b))
 	}
 	return nil
-}
-
-// --- DEFLATE helpers ------------------------------------------------------
-
-var flateWriterPool = sync.Pool{New: func() any {
-	w, _ := flate.NewWriter(io.Discard, flate.BestSpeed)
-	return w
-}}
-
-// deflateBatch compresses the concatenation of parts (streamed into one
-// DEFLATE stream, so callers need not join them first); ok is false when
-// compression does not shrink it (the frame then goes out raw).
-func deflateBatch(parts ...[]byte) (packed []byte, ok bool) {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	var buf bytes.Buffer
-	buf.Grow(total / 2)
-	w := flateWriterPool.Get().(*flate.Writer)
-	w.Reset(&buf)
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			flateWriterPool.Put(w)
-			return nil, false
-		}
-	}
-	if err := w.Close(); err != nil {
-		flateWriterPool.Put(w)
-		return nil, false
-	}
-	flateWriterPool.Put(w)
-	if buf.Len() >= total {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-var flateReaderPool sync.Pool
-
-// inflateBatch decompresses into a buffer of exactly rawLen bytes; a stream
-// that inflates to any other size is corrupt.
-func inflateBatch(packed []byte, rawLen int) ([]byte, error) {
-	var r io.ReadCloser
-	if v := flateReaderPool.Get(); v != nil {
-		r = v.(io.ReadCloser)
-		if err := r.(flate.Resetter).Reset(bytes.NewReader(packed), nil); err != nil {
-			return nil, err
-		}
-	} else {
-		r = flate.NewReader(bytes.NewReader(packed))
-	}
-	defer flateReaderPool.Put(r)
-	out := make([]byte, rawLen)
-	if _, err := io.ReadFull(r, out); err != nil {
-		return nil, fmt.Errorf("dps: corrupt batch body: %w", err)
-	}
-	// One more read must report EOF, or the stream holds more than claimed.
-	var one [1]byte
-	if n, err := r.Read(one[:]); n != 0 || err != io.EOF {
-		return nil, fmt.Errorf("dps: batch body larger than claimed %d bytes", rawLen)
-	}
-	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -43,7 +44,7 @@ type batchEntry struct {
 
 // encodeBatchOf runs the entries through a batchEncoder exactly as the
 // link-layer batcher does.
-func encodeBatchOf(entries []batchEntry, compress bool) []byte {
+func encodeBatchOf(entries []batchEntry) []byte {
 	var be batchEncoder
 	for _, e := range entries {
 		var body []byte
@@ -56,8 +57,7 @@ func encodeBatchOf(entries []batchEntry, compress bool) []byte {
 		}
 		be.add(e.kind, e.stream, e.seq, body)
 	}
-	frame, _, _ := be.appendFrame(nil, compress)
-	return frame
+	return be.appendFrame(nil)
 }
 
 // TestBatchRoundTripOracle: a batch of N entries must decode to exactly the
@@ -86,11 +86,11 @@ func TestBatchRoundTripOracle(t *testing.T) {
 			}
 			entries[i] = e
 		}
-		frame := encodeBatchOf(entries, trial%2 == 1)
+		frame := encodeBatchOf(entries)
 		if frame[0] != msgBatch {
 			t.Fatalf("kind byte %d", frame[0])
 		}
-		body, _, err := decodeBatchFrame(frame[1:])
+		body, err := decodeBatchFrame(frame[1:])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,43 +162,6 @@ func TestBatchRoundTripOracle(t *testing.T) {
 	}
 }
 
-// TestBatchCompressedFrame pins the compressed path: compressible bodies
-// shrink on the wire yet inflate to the identical body.
-func TestBatchCompressedFrame(t *testing.T) {
-	env := randEnvelope(rand.New(rand.NewSource(1)), 0)
-	env.Payload = bytes.Repeat([]byte("data"), 4096)
-	entries := []batchEntry{{kind: msgToken, env: env}}
-	raw := encodeBatchOf(entries, false)
-	packed := encodeBatchOf(entries, true)
-	if len(packed) >= len(raw) {
-		t.Fatalf("compressed frame did not shrink: %d >= %d", len(packed), len(raw))
-	}
-	if packed[1]&batchFlagCompressed == 0 {
-		t.Fatal("compressed frame not flagged")
-	}
-	rawBody, inflated1, err := decodeBatchFrame(raw[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	packedBody, inflated2, err := decodeBatchFrame(packed[1:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inflated1 || !inflated2 {
-		t.Fatalf("inflated flags: raw %v, packed %v", inflated1, inflated2)
-	}
-	if !bytes.Equal(rawBody, packedBody) {
-		t.Fatal("compressed body inflates to different bytes")
-	}
-	// Incompressible bodies must ride raw even with compression requested.
-	rng := rand.New(rand.NewSource(2))
-	env2 := randEnvelope(rng, 16<<10)
-	frame := encodeBatchOf([]batchEntry{{kind: msgToken, env: env2}}, true)
-	if frame[1]&batchFlagCompressed != 0 {
-		t.Fatal("incompressible body was flagged compressed")
-	}
-}
-
 // TestBatchDecodeHostile hardens the decoder against frames that lie about
 // counts and lengths: nothing may allocate proportionally to a claimed
 // count, and every lie must surface as an error rather than a panic.
@@ -247,13 +210,13 @@ func TestBatchDecodeHostile(t *testing.T) {
 	}
 	for i, h := range hostile {
 		if i == 0 {
-			if _, _, err := decodeBatchFrame(h); err == nil {
+			if _, err := decodeBatchFrame(h); err == nil {
 				t.Errorf("case %d: empty frame accepted", i)
 			}
 			continue
 		}
 		if i == 1 {
-			if _, _, err := decodeBatchFrame(h); err == nil {
+			if _, err := decodeBatchFrame(h); err == nil {
 				t.Errorf("case %d: unknown flags accepted", i)
 			}
 			continue
@@ -264,33 +227,28 @@ func TestBatchDecodeHostile(t *testing.T) {
 		}
 	}
 
-	// Compressed-frame lies: giant claimed raw length, and a stream that
-	// inflates past its claim.
-	giant := append([]byte{batchFlagCompressed}, binary.AppendUvarint(nil, maxBatchRaw+1)...)
-	if _, _, err := decodeBatchFrame(append(giant, 1, 2, 3)); err == nil {
-		t.Error("giant claimed raw length accepted")
+	// Flag bit 0 once announced a DEFLATE body behind a claimed raw length,
+	// and the decoder allocated the claim before inflating: these 12 bytes
+	// bought 1 GiB. Every flag bit is now refused before anything is read.
+	var before, after runtime.MemStats
+	frame := binary.AppendUvarint([]byte{msgBatch, 1}, 1<<30)
+	frame = append(frame, 1, 2, 3, 4, 5)
+	runtime.ReadMemStats(&before)
+	_, err := decodeBatchFrame(frame[1:])
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "unknown batch flags 0x1") {
+		t.Errorf("frame with flag bit 0 set: err = %v, want unknown batch flags 0x1", err)
 	}
-	body := bytes.Repeat([]byte("x"), 8192)
-	packed, ok := deflateBatch(body)
-	if !ok {
-		t.Fatal("setup: body did not compress")
-	}
-	lie := append([]byte{batchFlagCompressed}, binary.AppendUvarint(nil, 16)...)
-	if _, _, err := decodeBatchFrame(append(lie, packed...)); err == nil {
-		t.Error("stream inflating past its claimed length accepted")
-	}
-	short := append([]byte{batchFlagCompressed}, binary.AppendUvarint(nil, uint64(len(body)))...)
-	if _, _, err := decodeBatchFrame(append(short, packed[:len(packed)/2]...)); err == nil {
-		t.Error("truncated flate stream accepted")
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+		t.Errorf("decoding a %d-byte hostile batch frame allocated %d bytes", len(frame), grew)
 	}
 
 	// An envelope header claiming more frames than its bytes could encode
 	// (every frame is at least four bytes) must fail before the frame slice
 	// is allocated: 20 bytes must not buy a 2.6 MB allocation.
 	hdr := appendEnvelopeBody(nil, &envelope{Graph: "g", CallOrigin: "n"})
-	lie = appendInt(hdr[:len(hdr)-1], 1<<16) // replace the trailing zero frame count
+	lie := appendInt(hdr[:len(hdr)-1], 1<<16) // replace the trailing zero frame count
 	lie = append(lie, make([]byte, 8)...)
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	if _, err := decodeEnvelope(lie); err == nil {
 		t.Error("envelope with a frame count past its own length accepted")

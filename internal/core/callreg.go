@@ -16,8 +16,9 @@ import (
 // ingress); the call had no effect — no entry token was posted.
 var ErrOverload = errors.New("dps: overloaded: in-flight call budget exhausted")
 
-// DefaultCallShards is the pending-call registry's lock striping when
-// Config.CallShards is zero. Wide enough that 10k concurrent callers spread
+// DefaultCallShards is the pending-call registry's lock striping: the table
+// of in-flight graph calls is split over this many independently locked
+// shards keyed by call ID. Wide enough that 10k concurrent callers spread
 // registration, completion and context lookups over independent locks instead
 // of convoying on one mutex; small enough that sweeping every shard (Close,
 // replaceMapping's swap check) stays cheap.
@@ -55,9 +56,9 @@ type callRegistry struct {
 }
 
 // initCallRegistry sizes the table; shards is rounded up to a power of two
-// so the stripe pick is a mask. shards <= 0 selects DefaultCallShards;
-// shards == 1 degenerates to the historical single-mutex table (useful as a
-// measured baseline — see dps-bench -exp serve).
+// so the stripe pick is a mask. shards <= 0 selects DefaultCallShards.
+// Every application runs DefaultCallShards wide; only BenchCallRegistry
+// passes another width, to measure the table against a single mutex.
 func (r *callRegistry) initCallRegistry(shards int) {
 	if shards <= 0 {
 		shards = DefaultCallShards

@@ -14,17 +14,17 @@ import (
 // loop, and the sustained ops/s is returned. One op is one full
 // register→complete→receive→recycle cycle.
 //
-// This is the seam the serve saturation experiment (dps-bench -exp serve)
-// uses to report the sharded registry against the historical single-mutex
-// table: end-to-end serve rows include the engine and TCP cost per call, so
-// their mutex-vs-sharded gap narrows on small hosts where the wire dominates;
-// this row isolates the data structure the tentpole replaced.
+// shards is the table width to measure (0: DefaultCallShards, what every
+// application runs; 1: a single mutex). It exists only here: the width is
+// not configurable, and the sharded-vs-mutex ratio is recorded in DESIGN.md
+// ("Serve path"). dps-perf reports the default width as callreg.cycle_ns.
 func BenchCallRegistry(shards, callers int, span time.Duration) float64 {
-	app, err := NewLocalApp(Config{CallShards: shards}, "reg0")
+	app, err := NewLocalApp(Config{}, "reg0")
 	if err != nil {
 		panic(err)
 	}
 	defer app.Close()
+	app.callreg.initCallRegistry(shards) // nothing is registered yet
 	rt, _ := app.runtime("reg0")
 	ctx := context.Background()
 	var (

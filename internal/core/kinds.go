@@ -100,7 +100,7 @@ func init() {
 		},
 		msgBatch: {
 			// Entries re-enter the token and group-end paths one by one.
-			name: "batch frame", recv: (*link).recvBatch, recycles: true,
+			name: "batch frame", recv: (*link).recvBatch,
 			span: spanDispatch, suppress: true, fail: failLink,
 		},
 		msgAck: {

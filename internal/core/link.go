@@ -55,7 +55,6 @@ type link struct {
 	batchTokens int
 	batchLarge  int // entry bodies this big skip coalescing (single frame)
 	batchDelay  time.Duration
-	compress    bool
 	bmu         sync.Mutex
 	batchers    map[string]*batcher
 }
@@ -101,7 +100,6 @@ func (l *link) init(rt *Runtime, tr transport.Transport, cfg *Config) {
 		// bound dwarfs the per-frame overhead batching saves, and staging
 		// it through the entries buffer would only add copies.
 		l.batchLarge = l.batchBytes / 16
-		l.compress = cfg.Compress
 		l.batchers = make(map[string]*batcher)
 	}
 }
@@ -341,7 +339,7 @@ func (b *batcher) flushLocked() {
 	}
 	stats := &l.rt.stats
 	tokens := int64(b.enc.tokens)
-	buf, rawLen, gotLen := b.enc.appendFrame(getWireBuf(), l.compress)
+	buf := b.enc.appendFrame(getWireBuf())
 	b.enc.reset()
 	atomic.AddInt64(&stats.FramesBatched, 1)
 	for {
@@ -349,10 +347,6 @@ func (b *batcher) flushLocked() {
 		if tokens <= cur || atomic.CompareAndSwapInt64(&stats.TokensPerFrame, cur, tokens) {
 			break
 		}
-	}
-	if l.compress {
-		atomic.AddInt64(&stats.UncompressedBytes, int64(rawLen))
-		atomic.AddInt64(&stats.CompressedBytes, int64(gotLen))
 	}
 	l.transmit(b.dst, buf, true)
 }
@@ -588,7 +582,7 @@ func (l *link) handle(src string, frame []byte) {
 // body is the envelope header and serialized token; stream/seq and traceID
 // are what the framing around it carried. frame, when non-nil, is the wire
 // buffer body aliases, recycled here once nothing reads it any more (a
-// batch frame outlives its entries and is recycled by recvBatch).
+// batch frame outlives its entries and is recycled by handle).
 func (l *link) recvToken(src, stream string, seq, traceID uint64, body, frame []byte) error {
 	env, err := decodeEnvelope(body)
 	if err != nil {
@@ -678,24 +672,13 @@ func (l *link) recvLoneGroupEnd(src string, frame []byte) error {
 // (prefix duplicate filters, group-end-after-tokens) hold exactly as they
 // do for singles.
 func (l *link) recvBatch(src string, frame []byte) error {
-	body, inflated, err := decodeBatchFrame(frame[1:])
+	body, err := decodeBatchFrame(frame[1:])
 	if err != nil {
 		return err
 	}
-	if inflated {
-		// The entries now live in a fresh buffer; the wire buffer has no
-		// further readers and recycles early.
-		putWireBuf(frame)
-		frame = body
-	}
-	err = decodeBatch(body, func(kind byte, stream string, seq uint64, eb []byte) error {
+	return decodeBatch(body, func(kind byte, stream string, seq uint64, eb []byte) error {
 		return wireKinds[kind].entry(l, src, stream, seq, eb)
 	})
-	if err != nil {
-		return err
-	}
-	putWireBuf(frame)
-	return nil
 }
 
 func (l *link) recvResult(src string, frame []byte) error {

@@ -206,7 +206,7 @@ func TestTransmitChokePoint(t *testing.T) {
 			if len(frames) == 0 || frames[0][0] != msgBatch {
 				t.Fatalf("first frame on the wire is not the pending batch: %v", frames)
 			}
-			body, _, err := decodeBatchFrame(frames[0][1:])
+			body, err := decodeBatchFrame(frames[0][1:])
 			if err != nil {
 				t.Fatal(err)
 			}

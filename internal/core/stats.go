@@ -80,12 +80,6 @@ type Stats struct {
 	// TokensPerFrame is the largest number of tokens coalesced into one
 	// batch frame. Aggregation takes the maximum, like QueueHighWater.
 	TokensPerFrame int64 `stat:"max"`
-	// CompressedBytes / UncompressedBytes count batch frame bodies before
-	// and after DEFLATE (Config.Compress): UncompressedBytes is what would
-	// have crossed the wire raw, CompressedBytes what actually did. Frames
-	// that did not shrink count equally in both.
-	CompressedBytes   int64
-	UncompressedBytes int64
 }
 
 // statsMax marks, by field index, the Stats fields tagged stat:"max".

@@ -178,3 +178,30 @@ func TestRingRebalanceMidRun(t *testing.T) {
 		t.Fatal("no token was forwarded; the remap missed the stream")
 	}
 }
+
+// TestCheckpointEgressOverhead: turning fault tolerance on must not double
+// what the ring sends. Checkpoints are regenerative (a record carries what
+// changed, not the full retention log), so at 64 KiB blocks the engine's
+// egress with Checkpoint set stays within 1.2x of the run without it. Byte
+// counters only; nothing here depends on how fast the host is.
+func TestCheckpointEgressOverhead(t *testing.T) {
+	const nodes, total, block = 3, 4 << 20, 64 << 10
+	sent := func(checkpoint time.Duration) int64 {
+		res, err := RunDPSConfig(testCfg(), nodes, total, block, core.Config{Window: 64, Checkpoint: checkpoint})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkpoint > 0 && res.Stats.CheckpointsTaken == 0 {
+			t.Fatal("no checkpoint was taken; the run compares nothing")
+		}
+		return res.Stats.BytesSent
+	}
+	plain, ft := sent(0), sent(2*time.Millisecond)
+	if plain < nodes*total { // every block crosses each of the ring's links
+		t.Fatalf("egress %d below the %d payload bytes the ring carries", plain, nodes*total)
+	}
+	if float64(ft) > 1.2*float64(plain) {
+		t.Errorf("egress with checkpointing %d > 1.2x of %d without", ft, plain)
+	}
+	t.Logf("egress: %d plain, %d checkpointed (%.3fx)", plain, ft, float64(ft)/float64(plain))
+}

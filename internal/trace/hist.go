@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -32,7 +30,7 @@ func init() {
 // Hist is a mergeable latency histogram with logarithmic buckets: constant
 // memory regardless of sample count, percentiles within the bucket
 // resolution (≈9%), exact count/sum/min/max. The zero value is ready to
-// use, cheap to merge across goroutines and to encode into -json artifacts.
+// use and cheap to merge across goroutines.
 //
 // Hist is not synchronized: concurrent recorders keep one each and Merge
 // them when done.
@@ -154,61 +152,4 @@ func (h *Hist) Buckets(fn func(upper time.Duration, count int64)) {
 			fn(histBounds[i], c)
 		}
 	}
-}
-
-// histJSON is the wire form of a Hist: exact aggregates, sparse non-empty
-// buckets as [index, count] pairs, and derived percentiles included for
-// human and plotting convenience (ignored when decoding).
-type histJSON struct {
-	Count   int64      `json:"count"`
-	SumNs   int64      `json:"sum_ns"`
-	MinNs   int64      `json:"min_ns,omitempty"`
-	MaxNs   int64      `json:"max_ns,omitempty"`
-	P50Ns   int64      `json:"p50_ns,omitempty"`
-	P90Ns   int64      `json:"p90_ns,omitempty"`
-	P99Ns   int64      `json:"p99_ns,omitempty"`
-	P999Ns  int64      `json:"p999_ns,omitempty"`
-	Buckets [][2]int64 `json:"buckets,omitempty"`
-}
-
-// MarshalJSON implements json.Marshaler.
-func (h Hist) MarshalJSON() ([]byte, error) {
-	out := histJSON{
-		Count:  h.count,
-		SumNs:  int64(h.sum),
-		MinNs:  int64(h.min),
-		MaxNs:  int64(h.max),
-		P50Ns:  int64(h.Percentile(50)),
-		P90Ns:  int64(h.Percentile(90)),
-		P99Ns:  int64(h.Percentile(99)),
-		P999Ns: int64(h.Percentile(99.9)),
-	}
-	for i, c := range h.buckets {
-		if c != 0 {
-			out.Buckets = append(out.Buckets, [2]int64{int64(i), c})
-		}
-	}
-	return json.Marshal(out)
-}
-
-// UnmarshalJSON implements json.Unmarshaler; the derived percentile fields
-// of the wire form are ignored (they are recomputed from the buckets).
-func (h *Hist) UnmarshalJSON(data []byte) error {
-	var in histJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return err
-	}
-	*h = Hist{
-		count: in.Count,
-		sum:   time.Duration(in.SumNs),
-		min:   time.Duration(in.MinNs),
-		max:   time.Duration(in.MaxNs),
-	}
-	for _, b := range in.Buckets {
-		if b[0] < 0 || b[0] >= histBuckets {
-			return fmt.Errorf("trace: histogram bucket index %d out of range", b[0])
-		}
-		h.buckets[b[0]] = b[1]
-	}
-	return nil
 }

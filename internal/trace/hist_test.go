@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"sort"
@@ -83,41 +82,6 @@ func TestHistMerge(t *testing.T) {
 	}
 }
 
-func TestHistJSONRoundTrip(t *testing.T) {
-	var h Hist
-	for i := 0; i < 1000; i++ {
-		h.Add(time.Duration(i) * 37 * time.Microsecond)
-	}
-	data, err := json.Marshal(&h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Hist
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back != h {
-		t.Fatal("JSON round trip changed the histogram")
-	}
-	// The wire form carries derived percentiles for consumers.
-	var wire map[string]any
-	if err := json.Unmarshal(data, &wire); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"count", "sum_ns", "p50_ns", "p99_ns", "p999_ns", "buckets"} {
-		if _, ok := wire[k]; !ok {
-			t.Fatalf("wire form missing %q: %s", k, data)
-		}
-	}
-}
-
-func TestHistUnmarshalRejectsBadBucket(t *testing.T) {
-	var h Hist
-	if err := json.Unmarshal([]byte(`{"count":1,"buckets":[[9999,1]]}`), &h); err == nil {
-		t.Fatal("out-of-range bucket index accepted")
-	}
-}
-
 func TestHistNegativeClamped(t *testing.T) {
 	var h Hist
 	h.Add(-time.Second)
@@ -145,25 +109,5 @@ func TestHistBucketsIteration(t *testing.T) {
 	})
 	if total != int64(h.Len()) {
 		t.Fatalf("bucket counts sum to %d, histogram holds %d", total, h.Len())
-	}
-}
-
-func TestHistJSONCarriesP90(t *testing.T) {
-	var h Hist
-	for i := 1; i <= 100; i++ {
-		h.Add(time.Duration(i) * time.Millisecond)
-	}
-	data, err := json.Marshal(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]any
-	if err := json.Unmarshal(data, &m); err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []string{"p50_ns", "p90_ns", "p99_ns", "p999_ns"} {
-		if _, ok := m[k]; !ok {
-			t.Errorf("marshaled histogram missing %s: %s", k, data)
-		}
 	}
 }
