@@ -147,9 +147,15 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// TestFigure15Shape checks the figure's structure only. Its times are wall
+// clock — parlin's LU kernels run for real and have no modelled-compute hook
+// like parlife.Options.CellCost — so which variant wins at four virtual nodes
+// is decided by the host's cores, not by the engine: the comparison is
+// logged for the reader, not asserted (both variants' factorizations are
+// verified in internal/parlin).
 func TestFigure15Shape(t *testing.T) {
 	if raceEnabled {
-		t.Skip("timing-based shape assertions are skipped under the race detector")
+		t.Skip("two LU factorizations per row are slow under the race detector; internal/parlin race-tests the graphs")
 	}
 	r, err := Figure15(Options{Quick: true})
 	if err != nil {
@@ -157,9 +163,22 @@ func TestFigure15Shape(t *testing.T) {
 	}
 	t.Log("\n" + r.String())
 	n := len(r.Table.Rows) / 2
-	pipLast := cellF(t, r, n-1, 2)   // pipelined, max nodes, time
-	nonLast := cellF(t, r, 2*n-1, 2) // non-pipelined, max nodes, time
-	if pipLast > nonLast*1.1 {
-		t.Errorf("pipelined (%vms) should not be slower than non-pipelined (%vms) at max nodes", pipLast, nonLast)
+	if n < 2 || len(r.Table.Rows) != 2*n {
+		t.Fatalf("%d rows, want the same node counts for both variants", len(r.Table.Rows))
+	}
+	for i, row := range r.Table.Rows {
+		want := "pipelined"
+		if i >= n {
+			want = "non-pipelined"
+		}
+		if row[0] != want || row[1] != r.Table.Rows[i%n][1] {
+			t.Errorf("row %d is %v, want variant %s at the node count of row %d", i, row, want, i%n)
+		}
+		if ms, speedup := cellF(t, r, i, 2), cellF(t, r, i, 3); ms <= 0 || speedup <= 0 {
+			t.Errorf("row %d: time %vms, speedup %v", i, ms, speedup)
+		}
+	}
+	if base := cellF(t, r, 0, 3); base != 1 {
+		t.Errorf("one-node speedup = %v, want 1", base)
 	}
 }

@@ -165,6 +165,10 @@ type App struct {
 	// cancelActive counts outstanding canceled IDs: while zero — the
 	// overwhelmingly common case — the hot paths skip the map entirely.
 	cancelActive atomic.Int64
+	// cancelHook, set only by tests, runs inside cancelCall's critical
+	// section, after the call left the pending table and before its
+	// cancellation record exists.
+	cancelHook func()
 
 	failErr atomic.Value // errBox
 	closed  atomic.Bool
@@ -547,9 +551,13 @@ func (app *App) cancelCall(id uint64, cause error) {
 		return
 	}
 	delete(sh.calls, id)
+	if app.cancelHook != nil {
+		app.cancelHook()
+	}
 	// Mutated under the shard lock (like completeCall's reap) so the entry
 	// removal and the cancellation record appear atomically to this call's
-	// other settlers — which, keyed by the same ID, use the same shard.
+	// other settlers and to callDead — which, keyed by the same ID, use the
+	// same shard.
 	app.canceled.Store(id, struct{}{})
 	app.cancelActive.Add(1)
 	sh.mu.Unlock()
@@ -581,6 +589,23 @@ func (app *App) callAborted(id uint64) bool {
 	}
 	_, ok := app.canceled.Load(id)
 	return ok
+}
+
+// callDead reports whether a call is canceled as an unwinding execution must
+// see it: recorded as canceled, or still pending with a context that has
+// fired (cancelCall's bookkeeping has not run yet). Both are read under the
+// call's shard lock — the lock cancelCall moves a call from the one state to
+// the other under — so no reader can find the call in neither. callAborted
+// stays the check of the token hot paths.
+func (app *App) callDead(id uint64) bool {
+	sh := app.callreg.shard(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if ce, ok := sh.calls[id]; ok {
+		return ce.ctx != nil && ce.ctx.Err() != nil
+	}
+	_, canceled := app.canceled.Load(id)
+	return canceled
 }
 
 // callContext returns the context a pending call was registered with, or

@@ -9,8 +9,11 @@ package core
 // application's lifetime.
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -97,7 +100,7 @@ func TestCancelReapsStreamGroups(t *testing.T) {
 		_, err := g.CallFrom(ctx, app.MasterNode(), &nestTok{N: 8})
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitWindowStalls(t, app, 1)
 	cancel()
 	select {
 	case err := <-done:
@@ -124,6 +127,17 @@ func TestCancelReapsStreamGroups(t *testing.T) {
 	waitGroupsReaped(t, app)
 	if err := app.Err(); err != nil {
 		t.Fatalf("application failed: %v", err)
+	}
+}
+
+// waitWindowStalls returns once n posts have blocked on an exhausted
+// flow-control window: the call under test is jammed, not merely started.
+func waitWindowStalls(t *testing.T, app *App, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); app.Stats().WindowStalls < n; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the call never jammed: %d window stall(s), want %d", app.Stats().WindowStalls, n)
+		}
 	}
 }
 
@@ -235,7 +249,8 @@ func TestCancelReapsNestedSplitGroups(t *testing.T) {
 		_, err := g.CallFrom(ctx, app.MasterNode(), &nestTok{N: 8})
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// The outer split and the first inner split both jam on window 2.
+	waitWindowStalls(t, app, 2)
 	cancel()
 	select {
 	case err := <-done:
@@ -250,6 +265,113 @@ func TestCancelReapsNestedSplitGroups(t *testing.T) {
 
 	// Every group — outer split groups and merge-side state included —
 	// must drain and reap.
+	waitGroupsReaped(t, app)
+	if err := app.Err(); err != nil {
+		t.Fatalf("application failed: %v", err)
+	}
+}
+
+// TestCancelUnwindDuringBookkeeping pins the one "is this call dead"
+// predicate (App.callDead). cancelCall is parked — by the test hook — at the
+// point where the call has left the pending table and its cancellation
+// record does not exist yet, and an execution of that call unwinds with a
+// cancellation error meanwhile (the split body raises it itself, standing in
+// for any blocking point that observed the context). The unwind must wait for
+// the bookkeeping and then see a canceled call: were it to find the call in
+// neither state it would fail the application, hand this call's error to the
+// next one and leak the unwound execution's groups.
+func TestCancelUnwindDuringBookkeeping(t *testing.T) {
+	app, err := NewLocalApp(Config{}, "n0", "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer app.Close()
+	parked, resume := make(chan struct{}), make(chan struct{})
+	var park, unpark sync.Once
+	app.cancelHook = func() {
+		park.Do(func() {
+			close(parked)
+			<-resume
+		})
+	}
+	defer unpark.Do(func() { close(resume) }) // a failing test must not leave the shard locked for Close
+	main := MustCollection[struct{}](app, "b-main")
+	if err := main.Map("n0"); err != nil {
+		t.Fatal(err)
+	}
+	work := MustCollection[struct{}](app, "b-work")
+	if err := work.Map("n1"); err != nil {
+		t.Fatal(err)
+	}
+	posted, unwind, hold := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	first.Store(true)
+	split := Split[*nestTok, *nestTok]("b-split", func(c *Ctx, in *nestTok, post func(*nestTok)) {
+		for i := 0; i < in.N; i++ {
+			post(&nestTok{N: i})
+		}
+		if first.Swap(false) {
+			close(posted)
+			<-unwind
+			panic(opError{context.Canceled})
+		}
+	})
+	leaf := Leaf[*nestTok, *nestTok]("b-leaf", func(c *Ctx, in *nestTok) *nestTok {
+		<-hold
+		return in
+	})
+	merge := Merge[*nestTok, *nestSum]("b-merge", func(c *Ctx, first *nestTok, next func() (*nestTok, bool)) *nestSum {
+		n := 0
+		for _, ok := first, true; ok; _, ok = next() {
+			n++
+		}
+		return &nestSum{Sum: n}
+	})
+	g, err := app.NewFlowgraph("b-graph", Path(
+		NewNode(split, main, MainRoute()),
+		NewNode(leaf, work, RoundRobin()),
+		NewNode(merge, main, MainRoute()),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := g.CallFrom(ctx, app.MasterNode(), &nestTok{N: 3})
+		done <- err
+	}()
+	<-posted
+	cancel()
+	<-parked
+	close(unwind)
+	// Hold the bookkeeping until the unwind is asking whether its call is dead.
+	stacks := make([]byte, 1<<20)
+	for deadline := time.Now().Add(10 * time.Second); ; runtime.Gosched() {
+		if bytes.Contains(stacks[:runtime.Stack(stacks, true)], []byte("(*App).callDead")) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the unwinding execution never asked whether its call is dead")
+		}
+	}
+	unpark.Do(func() { close(resume) })
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled call returned %v", err)
+	}
+	close(hold)
+
+	if err := app.Err(); err != nil {
+		t.Fatalf("the unwind of a canceled call failed the application: %v", err)
+	}
+	out, err := g.CallTimeout(app.MasterNode(), &nestTok{N: 5}, 30*time.Second)
+	if err != nil {
+		t.Fatalf("the next call inherited the cancellation: %v", err)
+	}
+	if got := out.(*nestSum).Sum; got != 5 {
+		t.Fatalf("the next call merged %d, want 5", got)
+	}
 	waitGroupsReaped(t, app)
 	if err := app.Err(); err != nil {
 		t.Fatalf("application failed: %v", err)

@@ -54,6 +54,17 @@ func buildCancelGraph(t *testing.T, app *core.App, name string, blocking *atomic
 	return g
 }
 
+// waitStalled returns once n posts have blocked on an exhausted flow-control
+// window: the call under test is jammed, not merely started.
+func waitStalled(t *testing.T, app *core.App, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); app.Stats().WindowStalls < n; time.Sleep(200 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the call never jammed: %d window stall(s), want %d", app.Stats().WindowStalls, n)
+		}
+	}
+}
+
 // TestCancelReleasesFlowControl is the cancellation contract end to end: a
 // call jammed on an exhausted flow-control window is canceled; the caller
 // gets ctx.Err() promptly, the abandoned tokens drain and release their
@@ -73,7 +84,7 @@ func TestCancelReleasesFlowControl(t *testing.T) {
 		done <- err
 	}()
 	// Let the split jam: window 2, workers parked on hold.
-	time.Sleep(50 * time.Millisecond)
+	waitStalled(t, app, 1)
 	cancel()
 	select {
 	case err := <-done:
@@ -177,7 +188,8 @@ func TestCancelNestedGroupsReleasesOuterWindow(t *testing.T) {
 		_, err := g.CallFrom(ctx, app.MasterNode(), &CountToken{N: 8})
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// The outer split and the first inner split both jam on window 2.
+	waitStalled(t, app, 2)
 	cancel()
 	select {
 	case err := <-done:
@@ -233,7 +245,7 @@ func TestCancelAsyncDeliversError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond)
+	waitStalled(t, app, 1)
 	cancel()
 	select {
 	case res := <-ch:
@@ -263,10 +275,10 @@ func TestTimeoutShimCancels(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want a deadline error", err)
 	}
-	// Drain the abandoned call; its late result must be discarded quietly.
+	// The abandoned call drains while the next one runs; its late result
+	// must be discarded quietly.
 	blocking.Store(false)
 	close(hold)
-	time.Sleep(50 * time.Millisecond)
 
 	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 3}, 30*time.Second)
 	if err != nil {
@@ -274,5 +286,8 @@ func TestTimeoutShimCancels(t *testing.T) {
 	}
 	if got := out.(*SumToken).Sum; got != 3 {
 		t.Fatalf("merged %d tokens, want 3", got)
+	}
+	if err := app.Err(); err != nil {
+		t.Fatalf("application failed: %v", err)
 	}
 }

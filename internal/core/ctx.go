@@ -288,7 +288,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 			if err := c.rt.app.Err(); err != nil {
 				return err
 			}
-			if c.rt.app.callAborted(c.callID) {
+			if c.rt.app.callDead(c.callID) {
 				return context.Canceled
 			}
 			return nil

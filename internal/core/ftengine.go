@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"reflect"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -479,7 +477,6 @@ type ftMove struct {
 	tc        *ThreadCollection
 	key       place.Key
 	to        string
-	epoch     uint64
 	installed <-chan struct{}
 }
 
@@ -547,7 +544,7 @@ func (app *App) failover(dead string) error {
 		if !ok {
 			return fmt.Errorf("dps: failover target %q is not attached", moves[i].to)
 		}
-		moves[i].installed = rtNew.expectPending(moves[i].key)
+		moves[i].installed = rtNew.expectThread(moves[i].key)
 	}
 
 	// Phase 2: per thread — flip the placement and replay the retained
@@ -570,16 +567,11 @@ func (app *App) failover(dead string) error {
 	// the prefix filter would discard the replay as duplicates.
 	for i := range moves {
 		mv := &moves[i]
-		locks := make([]*sync.Mutex, len(live))
-		for j, r := range live {
-			locks[j] = r.routeLock(mv.key)
-			locks[j].Lock()
-		}
-		epoch, serr := mv.tc.place.SetThread(mv.key.Thread, mv.to)
-		if serr == nil {
-			mv.epoch = epoch
+		_, err := app.flipThread(live, mv.tc, mv.key, mv.to, func(epoch uint64) {
 			for _, r := range live {
-				r.retargetRelay(mv.key, mv.to)
+				// A relay left over from an earlier live migration that still
+				// forwards toward the dead node follows the thread.
+				r.placeThread(mv.key).Retarget(mv.to)
 			}
 			ents := mergeReplayEntries(live, mv.key)
 			ftDebugf("failover %s -> %q: replaying %d entries", mv.key, mv.to, len(ents))
@@ -591,36 +583,25 @@ func (app *App) failover(dead string) error {
 			if rec == nil {
 				rec = &ft.Record{Key: mv.key}
 			}
-			master.lnk.sendReplay(mv.to, &replayMsg{Epoch: mv.epoch, Rec: rec})
-		}
-		for j := len(locks) - 1; j >= 0; j-- {
-			locks[j].Unlock()
-		}
-		if serr != nil {
-			return serr
+			master.lnk.sendReplay(mv.to, &replayMsg{Epoch: epoch, Rec: rec})
+		})
+		if err != nil {
+			return err
 		}
 	}
 
-	// Phase 4: wait for every restore to activate (mirrors migrateThread's
+	// Phase 3: wait for every restore to activate (mirrors migrateThread's
 	// handover wait). The wait is bounded: if a survivor dies while its
 	// restore envelope is in flight, the recovery of THAT death is queued
-	// behind this one, so spinning forever would deadlock the coordinator —
+	// behind this one, so waiting forever would deadlock the coordinator —
 	// surface the double failure instead (beyond the single-failure model).
 	deadline := time.Now().Add(30 * time.Second)
 	for i := range moves {
-		for done := false; !done; {
-			select {
-			case <-moves[i].installed:
-				done = true
-			case <-time.After(200 * time.Microsecond):
-				if err := app.Err(); err != nil {
-					return err
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("dps: restore of %s on %q did not activate (did %q fail during the recovery?)",
-						moves[i].key, moves[i].to, moves[i].to)
-				}
-			}
+		if err := app.awaitInstall(moves[i].installed, deadline); err == errNotInstalled {
+			return fmt.Errorf("dps: restore of %s on %q did not activate (did %q fail during the recovery?)",
+				moves[i].key, moves[i].to, moves[i].to)
+		} else if err != nil {
+			return err
 		}
 	}
 
@@ -629,19 +610,6 @@ func (app *App) failover(dead string) error {
 		moves[i].tc.notifyRecover(moves[i].key.Thread, dead, moves[i].to)
 	}
 	return nil
-}
-
-// retargetRelay repoints a forwarding relay that still forwards toward the
-// dead node (left over from an earlier live migration) at the thread's new
-// owner.
-func (rt *Runtime) retargetRelay(key place.Key, to string) {
-	ps := &rt.place
-	ps.mu.Lock()
-	re := ps.relays[key]
-	ps.mu.Unlock()
-	if re != nil && re.relay.Target() != "" && re.relay.Target() != to {
-		re.relay.Retarget(to)
-	}
 }
 
 // mergeReplayEntries gathers every live runtime's retained entries
@@ -715,15 +683,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 	if rt.app.callAborted(e.CallID) {
 		return
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			if oe, ok := r.(opError); ok {
-				rt.failApp(oe.err)
-				return
-			}
-			panic(r)
-		}
-	}()
+	defer recoverOpError(rt.failApp)
 	switch e.Kind {
 	case ft.EntryToken:
 		body := e.Bytes[1:]
@@ -758,7 +718,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 			rt.traceSpan(traceID, "replay", e.Stream, time.Now().UnixNano(), 0)
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
-		rt.lnk.sendToken(env, to)
+		rt.lnk.sendToken(env, to, place.Direct)
 	case ft.EntryGroupEnd:
 		m, err := decodeGroupEndFT(e.Bytes[1:])
 		if err != nil {
@@ -766,126 +726,43 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 			return
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
-		rt.lnk.sendGroupEnd(to, m)
+		rt.lnk.sendGroupEnd(to, m, place.Direct)
 	}
 }
 
 // installRecovered activates a restored instance on this node (the
 // failover counterpart of installMigrated): state and fault-tolerance
-// cursors come from the checkpoint record, the checkpoint's retained log
-// is re-sent to the current owners, and the arrivals buffered during the
-// failover drain — the coordinator's channel (src) first, because channel
-// FIFO put every replayed entry ahead of this envelope there, while a
+// cursors come from the checkpoint record, the checkpoint's retained log —
+// the instance's outputs that were not yet durable — is re-sent to the
+// current owners ahead of any re-execution output, and the arrivals buffered
+// during the failover drain, the coordinator's channel (src) first: channel
+// FIFO put every replayed entry ahead of this envelope there (in merge
+// order, with any of the coordinator's own fresh posts behind them), while a
 // live sender's fresh post travels its own channel and must not overtake
 // that sender's replayed entries in the buffer.
 func (rt *Runtime) installRecovered(m *replayMsg, src string) {
 	key := m.Rec.Key
-	tc, ok := rt.app.Collection(key.Collection)
-	if !ok {
-		rt.failApp(fmt.Errorf("dps: recovery for unknown collection %q", key.Collection))
-		return
-	}
-	state := tc.newState()
-	if len(m.Rec.State) > 0 {
-		v, _, err := rt.app.reg.Unmarshal(m.Rec.State)
-		if err != nil {
-			rt.failApp(fmt.Errorf("dps: cannot deserialize checkpoint of %s: %w", key, err))
-			return
+	inst, err := rt.restoreInstance(key, m.Rec.State, m.Rec)
+	if err == nil {
+		ftDebugf("install %s on %q: state=%dB in=%v log=%d", key, rt.name, len(m.Rec.State), m.Rec.In, len(m.Rec.Log))
+		// The machine is still expecting, so nothing reaches the instance —
+		// and it re-executes nothing — before the log is out.
+		for _, e := range m.Rec.Log {
+			dstTC, ok := rt.app.Collection(e.Dst.Collection)
+			if !ok {
+				continue
+			}
+			node, err := dstTC.NodeOf(e.Dst.Thread)
+			if err != nil {
+				continue
+			}
+			rt.resendEntry(e, node)
 		}
-		if want := reflect.PointerTo(tc.stateType); reflect.TypeOf(v) != want {
-			rt.failApp(fmt.Errorf("dps: checkpoint of %s decoded as %T, want %s", key, v, want))
-			return
-		}
-		state = v
+		err = rt.install(inst, m.Epoch, 0, src)
 	}
-	inst := &threadInstance{
-		rt:     rt,
-		tc:     tc,
-		index:  key.Thread,
-		state:  state,
-		groups: make(map[uint64]*mergeGroup),
+	if err != nil {
+		rt.failApp(fmt.Errorf("dps: recovery of %s: %w", key, err))
 	}
-	inst.ft = ft.NewState(ft.StreamOf(key.Collection, key.Thread))
-	inst.ft.Restore(m.Rec)
-	ftDebugf("install %s on %q: state=%dB in=%v log=%d", key, rt.name, len(m.Rec.State), m.Rec.In, len(m.Rec.Log))
-	rt.sched.InitInstance(&inst.exec, shardKey(key.Collection, key.Thread))
-	ik := instKey{collection: key.Collection, index: key.Thread}
-	rt.mu.Lock()
-	if _, exists := rt.threads[ik]; exists {
-		rt.mu.Unlock()
-		rt.failApp(fmt.Errorf("dps: recovery target %s already instantiated on %q", key, rt.name))
-		return
-	}
-	rt.threads[ik] = inst
-	rt.mu.Unlock()
-
-	ps := &rt.place
-	ps.mu.Lock()
-	delete(ps.relays, key)
-	if ps.ownEpoch == nil {
-		ps.ownEpoch = make(map[place.Key]uint64)
-	}
-	ps.ownEpoch[key] = m.Epoch
-	delete(ps.fences, key) // no fence handshake: the dead owner forwards nothing
-	if ch, ok := ps.installed[key]; ok {
-		close(ch)
-		delete(ps.installed, key)
-	}
-	_, hasPending := ps.pending[key]
-	ps.mu.Unlock()
-
-	// Re-send the checkpoint's retained log — the instance's outputs that
-	// were not yet durable — to their destinations' current owners, ahead
-	// of any re-execution output (which drains from pending afterwards and
-	// continues the same streams).
-	for _, e := range m.Rec.Log {
-		dstTC, ok := rt.app.Collection(e.Dst.Collection)
-		if !ok {
-			continue
-		}
-		node, err := dstTC.NodeOf(e.Dst.Thread)
-		if err != nil {
-			continue
-		}
-		rt.resendEntry(e, node)
-	}
-	if hasPending {
-		rt.drainPendingRecovered(key, src)
-	}
-}
-
-// drainPendingRecovered drains a restored instance's pending buffer in two
-// passes: first the items that arrived on the coordinator's channel (the
-// replayed entries, in merge order, plus any of the coordinator's own
-// fresh posts — correctly ordered behind them by channel FIFO), then
-// everything else (fresh post-flip posts of other senders, each stream in
-// arrival order, every sequence above its stream's replayed entries).
-func (rt *Runtime) drainPendingRecovered(key place.Key, coord string) {
-	ps := &rt.place
-	ps.mu.Lock()
-	pend := ps.pending[key]
-	first := make([]placeItem, 0, len(pend))
-	rest := make([]placeItem, 0, len(pend))
-	for _, it := range pend {
-		if it.src == coord {
-			first = append(first, it)
-		} else {
-			rest = append(rest, it)
-		}
-	}
-	ps.pending[key] = rest
-	ps.mu.Unlock()
-	for _, it := range first {
-		if it.fence != nil {
-			rt.applyFence(it.fence)
-			continue
-		}
-		if rt.place.gates.Offer(key, it.src, ps.ownEpochOf(key), it) {
-			continue
-		}
-		rt.deliverDirect(it)
-	}
-	rt.drainPending(key)
 }
 
 // failApp records an application failure unless this runtime has been

@@ -323,26 +323,26 @@ func (rt *Runtime) handleAck(m ackMsg) {
 // calls retire the merge-side state instead of leaving state no collector
 // will ever consume; a cancellation landing after the check below is
 // settled by cancelCall's wakeBlocked sweep, which retires groups by their
-// recorded call ID. Like tokens, group-ends pass the placement intercepts
-// once this node has participated in a live remap.
-func (rt *Runtime) handleGroupEnd(m *groupEndMsg, src string) {
+// recorded call ID. Like tokens, group-ends go through the thread's
+// placement machine once this node has participated in a live remap.
+func (rt *Runtime) handleGroupEnd(m *groupEndMsg, src string, lane place.Lane) {
 	g, ok := rt.app.Graph(m.Graph)
 	if !ok {
 		rt.failApp(fmt.Errorf("dps: group-end for unknown graph %q", m.Graph))
 		return
 	}
 	node := g.nodes[m.Node]
-	if rt.place.active.Load() != 0 {
-		key := place.Key{Collection: node.tc.Name(), Thread: m.Thread}
-		if rt.placeIntercept(key, placeItem{src: src, ge: m, node: node}) {
-			return
-		}
+	if rt.place.fastArrive() {
+		rt.applyGroupEnd(node, m)
+		rt.place.arrivals.Add(-1)
+		return
 	}
-	rt.applyGroupEnd(node, m)
+	key := place.Key{Collection: node.tc.Name(), Thread: m.Thread}
+	rt.placeArrive(key, src, lane, &placeItem{ge: m, node: node})
 }
 
 // applyGroupEnd delivers a group-end to its resolved destination node's
-// local merge-side state, past the placement intercepts. Sequenced
+// local merge-side state, past the placement machine. Sequenced
 // announcements already processed are failover-replay duplicates and drop
 // here, mirroring dispatchToken.
 func (rt *Runtime) applyGroupEnd(node *GraphNode, m *groupEndMsg) {

@@ -87,13 +87,19 @@ func init() {
 			name: "traced frame", recv: (*link).recvTraced, recycles: true,
 			span: spanWire, suppress: true, fail: failPanic,
 		},
+		msgForwarded: {
+			// The inner frame re-enters the token and group-end paths on the
+			// forwarded lane.
+			name: "forwarded frame", recv: (*link).recvForwarded,
+			span: spanDispatch, suppress: true, fail: failPanic,
+		},
 		msgGroupEnd: {
-			name: "group-end", recv: (*link).recvLoneGroupEnd, entry: (*link).recvGroupEnd,
+			name: "group-end", recv: (*link).recvLoneGroupEnd, entry: (*link).recvGroupEndEntry,
 			span: spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
 		},
 		msgGroupEndFT: {
-			name: "sequenced group-end", recv: (*link).recvLoneGroupEnd, entry: (*link).recvGroupEnd,
+			name: "sequenced group-end", recv: (*link).recvLoneGroupEnd, entry: (*link).recvGroupEndEntry,
 			sequenced: true,
 			span:      spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
@@ -134,7 +140,7 @@ func init() {
 				}
 				return err
 			},
-			span: spanNone, why: "state handoff; relays record forward spans at re-send",
+			span: spanNone, why: "state handoff; the old owner records forward spans at re-send",
 			fail: failReturn,
 		},
 		msgFence: {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core/ft"
+	"repro/internal/core/place"
 	"repro/internal/serial"
 	"repro/internal/transport"
 )
@@ -22,9 +23,10 @@ import (
 // Outbound, every kind makes the local / colocated / remote choice in route
 // and reaches the transport through transmit. Inbound, handle dispatches
 // through the table into the runtime. Tokens and group-ends are delivered
-// with the transport-level source node — the placement layer's fence gates
-// are per sender (fences themselves name their original sender in the
-// message, as forwarding rewrites the transport source).
+// with the transport-level source node and their lane — the placement
+// layer's fence gates are per sender and never hold what a relay forwarded
+// (fences themselves name their original sender in the message, as
+// forwarding rewrites the transport source).
 //
 // The runtime's linkDown and linkSuspect are the fault-tolerance hooks:
 // traffic to a node declared dead is suppressed (retained copies replay
@@ -354,13 +356,17 @@ func (b *batcher) flushLocked() {
 // --- outbound: one sender per kind ----------------------------------------
 
 // appendTokenFrame appends env's complete single-token wire frame: the
-// traced wrapper when the envelope is sampled, then the sequenced or plain
-// framing and the serialized token (a single copy, straight behind the
-// header). Freshly stamped envelopes reuse the retention log's encoding —
-// the wire message byte for byte, which already carries the traced wrapper
-// when sampled (ftOutbound) — instead of serializing the token a second
-// time; copied, because the transport takes ownership of what it sends.
-func (l *link) appendTokenFrame(buf []byte, env *envelope) ([]byte, error) {
+// forwarded wrapper when a relay re-sends it, the traced wrapper when the
+// envelope is sampled, then the sequenced or plain framing and the
+// serialized token (a single copy, straight behind the header). Freshly
+// stamped envelopes reuse the retention log's encoding — the wire message
+// byte for byte, which already carries the traced wrapper when sampled
+// (ftOutbound) — instead of serializing the token a second time; copied,
+// because the transport takes ownership of what it sends.
+func (l *link) appendTokenFrame(buf []byte, env *envelope, lane place.Lane) ([]byte, error) {
+	if lane == place.Forwarded {
+		buf = append(buf, msgForwarded)
+	}
 	if env.ftWire != nil {
 		return append(buf, env.ftWire...), nil
 	}
@@ -378,8 +384,9 @@ func (l *link) appendTokenFrame(buf []byte, env *envelope) ([]byte, error) {
 // sendToken moves an envelope to the node hosting its destination thread:
 // by pointer inside an address space, bypassing the communication layer
 // (paper §4), serialized into a pooled wire buffer otherwise. The envelope
-// is consumed either way.
-func (l *link) sendToken(env *envelope, dst string) {
+// is consumed either way. lane is place.Forwarded when a relay re-sends an
+// arrival to the thread's current owner.
+func (l *link) sendToken(env *envelope, dst string, lane place.Lane) {
 	stats := &l.rt.stats
 	atomic.AddInt64(&stats.TokensPosted, 1)
 	rt, wire := l.route(msgToken, dst)
@@ -395,22 +402,23 @@ func (l *link) sendToken(env *envelope, dst string) {
 			atomic.AddInt64(&stats.TokensLocal, 1)
 			env.ftWire = nil // the retention log keeps its own copy
 		}
-		rt.deliverToken(env, l.name)
+		rt.deliverToken(env, l.name, lane)
 		return
 	}
 	if !wire {
 		putEnvelope(env)
 		return
 	}
-	buf, err := l.appendTokenFrame(getWireBuf(), env)
+	buf, err := l.appendTokenFrame(getWireBuf(), env, lane)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
 	}
 	atomic.AddInt64(&stats.TokensRemote, 1)
-	// Sampled tokens never join a batch frame: the traced wrapper frames them
-	// alone, so the batch codec and unsampled coalescing stay byte-identical
-	// with tracing on and the wire span keeps real timing.
-	coalesced := l.batch && env.TraceID == 0 && l.coalesce(dst, buf, env.FTStream, env.FTSeq)
+	// Sampled and forwarded tokens never join a batch frame: their wrapper
+	// frames them alone, so the batch codec and ordinary coalescing stay
+	// byte-identical with tracing on or a remap behind us, the wire span keeps
+	// real timing, and transmit's flush keeps a relay's re-sends in order.
+	coalesced := l.batch && env.TraceID == 0 && lane == place.Direct && l.coalesce(dst, buf, env.FTStream, env.FTSeq)
 	putEnvelope(env)
 	if !coalesced {
 		l.transmit(dst, buf, false)
@@ -418,23 +426,27 @@ func (l *link) sendToken(env *envelope, dst string) {
 }
 
 // sendGroupEnd announces a completed group's total to the paired merge's
-// node, behind the group's tokens (batched with them under Config.Batch).
-func (l *link) sendGroupEnd(dst string, m *groupEndMsg) {
+// node, behind the group's tokens (batched with them under Config.Batch,
+// unless a relay is forwarding it).
+func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	rt, wire := l.route(msgGroupEnd, dst)
 	if rt != nil {
-		rt.handleGroupEnd(m, l.name)
+		rt.handleGroupEnd(m, l.name, lane)
 		return
 	}
 	if !wire {
 		return
 	}
-	var buf []byte
-	if m.FTSeq > 0 {
-		buf = appendGroupEndFT(getWireBuf(), m)
-	} else {
-		buf = appendGroupEnd(getWireBuf(), m)
+	buf := getWireBuf()
+	if lane == place.Forwarded {
+		buf = append(buf, msgForwarded)
 	}
-	if l.batch && l.coalesce(dst, buf, m.FTStream, m.FTSeq) {
+	if m.FTSeq > 0 {
+		buf = appendGroupEndFT(buf, m)
+	} else {
+		buf = appendGroupEnd(buf, m)
+	}
+	if l.batch && lane == place.Direct && l.coalesce(dst, buf, m.FTStream, m.FTSeq) {
 		return
 	}
 	l.transmit(dst, buf, false)
@@ -578,12 +590,13 @@ func (l *link) handle(src string, frame []byte) {
 }
 
 // recvToken is the one decode-unmarshal-deliver path of every token on the
-// wire: alone in a frame, inside a traced wrapper, or as a batch entry.
-// body is the envelope header and serialized token; stream/seq and traceID
-// are what the framing around it carried. frame, when non-nil, is the wire
-// buffer body aliases, recycled here once nothing reads it any more (a
-// batch frame outlives its entries and is recycled by handle).
-func (l *link) recvToken(src, stream string, seq, traceID uint64, body, frame []byte) error {
+// wire: alone in a frame, inside a traced or forwarded wrapper, or as a
+// batch entry. body is the envelope header and serialized token;
+// stream/seq, traceID and lane are what the framing around it carried.
+// frame, when non-nil, is the wire buffer body aliases, recycled here once
+// nothing reads it any more (a batch frame outlives its entries and is
+// recycled by handle).
+func (l *link) recvToken(src, stream string, seq, traceID uint64, lane place.Lane, body, frame []byte) error {
 	env, err := decodeEnvelope(body)
 	if err != nil {
 		return err
@@ -599,12 +612,12 @@ func (l *link) recvToken(src, stream string, seq, traceID uint64, body, frame []
 	if frame != nil {
 		putWireBuf(frame)
 	}
-	l.rt.deliverToken(env, src)
+	l.rt.deliverToken(env, src, lane)
 	return nil
 }
 
 func (l *link) recvTokenEntry(src, stream string, seq uint64, body []byte) error {
-	return l.recvToken(src, stream, seq, 0, body, nil)
+	return l.recvToken(src, stream, seq, 0, place.Direct, body, nil)
 }
 
 // readStamp splits the single frame of a batchable kind into its
@@ -617,54 +630,80 @@ func readStamp(frame []byte) (stream string, seq uint64, body []byte, err error)
 }
 
 func (l *link) recvLoneToken(src string, frame []byte) error {
+	return l.recvFrame(src, 0, place.Direct, frame, frame)
+}
+
+func (l *link) recvLoneGroupEnd(src string, frame []byte) error {
+	return l.recvFrame(src, 0, place.Direct, frame, nil)
+}
+
+// recvFrame receives the single frame of a token or group-end, which may
+// sit inside wrappers; pooled is the wire buffer to recycle once a token is
+// decoded (nil: the caller recycles it).
+func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame, pooled []byte) error {
 	stream, seq, body, err := readStamp(frame)
 	if err != nil {
 		return err
 	}
-	return l.recvToken(src, stream, seq, 0, body, frame)
+	if frame[0] == msgGroupEnd || frame[0] == msgGroupEndFT {
+		return l.recvGroupEnd(src, stream, seq, lane, body)
+	}
+	return l.recvToken(src, stream, seq, traceID, lane, body, pooled)
 }
 
-// recvTraced unwraps a sampled token's frame and records the receiver-side
-// wire span: sender transmit clock to receiver decode clock. Across
-// processes the two clocks are not synchronized, so the duration carries
-// their skew; within one process (the test and bench deployments) they
-// agree.
 func (l *link) recvTraced(src string, frame []byte) error {
-	traceID, sentNs, inner, err := decodeTracedHeader(frame[1:])
+	return l.recvTracedFrame(src, place.Direct, frame, frame)
+}
+
+// recvTracedFrame unwraps a sampled token's frame and records the
+// receiver-side wire span: sender transmit clock to receiver decode clock.
+// Across processes the two clocks are not synchronized, so the duration
+// carries their skew; within one process (the test and bench deployments)
+// they agree.
+func (l *link) recvTracedFrame(src string, lane place.Lane, traced, pooled []byte) error {
+	traceID, sentNs, inner, err := decodeTracedHeader(traced[1:])
 	if err != nil {
 		return err
 	}
 	if inner[0] != msgToken && inner[0] != msgTokenFT {
 		return fmt.Errorf("unexpected inner kind %d", inner[0])
 	}
-	stream, seq, body, err := readStamp(inner)
-	if err != nil {
-		return err
-	}
 	d := time.Now().UnixNano() - sentNs
 	if d < 0 {
 		d = 0
 	}
 	l.rt.traceSpan(traceID, "wire", src, sentNs, d)
-	return l.recvToken(src, stream, seq, traceID, body, frame)
+	return l.recvFrame(src, traceID, lane, inner, pooled)
 }
 
-func (l *link) recvGroupEnd(src, stream string, seq uint64, body []byte) error {
+// recvForwarded unwraps what a relay re-sent: the ordinary frame of a token
+// (sampled or not) or group-end, delivered on the forwarded lane. Nothing
+// else travels in this wrapper — fences name their sender themselves — so
+// any other inner kind, a second wrapper included, is refused.
+func (l *link) recvForwarded(src string, frame []byte) error {
+	if len(frame) > 1 {
+		switch inner := frame[1:]; inner[0] {
+		case msgTraced:
+			return l.recvTracedFrame(src, place.Forwarded, inner, nil)
+		case msgToken, msgTokenFT, msgGroupEnd, msgGroupEndFT:
+			return l.recvFrame(src, 0, place.Forwarded, inner, nil)
+		}
+	}
+	return fmt.Errorf("no forwardable frame inside")
+}
+
+func (l *link) recvGroupEnd(src, stream string, seq uint64, lane place.Lane, body []byte) error {
 	m, err := decodeGroupEnd(body)
 	if err != nil {
 		return err
 	}
 	m.FTStream, m.FTSeq = stream, seq
-	l.rt.handleGroupEnd(m, src)
+	l.rt.handleGroupEnd(m, src, lane)
 	return nil
 }
 
-func (l *link) recvLoneGroupEnd(src string, frame []byte) error {
-	stream, seq, body, err := readStamp(frame)
-	if err != nil {
-		return err
-	}
-	return l.recvGroupEnd(src, stream, seq, body)
+func (l *link) recvGroupEndEntry(src, stream string, seq uint64, body []byte) error {
+	return l.recvGroupEnd(src, stream, seq, place.Direct, body)
 }
 
 // recvBatch decodes one batch frame and delivers its entries in frame

@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core/ft"
 	"repro/internal/core/place"
 	"repro/internal/serial"
+	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -112,26 +115,30 @@ func tokenEnv() *envelope {
 // sendOneOf sends one message of each wire kind to dst through the link's
 // sender for that kind.
 var sendOneOf = map[byte]func(l *link, dst string) error{
-	msgToken: func(l *link, dst string) error { l.sendToken(tokenEnv(), dst); return nil },
+	msgToken: func(l *link, dst string) error { l.sendToken(tokenEnv(), dst, place.Direct); return nil },
 	msgTokenFT: func(l *link, dst string) error {
 		env := tokenEnv()
 		env.FTStream, env.FTSeq = "s", 3
-		l.sendToken(env, dst)
+		l.sendToken(env, dst, place.Direct)
 		return nil
 	},
 	msgTraced: func(l *link, dst string) error {
 		env := tokenEnv()
 		env.TraceID = 99
-		l.sendToken(env, dst)
+		l.sendToken(env, dst, place.Direct)
 		return nil
 	},
-	msgGroupEnd: func(l *link, dst string) error { l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1}); return nil },
+	msgForwarded: func(l *link, dst string) error { l.sendToken(tokenEnv(), dst, place.Forwarded); return nil },
+	msgGroupEnd: func(l *link, dst string) error {
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1}, place.Direct)
+		return nil
+	},
 	msgGroupEndFT: func(l *link, dst string) error {
-		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: "s", FTSeq: 4})
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: "s", FTSeq: 4}, place.Direct)
 		return nil
 	},
 	msgBatch: func(l *link, dst string) error {
-		l.sendToken(tokenEnv(), dst)
+		l.sendToken(tokenEnv(), dst, place.Direct)
 		l.batcherFor(dst).timedFlush()
 		return nil
 	},
@@ -143,7 +150,9 @@ var sendOneOf = map[byte]func(l *link, dst string) error{
 	msgMigrate: func(l *link, dst string) error {
 		return l.sendMigrate(dst, &migrateMsg{Collection: "c", State: []byte("st")})
 	},
-	msgFence: func(l *link, dst string) error { return l.sendFence(dst, &fenceMsg{Collection: "c", Src: "near"}) },
+	msgFence: func(l *link, dst string) error {
+		return l.sendFence(dst, &fenceMsg{Collection: "c", Src: "near", Phase: fenceClose})
+	},
 	msgCheckpoint: func(l *link, dst string) error {
 		l.sendCheckpoint(dst, &ft.Record{Key: place.Key{Collection: "c"}})
 		return nil
@@ -193,8 +202,10 @@ func TestTransmitChokePoint(t *testing.T) {
 		// (batchable kinds) as an earlier entry of the same batch frame — and
 		// the byte accounting still matches.
 		t.Run(name+"/order", func(t *testing.T) {
-			l, tr, _ := newRecordedLink(t, Config{Batch: true})
-			l.sendToken(tokenEnv(), "far")
+			// No age flush: only the sends below and the explicit flush move
+			// the pending batch, however slowly this goroutine is scheduled.
+			l, tr, _ := newRecordedLink(t, Config{Batch: true, BatchDelay: time.Hour})
+			l.sendToken(tokenEnv(), "far", place.Direct)
 			if frames, _ := tr.take(); len(frames) != 0 {
 				t.Fatalf("a lone small token left unbatched: %v", frames)
 			}
@@ -268,4 +279,147 @@ func TestTransmitChokePoint(t *testing.T) {
 			}
 		})
 	}
+}
+
+// forwardedLink is a recorded link whose node hosts thread fwd-work[0] of a
+// one-leaf graph; ran receives what the leaf executes.
+func forwardedLink(t *testing.T) (l *link, tr *recTransport, key place.Key, ran chan int) {
+	t.Helper()
+	l, tr, app := newRecordedLink(t, Config{})
+	work, err := NewCollection[struct{}](app, "fwd-work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := work.Map("near"); err != nil {
+		t.Fatal(err)
+	}
+	ran = make(chan int, 4)
+	leaf := Leaf[*linkTok, *linkTok]("fwd-leaf", func(c *Ctx, in *linkTok) *linkTok {
+		ran <- in.N
+		return in
+	})
+	if _, err := app.NewFlowgraph("g", Path(NewNode(leaf, work, MainRoute()))); err != nil {
+		t.Fatal(err)
+	}
+	return l, tr, place.Key{Collection: "fwd-work"}, ran
+}
+
+// TestForwardedLaneOverWire follows a sampled token through a relay and the
+// wire to the thread's new owner: the relay records the forward span and
+// wraps the frame (forwarded outside traced outside the token), and the new
+// owner — gating every sender — delivers it with its trace ID while a direct
+// token under the relay's own name waits behind the gate.
+func TestForwardedLaneOverWire(t *testing.T) {
+	relay, relayTr, key, _ := forwardedLink(t)
+	relay.rt.place.activate()
+	th := relay.rt.placeThread(key)
+	if err := th.BeginHold(0); err != nil {
+		t.Fatal(err)
+	}
+	if th.Flush("far") != nil {
+		t.Fatal("empty hold flushed something")
+	}
+	env := tokenEnv()
+	env.TraceID = 99
+	relay.rt.deliverToken(env, "sender", place.Direct)
+	frames, _ := relayTr.take()
+	if len(frames) != 1 || frames[0][0] != msgForwarded || frames[0][1] != msgTraced {
+		t.Fatalf("relay sent %v, want one forwarded traced frame", frames)
+	}
+	if got := relay.rt.Stats().TokensForwarded; got != 1 {
+		t.Fatalf("TokensForwarded = %d, want 1", got)
+	}
+	if kinds := spanKinds(relay.rt.TraceSpans(99)); !kinds["forward"] {
+		t.Fatalf("relay recorded %v for trace 99, want a forward span", kinds)
+	}
+
+	owner, _, key, ran := forwardedLink(t)
+	owner.rt.place.activate()
+	oth := owner.rt.placeThread(key)
+	oth.Expect()
+	owner.rt.drain(oth, oth.Install(1, 1, ""))
+	direct, err := owner.appendTokenFrame(nil, &envelope{Graph: "g", CallOrigin: "far", Token: &linkTok{N: 1}}, place.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.handle("far", direct)
+	owner.handle("far", frames[0])
+	if got := <-ran; got != 7 {
+		t.Fatalf("leaf ran token %d first, want the forwarded one (7): the direct token overtook the gate", got)
+	}
+	if err := owner.rt.app.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if kinds := spanKinds(owner.rt.TraceSpans(99)); !kinds["wire"] {
+		t.Fatalf("owner recorded %v for trace 99, want the wire span of the forwarded frame", kinds)
+	}
+	owner.rt.deliverFence(&fenceMsg{Collection: key.Collection, Epoch: 1, Src: "far", Phase: fenceClose})
+	if got := <-ran; got != 1 {
+		t.Fatalf("closing fence released token %d, want the gated direct token (1)", got)
+	}
+}
+
+func spanKinds(spans []trace.Span) map[string]bool {
+	kinds := make(map[string]bool)
+	for _, s := range spans {
+		kinds[s.Kind] = true
+	}
+	return kinds
+}
+
+// TestForwardedFrameHostile feeds the forwarded wrapper lies: every one must
+// fail the application with a decode error — no panic, and nothing allocated
+// beyond the frame's own size class.
+func TestForwardedFrameHostile(t *testing.T) {
+	hostile := map[string][]byte{
+		"truncated wrapper":         {msgForwarded},
+		"unknown inner kind":        {msgForwarded, 200, 1, 2, 3},
+		"non-forwardable inner":     append([]byte{msgForwarded}, appendAck(nil, ackMsg{GroupID: 1, Graph: "g"})...),
+		"forwarded fence":           append([]byte{msgForwarded}, appendFence(nil, &fenceMsg{Collection: "c", Src: "s", Phase: fenceClose})...),
+		"nested wrapper":            append([]byte{msgForwarded, msgForwarded}, encodeEnvelopeHeader(&envelope{Graph: "g"})...),
+		"wrapper inside traced":     append(appendTracedHeader(nil, 9, 1), msgForwarded, msgToken),
+		"truncated inner token":     {msgForwarded, msgToken, 0x05, 'a'},
+		"truncated inner traced":    {msgForwarded, msgTraced, 0x09},
+		"traced around a non-token": append(appendTracedHeader([]byte{msgForwarded}, 9, 1), appendGroupEnd(nil, &groupEndMsg{Graph: "g"})...),
+		"truncated inner group-end": {msgForwarded, msgGroupEnd, 0x01, 'g'},
+		"inner frame count lie":     append([]byte{msgForwarded}, hostileFrameCount()...),
+	}
+	for name, frame := range hostile {
+		t.Run(name, func(t *testing.T) {
+			l, _, app := newRecordedLink(t, Config{})
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			l.handle("far", frame)
+			runtime.ReadMemStats(&after)
+			if err := app.Err(); err == nil || !strings.Contains(err.Error(), "bad ") {
+				t.Fatalf("application error %v, want a decode failure", err)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+				t.Errorf("a %d-byte hostile frame allocated %d bytes", len(frame), grew)
+			}
+		})
+	}
+}
+
+// TestFencePhaseRejected: the closing fence is the only phase there is; the
+// retired opening phase and every other value are a bad frame, not a no-op.
+func TestFencePhaseRejected(t *testing.T) {
+	for _, phase := range []byte{0, 2, 3, 255} {
+		l, _, app := newRecordedLink(t, Config{})
+		l.handle("far", appendFence(nil, &fenceMsg{Collection: "c", Epoch: 1, Src: "far", Phase: phase}))
+		if err := app.Err(); err == nil || !strings.Contains(err.Error(), "unknown fence phase") {
+			t.Errorf("phase %d: application error %v, want an unknown-phase decode failure", phase, err)
+		}
+	}
+	if _, err := decodeFence(appendFence(nil, &fenceMsg{Collection: "c", Src: "far", Phase: fenceClose})[1:]); err != nil {
+		t.Errorf("closing fence rejected: %v", err)
+	}
+}
+
+// hostileFrameCount is a token frame whose envelope claims 65536 group
+// frames with eight bytes behind the claim.
+func hostileFrameCount() []byte {
+	hdr := appendEnvelopeBody([]byte{msgToken}, &envelope{Graph: "g", CallOrigin: "n"})
+	lie := appendInt(hdr[:len(hdr)-1], 1<<16)
+	return append(lie, make([]byte, 8)...)
 }

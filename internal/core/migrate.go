@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -14,43 +15,38 @@ import (
 
 // This file is the engine half of the placement layer (internal/core/place):
 // the live-remap protocol that moves one thread instance between cluster
-// nodes while flow graphs execute. The protocol, coordinated by
-// App.migrateThread on the caller's goroutine:
+// nodes while flow graphs execute. What a node knows about one thread's move
+// is one place.Thread; this file looks the machine up, acts on its verdicts
+// and carries the state. The protocol, coordinated by App.migrateThread on
+// the caller's goroutine:
 //
-//  1. quiesce — the old owner stops accepting new work for the instance
-//     (arrivals are held by a relay), lets queued and in-progress
-//     executions drain, and waits for open merge groups to close (tokens
-//     and group-ends of already-open groups pass through the hold so the
+//  1. quiesce — the old owner's machine starts holding arrivals, queued and
+//     in-progress executions drain, and open merge groups close (tokens and
+//     group-ends of already-open groups pass through the hold so the
 //     collector can finish);
 //  2. capture — the instance's user state is serialized with internal/serial
 //     and the instance removed, so it cannot be resurrected locally;
 //  3. flip + fence — the collection's placement table is updated (epoch
 //     bump) while every runtime's route lock for the thread is held, and
-//     each runtime emits a fence pair: a closing fence down its old channel
-//     (behind all its stale tokens; the relay forwards it) and an opening
-//     fence down the new channel (ahead of all its direct tokens). The new
-//     owner buffers a sender's direct tokens between the two fences, which
-//     is exactly when stale tokens of that sender may still be in flight —
+//     each runtime emits a closing fence down its old channel, behind all
+//     its stale tokens; the old owner forwards it. The new owner gates a
+//     sender's direct tokens until that fence has come through — exactly
+//     while stale tokens of that sender may still be in flight — so
 //     per-instance FIFO order survives the route change;
 //  4. ship + forward — the state travels in a migration envelope
-//     (msgMigrate) to the new owner, the relay flushes its held arrivals
-//     behind it and forwards any later stale traffic (counted as
-//     TokensForwarded).
+//     (msgMigrate) to the new owner, the held arrivals follow it on the
+//     forwarded lane, and so does any later stale traffic (counted as
+//     TokensForwarded). Forwarded traffic is marked as such (link.go), so
+//     the new owner never mistakes it for the forwarder's own posts.
 //
 // Flow-control accounting needs no migration: window acks route to the
 // frame's origin node (split-side group state stays put) and forwarded
 // envelopes keep their LastWorker/CreditNode charge, so acknowledgements
 // release the same window slots and credits as before the move.
-//
-// The new owner installs the state on msgMigrate, drains the arrivals it
-// buffered while the migration was in flight, and serves the thread from
-// then on.
 
-// placeItem is one intercepted arrival: a token envelope (with its resolved
-// graph node), a group-end, or a fence, plus the transport-level source it
-// arrived from (fence gating is per sender).
+// placeItem is one arrival as the placement machine stores it: a token
+// envelope (with its resolved graph node), a group-end, or a fence.
 type placeItem struct {
-	src   string
 	env   *envelope
 	g     *Flowgraph
 	node  *GraphNode
@@ -58,52 +54,26 @@ type placeItem struct {
 	fence *fenceMsg
 }
 
-// relayEntry pairs a relay with the placement epoch observed when its hold
-// began: fences carrying a later epoch belong to the migration in progress
-// and travel with the held stream; earlier ones are stragglers of past
-// migrations and terminate here.
-type relayEntry struct {
-	relay      *place.Relay
-	startEpoch uint64
-}
-
 // placeState is a runtime's migration bookkeeping. The zero value is ready;
-// the hot paths consult only the sticky `active` flag until this node first
-// participates in a migration.
+// until this node first takes part in a move the receive paths consult only
+// the sticky active flag (see fastArrive).
 type placeState struct {
-	active atomic.Int32
-	gates  place.Gates
-
-	// fastRoutes counts this runtime's posts inside the pre-migration
-	// routing fast path (see routeFast).
+	// fastRoutes counts this runtime's posts inside the pre-migration routing
+	// fast path (see routeFast) and arrivals its deliveries inside the
+	// no-remap fast path (see fastArrive). Posting goroutines write the one,
+	// receiving goroutines the other, on every token: each gets a cache line
+	// of its own, and the read-mostly active flag stays off both.
 	fastRoutes atomic.Int64
+	_          [56]byte
+	arrivals   atomic.Int64
+	_          [56]byte
+	active     atomic.Int32
 
-	mu        sync.Mutex
-	relays    map[place.Key]*relayEntry
-	pending   map[place.Key][]placeItem
-	ownEpoch  map[place.Key]uint64        // epoch at which this node (re)gained the instance
-	installed map[place.Key]chan struct{} // closed when the inbound migration activates
-	fences    map[place.Key]*fenceQuota   // handshake completions of the inbound migration
+	mu      sync.Mutex
+	threads map[place.Key]*place.Thread
 
 	routeMu    sync.Mutex
 	routeLocks map[place.Key]*sync.Mutex
-}
-
-func (ps *placeState) ownEpochOf(key place.Key) uint64 {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.ownEpoch[key]
-}
-
-// fenceQuota tracks how many of the fence pairs cut for the migration that
-// brought an instance here have terminally completed. Until done reaches
-// expected, a stale token of that migration may still be in flight through
-// some relay chain, so the instance must not migrate onward (a later flip
-// would let fresher traffic overtake the stragglers).
-type fenceQuota struct {
-	epoch    uint64
-	expected int
-	done     int
 }
 
 // --- sender side: fenced routing ----------------------------------------
@@ -120,7 +90,7 @@ func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int) {
 		if err != nil {
 			panic(opError{err})
 		}
-		rt.lnk.sendToken(env, target)
+		rt.lnk.sendToken(env, target, place.Direct)
 		return
 	}
 	mu := rt.routeLock(place.Key{Collection: tc.Name(), Thread: thread})
@@ -135,7 +105,7 @@ func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int) {
 		// duplicate filter needs sequence order to match send order.
 		rt.ftOutbound(env, tc.Name(), thread)
 	}
-	rt.lnk.sendToken(env, target)
+	rt.lnk.sendToken(env, target, place.Direct)
 }
 
 // routeGroupEnd is routeToken for group-end announcements; sender is the
@@ -148,7 +118,7 @@ func (rt *Runtime) routeGroupEnd(m *groupEndMsg, tc *ThreadCollection, thread in
 		if err != nil {
 			panic(opError{err})
 		}
-		rt.lnk.sendGroupEnd(target, m)
+		rt.lnk.sendGroupEnd(target, m, place.Direct)
 		return
 	}
 	mu := rt.routeLock(place.Key{Collection: tc.Name(), Thread: thread})
@@ -161,7 +131,7 @@ func (rt *Runtime) routeGroupEnd(m *groupEndMsg, tc *ThreadCollection, thread in
 	if rt.app.ftOn {
 		rt.ftOutboundGroupEnd(m, sender, inStream, inSeq, tc.Name(), thread)
 	}
-	rt.lnk.sendGroupEnd(target, m)
+	rt.lnk.sendGroupEnd(target, m, place.Direct)
 }
 
 // routeSafe is routeToken for non-operation goroutines (graph calls),
@@ -231,75 +201,103 @@ func (app *App) enableSlowRouting() {
 	}
 }
 
-// --- receiver side: intercepts ------------------------------------------
+// --- receiver side: the per-thread placement machine ----------------------
 
-// placeIntercept runs one non-fence arrival through the placement state
-// machines, in order: the relay of an instance that migrated away
-// (forwarding mode), the fence gates (a sender's direct tokens buffer
-// between its opening and forwarded closing fence), the relay of an
-// instance quiescing here (hold, with pass-through for open merge groups),
-// and the pending buffer of an inbound migration whose state has not
-// arrived yet. It reports whether the item was consumed; otherwise the
-// caller dispatches it normally.
-func (rt *Runtime) placeIntercept(key place.Key, it placeItem) bool {
-	ps := &rt.place
-	ps.mu.Lock()
-	re := ps.relays[key]
-	ps.mu.Unlock()
-	if re != nil && re.relay.Target() != "" {
-		target, held := re.relay.Offer(it)
-		if !held {
-			rt.forwardItem(it, target)
-		}
+// fastArrive reports whether this node has never taken part in a move, in
+// which case the caller dispatches the arrival itself and then decrements
+// arrivals. It is the receive-side twin of routeFast: the arrival announces
+// itself before reading the flag, activate raises the flag before reading
+// the count, so a hold can never begin between an arrival's decision to go
+// straight to the instance and its registration there.
+func (ps *placeState) fastArrive() bool {
+	ps.arrivals.Add(1)
+	if ps.active.Load() == 0 {
 		return true
 	}
-	if rt.place.gates.Offer(key, it.src, ps.ownEpochOf(key), it) {
-		return true
-	}
-	ps.mu.Lock()
-	if re := ps.relays[key]; re != nil {
-		if re.relay.Target() == "" && rt.holdPassThrough(key, it) {
-			ps.mu.Unlock()
-			return false // open merge group: the collector needs it to quiesce
-		}
-		target, held := re.relay.Offer(it)
-		ps.mu.Unlock()
-		if !held {
-			rt.forwardItem(it, target)
-		}
-		return true
-	}
-	if pend, ok := ps.pending[key]; ok {
-		ps.pending[key] = append(pend, it)
-		ps.mu.Unlock()
-		return true
-	}
-	ps.mu.Unlock()
+	ps.arrivals.Add(-1)
 	return false
 }
 
-// holdPassThrough reports whether an arrival held by a quiescing relay must
-// instead pass through: tokens and group-ends of a merge group already open
-// on the local instance are needed for its collector to finish (holding
-// them would deadlock the quiesce against its own drain condition).
-func (rt *Runtime) holdPassThrough(key place.Key, it placeItem) bool {
+// activate switches this node's arrivals onto the placement machines for
+// good, waiting out those still inside the fast path.
+func (ps *placeState) activate() {
+	ps.active.Store(1)
+	for ps.arrivals.Load() != 0 {
+		time.Sleep(20 * time.Microsecond)
+	}
+}
+
+// placeThread returns this node's placement machine for key, creating it
+// (serving, nothing in progress) on first use.
+func (rt *Runtime) placeThread(key place.Key) *place.Thread {
+	ps := &rt.place
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	th := ps.threads[key]
+	if th == nil {
+		if ps.threads == nil {
+			ps.threads = make(map[place.Key]*place.Thread)
+		}
+		th = place.NewThread(rt.holdPassThrough)
+		ps.threads[key] = th
+	}
+	return th
+}
+
+// placeArrive runs one token or group-end through its thread's placement
+// machine and acts on the verdict.
+func (rt *Runtime) placeArrive(key place.Key, src string, lane place.Lane, it *placeItem) {
+	th := rt.placeThread(key)
+	switch v, target := th.Arrive(src, lane, it); v {
+	case place.Deliver:
+		rt.deliverDirect(it)
+		th.Done()
+	case place.Forward:
+		rt.forwardItem(it, target)
+	}
+}
+
+// deliverFence runs one arriving fence through its thread's machine: onward
+// when the thread moved away, with the held stream when it belongs to the
+// move quiescing here, and into its sender's gate otherwise — which may
+// release that sender's buffered direct tokens.
+func (rt *Runtime) deliverFence(m *fenceMsg) {
+	th := rt.placeThread(place.Key{Collection: m.Collection, Thread: m.Thread})
+	it := &placeItem{fence: m}
+	v, target, batch := th.Fence(m.Src, m.Epoch, it)
+	if v == place.Forward {
+		rt.forwardItem(it, target)
+	}
+	rt.drain(th, batch)
+}
+
+// drain delivers a batch the machine released, and whatever queues behind
+// it, in order; the machine buffers every other delivery meanwhile.
+func (rt *Runtime) drain(th *place.Thread, batch []any) {
+	for batch != nil {
+		for _, it := range batch {
+			rt.deliverDirect(it.(*placeItem))
+		}
+		batch = th.Next(len(batch))
+	}
+}
+
+// holdPassThrough reports whether an arrival a hold would keep must instead
+// pass through: tokens and group-ends of a merge group already open on the
+// local instance are needed for its collector to finish (holding them would
+// deadlock the quiesce against its own drain condition).
+func (rt *Runtime) holdPassThrough(item any) bool {
+	it := item.(*placeItem)
+	var thread int
 	var groupID uint64
-	switch {
-	case it.env != nil:
-		if it.node.op.kind != KindMerge && it.node.op.kind != KindStream {
-			return false
-		}
-		fr, ok := it.env.topFrame()
-		if !ok {
-			return false
-		}
-		groupID = fr.GroupID
-	case it.ge != nil:
-		groupID = it.ge.GroupID
-	default:
+	if it.ge != nil {
+		thread, groupID = it.ge.Thread, it.ge.GroupID
+	} else if fr, ok := it.env.topFrame(); ok && (it.node.op.kind == KindMerge || it.node.op.kind == KindStream) {
+		thread, groupID = it.env.Thread, fr.GroupID
+	} else {
 		return false
 	}
-	inst := rt.lookupInstance(instKey{collection: key.Collection, index: key.Thread})
+	inst := rt.lookupInstance(instKey{collection: it.node.tc.Name(), index: thread})
 	if inst == nil {
 		return false
 	}
@@ -309,29 +307,21 @@ func (rt *Runtime) holdPassThrough(key place.Key, it placeItem) bool {
 	return open
 }
 
-// forwardItem re-sends an arrival to the instance's current owner on behalf
-// of a relay. Send failures are application failures (the transport to a
-// live peer broke), matching handler-context error handling.
-func (rt *Runtime) forwardItem(it placeItem, target string) {
-	defer func() {
-		if r := recover(); r != nil {
-			if oe, ok := r.(opError); ok {
-				rt.app.fail(oe.err)
-				return
-			}
-			panic(r)
-		}
-	}()
+// forwardItem re-sends an arrival to the instance's current owner on the
+// forwarded lane. Send failures are application failures (the transport to
+// a live peer broke), matching handler-context error handling.
+func (rt *Runtime) forwardItem(it *placeItem, target string) {
+	defer recoverOpError(rt.app.fail)
 	switch {
 	case it.env != nil:
 		atomic.AddInt64(&rt.stats.TokensForwarded, 1)
 		if it.env.TraceID != 0 {
 			rt.traceSpan(it.env.TraceID, "forward", target, time.Now().UnixNano(), 0)
 		}
-		rt.lnk.sendToken(it.env, target)
+		rt.lnk.sendToken(it.env, target, place.Forwarded)
 	case it.ge != nil:
 		atomic.AddInt64(&rt.stats.TokensForwarded, 1)
-		rt.lnk.sendGroupEnd(target, it.ge)
+		rt.lnk.sendGroupEnd(target, it.ge, place.Forwarded)
 	case it.fence != nil:
 		if err := rt.lnk.sendFence(target, it.fence); err != nil {
 			rt.app.fail(err)
@@ -339,138 +329,38 @@ func (rt *Runtime) forwardItem(it placeItem, target string) {
 	}
 }
 
-// deliverDirect dispatches an arrival to the local instance, bypassing the
-// placement intercepts (used for items released from gates or drained from
-// the pending buffer — their ordering has already been decided).
-func (rt *Runtime) deliverDirect(it placeItem) {
-	switch {
-	case it.env != nil:
+// recoverOpError, deferred, turns an engine-raised unwind (a failed send)
+// outside any operation execution into a call of fail.
+func recoverOpError(fail func(error)) {
+	if r := recover(); r != nil {
+		oe, ok := r.(opError)
+		if !ok {
+			panic(r)
+		}
+		fail(oe.err)
+	}
+}
+
+// deliverDirect dispatches a token or group-end the machine has cleared to
+// the local instance.
+func (rt *Runtime) deliverDirect(it *placeItem) {
+	if it.env != nil {
 		rt.dispatchToken(it.g, it.node, it.env)
-	case it.ge != nil:
+	} else {
 		rt.applyGroupEnd(it.node, it.ge)
-	case it.fence != nil:
-		rt.applyFence(it.fence)
-	}
-}
-
-// deliverFence routes one arriving fence: down the chain when the instance
-// migrated away, with the held stream when it belongs to the migration
-// currently quiescing here, into the pending buffer before activation, and
-// into the sender's gate otherwise.
-func (rt *Runtime) deliverFence(m *fenceMsg) {
-	ps := &rt.place
-	ps.active.Store(1)
-	key := place.Key{Collection: m.Collection, Thread: m.Thread}
-	it := placeItem{src: m.Src, fence: m}
-	ps.mu.Lock()
-	if re := ps.relays[key]; re != nil {
-		if re.relay.Target() != "" || m.Epoch > re.startEpoch {
-			// Not ours to terminate: a forwarding relay passes every fence
-			// onward; a holding relay passes the in-progress migration's
-			// fences (epoch beyond its hold snapshot) with the held stream.
-			target, held := re.relay.Offer(it)
-			ps.mu.Unlock()
-			if !held {
-				rt.forwardItem(it, target)
-			}
-			return
-		}
-	}
-	if pend, ok := ps.pending[key]; ok {
-		ps.pending[key] = append(pend, it)
-		ps.mu.Unlock()
-		return
-	}
-	ps.mu.Unlock()
-	rt.applyFence(m)
-}
-
-// applyFence terminates a fence at this node: it feeds the sender's gate,
-// releasing the buffered direct tokens once both fence halves have arrived.
-// If the instance is quiescing here (relay holding), released items rejoin
-// the protocol at the hold stage — they are new work for the next owner,
-// ordered behind the stale stream that preceded the closing fence.
-func (rt *Runtime) applyFence(m *fenceMsg) {
-	key := place.Key{Collection: m.Collection, Thread: m.Thread}
-	deliver := func(item any) {
-		pi := item.(placeItem)
-		ps := &rt.place
-		ps.mu.Lock()
-		re := ps.relays[key]
-		if re != nil && re.relay.Target() == "" && rt.holdPassThrough(key, pi) {
-			re = nil
-		}
-		ps.mu.Unlock()
-		if re != nil {
-			if target, held := re.relay.Offer(pi); !held {
-				rt.forwardItem(pi, target)
-			}
-			return
-		}
-		rt.deliverDirect(pi)
-	}
-	completed := rt.place.gates.OnFence(key, m.Src, m.Epoch, place.FencePhase(m.Phase), deliver)
-	if completed {
-		ps := &rt.place
-		ps.mu.Lock()
-		if fq := ps.fences[key]; fq != nil && fq.epoch == m.Epoch {
-			fq.done++
-		}
-		ps.mu.Unlock()
 	}
 }
 
 // --- old-owner side: hold, quiesce, capture -----------------------------
 
-// beginHold installs a holding relay for the instance, so new arrivals stop
-// reaching it while it quiesces.
-func (rt *Runtime) beginHold(key place.Key, startEpoch uint64) (*relayEntry, error) {
-	ps := &rt.place
-	ps.active.Store(1)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if _, ok := ps.relays[key]; ok {
-		return nil, fmt.Errorf("dps: thread %s is already migrating", key)
-	}
-	if ps.relays == nil {
-		ps.relays = make(map[place.Key]*relayEntry)
-	}
-	re := &relayEntry{relay: new(place.Relay), startEpoch: startEpoch}
-	ps.relays[key] = re
-	return re, nil
-}
-
-// abortHold rolls a failed migration back: the relay is removed and its
-// held arrivals re-dispatched locally in order (the placement never
-// flipped, so this node still owns the instance).
-func (rt *Runtime) abortHold(key place.Key, re *relayEntry) {
-	ps := &rt.place
-	ps.mu.Lock()
-	delete(ps.relays, key)
-	ps.mu.Unlock()
-	for _, item := range re.relay.Abort() {
-		rt.deliverDirect(item.(placeItem))
-	}
-}
-
-// instanceIdle reports whether the quiescing instance has fully drained: no
-// execution queued or in flight, no open merge group, and no outstanding
-// fence handshake from the migration that brought the instance here. The
-// fence quota is the load-bearing half of that last condition: only once
-// every sender's fence pair has terminally completed at this node is it
-// certain that no stale token of the previous epoch is still in flight
-// through a relay chain — a premature onward flip would let fresh traffic
-// overtake those stragglers and break per-instance FIFO order.
-func (rt *Runtime) instanceIdle(key place.Key) bool {
-	ps := &rt.place
-	ps.mu.Lock()
-	if fq := ps.fences[key]; fq != nil && fq.done < fq.expected {
-		ps.mu.Unlock()
-		return false
-	}
-	ps.mu.Unlock()
-	own := rt.place.ownEpochOf(key)
-	if rt.place.gates.PendingFor(key, own, func(item any) { rt.deliverDirect(item.(placeItem)) }) {
+// instanceIdle reports whether the quiescing instance has fully drained: the
+// placement machine has nothing in flight toward it and no fence handshake
+// outstanding, no execution is queued or running, and no merge group is
+// open.
+func (rt *Runtime) instanceIdle(th *place.Thread, key place.Key) bool {
+	// Machine first: every delivery it cleared is registered in the
+	// instance's in-flight count before the machine stops counting it.
+	if !th.Quiesced() {
 		return false
 	}
 	inst := rt.lookupInstance(instKey{collection: key.Collection, index: key.Thread})
@@ -482,7 +372,7 @@ func (rt *Runtime) instanceIdle(key place.Key) bool {
 	}
 	// Read groups after inflight: a finishing collector deletes its group
 	// before its in-flight count drops, so observing 0 then 0 is a
-	// consistent idle snapshot (new work is held by the relay).
+	// consistent idle snapshot (new work is held by the machine).
 	inst.mu.Lock()
 	n := len(inst.groups)
 	inst.mu.Unlock()
@@ -491,17 +381,17 @@ func (rt *Runtime) instanceIdle(key place.Key) bool {
 
 // waitQuiesce polls until the instance is idle, the context expires, or the
 // application fails.
-func (rt *Runtime) waitQuiesce(ctx context.Context, key place.Key) error {
+func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, key place.Key) error {
 	delay := 50 * time.Microsecond
 	for {
-		if rt.instanceIdle(key) {
+		if rt.instanceIdle(th, key) {
 			return nil
 		}
 		if err := rt.app.Err(); err != nil {
 			return err
 		}
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("dps: quiescing thread %s: %w", key, err)
+			return fmt.Errorf("dps: quiescing thread %s (%d arrivals held): %w", key, th.HeldLen(), err)
 		}
 		time.Sleep(delay)
 		if delay < 2*time.Millisecond {
@@ -549,155 +439,91 @@ func (rt *Runtime) lookupInstance(ik instKey) *threadInstance {
 	return rt.threads[ik]
 }
 
-// emitFences sends this runtime's fence pair for a placement flip: the
-// closing fence down the old channel, the opening fence down the new one.
-// The coordinator holds this runtime's route lock for the key, so the pair
-// cleanly cuts this sender's token stream in two.
-func (rt *Runtime) emitFences(key place.Key, epoch uint64, from, to string) {
-	closing := &fenceMsg{Collection: key.Collection, Thread: key.Thread, Epoch: epoch, Src: rt.name, Phase: byte(place.FenceClose)}
-	opening := &fenceMsg{Collection: key.Collection, Thread: key.Thread, Epoch: epoch, Src: rt.name, Phase: byte(place.FenceOpen)}
-	if err := rt.lnk.sendFence(from, closing); err != nil {
-		rt.app.fail(err)
-	}
-	if err := rt.lnk.sendFence(to, opening); err != nil {
-		rt.app.fail(err)
-	}
-}
+// --- new-owner side: expect, install --------------------------------------
 
-// --- new-owner side: expect, install, drain -----------------------------
-
-// expectPending opens the pending buffer for an inbound migration, so
+// expectThread opens the machine's install buffer for an inbound move, so
 // direct arrivals racing the state envelope are buffered instead of lazily
 // creating a fresh instance. The returned channel closes when the state
-// envelope arrives and the instance activates; the coordinator waits on it,
-// so a follow-up migration of the same thread cannot start against a node
-// that has not received the state yet.
-func (rt *Runtime) expectPending(key place.Key) <-chan struct{} {
-	ps := &rt.place
-	ps.active.Store(1)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	// The instance is coming back: a forwarding relay left over from its
-	// earlier departure must not shadow the pending buffer (it would
-	// mis-forward the new epoch's fences and direct tokens). The previous
-	// migration's fence quota completed before this one began, so the stale
-	// relay has no legitimate traffic left to carry.
-	delete(ps.relays, key)
-	if ps.pending == nil {
-		ps.pending = make(map[place.Key][]placeItem)
-	}
-	if _, ok := ps.pending[key]; !ok {
-		ps.pending[key] = nil
-	}
-	if ps.installed == nil {
-		ps.installed = make(map[place.Key]chan struct{})
-	}
-	ch, ok := ps.installed[key]
-	if !ok {
-		ch = make(chan struct{})
-		ps.installed[key] = ch
-	}
-	return ch
+// arrives and the instance activates; the coordinator waits on it, so a
+// follow-up move of the same thread cannot start against a node that has not
+// received the state yet.
+func (rt *Runtime) expectThread(key place.Key) <-chan struct{} {
+	rt.place.activate()
+	return rt.placeThread(key).Expect()
 }
 
-// installMigrated activates a migrated instance on this node: the shipped
-// state is deserialized, the instance registered, and the arrivals buffered
-// while the migration was in flight are drained in order.
-func (rt *Runtime) installMigrated(m *migrateMsg) {
-	tc, ok := rt.app.Collection(m.Collection)
+// restoreInstance builds a thread instance from shipped bytes: the state of
+// a live migration or of a checkpoint (empty: a fresh zero state), and the
+// fault-tolerance record that continues its streams.
+func (rt *Runtime) restoreInstance(key place.Key, state []byte, rec *ft.Record) (*threadInstance, error) {
+	tc, ok := rt.app.Collection(key.Collection)
 	if !ok {
-		rt.app.fail(fmt.Errorf("dps: migration for unknown collection %q", m.Collection))
-		return
+		return nil, fmt.Errorf("unknown collection %q", key.Collection)
 	}
-	state := tc.newState()
-	if len(m.State) > 0 {
-		v, _, err := rt.app.reg.Unmarshal(m.State)
-		if err != nil {
-			rt.app.fail(fmt.Errorf("dps: cannot deserialize migrated state of %s[%d]: %w", m.Collection, m.Thread, err))
-			return
-		}
-		if want := reflect.PointerTo(tc.stateType); reflect.TypeOf(v) != want {
-			rt.app.fail(fmt.Errorf("dps: migrated state of %s[%d] decoded as %T, want %s", m.Collection, m.Thread, v, want))
-			return
-		}
-		state = v
-	}
-	ik := instKey{collection: m.Collection, index: m.Thread}
 	inst := &threadInstance{
 		rt:     rt,
 		tc:     tc,
-		index:  m.Thread,
-		state:  state,
+		index:  key.Thread,
+		state:  tc.newState(),
 		groups: make(map[uint64]*mergeGroup),
 	}
+	if len(state) > 0 {
+		v, _, err := rt.app.reg.Unmarshal(state)
+		if err != nil {
+			return nil, fmt.Errorf("cannot deserialize state: %w", err)
+		}
+		if want := reflect.PointerTo(tc.stateType); reflect.TypeOf(v) != want {
+			return nil, fmt.Errorf("state decoded as %T, want %s", v, want)
+		}
+		inst.state = v
+	}
 	if rt.app.ftOn {
-		inst.ft = ft.NewState(ft.StreamOf(m.Collection, m.Thread))
-		if len(m.FT) > 0 {
-			rec, err := ft.DecodeRecord(m.FT)
-			if err != nil {
-				rt.failApp(fmt.Errorf("dps: corrupt migrated ft record of %s[%d]: %w", m.Collection, m.Thread, err))
-				return
-			}
+		inst.ft = ft.NewState(ft.StreamOf(key.Collection, key.Thread))
+		if rec != nil {
 			inst.ft.Restore(rec)
 		}
 	}
-	rt.sched.InitInstance(&inst.exec, shardKey(m.Collection, m.Thread))
+	rt.sched.InitInstance(&inst.exec, shardKey(key.Collection, key.Thread))
+	return inst, nil
+}
+
+// install activates inst on this node as of the flip to epoch — the one
+// path by which a thread changes owner, for a live migration (fences: the
+// senders the flip cut; first: none) and a failover (no fences, the
+// coordinator's channel drained first) alike.
+func (rt *Runtime) install(inst *threadInstance, epoch uint64, fences int, first string) error {
+	key := place.Key{Collection: inst.tc.Name(), Thread: inst.index}
+	ik := instKey{collection: key.Collection, index: key.Thread}
 	rt.mu.Lock()
 	if _, exists := rt.threads[ik]; exists {
 		rt.mu.Unlock()
-		rt.app.fail(fmt.Errorf("dps: migration target %s[%d] already instantiated on %q", m.Collection, m.Thread, rt.name))
-		return
+		return fmt.Errorf("already instantiated on %q", rt.name)
 	}
 	rt.threads[ik] = inst
 	rt.mu.Unlock()
-
-	key := place.Key{Collection: m.Collection, Thread: m.Thread}
-	ps := &rt.place
-	ps.mu.Lock()
-	delete(ps.relays, key) // re-ownership: this node stops relaying for itself
-	if ps.ownEpoch == nil {
-		ps.ownEpoch = make(map[place.Key]uint64)
-	}
-	ps.ownEpoch[key] = m.Epoch
-	if ps.fences == nil {
-		ps.fences = make(map[place.Key]*fenceQuota)
-	}
-	ps.fences[key] = &fenceQuota{epoch: m.Epoch, expected: m.Fences}
-	if ch, ok := ps.installed[key]; ok {
-		close(ch)
-		delete(ps.installed, key)
-	}
-	_, hasPending := ps.pending[key]
-	ps.mu.Unlock()
-	if hasPending {
-		rt.drainPending(key)
-	}
+	th := rt.placeThread(key)
+	rt.drain(th, th.Install(epoch, fences, first))
+	return nil
 }
 
-// drainPending replays the arrivals buffered before activation, in order.
-// The buffer entry stays present while draining, so concurrent arrivals
-// append behind the replay instead of overtaking it.
-func (rt *Runtime) drainPending(key place.Key) {
-	ps := &rt.place
-	for {
-		ps.mu.Lock()
-		pend := ps.pending[key]
-		if len(pend) == 0 {
-			delete(ps.pending, key)
-			ps.mu.Unlock()
+// installMigrated activates a migrated instance on this node from its
+// migration envelope.
+func (rt *Runtime) installMigrated(m *migrateMsg) {
+	key := place.Key{Collection: m.Collection, Thread: m.Thread}
+	var rec *ft.Record
+	if len(m.FT) > 0 {
+		var err error
+		if rec, err = ft.DecodeRecord(m.FT); err != nil {
+			rt.failApp(fmt.Errorf("dps: corrupt migrated ft record of %s: %w", key, err))
 			return
 		}
-		it := pend[0]
-		ps.pending[key] = pend[1:]
-		ps.mu.Unlock()
-		if it.fence != nil {
-			rt.applyFence(it.fence)
-			continue
-		}
-		if rt.place.gates.Offer(key, it.src, ps.ownEpochOf(key), it) {
-			continue
-		}
-		rt.deliverDirect(it)
+	}
+	inst, err := rt.restoreInstance(key, m.State, rec)
+	if err == nil {
+		err = rt.install(inst, m.Epoch, m.Fences, "")
+	}
+	if err != nil {
+		rt.app.fail(fmt.Errorf("dps: migration of %s: %w", key, err))
 	}
 }
 
@@ -739,6 +565,47 @@ func (app *App) validateMigratableState(tc *ThreadCollection) error {
 	return nil
 }
 
+// flipThread re-places one thread while holding the key's route lock of
+// every runtime in rts, so no post straddles the flip, and runs cut — still
+// under the locks — to mark the cut in every sender's stream.
+func (app *App) flipThread(rts []*Runtime, tc *ThreadCollection, key place.Key, to string, cut func(epoch uint64)) (uint64, error) {
+	locks := make([]*sync.Mutex, len(rts))
+	for i, r := range rts {
+		locks[i] = r.routeLock(key)
+		locks[i].Lock()
+	}
+	epoch, err := tc.place.SetThread(key.Thread, to)
+	if err == nil {
+		cut(epoch)
+	}
+	for i := len(locks) - 1; i >= 0; i-- {
+		locks[i].Unlock()
+	}
+	return epoch, err
+}
+
+var errNotInstalled = errors.New("dps: the new owner did not activate the thread")
+
+// awaitInstall blocks until a new owner has activated the thread it was
+// told to expect, the application fails, or the deadline (if any) passes
+// (errNotInstalled). Delivery is reliable in-process, so without a failure
+// this only lasts while the envelope is in flight.
+func (app *App) awaitInstall(installed <-chan struct{}, deadline time.Time) error {
+	for {
+		select {
+		case <-installed:
+			return nil
+		case <-time.After(200 * time.Microsecond):
+			if err := app.Err(); err != nil {
+				return err
+			}
+			if !deadline.IsZero() && time.Now().After(deadline) {
+				return errNotInstalled
+			}
+		}
+	}
+}
+
 // migrateThread runs the live-remap protocol for one thread (see the file
 // comment). Migrations are serialized application-wide; on error the
 // placement is unchanged and held arrivals are re-dispatched locally.
@@ -778,70 +645,64 @@ func (app *App) migrateThread(ctx context.Context, tc *ThreadCollection, thread 
 	app.enableSlowRouting()
 
 	key := place.Key{Collection: tc.Name(), Thread: thread}
-	re, err := rtOld.beginHold(key, tc.place.Epoch())
-	if err != nil {
-		return err
+	rtOld.place.activate()
+	th := rtOld.placeThread(key)
+	if err := th.BeginHold(tc.place.Epoch()); err != nil {
+		return fmt.Errorf("dps: thread %s is already migrating", key)
 	}
-	if err := rtOld.waitQuiesce(ctx, key); err != nil {
-		rtOld.abortHold(key, re)
+	// On failure before the flip the hold is abandoned: this node still owns
+	// the instance and delivers what it held, in order.
+	if err := rtOld.waitQuiesce(ctx, th, key); err != nil {
+		rtOld.drain(th, th.Abort())
 		return err
 	}
 	payload, ftRec, err := rtOld.captureState(tc, thread)
 	if err != nil {
-		rtOld.abortHold(key, re)
+		rtOld.drain(th, th.Abort())
 		return err
 	}
 
-	// Flip the placement and cut every sender's stream with a fence pair,
+	// Flip the placement and cut every sender's stream with a closing fence
+	// down its old channel, behind every token it posted to the old owner —
 	// all under the per-runtime route locks so no post straddles the flip.
-	installed := rtNew.expectPending(key)
+	installed := rtNew.expectThread(key)
 	rts := app.allRuntimes()
-	locks := make([]*sync.Mutex, len(rts))
-	for i, r := range rts {
-		locks[i] = r.routeLock(key)
-		locks[i].Lock()
-	}
-	epoch, serr := tc.place.SetThread(thread, to)
-	if serr == nil {
+	epoch, err := app.flipThread(rts, tc, key, to, func(epoch uint64) {
 		for _, r := range rts {
-			r.emitFences(key, epoch, from, to)
+			m := &fenceMsg{Collection: key.Collection, Thread: thread, Epoch: epoch, Src: r.name, Phase: fenceClose}
+			if err := r.lnk.sendFence(from, m); err != nil {
+				app.fail(err)
+			}
 		}
-	}
-	for i := len(locks) - 1; i >= 0; i-- {
-		locks[i].Unlock()
-	}
-	if serr != nil {
+	})
+	if err != nil {
 		// Unreachable in practice (the thread index was validated above);
 		// surface it without corrupting the placement.
-		rtOld.abortHold(key, re)
-		return serr
+		rtOld.drain(th, th.Abort())
+		return err
 	}
 
-	// Ship the state; the relay flushes its held arrivals behind it on the
-	// same channel, then forwards stale traffic from then on.
+	// Ship the state; the held arrivals follow it on the same channel, and
+	// stale traffic is forwarded from then on.
 	if err := rtOld.lnk.sendMigrate(to, &migrateMsg{Collection: key.Collection, Thread: thread, Epoch: epoch, Fences: len(rts), State: payload, FT: ftRec}); err != nil {
 		err = fmt.Errorf("dps: shipping state of %s to %q: %w", key, to, err)
 		app.fail(err)
 		return err
 	}
-	re.relay.Flush(to, func(item any) { rtOld.forwardItem(item.(placeItem), to) })
+	for batch := th.Flush(to); batch != nil; batch = th.Flush(to) {
+		for _, it := range batch {
+			rtOld.forwardItem(it.(*placeItem), to)
+		}
+	}
 
 	// The handover completes when the new owner has installed the state; a
 	// follow-up migration of the same thread must not observe a node that
 	// is still waiting for the envelope (it would capture a nil instance
-	// and lose the state). Delivery is reliable in-process, so this only
-	// blocks while the envelope is in flight — or until the application
-	// fails.
-	for {
-		select {
-		case <-installed:
-			atomic.AddInt64(&rtOld.stats.MigrationsCompleted, 1)
-			atomic.AddInt64(&rtOld.stats.MigrationBytes, int64(len(payload)))
-			return nil
-		case <-time.After(200 * time.Microsecond):
-			if err := app.Err(); err != nil {
-				return err
-			}
-		}
+	// and lose the state).
+	if err := app.awaitInstall(installed, time.Time{}); err != nil {
+		return err
 	}
+	atomic.AddInt64(&rtOld.stats.MigrationsCompleted, 1)
+	atomic.AddInt64(&rtOld.stats.MigrationBytes, int64(len(payload)))
+	return nil
 }

@@ -34,6 +34,9 @@ type AccState struct {
 	NextSeq    int
 	Sum        int64
 	Violations int
+	// Trail is the first few violations as (got, want) pairs: what arrived
+	// against what was due.
+	Trail []int
 }
 
 var (
@@ -66,6 +69,9 @@ func buildSeqGraph(t testing.TB, app *core.App, name, mainNode, accNode string) 
 			st := core.StateOf[AccState](c)
 			if in.Seq != st.NextSeq {
 				st.Violations++
+				if len(st.Trail) < 16 {
+					st.Trail = append(st.Trail, in.Seq, st.NextSeq)
+				}
 			}
 			st.NextSeq = in.Seq + 1
 			st.Sum += int64(in.Seq)
@@ -176,6 +182,7 @@ func TestRemapMidRun(t *testing.T) {
 			stop := make(chan struct{})
 			done := make(chan struct{})
 			var remaps atomic.Int64
+			var forwarded []int64 // TokensForwarded after each remap
 			go func() {
 				defer close(done)
 				targets := []string{"node2", "node0", "node1"}
@@ -194,6 +201,7 @@ func TestRemapMidRun(t *testing.T) {
 					if err != nil {
 						return
 					}
+					forwarded = append(forwarded, app.Stats().TokensForwarded)
 					if remaps.Add(1) >= 30 {
 						return // enough churn; let the call finish at full speed
 					}
@@ -217,7 +225,8 @@ func TestRemapMidRun(t *testing.T) {
 			// across every migration.
 			st := readState(t, app, acc)
 			if st.Violations != 0 {
-				t.Fatalf("FIFO violations across remaps: %d", st.Violations)
+				t.Fatalf("%d FIFO violations across remaps; first (got, want) pairs: %v; tokens forwarded by the end of each remap (what its hold and relay carried): %v",
+					st.Violations, st.Trail, forwarded)
 			}
 			if st.NextSeq != tokens {
 				t.Fatalf("state cursor %d, want %d (tokens lost or duplicated)", st.NextSeq, tokens)

@@ -1,37 +1,27 @@
 // Package place is the placement layer of the DPS engine: it owns the
 // epoch-versioned assignment of thread-collection instances to cluster
-// nodes (the paper's dynamic mapping facilities) and the bookkeeping of
-// the live-remap protocol that moves a thread between nodes while flow
-// graphs execute.
+// nodes (the paper's dynamic mapping facilities) and the per-thread state
+// machine of the live-remap protocol that moves a thread between nodes
+// while flow graphs execute.
 //
 // The layer is deliberately transport- and token-agnostic: it stores the
 // engine's in-flight items as opaque values and only decides *where they
-// stand* in the migration protocol. The protocol has three cooperating
-// state machines, one per role:
+// stand* in the migration protocol. Two types:
 //
 //   - Table (every node, shared in-process): the authoritative
 //     thread→node assignment of one collection. Every mutation bumps the
 //     epoch, so routing decisions and control messages can be ordered.
 //
-//   - Relay (the old owner): once a migration begins, arrivals for the
-//     migrating instance are held (quiesce window), then flushed to the
-//     new owner and forwarded from then on. A relay is permanent: tokens
-//     routed with a stale table keep reaching the old node long after the
-//     move and must keep being re-sent.
+//   - Thread (one per node and thread, thread.go): everything a node knows
+//     about one thread's place in the protocol — whether it serves the
+//     thread, holds its arrivals for an outbound move, forwards them to a
+//     later owner or expects its state — behind one lock, so every arrival
+//     is decided and accounted for in one critical section.
 //
-//   - Gates (the new owner): per-sender fence handshakes that keep
-//     per-instance FIFO order across the route change. A sender switching
-//     from the old route to the new one emits a closing fence down the old
-//     channel (it arrives behind every stale token and is forwarded by the
-//     relay) and an opening fence down the new channel (it arrives ahead
-//     of every direct token). The new owner buffers a sender's direct
-//     tokens between the opening fence and the forwarded closing fence,
-//     which is exactly the interval during which stale tokens of that
-//     sender may still be in flight via the relay.
-//
-// Quiesce ordering, state serialization and the actual sends live in the
-// runtime (internal/core/migrate.go); this package is pure bookkeeping and
-// is unit-testable without an engine.
+// State serialization, the coordinator sequence and the actual sends live
+// in the runtime (internal/core/migrate.go); this package is pure
+// bookkeeping and is unit-testable — and exhaustively explorable — without
+// an engine.
 package place
 
 import (
@@ -129,200 +119,4 @@ func Plan(cur, want []string) ([]Move, error) {
 		}
 	}
 	return moves, nil
-}
-
-// Relay is the old owner's forwarder state for one migrated-away instance.
-// It starts in the hold state (the quiesce window: arrivals are buffered in
-// order) and switches to forwarding once the instance's state has been
-// shipped; Flush performs that transition and returns the buffer.
-type Relay struct {
-	mu     sync.Mutex
-	target string // "" while holding
-	held   []any
-}
-
-// Offer presents one arrival. While holding it is buffered and ok reports
-// true; once forwarding, the caller must re-send the item to the returned
-// target itself (keeping the send outside the relay lock — per-sender
-// arrivals are processed sequentially, so sequential re-sends preserve
-// per-sender order).
-func (r *Relay) Offer(item any) (target string, held bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.target == "" {
-		r.held = append(r.held, item)
-		return "", true
-	}
-	return r.target, false
-}
-
-// Flush transitions the relay to forwarding toward target. send is
-// invoked for every held item, in arrival order, while the relay lock is
-// held — so an arrival racing the flush cannot be re-sent ahead of the
-// buffer it logically follows.
-func (r *Relay) Flush(target string, send func(item any)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, it := range r.held {
-		send(it)
-	}
-	r.held = nil
-	r.target = target
-}
-
-// Abort returns the held arrivals for local re-dispatch (the migration was
-// abandoned before the table flipped, so this node still owns the
-// instance). The caller removes the relay afterwards.
-func (r *Relay) Abort() []any {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	held := r.held
-	r.held = nil
-	return held
-}
-
-// Target returns the forward destination, or "" while holding.
-func (r *Relay) Target() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.target
-}
-
-// Retarget repoints a forwarding relay at a new destination. The failure
-// recovery uses it when the node a relay forwards to is declared dead and
-// the instance moves on to a survivor; a holding relay is left alone.
-func (r *Relay) Retarget(target string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.target != "" {
-		r.target = target
-	}
-}
-
-// HeldLen reports the current hold-buffer depth (tests and stats).
-func (r *Relay) HeldLen() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.held)
-}
-
-// FencePhase distinguishes the two halves of a sender's route-change
-// handshake.
-type FencePhase byte
-
-const (
-	// FenceClose travels the sender's old channel: it arrives at the old
-	// owner behind every stale token the sender posted there and is
-	// forwarded to the new owner by the relay.
-	FenceClose FencePhase = 1
-	// FenceOpen travels the sender's new channel: it arrives at the new
-	// owner ahead of every direct token the sender posts there.
-	FenceOpen FencePhase = 2
-)
-
-// Gates is the new owner's per-sender fence bookkeeping for instances it
-// recently received. A gate exists for sender src while the owner has seen
-// the opening fence but not yet the forwarded closing fence; direct tokens
-// from src are buffered in between.
-type Gates struct {
-	mu sync.Mutex
-	m  map[gateKey]*gate
-}
-
-type gateKey struct {
-	key Key
-	src string
-}
-
-type gate struct {
-	epoch  uint64
-	closed bool // FenceClose observed (via the relay)
-	opened bool // FenceOpen observed (directly from the sender)
-	buf    []any
-}
-
-// Offer presents a direct arrival from src. It reports whether the item
-// was buffered behind an open gate; otherwise the caller delivers it
-// normally. minEpoch is the epoch at which the caller became the instance's
-// owner: a leftover gate of an older migration (a fence half that arrived
-// long after its handshake stopped mattering) must not capture current
-// traffic.
-func (g *Gates) Offer(key Key, src string, minEpoch uint64, item any) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	gt, ok := g.m[gateKey{key: key, src: src}]
-	if !ok || !gt.opened || gt.closed || gt.epoch < minEpoch {
-		return false
-	}
-	gt.buf = append(gt.buf, item)
-	return true
-}
-
-// OnFence applies one fence, reporting whether it completed the sender's
-// handshake (both halves now seen). deliver is invoked, under the gates
-// lock, for every buffered item released by a completed handshake, in
-// arrival order; holding the lock guarantees a concurrently arriving direct
-// token cannot overtake the released buffer.
-func (g *Gates) OnFence(key Key, src string, epoch uint64, phase FencePhase, deliver func(item any)) (completed bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.m == nil {
-		g.m = make(map[gateKey]*gate)
-	}
-	gk := gateKey{key: key, src: src}
-	gt, ok := g.m[gk]
-	if !ok {
-		gt = &gate{epoch: epoch}
-		g.m[gk] = gt
-	} else if gt.epoch != epoch {
-		// A fence of a different epoch (an old handshake completing after a
-		// newer one started, or vice versa) must not release the newer
-		// gate's buffer. Track the newest epoch only; a stale fence is a
-		// no-op, a newer one supersedes the entry.
-		if epoch < gt.epoch {
-			return false
-		}
-		gt = &gate{epoch: epoch}
-		g.m[gk] = gt
-	}
-	switch phase {
-	case FenceClose:
-		gt.closed = true
-	case FenceOpen:
-		gt.opened = true
-	}
-	if gt.closed && gt.opened {
-		for _, it := range gt.buf {
-			deliver(it)
-		}
-		delete(g.m, gk)
-		return true
-	}
-	return false
-}
-
-// PendingFor reports whether any gate for key at or above minEpoch is
-// still awaiting its other fence half (the quiesce check of a follow-up
-// migration must wait for outstanding handshakes to settle). Entries below
-// minEpoch are stragglers of migrations that stopped mattering when the
-// caller (re)gained ownership; they are dropped, with any buffered items
-// handed to deliver.
-func (g *Gates) PendingFor(key Key, minEpoch uint64, deliver func(item any)) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	pending := false
-	for gk, gt := range g.m {
-		if gk.key != key {
-			continue
-		}
-		if gt.epoch < minEpoch {
-			for _, it := range gt.buf {
-				deliver(it)
-			}
-			delete(g.m, gk)
-			continue
-		}
-		pending = true
-	}
-	return pending
 }

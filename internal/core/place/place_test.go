@@ -55,134 +55,3 @@ func TestPlan(t *testing.T) {
 		t.Fatal("cardinality change accepted")
 	}
 }
-
-func TestRelayHoldFlushForward(t *testing.T) {
-	var r Relay
-	if tgt := r.Target(); tgt != "" {
-		t.Fatalf("fresh relay forwards to %q", tgt)
-	}
-	for _, it := range []string{"a", "b"} {
-		if tgt, held := r.Offer(it); !held || tgt != "" {
-			t.Fatalf("hold Offer -> %q, %v", tgt, held)
-		}
-	}
-	if r.HeldLen() != 2 {
-		t.Fatalf("held %d", r.HeldLen())
-	}
-	var flushed []string
-	r.Flush("nodeB", func(item any) { flushed = append(flushed, item.(string)) })
-	if !reflect.DeepEqual(flushed, []string{"a", "b"}) {
-		t.Fatalf("flushed %v", flushed)
-	}
-	if tgt, held := r.Offer("c"); held || tgt != "nodeB" {
-		t.Fatalf("forward Offer -> %q, %v", tgt, held)
-	}
-	if r.HeldLen() != 0 {
-		t.Fatal("forwarding relay holds items")
-	}
-}
-
-func TestRelayAbort(t *testing.T) {
-	var r Relay
-	r.Offer(1)
-	r.Offer(2)
-	got := r.Abort()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("aborted %v", got)
-	}
-}
-
-func collect(dst *[]any) func(any) {
-	return func(item any) { *dst = append(*dst, item) }
-}
-
-func TestGatesOpenThenClose(t *testing.T) {
-	var g Gates
-	key := Key{Collection: "c", Thread: 0}
-	// Opening fence first: direct tokens buffer until the closing fence.
-	var rel []any
-	if done := g.OnFence(key, "s", 5, FenceOpen, collect(&rel)); done {
-		t.Fatal("half a handshake completed")
-	}
-	if !g.Offer(key, "s", 5, "t1") || !g.Offer(key, "s", 5, "t2") {
-		t.Fatal("open gate did not buffer")
-	}
-	if g.Offer(key, "other", 5, "x") {
-		t.Fatal("gate captured another sender")
-	}
-	if !g.PendingFor(key, 5, collect(&rel)) {
-		t.Fatal("open gate not pending")
-	}
-	if done := g.OnFence(key, "s", 5, FenceClose, collect(&rel)); !done {
-		t.Fatal("handshake did not complete")
-	}
-	if !reflect.DeepEqual(rel, []any{"t1", "t2"}) {
-		t.Fatalf("released %v", rel)
-	}
-	if g.Offer(key, "s", 5, "t3") {
-		t.Fatal("completed gate still buffering")
-	}
-	if g.PendingFor(key, 5, collect(&rel)) {
-		t.Fatal("completed gate still pending")
-	}
-}
-
-func TestGatesCloseBeforeOpen(t *testing.T) {
-	var g Gates
-	key := Key{Collection: "c", Thread: 1}
-	var rel []any
-	if done := g.OnFence(key, "s", 3, FenceClose, collect(&rel)); done {
-		t.Fatal("close alone completed")
-	}
-	// A closed-but-not-opened entry must not buffer tokens (the sender's
-	// direct stream always begins with the opening fence).
-	if g.Offer(key, "s", 3, "t") {
-		t.Fatal("closed-only gate buffered")
-	}
-	if !g.PendingFor(key, 3, collect(&rel)) {
-		t.Fatal("half handshake not pending")
-	}
-	if done := g.OnFence(key, "s", 3, FenceOpen, collect(&rel)); !done {
-		t.Fatal("pair did not complete")
-	}
-	if len(rel) != 0 {
-		t.Fatalf("released %v from empty gate", rel)
-	}
-}
-
-func TestGatesEpochFloorAndStragglers(t *testing.T) {
-	var g Gates
-	key := Key{Collection: "c", Thread: 2}
-	var rel []any
-	// An old-epoch straggler opens a gate...
-	g.OnFence(key, "s", 2, FenceOpen, collect(&rel))
-	// ...but once the owner is at epoch 5 it must not capture traffic...
-	if g.Offer(key, "s", 5, "t") {
-		t.Fatal("stale gate captured current traffic")
-	}
-	// ...and quiesce drops it instead of waiting forever.
-	if g.PendingFor(key, 5, collect(&rel)) {
-		t.Fatal("stale gate blocks quiesce")
-	}
-	if g.PendingFor(key, 5, collect(&rel)) {
-		t.Fatal("stale gate survived the drop")
-	}
-}
-
-func TestGatesNewerEpochSupersedes(t *testing.T) {
-	var g Gates
-	key := Key{Collection: "c", Thread: 3}
-	var rel []any
-	g.OnFence(key, "s", 2, FenceOpen, collect(&rel))
-	g.Offer(key, "s", 0, "old")
-	// A newer handshake replaces the entry; the old buffered item is dropped
-	// with it (its stream was superseded), and a stale closing fence must
-	// not complete the new pair.
-	g.OnFence(key, "s", 4, FenceOpen, collect(&rel))
-	if done := g.OnFence(key, "s", 2, FenceClose, collect(&rel)); done {
-		t.Fatal("stale close completed the newer handshake")
-	}
-	if done := g.OnFence(key, "s", 4, FenceClose, collect(&rel)); !done {
-		t.Fatal("matching close did not complete")
-	}
-}

@@ -25,8 +25,8 @@ import (
 //   - flowctl: per-split-group flow-control gates and the load-balancing
 //     credit trackers (internal/core/flowctl);
 //   - groups:  split/merge/stream group lifecycle (groups.go);
-//   - place:   epoch-versioned thread placement and the live-remap
-//     relays/fence gates (internal/core/place, migrate.go);
+//   - place:   epoch-versioned thread placement and the per-thread
+//     live-remap state machine (internal/core/place, migrate.go);
 //   - link:    envelope framing, buffer pooling and send/receive over
 //     transport.Transport (link.go, wire.go, pool.go).
 type Runtime struct {
@@ -209,12 +209,13 @@ func (rt *Runtime) credit(graph string, node int, threads int) *flowctl.Credits 
 // --- inbound traffic and failure hooks of the link layer -----------------
 
 // deliverToken hands an envelope (token decoded) to its destination thread
-// on this node. Tokens of canceled calls are dropped here, with their
+// on this node; lane says whether its sender posted it here or a relay
+// forwarded it. Tokens of canceled calls are dropped here, with their
 // flow-control window slot and load-balancing credit released, so an
 // abandoned call drains instead of wedging its split groups. Once this node
-// has participated in a live remap, arrivals first pass the placement
-// intercepts (relay/gates/pending — see migrate.go).
-func (rt *Runtime) deliverToken(env *envelope, src string) {
+// has participated in a live remap, arrivals go through the thread's
+// placement machine (migrate.go).
+func (rt *Runtime) deliverToken(env *envelope, src string, lane place.Lane) {
 	if rt.app.callAborted(env.CallID) {
 		rt.dropEnvelope(env)
 		return
@@ -229,17 +230,17 @@ func (rt *Runtime) deliverToken(env *envelope, src string) {
 		return
 	}
 	node := g.nodes[env.Node]
-	if rt.place.active.Load() != 0 {
-		key := place.Key{Collection: node.tc.Name(), Thread: env.Thread}
-		if rt.placeIntercept(key, placeItem{src: src, env: env, g: g, node: node}) {
-			return
-		}
+	if rt.place.fastArrive() {
+		rt.dispatchToken(g, node, env)
+		rt.place.arrivals.Add(-1)
+		return
 	}
-	rt.dispatchToken(g, node, env)
+	key := place.Key{Collection: node.tc.Name(), Thread: env.Thread}
+	rt.placeArrive(key, src, lane, &placeItem{env: env, g: g, node: node})
 }
 
 // dispatchToken delivers an envelope to its (possibly lazily created) local
-// thread instance, past the placement intercepts. Sequenced envelopes the
+// thread instance, past the placement machine. Sequenced envelopes the
 // instance has already processed — directly, or reflected through a
 // restored checkpoint — are duplicates of a failover replay and are
 // dropped without executing and without acknowledging (the original's
@@ -523,7 +524,7 @@ func (rt *Runtime) recoverOp(c *Ctx) {
 		// An engine-raised unwind of a canceled call is not an application
 		// failure: release the execution's group accounting and keep the
 		// application serving other calls.
-		if rt.app.Err() == nil && rt.callCanceled(c.callID) {
+		if rt.app.Err() == nil && rt.app.callDead(c.callID) {
 			rt.cleanupCanceled(c)
 			return
 		}
@@ -531,19 +532,6 @@ func (rt *Runtime) recoverOp(c *Ctx) {
 		return
 	}
 	rt.app.fail(fmt.Errorf("dps: panic in graph %q, operation %q: %v", g.name, node.op.name, r))
-}
-
-// callCanceled reports whether an execution's originating call is canceled,
-// covering the window between the context firing and cancelCall's
-// bookkeeping (the pending entry still exists but its context has an error).
-func (rt *Runtime) callCanceled(id uint64) bool {
-	if rt.app.callAborted(id) {
-		return true
-	}
-	if ctx := rt.app.callContext(id); ctx != nil && ctx.Err() != nil {
-		return true
-	}
-	return false
 }
 
 // cleanupCanceled unwinds one execution of a canceled call: the group it

@@ -1,8 +1,9 @@
 package core_test
 
 import (
-	"context"
 	"fmt"
+	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -14,7 +15,9 @@ import (
 // These tests pin the tracing tentpole's end-to-end promise: a sampled
 // call's spans, collected from every node, reconstruct one connected
 // timeline — including across the two hard paths, a mid-call live Remap
-// (PR 4) and a node crash with replay from retained logs (PR 5). The last
+// (PR 4; TestTraceAcrossRemap, in migrate_internal_test.go, where it can
+// force the remap to land mid-stream) and a node crash with replay from
+// retained logs (PR 5). The last
 // test pins the other half of the contract: with sampling effectively off,
 // the trace machinery adds zero allocations to the call path.
 
@@ -78,65 +81,6 @@ func TestSampledCallTimeline(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestTraceAcrossRemap migrates the stateful stage mid-call and requires the
-// single trace to record the hop: a forward span on the old node, execute
-// spans on more than one node, and the ordinary endpoints (post, result).
-// The remap races the call, so the test retries until a run genuinely
-// forwarded tokens (TestRemapMidRun proves this interleaving is the norm).
-func TestTraceAcrossRemap(t *testing.T) {
-	const tokens = 600
-	for attempt := 0; attempt < 5; attempt++ {
-		app := newLocalApp(t, core.Config{Window: 64, TraceSample: 1, ForceSerialize: true},
-			"node0", "node1", "node2")
-		g, acc := buildSeqGraph(t, app, fmt.Sprintf("traced-remap-%d", attempt), "node0", "node1")
-
-		remapped := make(chan error, 1)
-		go func() {
-			time.Sleep(2 * time.Millisecond)
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			remapped <- acc.Remap(ctx, "node2")
-		}()
-		out, err := g.Call(context.Background(), &MigOrder{N: tokens})
-		if err != nil {
-			t.Fatalf("call failed across remap: %v", err)
-		}
-		if err := <-remapped; err != nil {
-			t.Fatalf("remap: %v", err)
-		}
-		if got := out.(*MigDone).N; got != tokens {
-			t.Fatalf("merge saw %d tokens, want %d", got, tokens)
-		}
-		if app.Stats().TokensForwarded == 0 {
-			continue // remap landed between calls; nothing was in flight
-		}
-
-		byTrace := spansByTrace(app.TraceSpans(0))
-		if len(byTrace) != 1 {
-			t.Fatalf("one call left %d traces", len(byTrace))
-		}
-		for _, spans := range byTrace {
-			kinds, _ := kindSet(spans)
-			for _, want := range []string{"post", "forward", "result"} {
-				if !kinds[want] {
-					t.Errorf("migrated timeline missing %q span; got %v", want, kinds)
-				}
-			}
-			execNodes := make(map[string]bool)
-			for _, s := range spans {
-				if s.Kind == "execute" {
-					execNodes[s.Node] = true
-				}
-			}
-			if len(execNodes) < 2 {
-				t.Errorf("execute spans on %v: the timeline never crossed the migration", execNodes)
-			}
-		}
-		return
-	}
-	t.Fatal("no attempt forwarded tokens mid-call; remap churn never interleaved")
 }
 
 // TestTraceAcrossFailover crashes a worker node while sampled calls stream:
@@ -204,30 +148,59 @@ func TestTraceAcrossFailover(t *testing.T) {
 // these calls) not taken allocates exactly as much as running it with
 // tracing off entirely. TraceSample=1e-9 makes every admission roll the
 // sampling dice and lose, which is precisely the hot path under test.
+//
+// Two things other than tracing move a call's allocation count, so the
+// comparison is of unrounded means over unsampledRounds fresh pairs of
+// applications, and the median difference must stay under half an
+// allocation (anything tracing adds is at least one per call):
+//   - sched.FIFOLock.Reserve allocates a ticket only when the thread is
+//     still busy, so an application settles at 116.5 or 118 allocations per
+//     call depending on how its goroutines interleave (about 1 application
+//     in 100, with or without the race detector);
+//   - under the race detector sync.Pool.Put drops one object in four at
+//     random, which makes the mean fractional (122.8-123.3) and
+//     testing.AllocsPerRun's truncation of it differ by one between two
+//     identical applications in a third of the runs.
 func TestUnsampledCallAddsNoAllocations(t *testing.T) {
-	mk := func(name string, sample float64) (*core.App, *core.Flowgraph) {
-		app := newLocalApp(t, core.Config{TraceSample: sample}, "node0")
-		return app, buildUppercase(t, app, name, "node0")
-	}
-	_, gOff := mk("alloc-off", 0)
-	appOn, gOn := mk("alloc-on", 1e-9)
-
+	const (
+		unsampledRounds = 5
+		callsPerRound   = 400
+	)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	call := func(g *core.Flowgraph) {
 		if _, err := g.CallTimeout("node0", &StringToken{Str: "abcdefgh"}, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 32; i++ { // warm pools, links and the scheduler
-		call(gOff)
-		call(gOn)
+	allocsPerCall := func(g *core.Flowgraph) float64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < callsPerRound; i++ {
+			call(g)
+		}
+		runtime.ReadMemStats(&ms)
+		return float64(ms.Mallocs-before) / callsPerRound
 	}
-	off := testing.AllocsPerRun(200, func() { call(gOff) })
-	on := testing.AllocsPerRun(200, func() { call(gOn) })
-	if on > off+0.5 {
-		t.Errorf("unsampled call allocates %.1f with tracing configured vs %.1f without", on, off)
+	var diffs []float64
+	for r := 0; r < unsampledRounds; r++ {
+		appOff := newLocalApp(t, core.Config{}, "node0")
+		gOff := buildUppercase(t, appOff, fmt.Sprintf("alloc-off-%d", r), "node0")
+		appOn := newLocalApp(t, core.Config{TraceSample: 1e-9}, "node0")
+		gOn := buildUppercase(t, appOn, fmt.Sprintf("alloc-on-%d", r), "node0")
+		for i := 0; i < 32; i++ { // warm pools, links and the scheduler
+			call(gOff)
+			call(gOn)
+		}
+		off, on := allocsPerCall(gOff), allocsPerCall(gOn)
+		t.Logf("allocs/call: tracing-off=%.2f unsampled=%.2f", off, on)
+		diffs = append(diffs, on-off)
+		if spans := appOn.TraceSpans(0); len(spans) != 0 {
+			t.Errorf("unsampled calls recorded %d spans", len(spans))
+		}
 	}
-	if spans := appOn.TraceSpans(0); len(spans) != 0 {
-		t.Errorf("unsampled calls recorded %d spans", len(spans))
+	sort.Float64s(diffs)
+	if median := diffs[unsampledRounds/2]; median > 0.5 {
+		t.Errorf("unsampled call allocates %.2f more than with tracing off (median of %.2f)", median, diffs)
 	}
-	t.Logf("allocs/call: tracing-off=%.1f unsampled=%.1f", off, on)
 }

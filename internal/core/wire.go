@@ -40,7 +40,19 @@ const (
 	// the unsampled majority with it on — every kind above stays
 	// byte-identical, the same discipline as the FT framings and msgBatch.
 	msgTraced byte = 15
+
+	// msgForwarded wraps the ordinary frame of a token or group-end that a
+	// node the thread has migrated away from re-sends to its current owner:
+	// [msgForwarded][inner frame]. The owner must tell such traffic from the
+	// relay's own posts (only those wait in a fence gate). A run that never
+	// remaps a thread under traffic emits none.
+	msgForwarded byte = 16
 )
+
+// fenceClose is the one fence phase: the closing fence a sender emits down
+// its old channel at a placement flip. decodeFence rejects every other
+// value; 2, the retired opening fence, is not to be reused.
+const fenceClose byte = 1
 
 type groupEndMsg struct {
 	Graph   string
@@ -77,9 +89,9 @@ type resultMsg struct {
 // owner ships a quiesced thread instance's serialized state to the new
 // owner. An empty State installs a fresh zero state (stateless collections
 // and instances that were never touched on the old node). Fences is the
-// number of fence pairs emitted for this epoch's flip: the new owner may
-// not migrate the instance onward until that many pairs have terminally
-// completed here, which certifies that no stale token of this epoch is
+// number of closing fences emitted for this epoch's flip: the new owner may
+// not migrate the instance onward until that many closing fences have
+// arrived here, which certifies that no stale token of this epoch is
 // still in flight through any relay chain.
 type migrateMsg struct {
 	Collection string
@@ -94,12 +106,11 @@ type migrateMsg struct {
 	FT []byte
 }
 
-// fenceMsg is one half of a sender's route-change handshake (see
-// internal/core/place): Phase place.FenceClose travels the sender's old
-// channel and is forwarded by the relay; place.FenceOpen travels the new
-// channel directly. Src is the original sending node, preserved across
-// forwarding (the transport-level source of a forwarded fence is the relay
-// node, not the sender).
+// fenceMsg is a sender's route-change marker (see internal/core/place): it
+// travels the sender's old channel behind every token the sender posted to
+// the old owner, which forwards it to the new one. Src is the original
+// sending node, preserved across forwarding (the transport-level source of a
+// forwarded fence is the relay node, not the sender).
 type fenceMsg struct {
 	Collection string
 	Thread     int
@@ -480,7 +491,9 @@ func decodeFence(b []byte) (*fenceMsg, error) {
 	if len(b) < 1 {
 		return nil, fmt.Errorf("dps: truncated fence")
 	}
-	m.Phase = b[0]
+	if m.Phase = b[0]; m.Phase != fenceClose {
+		return nil, fmt.Errorf("dps: unknown fence phase %d", m.Phase)
+	}
 	return m, nil
 }
 

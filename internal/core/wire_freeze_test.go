@@ -29,6 +29,7 @@ var frozenWireKinds = map[string]byte{
 	"msgPing":       13,
 	"msgBatch":      14,
 	"msgTraced":     15,
+	"msgForwarded":  16,
 }
 
 func TestWireKindNumbersFrozen(t *testing.T) {
@@ -48,6 +49,7 @@ func TestWireKindNumbersFrozen(t *testing.T) {
 		"msgPing":       msgPing,
 		"msgBatch":      msgBatch,
 		"msgTraced":     msgTraced,
+		"msgForwarded":  msgForwarded,
 	}
 	for name, want := range frozenWireKinds {
 		if got[name] != want {
