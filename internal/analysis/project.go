@@ -30,15 +30,15 @@ func ProjectRules() []*Rule {
 		Lockheld(),
 
 		// Pooled wire buffers and envelopes (internal/core/pool.go).
-		// decodeEnvelope hands out a pooled envelope, so its result is
-		// pool-owned too.
+		// decodeEnvelope and decodeEnvelopeNamed hand out a pooled envelope,
+		// so their result is pool-owned too.
 		Poolown(PoolownConfig{
 			PkgSuffixes: []string{"internal/core"},
 			Pools: []PoolSpec{
 				{Get: "getEnvelope", Put: "putEnvelope"},
 				{Get: "getWireBuf", Put: "putWireBuf"},
 			},
-			ExtraGets: []string{"decodeEnvelope"},
+			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed"},
 		}),
 
 		// Wire kinds: the kernel's control kinds dispatch by switch in

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	mrand "math/rand"
 	"sync"
 	"sync/atomic"
@@ -148,6 +149,11 @@ type App struct {
 	collections map[string]*ThreadCollection
 	graphs      map[string]*Flowgraph
 
+	// names maps every graph and node name the application declared to the
+	// one string it holds for it (see canonical). Replaced whole, under mu,
+	// when a graph or node is added; read without a lock.
+	names atomic.Pointer[map[string]string]
+
 	callSeq atomic.Uint64
 	// callreg is the sharded pending-call table (callreg.go): registration,
 	// completion, cancellation and context lookups lock only the shard the
@@ -288,8 +294,40 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 	rt := newRuntime(app, tr, len(app.nodeOrder))
 	app.runtimes[name] = rt
 	app.nodeOrder = append(app.nodeOrder, name)
+	app.declareLocked(name)
+	if r, ok := tr.(transport.Releaser); ok {
+		// The transport copies what it sends: the sender's buffer comes back
+		// to the pool it was drawn from (pool.go).
+		r.SetRelease(putWireBuf)
+	}
 	tr.SetHandler(rt.lnk.handle)
 	return rt, nil
+}
+
+// declareLocked adds a graph or node name to the canonical-name table; the
+// caller holds app.mu.
+func (app *App) declareLocked(name string) {
+	old := app.canonical()
+	if _, ok := old[name]; ok {
+		return
+	}
+	names := maps.Clone(old)
+	if names == nil {
+		names = make(map[string]string)
+	}
+	names[name] = name
+	app.names.Store(&names)
+}
+
+// canonical returns the table the receive path resolves wire names through
+// (readName): an immutable map holding only names this application declared
+// — its graphs and its nodes — so decoding a token allocates no string for
+// them and nothing a peer sends can grow it.
+func (app *App) canonical() map[string]string {
+	if names := app.names.Load(); names != nil {
+		return *names
+	}
+	return nil
 }
 
 // NodeNames lists the application's nodes in attachment order.
@@ -409,6 +447,7 @@ func (app *App) addGraph(g *Flowgraph) error {
 		return fmt.Errorf("dps: graph %q already exists", g.name)
 	}
 	app.graphs[g.name] = g
+	app.declareLocked(g.name)
 	return nil
 }
 

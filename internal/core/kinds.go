@@ -48,9 +48,12 @@ type wireKind struct {
 	name string
 	// recv decodes one received frame (kind byte included) and delivers the
 	// message to the runtime. Unless recycles is set the frame returns to
-	// the wire pool when recv does; a recycling recv returns it itself, as
-	// soon as decoding is done — delivery may run an operation inline, and
-	// the buffer must not sit out of the pool for that long.
+	// the wire pool when recv does; a recycling recv disposes of it itself,
+	// as soon as decoding is done — delivery may run an operation inline,
+	// and the buffer must not sit out of the pool for that long. The
+	// recycling kinds are the frames that are exactly one token or result,
+	// whose bytes the decoded token may take over instead
+	// (link.unmarshalOwned).
 	recv     func(l *link, src string, frame []byte) error
 	recycles bool
 	// entry, set exactly for the kinds that may ride in a batch frame,

@@ -154,10 +154,12 @@ func (l *link) suppressed(kind byte, dst string) bool {
 // by tokens batched before it; held says the caller is that batcher,
 // flushing under its own lock. Stats.BytesSent counts every frame handed to
 // the transport. And a frame the transport refused returns to the wire pool
-// (transports release ownership on error) before the failure is routed by
-// the kind's policy — past the failure detector, which absorbs faults of
-// peers it is about to declare dead (the retained copies replay during
-// recovery). The error is non-nil for failReturn kinds only.
+// (transports release ownership on error; an accepted frame is the
+// transport's, which returns it through transport.Releaser or hands it to
+// the receiving link) before the failure is routed by the kind's policy —
+// past the failure detector, which absorbs faults of peers it is about to
+// declare dead (the retained copies replay during recovery). The error is
+// non-nil for failReturn kinds only.
 func (l *link) transmit(dst string, buf []byte, held bool) error {
 	var b *batcher
 	if l.batch && !held {
@@ -341,7 +343,7 @@ func (b *batcher) flushLocked() {
 	}
 	stats := &l.rt.stats
 	tokens := int64(b.enc.tokens)
-	buf := b.enc.appendFrame(getWireBuf())
+	buf := b.enc.appendFrame(getWireBuf(stats))
 	b.enc.reset()
 	atomic.AddInt64(&stats.FramesBatched, 1)
 	for {
@@ -409,7 +411,7 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane) {
 		putEnvelope(env)
 		return
 	}
-	buf, err := l.appendTokenFrame(getWireBuf(), env, lane)
+	buf, err := l.appendTokenFrame(getWireBuf(stats), env, lane)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
 	}
@@ -437,7 +439,7 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	if !wire {
 		return
 	}
-	buf := getWireBuf()
+	buf := getWireBuf(&l.rt.stats)
 	if lane == place.Forwarded {
 		buf = append(buf, msgForwarded)
 	}
@@ -471,7 +473,7 @@ func (l *link) sendResult(env *envelope, tok Token) {
 	if !wire {
 		return
 	}
-	buf, err := l.reg.Append(appendResultHeader(getWireBuf(), env.CallID), tok)
+	buf, err := l.reg.Append(appendResultHeader(getWireBuf(&l.rt.stats), env.CallID), tok)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize result: %w", err)})
 	}
@@ -483,7 +485,7 @@ func (l *link) sendAck(dst string, m ackMsg) {
 	if rt, wire := l.route(msgAck, dst); rt != nil {
 		rt.handleAck(m)
 	} else if wire {
-		l.transmit(dst, appendAck(getWireBuf(), m), false)
+		l.transmit(dst, appendAck(getWireBuf(&l.rt.stats), m), false)
 	}
 }
 
@@ -493,7 +495,7 @@ func (l *link) sendMigrate(dst string, m *migrateMsg) error {
 		rt.installMigrated(m)
 		return nil
 	}
-	return l.transmit(dst, appendMigrate(getWireBuf(), m), false)
+	return l.transmit(dst, appendMigrate(getWireBuf(&l.rt.stats), m), false)
 }
 
 // sendFence emits one fence half of the live-remap handshake.
@@ -502,7 +504,7 @@ func (l *link) sendFence(dst string, m *fenceMsg) error {
 		rt.deliverFence(m)
 		return nil
 	}
-	return l.transmit(dst, appendFence(getWireBuf(), m), false)
+	return l.transmit(dst, appendFence(getWireBuf(&l.rt.stats), m), false)
 }
 
 // sendCheckpoint ships a checkpoint record to the store node.
@@ -510,7 +512,7 @@ func (l *link) sendCheckpoint(dst string, rec *ft.Record) {
 	if rt, wire := l.route(msgCheckpoint, dst); rt != nil {
 		rt.commitCheckpoint(rec)
 	} else if wire {
-		l.transmit(dst, appendCheckpoint(getWireBuf(), rec), false)
+		l.transmit(dst, appendCheckpoint(getWireBuf(&l.rt.stats), rec), false)
 	}
 }
 
@@ -519,7 +521,7 @@ func (l *link) sendReplay(dst string, m *replayMsg) {
 	if rt, wire := l.route(msgReplay, dst); rt != nil {
 		rt.installRecovered(m, l.name)
 	} else if wire {
-		l.transmit(dst, appendReplay(getWireBuf(), m), false)
+		l.transmit(dst, appendReplay(getWireBuf(&l.rt.stats), m), false)
 	}
 }
 
@@ -528,7 +530,7 @@ func (l *link) sendCut(dst string, m cutMsg) {
 	if rt, wire := l.route(msgCut, dst); rt != nil {
 		rt.applyCut(m)
 	} else if wire {
-		l.transmit(dst, appendCut(getWireBuf(), m), false)
+		l.transmit(dst, appendCut(getWireBuf(&l.rt.stats), m), false)
 	}
 }
 
@@ -537,7 +539,7 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 	if rt, wire := l.route(msgDeath, dst); rt != nil {
 		rt.handleDeath(m, l.name)
 	} else if wire {
-		l.transmit(dst, appendDeath(getWireBuf(), m), false)
+		l.transmit(dst, appendDeath(getWireBuf(&l.rt.stats), m), false)
 	}
 }
 
@@ -545,7 +547,7 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 // real traffic takes, so probe and traffic degrade alike (trSend's grace
 // retries included); the error is the probe's answer.
 func (l *link) ping(dst string) error {
-	return l.transmit(dst, append(getWireBuf(), msgPing), false)
+	return l.transmit(dst, append(getWireBuf(&l.rt.stats), msgPing), false)
 }
 
 // roundTrip marshals and unmarshals a token, exercising the full
@@ -556,7 +558,7 @@ func (l *link) roundTrip(tok Token) (Token, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dps: cannot serialize %T: %w", tok, err)
 	}
-	out, _, err := l.reg.Unmarshal(payload)
+	out, err := l.unmarshalOwned(payload, payload)
 	if err != nil {
 		return nil, fmt.Errorf("dps: cannot deserialize %T: %w", tok, err)
 	}
@@ -566,10 +568,12 @@ func (l *link) roundTrip(tok Token) (Token, error) {
 // --- inbound --------------------------------------------------------------
 
 // handle is the transport receive entry point. Per the transport ownership
-// contract the frame belongs to this handler once invoked; every decoded
-// field is copied out, so it is recycled into the wire pool — by the kind's
-// receive function where the table says so, here otherwise. A frame that
-// fails to decode fails the application and is left to the collector.
+// contract the frame belongs to this handler once invoked, and it is
+// disposed of exactly once: by the kind's receive function where the table
+// says so (a frame that is one token or one result may become that token's
+// bytes, see unmarshalOwned), into the wire pool here otherwise, every
+// decoded field having been copied out. A frame that fails to decode fails
+// the application and is left to the collector.
 func (l *link) handle(src string, frame []byte) {
 	if len(frame) == 0 {
 		l.rt.linkFail(fmt.Errorf("dps: empty message from %q", src))
@@ -589,19 +593,46 @@ func (l *link) handle(src string, frame []byte) {
 	}
 }
 
+// unmarshalOwned decodes the token serialized in payload and disposes of
+// frame, the wire buffer payload lies in, which must carry nothing else
+// anyone will read and belong to this link alone. It is the one place where
+// a decoded frame's fate is decided: the token's []byte field may have kept
+// a slice of it (serial.UnmarshalOwned), and then the frame is the token's
+// memory and the collector's; otherwise it returns to the wire pool. After
+// an error it is left to the collector like every frame that fails to
+// decode.
+func (l *link) unmarshalOwned(payload, frame []byte) (Token, error) {
+	tok, _, kept, err := l.reg.UnmarshalOwned(payload)
+	switch {
+	case err != nil:
+		return nil, err
+	case kept:
+		atomic.AddInt64(&l.rt.stats.FramesKept, 1)
+	default:
+		putWireBuf(frame)
+	}
+	return tok, nil
+}
+
 // recvToken is the one decode-unmarshal-deliver path of every token on the
 // wire: alone in a frame, inside a traced or forwarded wrapper, or as a
 // batch entry. body is the envelope header and serialized token;
 // stream/seq, traceID and lane are what the framing around it carried.
-// frame, when non-nil, is the wire buffer body aliases, recycled here once
-// nothing reads it any more (a batch frame outlives its entries and is
-// recycled by handle).
-func (l *link) recvToken(src, stream string, seq, traceID uint64, lane place.Lane, body, frame []byte) error {
-	env, err := decodeEnvelope(body)
+// owned, when non-nil, is the wire buffer body aliases, this token being all
+// it carries: it is disposed of here (unmarshalOwned). A batch frame
+// outlives each of its entries and a forwarded wrapper is recycled by
+// handle, so their tokens are copied out (nil).
+func (l *link) recvToken(src, stream string, seq, traceID uint64, lane place.Lane, body, owned []byte) error {
+	env, err := decodeEnvelopeNamed(body, l.rt.app.canonical())
 	if err != nil {
 		return err
 	}
-	tok, _, err := l.reg.Unmarshal(env.Payload)
+	var tok Token
+	if owned != nil {
+		tok, err = l.unmarshalOwned(env.Payload, owned)
+	} else {
+		tok, _, err = l.reg.Unmarshal(env.Payload)
+	}
 	if err != nil {
 		putEnvelope(env)
 		return fmt.Errorf("cannot deserialize token: %w", err)
@@ -609,9 +640,6 @@ func (l *link) recvToken(src, stream string, seq, traceID uint64, lane place.Lan
 	env.Token = tok
 	env.Payload = nil // aliases the wire buffer
 	env.FTStream, env.FTSeq, env.TraceID = stream, seq, traceID
-	if frame != nil {
-		putWireBuf(frame)
-	}
 	l.rt.deliverToken(env, src, lane)
 	return nil
 }
@@ -638,9 +666,9 @@ func (l *link) recvLoneGroupEnd(src string, frame []byte) error {
 }
 
 // recvFrame receives the single frame of a token or group-end, which may
-// sit inside wrappers; pooled is the wire buffer to recycle once a token is
-// decoded (nil: the caller recycles it).
-func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame, pooled []byte) error {
+// sit inside wrappers; owned is the wire buffer for a token to take over or
+// recycle (nil: the caller recycles it).
+func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame, owned []byte) error {
 	stream, seq, body, err := readStamp(frame)
 	if err != nil {
 		return err
@@ -648,7 +676,7 @@ func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame, poo
 	if frame[0] == msgGroupEnd || frame[0] == msgGroupEndFT {
 		return l.recvGroupEnd(src, stream, seq, lane, body)
 	}
-	return l.recvToken(src, stream, seq, traceID, lane, body, pooled)
+	return l.recvToken(src, stream, seq, traceID, lane, body, owned)
 }
 
 func (l *link) recvTraced(src string, frame []byte) error {
@@ -660,7 +688,7 @@ func (l *link) recvTraced(src string, frame []byte) error {
 // Across processes the two clocks are not synchronized, so the duration
 // carries their skew; within one process (the test and bench deployments)
 // they agree.
-func (l *link) recvTracedFrame(src string, lane place.Lane, traced, pooled []byte) error {
+func (l *link) recvTracedFrame(src string, lane place.Lane, traced, owned []byte) error {
 	traceID, sentNs, inner, err := decodeTracedHeader(traced[1:])
 	if err != nil {
 		return err
@@ -673,7 +701,7 @@ func (l *link) recvTracedFrame(src string, lane place.Lane, traced, pooled []byt
 		d = 0
 	}
 	l.rt.traceSpan(traceID, "wire", src, sentNs, d)
-	return l.recvFrame(src, traceID, lane, inner, pooled)
+	return l.recvFrame(src, traceID, lane, inner, owned)
 }
 
 // recvForwarded unwraps what a relay re-sent: the ordinary frame of a token
@@ -725,11 +753,10 @@ func (l *link) recvResult(src string, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	tok, _, err := l.reg.Unmarshal(m.Payload)
+	tok, err := l.unmarshalOwned(m.Payload, frame)
 	if err != nil {
 		return fmt.Errorf("cannot deserialize result: %w", err)
 	}
-	putWireBuf(frame)
 	l.rt.deliverResult(m.CallID, tok)
 	return nil
 }

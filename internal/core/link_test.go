@@ -271,7 +271,7 @@ func TestTransmitChokePoint(t *testing.T) {
 				if (row.fail == failLink) != (app.Err() != nil) {
 					t.Fatalf("application error %v, policy %d", app.Err(), row.fail)
 				}
-				got := getWireBuf()
+				got := getWireBuf(&Stats{})
 				recycled = cap(got) > 0 && &got[:1][0] == &tr.refused[:1][0]
 			}
 			if !recycled {

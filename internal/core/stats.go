@@ -74,6 +74,15 @@ type Stats struct {
 	// SendRetries counts transport send attempts repeated inside the
 	// suspect-grace window (Config.SuspectGrace) after a transient failure.
 	SendRetries int64
+	// FramesKept counts received frames (and ForceSerialize round-trip
+	// buffers) that became token data: the decoded token's []byte field is a
+	// slice of the buffer, which is therefore left to the garbage collector
+	// instead of returning to the wire pool.
+	FramesKept int64
+	// WireBufMisses counts outbound messages whose wire buffer had to be
+	// allocated because the pool was empty. With FramesKept it explains a
+	// deployment's allocated bytes per token from /metrics alone.
+	WireBufMisses int64
 	// FramesBatched counts batch frames flushed by the wire-path coalescer
 	// (Config.Batch); zero with batching off.
 	FramesBatched int64

@@ -125,11 +125,25 @@ func appendString(b []byte, s string) []byte {
 }
 
 func readString(b []byte) (string, []byte, error) {
+	return readName(b, nil)
+}
+
+// readName is readString for a field that nearly always holds a name the
+// receiving application declared itself: one found in names (App.canonical)
+// is returned as the string the application already holds instead of a
+// fresh copy — the map index converts without allocating. An unknown name
+// is copied out as readString would and fails wherever it failed before;
+// the table is never written from here, so no sender can grow it.
+func readName(b []byte, names map[string]string) (string, []byte, error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 || uint64(len(b)-n) < l {
 		return "", nil, fmt.Errorf("dps: truncated string")
 	}
-	return string(b[n : n+int(l)]), b[n+int(l):], nil
+	raw, rest := b[n:n+int(l)], b[n+int(l):]
+	if s, ok := names[string(raw)]; ok {
+		return s, rest, nil
+	}
+	return string(raw), rest, nil
 }
 
 func appendInt(b []byte, v int) []byte {
@@ -237,17 +251,25 @@ func encodeEnvelopeHeader(e *envelope) []byte {
 // returned envelope's Payload aliases b; the caller owns both and recycles
 // them (putEnvelope after dispatch, the wire buffer once decoded).
 func decodeEnvelope(b []byte) (*envelope, error) {
+	return decodeEnvelopeNamed(b, nil)
+}
+
+// decodeEnvelopeNamed is decodeEnvelope on a node's receive path: the graph
+// name and the node names of the header (call origin, one origin per group
+// frame) resolve through names (see readName) instead of being allocated
+// once per token per hop.
+func decodeEnvelopeNamed(b []byte, names map[string]string) (*envelope, error) {
 	e := getEnvelope()
-	if err := decodeEnvelopeInto(e, b); err != nil {
+	if err := decodeEnvelopeInto(e, b, names); err != nil {
 		putEnvelope(e)
 		return nil, err
 	}
 	return e, nil
 }
 
-func decodeEnvelopeInto(e *envelope, b []byte) error {
+func decodeEnvelopeInto(e *envelope, b []byte, names map[string]string) error {
 	var err error
-	if e.Graph, b, err = readString(b); err != nil {
+	if e.Graph, b, err = readName(b, names); err != nil {
 		return err
 	}
 	if e.Node, b, err = readInt(b); err != nil {
@@ -259,7 +281,7 @@ func decodeEnvelopeInto(e *envelope, b []byte) error {
 	if e.CallID, b, err = readUint64(b); err != nil {
 		return err
 	}
-	if e.CallOrigin, b, err = readString(b); err != nil {
+	if e.CallOrigin, b, err = readName(b, names); err != nil {
 		return err
 	}
 	if e.LastWorker, b, err = readInt(b); err != nil {
@@ -286,7 +308,7 @@ func decodeEnvelopeInto(e *envelope, b []byte) error {
 		if f.Index, b, err = readInt(b); err != nil {
 			return err
 		}
-		if f.Origin, b, err = readString(b); err != nil {
+		if f.Origin, b, err = readName(b, names); err != nil {
 			return err
 		}
 		if f.MergeThread, b, err = readInt(b); err != nil {

@@ -532,6 +532,7 @@ type appPort struct {
 
 	mu      sync.Mutex
 	handler transport.Handler
+	release func(payload []byte)
 }
 
 // Local implements transport.Transport: the node name is the kernel name.
@@ -563,13 +564,35 @@ func (p *appPort) deliver(src string, payload []byte) {
 // Send implements transport.Transport, framing the payload with the
 // application name so the destination kernel can demultiplex (and launch).
 func (p *appPort) Send(dst string, payload []byte) error {
-	return p.kernel.node.Send(dst, makeAppFrame(p.app, payload))
+	err := p.kernel.node.Send(dst, makeAppFrame(p.app, payload))
+	if err != nil {
+		return err // refused: the payload stays the caller's
+	}
+	p.mu.Lock()
+	release := p.release
+	p.mu.Unlock()
+	if release != nil {
+		release(payload)
+	}
+	return nil
+}
+
+// SetRelease implements transport.Releaser: the frame on the kernel's wire
+// is a copy (makeAppFrame), so an accepted payload has no reader left by the
+// time Send returns.
+func (p *appPort) SetRelease(release func(payload []byte)) {
+	p.mu.Lock()
+	p.release = release
+	p.mu.Unlock()
 }
 
 // Close implements transport.Transport (the kernel endpoint stays up).
 func (p *appPort) Close() error { return nil }
 
-var _ transport.Transport = (*appPort)(nil)
+var (
+	_ transport.Transport = (*appPort)(nil)
+	_ transport.Releaser  = (*appPort)(nil)
+)
 
 func makeAppFrame(app string, payload []byte) []byte {
 	b := make([]byte, 0, len(app)+len(payload)+4)

@@ -19,12 +19,24 @@ type typeCodec struct {
 	// enc appends the wire encoding of the value at p.
 	enc func(buf []byte, p unsafe.Pointer) []byte
 	// dec decodes into the zeroed value at p, returning the bytes consumed.
-	dec func(data []byte, p unsafe.Pointer) (int, error)
+	// With a non-nil o the caller has given data away (UnmarshalOwned) and a
+	// large enough []byte field may keep a slice of it; with nil every field
+	// is copied out.
+	dec func(data []byte, p unsafe.Pointer, o *owner) (int, error)
 	// size returns the exact number of bytes enc would append.
 	size func(p unsafe.Pointer) int
 	// fixed is the encoded size when it is the same for every value of the
 	// type (fixed-width primitives, structs of such), else -1.
 	fixed int
+}
+
+// owner is the state of one owning decode.
+type owner struct {
+	// min is the length from which a []byte field aliases the input instead
+	// of copying it: half of the input, rounded up, so at least one.
+	min int
+	// kept records that some field does.
+	kept bool
 }
 
 // sliceHeader mirrors the runtime representation of a slice value.
@@ -90,7 +102,7 @@ func compile(t reflect.Type) *typeCodec {
 			}
 			return append(buf, 0)
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			if len(data) < 1 {
 				return 0, errTruncated("bool")
 			}
@@ -107,7 +119,7 @@ func compile(t reflect.Type) *typeCodec {
 			return binary.AppendVarint(buf, load(p))
 		}
 		c.size = func(p unsafe.Pointer) int { return varintLen(load(p)) }
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			x, n := binary.Varint(data)
 			if n <= 0 {
 				return 0, errTruncated("varint")
@@ -124,7 +136,7 @@ func compile(t reflect.Type) *typeCodec {
 			return binary.AppendUvarint(buf, load(p))
 		}
 		c.size = func(p unsafe.Pointer) int { return uvarintLen(load(p)) }
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			x, n := binary.Uvarint(data)
 			if n <= 0 {
 				return 0, errTruncated("uvarint")
@@ -136,7 +148,7 @@ func compile(t reflect.Type) *typeCodec {
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint32(buf, f32ToWire(*(*float32)(p)))
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			if len(data) < 4 {
 				return 0, errTruncated("float32")
 			}
@@ -148,7 +160,7 @@ func compile(t reflect.Type) *typeCodec {
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
 			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(*(*float64)(p)))
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			if len(data) < 8 {
 				return 0, errTruncated("float64")
 			}
@@ -162,7 +174,7 @@ func compile(t reflect.Type) *typeCodec {
 			buf = binary.LittleEndian.AppendUint32(buf, f32ToWire(real(v)))
 			return binary.LittleEndian.AppendUint32(buf, f32ToWire(imag(v)))
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			if len(data) < 8 {
 				return 0, errTruncated("complex64")
 			}
@@ -178,7 +190,7 @@ func compile(t reflect.Type) *typeCodec {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(v)))
 			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(v)))
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			if len(data) < 16 {
 				return 0, errTruncated("complex128")
 			}
@@ -197,7 +209,7 @@ func compile(t reflect.Type) *typeCodec {
 			n := len(*(*string)(p))
 			return uvarintLen(uint64(n)) + n
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			l, n := binary.Uvarint(data)
 			if n <= 0 || uint64(len(data)-n) < l {
 				return 0, errTruncated("string")
@@ -229,10 +241,10 @@ func compile(t reflect.Type) *typeCodec {
 				return sz
 			}
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			used := 0
 			for i := 0; i < n; i++ {
-				m, err := ec.dec(data[used:], unsafe.Add(p, uintptr(i)*esz))
+				m, err := ec.dec(data[used:], unsafe.Add(p, uintptr(i)*esz), o)
 				if err != nil {
 					return 0, err
 				}
@@ -254,7 +266,7 @@ func compile(t reflect.Type) *typeCodec {
 		c.size = func(p unsafe.Pointer) int {
 			return sizeValue(reflect.NewAt(t, p).Elem())
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			return decodeValue(data, reflect.NewAt(t, p).Elem())
 		}
 	case reflect.Pointer:
@@ -274,7 +286,7 @@ func compile(t reflect.Type) *typeCodec {
 			}
 			return 1 + ec.size(ptr)
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			if len(data) < 1 {
 				return 0, errTruncated("pointer presence")
 			}
@@ -283,7 +295,7 @@ func compile(t reflect.Type) *typeCodec {
 				return 1, nil
 			}
 			rn := reflect.New(et) // typed allocation, visible to the GC
-			n, err := ec.dec(data[1:], rn.UnsafePointer())
+			n, err := ec.dec(data[1:], rn.UnsafePointer(), o)
 			if err != nil {
 				return 0, err
 			}
@@ -345,10 +357,10 @@ func compileStruct(c *typeCodec, t reflect.Type) {
 			return sz
 		}
 	}
-	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 		used := 0
 		for _, f := range fields {
-			n, err := f.c.dec(data[used:], unsafe.Add(p, f.off))
+			n, err := f.c.dec(data[used:], unsafe.Add(p, f.off), o)
 			if err != nil {
 				return 0, fmt.Errorf("field %s: %w", f.name, err)
 			}
@@ -384,7 +396,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			}
 			return 1 + uvarintLen(uint64(h.len)) + h.len
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			l, used, err := sliceHead(data)
 			if err != nil || l < 0 {
 				return used, err
@@ -392,10 +404,19 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			if len(data)-used < l {
 				return 0, errTruncated("byte slice")
 			}
-			s := make([]byte, l)
-			copy(s, data[used:])
+			end := used + l
+			var s []byte
+			if o != nil && l >= o.min {
+				// The capacity stops at the field's last byte: an append by
+				// the user reallocates instead of writing into the bytes
+				// behind it.
+				s, o.kept = data[used:end:end], true
+			} else {
+				s = make([]byte, l)
+				copy(s, data[used:])
+			}
 			storeSlice(p, s, l)
-			return used + l, nil
+			return end, nil
 		}
 	case reflect.Bool:
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
@@ -421,7 +442,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			}
 			return 1 + uvarintLen(uint64(h.len)) + h.len
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			l, used, err := sliceHead(data)
 			if err != nil || l < 0 {
 				return used, err
@@ -456,7 +477,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			}
 			return 1 + uvarintLen(uint64(h.len)) + 8*h.len
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			l, used, err := sliceHead(data)
 			if err != nil || l < 0 {
 				return used, err
@@ -491,7 +512,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			}
 			return 1 + uvarintLen(uint64(h.len)) + 4*h.len
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			l, used, err := sliceHead(data)
 			if err != nil || l < 0 {
 				return used, err
@@ -541,7 +562,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			}
 			return sz
 		}
-		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 			l, used, err := sliceHead(data)
 			if err != nil || l < 0 {
 				return used, err
@@ -549,7 +570,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			ms := reflect.MakeSlice(t, l, l)
 			base := ms.UnsafePointer()
 			for i := 0; i < l; i++ {
-				n, err := ec.dec(data[used:], unsafe.Add(base, uintptr(i)*esz))
+				n, err := ec.dec(data[used:], unsafe.Add(base, uintptr(i)*esz), o)
 				if err != nil {
 					return 0, err
 				}
@@ -594,7 +615,7 @@ func compileIntSlice(c *typeCodec, et reflect.Type) {
 		return sz
 	}
 	mk := makerForKind(et.Kind())
-	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 		l, used, err := sliceHead(data)
 		if err != nil || l < 0 {
 			return used, err
@@ -646,7 +667,7 @@ func compileUintSlice(c *typeCodec, et reflect.Type) {
 		return sz
 	}
 	mk := makerForKind(et.Kind())
-	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 		l, used, err := sliceHead(data)
 		if err != nil || l < 0 {
 			return used, err

@@ -42,13 +42,14 @@ func (c *collector) seqs() []uint32 {
 }
 
 // scriptedConn is a connection whose writes follow a script: write number
-// hold (counting the hello as write 0) blocks until release is closed, and
-// write number tear hands only tearAfter bytes to the socket, waits for
-// torn to be closed, and fails.
+// hold (counting the hello as write 0) closes held, if set, and blocks until
+// release is closed, and write number tear hands only tearAfter bytes to the
+// socket, waits for torn to be closed, and fails.
 type scriptedConn struct {
 	net.Conn
 	writes    int
 	hold      int
+	held      chan struct{}
 	release   chan struct{}
 	tear      int
 	tearAfter int
@@ -60,6 +61,9 @@ func (s *scriptedConn) Write(p []byte) (int, error) {
 	s.writes++
 	switch i {
 	case s.hold:
+		if s.held != nil {
+			close(s.held)
+		}
 		<-s.release
 	case s.tear:
 		n, err := s.Conn.Write(p[:s.tearAfter])
@@ -86,26 +90,9 @@ func TestPartialWriteResendsOnlyUnwrittenFrames(t *testing.T) {
 		hold: 1, release: make(chan struct{}),
 		tear: 2, tearAfter: 3*(frameLen+1) + frameLen/2, torn: make(chan struct{}),
 	}
-	var dials atomic.Int32
-	a.dial = func(addr string) (net.Conn, error) {
-		c, err := net.Dial("tcp", addr)
-		if err == nil && dials.Add(1) == 1 {
-			script.Conn = c
-			return script, nil
-		}
-		return c, err
-	}
-
 	// Frame 0 is written inline and held inside the socket write; frames
 	// 1-10 queue behind it and leave as one batch when it returns.
-	first := make(chan error, 1)
-	go func() { first <- a.Send("b", seqFrame(0, 0, frameLen)) }()
-	waitFor(t, "the inline write to reach the socket", 5*time.Second, func() bool {
-		p := a.peer("b")
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return p.busy
-	})
+	first := holdFirstWrite(t, a, script, seqFrame(0, 0, frameLen))
 	for seq := uint32(1); seq <= 10; seq++ {
 		if err := a.Send("b", seqFrame(0, seq, frameLen)); err != nil {
 			t.Fatal(err)
@@ -137,6 +124,262 @@ func TestPartialWriteResendsOnlyUnwrittenFrames(t *testing.T) {
 	if st.FramesSent != 11 || st.Dials != 2 {
 		t.Fatalf("stats %+v: want 11 frames handed to the kernel over 2 dials", st)
 	}
+}
+
+// releaseCounter is a transport.Releaser function that counts, per buffer,
+// how often it was given back.
+type releaseCounter struct {
+	mu sync.Mutex
+	n  map[*byte]int
+}
+
+func (r *releaseCounter) release(p []byte) {
+	r.mu.Lock()
+	if r.n == nil {
+		r.n = make(map[*byte]int)
+	}
+	r.n[&p[0]]++
+	r.mu.Unlock()
+}
+
+func (r *releaseCounter) total() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	total := 0
+	for _, k := range r.n {
+		total += k
+	}
+	return total
+}
+
+// exactlyOnce fails unless each of sent was released once and nothing else
+// was released at all.
+func (r *releaseCounter) exactlyOnce(t *testing.T, sent [][]byte) {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, p := range sent {
+		if k := r.n[&p[0]]; k != 1 {
+			t.Errorf("payload %d released %d times, want once", i, k)
+		}
+	}
+	if len(r.n) > len(sent) {
+		t.Errorf("%d distinct buffers released, only %d sent", len(r.n), len(sent))
+	}
+}
+
+// holdFirstWrite sends frame 0 to "b" inline through script, whose write 1
+// blocks, and returns once that write owns the socket: every Send from then
+// on queues behind it. The result of the held Send arrives on the channel.
+func holdFirstWrite(t *testing.T, a *Node, script *scriptedConn, frame []byte) <-chan error {
+	t.Helper()
+	var dials atomic.Int32
+	a.dial = func(addr string) (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		if err == nil && dials.Add(1) == 1 {
+			script.Conn = c
+			return script, nil
+		}
+		return c, err
+	}
+	script.held = make(chan struct{})
+	first := make(chan error, 1)
+	go func() { first <- a.Send("b", frame) }()
+	select {
+	case <-script.held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the inline write never reached the socket")
+	}
+	return first
+}
+
+// TestReleaseExactlyOnce: with a release function installed, every payload
+// a Send accepted comes back once the kernel has taken its frame whole —
+// whichever goroutine wrote it — and never twice (a second release would
+// put one buffer under two senders); a payload whose Send failed never
+// comes back, because the caller still owns it.
+func TestReleaseExactlyOnce(t *testing.T) {
+	const frameLen = 100 // one header byte each
+	frames := func(n int) [][]byte {
+		out := make([][]byte, n)
+		for i := range out {
+			out[i] = seqFrame(0, uint32(i), frameLen)
+		}
+		return out
+	}
+
+	t.Run("inline", func(t *testing.T) {
+		a, b := startPair(t)
+		var got collector
+		b.SetHandler(got.handle)
+		var rel releaseCounter
+		a.SetRelease(rel.release)
+		sent := frames(3)
+		for i, f := range sent {
+			time.Sleep(2 * streakGap) // never a streak: the caller writes
+			if err := a.Send("b", f); err != nil {
+				t.Fatal(err)
+			}
+			if k := rel.total(); k != i+1 {
+				t.Fatalf("%d releases when Send %d returned, want %d: an inline frame is released before Send returns", k, i, i+1)
+			}
+		}
+		if q := a.Stats().FramesQueued; q != 0 {
+			t.Fatalf("%d frames queued: the case did not test the inline path", q)
+		}
+		rel.exactlyOnce(t, sent)
+	})
+
+	t.Run("queued", func(t *testing.T) {
+		a, b := startPair(t)
+		var got collector
+		b.SetHandler(got.handle)
+		var rel releaseCounter
+		a.SetRelease(rel.release)
+		sent := frames(11)
+		script := &scriptedConn{hold: 1, release: make(chan struct{}), tear: -1}
+		first := holdFirstWrite(t, a, script, sent[0])
+		for _, f := range sent[1:] {
+			if err := a.Send("b", f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if k := rel.total(); k != 0 {
+			t.Fatalf("%d releases with every frame still unwritten", k)
+		}
+		close(script.release)
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "all frames", 5*time.Second, func() bool { return got.count() == len(sent) })
+		waitFor(t, "all releases", 5*time.Second, func() bool { return rel.total() >= len(sent) })
+		if q := a.Stats().FramesQueued; q != int64(len(sent)-1) {
+			t.Fatalf("%d frames queued, want %d", q, len(sent)-1)
+		}
+		rel.exactlyOnce(t, sent)
+	})
+
+	// The scenario of TestPartialWriteResendsOnlyUnwrittenFrames: frames 1-3
+	// of a batch of ten leave whole before the connection tears. They are
+	// released at the failure, ahead of the redial, and not again when the
+	// rest of the batch goes out on the new session.
+	t.Run("partial write then redial", func(t *testing.T) {
+		a, b := startPair(t)
+		var got collector
+		b.SetHandler(got.handle)
+		var rel releaseCounter
+		a.SetRelease(rel.release)
+		sent := frames(11)
+		script := &scriptedConn{
+			hold: 1, release: make(chan struct{}),
+			tear: 2, tearAfter: 3*(frameLen+1) + frameLen/2, torn: make(chan struct{}),
+		}
+		first := holdFirstWrite(t, a, script, sent[0])
+		for _, f := range sent[1:] {
+			if err := a.Send("b", f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		close(script.release)
+		waitFor(t, "frames 0-3 on the first session", 5*time.Second, func() bool { return got.count() == 4 })
+		if k := rel.total(); k != 1 {
+			t.Fatalf("%d releases while the batch's write is in progress, want 1 (frame 0)", k)
+		}
+		close(script.torn)
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "frames 4-10 on the redialed session", 10*time.Second, func() bool { return got.count() >= len(sent) })
+		waitFor(t, "all releases", 5*time.Second, func() bool { return rel.total() >= len(sent) })
+		rel.exactlyOnce(t, sent)
+	})
+
+	// Close's last flush writes what the outbox still holds; those frames
+	// are released like any other.
+	t.Run("close flush", func(t *testing.T) {
+		a, b := startPair(t)
+		var got collector
+		b.SetHandler(got.handle)
+		var rel releaseCounter
+		a.SetRelease(rel.release)
+		sent := frames(6)
+		script := &scriptedConn{hold: 1, release: make(chan struct{}), tear: -1}
+		first := holdFirstWrite(t, a, script, sent[0])
+		for _, f := range sent[1:] {
+			if err := a.Send("b", f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		closed := make(chan error, 1)
+		go func() { closed <- a.Close() }()
+		waitFor(t, "Close to begin", 5*time.Second, a.closed.Load)
+		// The owner of the socket finds the node closed and leaves the queue
+		// to Close.
+		close(script.release)
+		if err := <-first; err != nil {
+			t.Fatal(err)
+		}
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, "all frames", 5*time.Second, func() bool { return got.count() == len(sent) })
+		rel.exactlyOnce(t, sent)
+	})
+
+	// A Send that returns an error has not accepted the payload: it is the
+	// caller's to send again, so it must never reach the release function —
+	// neither when the caller's own write ran out of retries nor when a
+	// failed outbox refuses it.
+	t.Run("refused", func(t *testing.T) {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		dead := l.Addr().String()
+		_ = l.Close() // nobody listens there any more
+		for _, budget := range []time.Duration{0, 20 * time.Millisecond} {
+			a, err := Listen("a", "127.0.0.1:0", StaticResolver(map[string]string{"b": dead}), WithRetryBudget(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rel releaseCounter
+			a.SetRelease(rel.release)
+			// Past streakLen a Send joins the outbox instead (nil) until the
+			// writer has failed too; such a frame is accepted, never written,
+			// and so never released either.
+			for i := 0; i < 8; i++ {
+				if err := a.Send("b", seqFrame(0, uint32(i), frameLen)); err == nil && i == 0 {
+					t.Errorf("budget %v: the caller's own write to a dead address succeeded", budget)
+				}
+			}
+			_ = a.Close()
+			if k := rel.total(); k != 0 {
+				t.Errorf("budget %v: %d payloads released, none of them written", budget, k)
+			}
+		}
+	})
+
+	// Without a release function a payload is simply dropped after the
+	// write, so a caller may hand the same bytes to Send again — which is
+	// what internal/perf's probes do.
+	t.Run("no function installed", func(t *testing.T) {
+		a, b := startPair(t)
+		var got collector
+		b.SetHandler(got.handle)
+		payload := seqFrame(0, 7, frameLen)
+		const sends = 50 // streams after streakLen: both paths
+		for i := 0; i < sends; i++ {
+			if err := a.Send("b", payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, "all frames", 5*time.Second, func() bool { return got.count() == sends })
+		for i, s := range got.seqs() {
+			if s != 7 {
+				t.Fatalf("frame %d arrived as %d: a reused payload was disturbed", i, s)
+			}
+		}
+	})
 }
 
 // TestStreamSurvivesPeerRestart: the peer dies under two streams. Once the
@@ -484,6 +727,10 @@ func TestSendAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
+	// Giving payloads back costs nothing either (this function only counts,
+	// so the test may go on reusing its two payloads).
+	var released atomic.Int64
+	a.SetRelease(func([]byte) { released.Add(1) })
 	small, large := make([]byte, 1024), make([]byte, 64<<10)
 	send := func(p []byte) {
 		if err := a.Send("sink", p); err != nil {
@@ -523,5 +770,9 @@ func TestSendAllocatesNothing(t *testing.T) {
 		if queued := after.FramesQueued - before.FramesQueued; c.streaming != (queued > 0) {
 			t.Errorf("%s: %d of %d frames queued", c.name, queued, after.FramesSent-before.FramesSent)
 		}
+	}
+	waitFor(t, "the outbox to drain", 5*time.Second, idle)
+	if sent := a.Stats().FramesSent; released.Load() != sent {
+		t.Errorf("%d payloads released, %d frames sent", released.Load(), sent)
 	}
 }

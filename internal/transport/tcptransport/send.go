@@ -132,7 +132,9 @@ func (n *Node) Send(dst string, payload []byte) error {
 	if !inline {
 		return err
 	}
-	err = p.sendInline(payload, now)
+	if err = p.sendInline(payload, now); err == nil {
+		n.released(payload)
+	}
 	p.mu.Lock()
 	p.releaseLocked()
 	p.mu.Unlock()
@@ -320,6 +322,7 @@ func (p *peer) flushOnceLocked(deadline time.Time) (bool, error) {
 	}
 	p.mu.Unlock()
 	k, err := p.n.write(p, b, deadline)
+	p.n.released(b[:k]...)
 	p.mu.Lock()
 	full := p.qBytes >= outboxCap
 	for _, f := range b[:k] {
@@ -450,6 +453,16 @@ func (n *Node) write(p *peer, frames [][]byte, deadline time.Time) (int, error) 
 	clear(iov) // payloads are the caller's again on failure, garbage on success
 	n.stats.framesSent.Add(int64(k))
 	return k, err
+}
+
+// released gives up payloads the kernel took whole: each was accepted by a
+// Send that returned nil, or is about to be, and is never written again.
+func (n *Node) released(payloads ...[]byte) {
+	if release := n.release.Load(); release != nil {
+		for _, f := range payloads {
+			(*release)(f)
+		}
+	}
 }
 
 // writeDeadline is the deadline of a write starting at now; zero for none.

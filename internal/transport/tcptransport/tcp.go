@@ -142,7 +142,8 @@ type Node struct {
 		framesSent, writes, framesQueued, dials, retries, framesReceived, reads atomic.Int64
 	}
 	handler atomic.Pointer[transport.Handler]
-	peers   sync.Map // name → *peer; entries are never removed
+	release atomic.Pointer[func([]byte)] // transport.Releaser; nil: payloads are just dropped
+	peers   sync.Map                     // name → *peer; entries are never removed
 	closed  atomic.Bool
 	done    chan struct{} // closed by Close: interrupts backoff sleeps
 
@@ -223,6 +224,12 @@ func (n *Node) SessionEpoch(name string) uint64 {
 
 // SetHandler implements transport.Transport.
 func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
+
+// SetRelease implements transport.Releaser: release is called once for each
+// payload a Send accepted, when the kernel has taken the frame whole — after
+// the caller's own write, the outbox's write (the frames ahead of a torn one
+// included, before the redial) or Close's last flush.
+func (n *Node) SetRelease(release func(payload []byte)) { n.release.Store(&release) }
 
 // peer returns the state kept per remote node name, creating it on first
 // use.
@@ -445,7 +452,10 @@ func (n *Node) Close() error {
 	return err
 }
 
-var _ transport.Transport = (*Node)(nil)
+var (
+	_ transport.Transport = (*Node)(nil)
+	_ transport.Releaser  = (*Node)(nil)
+)
 
 func newConn(c net.Conn, inbound bool, epoch uint64) *conn {
 	cc := &conn{c: c, inbound: inbound, epoch: epoch}

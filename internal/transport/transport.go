@@ -23,9 +23,11 @@ import (
 // Handler consumes an incoming message from a peer node. Ownership of the
 // payload transfers to the handler: the transport must not retain, reuse or
 // redeliver the buffer after the call, so the handler is free to recycle it
-// (the DPS runtime returns fully decoded buffers to a wire-buffer pool).
-// All three implementations satisfy this: each delivered message carries a
-// buffer no other component references afterwards.
+// or to keep it for good (the DPS runtime returns a decoded buffer to its
+// wire-buffer pool, or lets a decoded token's []byte field go on pointing
+// into it). All three implementations satisfy this: each delivered message
+// carries a buffer no other component references afterwards, and none draws
+// its receive buffers from a pool a kept one would be missed by.
 type Handler func(src string, payload []byte)
 
 // Colocated is optionally implemented by transports whose endpoints can
@@ -40,6 +42,24 @@ type Colocated interface {
 	Colocated(dst string) bool
 }
 
+// Releaser is optionally implemented by transports that copy a payload out
+// (into a socket, into a frame of their own) instead of handing the same
+// bytes to the receiving Handler. Such a transport is the last reader of
+// every payload it accepts, and only it knows when: the function installed
+// with SetRelease is called exactly once for each payload whose Send
+// returned nil, as soon as the transport has no further use for it, and
+// never for a payload whose Send returned an error (that one stays the
+// caller's). A payload still unwritten when the node closes is not
+// released. With no function installed nothing is called, and a sender may
+// then pass the same bytes to Send again after it returns. SetRelease must
+// be called before the first Send.
+//
+// The in-process fabrics do not implement it: there the receiver is the
+// last reader and disposes of the buffer under the Handler contract.
+type Releaser interface {
+	SetRelease(release func(payload []byte))
+}
+
 // Transport is one node's attachment to the cluster fabric.
 type Transport interface {
 	// Local returns this node's cluster-unique name.
@@ -49,8 +69,9 @@ type Transport interface {
 	// return ownership of the payload has transferred to the transport:
 	// the sender must not modify or reuse it (on in-process fabrics the
 	// same bytes are handed to the receiving Handler; tcptransport may
-	// still hold them in a destination's outbox). On an error the payload
-	// was not accepted and stays the caller's, who may send it again.
+	// still hold them in a destination's outbox; a Releaser says when it
+	// is done with them). On an error the payload was not accepted and
+	// stays the caller's, who may send it again.
 	//
 	// An error is about the destination, not necessarily about this
 	// payload: a transport that buffers reports a failure of earlier,
