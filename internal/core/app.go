@@ -393,6 +393,9 @@ func (app *App) Close() {
 	app.mu.Unlock()
 	for _, rt := range rts {
 		_ = rt.lnk.tr.Close()
+		// Parked scheduler workers end here; work still in flight, or
+		// arriving during shutdown, runs on goroutines that exit after it.
+		rt.sched.Close()
 	}
 	for _, f := range cleanup {
 		f()

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -326,5 +327,38 @@ func TestRouteHelpers(t *testing.T) {
 	}
 	if _, err := tc.NodeOf(4); err == nil {
 		t.Fatal("expected out-of-range error")
+	}
+}
+
+// TestCloseReleasesSchedulerGoroutines checks the lifetime of the
+// scheduler's warm workers: request/response calls reuse parked goroutines
+// instead of starting one per token, and App.Close ends every one of them.
+func TestCloseReleasesSchedulerGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
+	g := buildUppercase(t, app, "upper", "node1 node2")
+	const calls = 1000
+	for i := 0; i < calls; i++ {
+		out, err := g.Call(context.Background(), &StringToken{Str: "warm"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.(*StringToken).Str; got != "WARM" {
+			t.Fatalf("call %d returned %q", i, got)
+		}
+	}
+	// Each call is at least six empty -> non-empty queue edges (split, four
+	// leaves, merge), each of which used to be a new goroutine; warm, the
+	// whole run starts a handful.
+	if started := app.Stats().SchedWorkersStarted; started < 1 || started > calls/10 {
+		t.Fatalf("%d calls started %d scheduler goroutines, want 1..%d", calls, started, calls/10)
+	}
+	app.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before the app existed", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,16 +1,27 @@
 // Package sched is the intra-node scheduling layer of the DPS engine: it
 // owns the per-thread-instance dispatch queues, the FIFO execution tickets
-// that keep operation executions in token-arrival order, and the drainer
-// goroutines that pop queued executions and run them.
+// that keep operation executions in token-arrival order, and the goroutines
+// that pop queued executions and run them.
+//
+// Every engine goroutine comes from one place, Scheduler.start, and is warm:
+// a worker that runs out of work parks itself on the scheduler's free list
+// instead of exiting, and start hands the next job to the most recently
+// parked worker (LIFO, so the stack it has already grown and the cache lines
+// it last touched are the ones reused). Only when no worker is parked does
+// start create a goroutine; at most maxIdle stay parked, and Close releases
+// them. Request/response traffic delivers tokens one at a time, so an
+// instance's queue goes empty -> non-empty on nearly every token: each such
+// burst costs a channel send to a parked worker, not a new goroutine whose
+// 2 KiB stack is copied three or four times on its way down to the socket.
 //
 // Two execution modes are provided:
 //
-//   - direct (Workers <= 1): each instance with pending work has its own
-//     on-demand drainer goroutine, the original scheme;
+//   - direct (Workers <= 1): each instance with pending work holds one
+//     worker as its drainer until its queue is empty;
 //   - sharded (Workers = N > 1): instances are statically assigned to N
 //     shards and runnable instances queue on their shard, so at most N
-//     unblocked drainer goroutines run concurrently (goroutines parked
-//     inside blocked operations have already handed their role off).
+//     unblocked workers run concurrently (workers blocked inside operations
+//     have already handed their role off).
 //
 // In both modes the paper's progress-while-stalled semantics hold: an
 // operation that is about to block relinquishes the drainer role first
@@ -26,16 +37,23 @@ import (
 )
 
 // DefaultQueueCap bounds the per-instance dispatch queue when Config.QueueCap
-// is zero. Beyond it the scheduler degrades to the direct goroutine-per-token
-// scheme rather than blocking the poster (the per-split flow-control window
-// is the real bound on tokens in flight; this is a memory backstop).
+// is zero. Beyond it the scheduler degrades to one worker per token rather
+// than blocking the poster (the per-split flow-control window is the real
+// bound on tokens in flight; this is a memory backstop).
 const DefaultQueueCap = 1024
+
+// maxIdle bounds the workers parked on one scheduler's free list; a worker
+// that finishes while that many are already parked exits instead. It only
+// has to cover the goroutines a node needs at once in steady state (one per
+// instance with work, plus those blocked inside operations), and a parked
+// worker costs one stack. DESIGN.md's scheduler bullet has the sweep behind it.
+const maxIdle = 16
 
 // Config tunes a Scheduler.
 type Config struct {
-	// Workers selects the execution mode: <= 1 spawns an on-demand drainer
-	// goroutine per runnable instance; > 1 multiplexes runnable instances
-	// onto that many shard workers.
+	// Workers selects the execution mode: <= 1 gives each runnable instance
+	// its own drainer; > 1 multiplexes runnable instances onto that many
+	// shard workers.
 	Workers int
 	// QueueCap bounds each instance's dispatch queue; zero selects
 	// DefaultQueueCap.
@@ -57,6 +75,9 @@ type Stats struct {
 	// Handoffs counts drainer-role handoffs (an operation blocked and
 	// relinquished the role before waiting).
 	Handoffs int64
+	// WorkersStarted counts the goroutines the scheduler created: jobs for
+	// which no parked worker was available (every job, after Close).
+	WorkersStarted int64
 }
 
 // Scheduler dispatches work items onto per-instance FIFO queues and drains
@@ -68,7 +89,54 @@ type Scheduler[T any] struct {
 
 	queueHighWater atomic.Int64
 	handoffs       atomic.Int64
+	workersStarted atomic.Int64
 	pending        atomic.Int64
+
+	// The free list of parked workers, most recently parked last. Each
+	// entry is the one-slot channel its worker is receiving from.
+	idleMu sync.Mutex
+	idle   []chan job[T]
+	closed bool
+}
+
+// job is what a worker goroutine is started or woken to do. Exactly one of
+// the three is set.
+type job[T any] struct {
+	inst *Instance[T] // drain this instance, drainer role already held
+	sh   *shard[T]    // serve this shard, worker role already held
+	e    *entry[T]    // run this one item off-queue, without the drainer role
+}
+
+// fifo is a queue popped by head index: the backing array is reused from
+// the start whenever the queue empties, so bursts that drain completely (the
+// request/response pattern) never reallocate it.
+type fifo[E any] struct {
+	buf  []E
+	head int
+}
+
+func (q *fifo[E]) len() int { return len(q.buf) - q.head }
+
+func (q *fifo[E]) push(e E) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
+		// A queue that never empties: slide the live half down instead of
+		// letting append carry the popped prefix into a larger array.
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, e)
+}
+
+// pop removes the oldest element; the queue must not be empty.
+func (q *fifo[E]) pop() E {
+	var zero E
+	e := q.buf[q.head]
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return e
 }
 
 // shard is one intra-node execution lane of the sharded mode: a queue of
@@ -76,7 +144,7 @@ type Scheduler[T any] struct {
 // goroutine at a time.
 type shard[T any] struct {
 	mu     sync.Mutex
-	runq   []*Instance[T]
+	runq   fifo[*Instance[T]]
 	active bool
 }
 
@@ -95,7 +163,7 @@ type Instance[T any] struct {
 	lock FIFOLock
 
 	mu       sync.Mutex
-	queue    []entry[T]
+	queue    fifo[entry[T]]
 	draining bool // a goroutine owns the right to pop this queue
 	queued   bool // sharded mode: instance sits on its shard's run queue
 }
@@ -132,15 +200,77 @@ func (s *Scheduler[T]) Stats() Stats {
 	return Stats{
 		QueueHighWater: s.queueHighWater.Load(),
 		Handoffs:       s.handoffs.Load(),
+		WorkersStarted: s.workersStarted.Load(),
 	}
 }
 
 // Pending reports the number of items currently sitting in the scheduler's
 // dispatch queues: enqueued but not yet popped by a drainer. A live
 // saturation gauge (not a cumulative counter) for exporters; items that
-// overflow onto their own goroutine are not queued and not counted.
+// overflow onto their own worker are not queued and not counted.
 func (s *Scheduler[T]) Pending() int64 {
 	return s.pending.Load()
+}
+
+// start runs j on a goroutine: the most recently parked worker if there is
+// one, a new goroutine otherwise. It never blocks.
+func (s *Scheduler[T]) start(j job[T]) {
+	s.idleMu.Lock()
+	if n := len(s.idle); n > 0 {
+		w := s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+		s.idleMu.Unlock()
+		w <- j // one slot, and only the goroutine that popped w sends on it
+		return
+	}
+	s.idleMu.Unlock()
+	s.workersStarted.Add(1)
+	go s.work(j)
+}
+
+// work is a worker goroutine: it does its job, parks on the free list and
+// does the next one it is handed, until the list is full or closed.
+func (s *Scheduler[T]) work(j job[T]) {
+	var w chan job[T]
+	for {
+		switch {
+		case j.inst != nil:
+			s.drainLoop(j.inst)
+		case j.sh != nil:
+			s.shardLoop(j.sh)
+		default:
+			s.run(j.e.it, j.e.tk, false)
+		}
+		if w == nil {
+			w = make(chan job[T], 1)
+		}
+		s.idleMu.Lock()
+		if s.closed || len(s.idle) >= maxIdle {
+			s.idleMu.Unlock()
+			return
+		}
+		s.idle = append(s.idle, w)
+		s.idleMu.Unlock()
+		var ok bool
+		if j, ok = <-w; !ok {
+			return
+		}
+	}
+}
+
+// Close ends every parked worker and stops workers from parking: a busy
+// worker exits when its job is done. Work that arrives afterwards still
+// runs, each job on a goroutine of its own.
+func (s *Scheduler[T]) Close() {
+	s.idleMu.Lock()
+	s.closed = true
+	idle := s.idle
+	s.idle = nil
+	s.idleMu.Unlock()
+	for _, w := range idle {
+		close(w)
+	}
 }
 
 // NewInstance creates an instance; key selects its shard in sharded mode
@@ -173,20 +303,20 @@ func (inst *Instance[T]) Unlock() { inst.lock.Unlock() }
 
 // Enqueue reserves the execution ticket and queues the item, making the
 // instance runnable if no goroutine currently holds its drainer role. When
-// the queue is at capacity the item instead runs on its own goroutine (the
+// the queue is at capacity the item instead runs on a worker of its own (the
 // ticket still serializes it in order).
 func (inst *Instance[T]) Enqueue(it T) {
 	s := inst.sched
 	inst.mu.Lock()
 	tk := inst.lock.Reserve()
-	if len(inst.queue) >= s.queueCap {
+	if inst.queue.len() >= s.queueCap {
 		inst.mu.Unlock()
-		go s.run(it, tk, false)
+		s.start(job[T]{e: &entry[T]{it: it, tk: tk}})
 		return
 	}
-	inst.queue = append(inst.queue, entry[T]{it: it, tk: tk})
+	inst.queue.push(entry[T]{it: it, tk: tk})
 	s.pending.Add(1)
-	s.noteDepth(int64(len(inst.queue)))
+	s.noteDepth(int64(inst.queue.len()))
 	if inst.sh == nil {
 		spawn := !inst.draining
 		if spawn {
@@ -194,7 +324,7 @@ func (inst *Instance[T]) Enqueue(it T) {
 		}
 		inst.mu.Unlock()
 		if spawn {
-			go s.drainLoop(inst)
+			s.start(job[T]{inst: inst})
 		}
 		return
 	}
@@ -209,7 +339,7 @@ func (inst *Instance[T]) Enqueue(it T) {
 }
 
 // Relinquish hands the drainer role off before the holder blocks: queued
-// work continues on another goroutine, an empty queue just releases the role
+// work continues on another worker, an empty queue just releases the role
 // for the next enqueue. Callers must invoke it before releasing the
 // instance's execution lock at a blocking point, and only while they hold
 // the drainer role.
@@ -218,9 +348,9 @@ func (inst *Instance[T]) Relinquish() {
 	s.handoffs.Add(1)
 	if inst.sh == nil {
 		inst.mu.Lock()
-		if len(inst.queue) > 0 {
+		if inst.queue.len() > 0 {
 			inst.mu.Unlock()
-			go s.drainLoop(inst)
+			s.start(job[T]{inst: inst})
 			return
 		}
 		inst.draining = false
@@ -229,10 +359,10 @@ func (inst *Instance[T]) Relinquish() {
 	}
 	// Sharded: give up the instance-drainer role, requeue the instance if
 	// it still has work, then pass the shard-worker role to a successor
-	// goroutine (the caller is about to block inside an operation).
+	// (the caller is about to block inside an operation).
 	inst.mu.Lock()
 	inst.draining = false
-	requeue := len(inst.queue) > 0 && !inst.queued
+	requeue := inst.queue.len() > 0 && !inst.queued
 	if requeue {
 		inst.queued = true
 	}
@@ -240,59 +370,57 @@ func (inst *Instance[T]) Relinquish() {
 	sh := inst.sh
 	sh.mu.Lock()
 	if requeue {
-		sh.runq = append(sh.runq, inst)
+		sh.runq.push(inst)
 	}
-	if len(sh.runq) == 0 {
+	if sh.runq.len() == 0 {
 		sh.active = false
 		sh.mu.Unlock()
 		return
 	}
 	sh.mu.Unlock()
-	go s.shardLoop(sh)
+	s.start(job[T]{sh: sh})
 }
 
-// pushRunnable queues an instance on its shard and makes sure a worker
-// goroutine is draining the shard.
+// pushRunnable queues an instance on its shard and makes sure a worker is
+// serving the shard.
 func (s *Scheduler[T]) pushRunnable(inst *Instance[T]) {
 	sh := inst.sh
 	sh.mu.Lock()
-	sh.runq = append(sh.runq, inst)
+	sh.runq.push(inst)
 	spawn := !sh.active
 	if spawn {
 		sh.active = true
 	}
 	sh.mu.Unlock()
 	if spawn {
-		go s.shardLoop(sh)
+		s.start(job[T]{sh: sh})
 	}
 }
 
-// shardLoop is a shard-worker goroutine: it pops runnable instances and
-// drains them inline until the shard is idle or the worker role was handed
-// off mid-operation (drainLoop returning false).
+// shardLoop serves a shard with the worker role held: it pops runnable
+// instances and drains them inline until the shard is idle or the role was
+// handed off mid-operation (drainLoop returning false).
 func (s *Scheduler[T]) shardLoop(sh *shard[T]) {
 	for {
 		sh.mu.Lock()
-		if len(sh.runq) == 0 {
+		if sh.runq.len() == 0 {
 			sh.active = false
 			sh.mu.Unlock()
 			return
 		}
-		inst := sh.runq[0]
-		sh.runq[0] = nil
-		sh.runq = sh.runq[1:]
+		inst := sh.runq.pop()
 		sh.mu.Unlock()
 		inst.mu.Lock()
 		inst.queued = false
-		if inst.draining || len(inst.queue) == 0 {
+		if inst.draining || inst.queue.len() == 0 {
 			inst.mu.Unlock()
 			continue
 		}
 		inst.draining = true
 		inst.mu.Unlock()
 		if !s.drainLoop(inst) {
-			// An operation blocked; Relinquish spawned a successor worker
-			// (or parked the shard), so this goroutine retires.
+			// An operation blocked; Relinquish started a successor (or
+			// idled the shard), so this worker is done with it.
 			return
 		}
 	}
@@ -305,14 +433,12 @@ func (s *Scheduler[T]) shardLoop(sh *shard[T]) {
 func (s *Scheduler[T]) drainLoop(inst *Instance[T]) bool {
 	for {
 		inst.mu.Lock()
-		if len(inst.queue) == 0 {
+		if inst.queue.len() == 0 {
 			inst.draining = false
 			inst.mu.Unlock()
 			return true
 		}
-		e := inst.queue[0]
-		inst.queue[0] = entry[T]{}
-		inst.queue = inst.queue[1:]
+		e := inst.queue.pop()
 		inst.mu.Unlock()
 		s.pending.Add(-1)
 		if inst.sh != nil && !e.tk.granted() {
@@ -320,9 +446,10 @@ func (s *Scheduler[T]) drainLoop(inst *Instance[T]) bool {
 			// earlier operation still running (e.g. one that blocked,
 			// reacquired and is now computing). Parking this worker in
 			// tk.Wait would starve every other instance of the lane, so the
-			// item runs on its own goroutine (the ticket keeps it in FIFO
+			// item runs on a worker of its own (the ticket keeps it in FIFO
 			// order) and the lane moves on.
-			go s.run(e.it, e.tk, false)
+			off := e // a copy, so that only this path's entry escapes
+			s.start(job[T]{e: &off})
 			continue
 		}
 		if s.run(e.it, e.tk, true) {
@@ -334,7 +461,7 @@ func (s *Scheduler[T]) drainLoop(inst *Instance[T]) bool {
 			return false
 		}
 		// Direct mode: reclaim the role unless a successor drainer is
-		// active, exactly as the original monolithic loop did.
+		// active.
 		inst.mu.Lock()
 		if inst.draining {
 			inst.mu.Unlock()

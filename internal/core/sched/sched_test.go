@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -138,8 +139,8 @@ func TestShardedConcurrency(t *testing.T) {
 	var a, b *Instance[int]
 	s := New(Config{Workers: 2}, func(it int, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
-		if v := running.Add(1); v > peak.Load() {
-			peak.Store(v)
+		v := running.Add(1)
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
 		}
 		<-release
 		running.Add(-1)
@@ -332,5 +333,301 @@ func TestShardLaneLiveDespiteHeldLock(t *testing.T) {
 	case <-aRan:
 	case <-time.After(5 * time.Second):
 		t.Fatal("A's item did not run after the lock freed")
+	}
+}
+
+// --- Warm workers --------------------------------------------------------
+
+// recorder is an engine-style runner (wait ticket, record, unlock) over one
+// scheduler; ran carries the executed items, sent while the instance's
+// execution lock is still held so that it shows execution order, and must
+// have room for every item a test leaves unread.
+type recorder struct {
+	s    *Scheduler[int]
+	inst []*Instance[int] // an item's instance is inst[it%len(inst)]
+	ran  chan int
+}
+
+func newRecorder(cfg Config, instances, buffered int) *recorder {
+	r := &recorder{ran: make(chan int, buffered)}
+	r.s = New(cfg, func(it int, tk Ticket, fromDrainer bool) bool {
+		tk.Wait()
+		r.ran <- it
+		r.inst[it%len(r.inst)].Unlock()
+		return fromDrainer
+	})
+	for i := 0; i < instances; i++ {
+		r.inst = append(r.inst, r.s.NewInstance(0))
+	}
+	return r
+}
+
+// parked reports how many workers sit on the scheduler's free list.
+func parked[T any](s *Scheduler[T]) int {
+	s.idleMu.Lock()
+	defer s.idleMu.Unlock()
+	return len(s.idle)
+}
+
+// awaitParked waits until exactly n workers are parked.
+func awaitParked[T any](t testing.TB, s *Scheduler[T], n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for parked(s) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d workers parked, want %d", parked(s), n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestBurstsReuseWorkers is the request/response pattern: every item finds
+// its instance's queue empty. The goroutines started stay within the idle
+// bound however many bursts arrive, and order holds.
+func TestBurstsReuseWorkers(t *testing.T) {
+	const n = 5000
+	r := newRecorder(Config{}, 1, 1)
+	for i := 0; i < n; i++ {
+		r.inst[0].Enqueue(i)
+		if got := <-r.ran; got != i {
+			t.Fatalf("burst %d ran item %d", i, got)
+		}
+	}
+	if started := r.s.Stats().WorkersStarted; started < 1 || started > maxIdle {
+		t.Fatalf("%d bursts started %d goroutines, want 1..%d", n, started, maxIdle)
+	}
+	r.s.Close()
+	awaitParked(t, r.s, 0)
+}
+
+// TestIdleBound checks that more simultaneous workers than the bound do not
+// all stay parked.
+func TestIdleBound(t *testing.T) {
+	const n = 3 * maxIdle
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	var inst [n]*Instance[int]
+	s := New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
+		tk.Wait()
+		<-release
+		inst[it].Unlock()
+		wg.Done()
+		return fromDrainer
+	})
+	wg.Add(n)
+	for i := range inst {
+		inst[i] = s.NewInstance(0)
+		inst[i].Enqueue(i)
+	}
+	if started := s.Stats().WorkersStarted; started != n {
+		t.Fatalf("%d blocked instances hold %d goroutines", n, started)
+	}
+	close(release)
+	wg.Wait()
+	awaitParked(t, s, maxIdle)
+	s.Close()
+	awaitParked(t, s, 0)
+}
+
+// TestRelinquishReturnsWorkerToFreeList checks the handoff in direct mode:
+// an operation that relinquishes and blocks with work queued behind it does
+// not strand that work, and once it resumes its goroutine parks like any
+// other, so later bursts start nothing new.
+func TestRelinquishReturnsWorkerToFreeList(t *testing.T) {
+	const blocker = 0
+	queuedBehind := make(chan struct{})
+	release := make(chan struct{})
+	ran := make(chan int, 8)
+	var inst *Instance[int]
+	s := New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
+		tk.Wait()
+		if it == blocker {
+			<-queuedBehind
+			if fromDrainer {
+				inst.Relinquish()
+				fromDrainer = false
+			}
+			inst.Unlock()
+			<-release
+			inst.Lock()
+		}
+		inst.Unlock()
+		ran <- it
+		return fromDrainer
+	})
+	inst = s.NewInstance(0)
+	inst.Enqueue(blocker)
+	for i := 1; i <= 3; i++ {
+		inst.Enqueue(i)
+	}
+	close(queuedBehind)
+	for i := 1; i <= 3; i++ {
+		select {
+		case got := <-ran:
+			if got != i {
+				t.Fatalf("behind the blocked operation item %d ran, want %d", got, i)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("queue stranded behind a blocked operation")
+		}
+	}
+	close(release)
+	if got := <-ran; got != blocker {
+		t.Fatalf("item %d ran, want the resumed blocker", got)
+	}
+	awaitParked(t, s, 2)
+	for i := 4; i < 100; i++ {
+		inst.Enqueue(i)
+		<-ran
+	}
+	st := s.Stats()
+	if st.WorkersStarted != 2 || st.Handoffs != 1 {
+		t.Fatalf("started %d goroutines over %d handoffs, want 2 over 1", st.WorkersStarted, st.Handoffs)
+	}
+	s.Close()
+	awaitParked(t, s, 0)
+}
+
+// TestOffQueueItemsKeepTicketOrder drives both off-queue paths at once (past
+// QueueCap at enqueue, and a shard worker meeting a held execution lock):
+// every item gets a worker of its own and they still run in ticket order.
+func TestOffQueueItemsKeepTicketOrder(t *testing.T) {
+	const n = 200
+	for _, workers := range []int{1, 2} {
+		r := newRecorder(Config{Workers: workers, QueueCap: 8}, 1, n)
+		for round := 0; round < 2; round++ {
+			r.inst[0].Lock() // an earlier operation still holds the thread
+			for i := 0; i < n; i++ {
+				r.inst[0].Enqueue(i)
+			}
+			r.inst[0].Unlock()
+			for i := 0; i < n; i++ {
+				if got := <-r.ran; got != i {
+					t.Fatalf("workers=%d round %d: item %d ran at position %d", workers, round, got, i)
+				}
+			}
+		}
+		if p := r.s.Pending(); p != 0 {
+			t.Fatalf("workers=%d: %d items still pending", workers, p)
+		}
+		r.s.Close()
+		awaitParked(t, r.s, 0)
+	}
+}
+
+// TestCloseRacingEnqueue checks that Close, whenever it lands, loses no
+// item: parked workers end, busy ones finish, later jobs run on plain
+// goroutines.
+func TestCloseRacingEnqueue(t *testing.T) {
+	const producers, each = 4, 2000
+	for _, workers := range []int{1, 2} {
+		r := newRecorder(Config{Workers: workers}, producers, producers*each)
+		var wg sync.WaitGroup
+		for p := 0; p < producers; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					r.inst[p].Enqueue(i*producers + p)
+					if i%64 == 0 {
+						runtime.Gosched() // let queues drain: more empty -> non-empty edges
+					}
+				}
+			}(p)
+		}
+		runtime.Gosched()
+		r.s.Close()
+		wg.Wait()
+		next := make([]int, producers)
+		for i := 0; i < producers*each; i++ {
+			select {
+			case it := <-r.ran:
+				p := it % producers
+				if it/producers != next[p] {
+					t.Fatalf("workers=%d: instance %d ran item %d, want %d", workers, p, it/producers, next[p])
+				}
+				next[p]++
+			case <-time.After(5 * time.Second):
+				t.Fatalf("workers=%d: %d of %d items ran", workers, i, producers*each)
+			}
+		}
+		awaitParked(t, r.s, 0)
+	}
+}
+
+// TestEnqueueWarmAllocatesNothing pins the burst path's budget: on a warmed
+// instance, enqueue -> wake a parked worker -> run -> park again allocates
+// nothing (no goroutine, no closure, no queue array).
+func TestEnqueueWarmAllocatesNothing(t *testing.T) {
+	r := newRecorder(Config{}, 1, 1)
+	burst := func() {
+		r.inst[0].Enqueue(0)
+		<-r.ran
+		awaitParked(t, r.s, 1)
+	}
+	burst()
+	if avg := testing.AllocsPerRun(1000, burst); avg != 0 {
+		t.Fatalf("a warm burst allocates %.2f objects, want 0", avg)
+	}
+	if started := r.s.Stats().WorkersStarted; started != 1 {
+		t.Fatalf("warm bursts started %d goroutines, want 1", started)
+	}
+	r.s.Close()
+}
+
+// TestFifoReusesItsArray checks both shapes of traffic: a queue that drains
+// keeps one array for ever, one that never drains stays bounded by its depth.
+func TestFifoReusesItsArray(t *testing.T) {
+	var q fifo[int]
+	for i := 0; i < 1000; i++ {
+		q.push(i)
+		if got := q.pop(); got != i || q.len() != 0 {
+			t.Fatalf("pop = %d (len %d), want %d (0)", got, q.len(), i)
+		}
+	}
+	if cap(q.buf) != 1 {
+		t.Fatalf("1000 one-item bursts grew the array to %d", cap(q.buf))
+	}
+	next := 0
+	for i := 0; i < 10000; i++ {
+		q.push(i)
+		if q.len() > 5 {
+			if got := q.pop(); got != next {
+				t.Fatalf("pop = %d, want %d", got, next)
+			}
+			next++
+		}
+	}
+	if cap(q.buf) > 32 {
+		t.Fatalf("a queue never deeper than 6 holds an array of %d", cap(q.buf))
+	}
+}
+
+// BenchmarkEnqueueBurst is one token at a time (call_fan's pattern): every
+// Enqueue finds the queue empty and needs a goroutine.
+func BenchmarkEnqueueBurst(b *testing.B) {
+	r := newRecorder(Config{}, 1, 1)
+	defer r.s.Close()
+	b.ReportAllocs()
+	for b.Loop() {
+		r.inst[0].Enqueue(0)
+		<-r.ran
+	}
+}
+
+// BenchmarkEnqueueStream is a flow-control window of tokens at a time (the
+// rings' pattern): one drainer serves the whole burst. ns/op is per token.
+func BenchmarkEnqueueStream(b *testing.B) {
+	const window = 64
+	r := newRecorder(Config{}, 1, window)
+	defer r.s.Close()
+	b.ReportAllocs()
+	for n := 0; b.Loop(); n++ {
+		r.inst[0].Enqueue(0)
+		if n%window == window-1 {
+			for i := 0; i < window; i++ {
+				<-r.ran
+			}
+		}
 	}
 }

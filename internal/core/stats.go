@@ -49,6 +49,11 @@ type Stats struct {
 	// DrainerHandoffs counts scheduler drainer-role handoffs (an operation
 	// blocked mid-execution and passed its queue to another goroutine).
 	DrainerHandoffs int64
+	// SchedWorkersStarted counts the goroutines the scheduler layer created
+	// because no parked worker was free (sched.Stats.WorkersStarted). Over
+	// CallsCompleted it reads as goroutines started per call: near zero
+	// while the warm workers cover the node's concurrency.
+	SchedWorkersStarted int64
 	// MigrationsCompleted counts live thread remaps completed with this node
 	// as the old owner (the node that quiesced and shipped the state).
 	MigrationsCompleted int64
@@ -138,14 +143,15 @@ func (s *Stats) snapshot() *Stats {
 	return out
 }
 
-// Stats returns a snapshot of this node runtime's counters. The two
-// scheduler-layer counters (queue depth, handoffs) live in the scheduler
-// itself and are merged in here.
+// Stats returns a snapshot of this node runtime's counters. The
+// scheduler-layer counters (queue depth, handoffs, goroutines started) live
+// in the scheduler itself and are merged in here.
 func (rt *Runtime) Stats() *Stats {
 	s := rt.stats.snapshot()
 	ss := rt.sched.Stats()
 	s.QueueHighWater = ss.QueueHighWater
 	s.DrainerHandoffs = ss.Handoffs
+	s.SchedWorkersStarted = ss.WorkersStarted
 	return s
 }
 
