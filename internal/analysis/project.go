@@ -31,12 +31,16 @@ func ProjectRules() []*Rule {
 
 		// Pooled wire buffers and envelopes (internal/core/pool.go).
 		// decodeEnvelope and decodeEnvelopeNamed hand out a pooled envelope,
-		// so their result is pool-owned too.
+		// so their result is pool-owned too. And the owning decode's per-call
+		// state (internal/serial/serial.go): the compiled decoders record
+		// into it, nothing may keep it. The function names are package-local
+		// and distinct, so one rule instance covers both packages.
 		Poolown(PoolownConfig{
-			PkgSuffixes: []string{"internal/core"},
+			PkgSuffixes: []string{"internal/core", "internal/serial"},
 			Pools: []PoolSpec{
 				{Get: "getEnvelope", Put: "putEnvelope"},
 				{Get: "getWireBuf", Put: "putWireBuf"},
+				{Get: "getOwner", Put: "putOwner"},
 			},
 			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed"},
 		}),

@@ -300,6 +300,12 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 		// to the pool it was drawn from (pool.go).
 		r.SetRelease(putWireBuf)
 	}
+	if b, ok := tr.(transport.Borrower); ok {
+		// The transport allocates per received frame: short frames arrive in
+		// pool buffers instead, which the link gives back once decoded
+		// (link.unmarshalOwned never lets a token keep one).
+		b.SetBorrow(minPooledWireBuf, func() []byte { return getWireBuf(&rt.stats) })
+	}
 	tr.SetHandler(rt.lnk.handle)
 	return rt, nil
 }

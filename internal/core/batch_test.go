@@ -129,14 +129,8 @@ func TestBatchRoundTripOracle(t *testing.T) {
 				if derr != nil {
 					return derr
 				}
-				wantEnv := *want.env
-				wantEnv.Token = nil
-				got.Token = nil
-				if len(got.Payload) == 0 && len(wantEnv.Payload) == 0 {
-					got.Payload, wantEnv.Payload = nil, nil
-				}
-				if !reflect.DeepEqual(got, &wantEnv) {
-					return fmt.Errorf("entry %d: envelope %+v want %+v", i-1, got, &wantEnv)
+				if !sameOnWire(got, want.env) {
+					return fmt.Errorf("entry %d: envelope %+v want %+v", i-1, got, want.env)
 				}
 			default:
 				single := appendGroupEndBody(nil, want.end)

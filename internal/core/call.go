@@ -161,12 +161,12 @@ func GraphCallOp(name string, target *Flowgraph) *OpDef {
 		kind:     KindLeaf,
 		inTypes:  entry.InTypes(),
 		outTypes: exit.OutTypes(),
-		run: func(x *exec) {
-			out, err := x.ctx.CallGraph(target, x.in)
+		run: func(c *Ctx) {
+			out, err := c.CallGraph(target, c.in)
 			if err != nil {
 				panic(opError{fmt.Errorf("graph call %q: %w", target.Name(), err)})
 			}
-			x.post(out)
+			c.postOut(out)
 		},
 	}
 }

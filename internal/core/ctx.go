@@ -20,6 +20,9 @@ type Ctx struct {
 	graph *Flowgraph
 	node  *GraphNode
 	env   *envelope
+	// in is the execution's input token: the one token of a leaf or split,
+	// the first of a collector's group.
+	in Token
 
 	// callID identifies the flow-graph invocation this execution belongs
 	// to; it outlives env (which is recycled on completion) so the
@@ -159,20 +162,21 @@ func (c *Ctx) postOut(tok Token) {
 	c.postSeq++
 	g := c.graph
 
-	var frames []frame
+	// The output's frame stack is the part of the input's it carries on
+	// plus, for an opener, the frame of the group being posted into. It is
+	// copied into the output's envelope below, never shared with the input's.
+	carried := c.env.Frames
+	var pushed []frame
 	lastWorker, creditNode := -1, -1
 	switch c.node.op.kind {
 	case KindLeaf:
-		frames = c.env.Frames
 		// Carry the load-balancing charge through to the merge.
 		lastWorker, creditNode = c.env.LastWorker, c.env.CreditNode
 	case KindSplit:
-		fr := c.pushGroupFrame(tok, seq)
-		frames = append(append(make([]frame, 0, len(c.env.Frames)+1), c.env.Frames...), fr)
+		pushed = []frame{c.pushGroupFrame(tok, seq)}
 	case KindStream:
-		fr := c.pushGroupFrame(tok, seq)
-		outer := c.env.Frames[:len(c.env.Frames)-1]
-		frames = append(append(make([]frame, 0, len(outer)+1), outer...), fr)
+		pushed = []frame{c.pushGroupFrame(tok, seq)}
+		carried = carried[:len(carried)-1]
 	case KindMerge:
 		// A merge produces its single output only after the whole group has
 		// been consumed; posting earlier is a programming error (the paper's
@@ -183,7 +187,7 @@ func (c *Ctx) postOut(tok Token) {
 		if !complete {
 			panic(opError{fmt.Errorf("merge posted its output before consuming its group (call next until it reports false)")})
 		}
-		frames = c.env.Frames[:len(c.env.Frames)-1]
+		carried = carried[:len(carried)-1]
 	}
 
 	if c.node.id == g.exit {
@@ -198,10 +202,14 @@ func (c *Ctx) postOut(tok Token) {
 	succNode := g.nodes[succ]
 	var thread int
 	if succNode.op.kind == KindMerge || succNode.op.kind == KindStream {
-		if len(frames) == 0 {
+		switch {
+		case len(pushed) > 0:
+			thread = pushed[0].MergeThread
+		case len(carried) > 0:
+			thread = carried[len(carried)-1].MergeThread
+		default:
 			panic(opError{fmt.Errorf("no group frame routing into %s %q", succNode.op.kind, succNode.op.name)})
 		}
-		thread = frames[len(frames)-1].MergeThread
 	} else {
 		thread = c.pickRoute(succNode, tok, seq, succ)
 	}
@@ -220,7 +228,7 @@ func (c *Ctx) postOut(tok Token) {
 	env.CallOrigin = c.env.CallOrigin
 	env.LastWorker = lastWorker
 	env.CreditNode = creditNode
-	env.Frames = frames
+	env.Frames = append(append(env.frameStack(len(carried)+len(pushed)), carried...), pushed...)
 	env.Token = tok
 	env.ftSender = c.inst.ft        // nil unless fault tolerance is enabled
 	env.ftInStream = c.env.FTStream // the execution's input stream (determinant)
@@ -242,7 +250,7 @@ func (c *Ctx) pickRoute(succNode *GraphNode, tok Token, seq int, succID int) int
 		panic(opError{fmt.Errorf("collection %q is not mapped", succNode.tc.Name())})
 	}
 	ct := c.rt.credit(c.graph.name, succID, count)
-	rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.Outstanding}
+	rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()}
 	idx := succNode.route.pick(tok, rc)
 	if idx < 0 || idx >= count {
 		panic(opError{fmt.Errorf("route %q returned thread %d for collection %q of %d threads", succNode.route.Name(), idx, succNode.tc.Name(), count)})
@@ -268,7 +276,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 			panic(opError{fmt.Errorf("collection %q is not mapped", closerNode.tc.Name())})
 		}
 		ct := c.rt.credit(sg.graph.name, sg.closer, count)
-		rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.Outstanding}
+		rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()}
 		mt := closerNode.route.pick(tok, rc)
 		if mt < 0 || mt >= count {
 			sg.mu.Unlock()
@@ -328,14 +336,13 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 func (c *Ctx) nextIn() (Token, bool) {
 	mg := c.mg
 	if mg == nil {
-		panic(opError{fmt.Errorf("internal: next called outside a collector")})
+		panic(opError{fmt.Errorf("dps: %s %q must not call next", c.node.op.kind, c.node.op.name)})
 	}
 	mg.mu.Lock()
 	unlocked := false
 	for {
-		if len(mg.buf) > 0 {
-			bt := mg.buf[0]
-			mg.buf = mg.buf[1:]
+		if mg.buf.Len() > 0 {
+			bt := mg.buf.Pop()
 			mg.consumed++
 			mg.mu.Unlock()
 			if unlocked {

@@ -217,12 +217,21 @@ func (g *unboundedGate) Wake() {}
 type Credits struct {
 	mu  sync.Mutex
 	out []int
+	// outstanding is the Outstanding method value, bound once here: a
+	// routing function receives it with every token it routes.
+	outstanding func(i int) int
 }
 
 // NewCredits creates a tracker presized to threads counters.
 func NewCredits(threads int) *Credits {
-	return &Credits{out: make([]int, threads)}
+	c := &Credits{out: make([]int, threads)}
+	c.outstanding = c.Outstanding
+	return c
 }
+
+// OutstandingFunc returns Outstanding as a function value, the same one on
+// every call.
+func (c *Credits) OutstandingFunc() func(i int) int { return c.outstanding }
 
 // Charge records one token dispatched to thread i.
 func (c *Credits) Charge(i int) {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core/flowctl"
 	"repro/internal/core/place"
+	"repro/internal/core/sched"
 )
 
 // This file is the engine's groups layer: the lifecycle of split–merge (and
@@ -107,7 +108,7 @@ type mergeGroup struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	buf      []bufferedToken
+	buf      sched.Fifo[bufferedToken]
 	started  bool
 	consumed int
 	total    int // -1 while unknown
@@ -251,7 +252,7 @@ func (rt *Runtime) deliverToGroup(inst *threadInstance, g *Flowgraph, node *Grap
 		inst.exec.Enqueue(workItem{inst: inst, g: g, node: node, env: env, bt: bt, mg: mg, collector: true})
 		return
 	}
-	mg.buf = append(mg.buf, bt)
+	mg.buf.Push(bt)
 	mg.cond.Broadcast()
 	mg.mu.Unlock()
 	// The token and accounting fields now live in bt; the wrapper is free.
@@ -289,11 +290,11 @@ func (rt *Runtime) dropEnvelope(env *envelope) {
 // collector unwind and a late group-end may both retire the same group.
 func (rt *Runtime) retireMergeGroup(inst *threadInstance, mg *mergeGroup, groupID uint64) {
 	mg.mu.Lock()
-	buf := mg.buf
-	mg.buf = nil
+	var buf sched.Fifo[bufferedToken]
+	buf, mg.buf = mg.buf, buf
 	mg.mu.Unlock()
-	for _, bt := range buf {
-		rt.ackConsumed(bt)
+	for buf.Len() > 0 {
+		rt.ackConsumed(buf.Pop())
 	}
 	inst.mu.Lock()
 	if inst.groups[groupID] == mg {

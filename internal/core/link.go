@@ -596,13 +596,26 @@ func (l *link) handle(src string, frame []byte) {
 // unmarshalOwned decodes the token serialized in payload and disposes of
 // frame, the wire buffer payload lies in, which must carry nothing else
 // anyone will read and belong to this link alone. It is the one place where
-// a decoded frame's fate is decided: the token's []byte field may have kept
-// a slice of it (serial.UnmarshalOwned), and then the frame is the token's
-// memory and the collector's; otherwise it returns to the wire pool. After
-// an error it is left to the collector like every frame that fails to
-// decode.
+// a decoded frame's fate is decided. A frame shorter than minPooledWireBuf
+// is decoded by copy and returns to the wire pool: it may be a pool buffer
+// many times its own length (a Borrower read it into one, or an in-process
+// sender encoded into one), which no token may pin, and if it is not the
+// pool drops it. From minPooledWireBuf up the token's []byte field may have
+// kept a slice of the frame (serial.UnmarshalOwned), and then the frame is
+// the token's memory and the collector's; otherwise it returns to the wire
+// pool. After an error it is left to the collector like every frame that
+// fails to decode.
 func (l *link) unmarshalOwned(payload, frame []byte) (Token, error) {
-	tok, _, kept, err := l.reg.UnmarshalOwned(payload)
+	var (
+		tok  Token
+		kept bool
+		err  error
+	)
+	if len(frame) < minPooledWireBuf {
+		tok, _, err = l.reg.Unmarshal(payload)
+	} else {
+		tok, _, kept, err = l.reg.UnmarshalOwned(payload)
+	}
 	switch {
 	case err != nil:
 		return nil, err

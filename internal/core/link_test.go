@@ -55,13 +55,19 @@ func TestWireKindTable(t *testing.T) {
 	}
 }
 
-// recTransport records the frames a link hands it, or refuses them.
+// recTransport records the frames a link hands it, or refuses them, and what
+// it was offered as a transport.Borrower.
 type recTransport struct {
 	mu      sync.Mutex
 	frames  [][]byte
 	refuse  bool
 	refused []byte // the last refused buffer itself, not a copy
+
+	limit  int
+	borrow func() []byte
 }
+
+func (r *recTransport) SetBorrow(limit int, borrow func() []byte) { r.limit, r.borrow = limit, borrow }
 
 func (r *recTransport) Local() string                { return "near" }
 func (r *recTransport) SetHandler(transport.Handler) {}

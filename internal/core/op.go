@@ -45,7 +45,10 @@ type OpDef struct {
 	kind     OpKind
 	inTypes  []reflect.Type // acceptable input struct types
 	outTypes []reflect.Type // possible output struct types
-	run      func(x *exec)
+	// run executes the body for one execution: the input is c.in, outputs
+	// leave through c.postOut and a collector's further inputs arrive
+	// through c.nextIn.
+	run func(c *Ctx)
 }
 
 // Name returns the operation's registered name.
@@ -69,15 +72,6 @@ func (d *OpDef) acceptsIn(t reflect.Type) bool {
 	return false
 }
 
-// exec is the type-erased execution record handed to an OpDef's run
-// function by the runtime.
-type exec struct {
-	ctx  *Ctx
-	in   Token
-	next func() (Token, bool)
-	post func(Token)
-}
-
 // Leaf defines a 1→1 operation: it receives one token and returns exactly
 // one output token. In and Out must be pointer-to-struct token types.
 func Leaf[In, Out Token](name string, fn func(c *Ctx, in In) Out) *OpDef {
@@ -88,9 +82,9 @@ func Leaf[In, Out Token](name string, fn func(c *Ctx, in In) Out) *OpDef {
 		kind:     KindLeaf,
 		inTypes:  []reflect.Type{inT},
 		outTypes: []reflect.Type{outT},
-		run: func(x *exec) {
-			out := fn(x.ctx, x.in.(In))
-			x.post(out)
+		run: func(c *Ctx) {
+			out := fn(c, c.in.(In))
+			c.postOut(out)
 		},
 	}
 }
@@ -107,8 +101,8 @@ func Split[In, Out Token](name string, fn func(c *Ctx, in In, post func(Out))) *
 		kind:     KindSplit,
 		inTypes:  []reflect.Type{inT},
 		outTypes: []reflect.Type{outT},
-		run: func(x *exec) {
-			fn(x.ctx, x.in.(In), func(o Out) { x.post(o) })
+		run: func(c *Ctx) {
+			fn(c, c.in.(In), func(o Out) { c.postOut(o) })
 		},
 	}
 }
@@ -126,17 +120,17 @@ func Merge[In, Out Token](name string, fn func(c *Ctx, first In, next func() (In
 		kind:     KindMerge,
 		inTypes:  []reflect.Type{inT},
 		outTypes: []reflect.Type{outT},
-		run: func(x *exec) {
+		run: func(c *Ctx) {
 			typedNext := func() (In, bool) {
-				t, ok := x.next()
+				t, ok := c.nextIn()
 				if !ok {
 					var zero In
 					return zero, false
 				}
 				return t.(In), true
 			}
-			out := fn(x.ctx, x.in.(In), typedNext)
-			x.post(out)
+			out := fn(c, c.in.(In), typedNext)
+			c.postOut(out)
 		},
 	}
 }
@@ -153,16 +147,16 @@ func Stream[In, Out Token](name string, fn func(c *Ctx, first In, next func() (I
 		kind:     KindStream,
 		inTypes:  []reflect.Type{inT},
 		outTypes: []reflect.Type{outT},
-		run: func(x *exec) {
+		run: func(c *Ctx) {
 			typedNext := func() (In, bool) {
-				t, ok := x.next()
+				t, ok := c.nextIn()
 				if !ok {
 					var zero In
 					return zero, false
 				}
 				return t.(In), true
 			}
-			fn(x.ctx, x.in.(In), typedNext, func(o Out) { x.post(o) })
+			fn(c, c.in.(In), typedNext, func(o Out) { c.postOut(o) })
 		},
 	}
 }
@@ -193,8 +187,8 @@ func SplitAny[In Token](name string, outs []Token, fn func(c *Ctx, in In, post f
 		kind:     KindSplit,
 		inTypes:  []reflect.Type{inT},
 		outTypes: exemplarTypes(outs),
-		run: func(x *exec) {
-			fn(x.ctx, x.in.(In), x.post)
+		run: func(c *Ctx) {
+			fn(c, c.in.(In), c.postOut)
 		},
 	}
 }
@@ -207,8 +201,8 @@ func LeafAny(name string, ins, outs []Token, fn func(c *Ctx, in Token, post func
 		kind:     KindLeaf,
 		inTypes:  exemplarTypes(ins),
 		outTypes: exemplarTypes(outs),
-		run: func(x *exec) {
-			fn(x.ctx, x.in, x.post)
+		run: func(c *Ctx) {
+			fn(c, c.in, c.postOut)
 		},
 	}
 }
@@ -220,8 +214,8 @@ func MergeAny(name string, ins, outs []Token, fn func(c *Ctx, first Token, next 
 		kind:     KindMerge,
 		inTypes:  exemplarTypes(ins),
 		outTypes: exemplarTypes(outs),
-		run: func(x *exec) {
-			x.post(fn(x.ctx, x.in, x.next))
+		run: func(c *Ctx) {
+			c.postOut(fn(c, c.in, c.nextIn))
 		},
 	}
 }
@@ -233,8 +227,8 @@ func StreamAny(name string, ins, outs []Token, fn func(c *Ctx, first Token, next
 		kind:     KindStream,
 		inTypes:  exemplarTypes(ins),
 		outTypes: exemplarTypes(outs),
-		run: func(x *exec) {
-			fn(x.ctx, x.in, x.next, x.post)
+		run: func(c *Ctx) {
+			fn(c, c.in, c.nextIn, c.postOut)
 		},
 	}
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core/place"
 	"repro/internal/serial"
+	"repro/internal/transport/tcptransport"
 )
 
 // blobTok is a token that is nearly all one byte slice, the shape whose
@@ -117,7 +118,10 @@ func blobLink(t *testing.T, cfg Config) (l *link, tr *recTransport, ran chan *bl
 // TestFrameOwnershipPerKind: which received frames become their token's
 // bytes and which are copied out of and recycled. A frame that is exactly one
 // token — alone, sequenced, traced — or one result is the link's alone and
-// is kept when the token's byte slice is at least half of it; a forwarded
+// is kept when it is at least minPooledWireBuf long and the token's byte
+// slice is at least half of it; a shorter one may sit in a pool buffer many
+// times its length (a transport.Borrower read it into one, an in-process
+// sender encoded into one), so it is always copied out of; a forwarded
 // wrapper and a batch frame outlive the entry being decoded, so their tokens
 // are copies and the frame goes back to the pool. Either way a frame is
 // disposed of once: kept and never pooled, or pooled exactly once — and
@@ -152,6 +156,10 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		{"sequenced token", msgTokenFT, tokenFrame(sequenced, place.Direct, big), true},
 		{"traced token", msgTraced, tokenFrame(traced, place.Direct, big), true},
 		{"lone token, no bytes to keep", msgToken, tokenFrame(nil, place.Direct, -1), false},
+		{"short token in a pool buffer", msgToken, tokenFrame(nil, place.Direct, minPooledWireBuf/2), false},
+		{"short sequenced token in a pool buffer", msgTokenFT, tokenFrame(sequenced, place.Direct, 40), false},
+		{"short traced token in a pool buffer", msgTraced, tokenFrame(traced, place.Direct, 40), false},
+		{"shortest keepable token", msgToken, tokenFrame(nil, place.Direct, minPooledWireBuf), true},
 		{"forwarded token", msgForwarded, tokenFrame(nil, place.Forwarded, big), false},
 		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big), false},
 		{"batch entry", msgBatch, func(t *testing.T, _ *link) []byte {
@@ -184,24 +192,30 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		})
 	}
 
-	t.Run("result", func(t *testing.T) {
-		l, _, _ := blobLink(t, Config{})
-		id, ce, err := l.rt.app.registerCall(context.Background(), l.rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame, err := l.reg.Append(appendResultHeader(make([]byte, 0, 2*big), id), newBlob(7, big))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl := poisonPuts(t)
-		l.handle("far", frame)
-		res := <-ce.ch
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		checkDisposal(t, l, pl, frame, res.Value.(*blobTok), true)
-	})
+	for _, c := range []struct {
+		name string
+		size int
+		kept bool
+	}{{"result", big, true}, {"short result in a pool buffer", 40, false}} {
+		t.Run(c.name, func(t *testing.T) {
+			l, _, _ := blobLink(t, Config{})
+			id, ce, err := l.rt.app.registerCall(context.Background(), l.rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := l.reg.Append(appendResultHeader(make([]byte, 0, 2*big), id), newBlob(7, c.size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl := poisonPuts(t)
+			l.handle("far", frame)
+			res := <-ce.ch
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			checkDisposal(t, l, pl, frame, res.Value.(*blobTok), c.kept)
+		})
+	}
 
 	// ForceSerialize's same-node round trip decodes a buffer nobody else has
 	// seen: the same rule, through the same helper.
@@ -222,6 +236,53 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			t.Fatalf("FramesKept = %d, %d buffers pooled; want the marshal buffer kept and nothing pooled", kept, puts)
 		}
 	})
+}
+
+// newTCPApp attaches one tcptransport node per name, on loopback: every
+// cross-node message is a real socket write and a frame read back into a
+// buffer of the receiving transport's choosing.
+func newTCPApp(t *testing.T, cfg Config, names ...string) *App {
+	t.Helper()
+	app := NewApp(cfg)
+	table := map[string]string{}
+	for _, name := range names {
+		n, err := tcptransport.Listen(name, "127.0.0.1:0", tcptransport.StaticResolver(table))
+		if err != nil {
+			t.Fatal(err)
+		}
+		table[name] = n.Addr()
+		if _, err := app.AttachTransport(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return app
+}
+
+// TestShortFramesAreLentFromThePool: a transport that asks (transport.Borrower)
+// is lent wire-pool buffers for frames under minPooledWireBuf, counted like a
+// sender's when the pool has none; the link gives such a frame back once.
+func TestShortFramesAreLentFromThePool(t *testing.T) {
+	l, tr, ran := blobLink(t, Config{})
+	if tr.limit != minPooledWireBuf || tr.borrow == nil {
+		t.Fatalf("AttachTransport installed limit %d, lender %v; want %d and the wire pool", tr.limit, tr.borrow != nil, minPooledWireBuf)
+	}
+	misses := l.rt.Stats().WireBufMisses
+	var buf []byte
+	for lent := 0; l.rt.Stats().WireBufMisses == misses; lent++ { // until the pool runs dry
+		if lent == 1<<16 {
+			t.Fatalf("%d buffers lent and none counted as a pool miss", lent)
+		}
+		if buf = tr.borrow(); len(buf) != 0 || cap(buf) < minPooledWireBuf {
+			t.Fatalf("lent a buffer of len %d cap %d, want empty with room for any short frame", len(buf), cap(buf))
+		}
+	}
+	frame, err := l.appendTokenFrame(buf, &envelope{Graph: "g", CallOrigin: "far", Token: newBlob(7, 100)}, place.Direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := poisonPuts(t)
+	l.handle("far", frame)
+	checkDisposal(t, l, pl, frame, <-ran, false)
 }
 
 // checkDisposal checks what became of frame after handle decoded got out of
@@ -259,24 +320,32 @@ func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok
 // last field was copied out, a kept frame pooled at all, a sent buffer
 // released before the write — shows up as a damaged block or a decode
 // failure, at once or when the results held back are checked again at the
-// end, after the pool has been through many more owners.
+// end, after the pool has been through many more owners. The blocks under
+// minPooledWireBuf are the ones whose frame is a pool buffer longer than
+// itself — the sender's own on the in-process fabric, one the transport
+// borrowed over TCP — and must come out as copies.
 func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
-	sizes := []int{-1, 0, 9, 200, 1100, 5000, 70000}
+	sizes := []int{-1, 0, 9, 200, 600, 1100, 5000, 70000}
 	for _, cfg := range []struct {
 		name string
 		cfg  Config
+		tcp  bool
 	}{
-		{"default", Config{ForceSerialize: true}},
-		{"batched", Config{ForceSerialize: true, Batch: true}},
-		{"traced", Config{ForceSerialize: true, TraceSample: 1}},
+		{"default", Config{ForceSerialize: true}, false},
+		{"batched", Config{ForceSerialize: true, Batch: true}, false},
+		{"traced", Config{ForceSerialize: true, TraceSample: 1}, false},
+		{"tcp", Config{}, true},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			cfg.cfg.Registry = serial.NewRegistry()
 			if err := serial.Register[blobTok](cfg.cfg.Registry); err != nil {
 				t.Fatal(err)
 			}
-			app, err := NewLocalApp(cfg.cfg, "a", "b", "c")
-			if err != nil {
+			var app *App
+			var err error
+			if cfg.tcp {
+				app = newTCPApp(t, cfg.cfg, "a", "b", "c")
+			} else if app, err = NewLocalApp(cfg.cfg, "a", "b", "c"); err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(app.Close)

@@ -22,15 +22,23 @@ import (
 //     receiving link, which is then the last reader.
 //   - A receiving link owns every frame its handler is given. Frames it
 //     decodes by copying go back to the pool when the last field is out.
-//     A frame that carries one token and nothing else is decoded in place
-//     (link.unmarshalOwned): if the token kept a slice of it, the frame is
-//     the token's memory from then on — ordinary garbage-collected memory,
-//     which is why a user may hold such a slice for ever — and is never
-//     pooled; otherwise it is pooled like the rest.
+//     A frame of at least minPooledWireBuf bytes that carries one token and
+//     nothing else is decoded in place (link.unmarshalOwned): if the token
+//     kept a slice of it, the frame is the token's memory from then on —
+//     ordinary garbage-collected memory, which is why a user may hold such
+//     a slice for ever — and is never pooled; otherwise it is pooled like
+//     the rest.
+//   - A transport that would allocate a buffer per received frame borrows
+//     the ones for frames under minPooledWireBuf from here instead
+//     (transport.Borrower, installed by App.AttachTransport). Such a frame
+//     is the receiving link's like any other and comes back through the
+//     same putWireBuf; because it may be a buffer many times its length,
+//     no frame that short is ever a token's memory.
 //
 // With the in-process fabrics both ends share this pool, so steady-state
 // traffic reuses a small set of buffers sized by the largest token; over
-// TCP the sender's own buffers come back after each write.
+// TCP the sender's own buffers come back after each write and the short
+// frames it receives are read into buffers from here.
 
 var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 
@@ -39,10 +47,9 @@ func getEnvelope() *envelope {
 	return envelopePool.Get().(*envelope)
 }
 
-// putEnvelope recycles an envelope whose execution has completed. Frames
-// are deliberately dropped rather than reused: leaf posts alias the
-// incoming frame slice into outgoing envelopes, so the backing array may
-// outlive this envelope.
+// putEnvelope recycles an envelope whose execution has completed. Its frame
+// stack goes with it: no other envelope holds a slice of it (postOut copies
+// the frames an output carries on into the output's own envelope).
 func putEnvelope(e *envelope) {
 	*e = envelope{}
 	envelopePool.Put(e)
@@ -51,13 +58,16 @@ func putEnvelope(e *envelope) {
 // The bounds on what the wire pool keeps.
 const (
 	// minPooledWireBuf is the capacity getWireBuf allocates when the pool is
-	// empty, and so the smallest buffer worth keeping: tcptransport reads
-	// each frame into a buffer of exactly its size, and a pool filled with
-	// the 12–60-byte buffers of received acks and group-ends hands them to
-	// senders that outgrow them at the first append. dps-perf call_fan,
-	// 2 cores, 8 s, this tree: every size kept 127.6 allocs and 6 888 B per
-	// call, from 1 024 up 117.4 and 6 382 (the parent commit, whose senders
-	// never get a buffer back: 146.2 and 6 566).
+	// empty, and so the smallest buffer worth keeping: a pool filled with
+	// exact-size 12–60-byte buffers of received acks and group-ends hands
+	// them to senders that outgrow them at the first append. It is also the
+	// frame length from which a transport.Borrower reads into a buffer of
+	// the frame's own size, and from which a token may keep its frame
+	// (link.unmarshalOwned): below it frames sit in buffers from this pool,
+	// which every getWireBuf caller may rely on having at least this
+	// capacity. Measured when senders first got their buffers back (PR 20):
+	// dps-perf call_fan, 2 cores, 8 s, every size kept 127.6 allocs and
+	// 6 888 B per call, from 1 024 up 117.4 and 6 382.
 	minPooledWireBuf = 1024
 	// maxPooledWireBuf bounds the buffers kept for reuse so one giant token
 	// does not pin its footprint forever (the pool is also GC-clearable).
@@ -78,7 +88,8 @@ var wireBufPool, wireBufHolders sync.Pool
 var wireBufPutHook atomic.Pointer[func(b []byte)]
 
 // getWireBuf returns an empty buffer with whatever capacity a previous
-// message left behind, counting into st when it had to allocate one.
+// message left behind — at least minPooledWireBuf — counting into st when
+// it had to allocate one.
 func getWireBuf(st *Stats) []byte {
 	if v := wireBufPool.Get(); v != nil {
 		h := v.(*[]byte)

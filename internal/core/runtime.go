@@ -347,7 +347,7 @@ func (rt *Runtime) runItem(it workItem, tk sched.Ticket, fromDrainer bool) bool 
 // calling goroutine still holds the drainer role afterwards.
 func (rt *Runtime) runSimple(it workItem, tk sched.Ticket, fromDrainer bool) (still bool) {
 	inst, g, node, env := it.inst, it.g, it.node, it.env
-	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: env, callID: env.CallID, drainer: fromDrainer}
+	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: env, in: env.Token, callID: env.CallID, drainer: fromDrainer}
 	defer func() { still = c.drainer }()
 	tk.Wait()
 	if env.TraceID != 0 {
@@ -376,19 +376,11 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket, fromDrainer bool) (st
 	if node.op.kind == KindSplit {
 		c.sg = rt.openGroup(c, node.id)
 	}
-	x := &exec{
-		ctx: c,
-		in:  env.Token,
-		next: func() (Token, bool) {
-			panic(opError{fmt.Errorf("dps: %s %q must not call next", node.op.kind, node.op.name)})
-		},
-		post: c.postOut,
-	}
 	var execNs int64
 	if env.TraceID != 0 {
 		execNs = time.Now().UnixNano()
 	}
-	node.op.run(x)
+	node.op.run(c)
 	if execNs != 0 {
 		rt.traceSpan(env.TraceID, "execute", node.op.name, execNs, time.Now().UnixNano()-execNs)
 	}
@@ -407,7 +399,7 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket, fromDrainer bool) (st
 func (rt *Runtime) runCollector(it workItem, tk sched.Ticket, fromDrainer bool) (still bool) {
 	inst, g, node, firstEnv, first, mg := it.inst, it.g, it.node, it.env, it.bt, it.mg
 	inst.ranCollector.Store(true)
-	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: firstEnv, callID: firstEnv.CallID, mg: mg, drainer: fromDrainer}
+	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: firstEnv, in: first.tok, callID: firstEnv.CallID, mg: mg, drainer: fromDrainer}
 	defer func() { still = c.drainer }()
 	tk.Wait()
 	defer inst.exec.Unlock()
@@ -431,17 +423,11 @@ func (rt *Runtime) runCollector(it workItem, tk sched.Ticket, fromDrainer bool) 
 	mg.consumed++
 	mg.mu.Unlock()
 
-	x := &exec{
-		ctx:  c,
-		in:   first.tok,
-		next: c.nextIn,
-		post: c.postOut,
-	}
 	var execNs int64
 	if firstEnv.TraceID != 0 {
 		execNs = time.Now().UnixNano()
 	}
-	node.op.run(x)
+	node.op.run(c)
 	if execNs != 0 {
 		rt.traceSpan(firstEnv.TraceID, "execute", node.op.name, execNs, time.Now().UnixNano()-execNs)
 	}

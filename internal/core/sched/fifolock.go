@@ -1,6 +1,9 @@
 package sched
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // FIFOLock is a mutual-exclusion lock granting ownership in reservation
 // order. DPS serializes the operation bodies executing on one thread; the
@@ -9,69 +12,94 @@ import "sync"
 // goroutine. Operations release the lock while blocked (merge Next, flow
 // controlled Post, graph calls), which reproduces the paper's behaviour of
 // a thread whose split is stalled still making progress on its merge.
+//
+// Reservations are sequence numbers: ticket n owns the lock once n tickets
+// before it have unlocked. A reservation therefore costs a counter
+// increment whether or not the lock is held, and only a Wait that finds its
+// turn not yet come creates anything to block on.
 type FIFOLock struct {
-	mu      sync.Mutex
-	locked  bool
-	waiters []chan struct{}
+	mu sync.Mutex
+	// next is the number the next reservation gets; serving is the number of
+	// unlocks so far, which is the ticket that owns the lock while
+	// serving < next (equal: the lock is free).
+	next, serving uint64
+	// waiters are the tickets blocked in Wait, in no order: nearly always
+	// none, a handful when operations reacquire after blocking.
+	waiters []waiter
+	// blocked, when set, counts the Waits that had to block.
+	blocked *atomic.Int64
+}
+
+type waiter struct {
+	seq uint64
+	ch  chan struct{}
 }
 
 // Ticket is a reservation for the lock.
 type Ticket struct {
-	ch <-chan struct{}
+	l   *FIFOLock
+	seq uint64
 }
 
-// grantedTicket is the shared already-closed channel returned by
-// uncontended reservations, so the dispatch hot path reserves without
-// allocating.
-var grantedTicket = func() chan struct{} {
-	ch := make(chan struct{})
-	close(ch)
-	return ch
-}()
-
-// Reserve enqueues a reservation. The returned ticket's Wait blocks until
-// the lock is owned by the caller.
+// Reserve takes the next place in line. The returned ticket's Wait blocks
+// until the lock is owned by the caller.
 func (l *FIFOLock) Reserve() Ticket {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.locked && len(l.waiters) == 0 {
-		l.locked = true
-		return Ticket{ch: grantedTicket}
-	}
-	ch := make(chan struct{})
-	l.waiters = append(l.waiters, ch)
-	return Ticket{ch: ch}
+	seq := l.next
+	l.next++
+	l.mu.Unlock()
+	return Ticket{l: l, seq: seq}
 }
 
 // Wait blocks until the reservation is granted.
-func (t Ticket) Wait() { <-t.ch }
+func (t Ticket) Wait() {
+	l := t.l
+	l.mu.Lock()
+	if l.serving >= t.seq {
+		l.mu.Unlock()
+		return
+	}
+	ch := make(chan struct{})
+	l.waiters = append(l.waiters, waiter{seq: t.seq, ch: ch})
+	l.mu.Unlock()
+	if l.blocked != nil {
+		l.blocked.Add(1)
+	}
+	<-ch
+}
 
 // granted reports whether the reservation is already grantable without
 // blocking (the lock reached this ticket's turn).
 func (t Ticket) granted() bool {
-	select {
-	case <-t.ch:
-		return true
-	default:
-		return false
-	}
+	t.l.mu.Lock()
+	defer t.l.mu.Unlock()
+	return t.l.serving >= t.seq
 }
 
 // Lock reserves and waits.
 func (l *FIFOLock) Lock() { l.Reserve().Wait() }
 
-// Unlock passes ownership to the oldest waiter, if any.
+// Unlock passes ownership to the next reservation, if any.
 func (l *FIFOLock) Unlock() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.locked {
+	if l.serving == l.next {
+		l.mu.Unlock()
 		panic("sched: unlock of unlocked FIFOLock")
 	}
-	if len(l.waiters) > 0 {
-		ch := l.waiters[0]
-		l.waiters = l.waiters[1:]
-		close(ch)
-		return
+	l.serving++
+	var wake chan struct{}
+	for i, w := range l.waiters {
+		if w.seq == l.serving {
+			last := len(l.waiters) - 1
+			l.waiters[i] = l.waiters[last]
+			l.waiters[last] = waiter{}
+			l.waiters = l.waiters[:last]
+			wake = w.ch
+			break
+		}
 	}
-	l.locked = false
+	l.mu.Unlock()
+	if wake != nil {
+		close(wake)
+	}
 }

@@ -28,7 +28,11 @@
 // (Instance.Relinquish), so queued executions keep flowing while it waits.
 // Per-instance FIFO ordering is guaranteed by the tickets, which are
 // reserved under the queue lock at enqueue time: queue order and lock grant
-// order always agree.
+// order always agree. A ticket is a sequence number on the instance's
+// FIFOLock — the n-th reservation owns the lock after n unlocks — so
+// reserving behind a running operation, the steady state of a streaming
+// drainer, allocates nothing; a channel exists only for a Wait whose turn has
+// not come (Stats.TicketWaits counts those).
 package sched
 
 import (
@@ -78,6 +82,9 @@ type Stats struct {
 	// WorkersStarted counts the goroutines the scheduler created: jobs for
 	// which no parked worker was available (every job, after Close).
 	WorkersStarted int64
+	// TicketWaits counts the executions that had to block for their FIFO
+	// ticket: everything else found its turn already come.
+	TicketWaits int64
 }
 
 // Scheduler dispatches work items onto per-instance FIFO queues and drains
@@ -90,6 +97,7 @@ type Scheduler[T any] struct {
 	queueHighWater atomic.Int64
 	handoffs       atomic.Int64
 	workersStarted atomic.Int64
+	ticketWaits    atomic.Int64
 	pending        atomic.Int64
 
 	// The free list of parked workers, most recently parked last. Each
@@ -107,17 +115,21 @@ type job[T any] struct {
 	e    *entry[T]    // run this one item off-queue, without the drainer role
 }
 
-// fifo is a queue popped by head index: the backing array is reused from
+// Fifo is a queue popped by head index: the backing array is reused from
 // the start whenever the queue empties, so bursts that drain completely (the
-// request/response pattern) never reallocate it.
-type fifo[E any] struct {
+// request/response pattern) never reallocate it. The zero value is an empty
+// queue; it is not safe for concurrent use. The dispatch queues are Fifos,
+// and so is the engine's per-group merge buffer.
+type Fifo[E any] struct {
 	buf  []E
 	head int
 }
 
-func (q *fifo[E]) len() int { return len(q.buf) - q.head }
+// Len returns the number of queued elements.
+func (q *Fifo[E]) Len() int { return len(q.buf) - q.head }
 
-func (q *fifo[E]) push(e E) {
+// Push appends e behind everything queued.
+func (q *Fifo[E]) Push(e E) {
 	if q.head > 0 && len(q.buf) == cap(q.buf) && q.head >= len(q.buf)/2 {
 		// A queue that never empties: slide the live half down instead of
 		// letting append carry the popped prefix into a larger array.
@@ -128,8 +140,8 @@ func (q *fifo[E]) push(e E) {
 	q.buf = append(q.buf, e)
 }
 
-// pop removes the oldest element; the queue must not be empty.
-func (q *fifo[E]) pop() E {
+// Pop removes the oldest element; the queue must not be empty.
+func (q *Fifo[E]) Pop() E {
 	var zero E
 	e := q.buf[q.head]
 	q.buf[q.head] = zero
@@ -144,7 +156,7 @@ func (q *fifo[E]) pop() E {
 // goroutine at a time.
 type shard[T any] struct {
 	mu     sync.Mutex
-	runq   fifo[*Instance[T]]
+	runq   Fifo[*Instance[T]]
 	active bool
 }
 
@@ -163,7 +175,7 @@ type Instance[T any] struct {
 	lock FIFOLock
 
 	mu       sync.Mutex
-	queue    fifo[entry[T]]
+	queue    Fifo[entry[T]]
 	draining bool // a goroutine owns the right to pop this queue
 	queued   bool // sharded mode: instance sits on its shard's run queue
 }
@@ -201,6 +213,7 @@ func (s *Scheduler[T]) Stats() Stats {
 		QueueHighWater: s.queueHighWater.Load(),
 		Handoffs:       s.handoffs.Load(),
 		WorkersStarted: s.workersStarted.Load(),
+		TicketWaits:    s.ticketWaits.Load(),
 	}
 }
 
@@ -285,6 +298,7 @@ func (s *Scheduler[T]) NewInstance(key int) *Instance[T] {
 // avoiding a separate allocation for containers that hold one per thread.
 func (s *Scheduler[T]) InitInstance(inst *Instance[T], key int) {
 	inst.sched = s
+	inst.lock.blocked = &s.ticketWaits
 	if n := len(s.shards); n > 0 {
 		if key < 0 {
 			key = -key
@@ -309,14 +323,14 @@ func (inst *Instance[T]) Enqueue(it T) {
 	s := inst.sched
 	inst.mu.Lock()
 	tk := inst.lock.Reserve()
-	if inst.queue.len() >= s.queueCap {
+	if inst.queue.Len() >= s.queueCap {
 		inst.mu.Unlock()
 		s.start(job[T]{e: &entry[T]{it: it, tk: tk}})
 		return
 	}
-	inst.queue.push(entry[T]{it: it, tk: tk})
+	inst.queue.Push(entry[T]{it: it, tk: tk})
 	s.pending.Add(1)
-	s.noteDepth(int64(inst.queue.len()))
+	s.noteDepth(int64(inst.queue.Len()))
 	if inst.sh == nil {
 		spawn := !inst.draining
 		if spawn {
@@ -348,7 +362,7 @@ func (inst *Instance[T]) Relinquish() {
 	s.handoffs.Add(1)
 	if inst.sh == nil {
 		inst.mu.Lock()
-		if inst.queue.len() > 0 {
+		if inst.queue.Len() > 0 {
 			inst.mu.Unlock()
 			s.start(job[T]{inst: inst})
 			return
@@ -362,7 +376,7 @@ func (inst *Instance[T]) Relinquish() {
 	// (the caller is about to block inside an operation).
 	inst.mu.Lock()
 	inst.draining = false
-	requeue := inst.queue.len() > 0 && !inst.queued
+	requeue := inst.queue.Len() > 0 && !inst.queued
 	if requeue {
 		inst.queued = true
 	}
@@ -370,9 +384,9 @@ func (inst *Instance[T]) Relinquish() {
 	sh := inst.sh
 	sh.mu.Lock()
 	if requeue {
-		sh.runq.push(inst)
+		sh.runq.Push(inst)
 	}
-	if sh.runq.len() == 0 {
+	if sh.runq.Len() == 0 {
 		sh.active = false
 		sh.mu.Unlock()
 		return
@@ -386,7 +400,7 @@ func (inst *Instance[T]) Relinquish() {
 func (s *Scheduler[T]) pushRunnable(inst *Instance[T]) {
 	sh := inst.sh
 	sh.mu.Lock()
-	sh.runq.push(inst)
+	sh.runq.Push(inst)
 	spawn := !sh.active
 	if spawn {
 		sh.active = true
@@ -403,16 +417,16 @@ func (s *Scheduler[T]) pushRunnable(inst *Instance[T]) {
 func (s *Scheduler[T]) shardLoop(sh *shard[T]) {
 	for {
 		sh.mu.Lock()
-		if sh.runq.len() == 0 {
+		if sh.runq.Len() == 0 {
 			sh.active = false
 			sh.mu.Unlock()
 			return
 		}
-		inst := sh.runq.pop()
+		inst := sh.runq.Pop()
 		sh.mu.Unlock()
 		inst.mu.Lock()
 		inst.queued = false
-		if inst.draining || inst.queue.len() == 0 {
+		if inst.draining || inst.queue.Len() == 0 {
 			inst.mu.Unlock()
 			continue
 		}
@@ -433,12 +447,12 @@ func (s *Scheduler[T]) shardLoop(sh *shard[T]) {
 func (s *Scheduler[T]) drainLoop(inst *Instance[T]) bool {
 	for {
 		inst.mu.Lock()
-		if inst.queue.len() == 0 {
+		if inst.queue.Len() == 0 {
 			inst.draining = false
 			inst.mu.Unlock()
 			return true
 		}
-		e := inst.queue.pop()
+		e := inst.queue.Pop()
 		inst.mu.Unlock()
 		s.pending.Add(-1)
 		if inst.sh != nil && !e.tk.granted() {

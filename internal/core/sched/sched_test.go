@@ -92,6 +92,131 @@ func TestFIFOLockImmediateGrant(t *testing.T) {
 	}
 }
 
+// TestReserveWhileHeldAllocatesNothing pins the streaming drainer's steady
+// state: a reservation made while the lock is held, then granted by the
+// holder's unlock before anyone waits on it, creates nothing — no channel
+// (it would never be waited on) and no queue entry.
+func TestReserveWhileHeldAllocatesNothing(t *testing.T) {
+	var l FIFOLock
+	l.Lock()
+	if avg := testing.AllocsPerRun(1000, func() {
+		tk := l.Reserve() // behind the holder
+		l.Unlock()        // the holder finishes: tk's turn
+		tk.Wait()         // run
+	}); avg != 0 {
+		t.Fatalf("reserve-while-held, unlock, run allocates %.2f objects, want 0", avg)
+	}
+	l.Unlock()
+}
+
+// TestTicketsWaitedOutOfOrder has the holders of later tickets start waiting
+// first, from goroutines of their own: each is still granted in reservation
+// order, whatever order the waits were entered in.
+func TestTicketsWaitedOutOfOrder(t *testing.T) {
+	var l FIFOLock
+	var blocked atomic.Int64
+	l.blocked = &blocked
+	l.Lock()
+	const n = 8
+	tickets := make([]Ticket, n)
+	for i := range tickets {
+		tickets[i] = l.Reserve()
+	}
+	order := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := n - 1; i >= 0; i-- {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tickets[i].Wait()
+			order <- i
+			l.Unlock()
+		}(i)
+		// The next goroutine starts only once this one is parked in Wait.
+		for want := int64(n - i); blocked.Load() < want; {
+			runtime.Gosched()
+		}
+	}
+	l.Unlock()
+	wg.Wait()
+	for want := 0; want < n; want++ {
+		if got := <-order; got != want {
+			t.Fatalf("grant %d went to ticket %d", want, got)
+		}
+	}
+	if got := blocked.Load(); got != n {
+		t.Fatalf("%d waits counted as blocked, want %d", got, n)
+	}
+}
+
+// TestGrantedFollowsThePredecessor: a ticket is grantable exactly from its
+// predecessor's unlock on, and stays so.
+func TestGrantedFollowsThePredecessor(t *testing.T) {
+	var l FIFOLock
+	first, second, third := l.Reserve(), l.Reserve(), l.Reserve()
+	if !first.granted() || second.granted() || third.granted() {
+		t.Fatalf("granted = %v %v %v on a fresh lock, want only the first", first.granted(), second.granted(), third.granted())
+	}
+	l.Unlock()
+	if !second.granted() || third.granted() {
+		t.Fatalf("after one unlock granted = %v %v, want the second only", second.granted(), third.granted())
+	}
+	second.Wait() // must not block
+	l.Unlock()
+	third.Wait()
+	l.Unlock()
+	if !first.granted() || !third.granted() {
+		t.Fatal("a ticket whose turn has passed stopped reading as granted")
+	}
+}
+
+// TestLockRacingReserve mixes the two ways into the line — dispatch-side
+// Reserve with the wait on another goroutine, and Lock from an operation
+// reacquiring after a block — and checks mutual exclusion and that every
+// entrant gets its turn. Run under -race -cpu 1,2,4.
+func TestLockRacingReserve(t *testing.T) {
+	var l FIFOLock
+	var inCrit, turns atomic.Int32
+	enter := func() {
+		if inCrit.Add(1) != 1 {
+			t.Error("two holders at once")
+		}
+		turns.Add(1)
+		inCrit.Add(-1)
+		l.Unlock()
+	}
+	const goroutines, rounds = 4, 200
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				l.Lock()
+				enter()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			var runners sync.WaitGroup
+			for i := 0; i < rounds; i++ {
+				tk := l.Reserve()
+				runners.Add(1)
+				go func() {
+					defer runners.Done()
+					tk.Wait()
+					enter()
+				}()
+			}
+			runners.Wait()
+		}()
+	}
+	wg.Wait()
+	if got := turns.Load(); got != 2*goroutines*rounds {
+		t.Fatalf("%d turns taken, want %d", got, 2*goroutines*rounds)
+	}
+}
+
 // --- Scheduler -----------------------------------------------------------
 
 // testOrderPreserved pushes n items through one instance with an
@@ -575,14 +700,36 @@ func TestEnqueueWarmAllocatesNothing(t *testing.T) {
 	r.s.Close()
 }
 
+// TestTicketWaitsCounted: a burst enqueued behind a held lock runs without a
+// single blocked wait except the drainer's first, which is what
+// Stats.TicketWaits reports.
+func TestTicketWaitsCounted(t *testing.T) {
+	r := newRecorder(Config{}, 1, 8)
+	defer r.s.Close()
+	r.inst[0].Lock() // an operation that reacquired after blocking holds the lock
+	for i := 0; i < 8; i++ {
+		r.inst[0].Enqueue(i)
+	}
+	for r.s.Stats().TicketWaits != 1 { // the drainer is parked on the first ticket
+		runtime.Gosched()
+	}
+	r.inst[0].Unlock()
+	for i := 0; i < 8; i++ {
+		<-r.ran
+	}
+	if got := r.s.Stats().TicketWaits; got != 1 {
+		t.Fatalf("TicketWaits = %d after a burst of 8 behind one holder, want 1", got)
+	}
+}
+
 // TestFifoReusesItsArray checks both shapes of traffic: a queue that drains
 // keeps one array for ever, one that never drains stays bounded by its depth.
 func TestFifoReusesItsArray(t *testing.T) {
-	var q fifo[int]
+	var q Fifo[int]
 	for i := 0; i < 1000; i++ {
-		q.push(i)
-		if got := q.pop(); got != i || q.len() != 0 {
-			t.Fatalf("pop = %d (len %d), want %d (0)", got, q.len(), i)
+		q.Push(i)
+		if got := q.Pop(); got != i || q.Len() != 0 {
+			t.Fatalf("pop = %d (len %d), want %d (0)", got, q.Len(), i)
 		}
 	}
 	if cap(q.buf) != 1 {
@@ -590,9 +737,9 @@ func TestFifoReusesItsArray(t *testing.T) {
 	}
 	next := 0
 	for i := 0; i < 10000; i++ {
-		q.push(i)
-		if q.len() > 5 {
-			if got := q.pop(); got != next {
+		q.Push(i)
+		if q.Len() > 5 {
+			if got := q.Pop(); got != next {
 				t.Fatalf("pop = %d, want %d", got, next)
 			}
 			next++

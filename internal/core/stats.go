@@ -54,6 +54,10 @@ type Stats struct {
 	// CallsCompleted it reads as goroutines started per call: near zero
 	// while the warm workers cover the node's concurrency.
 	SchedWorkersStarted int64
+	// SchedTicketWaits counts the executions (and reacquires after a block)
+	// that had to wait for their FIFO ticket (sched.Stats.TicketWaits); every
+	// other one found its turn already come and allocated nothing for it.
+	SchedTicketWaits int64
 	// MigrationsCompleted counts live thread remaps completed with this node
 	// as the old owner (the node that quiesced and shipped the state).
 	MigrationsCompleted int64
@@ -84,9 +88,10 @@ type Stats struct {
 	// slice of the buffer, which is therefore left to the garbage collector
 	// instead of returning to the wire pool.
 	FramesKept int64
-	// WireBufMisses counts outbound messages whose wire buffer had to be
-	// allocated because the pool was empty. With FramesKept it explains a
-	// deployment's allocated bytes per token from /metrics alone.
+	// WireBufMisses counts the wire buffers that had to be allocated because
+	// the pool was empty: for an outbound message, or lent to a
+	// transport.Borrower for a short inbound frame. With FramesKept it
+	// explains a deployment's allocated bytes per token from /metrics alone.
 	WireBufMisses int64
 	// FramesBatched counts batch frames flushed by the wire-path coalescer
 	// (Config.Batch); zero with batching off.
@@ -144,14 +149,15 @@ func (s *Stats) snapshot() *Stats {
 }
 
 // Stats returns a snapshot of this node runtime's counters. The
-// scheduler-layer counters (queue depth, handoffs, goroutines started) live
-// in the scheduler itself and are merged in here.
+// scheduler-layer counters (queue depth, handoffs, goroutines started,
+// ticket waits) live in the scheduler itself and are merged in here.
 func (rt *Runtime) Stats() *Stats {
 	s := rt.stats.snapshot()
 	ss := rt.sched.Stats()
 	s.QueueHighWater = ss.QueueHighWater
 	s.DrainerHandoffs = ss.Handoffs
 	s.SchedWorkersStarted = ss.WorkersStarted
+	s.SchedTicketWaits = ss.TicketWaits
 	return s
 }
 

@@ -73,6 +73,10 @@ type frame struct {
 	MergeThread int // thread instance of the paired merge, fixed per group
 }
 
+// inlineFrames is the depth of split nesting an envelope's frame stack holds
+// without a heap array of its own; a deeper stack spills to one.
+const inlineFrames = 3
+
 // envelope is the runtime wrapper around a token in flight.
 type envelope struct {
 	Graph      string
@@ -82,9 +86,16 @@ type envelope struct {
 	CallOrigin string
 	LastWorker int // thread index charged with this token for load balancing
 	CreditNode int // graph node whose credit tracker was charged, -1 if none
-	Frames     []frame
-	Token      Token // set on the local fast path
-	Payload    []byte
+	// Frames is the split-merge accounting stack, innermost group last. It
+	// is this envelope's alone — built by frameStack, never a slice of
+	// another envelope's — so recycling one envelope cannot touch the stack
+	// of another.
+	Frames  []frame
+	Token   Token // set on the local fast path
+	Payload []byte
+
+	// inline backs Frames while the stack fits (frameStack).
+	inline [inlineFrames]frame
 
 	// FTStream / FTSeq identify the token on its sender stream when the
 	// fault-tolerance layer is enabled (zero otherwise): the receiver's
@@ -117,6 +128,16 @@ type envelope struct {
 	// the rest of the struct in putEnvelope.
 	TraceID    uint64
 	traceEnqNs int64
+}
+
+// frameStack returns an empty stack with room for n frames: the envelope's
+// own array when they fit, a heap array beyond that. The caller appends the
+// frames and stores the result in e.Frames.
+func (e *envelope) frameStack(n int) []frame {
+	if n <= len(e.inline) {
+		return e.inline[:0]
+	}
+	return make([]frame, 0, n)
 }
 
 func (e *envelope) topFrame() (*frame, bool) {

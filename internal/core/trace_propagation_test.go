@@ -153,14 +153,14 @@ func TestTraceAcrossFailover(t *testing.T) {
 // comparison is of unrounded means over unsampledRounds fresh pairs of
 // applications, and the median difference must stay under half an
 // allocation (anything tracing adds is at least one per call):
-//   - sched.FIFOLock.Reserve allocates a ticket only when the thread is
-//     still busy, so an application settles at 116.5 or 118 allocations per
-//     call depending on how its goroutines interleave (about 1 application
-//     in 100, with or without the race detector);
+//   - a FIFO ticket allocates (a channel) only when its Wait really has to
+//     block behind an operation that reacquired the thread, so how an
+//     application's goroutines interleave can add a fraction of an
+//     allocation to its mean (52.0 per call when nothing blocks);
 //   - under the race detector sync.Pool.Put drops one object in four at
-//     random, which makes the mean fractional (122.8-123.3) and
-//     testing.AllocsPerRun's truncation of it differ by one between two
-//     identical applications in a third of the runs.
+//     random, which makes the mean fractional and testing.AllocsPerRun's
+//     truncation of it differ by one between two identical applications in
+//     a third of the runs.
 func TestUnsampledCallAddsNoAllocations(t *testing.T) {
 	const (
 		unsampledRounds = 5

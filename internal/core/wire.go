@@ -299,7 +299,7 @@ func decodeEnvelopeInto(e *envelope, b []byte, names map[string]string) error {
 	if nframes < 0 || nframes > 1<<16 || nframes > len(b)/4 {
 		return fmt.Errorf("dps: implausible frame count %d", nframes)
 	}
-	e.Frames = make([]frame, nframes)
+	e.Frames = e.frameStack(nframes)[:nframes]
 	for i := range e.Frames {
 		f := &e.Frames[i]
 		if f.GroupID, b, err = readUint64(b); err != nil {

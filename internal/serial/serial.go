@@ -291,12 +291,28 @@ func (r *Registry) Unmarshal(data []byte) (any, int, error) {
 // whatever the sizes are. At most one field of a value can qualify (two
 // halves leave no room for the type ID and their own length prefixes).
 func (r *Registry) UnmarshalOwned(data []byte) (v any, n int, kept bool, err error) {
-	o := owner{min: (len(data) + 1) / 2}
-	if v, n, err = r.unmarshal(data, &o); err != nil {
+	o := getOwner((len(data) + 1) / 2)
+	v, n, err = r.unmarshal(data, o)
+	kept = o.kept
+	putOwner(o)
+	if err != nil {
 		return nil, 0, false, err
 	}
-	return v, n, o.kept, nil
+	return v, n, kept, nil
 }
+
+// ownerPool recycles the state of owning decodes: the compiled decoders are
+// reached through function values, so an owner on the caller's stack would
+// be moved to the heap on every call.
+var ownerPool = sync.Pool{New: func() any { return new(owner) }}
+
+func getOwner(keepFrom int) *owner {
+	o := ownerPool.Get().(*owner)
+	*o = owner{min: keepFrom}
+	return o
+}
+
+func putOwner(o *owner) { ownerPool.Put(o) }
 
 func (r *Registry) unmarshal(data []byte, o *owner) (any, int, error) {
 	id, n := binary.Uvarint(data)

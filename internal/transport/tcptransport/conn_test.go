@@ -71,10 +71,10 @@ func TestLostDialRaceKeepsSocketReadable(t *testing.T) {
 	defer y.Close()
 	_ = y.SetDeadline(time.Now().Add(5 * time.Second))
 	yr := bufio.NewReader(y)
-	if name, err := readFrame(yr); err != nil || string(name) != "b" {
+	if name, err := readFrame(yr, nil); err != nil || string(name) != "b" {
 		t.Fatalf("hello on b's dial: %q, %v", name, err)
 	}
-	if _, err := readFrame(yr); err != nil {
+	if _, err := readFrame(yr, nil); err != nil {
 		t.Fatalf("epoch on b's dial: %v", err)
 	}
 	// b sends on the connection it registered ...
@@ -82,7 +82,7 @@ func TestLostDialRaceKeepsSocketReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = x.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if f, err := readFrame(bufio.NewReader(x)); err != nil || string(f) != "b to a" {
+	if f, err := readFrame(bufio.NewReader(x), nil); err != nil || string(f) != "b to a" {
 		t.Fatalf("on a's dial: %q, %v", f, err)
 	}
 	// ... and a on the one b dialed, which b must not have closed.

@@ -676,8 +676,8 @@ func TestBatchIsSingleFramesBackToBack(t *testing.T) {
 		defer c.Close()
 		_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
 		br := bufio.NewReader(c)
-		name, _ := readFrame(br)
-		epoch, _ := readFrame(br)
+		name, _ := readFrame(br, nil)
+		epoch, _ := readFrame(br, nil)
 		got := appendFrame(appendFrame(nil, name), epoch)
 		rest := make([]byte, len(body))
 		if _, err := io.ReadFull(br, rest); err != nil {

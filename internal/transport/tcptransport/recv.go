@@ -29,15 +29,31 @@ type frameReader interface {
 	io.ByteReader
 }
 
-// readFrame reads one [uvarint len][payload] frame into a buffer of its
-// own, which the caller may keep.
-func readFrame(r frameReader) ([]byte, error) {
+// borrowed is where frames shorter than limit are read into
+// (transport.Borrower): get returns a buffer of at least limit capacity.
+type borrowed struct {
+	limit int
+	get   func() []byte
+}
+
+// readFrame reads one [uvarint len][payload] frame into a buffer the caller
+// owns: one from small when the frame is shorter than small's limit,
+// otherwise (always, with a nil small) one allocated at exactly the frame's
+// size.
+func readFrame(r frameReader, small *borrowed) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
 	}
 	if size > maxFrame {
 		return nil, fmt.Errorf("tcptransport: frame of %d bytes exceeds limit", size)
+	}
+	if small != nil && size < uint64(small.limit) {
+		buf := small.get()[:size]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
 	}
 	buf := make([]byte, min(size, readChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
@@ -61,7 +77,7 @@ func readFrame(r frameReader) ([]byte, error) {
 func (n *Node) readLoop(br *bufio.Reader, p *peer, cc *conn) {
 	defer n.untrack(p, cc)
 	for {
-		payload, err := readFrame(br)
+		payload, err := readFrame(br, n.borrow.Load())
 		if err != nil {
 			return
 		}

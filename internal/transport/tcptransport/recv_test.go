@@ -43,7 +43,7 @@ func TestFramingAcrossBufferBoundary(t *testing.T) {
 	}
 	for name, r := range readers {
 		for i, want := range frames {
-			got, err := readFrame(r)
+			got, err := readFrame(r, nil)
 			if err != nil {
 				t.Fatalf("%s: frame %d: %v", name, i, err)
 			}
@@ -51,7 +51,7 @@ func TestFramingAcrossBufferBoundary(t *testing.T) {
 				t.Fatalf("%s: frame %d: %d bytes of %q, want %d of %q", name, i, len(got), got[:min(len(got), 1)], len(want), want[:min(len(want), 1)])
 			}
 		}
-		if _, err := readFrame(r); err == nil {
+		if _, err := readFrame(r, nil); err == nil {
 			t.Fatalf("%s: a frame after the end of the stream", name)
 		}
 	}
@@ -84,11 +84,58 @@ func TestOneByteWriterIsReassembled(t *testing.T) {
 	}
 }
 
+// TestShortFramesArriveInBorrowedBuffers: with a lender installed
+// (transport.Borrower) a frame shorter than the limit reaches the handler in
+// the front of a lent buffer, intact, and every other frame in a buffer of
+// exactly its own size, as without one.
+func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
+	const limit = 256
+	_, b := startPair(t)
+	var lent [][]byte
+	b.SetBorrow(limit, func() []byte {
+		buf := make([]byte, 0, limit+64) // called on the connection's one reader
+		lent = append(lent, buf)
+		return buf
+	})
+	got := make(chan []byte, 8)
+	b.SetHandler(func(_ string, p []byte) { got <- p })
+	c := rawSession(t, b.Addr(), "raw", 1)
+	sizes := []int{0, 1, limit - 1, limit, limit + 1, 40, 5000}
+	for i, n := range sizes {
+		if err := writeFrame(c, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	borrowed := 0
+	for i, n := range sizes {
+		var p []byte
+		select {
+		case p = <-got:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("frame %d never arrived", i)
+		}
+		if !bytes.Equal(p, bytes.Repeat([]byte{byte('a' + i)}, n)) {
+			t.Fatalf("frame %d: %d bytes damaged or misframed", i, len(p))
+		}
+		if n < limit {
+			if borrowed++; cap(p) != limit+64 {
+				t.Errorf("a frame of %d bytes arrived in a buffer of capacity %d, want the lent one (%d)", n, cap(p), limit+64)
+			}
+		} else if cap(p) != n {
+			t.Errorf("a frame of %d bytes arrived in a buffer of capacity %d, want its own size", n, cap(p))
+		}
+	}
+	// The handler has seen the last frame, so the reader is done appending.
+	if len(lent) != borrowed {
+		t.Errorf("%d buffers lent for %d short frames", len(lent), borrowed)
+	}
+}
+
 // TestOversizedFrameRejected: maxFrame is the largest header believed; one
 // byte more is refused before anything is allocated for it.
 func TestOversizedFrameRejected(t *testing.T) {
 	header := binary.AppendUvarint(nil, maxFrame+1)
-	_, err := readFrame(bufio.NewReader(bytes.NewReader(header)))
+	_, err := readFrame(bufio.NewReader(bytes.NewReader(header)), nil)
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("readFrame(maxFrame+1) = %v, want the size refused", err)
 	}

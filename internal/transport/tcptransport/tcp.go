@@ -143,6 +143,7 @@ type Node struct {
 	}
 	handler atomic.Pointer[transport.Handler]
 	release atomic.Pointer[func([]byte)] // transport.Releaser; nil: payloads are just dropped
+	borrow  atomic.Pointer[borrowed]     // transport.Borrower; nil: every frame is read into a buffer of its own size
 	peers   sync.Map                     // name → *peer; entries are never removed
 	closed  atomic.Bool
 	done    chan struct{} // closed by Close: interrupts backoff sleeps
@@ -230,6 +231,12 @@ func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
 // the caller's own write, the outbox's write (the frames ahead of a torn one
 // included, before the redial) or Close's last flush.
 func (n *Node) SetRelease(release func(payload []byte)) { n.release.Store(&release) }
+
+// SetBorrow implements transport.Borrower: frames shorter than limit are
+// read into a buffer from borrow and handed to the handler in it.
+func (n *Node) SetBorrow(limit int, borrow func() []byte) {
+	n.borrow.Store(&borrowed{limit: limit, get: borrow})
+}
 
 // peer returns the state kept per remote node name, creating it on first
 // use.
@@ -328,11 +335,11 @@ func (n *Node) serveConn(c net.Conn) {
 // readHello reads a connection's first two frames: the dialer's name and
 // its session epoch.
 func readHello(br *bufio.Reader) (name string, epoch uint64, err error) {
-	nameBuf, err := readFrame(br)
+	nameBuf, err := readFrame(br, nil)
 	if err != nil {
 		return "", 0, err
 	}
-	epochBuf, err := readFrame(br)
+	epochBuf, err := readFrame(br, nil)
 	if err != nil {
 		return "", 0, err
 	}
@@ -455,6 +462,7 @@ func (n *Node) Close() error {
 var (
 	_ transport.Transport = (*Node)(nil)
 	_ transport.Releaser  = (*Node)(nil)
+	_ transport.Borrower  = (*Node)(nil)
 )
 
 func newConn(c net.Conn, inbound bool, epoch uint64) *conn {

@@ -242,7 +242,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		}
 	}
 	for _, p := range payloads {
-		got, err := readFrame(&buf)
+		got, err := readFrame(&buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
