@@ -5,15 +5,14 @@
 // Usage:
 //
 //	dps-bench -exp figure6|table1|figure9|table2|figure15|rebalance|failover|all
-//	          [-quick] [-workers N] [-stats] [-write EXPERIMENTS.md]
+//	          [-quick] [-stats] [-write EXPERIMENTS.md]
 //	dps-bench -exp chaos [-seed N] [-duration D] [-quick]
 //
 // Without -write the regenerated tables print to stdout; with -write the
 // output is additionally assembled into the experiments report file,
-// recording paper-reference values next to the measured rows. -workers
-// shards every node's scheduler over N drainer lanes (scheduler worker lanes);
-// -stats dumps the aggregated engine counters of each experiment in the
-// text form /metrics serves, one line per Stats field.
+// recording paper-reference values next to the measured rows. -stats dumps
+// the aggregated engine counters of each experiment in the text form /metrics
+// serves, one line per Stats field.
 //
 // The rebalance experiment is not in the paper: it prices the placement
 // layer's live thread migration by remapping a ring hop mid-benchmark. Nor
@@ -41,14 +40,13 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: figure6, table1, figure9, table2, figure15, rebalance, failover, chaos or all (all = every experiment except chaos, which binds wall-clock minutes and must be requested explicitly)")
 	quick := flag.Bool("quick", false, "shrink problem sizes for a fast smoke run")
-	workers := flag.Int("workers", 0, "scheduler worker lanes per node (0 = per-instance drainers)")
 	stats := flag.Bool("stats", false, "dump aggregated engine counters per experiment")
 	write := flag.String("write", "", "also write the report to this file (e.g. EXPERIMENTS.md)")
 	seed := flag.Int64("seed", 0, "chaos: fault-schedule seed (0 = default; a failure reproduces from its seed)")
 	duration := flag.Duration("duration", 0, "chaos: soak span per workload (0 = default)")
 	flag.Parse()
 
-	opt := bench.Options{Quick: *quick, Workers: *workers, Seed: *seed, Duration: *duration}
+	opt := bench.Options{Quick: *quick, Seed: *seed, Duration: *duration}
 	fns := map[string]func(bench.Options) (*bench.Report, error){
 		"figure6":   bench.Figure6,
 		"table1":    bench.Table1,

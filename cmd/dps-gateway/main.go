@@ -74,7 +74,6 @@ type gatewayConfig struct {
 	deadline    time.Duration // per-call deadline
 	maxInflight int           // admission budget (0 = unbounded)
 	window      int           // per-split flow-control window (0 = default)
-	workers     int           // scheduler worker lanes per node
 	batch       bool          // coalesce small tokens into wire frames
 	traceSample float64       // fraction of calls to trace (0 = off)
 }
@@ -118,7 +117,6 @@ func newGateway(cfg gatewayConfig) (*gateway, error) {
 		cleanup = append(cleanup, func() { _ = k.Close() })
 	}
 	opts := []dps.Option{
-		dps.WithWorkers(cfg.workers),
 		dps.WithMaxInFlightCalls(cfg.maxInflight),
 		dps.WithFlowPolicy(dps.DeadlinePolicy(cfg.window, 0)),
 	}
@@ -275,7 +273,6 @@ func main() {
 	deadline := flag.Duration("deadline", 2*time.Second, "per-call deadline")
 	maxInflight := flag.Int("max-inflight", 2048, "in-flight call budget; beyond it calls shed with 429 (0 = unbounded)")
 	window := flag.Int("window", 0, "per-split flow-control window (0 = engine default)")
-	workers := flag.Int("workers", 0, "scheduler worker lanes per node (0 = per-instance drainers)")
 	batch := flag.Bool("batch", true, "coalesce small tokens into wire frames")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of calls to trace (0..1); sampled timelines via App.TraceSpans")
 	flag.Parse()
@@ -285,7 +282,6 @@ func main() {
 		deadline:    *deadline,
 		maxInflight: *maxInflight,
 		window:      *window,
-		workers:     *workers,
 		batch:       *batch,
 		traceSample: *traceSample,
 	})

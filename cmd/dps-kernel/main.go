@@ -77,7 +77,6 @@ func main() {
 	ns := flag.String("ns", "127.0.0.1:7000", "name server address")
 	demo := flag.Bool("demo", false, "run the uppercase demo across all registered kernels, then exit")
 	serve := flag.Bool("serve", false, "with -demo: keep the demo app alive and accept live-remap control messages")
-	workers := flag.Int("workers", 0, "demo app: scheduler worker lanes per node (0 = per-instance drainers)")
 	window := flag.Int("window", 0, "demo app: per-split flow-control window (0 = default)")
 	remapTarget := flag.String("remap-target", "", "client mode: kernel to send a live-remap control message to, then exit")
 	remapApp := flag.String("remap-app", "demo", "client mode: application instance to remap")
@@ -138,7 +137,7 @@ func main() {
 		// The demo installs its own OnFailover handler (feeding the engine's
 		// recovery) before the heartbeat starts, so a peer declared dead in
 		// the startup window is not lost to a print-only handler.
-		if err := runDemo(k, *ns, *workers, *window, *serve, *heartbeat, *metricsListen, *traceSample); err != nil {
+		if err := runDemo(k, *ns, *window, *serve, *heartbeat, *metricsListen, *traceSample); err != nil {
 			fatal(err)
 		}
 		_ = k.Close()
@@ -195,7 +194,7 @@ func processMetricsHandler() http.Handler {
 // uppercase in parallel. With serve it then keeps calling the graph once a
 // second and accepts live-remap control messages, printing the worker
 // placement after each migration.
-func runDemo(local *kernel.Kernel, ns string, workerLanes, window int, serve bool, heartbeat time.Duration, metricsListen string, traceSample float64) error {
+func runDemo(local *kernel.Kernel, ns string, window int, serve bool, heartbeat time.Duration, metricsListen string, traceSample float64) error {
 	names, err := kernel.ListNames(ns)
 	if err != nil {
 		return err
@@ -215,7 +214,7 @@ func runDemo(local *kernel.Kernel, ns string, workerLanes, window int, serve boo
 	// declared dead is handed to the engine's failover (for an application
 	// spanning several kernels' transports this recovers the dead
 	// kernel's threads onto the survivors).
-	opts := []dps.Option{dps.WithWorkers(workerLanes), dps.WithWindow(window)}
+	opts := []dps.Option{dps.WithWindow(window)}
 	if heartbeat > 0 {
 		opts = append(opts, dps.WithCheckpoint(10*heartbeat))
 	}

@@ -13,11 +13,11 @@
 // heartbeats, or App.FailNode — has its threads restored on the survivors
 // with exactly-once semantics, observable via Collection.OnRecover), and
 // functional options (NewLocal / NewSim / Connect with WithWindow,
-// WithWorkers, WithQueue, WithFlowPolicy, WithForceSerialize,
-// WithRebalance, WithCheckpoint, WithFailureDetect, WithRegistry). It is
-// a zero-allocation façade over the engine in internal/core, which layers
-// the scheduler (internal/core/sched: per-thread-instance FIFO queues and
-// sharded drainers), flow control (internal/core/flowctl: Window and
+// WithFlowPolicy, WithForceSerialize, WithRebalance, WithCheckpoint,
+// WithFailureDetect, WithRegistry). It is a zero-allocation façade over the
+// engine in internal/core, which layers
+// the scheduler (internal/core/sched: per-thread-instance FIFO queues, each
+// drained by a warm worker), flow control (internal/core/flowctl: Window and
 // Unbounded policies, load-balancing credits), placement
 // (internal/core/place: epoch-versioned thread→node tables and the
 // live-remap protocol) and failure recovery (internal/core/ft: checkpoint

@@ -22,8 +22,8 @@
 //     releases its flow-control window slots instead of wedging the graph.
 //
 //   - Functional options. NewLocal / NewSim / Connect replace hand-built
-//     engine configuration with WithWindow, WithWorkers, WithQueue,
-//     WithFlowPolicy, WithForceSerialize, WithRegistry and WithNodes.
+//     engine configuration with WithWindow, WithFlowPolicy,
+//     WithForceSerialize, WithRegistry and WithNodes.
 //
 // A minimal application:
 //

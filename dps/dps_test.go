@@ -82,7 +82,7 @@ func buildUpper(t testing.TB, app *dps.App, name string) dps.Graph[*reqTok, *req
 }
 
 func TestTypedChainCall(t *testing.T) {
-	app := newApp(t, dps.WithNodes("a", "b", "c"), dps.WithWindow(8), dps.WithWorkers(2))
+	app := newApp(t, dps.WithNodes("a", "b", "c"), dps.WithWindow(8))
 	g := buildUpper(t, app, "upper")
 	out, err := g.Call(context.Background(), &reqTok{Str: "dynamic parallel schedules"})
 	if err != nil {
@@ -291,12 +291,6 @@ func TestOptionErrors(t *testing.T) {
 	if _, err := dps.NewLocal(dps.WithWindow(-1)); err == nil {
 		t.Fatal("negative window accepted")
 	}
-	if _, err := dps.NewLocal(dps.WithWorkers(-2)); err == nil {
-		t.Fatal("negative workers accepted")
-	}
-	if _, err := dps.NewLocal(dps.WithQueue(-3)); err == nil {
-		t.Fatal("negative queue accepted")
-	}
 }
 
 func TestOptionsApply(t *testing.T) {
@@ -304,8 +298,6 @@ func TestOptionsApply(t *testing.T) {
 	// tokens even on the single local node, so serialization bugs surface.
 	app := newApp(t,
 		dps.WithNodes("a", "b"),
-		dps.WithWorkers(2),
-		dps.WithQueue(16),
 		dps.WithForceSerialize(true),
 		dps.WithFlowPolicy(dps.WindowPolicy(4)),
 	)

@@ -42,7 +42,8 @@ func (a *App) CallLatency() *Hist { return a.core.CallLatency() }
 func (a *App) QueueWait() *Hist { return a.core.QueueWait() }
 
 // QueueDepth reports the tokens currently sitting in the application's
-// dispatch queues — a live saturation gauge.
+// dispatch queues, which is every token waiting for its thread — a live
+// saturation gauge.
 func (a *App) QueueDepth() int64 { return a.core.QueueDepth() }
 
 // MetricsHandler returns an http.Handler serving the application's state in

@@ -98,33 +98,6 @@ func WithFlowPolicy(p FlowPolicy) Option {
 	}
 }
 
-// WithWorkers sets the number of scheduler worker lanes per node. Values
-// above one shard the node's thread instances over that many drainer
-// goroutines (bounded intra-node concurrency); zero or one keeps the
-// default on-demand drainer per instance.
-func WithWorkers(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("dps: negative worker count %d", n)
-		}
-		c.engine.Workers = n
-		return nil
-	}
-}
-
-// WithQueue bounds each thread instance's dispatch queue; zero keeps the
-// engine default. Beyond the bound, dispatch degrades to one goroutine per
-// token instead of blocking the poster.
-func WithQueue(n int) Option {
-	return func(c *config) error {
-		if n < 0 {
-			return fmt.Errorf("dps: negative queue bound %d", n)
-		}
-		c.engine.Queue = n
-		return nil
-	}
-}
-
 // WithMaxInFlightCalls bounds the graph calls admitted concurrently across
 // the application. Beyond the budget, Call/CallAsync shed at admission with
 // an error wrapping ErrOverload instead of queueing without bound — the

@@ -27,7 +27,6 @@ func main() {
 	iters := flag.Int("iters", 40, "iterations to run")
 	improved := flag.Bool("improved", true, "use the improved (overlapping) flow graph of Figure 8")
 	show := flag.Bool("show", true, "render a 40x20 viewport via the read service")
-	workers := flag.Int("workers", 0, "scheduler worker lanes per node (0 = per-instance drainers)")
 	flag.Parse()
 
 	net := simnet.New(simnet.GigabitEthernet())
@@ -36,7 +35,7 @@ func main() {
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i)
 	}
-	app, err := dps.NewSim(net, dps.WithNodes(names...), dps.WithWorkers(*workers))
+	app, err := dps.NewSim(net, dps.WithNodes(names...))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,13 +40,11 @@ func main() {
 
 	// A local "cluster" of three nodes in this process. Swap NewLocal for
 	// NewSim to pay modelled network costs, or Connect kernel transports
-	// (cmd/dps-kernel) for real TCP. The options select the engine tuning:
-	// a per-split flow-control window of 16 tokens and two scheduler
-	// worker lanes per node.
+	// (cmd/dps-kernel) for real TCP. The option selects the engine tuning:
+	// a per-split flow-control window of 16 tokens.
 	app, err := dps.NewLocal(
 		dps.WithNodes("nodeA", "nodeB", "nodeC"),
 		dps.WithWindow(16),
-		dps.WithWorkers(2),
 	)
 	if err != nil {
 		log.Fatal(err)

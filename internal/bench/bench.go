@@ -35,10 +35,6 @@ type Options struct {
 	// seconds (used by `go test -bench` and CI); the default sizes follow
 	// the paper more closely.
 	Quick bool
-	// Workers is the per-node scheduler worker count threaded into every
-	// experiment's core.Config; zero keeps the engine's default on-demand
-	// drainer per thread instance.
-	Workers int
 	// Seed derives the Chaos experiment's fault schedules (zero picks 1);
 	// a failing soak reproduces exactly from its printed seed.
 	Seed int64
@@ -114,7 +110,7 @@ func Figure6(opt Options) (*Report, error) {
 	}
 	agg := &core.Stats{}
 	for _, size := range sizes {
-		dps, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64, Workers: opt.Workers})
+		dps, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64})
 		if err != nil {
 			return nil, fmt.Errorf("figure6 dps size=%d: %w", size, err)
 		}
@@ -159,7 +155,7 @@ func Rebalance(opt Options) (*Report, error) {
 		Header: []string{"scenario", "MB/s", "migrations", "forwarded", "migBytes"},
 	}
 	agg := &core.Stats{}
-	cfg := core.Config{Window: 64, Workers: opt.Workers}
+	cfg := core.Config{Window: 64}
 	base, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("rebalance baseline: %w", err)
@@ -214,14 +210,14 @@ func Failover(opt Options) (*Report, error) {
 		Header: []string{"scenario", "MB/s", "recovery", "ckpts", "ckptBytes", "replayed", "failovers"},
 	}
 	agg := &core.Stats{}
-	base, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64, Workers: opt.Workers})
+	base, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, core.Config{Window: 64})
 	if err != nil {
 		return nil, fmt.Errorf("failover baseline: %w", err)
 	}
 	agg.Add(base.Stats)
 	t.AddRow("ft off", fmt.Sprintf("%.1f", base.Throughput), "-", "0", "0", "0", "0")
 
-	ftCfg := core.Config{Window: 64, Workers: opt.Workers, Checkpoint: ckpt}
+	ftCfg := core.Config{Window: 64, Checkpoint: ckpt}
 	ftOn, err := ringbench.RunDPSConfig(gigabit(), 4, total, size, ftCfg)
 	if err != nil {
 		return nil, fmt.Errorf("failover ft-on run: %w", err)
@@ -262,10 +258,10 @@ func Failover(opt Options) (*Report, error) {
 // (zero-cost fabric), from which the paper's two reported quantities
 // follow: reduction = 1 - t_full/(t_comm + t_comp) and ratio =
 // t_comm/t_comp.
-func table1Cell(n, s, workers int, opt Options, agg *core.Stats) (reduction, ratio float64, err error) {
+func table1Cell(n, s, workers int, agg *core.Stats) (reduction, ratio float64, err error) {
 	a := matrix.Random(n, n, 1)
 	b := matrix.Random(n, n, 2)
-	appCfg := core.Config{Window: 256, Workers: opt.Workers}
+	appCfg := core.Config{Window: 256}
 	run := func(cfg *simnet.Config, compute bool) (time.Duration, error) {
 		var app *core.App
 		var net *simnet.Network
@@ -334,7 +330,7 @@ func Table1(opt Options) (*Report, error) {
 	agg := &core.Stats{}
 	for workers := 1; workers <= maxWorkers; workers++ {
 		for _, s := range factors {
-			red, ratio, err := table1Cell(n, s, workers, opt, agg)
+			red, ratio, err := table1Cell(n, s, workers, agg)
 			if err != nil {
 				return nil, fmt.Errorf("table1 workers=%d s=%d: %w", workers, s, err)
 			}
@@ -373,10 +369,10 @@ const paperCellCost = 125 * time.Nanosecond
 // lifeSpeedup measures iterations/second of the life application for one
 // (worldW, worldH, nodes, improved) configuration on the simulated fabric,
 // taking the best of two runs to suppress scheduler noise.
-func lifeSpeedup(worldW, worldH, workers, iters int, improved bool, opt Options, agg *core.Stats) (time.Duration, error) {
+func lifeSpeedup(worldW, worldH, workers, iters int, improved bool, agg *core.Stats) (time.Duration, error) {
 	best := time.Duration(0)
 	for rep := 0; rep < 2; rep++ {
-		el, err := lifeSpeedupOnce(worldW, worldH, workers, iters, improved, opt, agg)
+		el, err := lifeSpeedupOnce(worldW, worldH, workers, iters, improved, agg)
 		if err != nil {
 			return 0, err
 		}
@@ -387,11 +383,11 @@ func lifeSpeedup(worldW, worldH, workers, iters int, improved bool, opt Options,
 	return best, nil
 }
 
-func lifeSpeedupOnce(worldW, worldH, workers, iters int, improved bool, opt Options, agg *core.Stats) (time.Duration, error) {
+func lifeSpeedupOnce(worldW, worldH, workers, iters int, improved bool, agg *core.Stats) (time.Duration, error) {
 	net := simnet.New(gigabit())
 	defer net.Close()
 	names := nodeNames("life", workers)
-	app, err := core.NewSimApp(core.Config{Workers: opt.Workers}, net, names...)
+	app, err := core.NewSimApp(core.Config{}, net, names...)
 	if err != nil {
 		return 0, err
 	}
@@ -442,7 +438,7 @@ func Figure9(opt Options) (*Report, error) {
 		for _, improved := range []bool{false, true} {
 			var base time.Duration
 			for _, workers := range nodesList {
-				el, err := lifeSpeedup(w[0], w[1], workers, iters, improved, opt, agg)
+				el, err := lifeSpeedup(w[0], w[1], workers, iters, improved, agg)
 				if err != nil {
 					return nil, fmt.Errorf("figure9 %dx%d workers=%d: %w", w[0], w[1], workers, err)
 				}
@@ -499,7 +495,7 @@ func Table2(opt Options) (*Report, error) {
 	for _, blk := range blocks {
 		net := simnet.New(gigabit())
 		names := nodeNames("t2", workers)
-		app, err := core.NewSimApp(core.Config{Workers: opt.Workers}, net, names...)
+		app, err := core.NewSimApp(core.Config{}, net, names...)
 		if err != nil {
 			net.Close()
 			return nil, err
@@ -588,10 +584,10 @@ func Table2(opt Options) (*Report, error) {
 }
 
 // luRun measures one LU configuration (best of two runs).
-func luRun(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) (time.Duration, error) {
+func luRun(n, r, workers int, pipelined bool, agg *core.Stats) (time.Duration, error) {
 	best := time.Duration(0)
 	for rep := 0; rep < 2; rep++ {
-		el, err := luRunOnce(n, r, workers, pipelined, opt, agg)
+		el, err := luRunOnce(n, r, workers, pipelined, agg)
 		if err != nil {
 			return 0, err
 		}
@@ -602,7 +598,7 @@ func luRun(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) (tim
 	return best, nil
 }
 
-func luRunOnce(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) (time.Duration, error) {
+func luRunOnce(n, r, workers int, pipelined bool, agg *core.Stats) (time.Duration, error) {
 	// Fabric scaled 10x: the paper's CPUs computed the unoptimized LU
 	// kernels roughly 10x slower relative to their Gigabit fabric than this
 	// build does, and the comm/comp ratio (4*flops/(r*BW)) is what shapes
@@ -610,7 +606,7 @@ func luRunOnce(n, r, workers int, pipelined bool, opt Options, agg *core.Stats) 
 	net := simnet.New(scaledGigabit(10))
 	defer net.Close()
 	names := nodeNames("lu", workers)
-	app, err := core.NewSimApp(core.Config{Window: 256, Workers: opt.Workers}, net, names...)
+	app, err := core.NewSimApp(core.Config{Window: 256}, net, names...)
 	if err != nil {
 		return 0, err
 	}
@@ -645,7 +641,7 @@ func Figure15(opt Options) (*Report, error) {
 	for _, pipelined := range []bool{true, false} {
 		var base time.Duration
 		for _, workers := range nodesList {
-			el, err := luRun(n, r, workers, pipelined, opt, agg)
+			el, err := luRun(n, r, workers, pipelined, agg)
 			if err != nil {
 				return nil, fmt.Errorf("figure15 workers=%d pipelined=%v: %w", workers, pipelined, err)
 			}

@@ -29,15 +29,6 @@ type Config struct {
 	// FlowPolicy selects the flow-control discipline applied to each split
 	// group; nil selects flowctl.Window{N: Window}.
 	FlowPolicy flowctl.Policy
-	// Workers is the number of scheduler worker lanes per node. Values
-	// above one shard the node's thread instances over that many drainer
-	// goroutines (bounded intra-node concurrency); zero or one keeps the
-	// default on-demand drainer per instance.
-	Workers int
-	// Queue bounds each thread instance's dispatch queue; zero selects
-	// sched.DefaultQueueCap. Beyond the bound dispatch degrades to one
-	// goroutine per token instead of blocking the poster.
-	Queue int
 	// ForceSerialize marshals and unmarshals tokens even for same-node
 	// transfers, exercising the full networking path inside one process —
 	// the paper's several-kernels-per-host debugging mode.

@@ -290,25 +290,25 @@ func (rt *Runtime) enqueueCheckpoints() {
 // is mid-body; the remaining hazards — open merge groups (their buffers
 // are volatile) and executions parked inside a blocking point after
 // yielding the ticket — skip the tick instead of capturing a torn state.
-func (rt *Runtime) runCheckpoint(it workItem, tk sched.Ticket, fromDrainer bool) bool {
+func (rt *Runtime) runCheckpoint(it workItem, tk sched.Ticket) {
 	inst := it.inst
 	tk.Wait()
 	defer inst.exec.Unlock()
 	if rt.dead.Load() || rt.app.Err() != nil {
-		return fromDrainer
+		return
 	}
 	inst.mu.Lock()
 	open := len(inst.groups)
 	inst.mu.Unlock()
 	if open > 0 || inst.yielded.Load() != 0 {
-		return fromDrainer
+		return
 	}
 	var stateBytes []byte
 	if stateMigrates(inst.tc.stateType) {
 		b, err := rt.app.reg.Marshal(inst.state)
 		if err != nil {
 			rt.failApp(fmt.Errorf("dps: cannot checkpoint state of %s[%d]: %w", inst.tc.Name(), inst.index, err))
-			return fromDrainer
+			return
 		}
 		stateBytes = b
 	}
@@ -332,7 +332,6 @@ func (rt *Runtime) runCheckpoint(it workItem, tk sched.Ticket, fromDrainer bool)
 	atomic.AddInt64(&rt.stats.CheckpointsTaken, 1)
 	atomic.AddInt64(&rt.stats.CheckpointBytes, int64(len(stateBytes)))
 	rt.lnk.sendCheckpoint(rt.app.MasterNode(), rec)
-	return fromDrainer
 }
 
 // commitCheckpoint runs on the store node: the record is committed and, if

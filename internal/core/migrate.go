@@ -483,7 +483,7 @@ func (rt *Runtime) restoreInstance(key place.Key, state []byte, rec *ft.Record) 
 			inst.ft.Restore(rec)
 		}
 	}
-	rt.sched.InitInstance(&inst.exec, shardKey(key.Collection, key.Thread))
+	rt.sched.InitInstance(&inst.exec)
 	return inst, nil
 }
 

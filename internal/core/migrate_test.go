@@ -15,9 +15,14 @@ import (
 )
 
 // Tokens and thread state of the migration tests. SeqToken (a sequenced
-// payload) is shared with the sharded-scheduler tests.
+// payload) is shared with stress_test.go's FIFO tests.
 type MigOrder struct {
 	N int
+}
+
+// SeqToken carries a split-assigned sequence number.
+type SeqToken struct {
+	Seq int
 }
 
 type MigDone struct {
@@ -41,6 +46,7 @@ type AccState struct {
 
 var (
 	_ = serial.MustRegister[MigOrder]()
+	_ = serial.MustRegister[SeqToken]()
 	_ = serial.MustRegister[MigDone]()
 	_ = serial.MustRegister[AccState]()
 )

@@ -44,7 +44,8 @@ func (rt *Runtime) TraceSpans(id uint64) []trace.Span {
 }
 
 // QueueDepth reports the tokens currently sitting in this node's dispatch
-// queues — the scheduler's live run-queue depth, a saturation gauge.
+// queues, which is every token waiting for its thread — the scheduler's live
+// run-queue depth, a saturation gauge.
 func (rt *Runtime) QueueDepth() int64 {
 	return rt.sched.Pending()
 }

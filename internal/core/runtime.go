@@ -20,8 +20,7 @@ import (
 // five engine layers:
 //
 //   - sched:   per-thread-instance work queues, FIFO execution tickets and
-//     drainer handoff (internal/core/sched), optionally sharded over N
-//     worker lanes;
+//     drainer handoff (internal/core/sched);
 //   - flowctl: per-split-group flow-control gates and the load-balancing
 //     credit trackers (internal/core/flowctl);
 //   - groups:  split/merge/stream group lifecycle (groups.go);
@@ -144,7 +143,7 @@ func newRuntime(app *App, tr transport.Transport, idx int) *Runtime {
 	}
 	rt.groups.init(idx)
 	rt.lnk.init(rt, tr, &app.cfg)
-	rt.sched.Init(sched.Config{Workers: app.cfg.Workers, QueueCap: app.cfg.Queue}, rt.runItem)
+	rt.sched.Init(rt.runItem)
 	return rt
 }
 
@@ -177,19 +176,9 @@ func (rt *Runtime) instance(tc *ThreadCollection, index int) (*threadInstance, e
 	if rt.app.ftOn {
 		inst.ft = ft.NewState(ft.StreamOf(tc.Name(), index))
 	}
-	rt.sched.InitInstance(&inst.exec, shardKey(tc.Name(), index))
+	rt.sched.InitInstance(&inst.exec)
 	rt.threads[key] = inst
 	return inst, nil
-}
-
-// shardKey spreads thread instances over scheduler shards: same-index
-// threads of different collections land on different lanes.
-func shardKey(collection string, index int) int {
-	h := uint32(2166136261)
-	for i := 0; i < len(collection); i++ {
-		h = (h ^ uint32(collection[i])) * 16777619
-	}
-	return int(h&0x7fffffff) + index
 }
 
 // credit returns (creating presized to threads, if needed) the credit
@@ -332,22 +321,23 @@ func (rt *Runtime) linkSuspect(dst string, err error) bool {
 
 // runItem executes one queued item, reporting whether the caller still
 // holds the drainer role afterwards. It is the scheduler layer's RunFunc.
-func (rt *Runtime) runItem(it workItem, tk sched.Ticket, fromDrainer bool) bool {
+func (rt *Runtime) runItem(it workItem, tk sched.Ticket, _ bool) bool {
 	defer it.inst.inflight.Add(-1)
 	if it.ckpt {
-		return rt.runCheckpoint(it, tk, fromDrainer)
+		rt.runCheckpoint(it, tk)
+		return true // a checkpoint never blocks, so it never hands the role off
 	}
 	if it.collector {
-		return rt.runCollector(it, tk, fromDrainer)
+		return rt.runCollector(it, tk)
 	}
-	return rt.runSimple(it, tk, fromDrainer)
+	return rt.runSimple(it, tk)
 }
 
 // runSimple executes a leaf or split operation body, reporting whether the
 // calling goroutine still holds the drainer role afterwards.
-func (rt *Runtime) runSimple(it workItem, tk sched.Ticket, fromDrainer bool) (still bool) {
+func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 	inst, g, node, env := it.inst, it.g, it.node, it.env
-	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: env, in: env.Token, callID: env.CallID, drainer: fromDrainer}
+	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: env, in: env.Token, callID: env.CallID, drainer: true}
 	defer func() { still = c.drainer }()
 	tk.Wait()
 	if env.TraceID != 0 {
@@ -396,10 +386,10 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket, fromDrainer bool) (st
 // runCollector executes a merge or stream body for one group, fed by the
 // group's buffer. It reports whether the calling goroutine still holds the
 // drainer role afterwards.
-func (rt *Runtime) runCollector(it workItem, tk sched.Ticket, fromDrainer bool) (still bool) {
+func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 	inst, g, node, firstEnv, first, mg := it.inst, it.g, it.node, it.env, it.bt, it.mg
 	inst.ranCollector.Store(true)
-	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: firstEnv, in: first.tok, callID: firstEnv.CallID, mg: mg, drainer: fromDrainer}
+	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: firstEnv, in: first.tok, callID: firstEnv.CallID, mg: mg, drainer: true}
 	defer func() { still = c.drainer }()
 	tk.Wait()
 	defer inst.exec.Unlock()

@@ -68,14 +68,6 @@ func (t Ticket) Wait() {
 	<-ch
 }
 
-// granted reports whether the reservation is already grantable without
-// blocking (the lock reached this ticket's turn).
-func (t Ticket) granted() bool {
-	t.l.mu.Lock()
-	defer t.l.mu.Unlock()
-	return t.l.serving >= t.seq
-}
-
 // Lock reserves and waits.
 func (l *FIFOLock) Lock() { l.Reserve().Wait() }
 

@@ -5,7 +5,7 @@
 //
 // Every engine goroutine comes from one place, Scheduler.start, and is warm:
 // a worker that runs out of work parks itself on the scheduler's free list
-// instead of exiting, and start hands the next job to the most recently
+// instead of exiting, and start hands the next queue to the most recently
 // parked worker (LIFO, so the stack it has already grown and the cache lines
 // it last touched are the ones reused). Only when no worker is parked does
 // start create a goroutine; at most maxIdle stay parked, and Close releases
@@ -14,17 +14,15 @@
 // burst costs a channel send to a parked worker, not a new goroutine whose
 // 2 KiB stack is copied three or four times on its way down to the socket.
 //
-// Two execution modes are provided:
+// There is one dispatch mechanism: an instance with pending work holds one
+// worker as its drainer until its queue is empty, and the Go runtime spreads
+// the runnable drainers over the cores. The queue is not bounded here; the
+// tokens in flight are bounded by the flow-control window and the admission
+// budget, and a queued entry is far smaller than a goroutine blocked on its
+// ticket would be.
 //
-//   - direct (Workers <= 1): each instance with pending work holds one
-//     worker as its drainer until its queue is empty;
-//   - sharded (Workers = N > 1): instances are statically assigned to N
-//     shards and runnable instances queue on their shard, so at most N
-//     unblocked workers run concurrently (workers blocked inside operations
-//     have already handed their role off).
-//
-// In both modes the paper's progress-while-stalled semantics hold: an
-// operation that is about to block relinquishes the drainer role first
+// The paper's progress-while-stalled semantics hold because an operation
+// that is about to block relinquishes the drainer role first
 // (Instance.Relinquish), so queued executions keep flowing while it waits.
 // Per-instance FIFO ordering is guaranteed by the tickets, which are
 // reserved under the queue lock at enqueue time: queue order and lock grant
@@ -40,12 +38,6 @@ import (
 	"sync/atomic"
 )
 
-// DefaultQueueCap bounds the per-instance dispatch queue when Config.QueueCap
-// is zero. Beyond it the scheduler degrades to one worker per token rather
-// than blocking the poster (the per-split flow-control window is the real
-// bound on tokens in flight; this is a memory backstop).
-const DefaultQueueCap = 1024
-
 // maxIdle bounds the workers parked on one scheduler's free list; a worker
 // that finishes while that many are already parked exits instead. It only
 // has to cover the goroutines a node needs at once in steady state (one per
@@ -53,23 +45,16 @@ const DefaultQueueCap = 1024
 // worker costs one stack. DESIGN.md's scheduler bullet has the sweep behind it.
 const maxIdle = 16
 
-// Config tunes a Scheduler.
-type Config struct {
-	// Workers selects the execution mode: <= 1 gives each runnable instance
-	// its own drainer; > 1 multiplexes runnable instances onto that many
-	// shard workers.
-	Workers int
-	// QueueCap bounds each instance's dispatch queue; zero selects
-	// DefaultQueueCap.
-	QueueCap int
-}
+// Config is empty; it stays because internal/perf compiles against it
+// (ROADMAP item 1(a)).
+type Config struct{}
 
 // RunFunc executes one queued item. tk is the item's FIFO execution ticket
-// (the runner waits on it before entering the operation body); fromDrainer
-// reports whether the calling goroutine holds the item's instance drainer
-// role, and the return value reports whether it still does afterwards (an
-// operation that blocked mid-execution hands the role off and returns
-// false).
+// (the runner waits on it before entering the operation body). The calling
+// goroutine holds the item's instance drainer role, and the return value
+// reports whether it still does afterwards (an operation that blocked
+// mid-execution hands the role off and returns false). fromDrainer is always
+// true; it stays because internal/perf compiles against it (ROADMAP item 1(a)).
 type RunFunc[T any] func(it T, tk Ticket, fromDrainer bool) bool
 
 // Stats are cumulative counters of one scheduler.
@@ -79,8 +64,8 @@ type Stats struct {
 	// Handoffs counts drainer-role handoffs (an operation blocked and
 	// relinquished the role before waiting).
 	Handoffs int64
-	// WorkersStarted counts the goroutines the scheduler created: jobs for
-	// which no parked worker was available (every job, after Close).
+	// WorkersStarted counts the goroutines the scheduler created: drainers
+	// for which no parked worker was available (every drainer, after Close).
 	WorkersStarted int64
 	// TicketWaits counts the executions that had to block for their FIFO
 	// ticket: everything else found its turn already come.
@@ -88,11 +73,9 @@ type Stats struct {
 }
 
 // Scheduler dispatches work items onto per-instance FIFO queues and drains
-// them according to the configured execution mode.
+// each non-empty queue on a worker of its own.
 type Scheduler[T any] struct {
-	run      RunFunc[T]
-	queueCap int
-	shards   []shard[T] // empty in direct mode
+	run RunFunc[T]
 
 	queueHighWater atomic.Int64
 	handoffs       atomic.Int64
@@ -103,16 +86,8 @@ type Scheduler[T any] struct {
 	// The free list of parked workers, most recently parked last. Each
 	// entry is the one-slot channel its worker is receiving from.
 	idleMu sync.Mutex
-	idle   []chan job[T]
+	idle   []chan *Instance[T]
 	closed bool
-}
-
-// job is what a worker goroutine is started or woken to do. Exactly one of
-// the three is set.
-type job[T any] struct {
-	inst *Instance[T] // drain this instance, drainer role already held
-	sh   *shard[T]    // serve this shard, worker role already held
-	e    *entry[T]    // run this one item off-queue, without the drainer role
 }
 
 // Fifo is a queue popped by head index: the backing array is reused from
@@ -151,15 +126,6 @@ func (q *Fifo[E]) Pop() E {
 	return e
 }
 
-// shard is one intra-node execution lane of the sharded mode: a queue of
-// runnable instances plus the worker role, held by at most one unblocked
-// goroutine at a time.
-type shard[T any] struct {
-	mu     sync.Mutex
-	runq   Fifo[*Instance[T]]
-	active bool
-}
-
 // entry is one queued execution with its pre-reserved ticket.
 type entry[T any] struct {
 	it T
@@ -170,42 +136,24 @@ type entry[T any] struct {
 // queue and the FIFO lock serializing the operation bodies that run on it.
 type Instance[T any] struct {
 	sched *Scheduler[T]
-	sh    *shard[T] // nil in direct mode
 
 	lock FIFOLock
 
 	mu       sync.Mutex
 	queue    Fifo[entry[T]]
 	draining bool // a goroutine owns the right to pop this queue
-	queued   bool // sharded mode: instance sits on its shard's run queue
 }
 
-// New creates a scheduler executing items with run.
-func New[T any](cfg Config, run RunFunc[T]) *Scheduler[T] {
+// New creates a scheduler executing items with run. The Config argument stays
+// because internal/perf compiles against it (ROADMAP item 1(a)).
+func New[T any](_ Config, run RunFunc[T]) *Scheduler[T] {
 	s := new(Scheduler[T])
-	s.Init(cfg, run)
+	s.Init(run)
 	return s
 }
 
 // Init initializes an embedded (zero-valued) scheduler in place.
-func (s *Scheduler[T]) Init(cfg Config, run RunFunc[T]) {
-	s.run = run
-	s.queueCap = cfg.QueueCap
-	if s.queueCap <= 0 {
-		s.queueCap = DefaultQueueCap
-	}
-	if cfg.Workers > 1 {
-		s.shards = make([]shard[T], cfg.Workers)
-	}
-}
-
-// Workers returns the number of shard workers (1 for the direct mode).
-func (s *Scheduler[T]) Workers() int {
-	if len(s.shards) == 0 {
-		return 1
-	}
-	return len(s.shards)
-}
+func (s *Scheduler[T]) Init(run RunFunc[T]) { s.run = run }
 
 // Stats returns a snapshot of the scheduler's counters.
 func (s *Scheduler[T]) Stats() Stats {
@@ -218,45 +166,39 @@ func (s *Scheduler[T]) Stats() Stats {
 }
 
 // Pending reports the number of items currently sitting in the scheduler's
-// dispatch queues: enqueued but not yet popped by a drainer. A live
-// saturation gauge (not a cumulative counter) for exporters; items that
-// overflow onto their own worker are not queued and not counted.
+// dispatch queues: enqueued but not yet popped by a drainer, which is every
+// item waiting for its thread. A live saturation gauge (not a cumulative
+// counter) for exporters.
 func (s *Scheduler[T]) Pending() int64 {
 	return s.pending.Load()
 }
 
-// start runs j on a goroutine: the most recently parked worker if there is
-// one, a new goroutine otherwise. It never blocks.
-func (s *Scheduler[T]) start(j job[T]) {
+// start drains inst, whose drainer role the caller holds, on a goroutine: the
+// most recently parked worker if there is one, a new goroutine otherwise. It
+// never blocks.
+func (s *Scheduler[T]) start(inst *Instance[T]) {
 	s.idleMu.Lock()
 	if n := len(s.idle); n > 0 {
 		w := s.idle[n-1]
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
 		s.idleMu.Unlock()
-		w <- j // one slot, and only the goroutine that popped w sends on it
+		w <- inst // one slot, and only the goroutine that popped w sends on it
 		return
 	}
 	s.idleMu.Unlock()
 	s.workersStarted.Add(1)
-	go s.work(j)
+	go s.work(inst)
 }
 
-// work is a worker goroutine: it does its job, parks on the free list and
-// does the next one it is handed, until the list is full or closed.
-func (s *Scheduler[T]) work(j job[T]) {
-	var w chan job[T]
+// work is a worker goroutine: it drains its instance, parks on the free list
+// and drains the next one it is handed, until the list is full or closed.
+func (s *Scheduler[T]) work(inst *Instance[T]) {
+	var w chan *Instance[T]
 	for {
-		switch {
-		case j.inst != nil:
-			s.drainLoop(j.inst)
-		case j.sh != nil:
-			s.shardLoop(j.sh)
-		default:
-			s.run(j.e.it, j.e.tk, false)
-		}
+		s.drainLoop(inst)
 		if w == nil {
-			w = make(chan job[T], 1)
+			w = make(chan *Instance[T], 1)
 		}
 		s.idleMu.Lock()
 		if s.closed || len(s.idle) >= maxIdle {
@@ -266,15 +208,15 @@ func (s *Scheduler[T]) work(j job[T]) {
 		s.idle = append(s.idle, w)
 		s.idleMu.Unlock()
 		var ok bool
-		if j, ok = <-w; !ok {
+		if inst, ok = <-w; !ok {
 			return
 		}
 	}
 }
 
 // Close ends every parked worker and stops workers from parking: a busy
-// worker exits when its job is done. Work that arrives afterwards still
-// runs, each job on a goroutine of its own.
+// worker exits when its queue is drained. Work that arrives afterwards still
+// runs, each drainer on a goroutine of its own.
 func (s *Scheduler[T]) Close() {
 	s.idleMu.Lock()
 	s.closed = true
@@ -286,25 +228,19 @@ func (s *Scheduler[T]) Close() {
 	}
 }
 
-// NewInstance creates an instance; key selects its shard in sharded mode
-// (instances with equal keys modulo Workers share a lane).
-func (s *Scheduler[T]) NewInstance(key int) *Instance[T] {
+// NewInstance creates an instance. The ignored argument stays because
+// internal/perf compiles against it (ROADMAP item 1(a)).
+func (s *Scheduler[T]) NewInstance(int) *Instance[T] {
 	inst := new(Instance[T])
-	s.InitInstance(inst, key)
+	s.InitInstance(inst)
 	return inst
 }
 
 // InitInstance initializes an embedded (zero-valued) instance in place,
 // avoiding a separate allocation for containers that hold one per thread.
-func (s *Scheduler[T]) InitInstance(inst *Instance[T], key int) {
+func (s *Scheduler[T]) InitInstance(inst *Instance[T]) {
 	inst.sched = s
 	inst.lock.blocked = &s.ticketWaits
-	if n := len(s.shards); n > 0 {
-		if key < 0 {
-			key = -key
-		}
-		inst.sh = &s.shards[key%n]
-	}
 }
 
 // Lock acquires the instance's FIFO execution lock with a fresh reservation,
@@ -315,40 +251,19 @@ func (inst *Instance[T]) Lock() { inst.lock.Lock() }
 // Unlock releases the instance's FIFO execution lock.
 func (inst *Instance[T]) Unlock() { inst.lock.Unlock() }
 
-// Enqueue reserves the execution ticket and queues the item, making the
-// instance runnable if no goroutine currently holds its drainer role. When
-// the queue is at capacity the item instead runs on a worker of its own (the
-// ticket still serializes it in order).
+// Enqueue reserves the execution ticket and queues the item, starting a
+// drainer if no goroutine currently holds the instance's drainer role.
 func (inst *Instance[T]) Enqueue(it T) {
 	s := inst.sched
 	inst.mu.Lock()
-	tk := inst.lock.Reserve()
-	if inst.queue.Len() >= s.queueCap {
-		inst.mu.Unlock()
-		s.start(job[T]{e: &entry[T]{it: it, tk: tk}})
-		return
-	}
-	inst.queue.Push(entry[T]{it: it, tk: tk})
+	inst.queue.Push(entry[T]{it: it, tk: inst.lock.Reserve()})
 	s.pending.Add(1)
 	s.noteDepth(int64(inst.queue.Len()))
-	if inst.sh == nil {
-		spawn := !inst.draining
-		if spawn {
-			inst.draining = true
-		}
-		inst.mu.Unlock()
-		if spawn {
-			s.start(job[T]{inst: inst})
-		}
-		return
-	}
-	signal := !inst.draining && !inst.queued
-	if signal {
-		inst.queued = true
-	}
+	spawn := !inst.draining
+	inst.draining = true
 	inst.mu.Unlock()
-	if signal {
-		s.pushRunnable(inst)
+	if spawn {
+		s.start(inst)
 	}
 }
 
@@ -360,126 +275,40 @@ func (inst *Instance[T]) Enqueue(it T) {
 func (inst *Instance[T]) Relinquish() {
 	s := inst.sched
 	s.handoffs.Add(1)
-	if inst.sh == nil {
-		inst.mu.Lock()
-		if inst.queue.Len() > 0 {
-			inst.mu.Unlock()
-			s.start(job[T]{inst: inst})
-			return
-		}
-		inst.draining = false
-		inst.mu.Unlock()
-		return
-	}
-	// Sharded: give up the instance-drainer role, requeue the instance if
-	// it still has work, then pass the shard-worker role to a successor
-	// (the caller is about to block inside an operation).
 	inst.mu.Lock()
-	inst.draining = false
-	requeue := inst.queue.Len() > 0 && !inst.queued
-	if requeue {
-		inst.queued = true
-	}
-	inst.mu.Unlock()
-	sh := inst.sh
-	sh.mu.Lock()
-	if requeue {
-		sh.runq.Push(inst)
-	}
-	if sh.runq.Len() == 0 {
-		sh.active = false
-		sh.mu.Unlock()
+	if inst.queue.Len() > 0 {
+		inst.mu.Unlock()
+		s.start(inst)
 		return
 	}
-	sh.mu.Unlock()
-	s.start(job[T]{sh: sh})
-}
-
-// pushRunnable queues an instance on its shard and makes sure a worker is
-// serving the shard.
-func (s *Scheduler[T]) pushRunnable(inst *Instance[T]) {
-	sh := inst.sh
-	sh.mu.Lock()
-	sh.runq.Push(inst)
-	spawn := !sh.active
-	if spawn {
-		sh.active = true
-	}
-	sh.mu.Unlock()
-	if spawn {
-		s.start(job[T]{sh: sh})
-	}
-}
-
-// shardLoop serves a shard with the worker role held: it pops runnable
-// instances and drains them inline until the shard is idle or the role was
-// handed off mid-operation (drainLoop returning false).
-func (s *Scheduler[T]) shardLoop(sh *shard[T]) {
-	for {
-		sh.mu.Lock()
-		if sh.runq.Len() == 0 {
-			sh.active = false
-			sh.mu.Unlock()
-			return
-		}
-		inst := sh.runq.Pop()
-		sh.mu.Unlock()
-		inst.mu.Lock()
-		inst.queued = false
-		if inst.draining || inst.queue.Len() == 0 {
-			inst.mu.Unlock()
-			continue
-		}
-		inst.draining = true
-		inst.mu.Unlock()
-		if !s.drainLoop(inst) {
-			// An operation blocked; Relinquish started a successor (or
-			// idled the shard), so this worker is done with it.
-			return
-		}
-	}
+	inst.draining = false
+	inst.mu.Unlock()
 }
 
 // drainLoop pops queued executions of one instance and runs them inline,
-// starting with the drainer role held. It returns true once the queue is
-// empty, or false if the calling goroutine lost the role to a successor (an
-// operation blocked mid-execution and handed it off).
-func (s *Scheduler[T]) drainLoop(inst *Instance[T]) bool {
+// starting with the drainer role held, until the queue is empty or the
+// calling goroutine lost the role to a successor (an operation blocked
+// mid-execution and handed it off).
+func (s *Scheduler[T]) drainLoop(inst *Instance[T]) {
 	for {
 		inst.mu.Lock()
 		if inst.queue.Len() == 0 {
 			inst.draining = false
 			inst.mu.Unlock()
-			return true
+			return
 		}
 		e := inst.queue.Pop()
 		inst.mu.Unlock()
 		s.pending.Add(-1)
-		if inst.sh != nil && !e.tk.granted() {
-			// Sharded mode: the instance's execution lock is held by an
-			// earlier operation still running (e.g. one that blocked,
-			// reacquired and is now computing). Parking this worker in
-			// tk.Wait would starve every other instance of the lane, so the
-			// item runs on a worker of its own (the ticket keeps it in FIFO
-			// order) and the lane moves on.
-			off := e // a copy, so that only this path's entry escapes
-			s.start(job[T]{e: &off})
-			continue
-		}
 		if s.run(e.it, e.tk, true) {
 			continue
 		}
-		if inst.sh != nil {
-			// Sharded mode: the relinquish already requeued the instance if
-			// needed; the popped-queue invariant belongs to the successor.
-			return false
-		}
-		// Direct mode: reclaim the role unless a successor drainer is
-		// active.
+		// The operation relinquished: reclaim the role unless a successor
+		// drainer is active.
 		inst.mu.Lock()
 		if inst.draining {
 			inst.mu.Unlock()
-			return false
+			return
 		}
 		inst.draining = true
 		inst.mu.Unlock()

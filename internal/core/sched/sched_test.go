@@ -149,24 +149,36 @@ func TestTicketsWaitedOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestGrantedFollowsThePredecessor: a ticket is grantable exactly from its
-// predecessor's unlock on, and stays so.
+// TestGrantedFollowsThePredecessor: a ticket is granted exactly from its
+// predecessor's unlock on — a Wait entered before that blocks, one entered
+// after it does not — and stays granted once its turn has passed.
 func TestGrantedFollowsThePredecessor(t *testing.T) {
 	var l FIFOLock
+	var blocked atomic.Int64
+	l.blocked = &blocked
 	first, second, third := l.Reserve(), l.Reserve(), l.Reserve()
-	if !first.granted() || second.granted() || third.granted() {
-		t.Fatalf("granted = %v %v %v on a fresh lock, want only the first", first.granted(), second.granted(), third.granted())
+	first.Wait() // a fresh lock is the first ticket's
+	thirdIn := make(chan struct{})
+	go func() {
+		third.Wait()
+		close(thirdIn)
+	}()
+	for blocked.Load() != 1 { // third is parked behind two predecessors
+		runtime.Gosched()
 	}
 	l.Unlock()
-	if !second.granted() || third.granted() {
-		t.Fatalf("after one unlock granted = %v %v, want the second only", second.granted(), third.granted())
+	second.Wait() // its predecessor has unlocked: must not block
+	select {
+	case <-thirdIn:
+		t.Fatal("third ticket granted while the second holds the lock")
+	default:
 	}
-	second.Wait() // must not block
 	l.Unlock()
-	third.Wait()
+	<-thirdIn
 	l.Unlock()
-	if !first.granted() || !third.granted() {
-		t.Fatal("a ticket whose turn has passed stopped reading as granted")
+	first.Wait() // a turn that has passed still reads as granted
+	if got := blocked.Load(); got != 1 {
+		t.Fatalf("%d waits blocked, want only the third ticket's", got)
 	}
 }
 
@@ -219,131 +231,20 @@ func TestLockRacingReserve(t *testing.T) {
 
 // --- Scheduler -----------------------------------------------------------
 
-// testOrderPreserved pushes n items through one instance with an
-// engine-style runner (wait ticket, record, unlock) and checks execution
-// order matches enqueue order.
-func testOrderPreserved(t *testing.T, workers int) {
-	t.Helper()
+// TestOrderDirect pushes n items through one instance with an engine-style
+// runner (wait ticket, record, unlock) and checks execution order matches
+// enqueue order.
+func TestOrderDirect(t *testing.T) {
 	const n = 1000
-	var mu sync.Mutex
-	var got []int
-	var wg sync.WaitGroup
-	var inst *Instance[int]
-	s := New(Config{Workers: workers}, func(it int, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		mu.Lock()
-		got = append(got, it)
-		mu.Unlock()
-		inst.Unlock()
-		wg.Done()
-		return fromDrainer
-	})
-	inst = s.NewInstance(7)
-	wg.Add(n)
+	r := newRecorder(1, n)
+	defer r.s.Close()
 	for i := 0; i < n; i++ {
-		inst.Enqueue(i)
+		r.inst[0].Enqueue(i)
 	}
-	wg.Wait()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order violated at %d (workers=%d): got %v", i, workers, got[i])
+	for i := 0; i < n; i++ {
+		if got := <-r.ran; got != i {
+			t.Fatalf("order violated at %d: got %d", i, got)
 		}
-	}
-}
-
-func TestOrderDirect(t *testing.T)  { testOrderPreserved(t, 1) }
-func TestOrderSharded(t *testing.T) { testOrderPreserved(t, 4) }
-
-// TestShardedConcurrency checks that distinct instances on distinct shards
-// actually run concurrently: two blocking items must overlap in time.
-func TestShardedConcurrency(t *testing.T) {
-	var running atomic.Int32
-	var peak atomic.Int32
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	var a, b *Instance[int]
-	s := New(Config{Workers: 2}, func(it int, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		v := running.Add(1)
-		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
-		}
-		<-release
-		running.Add(-1)
-		if it == 1 {
-			a.Unlock()
-		} else {
-			b.Unlock()
-		}
-		wg.Done()
-		return fromDrainer
-	})
-	a = s.NewInstance(0)
-	b = s.NewInstance(1)
-	wg.Add(2)
-	a.Enqueue(1)
-	b.Enqueue(2)
-	// Give both shard workers time to enter their items.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if peak.Load() != 2 {
-		t.Fatalf("expected 2 concurrent executions across shards, peak %d", peak.Load())
-	}
-}
-
-// TestRelinquishKeepsShardLive checks the drainer handoff: an item that
-// blocks mid-execution (after relinquishing, like a stalled split) must not
-// stall other instances of its shard.
-func TestRelinquishKeepsShardLive(t *testing.T) {
-	release := make(chan struct{})
-	otherRan := make(chan struct{})
-	blockerDone := make(chan struct{})
-	var blocker, other *Instance[string]
-	// Two worker lanes, but both instances keyed onto lane 0 so the test
-	// exercises the in-lane handoff.
-	s := New(Config{Workers: 2}, func(it string, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		if it == "blocker" {
-			// A blocking operation: hand the role off, release the
-			// execution lock, wait, reacquire, finish.
-			if fromDrainer {
-				blocker.Relinquish()
-				fromDrainer = false
-			}
-			blocker.Unlock()
-			<-release
-			blocker.Lock()
-			blocker.Unlock()
-			close(blockerDone)
-			return fromDrainer
-		}
-		other.Unlock()
-		close(otherRan)
-		return fromDrainer
-	})
-	// Both instances land on the single shard.
-	blocker = s.NewInstance(0)
-	other = s.NewInstance(0)
-	blocker.Enqueue("blocker")
-	go func() {
-		// Give the blocker time to start and relinquish, then enqueue the
-		// second instance's work on the same shard.
-		time.Sleep(20 * time.Millisecond)
-		other.Enqueue("other")
-	}()
-	select {
-	case <-otherRan:
-	case <-time.After(5 * time.Second):
-		t.Fatal("shard stalled behind a blocked operation")
-	}
-	close(release)
-	select {
-	case <-blockerDone:
-	case <-time.After(5 * time.Second):
-		t.Fatal("blocked operation never resumed")
-	}
-	if s.Stats().Handoffs == 0 {
-		t.Fatal("expected a recorded drainer handoff")
 	}
 }
 
@@ -352,7 +253,7 @@ func TestQueueHighWater(t *testing.T) {
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	var inst *Instance[int]
-	s := New(Config{Workers: 1}, func(it int, tk Ticket, fromDrainer bool) bool {
+	s := New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
 		<-gate
 		inst.Unlock()
@@ -372,95 +273,6 @@ func TestQueueHighWater(t *testing.T) {
 	}
 }
 
-// TestOverflowRunsEverything checks the queue-cap overflow path still runs
-// every item exactly once in FIFO order.
-func TestOverflowRunsEverything(t *testing.T) {
-	const n = 64
-	var mu sync.Mutex
-	var got []int
-	var wg sync.WaitGroup
-	var inst *Instance[int]
-	s := New(Config{Workers: 1, QueueCap: 4}, func(it int, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		mu.Lock()
-		got = append(got, it)
-		mu.Unlock()
-		inst.Unlock()
-		wg.Done()
-		return fromDrainer
-	})
-	inst = s.NewInstance(0)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		inst.Enqueue(i)
-	}
-	wg.Wait()
-	if len(got) != n {
-		t.Fatalf("ran %d of %d items", len(got), n)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("overflow path broke FIFO order at %d: %v", i, got[:i+1])
-		}
-	}
-}
-
-// TestWorkersReported checks mode selection.
-func TestWorkersReported(t *testing.T) {
-	if w := New[int](Config{}, nil).Workers(); w != 1 {
-		t.Fatalf("direct mode workers = %d", w)
-	}
-	if w := New[int](Config{Workers: 8}, nil).Workers(); w != 8 {
-		t.Fatalf("sharded mode workers = %d", w)
-	}
-}
-
-// TestShardLaneLiveDespiteHeldLock checks that a shard worker does not park
-// on a FIFO ticket while an instance's execution lock is held by an earlier
-// (resumed) operation: other instances of the lane must keep being served,
-// and the waiting item must still run in order once the lock frees.
-func TestShardLaneLiveDespiteHeldLock(t *testing.T) {
-	aRan := make(chan struct{})
-	bRan := make(chan struct{})
-	var a, b *Instance[string]
-	s := New(Config{Workers: 2}, func(it string, tk Ticket, fromDrainer bool) bool {
-		tk.Wait()
-		switch it {
-		case "a":
-			a.Unlock()
-			close(aRan)
-		case "b":
-			b.Unlock()
-			close(bRan)
-		}
-		return fromDrainer
-	})
-	// Both instances on lane 0.
-	a = s.NewInstance(0)
-	b = s.NewInstance(0)
-	// An earlier operation holds A's execution lock (as after a blocking
-	// point's reacquire) while A has queued work.
-	a.Lock()
-	a.Enqueue("a")
-	b.Enqueue("b")
-	select {
-	case <-bRan:
-	case <-time.After(5 * time.Second):
-		t.Fatal("lane starved: instance B not served while A's lock was held")
-	}
-	select {
-	case <-aRan:
-		t.Fatal("A's item ran although its execution lock was held")
-	case <-time.After(20 * time.Millisecond):
-	}
-	a.Unlock() // the earlier operation finishes
-	select {
-	case <-aRan:
-	case <-time.After(5 * time.Second):
-		t.Fatal("A's item did not run after the lock freed")
-	}
-}
-
 // --- Warm workers --------------------------------------------------------
 
 // recorder is an engine-style runner (wait ticket, record, unlock) over one
@@ -473,9 +285,9 @@ type recorder struct {
 	ran  chan int
 }
 
-func newRecorder(cfg Config, instances, buffered int) *recorder {
+func newRecorder(instances, buffered int) *recorder {
 	r := &recorder{ran: make(chan int, buffered)}
-	r.s = New(cfg, func(it int, tk Ticket, fromDrainer bool) bool {
+	r.s = New(Config{}, func(it int, tk Ticket, fromDrainer bool) bool {
 		tk.Wait()
 		r.ran <- it
 		r.inst[it%len(r.inst)].Unlock()
@@ -511,7 +323,7 @@ func awaitParked[T any](t testing.TB, s *Scheduler[T], n int) {
 // bound however many bursts arrive, and order holds.
 func TestBurstsReuseWorkers(t *testing.T) {
 	const n = 5000
-	r := newRecorder(Config{}, 1, 1)
+	r := newRecorder(1, 1)
 	for i := 0; i < n; i++ {
 		r.inst[0].Enqueue(i)
 		if got := <-r.ran; got != i {
@@ -554,10 +366,10 @@ func TestIdleBound(t *testing.T) {
 	awaitParked(t, s, 0)
 }
 
-// TestRelinquishReturnsWorkerToFreeList checks the handoff in direct mode:
-// an operation that relinquishes and blocks with work queued behind it does
-// not strand that work, and once it resumes its goroutine parks like any
-// other, so later bursts start nothing new.
+// TestRelinquishReturnsWorkerToFreeList checks the handoff: an operation that
+// relinquishes and blocks with work queued behind it does not strand that
+// work, and once it resumes its goroutine parks like any other, so later
+// bursts start nothing new.
 func TestRelinquishReturnsWorkerToFreeList(t *testing.T) {
 	const blocker = 0
 	queuedBehind := make(chan struct{})
@@ -613,30 +425,32 @@ func TestRelinquishReturnsWorkerToFreeList(t *testing.T) {
 	awaitParked(t, s, 0)
 }
 
-// TestOffQueueItemsKeepTicketOrder drives both off-queue paths at once (past
-// QueueCap at enqueue, and a shard worker meeting a held execution lock):
-// every item gets a worker of its own and they still run in ticket order.
-func TestOffQueueItemsKeepTicketOrder(t *testing.T) {
-	const n = 200
-	for _, workers := range []int{1, 2} {
-		r := newRecorder(Config{Workers: workers, QueueCap: 8}, 1, n)
-		for round := 0; round < 2; round++ {
-			r.inst[0].Lock() // an earlier operation still holds the thread
-			for i := 0; i < n; i++ {
-				r.inst[0].Enqueue(i)
-			}
-			r.inst[0].Unlock()
-			for i := 0; i < n; i++ {
-				if got := <-r.ran; got != i {
-					t.Fatalf("workers=%d round %d: item %d ran at position %d", workers, round, got, i)
-				}
-			}
+// TestDeepQueueDrainsOnOneWorker: the dispatch queue has no cap. Ten thousand
+// items enqueued behind a held execution lock all sit in the queue (none gets
+// a goroutine of its own to block on its ticket), and once the lock frees the
+// one drainer runs them in order.
+func TestDeepQueueDrainsOnOneWorker(t *testing.T) {
+	const n = 10 * 1024
+	r := newRecorder(1, n)
+	defer r.s.Close()
+	r.inst[0].Lock() // an earlier operation still holds the thread
+	for i := 0; i < n; i++ {
+		r.inst[0].Enqueue(i)
+	}
+	r.inst[0].Unlock()
+	for i := 0; i < n; i++ {
+		if got := <-r.ran; got != i {
+			t.Fatalf("item %d ran at position %d", got, i)
 		}
-		if p := r.s.Pending(); p != 0 {
-			t.Fatalf("workers=%d: %d items still pending", workers, p)
-		}
-		r.s.Close()
-		awaitParked(t, r.s, 0)
+	}
+	awaitParked(t, r.s, 1) // the drainer found its queue empty
+	st := r.s.Stats()
+	if st.WorkersStarted != 1 || st.TicketWaits > 1 || st.QueueHighWater < 10000 {
+		t.Fatalf("started %d goroutines, %d blocked waits, high water %d; want 1, <= 1, >= 10000",
+			st.WorkersStarted, st.TicketWaits, st.QueueHighWater)
+	}
+	if p := r.s.Pending(); p != 0 {
+		t.Fatalf("%d items still pending", p)
 	}
 }
 
@@ -645,46 +459,44 @@ func TestOffQueueItemsKeepTicketOrder(t *testing.T) {
 // goroutines.
 func TestCloseRacingEnqueue(t *testing.T) {
 	const producers, each = 4, 2000
-	for _, workers := range []int{1, 2} {
-		r := newRecorder(Config{Workers: workers}, producers, producers*each)
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := 0; i < each; i++ {
-					r.inst[p].Enqueue(i*producers + p)
-					if i%64 == 0 {
-						runtime.Gosched() // let queues drain: more empty -> non-empty edges
-					}
+	r := newRecorder(producers, producers*each)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				r.inst[p].Enqueue(i*producers + p)
+				if i%64 == 0 {
+					runtime.Gosched() // let queues drain: more empty -> non-empty edges
 				}
-			}(p)
-		}
-		runtime.Gosched()
-		r.s.Close()
-		wg.Wait()
-		next := make([]int, producers)
-		for i := 0; i < producers*each; i++ {
-			select {
-			case it := <-r.ran:
-				p := it % producers
-				if it/producers != next[p] {
-					t.Fatalf("workers=%d: instance %d ran item %d, want %d", workers, p, it/producers, next[p])
-				}
-				next[p]++
-			case <-time.After(5 * time.Second):
-				t.Fatalf("workers=%d: %d of %d items ran", workers, i, producers*each)
 			}
-		}
-		awaitParked(t, r.s, 0)
+		}(p)
 	}
+	runtime.Gosched()
+	r.s.Close()
+	wg.Wait()
+	next := make([]int, producers)
+	for i := 0; i < producers*each; i++ {
+		select {
+		case it := <-r.ran:
+			p := it % producers
+			if it/producers != next[p] {
+				t.Fatalf("instance %d ran item %d, want %d", p, it/producers, next[p])
+			}
+			next[p]++
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d items ran", i, producers*each)
+		}
+	}
+	awaitParked(t, r.s, 0)
 }
 
 // TestEnqueueWarmAllocatesNothing pins the burst path's budget: on a warmed
 // instance, enqueue -> wake a parked worker -> run -> park again allocates
 // nothing (no goroutine, no closure, no queue array).
 func TestEnqueueWarmAllocatesNothing(t *testing.T) {
-	r := newRecorder(Config{}, 1, 1)
+	r := newRecorder(1, 1)
 	burst := func() {
 		r.inst[0].Enqueue(0)
 		<-r.ran
@@ -704,7 +516,7 @@ func TestEnqueueWarmAllocatesNothing(t *testing.T) {
 // single blocked wait except the drainer's first, which is what
 // Stats.TicketWaits reports.
 func TestTicketWaitsCounted(t *testing.T) {
-	r := newRecorder(Config{}, 1, 8)
+	r := newRecorder(1, 8)
 	defer r.s.Close()
 	r.inst[0].Lock() // an operation that reacquired after blocking holds the lock
 	for i := 0; i < 8; i++ {
@@ -753,7 +565,7 @@ func TestFifoReusesItsArray(t *testing.T) {
 // BenchmarkEnqueueBurst is one token at a time (call_fan's pattern): every
 // Enqueue finds the queue empty and needs a goroutine.
 func BenchmarkEnqueueBurst(b *testing.B) {
-	r := newRecorder(Config{}, 1, 1)
+	r := newRecorder(1, 1)
 	defer r.s.Close()
 	b.ReportAllocs()
 	for b.Loop() {
@@ -766,7 +578,7 @@ func BenchmarkEnqueueBurst(b *testing.B) {
 // rings' pattern): one drainer serves the whole burst. ns/op is per token.
 func BenchmarkEnqueueStream(b *testing.B) {
 	const window = 64
-	r := newRecorder(Config{}, 1, window)
+	r := newRecorder(1, window)
 	defer r.s.Close()
 	b.ReportAllocs()
 	for n := 0; b.Loop(); n++ {

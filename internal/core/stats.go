@@ -44,13 +44,15 @@ type Stats struct {
 	// call's origin node.
 	CallsExpired int64
 	// QueueHighWater is the deepest per-instance dispatch queue observed by
-	// the scheduler layer. Aggregation takes the maximum, not the sum.
+	// the scheduler layer: the most tokens that ever waited for one thread
+	// (the queue has no cap). Aggregation takes the maximum, not the sum.
 	QueueHighWater int64 `stat:"max"`
 	// DrainerHandoffs counts scheduler drainer-role handoffs (an operation
 	// blocked mid-execution and passed its queue to another goroutine).
 	DrainerHandoffs int64
-	// SchedWorkersStarted counts the goroutines the scheduler layer created
-	// because no parked worker was free (sched.Stats.WorkersStarted). Over
+	// SchedWorkersStarted counts the goroutines the scheduler layer created:
+	// drainers for which no parked worker was free
+	// (sched.Stats.WorkersStarted), never one per queued token. Over
 	// CallsCompleted it reads as goroutines started per call: near zero
 	// while the warm workers cover the node's concurrency.
 	SchedWorkersStarted int64

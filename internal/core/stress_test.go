@@ -1,12 +1,123 @@
 package core_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/core/flowctl"
 )
+
+// seqGraph builds split(main, node0) -> record(one thread, node1) ->
+// merge(main): the split posts in.N numbered tokens, then calls posted, and
+// record passes each token's number to observe before forwarding it.
+func seqGraph(t *testing.T, app *core.App, posted func(), observe func(seq int)) *core.Flowgraph {
+	t.Helper()
+	main := core.MustCollection[struct{}](app, "main")
+	if err := main.Map("node0"); err != nil {
+		t.Fatal(err)
+	}
+	one := core.MustCollection[struct{}](app, "one")
+	if err := one.Map("node1"); err != nil {
+		t.Fatal(err)
+	}
+	split := core.Split[*CountToken, *SeqToken]("seq-split",
+		func(c *core.Ctx, in *CountToken, post func(*SeqToken)) {
+			for i := 0; i < in.N; i++ {
+				post(&SeqToken{Seq: i})
+			}
+			posted()
+		})
+	record := core.Leaf[*SeqToken, *SeqToken]("seq-record",
+		func(c *core.Ctx, in *SeqToken) *SeqToken {
+			observe(in.Seq)
+			return in
+		})
+	merge := core.Merge[*SeqToken, *CountToken]("seq-merge",
+		func(c *core.Ctx, first *SeqToken, next func() (*SeqToken, bool)) *CountToken {
+			n := 0
+			for _, ok := first, true; ok; _, ok = next() {
+				n++
+			}
+			return &CountToken{N: n}
+		})
+	g, err := app.NewFlowgraph("seq", core.Path(
+		core.NewNode(split, main, core.MainRoute()),
+		core.NewNode(record, one, core.MainRoute()),
+		core.NewNode(merge, main, core.MainRoute()),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestFIFOPerInstance posts a numbered stream to one single-thread collection
+// and checks the leaf observed the tokens in posting order — the per-instance
+// FIFO guarantee, with the split stalling on a small window, on a large one,
+// and never.
+func TestFIFOPerInstance(t *testing.T) {
+	for _, cfg := range []core.Config{{Window: 8}, {Window: 32}, {FlowPolicy: flowctl.Unbounded{}}} {
+		name := fmt.Sprintf("window%d", cfg.Window)
+		if cfg.FlowPolicy != nil {
+			name = cfg.FlowPolicy.Name()
+		}
+		t.Run(name, func(t *testing.T) {
+			app := newLocalApp(t, cfg, "node0", "node1")
+			var seen []int // written by the one record thread, read after the call
+			g := seqGraph(t, app, func() {}, func(seq int) { seen = append(seen, seq) })
+			const tokens = 2000
+			out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.(*CountToken).N; got != tokens {
+				t.Fatalf("merged %d of %d", got, tokens)
+			}
+			for i, v := range seen {
+				if v != i {
+					t.Fatalf("FIFO order violated at %d: got %d", i, v)
+				}
+			}
+		})
+	}
+}
+
+// TestDeepDispatchQueue: with no flow-control window a split can put any
+// number of tokens in front of one slow thread. They all wait in its
+// dispatch queue, which has no cap — the engine starts no goroutine per
+// token, however deep the queue gets — and run in posting order.
+func TestDeepDispatchQueue(t *testing.T) {
+	app := newLocalApp(t, core.Config{FlowPolicy: flowctl.Unbounded{}}, "node0", "node1")
+	posted := make(chan struct{})
+	var seen []int
+	g := seqGraph(t, app, func() { close(posted) }, func(seq int) {
+		<-posted // the thread is slow: nothing runs until the whole stream is queued
+		seen = append(seen, seq)
+	})
+	const tokens = 5000
+	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.(*CountToken).N; got != tokens {
+		t.Fatalf("merged %d of %d", got, tokens)
+	}
+	for i, v := range seen {
+		if v != i {
+			t.Fatalf("FIFO order violated at %d: got %d", i, v)
+		}
+	}
+	st := app.Stats()
+	if st.QueueHighWater <= 1024 {
+		t.Fatalf("QueueHighWater = %d with %d tokens queued behind a blocked thread", st.QueueHighWater, tokens)
+	}
+	if st.SchedWorkersStarted > 32 {
+		t.Fatalf("%d goroutines started for %d queued tokens, want a few drainers", st.SchedWorkersStarted, tokens)
+	}
+}
 
 // TestDeepNesting chains three levels of split-merge constructs.
 func TestDeepNesting(t *testing.T) {

@@ -141,17 +141,6 @@ func TestUnboundedPolicyEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedWorkersRing runs the DPS ring with a sharded scheduler.
-func TestShardedWorkersRing(t *testing.T) {
-	res, err := RunDPSConfig(testCfg(), 4, 1<<20, 64<<10, core.Config{Window: 32, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalBytes != 1<<20 {
-		t.Fatalf("moved %d bytes", res.TotalBytes)
-	}
-}
-
 // TestRingRebalanceMidRun remaps a forwarding hop to another ring node (and
 // back) while blocks stream through, asserting the acceptance criteria of
 // the placement layer: the call does not fail, every block arrives exactly
