@@ -2,9 +2,10 @@
 // multiplexes many concurrent HTTP requests onto Graph.Call invocations of a
 // split–compute–merge application running over real TCP kernels, applying
 // the serve-path protections of the engine — an in-flight call budget that
-// sheds excess load at admission (HTTP 429), per-call deadlines under the
-// deadline-aware flow policy (HTTP 504 when exceeded), and the sharded
-// pending-call registry that keeps thousands of concurrent calls cheap.
+// sheds excess load at admission (HTTP 429), per-call deadlines that cancel
+// a call even while its split waits on the flow-control window (HTTP 504
+// when exceeded), and the sharded pending-call registry that keeps
+// thousands of concurrent calls cheap.
 //
 // The default mode embeds a full deployment in one process for easy driving
 // with curl or hey: a name server plus -nodes TCP kernels on loopback, with
@@ -118,7 +119,7 @@ func newGateway(cfg gatewayConfig) (*gateway, error) {
 	}
 	opts := []dps.Option{
 		dps.WithMaxInFlightCalls(cfg.maxInflight),
-		dps.WithFlowPolicy(dps.DeadlinePolicy(cfg.window, 0)),
+		dps.WithWindow(cfg.window),
 	}
 	if cfg.batch {
 		opts = append(opts, dps.WithBatch(0, 0, 0))

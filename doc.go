@@ -9,16 +9,15 @@
 // live thread remapping (Collection.Remap migrates threads between nodes
 // mid-execution, with state shipment and token forwarding), fault
 // tolerance (WithCheckpoint enables checkpointed threads, token retention
-// and replay; a node declared dead — WithFailureDetect probes, kernel
-// heartbeats, or App.FailNode — has its threads restored on the survivors
-// with exactly-once semantics, observable via Collection.OnRecover), and
+// and replay; a node declared dead — by a failing send, a kernel heartbeat,
+// or App.FailNode — has its threads restored on the survivors with
+// exactly-once semantics, observable via Collection.OnRecover), and
 // functional options (NewLocal / NewSim / Connect with WithWindow,
-// WithFlowPolicy, WithForceSerialize, WithRebalance, WithCheckpoint,
-// WithFailureDetect, WithRegistry). It is a zero-allocation façade over the
-// engine in internal/core, which layers
+// WithForceSerialize, WithCheckpoint, WithRegistry, ...). It is a
+// zero-allocation façade over the engine in internal/core, which layers
 // the scheduler (internal/core/sched: per-thread-instance FIFO queues, each
-// drained by a warm worker), flow control (internal/core/flowctl: Window and
-// Unbounded policies, load-balancing credits), placement
+// drained by a warm worker), flow control (internal/core/flowctl: one credit
+// window per split group, load-balancing credits), placement
 // (internal/core/place: epoch-versioned thread→node tables and the
 // live-remap protocol) and failure recovery (internal/core/ft: checkpoint
 // records, sender retention logs, duplicate filters, the failover

@@ -12,8 +12,8 @@ import "repro/internal/core"
 // quiesce each moving thread, ship its state (which must be a registered,
 // fully exported struct type — or empty) to the new node, and forward
 // in-flight tokens so calls keep running with per-thread FIFO order
-// preserved. Epoch reports the placement version. WithRebalance bounds the
-// per-thread quiesce wait.
+// preserved. Epoch reports the placement version. The ctx deadline bounds
+// the per-thread quiesce wait.
 type Collection = core.ThreadCollection
 
 // NewCollection creates a thread collection whose threads each own a

@@ -22,8 +22,8 @@
 //     releases its flow-control window slots instead of wedging the graph.
 //
 //   - Functional options. NewLocal / NewSim / Connect replace hand-built
-//     engine configuration with WithWindow, WithFlowPolicy,
-//     WithForceSerialize, WithRegistry and WithNodes.
+//     engine configuration with WithWindow, WithForceSerialize,
+//     WithRegistry, WithNodes and the other With* options.
 //
 // A minimal application:
 //
@@ -193,10 +193,9 @@ func (a *App) PendingCalls() int { return a.core.PendingCalls() }
 // in-flight tokens replay, and duplicate deliveries are suppressed, so
 // executing calls complete with exactly-once semantics. It is the entry
 // point for external failure detectors — kernel heartbeats, deployment
-// tooling — and for fault injection in tests; the engine's own detectors
-// (transport send errors, WithFailureDetect probes) converge on the same
-// recovery. Fault tolerance must be enabled, and the master node cannot
-// be failed.
+// tooling — and for fault injection in tests; the engine's own detector
+// (transport send errors of real traffic) converges on the same recovery.
+// Fault tolerance must be enabled, and the master node cannot be failed.
 func (a *App) FailNode(node string) error { return a.core.FailNode(node) }
 
 // Graph returns a registered flow graph by name (the paper's named graphs,

@@ -299,7 +299,7 @@ func TestOptionsApply(t *testing.T) {
 	app := newApp(t,
 		dps.WithNodes("a", "b"),
 		dps.WithForceSerialize(true),
-		dps.WithFlowPolicy(dps.WindowPolicy(4)),
+		dps.WithWindow(4),
 	)
 	g := buildUpper(t, app, "options")
 	out, err := g.Call(context.Background(), &reqTok{Str: "options"})
@@ -332,10 +332,10 @@ type counterState struct {
 var _ = dps.Register[counterState]()
 
 // TestLiveRemapThroughFacade drives the placement layer end to end through
-// the public API: a stateful collection is remapped between nodes with
-// WithRebalance configured, the state travels, and the epoch advances.
+// the public API: a stateful collection is remapped between nodes under a
+// bounded quiesce, the state travels, and the epoch advances.
 func TestLiveRemapThroughFacade(t *testing.T) {
-	app := newApp(t, dps.WithNodes("a", "b"), dps.WithRebalance(5*time.Second))
+	app := newApp(t, dps.WithNodes("a", "b"))
 	work := dps.MustCollection[counterState](app, "remap-work")
 	if err := work.Map("a"); err != nil {
 		t.Fatal(err)
@@ -354,7 +354,9 @@ func TestLiveRemapThroughFacade(t *testing.T) {
 		t.Fatalf("first call: %v, %v", out, err)
 	}
 	before := work.Epoch()
-	if err := work.Remap(context.Background(), "b"); err != nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := work.Remap(ctx, "b"); err != nil {
 		t.Fatalf("Remap: %v", err)
 	}
 	if got, _ := work.NodeOf(0); got != "b" {

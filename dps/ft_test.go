@@ -103,12 +103,6 @@ func TestFTOptionErrors(t *testing.T) {
 	if _, err := dps.NewLocal(dps.WithCheckpoint(-time.Second)); err == nil {
 		t.Fatal("negative checkpoint interval accepted")
 	}
-	if _, err := dps.NewLocal(dps.WithFailureDetect(-time.Second)); err == nil {
-		t.Fatal("negative failure-detect interval accepted")
-	}
-	if _, err := dps.NewLocal(dps.WithFailureDetect(time.Second)); err == nil {
-		t.Fatal("WithFailureDetect without WithCheckpoint accepted (probing would be inert)")
-	}
 	if _, err := dps.NewLocal(dps.WithSuspectGrace(-time.Second)); err == nil {
 		t.Fatal("negative suspect grace accepted")
 	}

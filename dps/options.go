@@ -5,33 +5,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/core/flowctl"
 )
-
-// FlowPolicy selects the flow-control discipline applied to each split
-// group; see WindowPolicy and UnboundedPolicy.
-type FlowPolicy = flowctl.Policy
-
-// WindowPolicy is the paper's credit-window flow control: at most n tokens
-// of one split–merge group unacknowledged at any time. n <= 0 selects the
-// engine default.
-func WindowPolicy(n int) FlowPolicy { return flowctl.Window{N: n} }
-
-// UnboundedPolicy applies no backpressure: posts never block. Useful as a
-// baseline and for workloads whose group sizes are intrinsically bounded.
-func UnboundedPolicy() FlowPolicy { return flowctl.Unbounded{} }
-
-// DeadlinePolicy is WindowPolicy with deadline-aware granting: when the
-// window is exhausted, queued posters are granted slots in
-// earliest-deadline-first order instead of wake-up order, so a saturated
-// graph spends its window on the calls closest to expiry and the p99 of
-// admitted calls stays bounded. Posters whose context carries no deadline
-// age with a virtual deadline of arrival + patience (<= 0 selects the
-// engine default) so urgent traffic cannot starve them. n <= 0 selects the
-// engine's default window.
-func DeadlinePolicy(n int, patience time.Duration) FlowPolicy {
-	return flowctl.Deadline{N: n, Patience: patience}
-}
 
 // Option configures an application at construction time.
 type Option func(*config) error
@@ -47,9 +21,6 @@ func buildConfig(opts []Option) (*config, error) {
 		if err := opt(cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.engine.FailureDetect > 0 && cfg.engine.Checkpoint == 0 {
-		return nil, fmt.Errorf("dps: WithFailureDetect requires WithCheckpoint (probing without the recovery layer would be inert)")
 	}
 	if cfg.engine.SuspectGrace > 0 && cfg.engine.Checkpoint == 0 {
 		return nil, fmt.Errorf("dps: WithSuspectGrace requires WithCheckpoint (there is no failure detector to grace without the recovery layer)")
@@ -77,23 +48,15 @@ func WithNodes(names ...string) Option {
 }
 
 // WithWindow bounds the number of tokens in circulation per split–merge
-// pair (the paper's flow-control feedback). Zero keeps the engine default;
-// it is ignored when WithFlowPolicy selects a policy explicitly.
+// pair (the paper's flow-control feedback): a split or stream blocks on its
+// next post while n of its tokens are unacknowledged. Zero keeps the engine
+// default.
 func WithWindow(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
 			return fmt.Errorf("dps: negative flow-control window %d", n)
 		}
 		c.engine.Window = n
-		return nil
-	}
-}
-
-// WithFlowPolicy selects the flow-control discipline applied to each split
-// group, overriding WithWindow.
-func WithFlowPolicy(p FlowPolicy) Option {
-	return func(c *config) error {
-		c.engine.FlowPolicy = p
 		return nil
 	}
 }
@@ -112,30 +75,14 @@ func WithMaxInFlightCalls(n int) Option {
 	}
 }
 
-// WithRebalance bounds the quiesce phase of live thread migrations
-// (Collection.Remap / RemapThread) when the caller's context carries no
-// deadline: a thread stuck inside an operation or an open merge group longer
-// than drain aborts the migration cleanly (placement unchanged, held tokens
-// re-dispatched) instead of stalling the remap forever. Zero waits
-// indefinitely.
-func WithRebalance(drain time.Duration) Option {
-	return func(c *config) error {
-		if drain < 0 {
-			return fmt.Errorf("dps: negative rebalance drain %v", drain)
-		}
-		c.engine.RemapDrain = drain
-		return nil
-	}
-}
-
 // WithCheckpoint enables the fault-tolerance layer and sets the interval
 // at which thread instances checkpoint their state. With it on, every
 // token is sequenced and retained by its sender until a checkpoint of its
 // destination makes it durable; a node declared dead (FailNode, transport
-// send errors, WithFailureDetect probes, kernel heartbeats) has its
-// threads restored from their newest checkpoints on the surviving nodes,
-// retained in-flight tokens are replayed, and receivers drop re-delivered
-// duplicates — executing calls complete with exactly-once semantics.
+// send errors, kernel heartbeats) has its threads restored from their
+// newest checkpoints on the surviving nodes, retained in-flight tokens are
+// replayed, and receivers drop re-delivered duplicates — executing calls
+// complete with exactly-once semantics.
 //
 // Checkpointable state follows the live-migration rule: stateless, or a
 // registered fully-exported struct. Operations must be deterministic
@@ -154,28 +101,13 @@ func WithCheckpoint(interval time.Duration) Option {
 	}
 }
 
-// WithFailureDetect adds active liveness probing to the fault-tolerance
-// layer: the master node probes every peer at this interval and a failing
-// probe declares the peer suspect, triggering automatic failover. Without
-// it, detection is passive (transport send errors of real traffic) or
-// external (kernel heartbeats calling FailNode). Requires WithCheckpoint.
-func WithFailureDetect(interval time.Duration) Option {
-	return func(c *config) error {
-		if interval < 0 {
-			return fmt.Errorf("dps: negative failure-detect interval %v", interval)
-		}
-		c.engine.FailureDetect = interval
-		return nil
-	}
-}
-
 // WithSuspectGrace sets the detector's suspect→confirm grace window: a
-// failing transport send (real traffic and WithFailureDetect probes alike)
-// is retried with capped exponential backoff and jitter for up to this
-// window before the destination may be declared dead. Transient faults — a
-// peer process restarting, a refused dial, a partition that heals — are
-// absorbed by the retries and never trigger a failover; a real crash
-// exhausts the window and recovers as usual, delayed by at most the grace.
+// failing transport send is retried with capped exponential backoff and
+// jitter for up to this window before the destination may be declared
+// dead. Transient faults — a peer process restarting, a refused dial, a
+// partition that heals — are absorbed by the retries and never trigger a
+// failover; a real crash exhausts the window and recovers as usual, delayed
+// by at most the grace.
 // Requires WithCheckpoint (without the recovery layer there is no detector
 // to grace). Zero keeps the immediate-suspect behaviour.
 func WithSuspectGrace(window time.Duration) Option {

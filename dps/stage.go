@@ -31,7 +31,10 @@ func Leaf[In, Out Token](name string, on *Collection, via *Route, fn func(c *Ctx
 // Split builds a stage around a 1→N operation. The function must call post
 // at least once; each posted token joins the new group tracked by the
 // engine, so the paired merge knows when the group is complete without the
-// programmer counting tokens.
+// programmer counting tokens. post belongs to the goroutine running fn:
+// call it from there only, never after fn returns. It blocks while the
+// group's flow-control window (WithWindow) is full, and since the body is
+// the group's one poster the window never has a second waiter.
 func Split[In, Out Token](name string, on *Collection, via *Route, fn func(c *Ctx, in In, post func(Out))) Stage[In, Out] {
 	return Stage[In, Out]{node: core.NewNode(core.Split[In, Out](name, fn), on, via)}
 }
@@ -47,7 +50,8 @@ func Merge[In, Out Token](name string, on *Collection, via *Route, fn func(c *Ct
 // Stream builds a stage around an N→M operation: it collects a group like
 // a merge but may post output tokens at any point, enabling pipelining
 // between successive parallel constructs (the paper's stream operations).
-// It must post at least one token per group.
+// It must post at least one token per group. As for Split, post belongs to
+// the goroutine running fn and may block on the group's window.
 func Stream[In, Out Token](name string, on *Collection, via *Route, fn func(c *Ctx, first In, next func() (In, bool), post func(Out))) Stage[In, Out] {
 	return Stage[In, Out]{node: core.NewNode(core.Stream[In, Out](name, fn), on, via)}
 }

@@ -25,12 +25,9 @@ var (
 		"BatchMaxBytes",
 		"BatchMaxTokens",
 		"Checkpoint",
-		"FailureDetect",
-		"FlowPolicy",
 		"ForceSerialize",
 		"MaxInFlightCalls",
 		"Registry",
-		"RemapDrain",
 		"SuspectGrace",
 		"TraceSample",
 		"Window",
@@ -38,12 +35,9 @@ var (
 	publicOptions = []string{
 		"WithBatch",
 		"WithCheckpoint",
-		"WithFailureDetect",
-		"WithFlowPolicy",
 		"WithForceSerialize",
 		"WithMaxInFlightCalls",
 		"WithNodes",
-		"WithRebalance",
 		"WithRegistry",
 		"WithSuspectGrace",
 		"WithTraceSampling",

@@ -22,37 +22,22 @@ import (
 // Config tunes an application's runtime behaviour.
 type Config struct {
 	// Window bounds the number of tokens in circulation per split–merge
-	// pair (the paper's flow-control feedback). Zero selects DefaultWindow.
-	// It parameterizes the default flowctl.Window policy and is ignored
-	// when FlowPolicy is set explicitly.
+	// pair (the paper's flow-control feedback): each split group gets a
+	// flowctl.Gate of this many slots. Zero selects DefaultWindow.
 	Window int
-	// FlowPolicy selects the flow-control discipline applied to each split
-	// group; nil selects flowctl.Window{N: Window}.
-	FlowPolicy flowctl.Policy
 	// ForceSerialize marshals and unmarshals tokens even for same-node
 	// transfers, exercising the full networking path inside one process —
 	// the paper's several-kernels-per-host debugging mode.
 	ForceSerialize bool
-	// RemapDrain bounds the quiesce phase of live thread migrations
-	// (ThreadCollection.Remap) when the caller's context carries no
-	// deadline; zero waits indefinitely.
-	RemapDrain time.Duration
 	// Checkpoint enables the fault-tolerance layer (internal/core/ft) and
 	// sets the interval at which thread instances checkpoint their state:
 	// tokens are sequenced and retained for replay, receivers filter
 	// duplicates, and a node declared dead (FailNode, transport send
-	// errors, liveness probes, kernel heartbeats) has its threads restored
-	// from their newest checkpoints on the surviving nodes with
-	// exactly-once execution semantics. Zero disables the layer entirely;
-	// the token hot paths and wire formats are then untouched.
+	// errors, kernel heartbeats) has its threads restored from their
+	// newest checkpoints on the surviving nodes with exactly-once execution
+	// semantics. Zero disables the layer entirely; the token hot paths and
+	// wire formats are then untouched.
 	Checkpoint time.Duration
-	// FailureDetect adds active liveness probing to the fault-tolerance
-	// layer: the master node sends a tiny probe to every peer at this
-	// interval and a failing probe send declares the peer suspect. Zero
-	// relies on passive detection (send errors of real traffic) and
-	// external detectors (kernel heartbeats calling FailNode). Ignored
-	// unless Checkpoint is set (the dps façade rejects the combination).
-	FailureDetect time.Duration
 	// Batch turns on per-destination token coalescing on the wire path:
 	// outbound tokens and group-ends bound for the same node accumulate
 	// into one batch frame (msgBatch), flushed when it reaches BatchMaxBytes
@@ -89,13 +74,13 @@ type Config struct {
 	// the msgTraced wrapper (wire.go). Zero disables tracing entirely.
 	TraceSample float64
 	// SuspectGrace turns "first send error = death" into graceful
-	// degradation: a failing transport send (including liveness probes) is
-	// retried with capped exponential backoff and jitter for up to this
-	// window before the failure detector may declare the destination
-	// suspect. Transient faults — a peer restarting, a partition that
-	// heals, an injected send error — are absorbed by the retries; a real
-	// crash exhausts the window and fails over as before, delayed by at
-	// most the grace. Zero keeps the immediate-suspect behaviour.
+	// degradation: a failing transport send is retried with capped
+	// exponential backoff and jitter for up to this window before the
+	// failure detector may declare the destination suspect. Transient
+	// faults — a peer restarting, a partition that heals, an injected send
+	// error — are absorbed by the retries; a real crash exhausts the window
+	// and fails over as before, delayed by at most the grace. Zero keeps the
+	// immediate-suspect behaviour.
 	SuspectGrace time.Duration
 	// Registry is the token type registry; nil selects serial.DefaultRegistry.
 	Registry *serial.Registry
@@ -103,20 +88,6 @@ type Config struct {
 
 // DefaultWindow is the default per-split flow-control window.
 const DefaultWindow = flowctl.DefaultWindow
-
-func (c Config) window() int {
-	if c.Window > 0 {
-		return c.Window
-	}
-	return DefaultWindow
-}
-
-func (c Config) flowPolicy() flowctl.Policy {
-	if c.FlowPolicy != nil {
-		return c.FlowPolicy
-	}
-	return flowctl.Window{N: c.window()}
-}
 
 func (c Config) registry() *serial.Registry {
 	if c.Registry != nil {

@@ -123,7 +123,7 @@ func (tc *ThreadCollection) MapRoundRobin(n int) error {
 //
 // ctx bounds the quiesce of each thread (an instance busy inside an
 // operation, or collecting an open merge group, is migrated only once it
-// falls idle). When ctx has no deadline, Config.RemapDrain applies. Threads
+// falls idle); without a deadline the quiesce waits indefinitely. Threads
 // migrate one at a time; on error the failed thread's migration is rolled
 // back (its placement unchanged, held tokens re-dispatched) but threads
 // already moved stay moved — consult Placements for the partial progress.

@@ -14,6 +14,13 @@ import (
 // next group token, nested graph calls), so other operations of the same
 // thread keep making progress — e.g. a stalled split and the merge feeding
 // its window on one main thread.
+//
+// A Ctx and the post function handed to a body belong to the goroutine
+// running that body: posting from another goroutine, or after the body
+// returned, is not supported. The rule makes each split group's
+// flow-control gate single-poster — only the opener's execution acquires
+// slots on it (pushGroupFrame), acknowledgements only release them — so a
+// gate never has two waiters and needs no policy for ordering them.
 type Ctx struct {
 	rt    *Runtime
 	inst  *threadInstance
@@ -137,14 +144,6 @@ func (c *Ctx) checkCanceled() {
 	}
 }
 
-// failIfAborted panics with the application error if a failure was
-// recorded, unwinding blocked operations.
-func (c *Ctx) failIfAborted() {
-	if err := c.rt.app.Err(); err != nil {
-		panic(opError{err})
-	}
-}
-
 // postOut posts an output token according to the executing operation's
 // kind: leaves forward the accounting frames unchanged, splits and streams
 // push a frame of their group (blocking on the flow-control gate), and
@@ -260,8 +259,8 @@ func (c *Ctx) pickRoute(succNode *GraphNode, tok Token, seq int, succID int) int
 
 // pushGroupFrame allocates the next index in the execution's open group,
 // fixing the paired merge instance on the first post and acquiring a slot
-// on the group's flow-control gate (blocking while the policy's window is
-// exhausted).
+// on the group's flow-control gate (blocking while its window is
+// exhausted). The execution is the gate's only poster (see Ctx).
 func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 	sg := c.sg
 	if sg == nil {

@@ -1,98 +1,78 @@
-// Package flowctl is the flow-control layer of the DPS engine: it decides
-// how many tokens of one split–merge group may circulate unacknowledged
-// (the paper's flow-control feedback) and tracks the per-thread outstanding
+// Package flowctl is the flow-control layer of the DPS engine: it bounds how
+// many tokens of one split–merge group may circulate unacknowledged (the
+// paper's flow-control feedback) and tracks the per-thread outstanding
 // counts that feed the load-balancing routing functions.
 //
-// A Policy creates one Gate per open split group. The engine acquires a
-// slot on the gate for every posted token and releases one for every
-// consumption acknowledgement arriving from the paired merge; the Window
-// policy blocks posts while the window is exhausted, Unbounded never
-// blocks but still counts tokens in flight (the count drives group
-// reaping).
+// Every open split group has one Gate, a credit window. The engine acquires
+// a slot on it for every posted token and releases one for every
+// consumption acknowledgement arriving from the paired merge; a post blocks
+// while the window is exhausted. A gate has exactly one poster — the
+// goroutine running the opener's body — so at most one Acquire ever waits
+// on it and there is no order among waiters to choose.
 package flowctl
 
 import (
 	"context"
-	"fmt"
 	"sync"
 )
 
-// Policy selects the flow-control discipline applied to each split group.
-type Policy interface {
-	// Name identifies the policy in stats dumps and errors.
-	Name() string
-	// NewGate creates the in-flight tracker of one split group.
-	NewGate() Gate
-}
+// DefaultWindow is the default per-split flow-control window.
+const DefaultWindow = 64
 
-// Gate tracks the tokens in flight of one split group on the split side.
-type Gate interface {
-	// TryAcquire reserves a slot for one posted token without blocking,
-	// reporting whether it succeeded. It is the allocation-free fast path
-	// of the posting loop; on failure the poster falls back to Acquire.
-	TryAcquire() bool
-	// Acquire reserves a slot for one posted token, blocking while the
-	// policy's window is exhausted. A non-nil ctx makes the wait
-	// cancellable: cancellation wakes the waiter and aborts the
-	// acquisition with ctx.Err(). onStall is invoked once, before the
-	// first wait (the engine releases the poster's execution lock and
-	// counts the stall there); failed is consulted after every wake-up and
-	// a non-nil result aborts the acquisition, returned as err. stalled
-	// reports whether the call blocked at all.
-	Acquire(ctx context.Context, onStall func(), failed func() error) (stalled bool, err error)
-	// Release returns one slot (one token of the group was consumed).
-	Release()
-	// Quiescent reports that no tokens are in flight.
-	Quiescent() bool
-	// Wake unblocks pending Acquires so they can observe a failure.
-	Wake()
-}
-
-// Window is the paper's credit-window policy: at most N tokens of a group
+// Window is the paper's credit window: at most N tokens of a group
 // unacknowledged at any time. N <= 0 selects DefaultWindow.
 type Window struct {
 	N int
 }
 
-// DefaultWindow is the default per-split flow-control window.
-const DefaultWindow = 64
-
-func (w Window) size() int {
-	if w.N > 0 {
-		return w.N
-	}
-	return DefaultWindow
-}
-
-// Name implements Policy.
-func (w Window) Name() string { return fmt.Sprintf("window(%d)", w.size()) }
-
-// NewGate implements Policy.
-func (w Window) NewGate() Gate {
-	g := &windowGate{n: w.size()}
-	g.cond.L = &g.mu
+// NewGate returns a fresh gate of this window.
+func (w Window) NewGate() *Gate {
+	g := new(Gate)
+	g.Init(w.N)
 	return g
 }
 
-type windowGate struct {
+// Gate tracks the tokens in flight of one split group on the split side.
+// Init it before use (Window.NewGate does) and do not copy it afterwards;
+// the engine embeds one in each split group.
+type Gate struct {
 	mu       sync.Mutex
 	cond     sync.Cond
 	n        int
 	inflight int
 }
 
-func (g *windowGate) TryAcquire() bool {
-	g.mu.Lock()
-	if g.inflight < g.n {
-		g.inflight++
-		g.mu.Unlock()
-		return true
+// Init sets the window of a fresh gate to n tokens; n <= 0 selects
+// DefaultWindow.
+func (g *Gate) Init(n int) {
+	if n <= 0 {
+		n = DefaultWindow
 	}
-	g.mu.Unlock()
-	return false
+	g.n = n
+	g.cond.L = &g.mu
 }
 
-func (g *windowGate) Acquire(ctx context.Context, onStall func(), failed func() error) (stalled bool, err error) {
+// TryAcquire reserves a slot for one posted token without blocking,
+// reporting whether it succeeded. It is the allocation-free fast path of the
+// posting loop; on failure the poster falls back to Acquire.
+func (g *Gate) TryAcquire() bool {
+	g.mu.Lock()
+	ok := g.inflight < g.n
+	if ok {
+		g.inflight++
+	}
+	g.mu.Unlock()
+	return ok
+}
+
+// Acquire reserves a slot for one posted token, blocking while the window is
+// exhausted. A non-nil ctx makes the wait cancellable: cancellation wakes the
+// waiter and aborts the acquisition with ctx.Err(). onStall is invoked once,
+// before the first wait (the engine releases the poster's execution lock and
+// counts the stall there); failed is consulted before every wait and a
+// non-nil result aborts the acquisition, returned as err. stalled reports
+// whether the call blocked at all.
+func (g *Gate) Acquire(ctx context.Context, onStall func(), failed func() error) (stalled bool, err error) {
 	// Cancellation has no channel to select on inside a cond wait; instead
 	// the context wakes the gate when it fires and the loop consults
 	// ctx.Err() alongside failed.
@@ -107,9 +87,7 @@ func (g *windowGate) Acquire(ctx context.Context, onStall func(), failed func() 
 			}
 		}
 		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+			return ctx.Err()
 		}
 		return nil
 	}
@@ -143,7 +121,9 @@ func (g *windowGate) Acquire(ctx context.Context, onStall func(), failed func() 
 	return stalled, nil
 }
 
-func (g *windowGate) Release() {
+// Release returns one slot (one token of the group was consumed). Extra
+// releases clamp at zero.
+func (g *Gate) Release() {
 	g.mu.Lock()
 	if g.inflight > 0 {
 		g.inflight--
@@ -152,62 +132,19 @@ func (g *windowGate) Release() {
 	g.mu.Unlock()
 }
 
-func (g *windowGate) Quiescent() bool {
+// Quiescent reports that no tokens are in flight.
+func (g *Gate) Quiescent() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.inflight == 0
 }
 
-func (g *windowGate) Wake() {
+// Wake unblocks a pending Acquire so it can observe a failure.
+func (g *Gate) Wake() {
 	g.mu.Lock()
 	g.cond.Broadcast()
 	g.mu.Unlock()
 }
-
-// Unbounded applies no backpressure: posts never block, tokens in flight
-// are still counted so the engine can reap completed groups. It reproduces
-// the runtime's behaviour before flow control, useful as a baseline and
-// for workloads whose group sizes are intrinsically bounded.
-type Unbounded struct{}
-
-// Name implements Policy.
-func (Unbounded) Name() string { return "unbounded" }
-
-// NewGate implements Policy.
-func (Unbounded) NewGate() Gate { return &unboundedGate{} }
-
-type unboundedGate struct {
-	mu       sync.Mutex
-	inflight int
-}
-
-func (g *unboundedGate) TryAcquire() bool {
-	g.mu.Lock()
-	g.inflight++
-	g.mu.Unlock()
-	return true
-}
-
-func (g *unboundedGate) Acquire(ctx context.Context, onStall func(), failed func() error) (bool, error) {
-	g.TryAcquire()
-	return false, nil
-}
-
-func (g *unboundedGate) Release() {
-	g.mu.Lock()
-	if g.inflight > 0 {
-		g.inflight--
-	}
-	g.mu.Unlock()
-}
-
-func (g *unboundedGate) Quiescent() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.inflight == 0
-}
-
-func (g *unboundedGate) Wake() {}
 
 // Credits counts tokens dispatched to each thread of a collection and not
 // yet acknowledged by the downstream merge — the feedback information the

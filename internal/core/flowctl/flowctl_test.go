@@ -138,37 +138,20 @@ func TestWindowQuiescent(t *testing.T) {
 	}
 }
 
-func TestUnboundedNeverBlocks(t *testing.T) {
-	g := Unbounded{}.NewGate()
-	for i := 0; i < 10_000; i++ {
-		if !g.TryAcquire() {
-			t.Fatal("unbounded gate refused a slot")
+func TestWindowDefaultSize(t *testing.T) {
+	// N <= 0 selects DefaultWindow, through NewGate and through Init of a
+	// gate held by value alike.
+	var held Gate
+	held.Init(-1)
+	for name, g := range map[string]*Gate{"NewGate": Window{}.NewGate(), "Init": &held} {
+		for i := 0; i < DefaultWindow; i++ {
+			if !g.TryAcquire() {
+				t.Fatalf("%s: slot %d refused below the default window", name, i)
+			}
 		}
-	}
-	if g.Quiescent() {
-		t.Fatal("unbounded gate must still count tokens in flight")
-	}
-	stalled, err := g.Acquire(nil, func() { t.Error("unbounded gate stalled") }, nil)
-	if stalled || err != nil {
-		t.Fatalf("unbounded Acquire: stalled=%v err=%v", stalled, err)
-	}
-	for i := 0; i < 10_001; i++ {
-		g.Release()
-	}
-	if !g.Quiescent() {
-		t.Fatal("unbounded gate not quiescent after all releases")
-	}
-}
-
-func TestPolicyNames(t *testing.T) {
-	if got := (Window{}).Name(); got != "window(64)" {
-		t.Fatalf("default window name %q", got)
-	}
-	if got := (Window{N: 8}).Name(); got != "window(8)" {
-		t.Fatalf("window name %q", got)
-	}
-	if got := (Unbounded{}).Name(); got != "unbounded" {
-		t.Fatalf("unbounded name %q", got)
+		if g.TryAcquire() {
+			t.Fatalf("%s: slot granted beyond the default window", name)
+		}
 	}
 }
 
@@ -296,5 +279,71 @@ func TestWindowAcquireFailedBeforeWait(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Acquire parked despite a pre-existing failure")
+	}
+}
+
+func TestDeadlineTryAcquireExhaustion(t *testing.T) {
+	// A call's deadline bounds the wait on an exhausted window: once
+	// TryAcquire refuses, Acquire stalls and expires with DeadlineExceeded
+	// without taking a slot, and the window is reusable after a Release.
+	g := Window{N: 2}.NewGate()
+	for i := 0; i < 2; i++ {
+		if !g.TryAcquire() {
+			t.Fatalf("slot %d refused below the window", i)
+		}
+	}
+	if g.TryAcquire() {
+		t.Fatal("slot granted beyond the window")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() {
+		stalled, err := g.Acquire(ctx, nil, nil)
+		if !stalled {
+			t.Error("expired acquire did not report a stall")
+		}
+		errCh <- err
+	}()
+	select {
+	case err := <-errCh:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("got %v, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Acquire outlived its deadline")
+	}
+	g.Release()
+	if !g.TryAcquire() {
+		t.Fatal("released slot not reusable after an expired acquire")
+	}
+	if g.TryAcquire() {
+		t.Fatal("expired acquire left a slot taken beyond the window")
+	}
+}
+
+func TestDeadlineAcquireFailedBeforeWait(t *testing.T) {
+	// A deadline already past aborts without stalling; an application
+	// failure is reported ahead of the expired deadline. Neither consumes
+	// a slot.
+	g := Window{N: 1}.NewGate()
+	g.TryAcquire()
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	noStall := func() { t.Error("onStall invoked for an acquire past its deadline") }
+	stalled, err := g.Acquire(ctx, noStall, nil)
+	if stalled {
+		t.Error("acquire past its deadline reported a stall")
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("got %v, want context.DeadlineExceeded", err)
+	}
+	boom := errors.New("boom")
+	if _, err := g.Acquire(ctx, noStall, func() error { return boom }); !errors.Is(err, boom) {
+		t.Fatalf("got %v, want boom ahead of the expired deadline", err)
+	}
+	g.Release()
+	if !g.Quiescent() {
+		t.Fatal("aborted acquisitions consumed a slot")
 	}
 }

@@ -393,13 +393,6 @@ func (s *State) Restore(r *Record) {
 	}
 }
 
-// LastIn returns the inbound cursor of one stream (tests).
-func (s *State) LastIn(stream string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.in[stream]
-}
-
 // StreamOf names the base sender stream of a thread instance. Stream
 // identity is logical (collection and thread index), not physical: after a
 // failover the re-executed sends of a restored instance must collide with

@@ -45,10 +45,9 @@ import (
 //     (msgCut). Instances with open merge groups or executions parked
 //     inside a blocking point skip the tick and retry on the next one.
 //
-//  4. detect — a death is reported by transport send errors, by the
-//     engine's own liveness probes (Config.FailureDetect), by a kernel
-//     heartbeat (internal/kernel), or by FailNode. The first report wins;
-//     the rest fold into it.
+//  4. detect — a death is reported by transport send errors of real
+//     traffic, by a kernel heartbeat (internal/kernel), or by FailNode. The
+//     first report wins; the rest fold into it.
 //
 //  5. fail over — the coordinator re-places every thread of the dead node
 //     onto survivors: per thread it opens the new owner's pending buffer,
@@ -98,10 +97,9 @@ func ftDebugf(format string, args ...any) {
 }
 
 // ftStart spins up the background goroutines of the fault-tolerance layer:
-// the checkpoint ticker, the optional liveness prober and the failover
-// coordinator. It runs once, lazily, on the first graph call (and on the
-// first explicit FailNode), so applications that never run a graph do not
-// leak tickers.
+// the checkpoint ticker and the failover coordinator. It runs once, lazily,
+// on the first graph call (and on the first explicit FailNode), so
+// applications that never run a graph do not leak tickers.
 func (app *App) ftStart() {
 	app.ftStop = make(chan struct{})
 	app.ftSuspects = make(chan string, 64)
@@ -113,9 +111,6 @@ func (app *App) ftStart() {
 	go app.ftCoordinator()
 	if app.cfg.Checkpoint > 0 {
 		go app.ftCheckpointLoop()
-	}
-	if app.cfg.FailureDetect > 0 {
-		go app.ftProbeLoop()
 	}
 }
 
@@ -351,38 +346,6 @@ func (rt *Runtime) commitCheckpoint(rec *ft.Record) {
 }
 
 // --- failure detection ----------------------------------------------------
-
-// ftProbeLoop actively probes peer liveness from the master node by
-// sending tiny msgPing frames; a probe whose transport send fails reports
-// the peer as suspect. Passive detection (send errors of real traffic)
-// works without it; probing catches nodes that die while nobody posts to
-// them.
-func (app *App) ftProbeLoop() {
-	t := time.NewTicker(app.cfg.FailureDetect)
-	defer t.Stop()
-	for {
-		select {
-		case <-app.ftStop:
-			return
-		case <-t.C:
-			master, ok := app.runtime(app.MasterNode())
-			if !ok || master.dead.Load() {
-				return
-			}
-			for _, name := range app.NodeNames() {
-				if name == master.name || app.ftDead.IsDead(name) {
-					continue
-				}
-				// The probe retries through the suspect-grace window like real
-				// traffic, so it confirms death only once a transient fault had
-				// its chance to clear.
-				if err := master.lnk.ping(name); err != nil {
-					app.suspect(name, err)
-				}
-			}
-		}
-	}
-}
 
 // suspect reports a node failure into the fault-tolerance layer. It
 // reports whether the failure was absorbed (true: recovery is underway and

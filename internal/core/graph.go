@@ -27,9 +27,6 @@ func NewNode(op *OpDef, tc *ThreadCollection, route *Route) *GraphNode {
 	return &GraphNode{op: op, tc: tc, route: route, id: -1}
 }
 
-// Op returns the node's operation definition.
-func (n *GraphNode) Op() *OpDef { return n.op }
-
 // Collection returns the node's thread collection.
 func (n *GraphNode) Collection() *ThreadCollection { return n.tc }
 
@@ -163,15 +160,6 @@ func (app *App) NewFlowgraph(name string, b *PathBuilder) (*Flowgraph, error) {
 		node.id = id
 	}
 	return g, nil
-}
-
-// MustFlowgraph is NewFlowgraph panicking on error.
-func (app *App) MustFlowgraph(name string, b *PathBuilder) *Flowgraph {
-	g, err := app.NewFlowgraph(name, b)
-	if err != nil {
-		panic(err)
-	}
-	return g
 }
 
 func (g *Flowgraph) validate() error {

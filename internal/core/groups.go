@@ -32,17 +32,17 @@ func (gt *groupTable) init(nodeIdx int) {
 }
 
 // open registers a new group opened by the graph node opener, flow
-// controlled by a fresh gate of the given policy.
-func (gt *groupTable) open(g *Flowgraph, opener int, policy flowctl.Policy) *splitGroup {
+// controlled by a fresh gate of window slots.
+func (gt *groupTable) open(g *Flowgraph, opener int, window int) *splitGroup {
 	id := uint64(gt.nodeIdx)<<48 | (gt.seq.Add(1) & (1<<48 - 1))
 	sg := &splitGroup{
 		id:          id,
 		graph:       g,
 		opener:      opener,
 		closer:      g.closerOf[opener],
-		gate:        policy.NewGate(),
 		mergeThread: -1,
 	}
+	sg.gate.Init(window)
 	gt.mu.Lock()
 	gt.splits[id] = sg
 	gt.mu.Unlock()
@@ -76,7 +76,9 @@ func (gt *groupTable) all() []*splitGroup {
 }
 
 // splitGroup is the split-side state of one open group: the flow-control
-// gate and the identity of the paired merge instance.
+// gate and the identity of the paired merge instance. The gate has one
+// poster, the opener's execution (Ctx.pushGroupFrame); acknowledgements
+// release it from whichever goroutine receives them.
 type splitGroup struct {
 	id     uint64
 	graph  *Flowgraph
@@ -141,7 +143,7 @@ func newMergeGroup(callID uint64) *mergeGroup {
 // the stream itself collects — its subtree carries the frame *below* it
 // onward (postOut's KindStream branch), so that one is recorded instead.
 func (rt *Runtime) openGroup(c *Ctx, opener int) *splitGroup {
-	sg := rt.groups.open(c.graph, opener, rt.policy)
+	sg := rt.groups.open(c.graph, opener, rt.window)
 	sg.callID = c.callID
 	var outer *frame
 	switch c.node.op.kind {

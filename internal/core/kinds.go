@@ -38,7 +38,7 @@ const (
 	// failReturn hands the raw error to the caller, who owns the decision;
 	// the failure detector is not consulted. The remap coordinator's
 	// messages (a dropped one would leave the handshake waiting forever)
-	// and the detector's own probe.
+	// and the probe frame.
 	failReturn
 )
 
@@ -213,7 +213,7 @@ func init() {
 			// Receipt is the answer (detection is send-error driven).
 			name: "ping",
 			recv: func(*link, string, []byte) error { return nil },
-			span: spanNone, why: "liveness probe carries nothing",
+			span: spanNone, why: "probe frame carries nothing",
 			fail: failReturn,
 		},
 	}

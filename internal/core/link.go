@@ -543,13 +543,6 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 	}
 }
 
-// ping sends the failure detector's liveness probe over the wire path that
-// real traffic takes, so probe and traffic degrade alike (trSend's grace
-// retries included); the error is the probe's answer.
-func (l *link) ping(dst string) error {
-	return l.transmit(dst, append(getWireBuf(&l.rt.stats), msgPing), false)
-}
-
 // roundTrip marshals and unmarshals a token, exercising the full
 // serialization path for same-node transfers (the ForceSerialize debugging
 // mode).

@@ -172,7 +172,11 @@ var sendOneOf = map[byte]func(l *link, dst string) error{
 		return nil
 	},
 	msgDeath: func(l *link, dst string) error { l.sendDeath(dst, deathMsg{Node: "gone"}); return nil },
-	msgPing:  func(l *link, dst string) error { return l.ping(dst) },
+	// The link has no ping sender (linkSuspect's self-probe goes straight to
+	// the transport), so the frame is handed to transmit directly.
+	msgPing: func(l *link, dst string) error {
+		return l.transmit(dst, append(getWireBuf(&l.rt.stats), msgPing), false)
+	},
 }
 
 // TestTransmitChokePoint drives every row of the kind table through the

@@ -634,12 +634,6 @@ func (app *App) migrateThread(ctx context.Context, tc *ThreadCollection, thread 
 	if !ok {
 		return fmt.Errorf("dps: collection %q: unknown node %q", tc.Name(), to)
 	}
-	if _, hasDeadline := ctx.Deadline(); !hasDeadline && app.cfg.RemapDrain > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, app.cfg.RemapDrain)
-		defer cancel()
-	}
-
 	app.migrateMu.Lock()
 	defer app.migrateMu.Unlock()
 	app.enableSlowRouting()

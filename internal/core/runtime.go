@@ -41,7 +41,7 @@ type Runtime struct {
 
 	sched  sched.Scheduler[workItem]
 	groups groupTable
-	policy flowctl.Policy
+	window int // Config.Window: slots of every split group's gate (0: default)
 	place  placeState
 
 	// Fault-tolerance layer (nil / zero unless Config.Checkpoint is set):
@@ -133,7 +133,7 @@ func newRuntime(app *App, tr transport.Transport, idx int) *Runtime {
 		app:     app,
 		name:    tr.Local(),
 		nodeIdx: idx,
-		policy:  app.cfg.flowPolicy(),
+		window:  app.cfg.Window,
 		threads: make(map[instKey]*threadInstance),
 		credits: make(map[creditKey]*flowctl.Credits),
 		ring:    trace.NewRing(0),

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/core/flowctl"
 )
 
 // seqGraph builds split(main, node0) -> record(one thread, node1) ->
@@ -57,18 +56,14 @@ func seqGraph(t *testing.T, app *core.App, posted func(), observe func(seq int))
 // TestFIFOPerInstance posts a numbered stream to one single-thread collection
 // and checks the leaf observed the tokens in posting order — the per-instance
 // FIFO guarantee, with the split stalling on a small window, on a large one,
-// and never.
+// and never (a window as large as the stream).
 func TestFIFOPerInstance(t *testing.T) {
-	for _, cfg := range []core.Config{{Window: 8}, {Window: 32}, {FlowPolicy: flowctl.Unbounded{}}} {
-		name := fmt.Sprintf("window%d", cfg.Window)
-		if cfg.FlowPolicy != nil {
-			name = cfg.FlowPolicy.Name()
-		}
-		t.Run(name, func(t *testing.T) {
-			app := newLocalApp(t, cfg, "node0", "node1")
+	const tokens = 2000
+	for _, window := range []int{8, 32, tokens} {
+		t.Run(fmt.Sprintf("window%d", window), func(t *testing.T) {
+			app := newLocalApp(t, core.Config{Window: window}, "node0", "node1")
 			var seen []int // written by the one record thread, read after the call
 			g := seqGraph(t, app, func() {}, func(seq int) { seen = append(seen, seq) })
-			const tokens = 2000
 			out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 			if err != nil {
 				t.Fatal(err)
@@ -85,19 +80,20 @@ func TestFIFOPerInstance(t *testing.T) {
 	}
 }
 
-// TestDeepDispatchQueue: with no flow-control window a split can put any
-// number of tokens in front of one slow thread. They all wait in its
-// dispatch queue, which has no cap — the engine starts no goroutine per
-// token, however deep the queue gets — and run in posting order.
+// TestDeepDispatchQueue: with a flow-control window as large as its stream
+// a split can put any number of tokens in front of one slow thread. They all
+// wait in its dispatch queue, which has no cap — the engine starts no
+// goroutine per token, however deep the queue gets — and run in posting
+// order.
 func TestDeepDispatchQueue(t *testing.T) {
-	app := newLocalApp(t, core.Config{FlowPolicy: flowctl.Unbounded{}}, "node0", "node1")
+	const tokens = 5000
+	app := newLocalApp(t, core.Config{Window: tokens}, "node0", "node1")
 	posted := make(chan struct{})
 	var seen []int
 	g := seqGraph(t, app, func() { close(posted) }, func(seq int) {
 		<-posted // the thread is slow: nothing runs until the whole stream is queued
 		seen = append(seen, seq)
 	})
-	const tokens = 5000
 	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)

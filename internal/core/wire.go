@@ -26,7 +26,7 @@ const (
 	msgTokenFT    byte = 10 // msgToken prefixed with its sender stream + sequence
 	msgGroupEndFT byte = 11 // msgGroupEnd prefixed with stream + sequence
 	msgCut        byte = 12 // log truncation: entries to an instance are durable
-	msgPing       byte = 13 // liveness probe; receivers discard it
+	msgPing       byte = 13 // probe frame (linkSuspect's self-send); receivers discard it
 
 	// msgBatch coalesces tokens and group-ends bound for one destination
 	// node into a single transport frame (Config.Batch; see link.go). With

@@ -28,12 +28,15 @@ var (
 // every call ends in exactly one of three ways (completed, shed at admission
 // with ErrOverload, expired at its own deadline), no caller hangs past its
 // last call's deadline, and the drained application holds no pending call.
+// The split posts more tokens than its window holds, so posts park on the
+// flow-control gate and a call that expires may do so while parked there.
 // Nothing here is a timing assertion: rates are dps-perf's business.
 func TestServeOutcomeContract(t *testing.T) {
 	const (
 		callers  = 300
 		budget   = 32
 		fan      = 4
+		window   = 2 // < fan: every split can stall
 		span     = 300 * time.Millisecond
 		deadline = 2 * time.Second
 	)
@@ -50,7 +53,7 @@ func TestServeOutcomeContract(t *testing.T) {
 		if app == nil {
 			app, err = dps.Connect(n,
 				dps.WithMaxInFlightCalls(budget),
-				dps.WithFlowPolicy(dps.DeadlinePolicy(0, 0)))
+				dps.WithWindow(window))
 			if err == nil {
 				t.Cleanup(app.Close)
 			}
@@ -169,5 +172,9 @@ func TestServeOutcomeContract(t *testing.T) {
 	st := app.Stats()
 	if st.CallsRejected != shed.Load() {
 		t.Errorf("Stats.CallsRejected = %d, callers saw %d ErrOverload", st.CallsRejected, shed.Load())
+	}
+	t.Logf("%d posts stalled on the window", st.WindowStalls)
+	if st.WindowStalls == 0 {
+		t.Errorf("no post stalled on a %d-slot window with %d tokens per split: the stall path went unexercised", window, fan)
 	}
 }

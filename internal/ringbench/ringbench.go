@@ -67,8 +67,7 @@ func RunDPS(cfg simnet.Config, ringNodes, totalBytes, blockSize, window int) (Re
 	return RunDPSConfig(cfg, ringNodes, totalBytes, blockSize, core.Config{Window: window})
 }
 
-// RunDPSConfig is RunDPS with full control over the engine configuration
-// (flow-control policy, scheduler workers, queue bound).
+// RunDPSConfig is RunDPS with full control over the engine configuration.
 func RunDPSConfig(cfg simnet.Config, ringNodes, totalBytes, blockSize int, appCfg core.Config) (Result, error) {
 	return RunDPSRebalance(cfg, ringNodes, totalBytes, blockSize, appCfg, RebalanceSpec{})
 }

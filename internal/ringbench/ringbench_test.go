@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/core/flowctl"
 	"repro/internal/simnet"
 )
 
@@ -106,38 +105,38 @@ func TestRejectsTinyRing(t *testing.T) {
 	}
 }
 
-// TestUnboundedPolicyEquivalence runs the DPS ring under the default
-// Window policy and under flowctl.Unbounded: both must deliver every block
-// with identical token accounting; only the stall behaviour may differ
-// (Unbounded never stalls).
-func TestUnboundedPolicyEquivalence(t *testing.T) {
+// TestWindowSizeEquivalence runs the DPS ring under a 4-slot window and
+// under one as large as the ring's 32 blocks: both must deliver every block
+// with identical token accounting; only the stall behaviour may differ (the
+// large window never stalls).
+func TestWindowSizeEquivalence(t *testing.T) {
 	const total, block = 1 << 20, 32 << 10
 	windowed, err := RunDPSConfig(testCfg(), 4, total, block, core.Config{Window: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unbounded, err := RunDPSConfig(testCfg(), 4, total, block, core.Config{FlowPolicy: flowctl.Unbounded{}})
+	open, err := RunDPSConfig(testCfg(), 4, total, block, core.Config{Window: total / block})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if windowed.TotalBytes != unbounded.TotalBytes {
-		t.Fatalf("byte totals diverge: %d vs %d", windowed.TotalBytes, unbounded.TotalBytes)
+	if windowed.TotalBytes != open.TotalBytes {
+		t.Fatalf("byte totals diverge: %d vs %d", windowed.TotalBytes, open.TotalBytes)
 	}
 	for name, pair := range map[string][2]int64{
-		"TokensPosted": {windowed.Stats.TokensPosted, unbounded.Stats.TokensPosted},
-		"GroupsOpened": {windowed.Stats.GroupsOpened, unbounded.Stats.GroupsOpened},
-		"AcksSent":     {windowed.Stats.AcksSent, unbounded.Stats.AcksSent},
+		"TokensPosted": {windowed.Stats.TokensPosted, open.Stats.TokensPosted},
+		"GroupsOpened": {windowed.Stats.GroupsOpened, open.Stats.GroupsOpened},
+		"AcksSent":     {windowed.Stats.AcksSent, open.Stats.AcksSent},
 	} {
 		if pair[0] != pair[1] {
-			t.Errorf("%s diverges between policies: %d vs %d", name, pair[0], pair[1])
+			t.Errorf("%s diverges between window sizes: %d vs %d", name, pair[0], pair[1])
 		}
 	}
-	// A 4-slot window over 32 blocks must stall; Unbounded never does.
+	// A 4-slot window over 32 blocks must stall; a 32-slot one never does.
 	if windowed.Stats.WindowStalls == 0 {
-		t.Error("window policy recorded no stalls on a tiny window")
+		t.Error("no stalls on a tiny window")
 	}
-	if unbounded.Stats.WindowStalls != 0 {
-		t.Errorf("unbounded policy recorded %d stalls", unbounded.Stats.WindowStalls)
+	if open.Stats.WindowStalls != 0 {
+		t.Errorf("a window as large as the ring recorded %d stalls", open.Stats.WindowStalls)
 	}
 }
 

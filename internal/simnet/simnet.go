@@ -313,18 +313,6 @@ func (nd *Node) Send(to string, payload []byte) error {
 	}
 }
 
-// SendSync is like Send but additionally blocks the caller for the modelled
-// NIC occupancy of this message, emulating a blocking socket write whose
-// buffer is full. The raw-socket baseline of Figure 6 uses it.
-func (nd *Node) SendSync(to string, payload []byte) error {
-	cost := nd.nicCost(len(payload))
-	if err := nd.Send(to, payload); err != nil {
-		return err
-	}
-	sleep(cost)
-	return nil
-}
-
 func (nd *Node) nicCost(size int) time.Duration {
 	cfg := nd.net.cfg
 	var d time.Duration
