@@ -141,12 +141,15 @@ type App struct {
 	failErr atomic.Value // errBox
 	closed  atomic.Bool
 
-	// migrateMu serializes live thread migrations; migrActive switches the
-	// token posting paths from the lock-free fast route onto the per-key
-	// route locks once the first migration starts (sticky; the in-flight
-	// fast-path counts live on each Runtime — see migrate.go).
+	// migrateMu serializes rehomes (migrate.go): live remaps and failovers.
+	// migrActive switches the token posting paths from the lock-free fast
+	// route onto the per-key route locks once the first rehome starts
+	// (sticky; the in-flight fast-path counts live on each Runtime).
+	// rehomeHook, set only by tests, runs after a rehome has shipped its
+	// states and before it awaits their installs.
 	migrateMu  sync.Mutex
 	migrActive atomic.Int32
+	rehomeHook func()
 
 	// Fault-tolerance layer (Config.Checkpoint; see ftengine.go). ftOn is
 	// immutable after NewApp; the goroutines start lazily via ftOnce.
@@ -155,6 +158,7 @@ type App struct {
 	ftOnce     sync.Once
 	ftStop     chan struct{}
 	ftSuspects chan string
+	ftReported sync.Map // node -> struct{}: reported dead (see died)
 	ftCkptSeq  atomic.Uint64
 
 	cleanup []func()
@@ -455,6 +459,8 @@ func (app *App) allRuntimes() []*Runtime {
 // place and routes consistently; no call can resolve half its tokens
 // against each placement.
 func (app *App) replaceMapping(tc *ThreadCollection, nodes []string) error {
+	app.migrateMu.Lock() // a rehome's thread indexes stay in range
+	defer app.migrateMu.Unlock()
 	app.callreg.lockAll()
 	defer app.callreg.unlockAll()
 	//dpsvet:ignore lockheld lockAll above takes every shard lock; the rule cannot see through the loop

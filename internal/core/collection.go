@@ -152,7 +152,7 @@ func (tc *ThreadCollection) RemapNodes(ctx context.Context, nodes ...string) err
 		return fmt.Errorf("dps: collection %q: %w", tc.name, err)
 	}
 	for _, mv := range moves {
-		if err := tc.app.migrateThread(ctx, tc, mv.Thread, mv.To); err != nil {
+		if err := tc.app.remap(ctx, tc, mv.Thread, mv.To); err != nil {
 			return err
 		}
 	}
@@ -164,10 +164,7 @@ func (tc *ThreadCollection) RemapThread(ctx context.Context, thread int, node st
 	if !tc.app.hasNode(node) {
 		return fmt.Errorf("dps: collection %q: unknown node %q", tc.name, node)
 	}
-	if _, err := tc.NodeOf(thread); err != nil {
-		return err
-	}
-	return tc.app.migrateThread(ctx, tc, thread, node)
+	return tc.app.remap(ctx, tc, thread, node)
 }
 
 // ThreadCount returns the number of mapped threads.

@@ -57,6 +57,12 @@ type ftHarness struct {
 func newFTHarness(t *testing.T, cfg core.Config, workerMap string, nodes ...string) *ftHarness {
 	t.Helper()
 	net := simnet.New(simnet.Config{Latency: 100 * time.Microsecond, PerMessage: 10 * time.Microsecond})
+	return newFTHarnessOn(t, net, cfg, workerMap, nodes...)
+}
+
+// newFTHarnessOn is newFTHarness over a given simulated network.
+func newFTHarnessOn(t *testing.T, net *simnet.Network, cfg core.Config, workerMap string, nodes ...string) *ftHarness {
+	t.Helper()
 	app, err := core.NewSimApp(cfg, net, nodes...)
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package core
 
 import (
+	"context"
 	"fmt"
-	"os"
 	"sync/atomic"
 	"time"
 
@@ -14,10 +14,9 @@ import (
 // This file is the engine half of the fault-tolerance layer
 // (internal/core/ft): periodic checkpoints of thread state, sender-side
 // retention and replay of in-flight tokens, receiver-side duplicate
-// suppression, and the failover coordinator that re-places a dead node's
-// threads onto survivors. The layer is enabled by Config.Checkpoint; with
-// it disabled none of these paths run and the wire traffic is
-// byte-identical to the non-FT engine.
+// suppression, and the recovery of a dead node's threads onto survivors.
+// The layer is enabled by Config.Checkpoint; with it disabled none of these
+// paths run and the wire traffic is byte-identical to the non-FT engine.
 //
 // The protocol, end to end:
 //
@@ -46,21 +45,15 @@ import (
 //     inside a blocking point skip the tick and retry on the next one.
 //
 //  4. detect — a death is reported by transport send errors of real
-//     traffic, by a kernel heartbeat (internal/kernel), or by FailNode. The
-//     first report wins; the rest fold into it.
+//     traffic (a rehome's own included), by a kernel heartbeat
+//     (internal/kernel), or by FailNode. The first report wins; the rest
+//     fold into it.
 //
-//  5. fail over — the coordinator re-places every thread of the dead node
-//     onto survivors: per thread it opens the new owner's pending buffer,
-//     flips the placement epoch under the per-runtime route locks (the
-//     live-remap flip with fences elided — a dead node forwards nothing,
-//     so there is no stale stream to order against), replays every live
-//     sender's retained entries toward the thread, and ships the newest
-//     committed checkpoint in a msgReplay envelope. The new owner
-//     restores state and cursors, re-sends the checkpoint's own retained
-//     log (the instance's unacknowledged outputs), and drains the
-//     arrivals that buffered meanwhile. Replayed inputs the checkpoint
-//     already reflects are dropped by the filter; fresh ones re-execute
-//     and regenerate the lost outputs with the original sequence numbers.
+//  5. fail over — recoverNode rehomes every thread of the dead node onto
+//     the survivors from its checkpoint (migrate.go, replayTo). Replayed
+//     inputs the checkpoint already reflects are dropped by the filter;
+//     fresh ones re-execute and regenerate the lost outputs with the
+//     original sequence numbers.
 //
 // Exactly-once argument: an execution's effects are its state mutation and
 // its posted tokens. State is restored to checkpoint C and inputs above
@@ -85,16 +78,6 @@ import (
 // ftSender aliases the per-sender fault-tolerance state for the envelope
 // field declared in token.go.
 type ftSender = ft.State
-
-// ftDebug gates the layer's diagnostic trace (DPS_FT_DEBUG=1); the checks
-// compile to a package-level bool read.
-var ftDebug = os.Getenv("DPS_FT_DEBUG") != ""
-
-func ftDebugf(format string, args ...any) {
-	if ftDebug {
-		fmt.Printf("ftdebug "+format+"\n", args...)
-	}
-}
 
 // ftStart spins up the background goroutines of the fault-tolerance layer:
 // the checkpoint ticker and the failover coordinator. It runs once, lazily,
@@ -212,12 +195,9 @@ func (rt *Runtime) ftConsumed(bt bufferedToken, inst *threadInstance) {
 	if !rt.app.ftOn || bt.ftSeq == 0 || rt.name != rt.app.MasterNode() {
 		return
 	}
-	node := rt.ftStreamNode(bt.ftStream)
-	if node == "" || rt.app.ftDead.IsDead(node) {
-		return
+	if node := rt.ftStreamNode(bt.ftStream); node != "" {
+		rt.lnk.sendCut(node, cutMsg{Stream: bt.ftStream, DstCollection: inst.tc.Name(), DstThread: inst.index, Seq: bt.ftSeq})
 	}
-	m := cutMsg{Stream: bt.ftStream, DstCollection: inst.tc.Name(), DstThread: inst.index, Seq: bt.ftSeq}
-	rt.lnk.sendCut(node, m)
 }
 
 // ftStreamNode resolves the node currently hosting a sender stream.
@@ -229,15 +209,17 @@ func (rt *Runtime) ftStreamNode(stream string) string {
 	if !ok {
 		return ""
 	}
-	tc, ok := rt.app.Collection(coll)
-	if !ok {
-		return ""
+	return rt.app.nodeOf(place.Key{Collection: coll, Thread: idx})
+}
+
+// nodeOf returns the node hosting a thread, or "" for an unknown one.
+func (app *App) nodeOf(key place.Key) string {
+	if tc, ok := app.Collection(key.Collection); ok {
+		if node, err := tc.NodeOf(key.Thread); err == nil {
+			return node
+		}
 	}
-	node, err := tc.NodeOf(idx)
-	if err != nil {
-		return ""
-	}
-	return node
+	return ""
 }
 
 // --- checkpointing --------------------------------------------------------
@@ -337,15 +319,13 @@ func (rt *Runtime) commitCheckpoint(rec *ft.Record) {
 		return
 	}
 	for stream, last := range rec.In {
-		node := rt.ftStreamNode(stream)
-		if node == "" || rt.app.ftDead.IsDead(node) {
-			continue
+		if node := rt.ftStreamNode(stream); node != "" {
+			rt.lnk.sendCut(node, cutMsg{Stream: stream, DstCollection: rec.Key.Collection, DstThread: rec.Key.Thread, Seq: last})
 		}
-		rt.lnk.sendCut(node, cutMsg{Stream: stream, DstCollection: rec.Key.Collection, DstThread: rec.Key.Thread, Seq: last})
 	}
 }
 
-// --- failure detection ----------------------------------------------------
+// --- failure detection and recovery ---------------------------------------
 
 // suspect reports a node failure into the fault-tolerance layer. It
 // reports whether the failure was absorbed (true: recovery is underway and
@@ -359,6 +339,7 @@ func (app *App) suspect(node string, err error) bool {
 	if app.ftDead.IsDead(node) {
 		return true
 	}
+	app.ftReported.Store(node, struct{}{})
 	select {
 	case app.ftSuspects <- node:
 	default:
@@ -366,6 +347,18 @@ func (app *App) suspect(node string, err error) bool {
 		// send re-reports.
 	}
 	return true
+}
+
+// died returns an error naming node's death once it has been reported
+// (suspect, FailNode), and nil before. A report precedes the node's
+// recovery, which may still be queued behind migrateMu: a rehome that
+// depends on the node gives up on it instead of waiting for a state that
+// will never arrive.
+func (app *App) died(node string) error {
+	if _, ok := app.ftReported.Load(node); ok {
+		return fmt.Errorf("node %q died", node)
+	}
+	return nil
 }
 
 // ftCoordinator serializes failovers on one goroutine, so a burst of
@@ -376,9 +369,7 @@ func (app *App) ftCoordinator() {
 		case <-app.ftStop:
 			return
 		case node := <-app.ftSuspects:
-			if err := app.failover(node); err != nil && app.Err() == nil {
-				app.fail(fmt.Errorf("dps: failover of node %q: %w", node, err))
-			}
+			app.recoverNode(node)
 		}
 	}
 }
@@ -399,25 +390,16 @@ func (app *App) FailNode(node string) error {
 		return fmt.Errorf("dps: node %q hosts the checkpoint store and recovery coordinator; its death is unrecoverable", node)
 	}
 	app.ftOnce.Do(app.ftStart)
-	if err := app.failover(node); err != nil {
-		// The node is marked dead but its threads were not restored: traffic
-		// toward it is suppressed and nothing will replay. That is not a
-		// recoverable state — record the failure instead of wedging calls.
-		if app.Err() == nil {
-			app.fail(fmt.Errorf("dps: failover of node %q: %w", node, err))
-		}
-		return err
-	}
-	return nil
+	return app.recoverNode(node)
 }
 
-// liveNodeNames lists the attached nodes not declared dead, in attachment
-// order.
-func (app *App) liveNodeNames() []string {
-	var out []string
-	for _, n := range app.NodeNames() {
-		if !app.ftDead.IsDead(n) {
-			out = append(out, n)
+// liveRuntimes lists the runtimes of the nodes not declared dead, in
+// attachment order.
+func (app *App) liveRuntimes() []*Runtime {
+	var out []*Runtime
+	for _, rt := range app.allRuntimes() {
+		if !app.ftDead.IsDead(rt.name) {
+			out = append(out, rt)
 		}
 	}
 	return out
@@ -434,18 +416,14 @@ func (app *App) allCollections() []*ThreadCollection {
 	return out
 }
 
-// ftMove is one thread re-placement of a failover.
-type ftMove struct {
-	tc        *ThreadCollection
-	key       place.Key
-	to        string
-	installed <-chan struct{}
-}
-
-// failover re-places every thread of a dead node onto survivors (see the
-// file comment for the protocol). Failovers and live migrations serialize
-// on the same lock.
-func (app *App) failover(dead string) error {
+// recoverNode declares a reported node dead and rehomes every thread placed
+// on it onto the survivors, round-robin, from their checkpoints (see
+// migrate.go). The first report of a death recovers it; later ones return
+// nil. An error fails the application: the node is marked dead but its
+// threads were not restored, so traffic toward it is suppressed and nothing
+// will replay — not a recoverable state.
+func (app *App) recoverNode(dead string) (err error) {
+	app.ftReported.Store(dead, struct{}{})
 	app.migrateMu.Lock()
 	defer app.migrateMu.Unlock()
 	if app.closed.Load() {
@@ -454,124 +432,63 @@ func (app *App) failover(dead string) error {
 	if !app.ftDead.MarkDead(dead) {
 		return nil // a concurrent report already recovered this death
 	}
+	defer func() {
+		if err != nil && app.Err() == nil {
+			app.fail(fmt.Errorf("dps: failover of node %q: %w", dead, err))
+		}
+	}()
 	if rtDead, ok := app.runtime(dead); ok {
 		rtDead.dead.Store(true)
 	}
-	app.enableSlowRouting()
-
-	survivors := app.liveNodeNames()
-	if len(survivors) == 0 {
-		return fmt.Errorf("dps: no surviving nodes")
-	}
-	master, ok := app.runtime(app.MasterNode())
-	if !ok || master.dead.Load() {
-		return fmt.Errorf("dps: master node is gone")
-	}
+	survivors := app.liveRuntimes()
+	master := survivors[0] // never declared dead: suspect and FailNode refuse it
 	// Tell every peer (and process) about the death; in-process receivers
 	// deduplicate through the detector.
-	for _, n := range survivors {
-		if n != master.name {
-			master.lnk.sendDeath(n, deathMsg{Node: dead})
-		}
+	for _, rt := range survivors[1:] {
+		master.lnk.sendDeath(rt.name, deathMsg{Node: dead})
 	}
-
-	// Plan: every thread placed on the dead node moves to a survivor,
-	// round-robin. OnRecover callbacks may veto the default target.
-	var moves []ftMove
-	rr := 0
+	var moves []move
 	for _, tc := range app.allCollections() {
 		_, nodes := tc.place.Snapshot()
 		for i, n := range nodes {
-			if n != dead {
-				continue
+			if n == dead {
+				to := survivors[len(moves)%len(survivors)].name
+				moves = append(moves, move{tc: tc, key: place.Key{Collection: tc.Name(), Thread: i}, from: dead, to: to})
 			}
-			to := survivors[rr%len(survivors)]
-			rr++
-			moves = append(moves, ftMove{tc: tc, key: place.Key{Collection: tc.Name(), Thread: i}, to: to})
 		}
 	}
-
-	live := make([]*Runtime, 0, len(survivors))
-	for _, n := range survivors {
-		if rt, ok := app.runtime(n); ok {
-			live = append(live, rt)
-		}
+	if err := app.rehome(context.Background(), moves, checkpoint); err != nil {
+		return err
 	}
-
-	// Phase 1: open every new owner's pending buffer before any flip, so
-	// replayed and re-executed traffic racing the restores buffers in
-	// order instead of materializing fresh instances.
-	for i := range moves {
-		rtNew, ok := app.runtime(moves[i].to)
-		if !ok {
-			return fmt.Errorf("dps: failover target %q is not attached", moves[i].to)
-		}
-		moves[i].installed = rtNew.expectThread(moves[i].key)
-	}
-
-	// Phase 2: per thread — flip the placement and replay the retained
-	// entries, all under the per-runtime route locks so no fresh post can
-	// overtake the replayed stream on any sender. The coordinator re-sends
-	// every entry itself, on its own single FIFO channel to the new owner,
-	// with the streams k-way merged in call order: per-stream sequence
-	// order is absolute (the receiver's prefix filter depends on it), and
-	// between streams the lowest call ID goes first — sequential calls
-	// were separated by a result barrier in the original run, an ordering
-	// per-sender replay over independent channels could not reproduce.
-	//
-	// The restore envelope (newest committed checkpoint, or zero — replay
-	// then rebuilds the thread from its first token) is sent on the SAME
-	// channel, behind the replayed entries: channel FIFO guarantees every
-	// entry is already buffered at the survivor when the restore installs,
-	// and the install drains the coordinator's channel first — a live
-	// sender's fresh post after the flip travels a different channel and
-	// must not be processed ahead of that sender's replayed entries, or
-	// the prefix filter would discard the replay as duplicates.
-	for i := range moves {
-		mv := &moves[i]
-		_, err := app.flipThread(live, mv.tc, mv.key, mv.to, func(epoch uint64) {
-			for _, r := range live {
-				// A relay left over from an earlier live migration that still
-				// forwards toward the dead node follows the thread.
-				r.placeThread(mv.key).Retarget(mv.to)
-			}
-			ents := mergeReplayEntries(live, mv.key)
-			ftDebugf("failover %s -> %q: replaying %d entries", mv.key, mv.to, len(ents))
-			for _, e := range ents {
-				ftDebugf("  replay %s seq=%d call=%d kind=%d", e.Stream, e.Seq, e.CallID, e.Kind)
-				master.resendEntry(e, mv.to)
-			}
-			rec := master.ftStore.Latest(mv.key)
-			if rec == nil {
-				rec = &ft.Record{Key: mv.key}
-			}
-			master.lnk.sendReplay(mv.to, &replayMsg{Epoch: epoch, Rec: rec})
-		})
-		if err != nil {
-			return err
-		}
-	}
-
-	// Phase 3: wait for every restore to activate (mirrors migrateThread's
-	// handover wait). The wait is bounded: if a survivor dies while its
-	// restore envelope is in flight, the recovery of THAT death is queued
-	// behind this one, so waiting forever would deadlock the coordinator —
-	// surface the double failure instead (beyond the single-failure model).
-	deadline := time.Now().Add(30 * time.Second)
-	for i := range moves {
-		if err := app.awaitInstall(moves[i].installed, deadline); err == errNotInstalled {
-			return fmt.Errorf("dps: restore of %s on %q did not activate (did %q fail during the recovery?)",
-				moves[i].key, moves[i].to, moves[i].to)
-		} else if err != nil {
-			return err
-		}
-	}
-
 	atomic.AddInt64(&master.stats.FailoversCompleted, 1)
-	for i := range moves {
-		moves[i].tc.notifyRecover(moves[i].key.Thread, dead, moves[i].to)
+	for _, mv := range moves {
+		mv.tc.notifyRecover(mv.key.Thread, dead, mv.to)
 	}
 	return nil
+}
+
+// replayTo is a checkpoint rehome's flip step for one thread, run by the
+// master under every live runtime's route lock for it, so no fresh post can
+// overtake the replayed stream on any sender. A relay an earlier live move
+// left forwarding toward the dead node follows the thread. The master then
+// re-sends every retained entry itself, merged in call order
+// (mergeReplayEntries) on its one FIFO channel to the new owner — separate
+// senders' channels could not keep that order — and the checkpoint (the
+// newest committed one, or an empty record: replay then rebuilds the thread
+// from its first token) follows on the SAME channel, so every entry is
+// buffered at the new owner when it installs this channel first.
+func (rt *Runtime) replayTo(rts []*Runtime, key place.Key, to string, epoch uint64) {
+	for _, r := range rts {
+		r.placeThread(key).Retarget(to)
+	}
+	for _, e := range mergeReplayEntries(rts, key) {
+		rt.resendEntry(e, to)
+	}
+	rec := rt.ftStore.Latest(key)
+	if rec == nil {
+		rec = &ft.Record{Key: key}
+	}
+	rt.lnk.sendRehome(to, &rehomeMsg{Key: key, Epoch: epoch, State: rec.State, Rec: rec, Replay: true})
 }
 
 // mergeReplayEntries gathers every live runtime's retained entries
@@ -689,41 +606,6 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
 		rt.lnk.sendGroupEnd(to, m, place.Direct)
-	}
-}
-
-// installRecovered activates a restored instance on this node (the
-// failover counterpart of installMigrated): state and fault-tolerance
-// cursors come from the checkpoint record, the checkpoint's retained log —
-// the instance's outputs that were not yet durable — is re-sent to the
-// current owners ahead of any re-execution output, and the arrivals buffered
-// during the failover drain, the coordinator's channel (src) first: channel
-// FIFO put every replayed entry ahead of this envelope there (in merge
-// order, with any of the coordinator's own fresh posts behind them), while a
-// live sender's fresh post travels its own channel and must not overtake
-// that sender's replayed entries in the buffer.
-func (rt *Runtime) installRecovered(m *replayMsg, src string) {
-	key := m.Rec.Key
-	inst, err := rt.restoreInstance(key, m.Rec.State, m.Rec)
-	if err == nil {
-		ftDebugf("install %s on %q: state=%dB in=%v log=%d", key, rt.name, len(m.Rec.State), m.Rec.In, len(m.Rec.Log))
-		// The machine is still expecting, so nothing reaches the instance —
-		// and it re-executes nothing — before the log is out.
-		for _, e := range m.Rec.Log {
-			dstTC, ok := rt.app.Collection(e.Dst.Collection)
-			if !ok {
-				continue
-			}
-			node, err := dstTC.NodeOf(e.Dst.Thread)
-			if err != nil {
-				continue
-			}
-			rt.resendEntry(e, node)
-		}
-		err = rt.install(inst, m.Epoch, 0, src)
-	}
-	if err != nil {
-		rt.failApp(fmt.Errorf("dps: recovery of %s: %w", key, err))
 	}
 }
 

@@ -36,9 +36,7 @@ const (
 	// message: best-effort notices.
 	failDrop
 	// failReturn hands the raw error to the caller, who owns the decision;
-	// the failure detector is not consulted. The remap coordinator's
-	// messages (a dropped one would leave the handshake waiting forever)
-	// and the probe frame.
+	// the failure detector is not consulted. The probe frame.
 	failReturn
 )
 
@@ -133,18 +131,11 @@ func init() {
 			suppress: true, fail: failPanic,
 		},
 		msgMigrate: {
-			name: "migration envelope",
-			recv: func(l *link, src string, frame []byte) error {
-				m, err := decodeMigrate(frame[1:])
-				if err == nil {
-					// m.State aliases the frame; installMigrated deserializes it
-					// synchronously, before the frame is recycled.
-					l.rt.installMigrated(m)
-				}
-				return err
-			},
+			name: "migration envelope", recv: (*link).recvRehome,
 			span: spanNone, why: "state handoff; the old owner records forward spans at re-send",
-			fail: failReturn,
+			// The end a failed ship blames fails over (rehome gives up on
+			// it), or without fault tolerance the application fails.
+			fail: failLink,
 		},
 		msgFence: {
 			name: "fence",
@@ -156,7 +147,7 @@ func init() {
 				return err
 			},
 			span: spanNone, why: "remap handshake control message",
-			fail: failReturn,
+			fail: failLink,
 		},
 		msgCheckpoint: {
 			name: "checkpoint",
@@ -173,14 +164,7 @@ func init() {
 			suppress: true, fail: failLink,
 		},
 		msgReplay: {
-			name: "recovery envelope",
-			recv: func(l *link, src string, frame []byte) error {
-				m, err := decodeReplay(frame[1:])
-				if err == nil {
-					l.rt.installRecovered(m, src)
-				}
-				return err
-			},
+			name: "recovery envelope", recv: (*link).recvRehome,
 			span: spanNone, why: "replay spans are recorded by the resending master",
 			fail: failLink,
 		},

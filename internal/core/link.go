@@ -489,22 +489,22 @@ func (l *link) sendAck(dst string, m ackMsg) {
 	}
 }
 
-// sendMigrate ships a migration envelope to the instance's new owner.
-func (l *link) sendMigrate(dst string, m *migrateMsg) error {
-	if rt, _ := l.route(msgMigrate, dst); rt != nil {
-		rt.installMigrated(m)
-		return nil
+// sendRehome ships the state a thread's new owner installs it from.
+func (l *link) sendRehome(dst string, m *rehomeMsg) {
+	if rt, wire := l.route(m.kind(), dst); rt != nil {
+		rt.installRehomed(m, l.name)
+	} else if wire {
+		l.transmit(dst, appendRehome(getWireBuf(&l.rt.stats), m), false)
 	}
-	return l.transmit(dst, appendMigrate(getWireBuf(&l.rt.stats), m), false)
 }
 
-// sendFence emits one fence half of the live-remap handshake.
-func (l *link) sendFence(dst string, m *fenceMsg) error {
-	if rt, _ := l.route(msgFence, dst); rt != nil {
+// sendFence emits the closing fence of a live rehome's flip.
+func (l *link) sendFence(dst string, m *fenceMsg) {
+	if rt, wire := l.route(msgFence, dst); rt != nil {
 		rt.deliverFence(m)
-		return nil
+	} else if wire {
+		l.transmit(dst, appendFence(getWireBuf(&l.rt.stats), m), false)
 	}
-	return l.transmit(dst, appendFence(getWireBuf(&l.rt.stats), m), false)
 }
 
 // sendCheckpoint ships a checkpoint record to the store node.
@@ -513,15 +513,6 @@ func (l *link) sendCheckpoint(dst string, rec *ft.Record) {
 		rt.commitCheckpoint(rec)
 	} else if wire {
 		l.transmit(dst, appendCheckpoint(getWireBuf(&l.rt.stats), rec), false)
-	}
-}
-
-// sendReplay ships a recovery envelope to a failover survivor.
-func (l *link) sendReplay(dst string, m *replayMsg) {
-	if rt, wire := l.route(msgReplay, dst); rt != nil {
-		rt.installRecovered(m, l.name)
-	} else if wire {
-		l.transmit(dst, appendReplay(getWireBuf(&l.rt.stats), m), false)
 	}
 }
 
@@ -752,6 +743,17 @@ func (l *link) recvBatch(src string, frame []byte) error {
 	return decodeBatch(body, func(kind byte, stream string, seq uint64, eb []byte) error {
 		return wireKinds[kind].entry(l, src, stream, seq, eb)
 	})
+}
+
+// recvRehome receives either framing of a rehome message. A live move's
+// state aliases the frame; the install deserializes it synchronously, before
+// the frame is recycled.
+func (l *link) recvRehome(src string, frame []byte) error {
+	m, err := decodeRehome(frame[0], frame[1:])
+	if err == nil {
+		l.rt.installRehomed(m, src)
+	}
+	return err
 }
 
 func (l *link) recvResult(src string, frame []byte) error {

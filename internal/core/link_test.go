@@ -154,17 +154,19 @@ var sendOneOf = map[byte]func(l *link, dst string) error{
 		return nil
 	},
 	msgMigrate: func(l *link, dst string) error {
-		return l.sendMigrate(dst, &migrateMsg{Collection: "c", State: []byte("st")})
+		l.sendRehome(dst, &rehomeMsg{Key: place.Key{Collection: "c"}, State: []byte("st")})
+		return nil
 	},
 	msgFence: func(l *link, dst string) error {
-		return l.sendFence(dst, &fenceMsg{Collection: "c", Src: "near", Phase: fenceClose})
+		l.sendFence(dst, &fenceMsg{Collection: "c", Src: "near", Phase: fenceClose})
+		return nil
 	},
 	msgCheckpoint: func(l *link, dst string) error {
 		l.sendCheckpoint(dst, &ft.Record{Key: place.Key{Collection: "c"}})
 		return nil
 	},
 	msgReplay: func(l *link, dst string) error {
-		l.sendReplay(dst, &replayMsg{Epoch: 2, Rec: &ft.Record{Key: place.Key{Collection: "c"}}})
+		l.sendRehome(dst, &rehomeMsg{Epoch: 2, Rec: &ft.Record{Key: place.Key{Collection: "c"}}, Replay: true})
 		return nil
 	},
 	msgCut: func(l *link, dst string) error {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -14,30 +13,30 @@ import (
 )
 
 // This file is the engine half of the placement layer (internal/core/place):
-// the live-remap protocol that moves one thread instance between cluster
-// nodes while flow graphs execute. What a node knows about one thread's move
-// is one place.Thread; this file looks the machine up, acts on its verdicts
-// and carries the state. The protocol, coordinated by App.migrateThread on
-// the caller's goroutine:
+// rehome, the one protocol by which a thread changes owner while flow graphs
+// execute, for a live remap (Collection.Remap) and a failover (ftengine.go)
+// alike. A node's view of one thread's move is one place.Thread; this file
+// acts on its verdicts and carries the state. App.rehome runs under
+// migrateMu, and where the state comes from — its source — is the only fork:
 //
-//  1. quiesce — the old owner's machine starts holding arrivals, queued and
-//     in-progress executions drain, and open merge groups close (tokens and
-//     group-ends of already-open groups pass through the hold so the
-//     collector can finish);
-//  2. capture — the instance's user state is serialized with internal/serial
-//     and the instance removed, so it cannot be resurrected locally;
-//  3. flip + fence — the collection's placement table is updated (epoch
-//     bump) while every runtime's route lock for the thread is held, and
-//     each runtime emits a closing fence down its old channel, behind all
-//     its stale tokens; the old owner forwards it. The new owner gates a
-//     sender's direct tokens until that fence has come through — exactly
-//     while stale tokens of that sender may still be in flight — so
-//     per-instance FIFO order survives the route change;
-//  4. ship + forward — the state travels in a migration envelope
-//     (msgMigrate) to the new owner, the held arrivals follow it on the
-//     forwarded lane, and so does any later stale traffic (counted as
-//     TokensForwarded). Forwarded traffic is marked as such (link.go), so
-//     the new owner never mistakes it for the forwarder's own posts.
+//   - live: the old owner holds the thread's arrivals, waits for the
+//     instance to fall idle (arrivals of merge groups already open pass the
+//     hold, so the collector can finish) and captures it;
+//   - checkpoint: the old owner is dead; the master holds the newest
+//     committed checkpoint, and the senders' logs what came after it.
+//
+// Then every target opens its install buffer, and each thread's placement
+// flips one epoch under every live runtime's route lock for the thread, so
+// no post straddles the flip. A live flip sends a closing fence down each
+// sender's old channel, behind its stale tokens; the new owner gates a
+// sender's direct tokens until that fence has come through the old owner,
+// so per-instance FIFO order survives. A dead owner forwards nothing, so a
+// checkpoint flip cuts no stream: it retargets old relays and replays the
+// retained entries. The state ships (msgMigrate from the old owner, which
+// then forwards what it held and any later stale traffic; msgReplay from the
+// master), the target installs it (installRehomed), and rehome awaits every
+// install — or gives up once a node the move depends on is reported dead,
+// whose failover then re-places the thread from its checkpoint.
 //
 // Flow-control accounting needs no migration: window acks route to the
 // frame's origin node (split-side group state stays put) and forwarded
@@ -308,8 +307,8 @@ func (rt *Runtime) holdPassThrough(item any) bool {
 }
 
 // forwardItem re-sends an arrival to the instance's current owner on the
-// forwarded lane. Send failures are application failures (the transport to
-// a live peer broke), matching handler-context error handling.
+// forwarded lane. A send failure goes to the failure detector, and fails the
+// application unless it absorbs it.
 func (rt *Runtime) forwardItem(it *placeItem, target string) {
 	defer recoverOpError(rt.app.fail)
 	switch {
@@ -323,9 +322,7 @@ func (rt *Runtime) forwardItem(it *placeItem, target string) {
 		atomic.AddInt64(&rt.stats.TokensForwarded, 1)
 		rt.lnk.sendGroupEnd(target, it.ge, place.Forwarded)
 	case it.fence != nil:
-		if err := rt.lnk.sendFence(target, it.fence); err != nil {
-			rt.app.fail(err)
-		}
+		rt.lnk.sendFence(target, it.fence)
 	}
 }
 
@@ -379,8 +376,8 @@ func (rt *Runtime) instanceIdle(th *place.Thread, key place.Key) bool {
 	return n == 0
 }
 
-// waitQuiesce polls until the instance is idle, the context expires, or the
-// application fails.
+// waitQuiesce polls until the instance is idle, the context expires, the
+// application fails or this node is reported dead.
 func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, key place.Key) error {
 	delay := 50 * time.Microsecond
 	for {
@@ -389,6 +386,9 @@ func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, key place.
 		}
 		if err := rt.app.Err(); err != nil {
 			return err
+		}
+		if err := rt.app.died(rt.name); err != nil {
+			return fmt.Errorf("dps: quiescing thread %s: %w", key, err)
 		}
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("dps: quiescing thread %s (%d arrivals held): %w", key, th.HeldLen(), err)
@@ -401,35 +401,32 @@ func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, key place.
 }
 
 // captureState serializes and removes the quiesced local instance. A nil
-// payload means the new owner starts from a fresh zero state (stateless
+// State means the new owner starts from a fresh zero state (stateless
 // collection, or the instance was never touched here). With fault
 // tolerance enabled the instance's sequencing cursors and retention log
-// travel too (ftRec), so the re-homed instance continues its streams
-// instead of restarting them — a restart would collide with every
-// receiver's duplicate filter.
-func (rt *Runtime) captureState(tc *ThreadCollection, thread int) (payload, ftRec []byte, err error) {
+// travel too (Rec), so the re-homed instance continues its streams instead
+// of restarting them — a restart would collide with every receiver's
+// duplicate filter.
+func (rt *Runtime) captureState(tc *ThreadCollection, thread int) (*rehomeMsg, error) {
+	m := &rehomeMsg{Key: place.Key{Collection: tc.Name(), Thread: thread}}
 	ik := instKey{collection: tc.Name(), index: thread}
-	rt.mu.Lock()
-	inst := rt.threads[ik]
-	delete(rt.threads, ik)
-	rt.mu.Unlock()
+	inst := rt.lookupInstance(ik)
 	if inst == nil {
-		return nil, nil, nil
+		return m, nil
+	}
+	if stateMigrates(tc.stateType) {
+		var err error
+		if m.State, err = rt.app.reg.Marshal(inst.state); err != nil {
+			return nil, fmt.Errorf("dps: cannot serialize state of %s[%d]: %w", tc.Name(), thread, err)
+		}
 	}
 	if inst.ft != nil {
-		ftRec = inst.ft.Snapshot().Encode(nil)
+		m.Rec = inst.ft.Snapshot()
 	}
-	if !stateMigrates(tc.stateType) {
-		return nil, ftRec, nil
-	}
-	payload, err = rt.app.reg.Marshal(inst.state)
-	if err != nil {
-		rt.mu.Lock()
-		rt.threads[ik] = inst
-		rt.mu.Unlock()
-		return nil, nil, fmt.Errorf("dps: cannot serialize state of %s[%d]: %w", tc.Name(), thread, err)
-	}
-	return payload, ftRec, nil
+	rt.mu.Lock()
+	delete(rt.threads, ik)
+	rt.mu.Unlock()
+	return m, nil
 }
 
 // lookupInstance returns the local instance, or nil, without creating it.
@@ -439,21 +436,10 @@ func (rt *Runtime) lookupInstance(ik instKey) *threadInstance {
 	return rt.threads[ik]
 }
 
-// --- new-owner side: expect, install --------------------------------------
+// --- new-owner side: install ----------------------------------------------
 
-// expectThread opens the machine's install buffer for an inbound move, so
-// direct arrivals racing the state envelope are buffered instead of lazily
-// creating a fresh instance. The returned channel closes when the state
-// arrives and the instance activates; the coordinator waits on it, so a
-// follow-up move of the same thread cannot start against a node that has not
-// received the state yet.
-func (rt *Runtime) expectThread(key place.Key) <-chan struct{} {
-	rt.place.activate()
-	return rt.placeThread(key).Expect()
-}
-
-// restoreInstance builds a thread instance from shipped bytes: the state of
-// a live migration or of a checkpoint (empty: a fresh zero state), and the
+// restoreInstance builds a thread instance from shipped bytes: a live
+// capture's state or a checkpoint's (empty: a fresh zero state), and the
 // fault-tolerance record that continues its streams.
 func (rt *Runtime) restoreInstance(key place.Key, state []byte, rec *ft.Record) (*threadInstance, error) {
 	tc, ok := rt.app.Collection(key.Collection)
@@ -487,44 +473,41 @@ func (rt *Runtime) restoreInstance(key place.Key, state []byte, rec *ft.Record) 
 	return inst, nil
 }
 
-// install activates inst on this node as of the flip to epoch — the one
-// path by which a thread changes owner, for a live migration (fences: the
-// senders the flip cut; first: none) and a failover (no fences, the
-// coordinator's channel drained first) alike.
-func (rt *Runtime) install(inst *threadInstance, epoch uint64, fences int, first string) error {
-	key := place.Key{Collection: inst.tc.Name(), Thread: inst.index}
-	ik := instKey{collection: key.Collection, index: key.Thread}
-	rt.mu.Lock()
-	if _, exists := rt.threads[ik]; exists {
-		rt.mu.Unlock()
-		return fmt.Errorf("already instantiated on %q", rt.name)
+// installRehomed activates a thread that node src shipped here, from either
+// source. A checkpoint's retained log — the dead owner's outputs that were
+// not yet durable — is re-sent first; the machine is still expecting, so
+// nothing reaches the instance, and it re-executes nothing, before the log
+// is out. Install then admits the arrivals that waited, src's channel
+// first: channel FIFO put everything src sent toward the thread ahead of
+// the state there (a checkpoint's replayed entries, in merge order), while
+// another sender's fresh post travels its own channel and must not overtake
+// that sender's replayed entries.
+func (rt *Runtime) installRehomed(m *rehomeMsg, src string) {
+	inst, err := rt.restoreInstance(m.Key, m.State, m.Rec)
+	if err != nil {
+		rt.failApp(fmt.Errorf("dps: rehoming %s: %w", m.Key, err))
+		return
 	}
-	rt.threads[ik] = inst
-	rt.mu.Unlock()
-	th := rt.placeThread(key)
-	rt.drain(th, th.Install(epoch, fences, first))
-	return nil
-}
-
-// installMigrated activates a migrated instance on this node from its
-// migration envelope.
-func (rt *Runtime) installMigrated(m *migrateMsg) {
-	key := place.Key{Collection: m.Collection, Thread: m.Thread}
-	var rec *ft.Record
-	if len(m.FT) > 0 {
-		var err error
-		if rec, err = ft.DecodeRecord(m.FT); err != nil {
-			rt.failApp(fmt.Errorf("dps: corrupt migrated ft record of %s: %w", key, err))
-			return
+	if m.Replay {
+		for _, e := range m.Rec.Log {
+			if node := rt.app.nodeOf(e.Dst); node != "" {
+				rt.resendEntry(e, node)
+			}
 		}
 	}
-	inst, err := rt.restoreInstance(key, m.State, rec)
-	if err == nil {
-		err = rt.install(inst, m.Epoch, m.Fences, "")
+	ik := instKey{collection: m.Key.Collection, index: m.Key.Thread}
+	rt.mu.Lock()
+	_, exists := rt.threads[ik]
+	if !exists {
+		rt.threads[ik] = inst
 	}
-	if err != nil {
-		rt.app.fail(fmt.Errorf("dps: migration of %s: %w", key, err))
+	rt.mu.Unlock()
+	if exists {
+		rt.failApp(fmt.Errorf("dps: rehoming %s: already instantiated on %q", m.Key, rt.name))
+		return
 	}
+	th := rt.placeThread(m.Key)
+	rt.drain(th, th.Install(m.Epoch, m.Fences, src))
 }
 
 // --- coordinator ---------------------------------------------------------
@@ -565,138 +548,183 @@ func (app *App) validateMigratableState(tc *ThreadCollection) error {
 	return nil
 }
 
+// rehomeSource says where a rehomed thread's state comes from: the one
+// place a live remap and a failover differ (see the file comment).
+type rehomeSource uint8
+
+const (
+	live       rehomeSource = iota // the old owner captures the instance and ships it
+	checkpoint                     // the old owner is dead; the master ships its newest checkpoint
+)
+
+// move is one thread a rehome re-places.
+type move struct {
+	tc        *ThreadCollection
+	key       place.Key
+	from, to  string
+	installed <-chan struct{}
+
+	// The live source's old owner, its machine (holding) and the capture.
+	old   *Runtime
+	hold  *place.Thread
+	state *rehomeMsg
+}
+
+// remap live-migrates thread of tc to node to (Collection.Remap). On an
+// error before the flip the placement is unchanged and the held arrivals
+// are delivered locally.
+func (app *App) remap(ctx context.Context, tc *ThreadCollection, thread int, to string) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := app.validateMigratableState(tc); err != nil {
+		return err
+	}
+	app.migrateMu.Lock()
+	defer app.migrateMu.Unlock()
+	if err := app.Err(); err != nil {
+		return err
+	}
+	from, err := tc.NodeOf(thread)
+	if err != nil || from == to {
+		return err
+	}
+	for _, n := range []string{from, to} {
+		if err := app.died(n); err != nil {
+			return fmt.Errorf("dps: remapping %s[%d]: %w", tc.Name(), thread, err)
+		}
+	}
+	moves := []move{{tc: tc, key: place.Key{Collection: tc.Name(), Thread: thread}, from: from, to: to}}
+	if err := app.rehome(ctx, moves, live); err != nil {
+		return err
+	}
+	atomic.AddInt64(&moves[0].old.stats.MigrationsCompleted, 1)
+	atomic.AddInt64(&moves[0].old.stats.MigrationBytes, int64(len(moves[0].state.State)))
+	return nil
+}
+
+// rehome re-places the threads of moves while schedules run (see the file
+// comment); outside Map it is the one path by which a thread's placement
+// changes. The caller holds migrateMu. A live rehome moves one thread, so
+// each thread of a remap commits or rolls back alone; a checkpoint rehome
+// moves every thread of a dead node.
+func (app *App) rehome(ctx context.Context, moves []move, src rehomeSource) error {
+	app.enableSlowRouting()
+	if src == live {
+		if err := app.capture(ctx, &moves[0]); err != nil {
+			return err
+		}
+	}
+	// Arrivals racing the state wait in the target's install buffer instead
+	// of lazily creating a fresh instance there.
+	for i := range moves {
+		rt, _ := app.runtime(moves[i].to)
+		rt.place.activate()
+		moves[i].installed = rt.placeThread(moves[i].key).Expect()
+	}
+	rts := app.liveRuntimes()
+	master, _ := app.runtime(app.MasterNode())
+	for i := range moves {
+		mv := &moves[i]
+		epoch := app.flipThread(rts, mv.tc, mv.key, mv.to, func(epoch uint64) {
+			if src == checkpoint {
+				master.replayTo(rts, mv.key, mv.to, epoch)
+				return
+			}
+			for _, r := range rts {
+				r.lnk.sendFence(mv.from, &fenceMsg{Collection: mv.key.Collection, Thread: mv.key.Thread, Epoch: epoch, Src: r.name, Phase: fenceClose})
+			}
+		})
+		if src == live {
+			mv.state.Epoch, mv.state.Fences = epoch, len(rts)
+			mv.old.lnk.sendRehome(mv.to, mv.state)
+			for batch := mv.hold.Flush(mv.to); batch != nil; batch = mv.hold.Flush(mv.to) {
+				for _, it := range batch {
+					mv.old.forwardItem(it.(*placeItem), mv.to)
+				}
+			}
+		}
+	}
+	if app.rehomeHook != nil {
+		app.rehomeHook()
+	}
+	for i := range moves {
+		mv := &moves[i]
+		if err := app.awaitInstall(mv); err != nil {
+			if mv.old != nil && app.died(mv.from) != nil {
+				// The only copy of the state died with the old owner: put the
+				// thread back there, so that node's failover re-places it from
+				// its checkpoint.
+				app.flipThread(rts, mv.tc, mv.key, mv.from, func(uint64) {})
+			}
+			return err
+		}
+	}
+	return nil
+}
+
+// capture is the live source's first step: the old owner holds the
+// thread's arrivals, waits for its instance to fall idle and captures it.
+// On failure the hold is abandoned: the old owner still owns the instance
+// and delivers what it held, in order.
+func (app *App) capture(ctx context.Context, mv *move) error {
+	mv.old, _ = app.runtime(mv.from)
+	mv.old.place.activate()
+	mv.hold = mv.old.placeThread(mv.key)
+	if err := mv.hold.BeginHold(mv.tc.place.Epoch()); err != nil {
+		return fmt.Errorf("dps: thread %s is already migrating", mv.key)
+	}
+	err := mv.old.waitQuiesce(ctx, mv.hold, mv.key)
+	if err == nil {
+		mv.state, err = mv.old.captureState(mv.tc, mv.key.Thread)
+	}
+	if err != nil {
+		mv.old.drain(mv.hold, mv.hold.Abort())
+	}
+	return err
+}
+
 // flipThread re-places one thread while holding the key's route lock of
 // every runtime in rts, so no post straddles the flip, and runs cut — still
-// under the locks — to mark the cut in every sender's stream.
-func (app *App) flipThread(rts []*Runtime, tc *ThreadCollection, key place.Key, to string, cut func(epoch uint64)) (uint64, error) {
+// under the locks — to mark the cut in every sender's stream. The thread
+// index was read from the table under migrateMu, which a Map takes too, so
+// it is still in range.
+func (app *App) flipThread(rts []*Runtime, tc *ThreadCollection, key place.Key, to string, cut func(epoch uint64)) uint64 {
 	locks := make([]*sync.Mutex, len(rts))
 	for i, r := range rts {
 		locks[i] = r.routeLock(key)
 		locks[i].Lock()
 	}
-	epoch, err := tc.place.SetThread(key.Thread, to)
-	if err == nil {
-		cut(epoch)
-	}
+	epoch, _ := tc.place.SetThread(key.Thread, to)
+	cut(epoch)
 	for i := len(locks) - 1; i >= 0; i-- {
 		locks[i].Unlock()
 	}
-	return epoch, err
+	return epoch
 }
 
-var errNotInstalled = errors.New("dps: the new owner did not activate the thread")
-
-// awaitInstall blocks until a new owner has activated the thread it was
-// told to expect, the application fails, or the deadline (if any) passes
-// (errNotInstalled). Delivery is reliable in-process, so without a failure
-// this only lasts while the envelope is in flight.
-func (app *App) awaitInstall(installed <-chan struct{}, deadline time.Time) error {
+// awaitInstall blocks until mv's target has installed the thread, so a
+// follow-up move of the same thread cannot find a node still waiting for
+// the state. Delivery is reliable, so without a failure this lasts while
+// the state is in flight. It gives up when the application fails, or when
+// the target or a live move's old owner is reported dead: that node's
+// failover, queued behind migrateMu, takes over.
+func (app *App) awaitInstall(mv *move) error {
 	for {
 		select {
-		case <-installed:
+		case <-mv.installed:
 			return nil
 		case <-time.After(200 * time.Microsecond):
-			if err := app.Err(); err != nil {
-				return err
-			}
-			if !deadline.IsZero() && time.Now().After(deadline) {
-				return errNotInstalled
-			}
+		}
+		if err := app.Err(); err != nil {
+			return err
+		}
+		err := app.died(mv.to)
+		if err == nil && mv.old != nil {
+			err = app.died(mv.from)
+		}
+		if err != nil {
+			return fmt.Errorf("dps: rehoming %s from %q to %q: %w", mv.key, mv.from, mv.to, err)
 		}
 	}
-}
-
-// migrateThread runs the live-remap protocol for one thread (see the file
-// comment). Migrations are serialized application-wide; on error the
-// placement is unchanged and held arrivals are re-dispatched locally.
-func (app *App) migrateThread(ctx context.Context, tc *ThreadCollection, thread int, to string) error {
-	if err := app.Err(); err != nil {
-		return err
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	from, err := tc.NodeOf(thread)
-	if err != nil {
-		return err
-	}
-	if from == to {
-		return nil
-	}
-	if err := app.validateMigratableState(tc); err != nil {
-		return err
-	}
-	rtOld, ok := app.runtime(from)
-	if !ok {
-		return fmt.Errorf("dps: thread %s[%d] is hosted on unknown node %q", tc.Name(), thread, from)
-	}
-	rtNew, ok := app.runtime(to)
-	if !ok {
-		return fmt.Errorf("dps: collection %q: unknown node %q", tc.Name(), to)
-	}
-	app.migrateMu.Lock()
-	defer app.migrateMu.Unlock()
-	app.enableSlowRouting()
-
-	key := place.Key{Collection: tc.Name(), Thread: thread}
-	rtOld.place.activate()
-	th := rtOld.placeThread(key)
-	if err := th.BeginHold(tc.place.Epoch()); err != nil {
-		return fmt.Errorf("dps: thread %s is already migrating", key)
-	}
-	// On failure before the flip the hold is abandoned: this node still owns
-	// the instance and delivers what it held, in order.
-	if err := rtOld.waitQuiesce(ctx, th, key); err != nil {
-		rtOld.drain(th, th.Abort())
-		return err
-	}
-	payload, ftRec, err := rtOld.captureState(tc, thread)
-	if err != nil {
-		rtOld.drain(th, th.Abort())
-		return err
-	}
-
-	// Flip the placement and cut every sender's stream with a closing fence
-	// down its old channel, behind every token it posted to the old owner —
-	// all under the per-runtime route locks so no post straddles the flip.
-	installed := rtNew.expectThread(key)
-	rts := app.allRuntimes()
-	epoch, err := app.flipThread(rts, tc, key, to, func(epoch uint64) {
-		for _, r := range rts {
-			m := &fenceMsg{Collection: key.Collection, Thread: thread, Epoch: epoch, Src: r.name, Phase: fenceClose}
-			if err := r.lnk.sendFence(from, m); err != nil {
-				app.fail(err)
-			}
-		}
-	})
-	if err != nil {
-		// Unreachable in practice (the thread index was validated above);
-		// surface it without corrupting the placement.
-		rtOld.drain(th, th.Abort())
-		return err
-	}
-
-	// Ship the state; the held arrivals follow it on the same channel, and
-	// stale traffic is forwarded from then on.
-	if err := rtOld.lnk.sendMigrate(to, &migrateMsg{Collection: key.Collection, Thread: thread, Epoch: epoch, Fences: len(rts), State: payload, FT: ftRec}); err != nil {
-		err = fmt.Errorf("dps: shipping state of %s to %q: %w", key, to, err)
-		app.fail(err)
-		return err
-	}
-	for batch := th.Flush(to); batch != nil; batch = th.Flush(to) {
-		for _, it := range batch {
-			rtOld.forwardItem(it.(*placeItem), to)
-		}
-	}
-
-	// The handover completes when the new owner has installed the state; a
-	// follow-up migration of the same thread must not observe a node that
-	// is still waiting for the envelope (it would capture a nil instance
-	// and lose the state).
-	if err := app.awaitInstall(installed, time.Time{}); err != nil {
-		return err
-	}
-	atomic.AddInt64(&rtOld.stats.MigrationsCompleted, 1)
-	atomic.AddInt64(&rtOld.stats.MigrationBytes, int64(len(payload)))
-	return nil
 }

@@ -212,3 +212,92 @@ func remapWithPartialHold(t *testing.T, app *App) {
 		t.Fatalf("TokensForwarded = %d with %d tokens held", fwd, kept)
 	}
 }
+
+type retargetTok struct {
+	Tag string
+	N   int
+}
+
+type retargetState struct{ N int }
+
+var (
+	_ = serial.MustRegister[retargetTok]()
+	_ = serial.MustRegister[retargetState]()
+)
+
+// TestRetargetAfterFailover: a live remap w1 → w2 leaves w1 forwarding the
+// thread's stale traffic to w2. When w2 then fails over, w1's relay must
+// follow the thread to the survivor the failover chose, and a token
+// forwarded through it must execute there exactly once.
+func TestRetargetAfterFailover(t *testing.T) {
+	net := simnet.New(simnet.Config{Latency: 100 * time.Microsecond, PerMessage: 10 * time.Microsecond})
+	app, err := NewSimApp(Config{Checkpoint: 2 * time.Millisecond}, net, "m", "w1", "w2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(net.Close)
+	t.Cleanup(app.Close)
+	work := MustCollection[retargetState](app, "rt-work")
+	if err := work.Map("w1"); err != nil {
+		t.Fatal(err)
+	}
+	ran := make(chan string, 16) // tag@node of every tagged execution
+	leaf := Leaf[*retargetTok, *retargetTok]("rt-leaf", func(c *Ctx, in *retargetTok) *retargetTok {
+		st := StateOf[retargetState](c)
+		st.N++
+		if in.Tag != "" {
+			ran <- in.Tag + "@" + c.rt.name
+		}
+		return &retargetTok{N: st.N}
+	})
+	g, err := app.NewFlowgraph("rt-g", Path(NewNode(leaf, work, MainRoute())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() int {
+		t.Helper()
+		out, err := g.Call(context.Background(), &retargetTok{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.(*retargetTok).N
+	}
+
+	if n := call(); n != 1 {
+		t.Fatalf("first call saw N=%d, want 1", n)
+	}
+	if err := work.RemapThread(context.Background(), 0, "w2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := app.FailNode("w2"); err != nil {
+		t.Fatal(err)
+	}
+	survivor, _ := work.NodeOf(0)
+	if survivor == "w2" {
+		t.Fatal("the failover left the thread on the dead node")
+	}
+	relay, _ := app.runtime("w1")
+	th := relay.placeThread(place.Key{Collection: "rt-work"})
+	if v, target := th.Arrive("probe", place.Forwarded, nil); v != place.Forward || target != survivor {
+		t.Fatalf("w1's machine decides %v toward %q, want Forward toward the survivor %q", v, target, survivor)
+	}
+
+	// A stale post reaches the relay as if its sender still resolved w1.
+	env := getEnvelope()
+	env.Graph, env.CallOrigin, env.Token = "rt-g", "m", &retargetTok{Tag: "stale"}
+	relay.deliverToken(env, "m", place.Direct)
+	if got := <-ran; got != "stale@"+survivor {
+		t.Fatalf("forwarded token ran as %s, want stale@%s", got, survivor)
+	}
+	if n := call(); n != 3 {
+		t.Fatalf("state counted %d executions, want 3: first call, forwarded token, this call", n)
+	}
+	select {
+	case extra := <-ran:
+		t.Fatalf("the forwarded token ran again: %s", extra)
+	default:
+	}
+	if err := app.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

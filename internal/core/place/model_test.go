@@ -383,12 +383,13 @@ func (w *world) receive(src, dst int) error {
 		*r = reader{busy: batch != nil, batch: batch}
 	case mState:
 		w.inst = dst
-		*r = reader{busy: true, batch: th.Install(m.epoch, m.fences, "")}
+		*r = reader{busy: true, batch: th.Install(m.epoch, m.fences, nodeNames[src])}
 	}
 	return nil
 }
 
-// coordinate is one step of migrateThread for the move in progress.
+// coordinate is one step of a live rehome (App.rehome) for the move in
+// progress.
 func (w *world) coordinate() error {
 	mv := w.sc.moves[w.mv]
 	old := w.mut(mv.from)

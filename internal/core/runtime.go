@@ -258,7 +258,6 @@ func (rt *Runtime) dispatchToken(g *Flowgraph, node *GraphNode, env *envelope) {
 		inst.exec.Enqueue(workItem{inst: inst, g: g, node: node, env: env})
 	case KindMerge, KindStream:
 		if env.FTSeq > 0 && inst.ft != nil && !inst.ft.CheckIn(env.FTStream, env.FTSeq) {
-			ftDebugf("dup-drop at %s[%d] on %q: stream=%q seq=%d call=%d", node.tc.Name(), env.Thread, rt.name, env.FTStream, env.FTSeq, env.CallID)
 			putEnvelope(env)
 			return
 		}
@@ -350,7 +349,6 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 		// through its restored checkpoint) already reflects this token.
 		// Recorded here, under the execution ticket, so cursors never run
 		// ahead of the state a checkpoint item in the same queue captures.
-		ftDebugf("dup-drop at %s[%d] on %q: stream=%q seq=%d call=%d", inst.tc.Name(), inst.index, rt.name, env.FTStream, env.FTSeq, env.CallID)
 		c.env = nil
 		putEnvelope(env)
 		return

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/core/ft"
+	"repro/internal/core/place"
 )
 
 // Wire message kinds exchanged between node runtimes. Per-sender FIFO is
@@ -14,14 +15,14 @@ const (
 	msgGroupEnd byte = 2 // split finished: announces the group's token count
 	msgAck      byte = 3 // merge consumed a token of a group
 	msgResult   byte = 4 // final graph output returning to the caller
-	msgMigrate  byte = 5 // thread-instance state handoff (old owner -> new owner)
-	msgFence    byte = 6 // route-change fence of the live-remap protocol
+	msgMigrate  byte = 5 // live rehome: the captured instance, old owner -> new owner
+	msgFence    byte = 6 // route-change fence of a live rehome
 
 	// Fault-tolerance messages (internal/core/ft, ftengine.go). The plain
 	// kinds above stay byte-identical with the layer disabled: sequenced
 	// traffic uses the two *FT framings instead of growing msgToken.
 	msgCheckpoint byte = 7  // checkpoint record travelling to the store (master)
-	msgReplay     byte = 8  // failover restore: checkpoint record -> new owner
+	msgReplay     byte = 8  // checkpoint rehome: checkpoint record -> new owner
 	msgDeath      byte = 9  // failure broadcast: a node has been declared dead
 	msgTokenFT    byte = 10 // msgToken prefixed with its sender stream + sequence
 	msgGroupEndFT byte = 11 // msgGroupEnd prefixed with stream + sequence
@@ -85,25 +86,30 @@ type resultMsg struct {
 	Payload []byte
 }
 
-// migrateMsg is the migration envelope of the live-remap protocol: the old
-// owner ships a quiesced thread instance's serialized state to the new
-// owner. An empty State installs a fresh zero state (stateless collections
-// and instances that were never touched on the old node). Fences is the
-// number of closing fences emitted for this epoch's flip: the new owner may
-// not migrate the instance onward until that many closing fences have
-// arrived here, which certifies that no stale token of this epoch is
-// still in flight through any relay chain.
-type migrateMsg struct {
-	Collection string
-	Thread     int
-	Epoch      uint64
-	Fences     int
-	State      []byte
-	// FT is the instance's encoded fault-tolerance record (sequencing
-	// cursors and retained log; see internal/core/ft) when the layer is
-	// enabled. It is appended after State only when non-empty, keeping the
-	// envelope byte-identical with fault tolerance off.
-	FT []byte
+// rehomeMsg is what a thread's new owner installs it from (App.rehome), in
+// its source's framing; an empty State installs a fresh zero state.
+// msgMigrate (live) carries the old owner's capture: State, the instance's
+// fault-tolerance record Rec when the layer is on, and Fences, the number of
+// closing fences the flip emitted — the new owner may not move the thread
+// on until that many have arrived, which certifies that no stale token of
+// this epoch is still in flight through any relay chain. msgReplay
+// (checkpoint, Replay set) carries the newest committed checkpoint Rec of a
+// dead node's thread, which holds Key and State itself; an empty record
+// restores a fresh zero instance, which replay then rebuilds.
+type rehomeMsg struct {
+	Key    place.Key
+	Epoch  uint64
+	Fences int
+	State  []byte
+	Rec    *ft.Record
+	Replay bool
+}
+
+func (m *rehomeMsg) kind() byte {
+	if m.Replay {
+		return msgReplay
+	}
+	return msgMigrate
 }
 
 // fenceMsg is a sender's route-change marker (see internal/core/place): it
@@ -436,32 +442,50 @@ func decodeResult(b []byte) (*resultMsg, error) {
 	return m, nil
 }
 
-// appendMigrate writes a migration envelope; the state payload is appended
-// after the header, mirroring the token path's single-copy layout.
-func appendMigrate(b []byte, m *migrateMsg) []byte {
-	b = append(b, msgMigrate)
-	b = appendString(b, m.Collection)
-	b = appendInt(b, m.Thread)
+// appendRehome writes m in its source's framing. A live move's state is
+// appended after the header, mirroring the token path's single-copy layout,
+// and its record follows only when there is one, keeping the envelope
+// byte-identical with fault tolerance off.
+func appendRehome(b []byte, m *rehomeMsg) []byte {
+	b = append(b, m.kind())
+	if m.Replay {
+		b = appendUint64(b, m.Epoch)
+		return m.Rec.Encode(b)
+	}
+	b = appendString(b, m.Key.Collection)
+	b = appendInt(b, m.Key.Thread)
 	b = appendUint64(b, m.Epoch)
 	b = appendInt(b, m.Fences)
 	b = binary.AppendUvarint(b, uint64(len(m.State)))
 	b = append(b, m.State...)
-	if len(m.FT) > 0 {
-		b = binary.AppendUvarint(b, uint64(len(m.FT)))
-		b = append(b, m.FT...)
+	if m.Rec != nil {
+		rec := m.Rec.Encode(nil)
+		b = binary.AppendUvarint(b, uint64(len(rec)))
+		b = append(b, rec...)
 	}
 	return b
 }
 
-// decodeMigrate parses a migration envelope. State aliases b; the caller
-// must fully consume it before recycling the wire buffer.
-func decodeMigrate(b []byte) (*migrateMsg, error) {
-	m := &migrateMsg{}
+// decodeRehome parses either framing of a rehome message; kind is the
+// frame's first byte and b the rest. A live move's State aliases b: the
+// caller must fully consume it before recycling the wire buffer.
+func decodeRehome(kind byte, b []byte) (*rehomeMsg, error) {
+	m := &rehomeMsg{Replay: kind == msgReplay}
 	var err error
-	if m.Collection, b, err = readString(b); err != nil {
+	if m.Replay {
+		if m.Epoch, b, err = readUint64(b); err != nil {
+			return nil, err
+		}
+		if m.Rec, err = ft.DecodeRecord(b); err != nil {
+			return nil, err
+		}
+		m.Key, m.State = m.Rec.Key, m.Rec.State
+		return m, nil
+	}
+	if m.Key.Collection, b, err = readString(b); err != nil {
 		return nil, err
 	}
-	if m.Thread, b, err = readInt(b); err != nil {
+	if m.Key.Thread, b, err = readInt(b); err != nil {
 		return nil, err
 	}
 	if m.Epoch, b, err = readUint64(b); err != nil {
@@ -481,7 +505,9 @@ func decodeMigrate(b []byte) (*migrateMsg, error) {
 		if n <= 0 || uint64(len(b)-n) < l {
 			return nil, fmt.Errorf("dps: truncated migration ft record")
 		}
-		m.FT = b[n : n+int(l)]
+		if m.Rec, err = ft.DecodeRecord(b[n : n+int(l)]); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
@@ -548,33 +574,6 @@ func decodeTracedHeader(b []byte) (traceID uint64, sentNs int64, inner []byte, e
 }
 
 // --- fault-tolerance messages (ftengine.go) -------------------------------
-
-// replayMsg restores an instance on a failover survivor: the newest
-// committed checkpoint record plus the placement epoch of the failover
-// flip. An empty record (Rec with no state, cursors or log) restores a
-// fresh zero instance — recovery then rebuilds it by full replay.
-type replayMsg struct {
-	Epoch uint64
-	Rec   *ft.Record
-}
-
-func appendReplay(b []byte, m *replayMsg) []byte {
-	b = append(b, msgReplay)
-	b = appendUint64(b, m.Epoch)
-	return m.Rec.Encode(b)
-}
-
-func decodeReplay(b []byte) (*replayMsg, error) {
-	m := &replayMsg{}
-	var err error
-	if m.Epoch, b, err = readUint64(b); err != nil {
-		return nil, err
-	}
-	if m.Rec, err = ft.DecodeRecord(b); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
 
 func appendCheckpoint(b []byte, rec *ft.Record) []byte {
 	b = append(b, msgCheckpoint)
