@@ -137,6 +137,10 @@ type App struct {
 	// section, after the call left the pending table and before its
 	// cancellation record exists.
 	cancelHook func()
+	// handDownHook, set only by tests, sees every buffer array a completed
+	// merge group hands down to its thread instance (completeGroup), with the
+	// group's call ID.
+	handDownHook func(callID uint64, buf []bufferedToken)
 
 	failErr atomic.Value // errBox
 	closed  atomic.Bool
@@ -172,10 +176,12 @@ type CallResult struct {
 
 // callEntry is one pending flow-graph invocation: the channel the result is
 // delivered on, the caller's context (consulted by blocking engine points so
-// cancellation unwinds in-flight work), the context watcher to detach once
-// the call settles, and the origin runtime (where admission and expiry are
-// attributed in Stats). Entries of synchronous calls are pooled; see
-// callEntries in callreg.go for the ownership argument.
+// cancellation unwinds in-flight work), the origin runtime (where admission
+// and expiry are attributed in Stats) and, for an async call only, the
+// context.AfterFunc watcher to detach once the call settles — a synchronous
+// caller watches its context itself while it waits (awaitCall), so its stop
+// stays nil. Entries of synchronous calls are pooled; see callEntries in
+// callreg.go for the ownership argument.
 type callEntry struct {
 	ch   chan CallResult
 	ctx  context.Context
@@ -499,7 +505,7 @@ func (app *App) registerCall(ctx context.Context, rt *Runtime) (uint64, *callEnt
 	return id, ce, nil
 }
 
-// setCallStop attaches the context watcher to a pending call. If the call
+// setCallStop attaches an async call's context watcher to it. If the call
 // settled (result, failure or cancellation) while the watcher was being
 // created, the watcher is detached immediately instead.
 func (app *App) setCallStop(id uint64, stop func() bool) {

@@ -16,7 +16,7 @@ func TestUppercaseBatched(t *testing.T) {
 	app := newLocalApp(t, core.Config{Batch: true, ForceSerialize: true}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "upper", "node1*2 node2")
 	in := "batched wire path throughput"
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestUppercaseBatchedFT(t *testing.T) {
 	}, "node0", "node1")
 	g := buildUppercase(t, app, "upper", "node1")
 	in := "batched and sequenced"
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestUppercaseBatchedOverSimnet(t *testing.T) {
 	}
 	defer app.Close()
 	g := buildUppercase(t, app, "upper", "n1 n2")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "simnet batch"}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "simnet batch"}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestColocatedFastPath(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "upper", "node1*2 node2")
 	in := "colocated lanes"
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

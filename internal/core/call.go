@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 )
 
 // Call executes the flow graph on one input token from the application's
@@ -21,36 +19,23 @@ func (g *Flowgraph) Call(ctx context.Context, tok Token) (Token, error) {
 }
 
 // CallFrom is Call with an explicit origin node; the result token is routed
-// back to that node.
+// back to that node. A nil ctx is treated as context.Background().
 //
-// Unlike CallAsyncFrom, the synchronous path recycles the pending-call entry
-// once the single result has been received: nothing else can reach a settled
-// entry (settlement is keyed by the never-reused call ID), so saturated
-// callers don't allocate an entry and channel per call.
+// Unlike CallAsyncFrom, the synchronous path registers no context watcher —
+// the waiting caller watches ctx itself (awaitCall) — and recycles the
+// pending-call entry once the single result has been received: nothing else
+// can reach a settled entry (settlement is keyed by the never-reused call
+// ID), so saturated callers don't allocate an entry and channel per call.
 func (g *Flowgraph) CallFrom(ctx context.Context, origin string, tok Token) (Token, error) {
-	ce, err := g.startCall(ctx, origin, tok)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	id, ce, err := g.startCall(ctx, origin, tok)
 	if err != nil {
 		return nil, err
 	}
-	res := <-ce.ch
-	recycleCallEntry(ce)
+	res := g.app.awaitCall(ctx, id, ce)
 	return res.Value, res.Err
-}
-
-// CallTimeout is CallFrom with a deadline.
-//
-// Deprecated: use CallFrom with a context from context.WithTimeout. This
-// shim remains for existing experiments; unlike the historical behaviour
-// (which merely stopped waiting), the expired deadline now cancels the call
-// like any other context cancellation.
-func (g *Flowgraph) CallTimeout(origin string, tok Token, d time.Duration) (Token, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	defer cancel()
-	out, err := g.CallFrom(ctx, origin, tok)
-	if errors.Is(err, context.DeadlineExceeded) {
-		return nil, fmt.Errorf("dps: graph %q: call timed out after %v: %w", g.name, d, err)
-	}
-	return out, err
 }
 
 // CallAsync starts a call from the master node and returns the channel the
@@ -68,25 +53,36 @@ func (g *Flowgraph) CallAsync(ctx context.Context, tok Token) (<-chan CallResult
 // is shed at admission: the error wraps ErrOverload and nothing was posted,
 // so the caller can back off and retry.
 func (g *Flowgraph) CallAsyncFrom(ctx context.Context, origin string, tok Token) (<-chan CallResult, error) {
-	ce, err := g.startCall(ctx, origin, tok)
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	id, ce, err := g.startCall(ctx, origin, tok)
 	if err != nil {
 		return nil, err
+	}
+	if ctx.Done() != nil {
+		// No goroutine waits for an async call: a watcher cancels it when
+		// ctx fires. setCallStop detaches it at once if the call settled
+		// already.
+		app := g.app
+		app.setCallStop(id, context.AfterFunc(ctx, func() {
+			app.cancelCall(id, context.Cause(ctx))
+		}))
 	}
 	return ce.ch, nil
 }
 
 // startCall validates, admits, registers and posts one graph call, returning
-// the pending entry whose channel delivers the single result.
-func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (*callEntry, error) {
+// its ID and the pending entry whose channel delivers the single result.
+// Nothing watches ctx yet: a synchronous caller does so itself (awaitCall),
+// CallAsyncFrom attaches a context.AfterFunc.
+func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (uint64, *callEntry, error) {
 	app := g.app
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if err := app.Err(); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	if app.ftOn {
 		// Fault tolerance starts lazily with the first call, before its
@@ -95,35 +91,30 @@ func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (*c
 	}
 	rt, ok := app.runtime(origin)
 	if !ok {
-		return nil, fmt.Errorf("dps: graph %q: unknown origin node %q", g.name, origin)
+		return 0, nil, fmt.Errorf("dps: graph %q: unknown origin node %q", g.name, origin)
 	}
 	t, err := tokType(tok)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	entryNode := g.nodes[g.entry]
 	if !entryNode.op.acceptsIn(t) {
-		return nil, fmt.Errorf("dps: graph %q: entry %q does not accept %s", g.name, entryNode.op.name, t)
+		return 0, nil, fmt.Errorf("dps: graph %q: entry %q does not accept %s", g.name, entryNode.op.name, t)
 	}
 	for _, n := range g.nodes {
 		if n.tc.ThreadCount() == 0 {
-			return nil, fmt.Errorf("dps: graph %q: collection %q is not mapped", g.name, n.tc.Name())
+			return 0, nil, fmt.Errorf("dps: graph %q: collection %q is not mapped", g.name, n.tc.Name())
 		}
 	}
 	count := entryNode.tc.ThreadCount()
 	ct := rt.credit(g.name, g.entry, count)
-	thread := entryNode.route.pick(tok, RouteCtx{ThreadCount: count, Seq: 0, Outstanding: ct.Outstanding})
+	thread := entryNode.route.pick(tok, RouteCtx{ThreadCount: count, Seq: 0, Outstanding: ct.OutstandingFunc()})
 	if thread < 0 || thread >= count {
-		return nil, fmt.Errorf("dps: graph %q: entry route %q returned thread %d of %d", g.name, entryNode.route.Name(), thread, count)
+		return 0, nil, fmt.Errorf("dps: graph %q: entry route %q returned thread %d of %d", g.name, entryNode.route.Name(), thread, count)
 	}
 	id, ce, err := app.registerCall(ctx, rt)
 	if err != nil {
-		return nil, fmt.Errorf("dps: graph %q: %w", g.name, err)
-	}
-	if ctx.Done() != nil {
-		app.setCallStop(id, context.AfterFunc(ctx, func() {
-			app.cancelCall(id, context.Cause(ctx))
-		}))
+		return 0, nil, fmt.Errorf("dps: graph %q: %w", g.name, err)
 	}
 	env := getEnvelope()
 	env.Graph = g.name
@@ -145,7 +136,24 @@ func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (*c
 	if err := rt.routeSafe(env, entryNode.tc, thread); err != nil {
 		app.completeCall(id, CallResult{Err: err})
 	}
-	return ce, nil
+	return id, ce, nil
+}
+
+// awaitCall waits for the single result of a synchronous call and recycles
+// its entry. The waiting caller is the call's cancellation watcher: if ctx
+// fires first it cancels the call itself — the same cancelCall an async
+// call's AfterFunc runs — and then receives the one result, which is ctx's
+// cause unless the call had already settled.
+func (app *App) awaitCall(ctx context.Context, id uint64, ce *callEntry) CallResult {
+	var res CallResult
+	select {
+	case res = <-ce.ch:
+	case <-ctx.Done():
+		app.cancelCall(id, context.Cause(ctx))
+		res = <-ce.ch
+	}
+	recycleCallEntry(ce)
+	return res
 }
 
 // GraphCallOp wraps a flow graph as a leaf operation: the caller's graph

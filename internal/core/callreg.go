@@ -128,7 +128,7 @@ func (r *callRegistry) pendingLocked() int {
 // nothing; it can never reach a recycled entry. Exactly one settler removes
 // an entry from its shard and sends exactly one result on the buffered
 // channel, so after the synchronous caller has received, nothing else holds
-// the entry and CallFrom may recycle it. Async callers keep the channel, so
+// the entry and awaitCall may recycle it. Async callers keep the channel, so
 // their entries are never recycled (see recycleCallEntry).
 var callEntries = sync.Pool{
 	New: func() any { return &callEntry{ch: make(chan CallResult, 1)} },

@@ -116,7 +116,7 @@ func TestCancelReapsStreamGroups(t *testing.T) {
 	waitGroupsReaped(t, app)
 	// The graph must stay fully usable afterwards.
 	for i := 0; i < 3; i++ {
-		out, err := g.CallTimeout(app.MasterNode(), &nestTok{N: 5}, 30*time.Second)
+		out, err := callWithin(g, app.MasterNode(), &nestTok{N: 5}, 30*time.Second)
 		if err != nil {
 			t.Fatalf("call %d after stream cancellation: %v", i, err)
 		}
@@ -177,6 +177,13 @@ func waitGroupsReaped(t *testing.T, app *App) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// callWithin is CallFrom under a context.WithTimeout of d.
+func callWithin(g *Flowgraph, origin string, tok Token, d time.Duration) (Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
 }
 
 func TestCancelReapsNestedSplitGroups(t *testing.T) {
@@ -365,7 +372,7 @@ func TestCancelUnwindDuringBookkeeping(t *testing.T) {
 	if err := app.Err(); err != nil {
 		t.Fatalf("the unwind of a canceled call failed the application: %v", err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &nestTok{N: 5}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &nestTok{N: 5}, 30*time.Second)
 	if err != nil {
 		t.Fatalf("the next call inherited the cancellation: %v", err)
 	}

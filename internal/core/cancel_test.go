@@ -104,7 +104,7 @@ func TestCancelReleasesFlowControl(t *testing.T) {
 	}
 	// The canceled call must have freed its window slots: a second call
 	// through the same split group machinery completes.
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 5}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 5}, 30*time.Second)
 	if err != nil {
 		t.Fatalf("second call after cancellation: %v", err)
 	}
@@ -205,7 +205,7 @@ func TestCancelNestedGroupsReleasesOuterWindow(t *testing.T) {
 	// Several follow-up calls through the same nested window machinery:
 	// leaked outer slots would wedge these within a few iterations.
 	for i := 0; i < 4; i++ {
-		out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 3}, 30*time.Second)
+		out, err := callWithin(g, app.MasterNode(), &CountToken{N: 3}, 30*time.Second)
 		if err != nil {
 			t.Fatalf("call %d after nested cancellation: %v", i, err)
 		}
@@ -261,17 +261,18 @@ func TestCancelAsyncDeliversError(t *testing.T) {
 	}
 }
 
-// TestTimeoutShimCancels: the deprecated CallTimeout now cancels the call
-// on expiry (deregistering it) rather than merely abandoning the wait; the
-// late result is dropped and the graph remains fully usable.
-func TestTimeoutShimCancels(t *testing.T) {
+// TestTimeoutCancels: a synchronous call whose deadline expires cancels the
+// call (deregistering it) rather than merely abandoning the wait — the
+// waiting caller is the call's context watcher; the late result is dropped
+// and the graph remains fully usable.
+func TestTimeoutCancels(t *testing.T) {
 	app := newLocalApp(t, core.Config{Window: 2}, "node0", "node1")
 	var blocking atomic.Bool
 	blocking.Store(true)
 	hold := make(chan struct{})
-	g := buildCancelGraph(t, app, "timeout-shim", &blocking, hold)
+	g := buildCancelGraph(t, app, "timeout", &blocking, hold)
 
-	_, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 8}, 30*time.Millisecond)
+	_, err := callWithin(g, app.MasterNode(), &CountToken{N: 8}, 30*time.Millisecond)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want a deadline error", err)
 	}
@@ -280,7 +281,7 @@ func TestTimeoutShimCancels(t *testing.T) {
 	blocking.Store(false)
 	close(hold)
 
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 3}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 3}, 30*time.Second)
 	if err != nil {
 		t.Fatalf("call after an expired call: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -95,10 +96,17 @@ func newLocalApp(t testing.TB, cfg core.Config, nodes ...string) *core.App {
 	return app
 }
 
+// callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
+func callWithin(g *core.Flowgraph, origin string, tok core.Token, d time.Duration) (core.Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
+}
+
 func TestUppercaseSingleNode(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0")
 	g := buildUppercase(t, app, "upper", "node0")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "hello, world"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "hello, world"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +118,7 @@ func TestUppercaseSingleNode(t *testing.T) {
 func TestUppercaseMultiNode(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "upper", "node1*2 node2")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "dynamic parallel schedules"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "dynamic parallel schedules"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +132,7 @@ func TestUppercaseForceSerialize(t *testing.T) {
 	// for local transfers.
 	app := newLocalApp(t, core.Config{ForceSerialize: true}, "node0")
 	g := buildUppercase(t, app, "upper", "node0")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "force"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "force"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +150,7 @@ func TestUppercaseOverSimnet(t *testing.T) {
 	}
 	defer app.Close()
 	g := buildUppercase(t, app, "upper", "n1 n2 n3")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "simnet"}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "simnet"}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +173,7 @@ func TestCallsCompletedCountsWireResults(t *testing.T) {
 	defer app.Close()
 	g := buildUppercase(t, app, "upper", "n1")
 	for i, origin := range []string{"n1", "n1", "n1", "n1", "n1", "n0", "n0", "n0"} {
-		if _, err := g.CallTimeout(origin, &StringToken{Str: "count me"}, 20*time.Second); err != nil {
+		if _, err := callWithin(g, origin, &StringToken{Str: "count me"}, 20*time.Second); err != nil {
 			t.Fatalf("call %d from %s: %v", i, origin, err)
 		}
 	}
@@ -185,7 +193,7 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			in := fmt.Sprintf("call number %d", i)
-			out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: in}, 20*time.Second)
+			out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 20*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -265,7 +273,7 @@ func TestThreadStatePersistsAcrossTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 10}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 10}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +310,7 @@ func TestThreadStatePersistsAcrossTokens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, err := g2.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	out2, err := callWithin(g2, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,9 @@ func (c *Ctx) GroupIndex() int {
 // application this is the paper's inter-application parallel service call
 // (Figure 10): the call behaves like a leaf operation, preserving
 // pipelining and token queueing. The nested call inherits the originating
-// call's context, so canceling the outer call cancels the service call too.
+// call's context, so canceling the outer call cancels the service call too:
+// like CallFrom, the execution waiting for the result watches that context
+// itself (awaitCall), with the thread released meanwhile.
 func (c *Ctx) CallGraph(g *Flowgraph, tok Token) (Token, error) {
 	origin := c.rt.name
 	if g.app != c.rt.app {
@@ -116,12 +118,16 @@ func (c *Ctx) CallGraph(g *Flowgraph, tok Token) (Token, error) {
 		// and reaches us through the in-process call table.
 		origin = g.app.MasterNode()
 	}
-	ch, err := g.CallAsyncFrom(c.callContext(), origin, tok)
+	ctx := c.callContext()
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	id, ce, err := g.startCall(ctx, origin, tok)
 	if err != nil {
 		return nil, err
 	}
 	c.yieldInstLock()
-	res := <-ch
+	res := g.app.awaitCall(ctx, id, ce)
 	c.relockInst()
 	return res.Value, res.Err
 }

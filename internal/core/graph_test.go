@@ -342,7 +342,7 @@ func TestSingleLeafGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 41}, 5*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 41}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

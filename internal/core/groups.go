@@ -31,11 +31,12 @@ func (gt *groupTable) init(nodeIdx int) {
 	gt.splits = make(map[uint64]*splitGroup)
 }
 
-// open registers a new group opened by the graph node opener, flow
-// controlled by a fresh gate of window slots.
-func (gt *groupTable) open(g *Flowgraph, opener int, window int) *splitGroup {
+// open initialises sg — zero memory the opener's execution provides — as a
+// new group opened by the graph node opener, flow controlled by a fresh gate
+// of window slots, and registers it.
+func (gt *groupTable) open(sg *splitGroup, g *Flowgraph, opener int, window int) {
 	id := uint64(gt.nodeIdx)<<48 | (gt.seq.Add(1) & (1<<48 - 1))
-	sg := &splitGroup{
+	*sg = splitGroup{
 		id:          id,
 		graph:       g,
 		opener:      opener,
@@ -46,7 +47,6 @@ func (gt *groupTable) open(g *Flowgraph, opener int, window int) *splitGroup {
 	gt.mu.Lock()
 	gt.splits[id] = sg
 	gt.mu.Unlock()
-	return sg
 }
 
 // remove deletes a group, reporting whether it was still registered (so a
@@ -78,7 +78,9 @@ func (gt *groupTable) all() []*splitGroup {
 // splitGroup is the split-side state of one open group: the flow-control
 // gate and the identity of the paired merge instance. The gate has one
 // poster, the opener's execution (Ctx.pushGroupFrame); acknowledgements
-// release it from whichever goroutine receives them.
+// release it from whichever goroutine receives them. A split's group is
+// allocated together with the split's Ctx (runSimple), a stream's on its
+// own; neither is ever reused.
 type splitGroup struct {
 	id     uint64
 	graph  *Flowgraph
@@ -99,21 +101,28 @@ type splitGroup struct {
 	posted      int
 	done        bool // opener's execute returned
 	mergeThread int  // -1 until the first token fixes the instance
+
+	// end is the group-end announcement finishOpener sends, once.
+	end groupEndMsg
 }
 
-// mergeGroup is the merge-side state of one group on a thread instance.
+// mergeGroup is the merge-side state of one group on a thread instance. It
+// also holds the Ctx of the collector execution that consumes the group
+// (runCollector): one group, one execution, so the Ctx is never reused.
 type mergeGroup struct {
 	// callID identifies the invocation the group belongs to, so the
 	// cancellation sweep can retire never-started groups.
 	callID uint64
 
 	mu   sync.Mutex
-	cond *sync.Cond
+	cond sync.Cond // on mu
 
 	buf      sched.Fifo[bufferedToken]
 	started  bool
 	consumed int
 	total    int // -1 while unknown
+
+	exec Ctx
 }
 
 type bufferedToken struct {
@@ -129,21 +138,55 @@ type bufferedToken struct {
 	ftSeq    uint64
 }
 
-func newMergeGroup(callID uint64) *mergeGroup {
-	mg := &mergeGroup{callID: callID, total: -1}
-	mg.cond = sync.NewCond(&mg.mu)
+// mergeGroup returns the instance's merge-side state of a group, creating it
+// for the given call on its first token or group-end. A new group's buffer
+// starts from the array the instance's last completed group handed down
+// (completeGroup), if one is spare.
+func (inst *threadInstance) mergeGroup(groupID, callID uint64) *mergeGroup {
+	inst.mu.Lock()
+	defer inst.mu.Unlock()
+	mg, ok := inst.groups[groupID]
+	if !ok {
+		mg = &mergeGroup{callID: callID, total: -1}
+		mg.cond.L = &mg.mu
+		if inst.spareBuf != nil {
+			mg.buf.Adopt(inst.spareBuf)
+			inst.spareBuf = nil
+		}
+		inst.groups[groupID] = mg
+	}
 	return mg
 }
 
-// openGroup creates and registers the split-side state for a split/stream
-// execution starting on this node, remembering the enclosing frame of the
-// opener's input token for cancellation accounting. For a split that frame
-// is the input's top frame (the closer merge pops the split's own frame,
-// leaving it on top of the output); a stream's input top frame is the group
-// the stream itself collects — its subtree carries the frame *below* it
-// onward (postOut's KindStream branch), so that one is recorded instead.
-func (rt *Runtime) openGroup(c *Ctx, opener int) *splitGroup {
-	sg := rt.groups.open(c.graph, opener, rt.window)
+// completeGroup removes a group whose collector ran to completion and hands
+// its emptied buffer array down to the next group created on the instance.
+// Every token such a group buffered was consumed; a group retired by a
+// cancellation (retireMergeGroup) never hands its array on.
+func (inst *threadInstance) completeGroup(groupID uint64, mg *mergeGroup) {
+	mg.mu.Lock()
+	buf := mg.buf.Detach()
+	mg.mu.Unlock()
+	if h := inst.rt.app.handDownHook; h != nil && cap(buf) > 0 {
+		h(mg.callID, buf)
+	}
+	inst.mu.Lock()
+	delete(inst.groups, groupID)
+	if cap(buf) > 0 {
+		inst.spareBuf = buf
+	}
+	inst.mu.Unlock()
+}
+
+// openGroup initialises and registers sg as the split-side state of the
+// group a split/stream execution opens on this node, remembering the
+// enclosing frame of the opener's input token for cancellation accounting.
+// For a split that frame is the input's top frame (the closer merge pops the
+// split's own frame, leaving it on top of the output); a stream's input top
+// frame is the group the stream itself collects — its subtree carries the
+// frame *below* it onward (postOut's KindStream branch), so that one is
+// recorded instead.
+func (rt *Runtime) openGroup(c *Ctx, opener int, sg *splitGroup) *splitGroup {
+	rt.groups.open(sg, c.graph, opener, rt.window)
 	sg.callID = c.callID
 	var outer *frame
 	switch c.node.op.kind {
@@ -187,7 +230,7 @@ func (rt *Runtime) finishOpener(c *Ctx) {
 		panic(opError{fmt.Errorf("dps: %s %q posted no tokens for its group", c.node.op.kind, c.node.op.name)})
 	}
 	closerNode := sg.graph.nodes[sg.closer]
-	end := &groupEndMsg{
+	sg.end = groupEndMsg{
 		Graph:   sg.graph.name,
 		Node:    sg.closer,
 		Thread:  mergeThread,
@@ -195,7 +238,7 @@ func (rt *Runtime) finishOpener(c *Ctx) {
 		Total:   posted,
 		CallID:  c.callID,
 	}
-	rt.routeGroupEnd(end, closerNode.tc, mergeThread, c.inst.ft, c.env.FTStream, c.env.FTSeq)
+	rt.routeGroupEnd(&sg.end, closerNode.tc, mergeThread, c.inst.ft, c.env.FTStream, c.env.FTSeq)
 	rt.maybeReapSplit(sg)
 }
 
@@ -229,13 +272,7 @@ func (rt *Runtime) deliverToGroup(inst *threadInstance, g *Flowgraph, node *Grap
 		rt.app.fail(fmt.Errorf("dps: token reached %s %q with an empty frame stack", node.op.kind, node.op.name))
 		return
 	}
-	inst.mu.Lock()
-	mg, ok := inst.groups[fr.GroupID]
-	if !ok {
-		mg = newMergeGroup(env.CallID)
-		inst.groups[fr.GroupID] = mg
-	}
-	inst.mu.Unlock()
+	mg := inst.mergeGroup(fr.GroupID, env.CallID)
 
 	bt := bufferedToken{
 		tok:        env.Token,
@@ -357,13 +394,7 @@ func (rt *Runtime) applyGroupEnd(node *GraphNode, m *groupEndMsg) {
 	if m.FTSeq > 0 && inst.ft != nil && !inst.ft.CheckIn(m.FTStream, m.FTSeq) {
 		return
 	}
-	inst.mu.Lock()
-	mg, ok := inst.groups[m.GroupID]
-	if !ok {
-		mg = newMergeGroup(m.CallID)
-		inst.groups[m.GroupID] = mg
-	}
-	inst.mu.Unlock()
+	mg := inst.mergeGroup(m.GroupID, m.CallID)
 	mg.mu.Lock()
 	mg.total = m.Total
 	mg.cond.Broadcast()

@@ -94,12 +94,56 @@ func TestHopAllocationBudget(t *testing.T) {
 		what          string
 	}{
 		{"leaf", 2, 1, 2, "the decoded token and the execution's Ctx"},
-		{"split post + leaf + merge consume", 1, 2, 4,
-			"a leaf hop, the token decoded at the merge and the array of the group's buffer, which the second token of a group is the first to wait in"},
+		{"split post + leaf + merge consume", 1, 2, 3,
+			"a leaf hop and the token decoded at the merge; the group's buffer, where the second token of a group is the first to wait, starts from the array the merge instance's previous group handed down"},
 	} {
 		if got := perCall(c.leaves, c.parts) - base; got != c.want {
 			t.Errorf("one more %s hop allocates %.0f objects, want %.0f: %s", c.hop, got, c.want, c.what)
 		}
+	}
+}
+
+// TestCallWatcherAllocations: a synchronous caller is its own call's
+// cancellation watcher — it waits on its context's Done channel next to the
+// result — so a cancelable context costs a call nothing beyond that lazily
+// made channel: no context.AfterFunc registration, no closure, no
+// parent-children entry. The context's own objects are measured alone and
+// subtracted.
+func TestCallWatcherAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector: pooled envelopes and buffers are reallocated at random")
+	}
+	reg := serial.NewRegistry()
+	if err := serial.Register[hopTok](reg); err != nil {
+		t.Fatal(err)
+	}
+	app, err := NewLocalApp(Config{ForceSerialize: true, Registry: reg}, "a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	g := hopGraph(t, app, 1, 1)
+	in := &hopTok{N: 7}
+	call := func(ctx context.Context) {
+		if out, err := g.Call(ctx, in); err != nil || out.(*hopTok).N != 0 {
+			t.Fatalf("call: %v, %v", out, err)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		call(context.Background())
+	}
+	background := testing.AllocsPerRun(200, func() { call(context.Background()) })
+	ctxAlone := testing.AllocsPerRun(200, func() {
+		_, cancel := context.WithCancel(context.Background())
+		cancel()
+	})
+	cancelable := testing.AllocsPerRun(200, func() {
+		ctx, cancel := context.WithCancel(context.Background())
+		call(ctx)
+		cancel()
+	})
+	if extra := cancelable - ctxAlone - background; extra > 1 {
+		t.Errorf("a call under a cancelable context allocates %.0f objects more than under context.Background(), want at most 1 (the context's Done channel)", extra)
 	}
 }
 

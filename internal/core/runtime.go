@@ -109,6 +109,9 @@ type threadInstance struct {
 
 	mu     sync.Mutex
 	groups map[uint64]*mergeGroup
+	// spareBuf is the emptied buffer array the last completed group handed
+	// down (completeGroup), which the next group created here starts from.
+	spareBuf []bufferedToken
 }
 
 // workItem is one queued execution: a token delivered to a leaf/split, or
@@ -336,7 +339,19 @@ func (rt *Runtime) runItem(it workItem, tk sched.Ticket, _ bool) bool {
 // calling goroutine still holds the drainer role afterwards.
 func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 	inst, g, node, env := it.inst, it.g, it.node, it.env
-	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: env, in: env.Token, callID: env.CallID, drainer: true}
+	var c *Ctx
+	var group *splitGroup
+	if node.op.kind == KindSplit {
+		// The group a split opens is allocated with its execution.
+		x := new(struct {
+			Ctx
+			group splitGroup
+		})
+		c, group = &x.Ctx, &x.group
+	} else {
+		c = new(Ctx)
+	}
+	*c = Ctx{rt: rt, inst: inst, graph: g, node: node, env: env, in: env.Token, callID: env.CallID, drainer: true}
 	defer func() { still = c.drainer }()
 	tk.Wait()
 	if env.TraceID != 0 {
@@ -361,8 +376,8 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 		return
 	}
 
-	if node.op.kind == KindSplit {
-		c.sg = rt.openGroup(c, node.id)
+	if group != nil {
+		c.sg = rt.openGroup(c, node.id, group)
 	}
 	var execNs int64
 	if env.TraceID != 0 {
@@ -387,7 +402,8 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 	inst, g, node, firstEnv, first, mg := it.inst, it.g, it.node, it.env, it.bt, it.mg
 	inst.ranCollector.Store(true)
-	c := &Ctx{rt: rt, inst: inst, graph: g, node: node, env: firstEnv, in: first.tok, callID: firstEnv.CallID, mg: mg, drainer: true}
+	c := &mg.exec
+	*c = Ctx{rt: rt, inst: inst, graph: g, node: node, env: firstEnv, in: first.tok, callID: firstEnv.CallID, mg: mg, drainer: true}
 	defer func() { still = c.drainer }()
 	tk.Wait()
 	defer inst.exec.Unlock()
@@ -402,7 +418,7 @@ func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 		return
 	}
 	if node.op.kind == KindStream {
-		c.sg = rt.openGroup(c, node.id)
+		c.sg = rt.openGroup(c, node.id, new(splitGroup))
 	}
 	// The first token counts as consumed when the execution starts.
 	rt.ackConsumed(first)
@@ -432,9 +448,7 @@ func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 		panic(opError{fmt.Errorf("dps: merge %q posted %d tokens; a merge posts exactly one", node.op.name, c.postSeq)})
 	}
 	fr, _ := firstEnv.topFrame()
-	inst.mu.Lock()
-	delete(inst.groups, fr.GroupID)
-	inst.mu.Unlock()
+	inst.completeGroup(fr.GroupID, mg)
 	c.env = nil
 	putEnvelope(firstEnv)
 	return

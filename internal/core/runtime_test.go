@@ -62,7 +62,7 @@ func TestLoadBalancedRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 120
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: total}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: total}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestGraphCallAsLeaf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g2.CallTimeout(app.MasterNode(), &CountToken{N: 3}, 20*time.Second)
+	out, err := callWithin(g2, app.MasterNode(), &CountToken{N: 3}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestCrossApplicationServiceCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(clientApp.MasterNode(), &StringToken{Str: "cross app"}, 20*time.Second)
+	out, err := callWithin(g, clientApp.MasterNode(), &StringToken{Str: "cross app"}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestOperationPanicFailsCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = g.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	_, err = callWithin(g, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("expected panic propagation, got %v", err)
 	}
@@ -186,7 +186,7 @@ func TestSplitZeroTokensFails(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = g.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	_, err = callWithin(g, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "posted no tokens") {
 		t.Fatalf("expected zero-post error, got %v", err)
 	}
@@ -221,7 +221,7 @@ func TestLeafMustPostExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = g.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	_, err = callWithin(g, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err == nil {
 		t.Fatal("expected error for leaf posting twice")
 	}
@@ -250,7 +250,7 @@ func TestMergeMustDrainGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = g.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	_, err = callWithin(g, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "before consuming its group") {
 		t.Fatalf("expected drain error, got %v", err)
 	}
@@ -278,7 +278,7 @@ func TestUnregisteredTokenFailsCrossNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = g.CallTimeout(app.MasterNode(), &CountToken{}, 10*time.Second)
+	_, err = callWithin(g, app.MasterNode(), &CountToken{}, 10*time.Second)
 	if err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("expected registration error, got %v", err)
 	}
@@ -289,7 +289,7 @@ func TestUnregisteredTokenFailsCrossNode(t *testing.T) {
 func TestDynamicRemap(t *testing.T) {
 	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
 	g := buildUppercase(t, app, "remap", "node1")
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "first"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "first"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestDynamicRemap(t *testing.T) {
 	if err := compute.Map("node0 node1 node2"); err != nil {
 		t.Fatal(err)
 	}
-	out, err = g.CallTimeout(app.MasterNode(), &StringToken{Str: "second"}, 10*time.Second)
+	out, err = callWithin(g, app.MasterNode(), &StringToken{Str: "second"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,6 +126,21 @@ func (q *Fifo[E]) Pop() E {
 	return e
 }
 
+// Detach empties the queue and returns its backing array, length zero and
+// every slot cleared, for another queue to Adopt; q keeps no reference to it.
+func (q *Fifo[E]) Detach() []E {
+	clear(q.buf)
+	buf := q.buf[:0]
+	q.buf, q.head = nil, 0
+	return buf
+}
+
+// Adopt makes an empty queue start from buf's array (one Detach returned)
+// instead of allocating its own on the first Push.
+func (q *Fifo[E]) Adopt(buf []E) {
+	q.buf, q.head = buf[:0], 0
+}
+
 // entry is one queued execution with its pre-reserved ticket.
 type entry[T any] struct {
 	it T

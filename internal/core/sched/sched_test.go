@@ -562,6 +562,38 @@ func TestFifoReusesItsArray(t *testing.T) {
 	}
 }
 
+// TestFifoDetachAdopt: a detached array carries no element into the queue
+// that adopts it, and the two queues share nothing afterwards.
+func TestFifoDetachAdopt(t *testing.T) {
+	var a, b Fifo[*int]
+	for i := 0; i < 5; i++ {
+		a.Push(new(int))
+	}
+	a.Pop()
+	buf := a.Detach()
+	if a.Len() != 0 || a.buf != nil || len(buf) != 0 || cap(buf) < 5 {
+		t.Fatalf("after Detach: queue len %d array %v, detached len %d cap %d", a.Len(), a.buf, len(buf), cap(buf))
+	}
+	for i, p := range buf[:cap(buf)] {
+		if p != nil {
+			t.Fatalf("detached slot %d still holds an element", i)
+		}
+	}
+	b.Adopt(buf)
+	x := 7
+	b.Push(&x)
+	if b.Len() != 1 || &b.buf[:1][0] != &buf[:1][0] {
+		t.Fatal("the adopting queue did not start from the detached array")
+	}
+	a.Push(new(int))
+	if &a.buf[0] == &b.buf[0] {
+		t.Fatal("the detaching queue still shares the array")
+	}
+	if got := b.Pop(); got != &x {
+		t.Fatalf("adopted queue popped %v, want its own element", got)
+	}
+}
+
 // BenchmarkEnqueueBurst is one token at a time (call_fan's pattern): every
 // Enqueue finds the queue empty and needs a goroutine.
 func BenchmarkEnqueueBurst(b *testing.B) {

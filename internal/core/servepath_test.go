@@ -75,7 +75,7 @@ func TestCancelStormDrainsRegistry(t *testing.T) {
 	}
 	// The storm must have released every window slot and credit: a fresh
 	// call through the same split group machinery completes.
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 5}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 5}, 30*time.Second)
 	if err != nil {
 		t.Fatalf("follow-up call after the storm: %v", err)
 	}
@@ -129,7 +129,7 @@ func TestAdmissionBudgetSheds(t *testing.T) {
 		t.Fatalf("PendingCalls = %d after the drain, want 0", got)
 	}
 	// The budget is whole again: a fresh synchronous call is admitted.
-	if _, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 1}, 30*time.Second); err != nil {
+	if _, err := callWithin(g, app.MasterNode(), &CountToken{N: 1}, 30*time.Second); err != nil {
 		t.Fatalf("call after the drain: %v", err)
 	}
 
@@ -165,7 +165,7 @@ func TestAdmissionDeadlineExpiryCounted(t *testing.T) {
 	close(hold)
 
 	// The expired call must have released its slot and left the registry.
-	if _, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 1}, 30*time.Second); err != nil {
+	if _, err := callWithin(g, app.MasterNode(), &CountToken{N: 1}, 30*time.Second); err != nil {
 		t.Fatalf("call after the expiry: %v", err)
 	}
 	if got := app.PendingCalls(); got != 0 {

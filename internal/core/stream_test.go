@@ -111,7 +111,7 @@ func TestStreamRecomposesAndPipelines(t *testing.T) {
 	}
 
 	const frames = 40
-	out, err := g.CallTimeout(app.MasterNode(), &ReqToken{Frames: frames, Parts: 2}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &ReqToken{Frames: frames, Parts: 2}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestNestedSplitMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 7}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 7}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestConditionalPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 10}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 10}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestFlowControlWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	const total = 40
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: total}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: total}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestSplitStalledMergeSameThread(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 100}, 30*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 100}, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,7 +412,7 @@ func TestStreamChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 8}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 8}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

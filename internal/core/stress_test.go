@@ -64,7 +64,7 @@ func TestFIFOPerInstance(t *testing.T) {
 			app := newLocalApp(t, core.Config{Window: window}, "node0", "node1")
 			var seen []int // written by the one record thread, read after the call
 			g := seqGraph(t, app, func() {}, func(seq int) { seen = append(seen, seq) })
-			out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+			out, err := callWithin(g, app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestDeepDispatchQueue(t *testing.T) {
 		<-posted // the thread is slow: nothing runs until the whole stream is queued
 		seen = append(seen, seq)
 	})
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestDeepNesting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 1}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 1}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestWideFanOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	const tokens = 5000
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: tokens}, 120*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestServiceCallMidGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &CountToken{N: 4}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &CountToken{N: 4}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,13 +334,13 @@ func TestConcurrentCallsKeepStateConsistent(t *testing.T) {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			if _, err := g1.CallTimeout(app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
+			if _, err := callWithin(g1, app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
 				t.Error(err)
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if _, err := g2.CallTimeout(app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
+			if _, err := callWithin(g2, app.MasterNode(), &CountToken{N: 8}, 60*time.Second); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -374,7 +374,7 @@ func TestConcurrentCallsKeepStateConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g3.CallTimeout(app.MasterNode(), &CountToken{}, 60*time.Second)
+	out, err := callWithin(g3, app.MasterNode(), &CountToken{}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

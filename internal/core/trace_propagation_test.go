@@ -49,7 +49,7 @@ func TestSampledCallTimeline(t *testing.T) {
 	app := newLocalApp(t, core.Config{TraceSample: 1, ForceSerialize: true}, "node0", "node1")
 	g := buildUppercase(t, app, "traced-upper", "node1")
 
-	out, err := g.CallTimeout(app.MasterNode(), &StringToken{Str: "trace me"}, 10*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: "trace me"}, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestUnsampledCallAddsNoAllocations(t *testing.T) {
 	)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	call := func(g *core.Flowgraph) {
-		if _, err := g.CallTimeout("node0", &StringToken{Str: "abcdefgh"}, 10*time.Second); err != nil {
+		if _, err := callWithin(g, "node0", &StringToken{Str: "abcdefgh"}, 10*time.Second); err != nil {
 			t.Fatal(err)
 		}
 	}

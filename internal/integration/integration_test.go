@@ -21,6 +21,13 @@ import (
 	"repro/internal/simnet"
 )
 
+// callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
+func callWithin(g *core.Flowgraph, origin string, tok core.Token, d time.Duration) (core.Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
+}
+
 // --- Figure 4: stream pipelining (per-experiment index in DESIGN.md) -----
 
 type vsReq struct {
@@ -111,7 +118,7 @@ func TestVideoStreamPipelining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &vsReq{Frames: 30, Parts: 2}, 60*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &vsReq{Frames: 30, Parts: 2}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +273,7 @@ func TestWindowStallCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.CallTimeout("w0", &parlife.StepOrder{}, 30*time.Second); err != nil {
+	if _, err := callWithin(g, "w0", &parlife.StepOrder{}, 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if app.Stats().WindowStalls == 0 {
@@ -480,7 +487,7 @@ func TestUppercaseEndToEndAllTransports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			out, err := g.CallTimeout("x0", &wordsReq{Text: input}, 30*time.Second)
+			out, err := callWithin(g, "x0", &wordsReq{Text: input}, 30*time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,13 @@ import (
 	"repro/internal/serial"
 )
 
+// callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
+func callWithin(g *core.Flowgraph, origin string, tok core.Token, d time.Duration) (core.Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
+}
+
 func startNS(t *testing.T) *NameServer {
 	t.Helper()
 	ns, err := StartNameServer("127.0.0.1:0")
@@ -229,7 +236,7 @@ func TestDPSAppOverKernels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(app.MasterNode(), &kReq{Text: "tokens over real tcp kernels"}, 20*time.Second)
+	out, err := callWithin(g, app.MasterNode(), &kReq{Text: "tokens over real tcp kernels"}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

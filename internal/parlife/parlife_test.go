@@ -1,6 +1,7 @@
 package parlife
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -9,6 +10,13 @@ import (
 	"repro/internal/life"
 	"repro/internal/simnet"
 )
+
+// callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
+func callWithin(g *core.Flowgraph, origin string, tok core.Token, d time.Duration) (core.Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
+}
 
 func newApp(t testing.TB, nodes int) *core.App {
 	t.Helper()
@@ -232,7 +240,7 @@ func TestExposedServiceFromOtherApp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := g.CallTimeout(clientApp.MasterNode(), &ReadReq{Row: 2, Col: 3, H: 4, W: 5}, 20*time.Second)
+	out, err := callWithin(g, clientApp.MasterNode(), &ReadReq{Row: 2, Col: 3, H: 4, W: 5}, 20*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

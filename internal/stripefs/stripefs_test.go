@@ -2,6 +2,7 @@ package stripefs
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -10,6 +11,13 @@ import (
 	"repro/internal/core"
 	"repro/internal/simnet"
 )
+
+// callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
+func callWithin(g *core.Flowgraph, origin string, tok core.Token, d time.Duration) (core.Token, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	return g.CallFrom(ctx, origin, tok)
+}
 
 func newFS(t testing.TB, nodes, stores int) *FS {
 	t.Helper()
@@ -237,7 +245,7 @@ func TestFigure5Scenario(t *testing.T) {
 		}
 		for i := 0; i < 5; i++ {
 			off := (id*3 + i) * 1000
-			out, err := g.CallTimeout(app.MasterNode(), &ReadReq{Name: "shared.bin", Offset: off, Length: 2000}, 30*time.Second)
+			out, err := callWithin(g, app.MasterNode(), &ReadReq{Name: "shared.bin", Offset: off, Length: 2000}, 30*time.Second)
 			if err != nil {
 				return err
 			}
