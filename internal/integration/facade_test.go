@@ -109,8 +109,17 @@ func TestFacadeAddsNoAllocations(t *testing.T) {
 	})
 	t.Logf("allocs/op: core=%.2f facade=%.2f", coreAllocs, facadeAllocs)
 	// Pool refills make individual runs jitter by a fraction of an alloc;
-	// anything >= one whole extra allocation is a façade regression.
-	if facadeAllocs > coreAllocs+0.5 {
+	// anything >= one whole extra allocation is a façade regression. Under
+	// the race detector sync.Pool drops a quarter of all Puts, and each
+	// path independently reads 2 or 3 allocs/op (90 runs at -cpu 1,2,4:
+	// core 2 / facade 3 in 21 of them, core 3 / facade 2 in 19), so the
+	// slack there is one whole allocation and the exact check is the
+	// non-race run's.
+	slack := 0.5
+	if raceEnabled {
+		slack = 1.5
+	}
+	if facadeAllocs > coreAllocs+slack {
 		t.Fatalf("façade adds allocations: core %.2f, facade %.2f allocs/op", coreAllocs, facadeAllocs)
 	}
 }

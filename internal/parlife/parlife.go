@@ -12,6 +12,14 @@
 // The world-read graph (Figure 10) exposes the distributed world as a
 // parallel service: a client request is split to the owning workers, parts
 // are read in parallel, and the merge assembles the requested sub-grid.
+//
+// Border rows travel without copies. A border read hands out the source
+// band's own first or last row, so a co-located receiver holds a slice of its
+// neighbour's band (a remote one holds a slice of the received frame). That
+// is safe because within an iteration a band writes only its shadow, and the
+// per-iteration done-merge is a barrier: the receiver drops its borders as
+// soon as the rows that read them are computed, so no alias survives into the
+// iteration in which the neighbour overwrites the row.
 package parlife
 
 import (
@@ -308,24 +316,26 @@ func (s *Sim) chargeCompute(rows int) {
 	}
 }
 
-// readBorderLeaf extracts the requested border row from the source band.
+// readBorderLeaf hands out the requested border row of the source band: the
+// band's own row, not a copy. Nothing writes it until the next iteration's
+// swap, and the receiver lets go of it before this iteration ends (see
+// storeBorderLeaf and computeAll).
 func (s *Sim) readBorderLeaf() *core.OpDef {
 	return core.Leaf[*BorderRead, *BorderData](s.name+"-read-border",
 		func(c *core.Ctx, in *BorderRead) *BorderData {
 			st := core.StateOf[workerState](c)
 			st.ensureIter(in.Iter)
-			var row []uint8
+			row := st.Band.Rows[0]
 			if in.Dir == 0 {
-				row = st.Band.LastRow()
-			} else {
-				row = st.Band.FirstRow()
+				row = st.Band.Rows[len(st.Band.Rows)-1]
 			}
 			return &BorderData{Iter: in.Iter, Dest: in.Dest, Dir: in.Dir, Row: row}
 		})
 }
 
-// storeBorder stores an arriving border; in the improved variant it also
-// computes the band's edge rows once both borders are present.
+// storeBorderLeaf stores an arriving border; in the improved variant it also
+// computes the band's edge rows once both borders are present and then drops
+// both, since they alias the neighbours' bands (see readBorderLeaf).
 func (s *Sim) storeBorderLeaf(computeEdges bool, opName string) *core.OpDef {
 	return core.Leaf[*BorderData, *Notify](opName,
 		func(c *core.Ctx, in *BorderData) *Notify {
@@ -340,6 +350,7 @@ func (s *Sim) storeBorderLeaf(computeEdges bool, opName string) *core.OpDef {
 			}
 			if computeEdges && st.GotUp && st.GotDn {
 				st.Band.StepEdges(st.Shadow)
+				st.Band.UpBorder, st.Band.DnBorder = nil, nil
 				edgeRows := 2
 				if len(st.Band.Rows) < 2 {
 					edgeRows = len(st.Band.Rows)
@@ -383,6 +394,9 @@ func (s *Sim) buildGraphs() error {
 			st := core.StateOf[workerState](c)
 			st.ensureIter(in.Iter)
 			st.Band.StepAll(st.Shadow)
+			// The borders alias the neighbours' bands: drop them before the
+			// iteration ends (see readBorderLeaf).
+			st.Band.UpBorder, st.Band.DnBorder = nil, nil
 			s.chargeCompute(len(st.Band.Rows))
 			st.ComputedIter = in.Iter
 			return &Notify{Iter: in.Iter, Worker: in.Worker}
@@ -410,14 +424,18 @@ func (s *Sim) buildGraphs() error {
 	}
 
 	// --- Improved graph (Figure 8): border exchange overlaps the interior
-	// computation; edge rows follow as borders arrive. -------------------
+	// computation; edge rows follow as borders arrive. All border reads are
+	// posted before any interior, so no read waits in its worker's queue
+	// behind that worker's own interior computation. --------------------
 	splitAllImproved := core.SplitAny[*StepOrder](s.name+"-split-improved",
 		[]core.Token{(*BorderRead)(nil), (*CenterOrder)(nil)},
 		func(c *core.Ctx, in *StepOrder, post func(core.Token)) {
 			for w := 0; w < s.workers; w++ {
-				post(&CenterOrder{Iter: in.Iter, Worker: w})
 				post(&BorderRead{Iter: in.Iter, Src: s.up(w), Dest: w, Dir: 0})
 				post(&BorderRead{Iter: in.Iter, Src: s.down(w), Dest: w, Dir: 1})
+			}
+			for w := 0; w < s.workers; w++ {
+				post(&CenterOrder{Iter: in.Iter, Worker: w})
 			}
 		})
 	computeCenter := core.Leaf[*CenterOrder, *Notify](s.name+"-compute-center",

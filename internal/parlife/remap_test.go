@@ -16,11 +16,27 @@ import (
 // an undisturbed run: the worker's band state must travel with the thread
 // and no border token may be lost, duplicated or reordered.
 func TestRemapWorkerMidRun(t *testing.T) {
+	remapMidRun(t, []string{"n1", "n2", "n1", "n2"}, []string{"n0", "n2", "n1"})
+}
+
+// TestRemapWorkerMidRunColocated is TestRemapWorkerMidRun on the benchmark's
+// placement, two neighbouring bands per node: their border rows pass by
+// pointer and alias the neighbour's band, so a migration's state capture and
+// a neighbour's next-iteration write must never meet a border kept past its
+// iteration.
+func TestRemapWorkerMidRunColocated(t *testing.T) {
+	remapMidRun(t, []string{"n0", "n0", "n1", "n1", "n2", "n2"}, []string{"n1", "n2", "n0"})
+}
+
+// remapMidRun steps a world on workers placed on workerNodes, alternating
+// both graphs, once undisturbed and once while a goroutine bounces worker 1
+// through targets, and requires both worlds to be byte-identical.
+func remapMidRun(t *testing.T, workerNodes, targets []string) {
 	const (
 		width, height = 48, 40
-		workers       = 4
 		iters         = 12
 	)
+	workers := len(workerNodes)
 	seed := life.NewWorld(width, height)
 	rng := rand.New(rand.NewSource(42))
 	for i := range seed.Cells {
@@ -39,7 +55,7 @@ func TestRemapWorkerMidRun(t *testing.T) {
 		sim, err := New(app, width, height, Options{
 			Name:        fmt.Sprintf("remap-%v", remap),
 			Workers:     workers,
-			WorkerNodes: []string{"n1", "n2", "n1", "n2"},
+			WorkerNodes: workerNodes,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +66,7 @@ func TestRemapWorkerMidRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		// In the remapping run, a concurrent goroutine bounces worker 1
-		// across all three nodes (including the master) while the
+		// through the targets (including the master, n0) while the
 		// simulation steps — migrations race live border exchanges.
 		stop := make(chan struct{})
 		migrated := make(chan int, 1)
@@ -64,7 +80,7 @@ func TestRemapWorkerMidRun(t *testing.T) {
 						return
 					default:
 					}
-					target := []string{"n0", "n2", "n1"}[i%3]
+					target := targets[i%len(targets)]
 					if err := sim.BandCollection().RemapThread(context.Background(), 1, target); err != nil {
 						t.Errorf("remap %d: %v", i, err)
 						return
