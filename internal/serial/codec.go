@@ -6,15 +6,14 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
-	"sync"
+	"sort"
 	"unsafe"
 )
 
 // typeCodec is a compiled encoder/decoder/size program for one Go type.
 // It is built once at registration time by walking the type's structure,
-// so the per-call hot path never touches reflect for anything but maps
-// (which need reflect to iterate) and allocations that must carry the
-// precise Go type for the garbage collector.
+// so the per-call hot path touches reflect only to iterate maps and to make
+// allocations that must carry the precise Go type for the garbage collector.
 type typeCodec struct {
 	// enc appends the wire encoding of the value at p.
 	enc func(buf []byte, p unsafe.Pointer) []byte
@@ -58,147 +57,65 @@ func quietF32(b uint32) uint32 {
 	return b
 }
 
-func f32ToWire(f float32) uint32   { return quietF32(math.Float32bits(f)) }
-func f32FromWire(b uint32) float32 { return math.Float32frombits(quietF32(b)) }
-
-// codecCache shares compiled codecs across all registries: codecs carry no
-// registry state, only type structure.
-var codecCache = struct {
-	sync.RWMutex
-	m map[reflect.Type]*typeCodec
-}{m: make(map[reflect.Type]*typeCodec)}
-
-// codecFor returns the compiled codec for t, building (and caching) it on
-// first use. t must already have passed checkEncodable.
-func codecFor(t reflect.Type) *typeCodec {
-	codecCache.RLock()
-	c := codecCache.m[t]
-	codecCache.RUnlock()
-	if c != nil {
-		return c
+func putBool(buf []byte, v bool) []byte {
+	if v {
+		return append(buf, 1)
 	}
-	codecCache.Lock()
-	defer codecCache.Unlock()
-	return compile(t)
+	return append(buf, 0)
 }
 
-// compile builds the codec for t with codecCache.Lock held. Recursive types
-// are handled by inserting the codec shell into the cache before filling its
-// function fields; cycles necessarily pass through a pointer, whose closures
-// call through the shell at run time.
-func compile(t reflect.Type) *typeCodec {
-	if c := codecCache.m[t]; c != nil {
-		return c
+func getBool(data []byte) bool { return data[0] != 0 }
+
+func putF32(buf []byte, v float32) []byte {
+	return binary.LittleEndian.AppendUint32(buf, quietF32(math.Float32bits(v)))
+}
+
+func getF32(data []byte) float32 {
+	return math.Float32frombits(quietF32(binary.LittleEndian.Uint32(data)))
+}
+
+func putF64(buf []byte, v float64) []byte {
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+}
+
+func getF64(data []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(data)) }
+
+// codecs holds the codec of every type one registration's walk has reached:
+// a type shared by several fields compiles once, and a recursive type finds
+// its own codec, whose functions are filled in before anything runs them (a
+// cycle passes through a pointer, slice or map, whose closures call through
+// the codec at run time).
+type codecs map[reflect.Type]*typeCodec
+
+// compile builds the codec for t, or reports the first type reachable from
+// t that cannot be encoded. It is the only walk of a type's structure, so
+// whatever registration accepts, the codec can encode.
+func (cs codecs) compile(t reflect.Type) (*typeCodec, error) {
+	if c := cs[t]; c != nil {
+		return c, nil
 	}
 	c := &typeCodec{fixed: -1}
-	codecCache.m[t] = c
+	cs[t] = c
 
+	var err error
 	switch t.Kind() {
 	case reflect.Bool:
-		c.fixed = 1
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			if *(*bool)(p) {
-				return append(buf, 1)
-			}
-			return append(buf, 0)
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			if len(data) < 1 {
-				return 0, errTruncated("bool")
-			}
-			*(*bool)(p) = data[0] != 0
-			return 1, nil
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		load := intLoader(t.Kind())
-		store, err := intStorer(t)
-		if err != nil {
-			panic(err) // unreachable: kinds enumerated above
-		}
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			return binary.AppendVarint(buf, load(p))
-		}
-		c.size = func(p unsafe.Pointer) int { return varintLen(load(p)) }
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			x, n := binary.Varint(data)
-			if n <= 0 {
-				return 0, errTruncated("varint")
-			}
-			return n, store(p, x)
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		load := uintLoader(t.Kind())
-		store, err := uintStorer(t)
-		if err != nil {
-			panic(err) // unreachable: kinds enumerated above
-		}
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			return binary.AppendUvarint(buf, load(p))
-		}
-		c.size = func(p unsafe.Pointer) int { return uvarintLen(load(p)) }
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			x, n := binary.Uvarint(data)
-			if n <= 0 {
-				return 0, errTruncated("uvarint")
-			}
-			return n, store(p, x)
-		}
+		fixedScalar(c, 1, "bool", putBool, getBool)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		intCodec(c, t, false)
 	case reflect.Float32:
-		c.fixed = 4
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			return binary.LittleEndian.AppendUint32(buf, f32ToWire(*(*float32)(p)))
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			if len(data) < 4 {
-				return 0, errTruncated("float32")
-			}
-			*(*float32)(p) = f32FromWire(binary.LittleEndian.Uint32(data))
-			return 4, nil
-		}
+		fixedScalar(c, 4, "float32", putF32, getF32)
 	case reflect.Float64:
-		c.fixed = 8
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(*(*float64)(p)))
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			if len(data) < 8 {
-				return 0, errTruncated("float64")
-			}
-			*(*float64)(p) = math.Float64frombits(binary.LittleEndian.Uint64(data))
-			return 8, nil
-		}
+		fixedScalar(c, 8, "float64", putF64, getF64)
 	case reflect.Complex64:
-		c.fixed = 8
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			v := *(*complex64)(p)
-			buf = binary.LittleEndian.AppendUint32(buf, f32ToWire(real(v)))
-			return binary.LittleEndian.AppendUint32(buf, f32ToWire(imag(v)))
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			if len(data) < 8 {
-				return 0, errTruncated("complex64")
-			}
-			re := f32FromWire(binary.LittleEndian.Uint32(data))
-			im := f32FromWire(binary.LittleEndian.Uint32(data[4:]))
-			*(*complex64)(p) = complex(re, im)
-			return 8, nil
-		}
+		fixedScalar(c, 8, "complex64",
+			func(buf []byte, v complex64) []byte { return putF32(putF32(buf, real(v)), imag(v)) },
+			func(data []byte) complex64 { return complex(getF32(data), getF32(data[4:])) })
 	case reflect.Complex128:
-		c.fixed = 16
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			v := *(*complex128)(p)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(real(v)))
-			return binary.LittleEndian.AppendUint64(buf, math.Float64bits(imag(v)))
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			if len(data) < 16 {
-				return 0, errTruncated("complex128")
-			}
-			re := math.Float64frombits(binary.LittleEndian.Uint64(data))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-			*(*complex128)(p) = complex(re, im)
-			return 16, nil
-		}
+		fixedScalar(c, 16, "complex128",
+			func(buf []byte, v complex128) []byte { return putF64(putF64(buf, real(v)), imag(v)) },
+			func(data []byte) complex128 { return complex(getF64(data), getF64(data[8:])) })
 	case reflect.String:
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
 			s := *(*string)(p)
@@ -218,331 +135,263 @@ func compile(t reflect.Type) *typeCodec {
 			return n + int(l), nil
 		}
 	case reflect.Slice:
-		compileSlice(c, t)
+		err = cs.compileSlice(c, t)
 	case reflect.Array:
-		et := t.Elem()
-		ec := compile(et)
-		n, esz := t.Len(), et.Size()
-		if ec.fixed >= 0 {
-			c.fixed = n * ec.fixed
-		}
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			for i := 0; i < n; i++ {
-				buf = ec.enc(buf, unsafe.Add(p, uintptr(i)*esz))
-			}
-			return buf
-		}
-		if c.fixed < 0 {
-			c.size = func(p unsafe.Pointer) int {
-				sz := 0
-				for i := 0; i < n; i++ {
-					sz += ec.size(unsafe.Add(p, uintptr(i)*esz))
-				}
-				return sz
-			}
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			used := 0
-			for i := 0; i < n; i++ {
-				m, err := ec.dec(data[used:], unsafe.Add(p, uintptr(i)*esz), o)
-				if err != nil {
-					return 0, err
-				}
-				used += m
-			}
-			return used, nil
-		}
+		err = cs.compileArray(c, t)
 	case reflect.Map:
-		// Maps keep the reference reflection codec: encoding needs sorted
-		// reflective iteration anyway, and maps are off the token hot paths.
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			buf, err := encodeValue(buf, reflect.NewAt(t, p).Elem())
-			if err != nil {
-				// Unreachable: registration validated every reachable type.
-				panic(fmt.Sprintf("serial: internal: %v", err))
-			}
-			return buf
-		}
-		c.size = func(p unsafe.Pointer) int {
-			return sizeValue(reflect.NewAt(t, p).Elem())
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			return decodeValue(data, reflect.NewAt(t, p).Elem())
-		}
+		err = cs.compileMap(c, t)
 	case reflect.Pointer:
-		et := t.Elem()
-		ec := compile(et)
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			ptr := *(*unsafe.Pointer)(p)
-			if ptr == nil {
-				return append(buf, 0)
-			}
-			return ec.enc(append(buf, 1), ptr)
-		}
-		c.size = func(p unsafe.Pointer) int {
-			ptr := *(*unsafe.Pointer)(p)
-			if ptr == nil {
-				return 1
-			}
-			return 1 + ec.size(ptr)
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			if len(data) < 1 {
-				return 0, errTruncated("pointer presence")
-			}
-			if data[0] == 0 {
-				*(*unsafe.Pointer)(p) = nil
-				return 1, nil
-			}
-			rn := reflect.New(et) // typed allocation, visible to the GC
-			n, err := ec.dec(data[1:], rn.UnsafePointer(), o)
-			if err != nil {
-				return 0, err
-			}
-			*(*unsafe.Pointer)(p) = rn.UnsafePointer()
-			return 1 + n, nil
-		}
+		err = cs.compilePointer(c, t)
 	case reflect.Struct:
-		compileStruct(c, t)
+		err = cs.compileStruct(c, t)
 	default:
-		// Unreachable: checkEncodable rejects every other kind at
-		// registration time.
-		panic(fmt.Sprintf("serial: internal: cannot compile kind %s", t.Kind()))
+		err = fmt.Errorf("unsupported kind %s", t.Kind())
 	}
-
+	if err != nil {
+		return nil, err
+	}
 	if c.fixed >= 0 {
 		k := c.fixed
 		c.size = func(unsafe.Pointer) int { return k }
 	}
-	return c
+	return c, nil
 }
 
-// structField is one encodable field of a compiled struct codec.
-type structField struct {
-	off  uintptr
-	name string
-	c    *typeCodec
+// fixedScalar fills c for a type whose every value encodes to width bytes.
+func fixedScalar[T any](c *typeCodec, width int, what string, put func([]byte, T) []byte, get func([]byte) T) {
+	c.fixed = width
+	c.enc = func(buf []byte, p unsafe.Pointer) []byte { return put(buf, *(*T)(p)) }
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		if len(data) < width {
+			return 0, errTruncated(what)
+		}
+		*(*T)(p) = get(data)
+		return width, nil
+	}
 }
 
-func compileStruct(c *typeCodec, t reflect.Type) {
-	var fields []structField
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() || f.Tag.Get("dps") == "-" {
-			continue
-		}
-		fields = append(fields, structField{off: f.Offset, name: f.Name, c: compile(f.Type)})
+type signed interface {
+	~int | ~int8 | ~int16 | ~int32 | ~int64
+}
+
+type unsigned interface {
+	~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+}
+
+// intCodec fills c for the integer type t, or with slice for a slice of t,
+// from the generic codec of t's family at the built-in type of t's kind,
+// whose layout a named integer type shares.
+func intCodec(c *typeCodec, t reflect.Type, slice bool) {
+	switch t.Kind() {
+	case reflect.Int:
+		signedCodec[int](c, t, slice)
+	case reflect.Int8:
+		signedCodec[int8](c, t, slice)
+	case reflect.Int16:
+		signedCodec[int16](c, t, slice)
+	case reflect.Int32:
+		signedCodec[int32](c, t, slice)
+	case reflect.Int64:
+		signedCodec[int64](c, t, slice)
+	case reflect.Uint:
+		unsignedCodec[uint](c, t, slice)
+	case reflect.Uint8:
+		unsignedCodec[uint8](c, t, slice)
+	case reflect.Uint16:
+		unsignedCodec[uint16](c, t, slice)
+	case reflect.Uint32:
+		unsignedCodec[uint32](c, t, slice)
+	case reflect.Uint64:
+		unsignedCodec[uint64](c, t, slice)
 	}
-	fixed := 0
-	for _, f := range fields {
-		if f.c.fixed < 0 {
-			fixed = -1
-			break
-		}
-		fixed += f.c.fixed
+}
+
+// signedCodec is intCodec for the signed integers: zig-zag varints.
+func signedCodec[T signed](c *typeCodec, t reflect.Type, slice bool) {
+	if !slice {
+		c.enc = func(buf []byte, p unsafe.Pointer) []byte { return binary.AppendVarint(buf, int64(*(*T)(p))) }
+		c.size = func(p unsafe.Pointer) int { return varintLen(int64(*(*T)(p))) }
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) { return getSigned(data, (*T)(p), t) }
+		return
 	}
-	c.fixed = fixed
 	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-		for _, f := range fields {
-			buf = f.c.enc(buf, unsafe.Add(p, f.off))
+		s := *(*[]T)(p)
+		if s == nil {
+			return append(buf, 0)
+		}
+		buf = appendLen(buf, len(s))
+		for _, v := range s {
+			buf = binary.AppendVarint(buf, int64(v))
 		}
 		return buf
 	}
-	if fixed < 0 {
-		c.size = func(p unsafe.Pointer) int {
-			sz := 0
-			for _, f := range fields {
-				sz += f.c.size(unsafe.Add(p, f.off))
-			}
-			return sz
+	c.size = func(p unsafe.Pointer) int {
+		s := *(*[]T)(p)
+		if s == nil {
+			return 1
 		}
+		n := lenSize(len(s))
+		for _, v := range s {
+			n += varintLen(int64(v))
+		}
+		return n
 	}
 	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-		used := 0
-		for _, f := range fields {
-			n, err := f.c.dec(data[used:], unsafe.Add(p, f.off), o)
-			if err != nil {
-				return 0, fmt.Errorf("field %s: %w", f.name, err)
-			}
-			used += n
-		}
-		return used, nil
+		return decodeEach(data, p, t, getSigned[T])
 	}
 }
 
-// compileSlice builds slice codecs. Primitive element kinds get bulk fast
-// paths — one presence byte and length prefix, then a tight loop (or copy)
-// over the raw backing array — instead of a per-element codec call. The
-// decode side allocates backing arrays with the plain built-in type of the
-// element's kind, which is layout- and GC-equivalent for pointer-free
-// elements even when the field's element type is a named type.
-func compileSlice(c *typeCodec, t reflect.Type) {
+// getSigned reads one zig-zag varint into *p. A value outside T's range is
+// an error naming t.
+func getSigned[T signed](data []byte, p *T, t reflect.Type) (int, error) {
+	x, n := binary.Varint(data)
+	if n <= 0 {
+		return 0, errTruncated("varint")
+	}
+	if int64(T(x)) != x {
+		return 0, fmt.Errorf("serial: value %d overflows %s", x, t)
+	}
+	*p = T(x)
+	return n, nil
+}
+
+// unsignedCodec is intCodec for the unsigned integers: plain varints.
+func unsignedCodec[T unsigned](c *typeCodec, t reflect.Type, slice bool) {
+	if !slice {
+		c.enc = func(buf []byte, p unsafe.Pointer) []byte { return binary.AppendUvarint(buf, uint64(*(*T)(p))) }
+		c.size = func(p unsafe.Pointer) int { return uvarintLen(uint64(*(*T)(p))) }
+		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) { return getUnsigned(data, (*T)(p), t) }
+		return
+	}
+	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
+		s := *(*[]T)(p)
+		if s == nil {
+			return append(buf, 0)
+		}
+		buf = appendLen(buf, len(s))
+		for _, v := range s {
+			buf = binary.AppendUvarint(buf, uint64(v))
+		}
+		return buf
+	}
+	c.size = func(p unsafe.Pointer) int {
+		s := *(*[]T)(p)
+		if s == nil {
+			return 1
+		}
+		n := lenSize(len(s))
+		for _, v := range s {
+			n += uvarintLen(uint64(v))
+		}
+		return n
+	}
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		return decodeEach(data, p, t, getUnsigned[T])
+	}
+}
+
+// getUnsigned reads one varint into *p. A value outside T's range is an
+// error naming t.
+func getUnsigned[T unsigned](data []byte, p *T, t reflect.Type) (int, error) {
+	x, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, errTruncated("uvarint")
+	}
+	if uint64(T(x)) != x {
+		return 0, fmt.Errorf("serial: value %d overflows %s", x, t)
+	}
+	*p = T(x)
+	return n, nil
+}
+
+// decodeEach decodes a slice of t into the slice field at p, reading its
+// elements one at a time with get.
+func decodeEach[T any](data []byte, p unsafe.Pointer, t reflect.Type, get func([]byte, *T, reflect.Type) (int, error)) (int, error) {
+	l, used, err := sliceHead(data)
+	if err != nil || l < 0 {
+		return used, err
+	}
+	s := make([]T, l)
+	for i := range s {
+		n, err := get(data[used:], &s[i], t)
+		if err != nil {
+			return 0, err
+		}
+		used += n
+	}
+	*(*[]T)(p) = s
+	return used, nil
+}
+
+// compileSlice builds slice codecs: a presence byte, then (when not nil)
+// the length and the elements. Primitive element kinds take bulk paths — a
+// copy or one tight loop over the backing array — instead of an element
+// codec call per element. Their decoders allocate backing arrays of the
+// built-in type of the element's kind, which is layout- and GC-equivalent
+// for these pointer-free elements even when the element type is named.
+func (cs codecs) compileSlice(c *typeCodec, t reflect.Type) error {
 	et := t.Elem()
 	switch et.Kind() {
 	case reflect.Uint8:
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return append(buf, 0)
-			}
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(h.len))
-			return append(buf, unsafe.Slice((*byte)(h.data), h.len)...)
-		}
-		c.size = func(p unsafe.Pointer) int {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return 1
-			}
-			return 1 + uvarintLen(uint64(h.len)) + h.len
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			l, used, err := sliceHead(data)
-			if err != nil || l < 0 {
-				return used, err
-			}
-			if len(data)-used < l {
-				return 0, errTruncated("byte slice")
-			}
-			end := used + l
-			var s []byte
-			if o != nil && l >= o.min {
-				// The capacity stops at the field's last byte: an append by
-				// the user reallocates instead of writing into the bytes
-				// behind it.
-				s, o.kept = data[used:end:end], true
-			} else {
-				s = make([]byte, l)
-				copy(s, data[used:])
-			}
-			storeSlice(p, s, l)
-			return end, nil
-		}
+		fixedSlice(c, 1, "byte slice", func(buf, s []byte) []byte { return append(buf, s...) }, nil)
+		// decodeBytes may keep a slice of an owned input instead of a copy.
+		c.dec = decodeBytes
 	case reflect.Bool:
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return append(buf, 0)
-			}
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(h.len))
-			for _, v := range unsafe.Slice((*bool)(h.data), h.len) {
-				if v {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
+		fixedSlice(c, 1, "bool slice",
+			func(buf []byte, s []bool) []byte {
+				for _, v := range s {
+					buf = putBool(buf, v)
 				}
-			}
-			return buf
-		}
-		c.size = func(p unsafe.Pointer) int {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return 1
-			}
-			return 1 + uvarintLen(uint64(h.len)) + h.len
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			l, used, err := sliceHead(data)
-			if err != nil || l < 0 {
-				return used, err
-			}
-			if len(data)-used < l {
-				return 0, errTruncated("bool slice")
-			}
-			s := make([]bool, l)
-			for i := range s {
-				s[i] = data[used+i] != 0
-			}
-			storeSlice(p, s, l)
-			return used + l, nil
-		}
-	case reflect.Float64:
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return append(buf, 0)
-			}
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(h.len))
-			for _, v := range unsafe.Slice((*float64)(h.data), h.len) {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-			return buf
-		}
-		c.size = func(p unsafe.Pointer) int {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return 1
-			}
-			return 1 + uvarintLen(uint64(h.len)) + 8*h.len
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			l, used, err := sliceHead(data)
-			if err != nil || l < 0 {
-				return used, err
-			}
-			if len(data)-used < 8*l {
-				return 0, errTruncated("float64 slice")
-			}
-			s := make([]float64, l)
-			for i := range s {
-				s[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[used+8*i:]))
-			}
-			storeSlice(p, s, l)
-			return used + 8*l, nil
-		}
+				return buf
+			},
+			func(s []bool, data []byte) {
+				for i := range s {
+					s[i] = getBool(data[i:])
+				}
+			})
 	case reflect.Float32:
-		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return append(buf, 0)
-			}
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(h.len))
-			for _, v := range unsafe.Slice((*float32)(h.data), h.len) {
-				buf = binary.LittleEndian.AppendUint32(buf, f32ToWire(v))
-			}
-			return buf
-		}
-		c.size = func(p unsafe.Pointer) int {
-			h := (*sliceHeader)(p)
-			if h.data == nil {
-				return 1
-			}
-			return 1 + uvarintLen(uint64(h.len)) + 4*h.len
-		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-			l, used, err := sliceHead(data)
-			if err != nil || l < 0 {
-				return used, err
-			}
-			if len(data)-used < 4*l {
-				return 0, errTruncated("float32 slice")
-			}
-			s := make([]float32, l)
-			for i := range s {
-				s[i] = f32FromWire(binary.LittleEndian.Uint32(data[used+4*i:]))
-			}
-			storeSlice(p, s, l)
-			return used + 4*l, nil
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		compileIntSlice(c, et)
-	case reflect.Uint, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		compileUintSlice(c, et)
+		fixedSlice(c, 4, "float32 slice",
+			func(buf []byte, s []float32) []byte {
+				for _, v := range s {
+					buf = putF32(buf, v)
+				}
+				return buf
+			},
+			func(s []float32, data []byte) {
+				for i := range s {
+					s[i] = getF32(data[4*i:])
+				}
+			})
+	case reflect.Float64:
+		fixedSlice(c, 8, "float64 slice",
+			func(buf []byte, s []float64) []byte {
+				for _, v := range s {
+					buf = putF64(buf, v)
+				}
+				return buf
+			},
+			func(s []float64, data []byte) {
+				for i := range s {
+					s[i] = getF64(data[8*i:])
+				}
+			})
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		intCodec(c, et, true)
 	default:
 		// Strings, structs, nested slices, maps, pointers, complexes: loop
-		// the element codec over the backing array (no reflection).
-		ec := compile(et)
+		// the element codec over the backing array.
+		ec, err := cs.compile(et)
+		if err != nil {
+			return err
+		}
 		esz := et.Size()
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte {
 			h := (*sliceHeader)(p)
 			if h.data == nil {
 				return append(buf, 0)
 			}
-			buf = append(buf, 1)
-			buf = binary.AppendUvarint(buf, uint64(h.len))
+			buf = appendLen(buf, h.len)
 			for i := 0; i < h.len; i++ {
 				buf = ec.enc(buf, unsafe.Add(h.data, uintptr(i)*esz))
 			}
@@ -553,7 +402,7 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			if h.data == nil {
 				return 1
 			}
-			sz := 1 + uvarintLen(uint64(h.len))
+			sz := lenSize(h.len)
 			if ec.fixed >= 0 {
 				return sz + h.len*ec.fixed
 			}
@@ -580,116 +429,69 @@ func compileSlice(c *typeCodec, t reflect.Type) {
 			return used, nil
 		}
 	}
+	return nil
 }
 
-// compileIntSlice builds the bulk varint path shared by every signed
-// integer element width.
-func compileIntSlice(c *typeCodec, et reflect.Type) {
-	load := intLoader(et.Kind())
-	store, err := intStorer(et)
-	if err != nil {
-		panic(err) // unreachable: callers pass int kinds only
-	}
-	esz := et.Size()
+// fixedSlice fills c for a slice of elements that each encode to width
+// bytes: put appends a whole slice's elements, get fills s from the
+// width*len(s) bytes at the start of data.
+func fixedSlice[T any](c *typeCodec, width int, what string, put func([]byte, []T) []byte, get func(s []T, data []byte)) {
 	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-		h := (*sliceHeader)(p)
-		if h.data == nil {
+		s := *(*[]T)(p)
+		if s == nil {
 			return append(buf, 0)
 		}
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(h.len))
-		for i := 0; i < h.len; i++ {
-			buf = binary.AppendVarint(buf, load(unsafe.Add(h.data, uintptr(i)*esz)))
-		}
-		return buf
+		return put(appendLen(buf, len(s)), s)
 	}
 	c.size = func(p unsafe.Pointer) int {
-		h := (*sliceHeader)(p)
-		if h.data == nil {
+		s := *(*[]T)(p)
+		if s == nil {
 			return 1
 		}
-		sz := 1 + uvarintLen(uint64(h.len))
-		for i := 0; i < h.len; i++ {
-			sz += varintLen(load(unsafe.Add(h.data, uintptr(i)*esz)))
-		}
-		return sz
+		return lenSize(len(s)) + width*len(s)
 	}
-	mk := makerForKind(et.Kind())
 	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 		l, used, err := sliceHead(data)
 		if err != nil || l < 0 {
 			return used, err
 		}
-		base := mk(p, l)
-		for i := 0; i < l; i++ {
-			x, n := binary.Varint(data[used:])
-			if n <= 0 {
-				return 0, errTruncated("varint")
-			}
-			if err := store(unsafe.Add(base, uintptr(i)*esz), x); err != nil {
-				return 0, err
-			}
-			used += n
+		if len(data)-used < width*l {
+			return 0, errTruncated(what)
 		}
-		return used, nil
+		s := make([]T, l)
+		get(s, data[used:])
+		*(*[]T)(p) = s
+		return used + width*l, nil
 	}
 }
 
-// compileUintSlice is the unsigned counterpart of compileIntSlice.
-func compileUintSlice(c *typeCodec, et reflect.Type) {
-	load := uintLoader(et.Kind())
-	store, err := uintStorer(et)
-	if err != nil {
-		panic(err) // unreachable: callers pass uint kinds only
+// decodeBytes is the []byte decoder. Given an owner, a field of at least
+// owner.min bytes keeps a slice of data instead of a copy.
+func decodeBytes(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	l, used, err := sliceHead(data)
+	if err != nil || l < 0 {
+		return used, err
 	}
-	esz := et.Size()
-	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
-		h := (*sliceHeader)(p)
-		if h.data == nil {
-			return append(buf, 0)
-		}
-		buf = append(buf, 1)
-		buf = binary.AppendUvarint(buf, uint64(h.len))
-		for i := 0; i < h.len; i++ {
-			buf = binary.AppendUvarint(buf, load(unsafe.Add(h.data, uintptr(i)*esz)))
-		}
-		return buf
+	if len(data)-used < l {
+		return 0, errTruncated("byte slice")
 	}
-	c.size = func(p unsafe.Pointer) int {
-		h := (*sliceHeader)(p)
-		if h.data == nil {
-			return 1
-		}
-		sz := 1 + uvarintLen(uint64(h.len))
-		for i := 0; i < h.len; i++ {
-			sz += uvarintLen(load(unsafe.Add(h.data, uintptr(i)*esz)))
-		}
-		return sz
+	end := used + l
+	var s []byte
+	if o != nil && l >= o.min {
+		// The capacity stops at the field's last byte: an append by the
+		// user reallocates instead of writing into the bytes behind it.
+		s, o.kept = data[used:end:end], true
+	} else {
+		s = make([]byte, l)
+		copy(s, data[used:])
 	}
-	mk := makerForKind(et.Kind())
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
-		l, used, err := sliceHead(data)
-		if err != nil || l < 0 {
-			return used, err
-		}
-		base := mk(p, l)
-		for i := 0; i < l; i++ {
-			x, n := binary.Uvarint(data[used:])
-			if n <= 0 {
-				return 0, errTruncated("uvarint")
-			}
-			if err := store(unsafe.Add(base, uintptr(i)*esz), x); err != nil {
-				return 0, err
-			}
-			used += n
-		}
-		return used, nil
-	}
+	*(*[]byte)(p) = s
+	return end, nil
 }
 
 // sliceHead reads the presence byte and length prefix. A nil slice reports
 // l == -1 with the presence byte consumed; the caller leaves the zeroed
-// destination untouched (matching the reference decoder's SetZero).
+// destination untouched.
 func sliceHead(data []byte) (l, used int, err error) {
 	if len(data) < 1 {
 		return 0, 0, errTruncated("slice presence")
@@ -707,198 +509,269 @@ func sliceHead(data []byte) (l, used int, err error) {
 	return int(n64), 1 + n, nil
 }
 
-// storeSlice publishes a freshly built backing array into the slice field
-// at p. The field's static type keeps the array reachable.
-func storeSlice[T any](p unsafe.Pointer, s []T, l int) {
-	*(*sliceHeader)(p) = sliceHeader{data: unsafe.Pointer(unsafe.SliceData(s)), len: l, cap: l}
+// appendLen starts the encoding of a present slice or map of n elements.
+func appendLen(buf []byte, n int) []byte {
+	return binary.AppendUvarint(append(buf, 1), uint64(n))
 }
 
-// makerForKind returns an allocator that installs a fresh backing array of
-// the kind's built-in type into the slice field at p and returns its base
-// pointer. Safe for named element types: layout and pointer-freeness depend
-// only on the kind.
-func makerForKind(k reflect.Kind) func(p unsafe.Pointer, l int) unsafe.Pointer {
-	switch k {
-	case reflect.Int:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]int, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Int8:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]int8, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Int16:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]int16, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Int32:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]int32, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Int64:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]int64, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Uint:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]uint, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Uint16:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]uint16, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Uint32:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]uint32, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	case reflect.Uint64:
-		return func(p unsafe.Pointer, l int) unsafe.Pointer {
-			s := make([]uint64, l)
-			storeSlice(p, s, l)
-			return unsafe.Pointer(unsafe.SliceData(s))
-		}
-	default:
-		panic(fmt.Sprintf("serial: internal: no slice maker for kind %s", k))
+// lenSize is the length of appendLen's output.
+func lenSize(n int) int { return 1 + uvarintLen(uint64(n)) }
+
+func (cs codecs) compileArray(c *typeCodec, t reflect.Type) error {
+	et := t.Elem()
+	ec, err := cs.compile(et)
+	if err != nil {
+		return err
 	}
-}
-
-// intLoader returns a loader widening the signed integer at p to int64.
-func intLoader(k reflect.Kind) func(unsafe.Pointer) int64 {
-	switch k {
-	case reflect.Int:
-		return func(p unsafe.Pointer) int64 { return int64(*(*int)(p)) }
-	case reflect.Int8:
-		return func(p unsafe.Pointer) int64 { return int64(*(*int8)(p)) }
-	case reflect.Int16:
-		return func(p unsafe.Pointer) int64 { return int64(*(*int16)(p)) }
-	case reflect.Int32:
-		return func(p unsafe.Pointer) int64 { return int64(*(*int32)(p)) }
-	default:
-		return func(p unsafe.Pointer) int64 { return *(*int64)(p) }
+	n, esz := t.Len(), et.Size()
+	if ec.fixed >= 0 {
+		c.fixed = n * ec.fixed
 	}
+	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
+		for i := 0; i < n; i++ {
+			buf = ec.enc(buf, unsafe.Add(p, uintptr(i)*esz))
+		}
+		return buf
+	}
+	c.size = func(p unsafe.Pointer) int {
+		sz := 0
+		for i := 0; i < n; i++ {
+			sz += ec.size(unsafe.Add(p, uintptr(i)*esz))
+		}
+		return sz
+	}
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		used := 0
+		for i := 0; i < n; i++ {
+			m, err := ec.dec(data[used:], unsafe.Add(p, uintptr(i)*esz), o)
+			if err != nil {
+				return 0, err
+			}
+			used += m
+		}
+		return used, nil
+	}
+	return nil
 }
 
-// intStorer returns a storer narrowing an int64 into the field at p, with
-// the reference decoder's overflow check and error message.
-func intStorer(t reflect.Type) (func(unsafe.Pointer, int64) error, error) {
+// compileMap builds map codecs: a presence byte, then (when not nil) the
+// entry count and each entry's key and value, in keyOrder of the keys, so
+// that a map has one encoding. Iterating a map takes reflect: the entries
+// are copied out into arrays of the key and value types and run through
+// their compiled codecs. A decoded entry never keeps a slice of the input.
+func (cs codecs) compileMap(c *typeCodec, t reflect.Type) error {
+	kt, vt := t.Key(), t.Elem()
+	kc, err := cs.compile(kt)
+	if err != nil {
+		return err
+	}
+	vc, err := cs.compile(vt)
+	if err != nil {
+		return err
+	}
+	kst, vst := reflect.SliceOf(kt), reflect.SliceOf(vt)
+	ksz, vsz := kt.Size(), vt.Size()
+	less := keyOrder(kt)
+	// entries copies m out: entry i's key to keys[i], its value to vals[i].
+	entries := func(m reflect.Value) (keys, vals reflect.Value) {
+		keys = reflect.MakeSlice(kst, m.Len(), m.Len())
+		vals = reflect.MakeSlice(vst, m.Len(), m.Len())
+		for i, it := 0, m.MapRange(); it.Next(); i++ {
+			keys.Index(i).SetIterKey(it)
+			vals.Index(i).SetIterValue(it)
+		}
+		return keys, vals
+	}
+	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
+		m := reflect.NewAt(t, p).Elem()
+		if m.IsNil() {
+			return append(buf, 0)
+		}
+		keys, vals := entries(m)
+		order := make([]int, keys.Len())
+		for i := range order {
+			order[i] = i
+		}
+		sort.Slice(order, func(i, j int) bool { return less(keys.Index(order[i]), keys.Index(order[j])) })
+		kp, vp := keys.UnsafePointer(), vals.UnsafePointer()
+		buf = appendLen(buf, len(order))
+		for _, i := range order {
+			buf = kc.enc(buf, unsafe.Add(kp, uintptr(i)*ksz))
+			buf = vc.enc(buf, unsafe.Add(vp, uintptr(i)*vsz))
+		}
+		return buf
+	}
+	c.size = func(p unsafe.Pointer) int {
+		m := reflect.NewAt(t, p).Elem()
+		if m.IsNil() {
+			return 1
+		}
+		sz := lenSize(m.Len())
+		if kc.fixed >= 0 && vc.fixed >= 0 {
+			return sz + m.Len()*(kc.fixed+vc.fixed)
+		}
+		keys, vals := entries(m)
+		kp, vp := keys.UnsafePointer(), vals.UnsafePointer()
+		for i := 0; i < keys.Len(); i++ {
+			sz += kc.size(unsafe.Add(kp, uintptr(i)*ksz)) + vc.size(unsafe.Add(vp, uintptr(i)*vsz))
+		}
+		return sz
+	}
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		if len(data) < 1 {
+			return 0, errTruncated("map presence")
+		}
+		if data[0] == 0 {
+			return 1, nil
+		}
+		l, n := binary.Uvarint(data[1:])
+		if n <= 0 {
+			return 0, errTruncated("map length")
+		}
+		// Every entry costs at least two bytes on the wire; a larger claim
+		// is corrupt and would otherwise provoke a giant preallocation.
+		if l > uint64(len(data)) {
+			return 0, fmt.Errorf("serial: map length %d exceeds buffer", l)
+		}
+		used := 1 + n
+		m := reflect.MakeMapWithSize(t, int(l))
+		k, v := reflect.New(kt).Elem(), reflect.New(vt).Elem()
+		kp, vp := k.Addr().UnsafePointer(), v.Addr().UnsafePointer()
+		for i := uint64(0); i < l; i++ {
+			// A decoder leaves a nil slice's field as it found it, so the
+			// value is reset. A key needs no reset: comparable types hold
+			// no slices, and every other field is written.
+			v.SetZero()
+			n, err := kc.dec(data[used:], kp, nil)
+			if err != nil {
+				return 0, err
+			}
+			used += n
+			if n, err = vc.dec(data[used:], vp, nil); err != nil {
+				return 0, err
+			}
+			used += n
+			m.SetMapIndex(k, v)
+		}
+		reflect.NewAt(t, p).Elem().Set(m)
+		return used, nil
+	}
+	return nil
+}
+
+// keyOrder is the order of map keys of type t on the wire: numbers by
+// value, false before true, strings bytewise, and keys of any other kind
+// by their fmt.Sprint text.
+func keyOrder(t reflect.Type) func(a, b reflect.Value) bool {
 	switch t.Kind() {
-	case reflect.Int:
-		return func(p unsafe.Pointer, x int64) error {
-			if int64(int(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*int)(p) = int(x)
-			return nil
-		}, nil
-	case reflect.Int8:
-		return func(p unsafe.Pointer, x int64) error {
-			if int64(int8(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*int8)(p) = int8(x)
-			return nil
-		}, nil
-	case reflect.Int16:
-		return func(p unsafe.Pointer, x int64) error {
-			if int64(int16(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*int16)(p) = int16(x)
-			return nil
-		}, nil
-	case reflect.Int32:
-		return func(p unsafe.Pointer, x int64) error {
-			if int64(int32(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*int32)(p) = int32(x)
-			return nil
-		}, nil
-	case reflect.Int64:
-		return func(p unsafe.Pointer, x int64) error {
-			*(*int64)(p) = x
-			return nil
-		}, nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return func(a, b reflect.Value) bool { return a.Int() < b.Int() }
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return func(a, b reflect.Value) bool { return a.Uint() < b.Uint() }
+	case reflect.Float32, reflect.Float64:
+		return func(a, b reflect.Value) bool { return a.Float() < b.Float() }
+	case reflect.String:
+		return func(a, b reflect.Value) bool { return a.String() < b.String() }
+	case reflect.Bool:
+		return func(a, b reflect.Value) bool { return !a.Bool() && b.Bool() }
 	default:
-		return nil, fmt.Errorf("serial: internal: no int storer for %s", t)
+		return func(a, b reflect.Value) bool { return fmt.Sprint(a.Interface()) < fmt.Sprint(b.Interface()) }
 	}
 }
 
-// uintLoader returns a loader widening the unsigned integer at p to uint64.
-func uintLoader(k reflect.Kind) func(unsafe.Pointer) uint64 {
-	switch k {
-	case reflect.Uint:
-		return func(p unsafe.Pointer) uint64 { return uint64(*(*uint)(p)) }
-	case reflect.Uint8:
-		return func(p unsafe.Pointer) uint64 { return uint64(*(*uint8)(p)) }
-	case reflect.Uint16:
-		return func(p unsafe.Pointer) uint64 { return uint64(*(*uint16)(p)) }
-	case reflect.Uint32:
-		return func(p unsafe.Pointer) uint64 { return uint64(*(*uint32)(p)) }
-	default:
-		return func(p unsafe.Pointer) uint64 { return *(*uint64)(p) }
+func (cs codecs) compilePointer(c *typeCodec, t reflect.Type) error {
+	et := t.Elem()
+	ec, err := cs.compile(et)
+	if err != nil {
+		return err
 	}
+	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
+		ptr := *(*unsafe.Pointer)(p)
+		if ptr == nil {
+			return append(buf, 0)
+		}
+		return ec.enc(append(buf, 1), ptr)
+	}
+	c.size = func(p unsafe.Pointer) int {
+		ptr := *(*unsafe.Pointer)(p)
+		if ptr == nil {
+			return 1
+		}
+		return 1 + ec.size(ptr)
+	}
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		if len(data) < 1 {
+			return 0, errTruncated("pointer presence")
+		}
+		if data[0] == 0 {
+			*(*unsafe.Pointer)(p) = nil
+			return 1, nil
+		}
+		rn := reflect.New(et) // typed allocation, visible to the GC
+		n, err := ec.dec(data[1:], rn.UnsafePointer(), o)
+		if err != nil {
+			return 0, err
+		}
+		*(*unsafe.Pointer)(p) = rn.UnsafePointer()
+		return 1 + n, nil
+	}
+	return nil
 }
 
-// uintStorer is the unsigned counterpart of intStorer.
-func uintStorer(t reflect.Type) (func(unsafe.Pointer, uint64) error, error) {
-	switch t.Kind() {
-	case reflect.Uint:
-		return func(p unsafe.Pointer, x uint64) error {
-			if uint64(uint(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*uint)(p) = uint(x)
-			return nil
-		}, nil
-	case reflect.Uint8:
-		return func(p unsafe.Pointer, x uint64) error {
-			if uint64(uint8(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*uint8)(p) = uint8(x)
-			return nil
-		}, nil
-	case reflect.Uint16:
-		return func(p unsafe.Pointer, x uint64) error {
-			if uint64(uint16(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*uint16)(p) = uint16(x)
-			return nil
-		}, nil
-	case reflect.Uint32:
-		return func(p unsafe.Pointer, x uint64) error {
-			if uint64(uint32(x)) != x {
-				return fmt.Errorf("serial: value %d overflows %s", x, t)
-			}
-			*(*uint32)(p) = uint32(x)
-			return nil
-		}, nil
-	case reflect.Uint64:
-		return func(p unsafe.Pointer, x uint64) error {
-			*(*uint64)(p) = x
-			return nil
-		}, nil
-	default:
-		return nil, fmt.Errorf("serial: internal: no uint storer for %s", t)
+// structField is one encodable field of a compiled struct codec.
+type structField struct {
+	off  uintptr
+	name string
+	c    *typeCodec
+}
+
+// compileStruct encodes the exported fields not tagged `dps:"-"`, in
+// declaration order.
+func (cs codecs) compileStruct(c *typeCodec, t reflect.Type) error {
+	var fields []structField
+	fixed := 0
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() || f.Tag.Get("dps") == "-" {
+			continue
+		}
+		fc, err := cs.compile(f.Type)
+		if err != nil {
+			return fmt.Errorf("field %s: %w", f.Name, err)
+		}
+		fields = append(fields, structField{off: f.Offset, name: f.Name, c: fc})
+		if fixed >= 0 && fc.fixed >= 0 {
+			fixed += fc.fixed
+		} else {
+			fixed = -1
+		}
 	}
+	c.fixed = fixed
+	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
+		for _, f := range fields {
+			buf = f.c.enc(buf, unsafe.Add(p, f.off))
+		}
+		return buf
+	}
+	c.size = func(p unsafe.Pointer) int {
+		sz := 0
+		for _, f := range fields {
+			sz += f.c.size(unsafe.Add(p, f.off))
+		}
+		return sz
+	}
+	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		used := 0
+		for _, f := range fields {
+			n, err := f.c.dec(data[used:], unsafe.Add(p, f.off), o)
+			if err != nil {
+				return 0, fmt.Errorf("field %s: %w", f.name, err)
+			}
+			used += n
+		}
+		return used, nil
+	}
+	return nil
 }
 
 // uvarintLen is the exact length of binary.AppendUvarint's output.
@@ -911,74 +784,6 @@ func varintLen(x int64) int {
 	return uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
 }
 
-// sizeValue is the reflection-driven size pass mirroring encodeValue,
-// used by the map fallback (and as the reference in tests). It must agree
-// byte-for-byte with the encoder.
-func sizeValue(v reflect.Value) int {
-	switch v.Kind() {
-	case reflect.Bool:
-		return 1
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return varintLen(v.Int())
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		return uvarintLen(v.Uint())
-	case reflect.Float32:
-		return 4
-	case reflect.Float64:
-		return 8
-	case reflect.Complex64:
-		return 8
-	case reflect.Complex128:
-		return 16
-	case reflect.String:
-		return uvarintLen(uint64(v.Len())) + v.Len()
-	case reflect.Slice:
-		if v.IsNil() {
-			return 1
-		}
-		n := v.Len()
-		sz := 1 + uvarintLen(uint64(n))
-		// Mirror the encoder's byte-slice fast path: raw bytes, not varints.
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			return sz + n
-		}
-		for i := 0; i < n; i++ {
-			sz += sizeValue(v.Index(i))
-		}
-		return sz
-	case reflect.Array:
-		sz := 0
-		for i := 0; i < v.Len(); i++ {
-			sz += sizeValue(v.Index(i))
-		}
-		return sz
-	case reflect.Map:
-		if v.IsNil() {
-			return 1
-		}
-		sz := 1 + uvarintLen(uint64(v.Len()))
-		it := v.MapRange()
-		for it.Next() {
-			sz += sizeValue(it.Key()) + sizeValue(it.Value())
-		}
-		return sz
-	case reflect.Pointer:
-		if v.IsNil() {
-			return 1
-		}
-		return 1 + sizeValue(v.Elem())
-	case reflect.Struct:
-		t := v.Type()
-		sz := 0
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() || f.Tag.Get("dps") == "-" {
-				continue
-			}
-			sz += sizeValue(v.Field(i))
-		}
-		return sz
-	default:
-		panic(fmt.Sprintf("serial: internal: cannot size kind %s", v.Kind()))
-	}
+func errTruncated(what string) error {
+	return fmt.Errorf("serial: truncated input reading %s", what)
 }

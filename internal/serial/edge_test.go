@@ -1,7 +1,10 @@
 package serial
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -198,5 +201,112 @@ func TestRegistryLenAndNames(t *testing.T) {
 	}
 	if _, ok := r.TypeByName("nope"); ok {
 		t.Fatal("bogus name resolved")
+	}
+}
+
+// mapKinds has a map for each way the wire orders keys — by number, false
+// before true, bytewise, and by fmt.Sprint text — with values that take the
+// other codecs: nil and empty slices, nil pointers, nested and nil maps.
+type mapKinds struct {
+	Bools  map[bool]string
+	Int8s  map[int8]uint16
+	Uints  map[uint64][]int
+	Floats map[float32][]byte
+	Strs   map[string]*point
+	Arrays map[[2]int]float64
+	Points map[point]bool
+	Cplx   map[complex128]int8
+	Nested map[string]map[uint16]point
+}
+
+// tree is recursive through a slice and a map, not only through a pointer.
+type tree struct {
+	Name   string
+	Kids   []tree
+	ByName map[string]*tree
+}
+
+func randomMaps(rng *rand.Rand) *mapKinds {
+	v := &mapKinds{
+		Bools:  map[bool]string{},
+		Int8s:  map[int8]uint16{},
+		Uints:  map[uint64][]int{},
+		Floats: map[float32][]byte{},
+		Strs:   map[string]*point{},
+		Arrays: map[[2]int]float64{},
+		Points: map[point]bool{},
+		Cplx:   map[complex128]int8{},
+	}
+	if rng.Intn(4) != 0 {
+		v.Nested = map[string]map[uint16]point{}
+	}
+	for i := rng.Intn(8); i > 0; i-- {
+		f := float64(rng.Intn(7) - 3)
+		v.Bools[rng.Intn(2) == 0] = fmt.Sprint(rng.Intn(100))
+		v.Int8s[int8(rng.Intn(256))] = uint16(rng.Intn(1 << 16))
+		var ints []int
+		if rng.Intn(3) != 0 {
+			ints = make([]int, rng.Intn(3))
+		}
+		v.Uints[rng.Uint64()] = ints
+		v.Floats[float32(f)/2] = bytes.Repeat([]byte{byte(i)}, rng.Intn(3))
+		var p *point
+		if rng.Intn(3) != 0 {
+			p = &point{X: f}
+		}
+		v.Strs[fmt.Sprint(rng.Intn(100))] = p
+		v.Arrays[[2]int{rng.Intn(20) - 10, rng.Intn(3)}] = f
+		v.Points[point{X: f, Y: float64(rng.Intn(3))}] = rng.Intn(2) == 0
+		v.Cplx[complex(f, float64(rng.Intn(3)))] = int8(i)
+		if v.Nested != nil {
+			v.Nested[fmt.Sprint(i)] = map[uint16]point{uint16(rng.Intn(9)): {Y: f}}
+		}
+	}
+	return v
+}
+
+// TestMapsMatchReference holds the compiled map codecs to the reference
+// codec byte for byte, on every key order and on a type recursive through a
+// slice and a map, and both decoders to the value encoded.
+func TestMapsMatchReference(t *testing.T) {
+	r := NewRegistry()
+	for _, err := range []error{Register[mapKinds](r), Register[tree](r)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	leaf := &tree{Name: "leaf"}
+	values := []any{
+		&mapKinds{},
+		&tree{Name: "root", ByName: map[string]*tree{"leaf": leaf}, Kids: []tree{
+			{Name: "a", ByName: map[string]*tree{"l": leaf, "n": nil}},
+			{Name: "b", Kids: []tree{}, ByName: map[string]*tree{}},
+		}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		values = append(values, randomMaps(rng))
+	}
+	for _, v := range values {
+		got, err := r.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := r.marshalReference(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%T: wire bytes diverged:\ncompiled  %x\nreference %x", v, got, want)
+		}
+		if n, err := r.EncodedSize(v); err != nil || n != len(got) {
+			t.Fatalf("EncodedSize = %d, %v; Marshal wrote %d bytes", n, err, len(got))
+		}
+		if out := edgeRoundTrip(t, r, v); !reflect.DeepEqual(out, v) {
+			t.Fatalf("compiled round trip changed the value:\ngot  %+v\nwant %+v", out, v)
+		}
+		if ref, _, err := r.unmarshalReference(got); err != nil || !reflect.DeepEqual(ref, v) {
+			t.Fatalf("reference decode: %v\ngot  %+v\nwant %+v", err, ref, v)
+		}
 	}
 }

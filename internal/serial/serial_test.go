@@ -177,6 +177,32 @@ func TestRegisterRejectsUnsupportedField(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "unsupported") {
 		t.Fatalf("unexpected error: %v", err)
 	}
+	// The error names the path to the offending field, through maps,
+	// slices and pointers, and keys as well as values.
+	type inner struct {
+		OK int
+		C  chan int
+	}
+	type deep struct {
+		M map[string][]*inner
+	}
+	type badKey struct {
+		M map[any]int
+	}
+	for _, c := range []struct {
+		err  error
+		want string
+	}{
+		{Register[deep](r), "field M: field C: unsupported kind chan"},
+		{Register[badKey](r), "field M: unsupported kind interface"},
+	} {
+		if c.err == nil || !strings.HasSuffix(c.err.Error(), c.want) {
+			t.Fatalf("error %v, want one ending in %q", c.err, c.want)
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("failed registrations left %d types registered", r.Len())
+	}
 }
 
 func TestRegisterNameConflict(t *testing.T) {
