@@ -43,7 +43,7 @@ func TestRulesFlag(t *testing.T) {
 	if code := run([]string{"-rules"}, &stdout, &stderr); code != 0 {
 		t.Fatalf("-rules: exit %d, stderr: %s", code, stderr.String())
 	}
-	for _, name := range []string{"boundary", "lockheld", "poolown", "wirekinds", "determinism"} {
+	for _, name := range []string{"boundary", "lockheld", "poolown"} {
 		if !strings.Contains(stdout.String(), name) {
 			t.Errorf("-rules output missing %q:\n%s", name, stdout.String())
 		}

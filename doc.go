@@ -25,9 +25,9 @@
 // (serialization, simulated cluster network with Crash/Partition fault
 // injection, transports, kernel runtime, dense linear algebra, Game of
 // Life). Only repro/dps imports the engine; CI enforces the boundary —
-// along with the lock, buffer-ownership, wire-kind and seed-determinism
-// disciplines — through the project's own linter, cmd/dps-vet (rules and
-// golden fixtures in internal/analysis).
+// along with the lock and buffer-ownership disciplines — through the
+// project's own linter, cmd/dps-vet (rules and golden fixtures in
+// internal/analysis).
 //
 // Executables are under cmd/, runnable examples under examples/, and the
 // root bench_test.go regenerates every table and figure of the paper's

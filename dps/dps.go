@@ -132,7 +132,11 @@ func NewSim(net *simnet.Network, opts ...Option) (*App, error) {
 	if err != nil {
 		return nil, err
 	}
-	app, err := core.NewSimApp(cfg.engine, net, cfg.nodeNames()...)
+	trs, err := transport.SimNodes(net, cfg.nodeNames()...)
+	if err != nil {
+		return nil, err
+	}
+	app, err := core.NewAppOn(cfg.engine, trs...)
 	if err != nil {
 		return nil, err
 	}

@@ -13,13 +13,7 @@
 //     under an explicit Lock on the path to the call (defer-unlock aware);
 //   - poolown: values drawn from sync.Pool wrappers are not used after
 //     their Put and not retained in fields, globals or spawned goroutines
-//     (the buffer-ownership-transfer contract of PR 1);
-//   - wirekinds: every kernel control-kind constant is handled by the
-//     dispatch switch (the engine's own kinds dispatch through the table
-//     in internal/core/kinds.go and need no rule);
-//   - determinism: seeded components (chaos schedule generation, simnet
-//     fault draws) take no wall-clock or global-PRNG input, so faults
-//     reproduce exactly from CHAOS_SEED.
+//     (the buffer-ownership-transfer contract).
 //
 // Escape hatch: a finding may be silenced with a directive on its line or
 // the line above:

@@ -267,3 +267,13 @@ func firstUse(stmt ast.Stmt, name string) (ast.Node, bool) {
 	}
 	return at, true
 }
+
+// suffixMatch reports whether path ends with suffix on a path-element
+// boundary.
+func suffixMatch(path, suffix string) bool {
+	if path == suffix {
+		return true
+	}
+	n := len(path) - len(suffix)
+	return n > 0 && path[n-1] == '/' && path[n:] == suffix
+}

@@ -1,13 +1,13 @@
 package analysis
 
-// This file is the project configuration: the five rules instantiated for
+// This file is the project configuration: the three rules instantiated for
 // this repository's invariants. cmd/dps-vet and the root boundary test run
 // these; the rule implementations themselves are project-agnostic and are
 // exercised against synthetic fixtures in testdata/.
 
 // KnownRuleNames is the complete rule-name vocabulary, used to validate
 // //dpsvet:ignore directives even in runs that execute a subset of rules.
-var KnownRuleNames = []string{"boundary", "lockheld", "poolown", "wirekinds", "determinism"}
+var KnownRuleNames = []string{"boundary", "lockheld", "poolown"}
 
 // ProjectBoundary seals internal/core behind the repro/dps façade (PR 3):
 // only internal/ packages and the façade itself may program against the
@@ -25,8 +25,9 @@ func ProjectRules() []*Rule {
 	return []*Rule{
 		ProjectBoundary(),
 
-		// *Locked discipline (link.go's batcher, and any future adopter of
-		// the convention): project-wide, the convention is global.
+		// *Locked discipline (tcptransport's peer and node methods, the
+		// callers of App.declareLocked, link.go's batcher, and any future
+		// adopter of the convention): project-wide, the convention is global.
 		Lockheld(),
 
 		// Pooled wire buffers and envelopes (internal/core/pool.go).
@@ -43,23 +44,6 @@ func ProjectRules() []*Rule {
 				{Get: "getOwner", Put: "putOwner"},
 			},
 			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed"},
-		}),
-
-		// Wire kinds: the kernel's control kinds dispatch by switch in
-		// handleControl. (The engine's msg* kinds dispatch through the table
-		// in internal/core/kinds.go, whose completeness is a unit test.)
-		Wirekinds([]WirekindsConfig{{
-			PkgSuffix:     "internal/kernel",
-			KindPrefix:    "ctl",
-			DispatchFuncs: []string{"handleControl"},
-		}}),
-
-		// Seed determinism: chaos schedule generation (chaos.go) and simnet
-		// fault draws (faults.go) must be pure functions of their seed;
-		// global math/rand is banned across both packages.
-		Determinism([]DeterminismScope{
-			{PkgSuffix: "internal/chaos", TimeFiles: []string{"chaos.go"}},
-			{PkgSuffix: "internal/simnet", TimeFiles: []string{"faults.go"}},
 		}),
 	}
 }

@@ -35,21 +35,6 @@ func TestPoolownGolden(t *testing.T) {
 	}))
 }
 
-func TestWirekindsGolden(t *testing.T) {
-	runGolden(t, "testdata/wirekinds", "vettest/wirekinds", Wirekinds([]WirekindsConfig{{
-		PkgSuffix:     "wirekinds",
-		KindPrefix:    "msg",
-		DispatchFuncs: []string{"handle"},
-	}}))
-}
-
-func TestDeterminismGolden(t *testing.T) {
-	runGolden(t, "testdata/determinism", "vettest/determinism", Determinism([]DeterminismScope{{
-		PkgSuffix: "determinism",
-		TimeFiles: []string{"sched.go"},
-	}}))
-}
-
 // TestIgnoreSuppression: a valid //dpsvet:ignore directive on the line above
 // a finding suppresses exactly that finding.
 func TestIgnoreSuppression(t *testing.T) {

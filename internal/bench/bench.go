@@ -27,6 +27,7 @@ import (
 	"repro/internal/simnet"
 	"repro/internal/trace"
 	"repro/internal/trace/promtext"
+	"repro/internal/transport"
 )
 
 // Options tunes experiment scale.
@@ -269,7 +270,10 @@ func table1Cell(n, s, workers int, agg *core.Stats) (reduction, ratio float64, e
 		if cfg != nil {
 			net = simnet.New(*cfg)
 			defer net.Close()
-			app, err = core.NewSimApp(appCfg, net, names...)
+			var trs []transport.Transport
+			if trs, err = transport.SimNodes(net, names...); err == nil {
+				app, err = core.NewAppOn(appCfg, trs...)
+			}
 		} else {
 			app, err = core.NewLocalApp(appCfg, names...)
 		}
@@ -387,7 +391,11 @@ func lifeSpeedupOnce(worldW, worldH, workers, iters int, improved bool, agg *cor
 	net := simnet.New(gigabit())
 	defer net.Close()
 	names := nodeNames("life", workers)
-	app, err := core.NewSimApp(core.Config{}, net, names...)
+	trs, err := transport.SimNodes(net, names...)
+	if err != nil {
+		return 0, err
+	}
+	app, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		return 0, err
 	}
@@ -495,7 +503,12 @@ func Table2(opt Options) (*Report, error) {
 	for _, blk := range blocks {
 		net := simnet.New(gigabit())
 		names := nodeNames("t2", workers)
-		app, err := core.NewSimApp(core.Config{}, net, names...)
+		trs, err := transport.SimNodes(net, names...)
+		if err != nil {
+			net.Close()
+			return nil, err
+		}
+		app, err := core.NewAppOn(core.Config{}, trs...)
 		if err != nil {
 			net.Close()
 			return nil, err
@@ -606,7 +619,11 @@ func luRunOnce(n, r, workers int, pipelined bool, agg *core.Stats) (time.Duratio
 	net := simnet.New(scaledGigabit(10))
 	defer net.Close()
 	names := nodeNames("lu", workers)
-	app, err := core.NewSimApp(core.Config{Window: 256}, net, names...)
+	trs, err := transport.SimNodes(net, names...)
+	if err != nil {
+		return 0, err
+	}
+	app, err := core.NewAppOn(core.Config{Window: 256}, trs...)
 	if err != nil {
 		return 0, err
 	}

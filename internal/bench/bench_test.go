@@ -3,6 +3,8 @@ package bench
 import (
 	"strconv"
 	"testing"
+
+	"repro/internal/race"
 )
 
 // The experiment harness runs in Quick mode here; assertions check the
@@ -26,7 +28,7 @@ func cellF(t *testing.T, r *Report, row, col int) float64 {
 }
 
 func TestFigure6Shape(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("timing-based shape assertions are skipped under the race detector")
 	}
 	r, err := Figure6(Options{Quick: true})
@@ -52,7 +54,7 @@ func TestFigure6Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("timing-based shape assertions are skipped under the race detector")
 	}
 	r, err := Table1(Options{Quick: true})
@@ -79,7 +81,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("timing-based shape assertions are skipped under the race detector")
 	}
 	r, err := Figure9(Options{Quick: true})
@@ -124,7 +126,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("timing-based shape assertions are skipped under the race detector")
 	}
 	r, err := Table2(Options{Quick: true})
@@ -154,7 +156,7 @@ func TestTable2Shape(t *testing.T) {
 // logged for the reader, not asserted (both variants' factorizations are
 // verified in internal/parlin).
 func TestFigure15Shape(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("two LU factorizations per row are slow under the race detector; internal/parlin race-tests the graphs")
 	}
 	r, err := Figure15(Options{Quick: true})

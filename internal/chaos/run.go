@@ -12,6 +12,7 @@ import (
 	"repro/internal/ringbench"
 	"repro/internal/simnet"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // Spec configures one chaos run.
@@ -290,7 +291,11 @@ func RunParlife(spec Spec) (*Result, error) {
 	run := func(sched *Schedule, iters int) (*life.World, int, *core.Stats, int64, trace.Hist, time.Duration, error) {
 		net := simnet.New(ringCfg)
 		defer net.Close()
-		app, err := core.NewSimApp(appCfg, net, nodes...)
+		trs, err := transport.SimNodes(net, nodes...)
+		if err != nil {
+			return nil, 0, nil, 0, trace.Hist{}, 0, err
+		}
+		app, err := core.NewAppOn(appCfg, trs...)
 		if err != nil {
 			return nil, 0, nil, 0, trace.Hist{}, 0, err
 		}

@@ -15,7 +15,6 @@ import (
 	"repro/internal/core/flowctl"
 	"repro/internal/core/ft"
 	"repro/internal/serial"
-	"repro/internal/simnet"
 	"repro/internal/transport"
 )
 
@@ -195,7 +194,7 @@ type callEntry struct {
 }
 
 // NewApp creates an application with no nodes; attach transports with
-// AttachTransport or use the NewLocalApp / NewSimApp conveniences.
+// AttachTransport or use the NewLocalApp / NewAppOn conveniences.
 func NewApp(cfg Config) *App {
 	app := &App{
 		cfg:         cfg,
@@ -237,17 +236,14 @@ func NewLocalApp(cfg Config, nodeNames ...string) (*App, error) {
 	return app, nil
 }
 
-// NewSimApp creates an application whose nodes are attached to a simulated
-// cluster network; tokens crossing nodes are serialized and pay the
-// modelled NIC and latency costs.
-func NewSimApp(cfg Config, net *simnet.Network, nodeNames ...string) (*App, error) {
+// NewAppOn creates an application and attaches each transport in order as
+// one of its nodes (the first is the master node). A simulated cluster's
+// endpoints come from transport.SimNodes.
+func NewAppOn(cfg Config, trs ...transport.Transport) (*App, error) {
 	app := NewApp(cfg)
-	for _, name := range nodeNames {
-		nd, err := net.AddNode(name)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := app.AttachTransport(transport.NewSimNode(nd)); err != nil {
+	for _, tr := range trs {
+		if _, err := app.AttachTransport(tr); err != nil {
+			app.Close()
 			return nil, err
 		}
 	}
@@ -467,14 +463,13 @@ func (app *App) allRuntimes() []*Runtime {
 func (app *App) replaceMapping(tc *ThreadCollection, nodes []string) error {
 	app.migrateMu.Lock() // a rehome's thread indexes stay in range
 	defer app.migrateMu.Unlock()
-	app.callreg.lockAll()
-	defer app.callreg.unlockAll()
-	//dpsvet:ignore lockheld lockAll above takes every shard lock; the rule cannot see through the loop
-	if tc.place.Len() > 0 && app.callreg.pendingLocked() > 0 {
-		return fmt.Errorf("dps: collection %q: cannot replace the mapping while calls are executing; use Remap for a live migration", tc.name)
-	}
-	tc.place.Set(nodes)
-	return nil
+	return app.callreg.withAllShards(func(pending int) error {
+		if tc.place.Len() > 0 && pending > 0 {
+			return fmt.Errorf("dps: collection %q: cannot replace the mapping while calls are executing; use Remap for a live migration", tc.name)
+		}
+		tc.place.Set(nodes)
+		return nil
+	})
 }
 
 // registerCall admits and registers a new pending call for the origin

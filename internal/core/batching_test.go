@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // TestUppercaseBatched runs the tutorial graph with wire batching on over
@@ -60,7 +61,11 @@ func TestUppercaseBatchedFT(t *testing.T) {
 func TestUppercaseBatchedOverSimnet(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 100e6, Latency: 20 * time.Microsecond, TimeScale: 1})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{Batch: true}, net, "n0", "n1", "n2")
+	trs, err := transport.SimNodes(net, "n0", "n1", "n2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{Batch: true}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

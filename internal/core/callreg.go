@@ -97,29 +97,24 @@ func (r *callRegistry) drainAll() []*callEntry {
 	return all
 }
 
-// lockAll takes every shard lock in index order (the registry's only
-// multi-shard lock order, so sweeps can't deadlock against each other);
-// unlockAll releases them. Used by the placement-swap check, which must see
-// a consistent cross-shard view of the pending count.
-func (r *callRegistry) lockAll() {
+// withAllShards takes every shard lock in index order (the registry's only
+// multi-shard lock order, so sweeps can't deadlock against each other), runs
+// fn on the number of calls the shards hold — a consistent cross-shard view
+// — and unlocks.
+func (r *callRegistry) withAllShards(fn func(pending int) error) error {
 	for i := range r.shards {
 		r.shards[i].mu.Lock()
 	}
-}
-
-func (r *callRegistry) unlockAll() {
-	for i := range r.shards {
-		r.shards[i].mu.Unlock()
-	}
-}
-
-// pendingLocked sums the shard populations; callers hold all shard locks.
-func (r *callRegistry) pendingLocked() int {
+	defer func() {
+		for i := range r.shards {
+			r.shards[i].mu.Unlock()
+		}
+	}()
 	n := 0
 	for i := range r.shards {
 		n += len(r.shards[i].calls)
 	}
-	return n
+	return fn(n)
 }
 
 // callEntries recycles settled synchronous-call entries. Settlement is keyed
@@ -164,8 +159,7 @@ func recycleCallEntry(ce *callEntry) {
 // and ingress health endpoints; the admission fast path uses the atomic
 // pending counter instead.
 func (app *App) PendingCalls() int {
-	app.callreg.lockAll()
-	defer app.callreg.unlockAll()
-	//dpsvet:ignore lockheld lockAll above takes every shard lock; the rule cannot see through the loop
-	return app.callreg.pendingLocked()
+	n := 0
+	_ = app.callreg.withAllShards(func(pending int) error { n = pending; return nil })
+	return n
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // TestChainedRemapFenceQuota is the direct regression test for the
@@ -23,7 +24,11 @@ func TestChainedRemapFenceQuota(t *testing.T) {
 	// Simulated network: migrations race genuinely in-flight tokens.
 	net := simnet.New(simnet.Config{Latency: 150 * time.Microsecond, PerMessage: 15 * time.Microsecond})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{Window: 8}, net, "A", "B", "C")
+	trs, err := transport.SimNodes(net, "A", "B", "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{Window: 8}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/serial"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // Token types of the paper's tutorial application (§3): a string is split
@@ -144,7 +145,11 @@ func TestUppercaseForceSerialize(t *testing.T) {
 func TestUppercaseOverSimnet(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 100e6, Latency: 20 * time.Microsecond, TimeScale: 1})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{}, net, "n0", "n1", "n2", "n3")
+	trs, err := transport.SimNodes(net, "n0", "n1", "n2", "n3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +171,11 @@ func TestUppercaseOverSimnet(t *testing.T) {
 func TestCallsCompletedCountsWireResults(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 100e6, Latency: 20 * time.Microsecond, TimeScale: 1})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{}, net, "n0", "n1")
+	trs, err := transport.SimNodes(net, "n0", "n1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

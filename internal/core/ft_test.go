@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/serial"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // Tokens and state of the fault-tolerance tests.
@@ -63,7 +64,11 @@ func newFTHarness(t *testing.T, cfg core.Config, workerMap string, nodes ...stri
 // newFTHarnessOn is newFTHarness over a given simulated network.
 func newFTHarnessOn(t *testing.T, net *simnet.Network, cfg core.Config, workerMap string, nodes ...string) *ftHarness {
 	t.Helper()
-	app, err := core.NewSimApp(cfg, net, nodes...)
+	trs, err := transport.SimNodes(net, nodes...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(cfg, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/race"
 	"repro/internal/serial"
 )
 
@@ -60,7 +61,7 @@ func hopGraph(t *testing.T, app *App, leaves, parts int) *Flowgraph {
 // differences between graphs that differ by exactly that hop, which cancels
 // what a call costs by itself.
 func TestHopAllocationBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector: pooled envelopes and buffers are reallocated at random")
 	}
 	reg := serial.NewRegistry()
@@ -110,7 +111,7 @@ func TestHopAllocationBudget(t *testing.T) {
 // parent-children entry. The context's own objects are measured alone and
 // subtracted.
 func TestCallWatcherAllocations(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("sync.Pool drops a quarter of its Puts under the race detector: pooled envelopes and buffers are reallocated at random")
 	}
 	reg := serial.NewRegistry()

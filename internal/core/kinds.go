@@ -35,9 +35,6 @@ const (
 	// failDrop offers the fault to the failure detector and drops the
 	// message: best-effort notices.
 	failDrop
-	// failReturn hands the raw error to the caller, who owns the decision;
-	// the failure detector is not consulted. The probe frame.
-	failReturn
 )
 
 // wireKind is one row of the table.
@@ -66,7 +63,8 @@ type wireKind struct {
 	// suppress: a destination declared dead gets none of this kind (the
 	// retained copies replay during recovery, or nobody is left to care).
 	suppress bool
-	fail     failPolicy
+	// fail is zero for a kind the link receives but never sends.
+	fail failPolicy
 }
 
 // wireKinds is indexed by the kind byte; a byte with no row has a nil recv.
@@ -194,11 +192,12 @@ func init() {
 			fail: failDrop,
 		},
 		msgPing: {
-			// Receipt is the answer (detection is send-error driven).
+			// Receipt is the answer (detection is send-error driven). The
+			// probe is linkSuspect's self-send straight to the transport; the
+			// link never sends it, so the row has no fail policy.
 			name: "ping",
 			recv: func(*link, string, []byte) error { return nil },
 			span: spanNone, why: "probe frame carries nothing",
-			fail: failReturn,
 		},
 	}
 }

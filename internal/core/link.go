@@ -158,9 +158,8 @@ func (l *link) suppressed(kind byte, dst string) bool {
 // transport's, which returns it through transport.Releaser or hands it to
 // the receiving link) before the failure is routed by the kind's policy —
 // past the failure detector, which absorbs faults of peers it is about to
-// declare dead (the retained copies replay during recovery). The error is
-// non-nil for failReturn kinds only.
-func (l *link) transmit(dst string, buf []byte, held bool) error {
+// declare dead (the retained copies replay during recovery).
+func (l *link) transmit(dst string, buf []byte, held bool) {
 	var b *batcher
 	if l.batch && !held {
 		b = l.preSend(dst)
@@ -171,15 +170,12 @@ func (l *link) transmit(dst string, buf []byte, held bool) error {
 		b.mu.Unlock()
 	}
 	if err == nil {
-		return nil
+		return
 	}
 	policy := wireKinds[buf[0]].fail
 	putWireBuf(buf)
-	if policy == failReturn {
-		return err
-	}
 	if l.ftOn && l.rt.linkSuspect(dst, err) {
-		return nil
+		return
 	}
 	switch policy {
 	case failPanic:
@@ -187,7 +183,6 @@ func (l *link) transmit(dst string, buf []byte, held bool) error {
 	case failLink:
 		l.rt.linkFail(err)
 	}
-	return nil
 }
 
 // Grace retry tuning: first backoff and cap. The overall window is

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core/place"
 	"repro/internal/serial"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // The partial-hold remap: the case TestRemapMidRun only reaches by luck of
@@ -55,7 +56,11 @@ func TestRemapPartialHold(t *testing.T) {
 		{"simnet", func(t *testing.T) (*App, error) {
 			net := simnet.New(simnet.GigabitEthernet())
 			t.Cleanup(net.Close)
-			return NewSimApp(Config{Window: phWindow}, net, "node0", "node1", "node2")
+			trs, err := transport.SimNodes(net, "node0", "node1", "node2")
+			if err != nil {
+				return nil, err
+			}
+			return NewAppOn(Config{Window: phWindow}, trs...)
 		}},
 	}
 	for _, variant := range variants {
@@ -231,7 +236,11 @@ var (
 // forwarded through it must execute there exactly once.
 func TestRetargetAfterFailover(t *testing.T) {
 	net := simnet.New(simnet.Config{Latency: 100 * time.Microsecond, PerMessage: 10 * time.Microsecond})
-	app, err := NewSimApp(Config{Checkpoint: 2 * time.Millisecond}, net, "m", "w1", "w2")
+	trs, err := transport.SimNodes(net, "m", "w1", "w2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := NewAppOn(Config{Checkpoint: 2 * time.Millisecond}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/serial"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // Tokens and thread state of the migration tests. SeqToken (a sequenced
@@ -171,7 +172,11 @@ func TestRemapMidRun(t *testing.T) {
 			// hardest case for the fence handshake.
 			net := simnet.New(simnet.GigabitEthernet())
 			t.Cleanup(net.Close)
-			app, err := core.NewSimApp(core.Config{Window: 64}, net, "node0", "node1", "node2")
+			trs, err := transport.SimNodes(net, "node0", "node1", "node2")
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, err := core.NewAppOn(core.Config{Window: 64}, trs...)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,6 +12,7 @@ import (
 
 	"repro/dps"
 	"repro/internal/core"
+	"repro/internal/race"
 	"repro/internal/serial"
 )
 
@@ -116,7 +117,7 @@ func TestFacadeAddsNoAllocations(t *testing.T) {
 	// slack there is one whole allocation and the exact check is the
 	// non-race run's.
 	slack := 0.5
-	if raceEnabled {
+	if race.Enabled {
 		slack = 1.5
 	}
 	if facadeAllocs > coreAllocs+slack {

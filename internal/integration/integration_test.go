@@ -19,6 +19,7 @@ import (
 	"repro/internal/parlin"
 	"repro/internal/serial"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
@@ -60,7 +61,11 @@ var (
 func TestVideoStreamPipelining(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 200e6, Latency: 20 * time.Microsecond})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{Window: 16}, net, "d0", "d1")
+	trs, err := transport.SimNodes(net, "d0", "d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{Window: 16}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +147,11 @@ func TestVideoStreamPipelining(t *testing.T) {
 func TestNodeFailureFailsCalls(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 50e6, Latency: 100 * time.Microsecond})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{Window: 4}, net, "f0", "f1")
+	trs, err := transport.SimNodes(net, "f0", "f1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{Window: 4}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +212,11 @@ func TestNodeFailureFailsCalls(t *testing.T) {
 func TestStatsAccounting(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{Window: 8}, net, "s0", "s1")
+	trs, err := transport.SimNodes(net, "s0", "s1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{Window: 8}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,12 +303,20 @@ func TestWindowStallCounter(t *testing.T) {
 func TestLifeAndLUShareCluster(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 500e6, Latency: 10 * time.Microsecond})
 	defer net.Close()
-	lifeApp, err := core.NewSimApp(core.Config{}, net, "la0", "la1")
+	trs, err := transport.SimNodes(net, "la0", "la1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifeApp, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lifeApp.Close()
-	luApp, err := core.NewSimApp(core.Config{Window: 128}, net, "lb0", "lb1")
+	trs, err = transport.SimNodes(net, "lb0", "lb1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	luApp, err := core.NewAppOn(core.Config{Window: 128}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +434,11 @@ func TestUppercaseEndToEndAllTransports(t *testing.T) {
 		},
 		"simnet-forceserialize": func(t *testing.T) (*core.App, func()) {
 			net := simnet.New(simnet.Config{Bandwidth: 100e6})
-			app, err := core.NewSimApp(core.Config{ForceSerialize: true}, net, "x0", "x1")
+			trs, err := transport.SimNodes(net, "x0", "x1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			app, err := core.NewAppOn(core.Config{ForceSerialize: true}, trs...)
 			if err != nil {
 				t.Fatal(err)
 			}

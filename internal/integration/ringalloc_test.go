@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/dps"
+	"repro/internal/race"
 	"repro/internal/transport/tcptransport"
 )
 
@@ -58,7 +59,7 @@ func TestRingOverTCPAllocationBudget(t *testing.T) {
 		calls     = 16
 	)
 	budget, objectBudget := 5.0*blockSize, 13.0
-	if raceEnabled {
+	if race.Enabled {
 		budget, objectBudget = 6.0*blockSize, 19.0
 	}
 	names := []string{"ra0", "ra1", "ra2"}

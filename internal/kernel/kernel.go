@@ -50,141 +50,6 @@ type Kernel struct {
 	closed      bool
 }
 
-// controlApp is the reserved application name carrying kernel control
-// messages (live-remap requests); user applications cannot collide with it
-// because application names come from Go string literals and this one
-// starts with a NUL byte.
-const controlApp = "\x00dps-control"
-
-// Control message kinds multiplexed on the controlApp frame.
-const (
-	ctlRemap byte = 1
-	// Heartbeat protocol (StartHeartbeat): kernels ping their name-server
-	// peers, answer with pongs, and broadcast a death notice when a peer
-	// goes silent, so every kernel's OnFailover fires — typically feeding
-	// the engine's FailNode to recover the dead kernel's threads.
-	ctlPing  byte = 2
-	ctlPong  byte = 3
-	ctlDeath byte = 4
-	// Trace collection (OnTrace / CollectTrace): a collector asks every
-	// kernel for the spans it buffered of one sampled call and assembles
-	// the cluster-wide timeline.
-	ctlTraceReq  byte = 5
-	ctlTraceResp byte = 6
-)
-
-// RemapRequest asks a kernel to live-remap a thread collection of one of
-// its applications: the named collection is remapped to the placement
-// given in the paper's mapping-string syntax via the migration protocol
-// (quiesce, state shipment, token forwarding) while the application keeps
-// serving calls.
-type RemapRequest struct {
-	// App names the application instance on the target kernel.
-	App string
-	// Collection names the thread collection to remap.
-	Collection string
-	// Spec is the new placement in mapping-string syntax ("kernA*2 kernB").
-	Spec string
-}
-
-// OnRemap installs the kernel's handler for live-remap control messages.
-// The handler typically resolves the application and calls
-// Collection.Remap; errors are logged by the handler itself (control
-// messages are fire-and-forget, like the paper's kernel commands).
-func (k *Kernel) OnRemap(fn func(RemapRequest) error) {
-	k.mu.Lock()
-	k.onRemap = fn
-	k.mu.Unlock()
-}
-
-// SendRemap delivers a live-remap control message to the named kernel,
-// resolving it through the name server. It returns once the message has
-// been handed to the kernel's TCP endpoint; the remap itself runs
-// asynchronously on the target.
-func SendRemap(nsAddr, kernelName string, req RemapRequest) error {
-	addr, err := LookupName(nsAddr, kernelName)
-	if err != nil {
-		return err
-	}
-	resolve := func(name string) (string, error) {
-		if name != kernelName {
-			return "", fmt.Errorf("kernel: unexpected peer %q", name)
-		}
-		return addr, nil
-	}
-	client, err := tcptransport.Listen("remap-client", "127.0.0.1:0", resolve)
-	if err != nil {
-		return err
-	}
-	defer func() { _ = client.Close() }()
-	body := appendControlRemap(nil, req)
-	return client.Send(kernelName, makeAppFrame(controlApp, body))
-}
-
-func appendControlRemap(b []byte, req RemapRequest) []byte {
-	b = append(b, ctlRemap)
-	for _, s := range []string{req.App, req.Collection, req.Spec} {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	return b
-}
-
-func decodeControlRemap(b []byte) (RemapRequest, error) {
-	var req RemapRequest
-	for _, dst := range []*string{&req.App, &req.Collection, &req.Spec} {
-		l, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
-			return RemapRequest{}, fmt.Errorf("kernel: malformed remap request")
-		}
-		*dst = string(b[n : n+int(l)])
-		b = b[n+int(l):]
-	}
-	return req, nil
-}
-
-// handleControl dispatches one kernel control message.
-func (k *Kernel) handleControl(src string, payload []byte) {
-	if len(payload) == 0 {
-		return
-	}
-	kind, body := payload[0], payload[1:]
-	switch kind {
-	case ctlRemap:
-		req, err := decodeControlRemap(body)
-		if err != nil {
-			return
-		}
-		k.mu.Lock()
-		fn := k.onRemap
-		k.mu.Unlock()
-		if fn != nil {
-			// Remap quiesces and waits for the handover; never block the
-			// receive loop on it.
-			go func() { _ = fn(req) }()
-		}
-	case ctlPing:
-		// Answer so the prober can tell "alive" from "accepting but hung".
-		_ = k.node.Send(src, makeAppFrame(controlApp, []byte{ctlPong}))
-	case ctlPong:
-		k.mu.Lock()
-		if k.lastSeen != nil {
-			k.lastSeen[src] = time.Now()
-		}
-		k.mu.Unlock()
-	case ctlDeath:
-		peer, _, err := splitAppFrame(body) // length-prefixed name reuse
-		if err != nil {
-			return
-		}
-		k.peerDied(peer)
-	case ctlTraceReq:
-		k.handleTraceReq(body)
-	case ctlTraceResp:
-		k.handleTraceResp(src, body)
-	}
-}
-
 // OnFailover installs the handler invoked when a peer kernel is declared
 // dead — by this kernel's own heartbeat or by a death notice broadcast
 // from another kernel. The typical handler feeds the engine's recovery:
@@ -263,7 +128,6 @@ func (k *Kernel) heartbeatRound(interval time.Duration, misses int) {
 	// peers' pings into false-positive deaths. A peer that missed its last
 	// pong is backed off (doubling rounds skipped, capped below the death
 	// deadline) instead of hammered while it restarts.
-	ping := makeAppFrame(controlApp, []byte{ctlPing})
 	k.mu.Lock()
 	if k.pinging == nil {
 		k.pinging = make(map[string]bool)
@@ -297,7 +161,7 @@ func (k *Kernel) heartbeatRound(interval time.Duration, misses int) {
 		// of kernels does not synchronize its pings into periodic bursts.
 		go func(peer string, delay time.Duration) {
 			time.Sleep(delay)
-			_ = k.node.Send(peer, append([]byte(nil), ping...))
+			_ = sendControl(k.node, peer, ctlPing, nil)
 			k.mu.Lock()
 			delete(k.pinging, peer)
 			k.mu.Unlock()
@@ -354,9 +218,9 @@ func (k *Kernel) peerDied(peer string) {
 	if fn != nil {
 		go fn(peer)
 	}
-	notice := makeAppFrame(controlApp, append([]byte{ctlDeath}, makeAppFrame(peer, nil)...))
+	notice := appendStrings(nil, peer)
 	for _, p := range alive {
-		_ = k.node.Send(p, append([]byte(nil), notice...))
+		_ = sendControl(k.node, p, ctlDeath, notice)
 	}
 }
 
@@ -372,6 +236,20 @@ const maxPending = 65536
 // Start launches a kernel listening on listenAddr and registers it with
 // the name server at nsAddr.
 func Start(name, listenAddr, nsAddr string) (*Kernel, error) {
+	k, err := listen(name, listenAddr, nsAddr)
+	if err != nil {
+		return nil, err
+	}
+	if err := RegisterName(nsAddr, name, k.node.Addr()); err != nil {
+		_ = k.node.Close()
+		return nil, err
+	}
+	return k, nil
+}
+
+// listen starts a kernel's TCP endpoint without registering it: peers
+// resolve through the name server at nsAddr.
+func listen(name, listenAddr, nsAddr string) (*Kernel, error) {
 	k := &Kernel{
 		name:      name,
 		nsAddr:    nsAddr,
@@ -387,10 +265,6 @@ func Start(name, listenAddr, nsAddr string) (*Kernel, error) {
 	}
 	k.node = node
 	node.SetHandler(k.demux)
-	if err := RegisterName(nsAddr, name, node.Addr()); err != nil {
-		_ = node.Close()
-		return nil, err
-	}
 	return k, nil
 }
 

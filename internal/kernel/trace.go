@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/trace"
-	"repro/internal/transport/tcptransport"
 )
 
 // This file is the kernel half of the trace collector: a sampled call's
@@ -31,13 +30,7 @@ func (k *Kernel) OnTrace(fn func(id uint64) []trace.Span) {
 }
 
 func appendControlTraceReq(b []byte, id uint64, replyName, replyAddr string) []byte {
-	b = append(b, ctlTraceReq)
-	b = binary.AppendUvarint(b, id)
-	for _, s := range []string{replyName, replyAddr} {
-		b = binary.AppendUvarint(b, uint64(len(s)))
-		b = append(b, s...)
-	}
-	return b
+	return appendStrings(binary.AppendUvarint(b, id), replyName, replyAddr)
 }
 
 func decodeControlTraceReq(b []byte) (id uint64, replyName, replyAddr string, err error) {
@@ -45,22 +38,14 @@ func decodeControlTraceReq(b []byte) (id uint64, replyName, replyAddr string, er
 	if n <= 0 {
 		return 0, "", "", fmt.Errorf("kernel: malformed trace request")
 	}
-	b = b[n:]
-	for _, dst := range []*string{&replyName, &replyAddr} {
-		l, n := binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
-			return 0, "", "", fmt.Errorf("kernel: malformed trace request")
-		}
-		*dst = string(b[n : n+int(l)])
-		b = b[n+int(l):]
-	}
-	return id, replyName, replyAddr, nil
+	err = readStrings(b[n:], &replyName, &replyAddr)
+	return id, replyName, replyAddr, err
 }
 
-// handleTraceReq serves one collection request: look the spans up through
+// recvTraceReq serves one collection request: look the spans up through
 // the OnTrace hook and send them back as JSON. The reply goes out on its own
 // goroutine — the hook walks span rings and must not block the receive loop.
-func (k *Kernel) handleTraceReq(body []byte) {
+func (k *Kernel) recvTraceReq(_ string, body []byte) {
 	id, replyName, replyAddr, err := decodeControlTraceReq(body)
 	if err != nil {
 		return
@@ -78,16 +63,13 @@ func (k *Kernel) handleTraceReq(body []byte) {
 		if err != nil {
 			return
 		}
-		resp := binary.AppendUvarint([]byte{ctlTraceResp}, id)
-		resp = append(resp, data...)
-		_ = k.node.Send(replyName, makeAppFrame(controlApp, resp))
+		_ = sendControl(k.node, replyName, ctlTraceResp, append(binary.AppendUvarint(nil, id), data...))
 	}()
 }
 
-// handleTraceResp feeds a peer's spans to the collection this kernel has in
+// recvTraceResp feeds a peer's spans to the collection this kernel has in
 // flight for that trace ID (CollectTrace), if any.
-func (k *Kernel) handleTraceResp(src string, body []byte) {
-	_ = src
+func (k *Kernel) recvTraceResp(_ string, body []byte) {
 	id, n := binary.Uvarint(body)
 	if n <= 0 {
 		return
@@ -146,7 +128,7 @@ func (k *Kernel) CollectTrace(id uint64, timeout time.Duration) ([]trace.Span, e
 		if peer == k.name || dead[peer] {
 			continue
 		}
-		if err := k.node.Send(peer, makeAppFrame(controlApp, req)); err == nil {
+		if err := sendControl(k.node, peer, ctlTraceReq, req); err == nil {
 			want++
 		}
 	}
@@ -170,56 +152,10 @@ wait:
 // merges the answers, waiting at most timeout for the slowest. It backs
 // `dps-kernel -trace-dump`.
 func CollectTrace(nsAddr string, id uint64, timeout time.Duration) ([]trace.Span, error) {
-	names, err := ListNames(nsAddr)
+	k, err := listen(fmt.Sprintf("trace-client-%d", id), "127.0.0.1:0", nsAddr)
 	if err != nil {
 		return nil, err
 	}
-	resolve := func(name string) (string, error) {
-		if addr, ok := names[name]; ok {
-			return addr, nil
-		}
-		return "", fmt.Errorf("kernel: unknown peer %q", name)
-	}
-	clientName := fmt.Sprintf("trace-client-%d", id)
-	client, err := tcptransport.Listen(clientName, "127.0.0.1:0", resolve)
-	if err != nil {
-		return nil, err
-	}
-	defer func() { _ = client.Close() }()
-	ch := make(chan []trace.Span, len(names))
-	client.SetHandler(func(src string, payload []byte) {
-		app, rest, err := splitAppFrame(payload)
-		if err != nil || app != controlApp || len(rest) == 0 || rest[0] != ctlTraceResp {
-			return
-		}
-		rid, n := binary.Uvarint(rest[1:])
-		if n <= 0 || rid != id {
-			return
-		}
-		var spans []trace.Span
-		if json.Unmarshal(rest[1+n:], &spans) != nil {
-			return
-		}
-		ch <- spans
-	})
-	req := appendControlTraceReq(nil, id, clientName, client.Addr())
-	want := 0
-	for peer := range names {
-		if err := client.Send(peer, makeAppFrame(controlApp, req)); err == nil {
-			want++
-		}
-	}
-	var out []trace.Span
-	deadline := time.After(timeout)
-wait:
-	for i := 0; i < want; i++ {
-		select {
-		case spans := <-ch:
-			out = append(out, spans...)
-		case <-deadline:
-			break wait
-		}
-	}
-	trace.SortSpans(out)
-	return out, nil
+	defer func() { _ = k.node.Close() }()
+	return k.CollectTrace(id, timeout)
 }

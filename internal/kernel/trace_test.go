@@ -92,22 +92,19 @@ func TestCollectTraceWithoutHooks(t *testing.T) {
 // reply-coordinate strings an ephemeral collector depends on.
 func TestTraceReqCodecRoundTrip(t *testing.T) {
 	b := appendControlTraceReq(nil, 1<<40, "trace-client-7", "127.0.0.1:9999")
-	if b[0] != ctlTraceReq {
-		t.Fatalf("kind byte = %d", b[0])
-	}
-	id, name, addr, err := decodeControlTraceReq(b[1:])
+	id, name, addr, err := decodeControlTraceReq(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 1<<40 || name != "trace-client-7" || addr != "127.0.0.1:9999" {
 		t.Fatalf("got id=%d name=%q addr=%q", id, name, addr)
 	}
-	for n := 1; n < len(b); n++ {
-		if _, _, _, err := decodeControlTraceReq(b[1:n]); err == nil {
+	for n := 0; n < len(b); n++ {
+		if _, _, _, err := decodeControlTraceReq(b[:n]); err == nil {
 			// Truncations that cut a string short must error; a prefix that
 			// happens to end exactly on a field boundary decodes only if every
 			// field is complete, which for this payload is the full frame.
-			t.Errorf("truncated request of %d bytes decoded", n-1)
+			t.Errorf("truncated request of %d bytes decoded", n)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/life"
+	"repro/internal/race"
 )
 
 // TestStepAllocatesNoBorderCopies pins that border rows travel without
@@ -23,7 +24,7 @@ func TestStepAllocatesNoBorderCopies(t *testing.T) {
 		warm, steps   = 10, 40
 	)
 	budget := 2.0 * width
-	if raceEnabled {
+	if race.Enabled {
 		budget = 4.0 * width
 	}
 	for _, improved := range []bool{true, false} {

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/life"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // TestFailoverWorkerCrashByteIdentical kills a worker node abruptly
@@ -38,7 +39,11 @@ func TestFailoverWorkerCrashByteIdentical(t *testing.T) {
 		t.Helper()
 		net := simnet.New(simnet.Config{Latency: 100 * time.Microsecond, PerMessage: 10 * time.Microsecond})
 		defer net.Close()
-		app, err := core.NewSimApp(core.Config{Window: 16, Checkpoint: 2 * time.Millisecond}, net, "n0", "n1", "n2")
+		trs, err := transport.SimNodes(net, "n0", "n1", "n2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := core.NewAppOn(core.Config{Window: 16, Checkpoint: 2 * time.Millisecond}, trs...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +119,11 @@ func TestFailoverThenRemap(t *testing.T) {
 		t.Helper()
 		net := simnet.New(simnet.Config{Latency: 100 * time.Microsecond, PerMessage: 10 * time.Microsecond})
 		defer net.Close()
-		app, err := core.NewSimApp(core.Config{Window: 16, Checkpoint: 3 * time.Millisecond}, net, "n0", "n1", "n2")
+		trs, err := transport.SimNodes(net, "n0", "n1", "n2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		app, err := core.NewAppOn(core.Config{Window: 16, Checkpoint: 3 * time.Millisecond}, trs...)
 		if err != nil {
 			t.Fatal(err)
 		}

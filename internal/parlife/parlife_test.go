@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/life"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
@@ -85,7 +86,11 @@ func TestManyWorkersSmallBands(t *testing.T) {
 func TestOverSimnet(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 200e6, Latency: 20 * time.Microsecond, PerMessage: 5 * time.Microsecond})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{}, net, "n0", "n1", "n2", "n3")
+	trs, err := transport.SimNodes(net, "n0", "n1", "n2", "n3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

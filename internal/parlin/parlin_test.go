@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/matrix"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 func localApp(t testing.TB, nodes int) *core.App {
@@ -162,7 +163,11 @@ func TestLURepeatedFactorizations(t *testing.T) {
 func TestLUOverSimnet(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 200e6, Latency: 20 * time.Microsecond})
 	defer net.Close()
-	app, err := core.NewSimApp(core.Config{}, net, "s0", "s1", "s2")
+	trs, err := transport.SimNodes(net, "s0", "s1", "s2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	app, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,7 @@ import (
 	"repro/internal/serial"
 	"repro/internal/simnet"
 	"repro/internal/trace"
+	"repro/internal/transport"
 )
 
 // BlockToken is the payload data object circulating around the DPS ring.
@@ -167,7 +168,11 @@ func buildRing(net *simnet.Network, appCfg core.Config, ringNodes int) (*core.Ap
 	for i := range names {
 		names[i] = fmt.Sprintf("ring%d", i)
 	}
-	app, err := core.NewSimApp(appCfg, net, names...)
+	trs, err := transport.SimNodes(net, names...)
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	app, err := core.NewAppOn(appCfg, trs...)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/transport"
 )
 
 // callWithin is core.Flowgraph.CallFrom under a context.WithTimeout of d.
@@ -212,7 +213,11 @@ func TestFigure5Scenario(t *testing.T) {
 	net := simnet.New(simnet.Config{Bandwidth: 200e6, Latency: 20 * time.Microsecond})
 	defer net.Close()
 
-	fsApp, err := core.NewSimApp(core.Config{}, net, "fsn0", "fsn1", "fsn2", "fsn3")
+	trs, err := transport.SimNodes(net, "fsn0", "fsn1", "fsn2", "fsn3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsApp, err := core.NewAppOn(core.Config{}, trs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +234,11 @@ func TestFigure5Scenario(t *testing.T) {
 	// Two independent client applications, each calling the read service
 	// as a leaf operation in its own graph.
 	runClient := func(id int) error {
-		app, err := core.NewSimApp(core.Config{}, net, fmt.Sprintf("cli%d", id))
+		trs, err := transport.SimNodes(net, fmt.Sprintf("cli%d", id))
+		if err != nil {
+			return err
+		}
+		app, err := core.NewAppOn(core.Config{}, trs...)
 		if err != nil {
 			return err
 		}

@@ -23,6 +23,19 @@ func NewSimNode(node *simnet.Node) *SimNode {
 	return &SimNode{node: node}
 }
 
+// SimNodes adds one node per name to net and wraps each, in order.
+func SimNodes(net *simnet.Network, names ...string) ([]Transport, error) {
+	trs := make([]Transport, 0, len(names))
+	for _, name := range names {
+		nd, err := net.AddNode(name)
+		if err != nil {
+			return nil, err
+		}
+		trs = append(trs, NewSimNode(nd))
+	}
+	return trs, nil
+}
+
 // Local implements Transport.
 func (s *SimNode) Local() string { return s.node.Name() }
 
