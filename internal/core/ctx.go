@@ -46,6 +46,9 @@ type Ctx struct {
 	// executions keep flowing, exactly as the seed's goroutine-per-token
 	// scheme allowed.
 	drainer bool
+	// corked is set while this opener's posts may sit corked in the
+	// transport, waiting for uncork.
+	corked bool
 }
 
 // yieldInstLock releases the thread's FIFO execution lock because the
@@ -57,6 +60,7 @@ type Ctx struct {
 // maintains the instance's parked-execution count, so a checkpoint item
 // never captures while an operation is suspended mid-body.
 func (c *Ctx) yieldInstLock() {
+	c.uncork()
 	if c.rt.app.ftOn {
 		c.inst.yielded.Add(1)
 	}
@@ -65,6 +69,20 @@ func (c *Ctx) yieldInstLock() {
 		c.inst.exec.Relinquish()
 	}
 	c.inst.exec.Unlock()
+}
+
+// uncork lets go of what this execution's posts corked in the transport
+// (transport.Corker): the posts of a split or stream body are corked so
+// that each destination's share of the burst leaves in one write, and the
+// burst ends wherever the body blocks (yieldInstLock), once its group-end
+// has joined it (runSimple, runCollector) and when it panics (recoverOp).
+// A body that blocks outside the engine is let go by the transport's
+// backstop.
+func (c *Ctx) uncork() {
+	if c.corked {
+		c.corked = false
+		c.rt.lnk.ck.Uncork()
+	}
 }
 
 // relockInst reacquires the execution lock after a yieldInstLock.
@@ -220,6 +238,10 @@ func (c *Ctx) postOut(tok Token) {
 	}
 
 	isOpenerPost := c.node.op.kind == KindSplit || c.node.op.kind == KindStream
+	tx := txSend
+	if isOpenerPost && c.rt.lnk.ck != nil {
+		tx, c.corked = txCorked, true
+	}
 	if isOpenerPost && succNode.op.kind == KindLeaf {
 		c.rt.credit(g.name, succ, succNode.tc.ThreadCount()).Charge(thread)
 		lastWorker, creditNode = thread, succ
@@ -245,7 +267,7 @@ func (c *Ctx) postOut(tok Token) {
 		env.TraceID = c.env.TraceID
 		c.rt.traceSpan(env.TraceID, "post", c.node.op.name, time.Now().UnixNano(), 0)
 	}
-	c.rt.routeToken(env, succNode.tc, thread)
+	c.rt.routeToken(env, succNode.tc, thread, tx)
 }
 
 // pickRoute evaluates a node's routing function with bounds checking.

@@ -597,7 +597,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 			rt.traceSpan(traceID, "replay", e.Stream, time.Now().UnixNano(), 0)
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
-		rt.lnk.sendToken(env, to, place.Direct)
+		rt.lnk.sendToken(env, to, place.Direct, txSend)
 	case ft.EntryGroupEnd:
 		m, err := decodeGroupEndFT(e.Bytes[1:])
 		if err != nil {

@@ -51,6 +51,11 @@ type link struct {
 	co     transport.Colocated
 	coPeer sync.Map // dst -> *Runtime
 
+	// ck corks an opener's posts so that its burst leaves in one write per
+	// destination (see Ctx.uncork); nil when the transport cannot, or when
+	// Config.Batch has the batcher own bursts instead.
+	ck transport.Corker
+
 	// Per-destination token coalescing (Config.Batch).
 	batch       bool
 	batchBytes  int
@@ -83,6 +88,9 @@ func (l *link) init(rt *Runtime, tr transport.Transport, cfg *Config) {
 	l.grace = cfg.SuspectGrace
 	if !cfg.ForceSerialize {
 		l.co, _ = tr.(transport.Colocated)
+	}
+	if !cfg.Batch {
+		l.ck, _ = tr.(transport.Corker)
 	}
 	if cfg.Batch {
 		l.batch = true
@@ -146,26 +154,36 @@ func (l *link) suppressed(kind byte, dst string) bool {
 	return l.ftOn && wireKinds[kind].suppress && l.rt.linkDown(dst)
 }
 
+// txMode says how transmit hands a frame to the transport.
+type txMode uint8
+
+const (
+	txSend   txMode = iota // Send, behind dst's pending batch (flushed first)
+	txHeld                 // Send, by dst's batcher flushing under its own lock
+	txCorked               // SendCorked: an opener's post, until Ctx.uncork
+)
+
 // transmit is the link's one exit to the transport: every frame, of every
 // kind, leaves through it, which is what makes three properties hold by
 // construction. Wire order equals send order: a frame that is not itself a
 // flushed batch flushes the destination's pending batch and goes out under
 // the batcher lock (preSend), so it can neither overtake nor be overtaken
-// by tokens batched before it; held says the caller is that batcher,
-// flushing under its own lock. Stats.BytesSent counts every frame handed to
+// by tokens batched before it; txHeld says the caller is that batcher,
+// flushing under its own lock, and a corked frame keeps its place in the
+// transport's own queue. Stats.BytesSent counts every frame handed to
 // the transport. And a frame the transport refused returns to the wire pool
 // (transports release ownership on error; an accepted frame is the
 // transport's, which returns it through transport.Releaser or hands it to
 // the receiving link) before the failure is routed by the kind's policy —
 // past the failure detector, which absorbs faults of peers it is about to
 // declare dead (the retained copies replay during recovery).
-func (l *link) transmit(dst string, buf []byte, held bool) {
+func (l *link) transmit(dst string, buf []byte, tx txMode) {
 	var b *batcher
-	if l.batch && !held {
+	if l.batch && tx == txSend {
 		b = l.preSend(dst)
 	}
 	atomic.AddInt64(&l.rt.stats.BytesSent, int64(len(buf)))
-	err := l.trSend(dst, buf)
+	err := l.trSend(dst, buf, tx == txCorked)
 	if b != nil {
 		b.mu.Unlock()
 	}
@@ -192,9 +210,9 @@ const (
 	graceRetryCap  = 50 * time.Millisecond
 )
 
-// trSend hands one frame to the transport, retrying transient failures with
-// capped exponential backoff and jitter until the suspect-grace window
-// closes. On success the payload's ownership has transferred to the
+// trSend hands one frame to the transport, corked if cork is set, retrying
+// transient failures (uncorked) with capped exponential backoff and jitter
+// until the suspect-grace window closes. On success the payload's ownership has transferred to the
 // transport; on error it remains with the caller (transports release
 // ownership on failure), which is what makes retrying the same buffer
 // sound. A destination declared dead mid-retry aborts the loop — the
@@ -205,8 +223,13 @@ const (
 // else; the grace machinery only runs once a send has already failed.
 // Sequenced posts hold their route lock across the retries, so the grace
 // window also bounds how long one fault can stall a route.
-func (l *link) trSend(dst string, buf []byte) error {
-	err := l.tr.Send(dst, buf)
+func (l *link) trSend(dst string, buf []byte, cork bool) error {
+	var err error
+	if cork {
+		err = l.ck.SendCorked(dst, buf)
+	} else {
+		err = l.tr.Send(dst, buf)
+	}
 	if err == nil || l.grace <= 0 {
 		return err
 	}
@@ -347,7 +370,7 @@ func (b *batcher) flushLocked() {
 			break
 		}
 	}
-	l.transmit(b.dst, buf, true)
+	l.transmit(b.dst, buf, txHeld)
 }
 
 // --- outbound: one sender per kind ----------------------------------------
@@ -382,8 +405,9 @@ func (l *link) appendTokenFrame(buf []byte, env *envelope, lane place.Lane) ([]b
 // by pointer inside an address space, bypassing the communication layer
 // (paper §4), serialized into a pooled wire buffer otherwise. The envelope
 // is consumed either way. lane is place.Forwarded when a relay re-sends an
-// arrival to the thread's current owner.
-func (l *link) sendToken(env *envelope, dst string, lane place.Lane) {
+// arrival to the thread's current owner; tx is txCorked for an opener's
+// post, txSend otherwise.
+func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) {
 	stats := &l.rt.stats
 	atomic.AddInt64(&stats.TokensPosted, 1)
 	rt, wire := l.route(msgToken, dst)
@@ -418,7 +442,7 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane) {
 	coalesced := l.batch && env.TraceID == 0 && lane == place.Direct && l.coalesce(dst, buf, env.FTStream, env.FTSeq)
 	putEnvelope(env)
 	if !coalesced {
-		l.transmit(dst, buf, false)
+		l.transmit(dst, buf, tx)
 	}
 }
 
@@ -446,7 +470,7 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	if l.batch && lane == place.Direct && l.coalesce(dst, buf, m.FTStream, m.FTSeq) {
 		return
 	}
-	l.transmit(dst, buf, false)
+	l.transmit(dst, buf, txSend)
 }
 
 // sendResult delivers a graph's final output to the calling node. A result
@@ -472,7 +496,7 @@ func (l *link) sendResult(env *envelope, tok Token) {
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize result: %w", err)})
 	}
-	l.transmit(env.CallOrigin, buf, false)
+	l.transmit(env.CallOrigin, buf, txSend)
 }
 
 // sendAck returns a consumption acknowledgement to the split-side node.
@@ -480,7 +504,7 @@ func (l *link) sendAck(dst string, m ackMsg) {
 	if rt, wire := l.route(msgAck, dst); rt != nil {
 		rt.handleAck(m)
 	} else if wire {
-		l.transmit(dst, appendAck(getWireBuf(&l.rt.stats), m), false)
+		l.transmit(dst, appendAck(getWireBuf(&l.rt.stats), m), txSend)
 	}
 }
 
@@ -489,7 +513,7 @@ func (l *link) sendRehome(dst string, m *rehomeMsg) {
 	if rt, wire := l.route(m.kind(), dst); rt != nil {
 		rt.installRehomed(m, l.name)
 	} else if wire {
-		l.transmit(dst, appendRehome(getWireBuf(&l.rt.stats), m), false)
+		l.transmit(dst, appendRehome(getWireBuf(&l.rt.stats), m), txSend)
 	}
 }
 
@@ -498,7 +522,7 @@ func (l *link) sendFence(dst string, m *fenceMsg) {
 	if rt, wire := l.route(msgFence, dst); rt != nil {
 		rt.deliverFence(m)
 	} else if wire {
-		l.transmit(dst, appendFence(getWireBuf(&l.rt.stats), m), false)
+		l.transmit(dst, appendFence(getWireBuf(&l.rt.stats), m), txSend)
 	}
 }
 
@@ -507,7 +531,7 @@ func (l *link) sendCheckpoint(dst string, rec *ft.Record) {
 	if rt, wire := l.route(msgCheckpoint, dst); rt != nil {
 		rt.commitCheckpoint(rec)
 	} else if wire {
-		l.transmit(dst, appendCheckpoint(getWireBuf(&l.rt.stats), rec), false)
+		l.transmit(dst, appendCheckpoint(getWireBuf(&l.rt.stats), rec), txSend)
 	}
 }
 
@@ -516,7 +540,7 @@ func (l *link) sendCut(dst string, m cutMsg) {
 	if rt, wire := l.route(msgCut, dst); rt != nil {
 		rt.applyCut(m)
 	} else if wire {
-		l.transmit(dst, appendCut(getWireBuf(&l.rt.stats), m), false)
+		l.transmit(dst, appendCut(getWireBuf(&l.rt.stats), m), txSend)
 	}
 }
 
@@ -525,7 +549,7 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 	if rt, wire := l.route(msgDeath, dst); rt != nil {
 		rt.handleDeath(m, l.name)
 	} else if wire {
-		l.transmit(dst, appendDeath(getWireBuf(&l.rt.stats), m), false)
+		l.transmit(dst, appendDeath(getWireBuf(&l.rt.stats), m), txSend)
 	}
 }
 

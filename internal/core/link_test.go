@@ -121,18 +121,18 @@ func tokenEnv() *envelope {
 // sendOneOf sends one message of each wire kind the link sends to dst
 // through the link's sender for that kind.
 var sendOneOf = map[byte]func(l *link, dst string){
-	msgToken: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Direct) },
+	msgToken: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Direct, txSend) },
 	msgTokenFT: func(l *link, dst string) {
 		env := tokenEnv()
 		env.FTStream, env.FTSeq = "s", 3
-		l.sendToken(env, dst, place.Direct)
+		l.sendToken(env, dst, place.Direct, txSend)
 	},
 	msgTraced: func(l *link, dst string) {
 		env := tokenEnv()
 		env.TraceID = 99
-		l.sendToken(env, dst, place.Direct)
+		l.sendToken(env, dst, place.Direct, txSend)
 	},
-	msgForwarded: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Forwarded) },
+	msgForwarded: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Forwarded, txSend) },
 	msgGroupEnd: func(l *link, dst string) {
 		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1}, place.Direct)
 	},
@@ -140,7 +140,7 @@ var sendOneOf = map[byte]func(l *link, dst string){
 		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: "s", FTSeq: 4}, place.Direct)
 	},
 	msgBatch: func(l *link, dst string) {
-		l.sendToken(tokenEnv(), dst, place.Direct)
+		l.sendToken(tokenEnv(), dst, place.Direct, txSend)
 		l.batcherFor(dst).timedFlush()
 	},
 	msgAck: func(l *link, dst string) { l.sendAck(dst, ackMsg{GroupID: 1, Graph: "g"}) },
@@ -202,7 +202,7 @@ func TestTransmitChokePoint(t *testing.T) {
 			// No age flush: only the sends below and the explicit flush move
 			// the pending batch, however slowly this goroutine is scheduled.
 			l, tr, _ := newRecordedLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			l.sendToken(tokenEnv(), "far", place.Direct)
+			l.sendToken(tokenEnv(), "far", place.Direct, txSend)
 			if frames, _ := tr.take(); len(frames) != 0 {
 				t.Fatalf("a lone small token left unbatched: %v", frames)
 			}

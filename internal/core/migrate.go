@@ -81,15 +81,16 @@ type placeState struct {
 // any migration has started in the application, resolve+send serialize per
 // destination thread with the coordinator's fence emission, so no post can
 // straddle a placement flip (resolving the old owner but sending after the
-// closing fence). Failures propagate as opError panics, like sendToken.
-func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int) {
+// closing fence). Failures propagate as opError panics, like sendToken; tx
+// is sendToken's.
+func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int, tx txMode) {
 	if rt.routeFast() {
 		defer rt.routeFastDone()
 		target, err := tc.NodeOf(thread)
 		if err != nil {
 			panic(opError{err})
 		}
-		rt.lnk.sendToken(env, target, place.Direct)
+		rt.lnk.sendToken(env, target, place.Direct, tx)
 		return
 	}
 	mu := rt.routeLock(place.Key{Collection: tc.Name(), Thread: thread})
@@ -104,7 +105,7 @@ func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int) {
 		// duplicate filter needs sequence order to match send order.
 		rt.ftOutbound(env, tc.Name(), thread)
 	}
-	rt.lnk.sendToken(env, target, place.Direct)
+	rt.lnk.sendToken(env, target, place.Direct, tx)
 }
 
 // routeGroupEnd is routeToken for group-end announcements; sender is the
@@ -145,7 +146,7 @@ func (rt *Runtime) routeSafe(env *envelope, tc *ThreadCollection, thread int) (e
 			panic(r)
 		}
 	}()
-	rt.routeToken(env, tc, thread)
+	rt.routeToken(env, tc, thread, txSend)
 	return nil
 }
 
@@ -317,7 +318,7 @@ func (rt *Runtime) forwardItem(it *placeItem, target string) {
 		if it.env.TraceID != 0 {
 			rt.traceSpan(it.env.TraceID, "forward", target, time.Now().UnixNano(), 0)
 		}
-		rt.lnk.sendToken(it.env, target, place.Forwarded)
+		rt.lnk.sendToken(it.env, target, place.Forwarded, txSend)
 	case it.ge != nil:
 		atomic.AddInt64(&rt.stats.TokensForwarded, 1)
 		rt.lnk.sendGroupEnd(target, it.ge, place.Forwarded)

@@ -164,7 +164,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big), false},
 		{"batch entry", msgBatch, func(t *testing.T, _ *link) []byte {
 			sender, tr, _ := blobLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			sender.sendToken(env(newBlob(7, big)), "far", place.Direct)
+			sender.sendToken(env(newBlob(7, big)), "far", place.Direct, txSend)
 			sender.batcherFor("far").timedFlush()
 			frames, _ := tr.take()
 			if len(frames) != 1 {
@@ -240,11 +240,13 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 
 // newTCPApp attaches one tcptransport node per name, on loopback: every
 // cross-node message is a real socket write and a frame read back into a
-// buffer of the receiving transport's choosing.
-func newTCPApp(t *testing.T, cfg Config, names ...string) *App {
+// buffer of the receiving transport's choosing. The nodes are returned in
+// the order of names.
+func newTCPApp(t *testing.T, cfg Config, names ...string) (*App, []*tcptransport.Node) {
 	t.Helper()
 	app := NewApp(cfg)
 	table := map[string]string{}
+	var nodes []*tcptransport.Node
 	for _, name := range names {
 		n, err := tcptransport.Listen(name, "127.0.0.1:0", tcptransport.StaticResolver(table))
 		if err != nil {
@@ -254,8 +256,9 @@ func newTCPApp(t *testing.T, cfg Config, names ...string) *App {
 		if _, err := app.AttachTransport(n); err != nil {
 			t.Fatal(err)
 		}
+		nodes = append(nodes, n)
 	}
-	return app
+	return app, nodes
 }
 
 // TestShortFramesAreLentFromThePool: a transport that asks (transport.Borrower)
@@ -344,7 +347,7 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 			var app *App
 			var err error
 			if cfg.tcp {
-				app = newTCPApp(t, cfg.cfg, "a", "b", "c")
+				app, _ = newTCPApp(t, cfg.cfg, "a", "b", "c")
 			} else if app, err = NewLocalApp(cfg.cfg, "a", "b", "c"); err != nil {
 				t.Fatal(err)
 			}

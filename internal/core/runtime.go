@@ -388,6 +388,7 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 		rt.traceSpan(env.TraceID, "execute", node.op.name, execNs, time.Now().UnixNano()-execNs)
 	}
 	rt.finishOpener(c)
+	c.uncork()
 	if node.op.kind == KindLeaf && c.postSeq != 1 {
 		panic(opError{fmt.Errorf("dps: leaf %q posted %d tokens; a leaf posts exactly one", node.op.name, c.postSeq)})
 	}
@@ -444,6 +445,7 @@ func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 		panic(opError{fmt.Errorf("dps: %s %q returned before consuming its group (use next until it reports false)", node.op.kind, node.op.name)})
 	}
 	rt.finishOpener(c)
+	c.uncork()
 	if node.op.kind == KindMerge && c.postSeq != 1 {
 		panic(opError{fmt.Errorf("dps: merge %q posted %d tokens; a merge posts exactly one", node.op.name, c.postSeq)})
 	}
@@ -501,6 +503,7 @@ func (rt *Runtime) recoverOp(c *Ctx) {
 	if r == nil {
 		return
 	}
+	c.uncork()
 	if rt.dead.Load() {
 		// A crashed node's in-process remnant: its executions unwind
 		// silently (their sends were suppressed; recovery re-executes the

@@ -438,7 +438,28 @@ func (p *appPort) deliver(src string, payload []byte) {
 // Send implements transport.Transport, framing the payload with the
 // application name so the destination kernel can demultiplex (and launch).
 func (p *appPort) Send(dst string, payload []byte) error {
-	err := p.kernel.node.Send(dst, makeAppFrame(p.app, payload))
+	return p.send(dst, payload, false)
+}
+
+// SendCorked implements transport.Corker: the application's frame is corked
+// in the kernel node's outbox, so a split's burst leaves the kernel in one
+// write per destination, as on a bare tcptransport node.
+func (p *appPort) SendCorked(dst string, payload []byte) error {
+	return p.send(dst, payload, true)
+}
+
+// Uncork implements transport.Corker. The kernel node's corks are shared by
+// every application on it; letting another one's go early is harmless.
+func (p *appPort) Uncork() { p.kernel.node.Uncork() }
+
+func (p *appPort) send(dst string, payload []byte, cork bool) error {
+	frame := makeAppFrame(p.app, payload)
+	var err error
+	if cork {
+		err = p.kernel.node.SendCorked(dst, frame)
+	} else {
+		err = p.kernel.node.Send(dst, frame)
+	}
 	if err != nil {
 		return err // refused: the payload stays the caller's
 	}
@@ -466,6 +487,7 @@ func (p *appPort) Close() error { return nil }
 var (
 	_ transport.Transport = (*appPort)(nil)
 	_ transport.Releaser  = (*appPort)(nil)
+	_ transport.Corker    = (*appPort)(nil)
 )
 
 func makeAppFrame(app string, payload []byte) []byte {

@@ -245,6 +245,79 @@ func TestDPSAppOverKernels(t *testing.T) {
 	}
 }
 
+// TestCorkedSplitOverKernels: the kernel's application port forwards the
+// engine's corks to the kernel node, so a width-8 split's parts bound for
+// the other kernel leave in one write, plus one per backstop firing.
+func TestCorkedSplitOverKernels(t *testing.T) {
+	ns := startNS(t)
+	k1 := startKernel(t, ns, "kern0")
+	k2 := startKernel(t, ns, "kern1")
+
+	app := core.NewApp(core.Config{})
+	defer app.Close()
+	for _, k := range []*Kernel{k1, k2} {
+		if _, err := app.AttachTransport(k.Transport("fan")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	main := core.MustCollection[struct{}](app, "main")
+	workers := core.MustCollection[struct{}](app, "workers")
+	if err := main.Map("kern0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := workers.Map("kern1*4"); err != nil {
+		t.Fatal(err)
+	}
+	const width, dests, calls = 8, 1, 10
+	split := core.Split[*kReq, *kReq]("fan", func(c *core.Ctx, in *kReq, post func(*kReq)) {
+		for i := 0; i < width; i++ {
+			post(&kReq{Text: in.Text})
+		}
+	})
+	leaf := core.Leaf[*kReq, *kRes]("part", func(c *core.Ctx, in *kReq) *kRes { return &kRes{Text: c.Node()} })
+	join := core.Merge[*kRes, *kRes]("count", func(c *core.Ctx, first *kRes, next func() (*kRes, bool)) *kRes {
+		n := 0
+		for ok := true; ok; _, ok = next() {
+			n++
+		}
+		return &kRes{Text: fmt.Sprint(n)}
+	})
+	g, err := app.NewFlowgraph("fan", core.Path(
+		core.NewNode(split, main, core.MainRoute()),
+		core.NewNode(leaf, workers, core.RoundRobin()),
+		core.NewNode(join, main, core.MainRoute()),
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		out, err := callWithin(g, "kern0", &kReq{Text: "part"}, 10*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.(*kRes).Text; got != fmt.Sprint(width) {
+			t.Fatalf("merge counted %s parts, want %d", got, width)
+		}
+	}
+	call() // dials kern0→kern1
+	var writes, corked, timeouts int64
+	for i := 0; i < calls; i++ {
+		before := k1.node.Stats()
+		call()
+		after := k1.node.Stats()
+		writes += after.Writes - before.Writes
+		corked += after.FramesCorked - before.FramesCorked
+		timeouts += after.CorkTimeouts - before.CorkTimeouts
+	}
+	t.Logf("%d calls: %d writes, %d frames corked, %d backstop firings", calls, writes, corked, timeouts)
+	if width*calls-corked > width*timeouts { // a firing can uncork the rest of a burst
+		t.Fatalf("%d of %d parts corked on kern0 with %d backstop firings", corked, width*calls, timeouts)
+	}
+	if writes > dests*calls+timeouts {
+		t.Fatalf("%d writes for %d calls with %d backstop firings: want at most %d per call plus one per firing", writes, calls, timeouts, dests)
+	}
+}
+
 func TestServiceRegistry(t *testing.T) {
 	app, err := core.NewLocalApp(core.Config{}, "n0")
 	if err != nil {

@@ -703,10 +703,10 @@ func TestBatchIsSingleFramesBackToBack(t *testing.T) {
 	}
 }
 
-// TestSendAllocatesNothing: in the steady state neither send path allocates
-// per frame — the probe's raw connection and closure live on the conn, the
-// header goes into the destination's scratch buffer, the queue and the
-// element list are reused. The peer is a socket drained by a plain copy
+// TestSendAllocatesNothing: in the steady state no send path allocates per
+// frame — the probe's raw connection and closure live on the conn, the
+// header goes into the destination's scratch buffer, the queue, the element
+// list, the corked list and the backstop timer are reused. The peer is a socket drained by a plain copy
 // loop, so the process's allocation count is the sender's.
 func TestSendAllocatesNothing(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -758,6 +758,14 @@ func TestSendAllocatesNothing(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				send(small)
 			}
+		}},
+		{"corked", false, func() {
+			for i := 0; i < streakLen; i++ {
+				if err := a.SendCorked("sink", small); err != nil {
+					t.Fatal(err)
+				}
+			}
+			a.Uncork()
 		}},
 	}
 	for _, c := range cases {

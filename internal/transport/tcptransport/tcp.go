@@ -21,8 +21,8 @@
 //     dispatch lane forever.
 //
 // The file split follows the data: tcp.go owns nodes, handshakes and the
-// connection registry, send.go the per-destination send path (inline write
-// or outbox), recv.go the buffered receive loop.
+// connection registry, send.go the per-destination send path (inline write,
+// outbox or cork), recv.go the buffered receive loop.
 package tcptransport
 
 import (
@@ -118,9 +118,14 @@ func WithWriteTimeout(d time.Duration) Option {
 // is how far the send (receive) path coalesces; FramesQueued is how many
 // frames took the outbox rather than the caller's own write.
 type Stats struct {
-	FramesSent     int64 // frames wholly handed to the kernel
-	Writes         int64 // socket writes attempted (write or writev)
-	FramesQueued   int64 // frames accepted into an outbox
+	FramesSent   int64 // frames wholly handed to the kernel
+	Writes       int64 // socket writes attempted (write or writev)
+	FramesQueued int64 // frames accepted into an outbox, corked ones not counted
+	// FramesCorked counts the frames SendCorked held for an uncork.
+	FramesCorked int64
+	// CorkTimeouts counts the backstop's firings: destinations whose corked
+	// frames nobody uncorked within streakGap.
+	CorkTimeouts   int64
 	Dials          int64 // outbound connection attempts
 	Retries        int64 // attempts repeated after a transient failure
 	FramesReceived int64 // frames delivered to the handler
@@ -139,7 +144,7 @@ type Node struct {
 	dial func(addr string) (net.Conn, error)
 
 	stats struct {
-		framesSent, writes, framesQueued, dials, retries, framesReceived, reads atomic.Int64
+		framesSent, writes, framesQueued, framesCorked, corkTimeouts, dials, retries, framesReceived, reads atomic.Int64
 	}
 	handler atomic.Pointer[transport.Handler]
 	release atomic.Pointer[func([]byte)] // transport.Releaser; nil: payloads are just dropped
@@ -147,6 +152,13 @@ type Node struct {
 	peers   sync.Map                     // name → *peer; entries are never removed
 	closed  atomic.Bool
 	done    chan struct{} // closed by Close: interrupts backoff sleeps
+
+	// corkedPeers lists the destinations that got a corked frame since
+	// Uncork last took them off (some may have been written since);
+	// ncorked mirrors its length for Uncork's lock-free check.
+	corkMu      sync.Mutex
+	corkedPeers []*peer
+	ncorked     atomic.Int32
 
 	// mu orders handshakes, registrations and Close; no per-frame path
 	// takes it.
@@ -206,6 +218,8 @@ func (n *Node) Stats() Stats {
 		FramesSent:     s.framesSent.Load(),
 		Writes:         s.writes.Load(),
 		FramesQueued:   s.framesQueued.Load(),
+		FramesCorked:   s.framesCorked.Load(),
+		CorkTimeouts:   s.corkTimeouts.Load(),
 		Dials:          s.dials.Load(),
 		Retries:        s.retries.Load(),
 		FramesReceived: s.framesReceived.Load(),
@@ -463,6 +477,7 @@ var (
 	_ transport.Transport = (*Node)(nil)
 	_ transport.Releaser  = (*Node)(nil)
 	_ transport.Borrower  = (*Node)(nil)
+	_ transport.Corker    = (*Node)(nil)
 )
 
 func newConn(c net.Conn, inbound bool, epoch uint64) *conn {

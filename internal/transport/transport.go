@@ -13,6 +13,12 @@
 // A Transport instance represents one node's attachment point. Handlers are
 // invoked sequentially per source (FIFO per sender), mirroring TCP stream
 // ordering assumed by the DPS controller.
+//
+// Optional interfaces extend Send. One is Corker, which lets a sender cork
+// a burst so that it leaves in one write. SendCorked takes ownership of a
+// payload as Send does and keeps FIFO order with Send. It holds a frame
+// until Uncork, and at most for 100 µs or until the next point a processor
+// is free, whichever is later.
 package transport
 
 import (
@@ -79,6 +85,25 @@ type Releaser interface {
 // buffer.
 type Borrower interface {
 	SetBorrow(limit int, borrow func() []byte)
+}
+
+// Corker is optionally implemented by transports that can hold a sender's
+// burst and hand it to the network in one piece (see the package doc for
+// the contract). SendCorked differs from Send only in when the frame is
+// written: ownership passes on a nil return and stays with the caller on
+// an error, and a Send to the same destination carries the corked frames
+// ahead of its own. A corked frame waits to share a write until Uncork,
+// until the frames held for its destination fill a write, or until the
+// backstop lets it go, so a sender that never uncorks is slowed, never
+// stalled. Uncork writes everything held on the node, whoever corked it;
+// with nothing held it costs an atomic load.
+//
+// The engine corks the posts of a split or stream body and uncorks where
+// the body returns or blocks. The in-process fabrics have no writes to save
+// and do not implement it.
+type Corker interface {
+	SendCorked(dst string, payload []byte) error
+	Uncork()
 }
 
 // Transport is one node's attachment to the cluster fabric.
