@@ -163,6 +163,10 @@ type App struct {
 	ftSuspects chan string
 	ftReported sync.Map // node -> struct{}: reported dead (see died)
 	ftCkptSeq  atomic.Uint64
+	// senders resolves the name part of a sender id (ft.SplitSender) to the
+	// node or collection it hashes (resolveSender); written under mu as each
+	// is declared.
+	senders map[uint64]sender
 
 	cleanup []func()
 }
@@ -203,6 +207,7 @@ func NewApp(cfg Config) *App {
 		collections: make(map[string]*ThreadCollection),
 		graphs:      make(map[string]*Flowgraph),
 		ftOn:        cfg.Checkpoint > 0,
+		senders:     make(map[uint64]sender),
 	}
 	app.callreg.initCallRegistry(DefaultCallShards)
 	// Call IDs travel in token envelopes and are consulted on every
@@ -258,6 +263,9 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 	name := tr.Local()
 	if _, ok := app.runtimes[name]; ok {
 		return nil, fmt.Errorf("dps: node %q already attached", name)
+	}
+	if err := app.declareSenderLocked(ft.NodeStream(name).Sender, name, sender{node: name}); err != nil {
+		return nil, err
 	}
 	rt := newRuntime(app, tr, len(app.nodeOrder))
 	app.runtimes[name] = rt
@@ -412,6 +420,9 @@ func (app *App) addCollection(tc *ThreadCollection) error {
 	defer app.mu.Unlock()
 	if _, ok := app.collections[tc.name]; ok {
 		return fmt.Errorf("dps: collection %q already exists", tc.name)
+	}
+	if err := app.declareSenderLocked(ft.StreamOf(tc.name, 0).Sender, tc.name, sender{tc: tc}); err != nil {
+		return err
 	}
 	app.collections[tc.name] = tc
 	return nil

@@ -3,6 +3,8 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+
+	"repro/internal/core/ft"
 )
 
 // Batch frame codec (Config.Batch; the batcher itself lives in link.go).
@@ -13,48 +15,36 @@ import (
 //	[msgBatch][flags]                       — flags is 0; a frame with any
 //	                                          bit set is refused
 //	body:
-//	  uvarint nstreams, nstreams × string   — FT sender-stream dictionary
 //	  uvarint nentries
 //	  per entry:
 //	    kind byte                           — a kind whose table row has an
 //	                                          entry function (kinds.go)
-//	    sequenced kinds only: uvarint streamIdx, uvarint seq
+//	    sequenced kinds only: the FT stamp — 16 bytes of sender stream,
+//	                                          uvarint seq (appendFTStamp)
 //	    uvarint bodyLen, bodyLen bytes      — the message body WITHOUT its
-//	                                          kind/stream/seq prefix
+//	                                          kind and stamp
 //
-// Folding the FT stream names into one per-frame dictionary (and the
-// per-entry stamp into two uvarints) is what collapses the sequenced
-// framing overhead: a stream name travels once per frame instead of once
-// per token. Entry bodies reuse the existing encodings byte for byte —
+// Entry bodies reuse the existing encodings byte for byte —
 // a token entry is appendEnvelopeBody + serialized payload, a group-end
 // entry is appendGroupEndBody — so a batch of N entries decodes to exactly
 // the same messages as N individual frames.
 
-// Hostile-input bounds: a decoder must not allocate proportionally to
-// claimed counts before validating them against the bytes present.
-const (
-	maxBatchStreams = 1 << 16
-	maxBatchEntries = 1 << 20
-)
+// maxBatchEntries bounds a claimed entry count before it is validated
+// against the bytes present.
+const maxBatchEntries = 1 << 20
 
 // batchEncoder accumulates entries of one batch frame. The zero value is
 // ready; reset() recycles it between flushes.
 type batchEncoder struct {
 	entries []byte // encoded entries section
-	streams []string
-	idx     map[string]int
-	n       int // entry count
-	tokens  int // token entries (stats: tokens per frame)
+	n       int    // entry count
+	tokens  int    // token entries (stats: tokens per frame)
 }
 
 func (be *batchEncoder) reset() {
 	be.entries = be.entries[:0]
-	be.streams = be.streams[:0]
 	be.n = 0
 	be.tokens = 0
-	for k := range be.idx {
-		delete(be.idx, k)
-	}
 }
 
 func (be *batchEncoder) empty() bool { return be.n == 0 }
@@ -62,33 +52,26 @@ func (be *batchEncoder) empty() bool { return be.n == 0 }
 // size approximates the frame size so the batcher can bound it.
 func (be *batchEncoder) size() int { return len(be.entries) }
 
-func (be *batchEncoder) streamIdx(stream string) int {
-	if be.idx == nil {
-		be.idx = make(map[string]int)
-	}
-	if i, ok := be.idx[stream]; ok {
-		return i
-	}
-	i := len(be.streams)
-	be.streams = append(be.streams, stream)
-	be.idx[stream] = i
-	return i
-}
-
-// add appends one entry. kind must be batchable; stream/seq are only
-// consulted for the sequenced kinds. body is copied.
-func (be *batchEncoder) add(kind byte, stream string, seq uint64, body []byte) {
-	be.entries = append(be.entries, kind)
-	if wireKinds[kind].sequenced {
-		be.entries = binary.AppendUvarint(be.entries, uint64(be.streamIdx(stream)))
-		be.entries = binary.AppendUvarint(be.entries, seq)
-	}
+// add appends one entry from the single frame of a batchable kind: head is
+// the frame's kind byte and, for a sequenced kind, its FT stamp; body is the
+// rest of the frame. Both are copied.
+func (be *batchEncoder) add(head, body []byte) {
+	be.entries = append(be.entries, head...)
 	be.entries = binary.AppendUvarint(be.entries, uint64(len(body)))
 	be.entries = append(be.entries, body...)
 	be.n++
-	if kind == msgToken || kind == msgTokenFT {
+	if head[0] == msgToken || head[0] == msgTokenFT {
 		be.tokens++
 	}
+}
+
+// entryHead is the length of a single frame's kind byte and, for a
+// sequenced kind, FT stamp: what its batch entry carries ahead of the body.
+func entryHead(frame []byte) int {
+	if wireKinds[frame[0]].sequenced {
+		return len(frame) - len(skipFTStamp(frame[1:]))
+	}
+	return 1
 }
 
 // appendFrame assembles the full wire frame into buf. The body assembles
@@ -96,10 +79,6 @@ func (be *batchEncoder) add(kind byte, stream string, seq uint64, body []byte) {
 // concatenated anywhere else first.
 func (be *batchEncoder) appendFrame(buf []byte) []byte {
 	buf = append(buf, msgBatch, 0)
-	buf = binary.AppendUvarint(buf, uint64(len(be.streams)))
-	for _, s := range be.streams {
-		buf = appendString(buf, s)
-	}
 	buf = binary.AppendUvarint(buf, uint64(be.n))
 	return append(buf, be.entries...)
 }
@@ -122,20 +101,7 @@ func decodeBatchFrame(b []byte) (body []byte, err error) {
 // fn once per entry in frame order. The entry body passed to fn aliases b.
 // Every claimed count and length is validated against the bytes actually
 // present before any allocation scales with it.
-func decodeBatch(b []byte, fn func(kind byte, stream string, seq uint64, body []byte) error) error {
-	nstreams, b, err := readUint64(b)
-	if err != nil {
-		return err
-	}
-	if nstreams > maxBatchStreams || nstreams > uint64(len(b)) {
-		return fmt.Errorf("dps: implausible batch stream count %d", nstreams)
-	}
-	streams := make([]string, nstreams)
-	for i := range streams {
-		if streams[i], b, err = readString(b); err != nil {
-			return err
-		}
-	}
+func decodeBatch(b []byte, fn func(kind byte, stream ft.Stream, seq uint64, body []byte) error) error {
 	nentries, b, err := readUint64(b)
 	if err != nil {
 		return err
@@ -149,23 +115,15 @@ func decodeBatch(b []byte, fn func(kind byte, stream string, seq uint64, body []
 		}
 		kind := b[0]
 		b = b[1:]
-		var stream string
+		var stream ft.Stream
 		var seq uint64
 		if wireKinds[kind].entry == nil {
 			return fmt.Errorf("dps: kind %d is not batchable", kind)
 		}
 		if wireKinds[kind].sequenced {
-			var idx uint64
-			if idx, b, err = readUint64(b); err != nil {
+			if stream, seq, b, err = readFTStamp(b); err != nil {
 				return err
 			}
-			if idx >= nstreams {
-				return fmt.Errorf("dps: batch stream index %d out of range", idx)
-			}
-			if seq, b, err = readUint64(b); err != nil {
-				return err
-			}
-			stream = streams[idx]
 		}
 		blen, rest, err := readUint64(b)
 		if err != nil {

@@ -9,6 +9,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/core/ft"
 )
 
 // randEnvelope builds an envelope with pseudorandom routing fields and a
@@ -36,26 +38,34 @@ func randEnvelope(rng *rand.Rand, payloadLen int) *envelope {
 
 type batchEntry struct {
 	kind   byte
-	stream string
+	stream ft.Stream
 	seq    uint64
 	env    *envelope
 	end    *groupEndMsg
 }
 
-// encodeBatchOf runs the entries through a batchEncoder exactly as the
-// link-layer batcher does.
+// encodeBatchOf runs the entries' single frames through a batchEncoder
+// exactly as the link-layer batcher does.
 func encodeBatchOf(entries []batchEntry) []byte {
 	var be batchEncoder
 	for _, e := range entries {
-		var body []byte
+		var frame []byte
 		switch e.kind {
-		case msgToken, msgTokenFT:
-			body = appendEnvelopeBody(nil, e.env)
-			body = append(body, e.env.Payload...)
-		case msgGroupEnd, msgGroupEndFT:
-			body = appendGroupEndBody(nil, e.end)
+		case msgToken:
+			frame = append(encodeEnvelopeHeader(e.env), e.env.Payload...)
+		case msgTokenFT:
+			env := *e.env
+			env.FTStream, env.FTSeq = e.stream, e.seq
+			frame = append(appendTokenFT(nil, &env), e.env.Payload...)
+		case msgGroupEnd:
+			frame = appendGroupEnd(nil, e.end)
+		case msgGroupEndFT:
+			end := *e.end
+			end.FTStream, end.FTSeq = e.stream, e.seq
+			frame = appendGroupEndFT(nil, &end)
 		}
-		be.add(e.kind, e.stream, e.seq, body)
+		n := entryHead(frame)
+		be.add(frame[:n], frame[n:])
 	}
 	return be.appendFrame(nil)
 }
@@ -69,7 +79,7 @@ func TestBatchRoundTripOracle(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		entries := make([]batchEntry, n)
 		for i := range entries {
-			e := batchEntry{stream: fmt.Sprintf("s%d", rng.Intn(3)), seq: rng.Uint64() >> 40}
+			e := batchEntry{stream: ft.Stream{Sender: 1 + uint64(rng.Intn(3)), In: rng.Uint64()}, seq: rng.Uint64() >> 40}
 			switch rng.Intn(4) {
 			case 0:
 				e.kind = msgToken
@@ -95,17 +105,17 @@ func TestBatchRoundTripOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		i := 0
-		err = decodeBatch(body, func(kind byte, stream string, seq uint64, entryBody []byte) error {
+		err = decodeBatch(body, func(kind byte, stream ft.Stream, seq uint64, entryBody []byte) error {
 			want := entries[i]
 			i++
 			if kind != want.kind {
 				return fmt.Errorf("entry %d: kind %d want %d", i-1, kind, want.kind)
 			}
+			if wireKinds[kind].sequenced && (stream != want.stream || seq != want.seq) {
+				return fmt.Errorf("entry %d: stamp (%v,%d) want (%v,%d)", i-1, stream, seq, want.stream, want.seq)
+			}
 			switch kind {
 			case msgToken, msgTokenFT:
-				if kind == msgTokenFT && (stream != want.stream || seq != want.seq) {
-					return fmt.Errorf("entry %d: stamp (%q,%d) want (%q,%d)", i-1, stream, seq, want.stream, want.seq)
-				}
 				// Oracle: the entry body must equal the single-frame encoding
 				// minus its prefix, and decode to the same envelope.
 				var single []byte
@@ -114,9 +124,7 @@ func TestBatchRoundTripOracle(t *testing.T) {
 					env.FTStream, env.FTSeq = want.stream, want.seq
 					single = appendTokenFT(nil, &env)
 					single = append(single, want.env.Payload...)
-					prefix := appendString([]byte{msgTokenFT}, want.stream)
-					prefix = appendUint64(prefix, want.seq)
-					single = single[len(prefix):]
+					single = single[len(appendFTStamp([]byte{msgTokenFT}, want.stream, want.seq)):]
 				} else {
 					single = encodeEnvelopeHeader(want.env)
 					single = append(single, want.env.Payload...)
@@ -163,42 +171,33 @@ func TestBatchDecodeHostile(t *testing.T) {
 	hostile := [][]byte{
 		{},     // empty frame
 		{0xff}, // unknown flags
-		// Giant claimed stream count with no bytes behind it.
+		// Giant claimed entry count with no bytes behind it.
 		binary.AppendUvarint(nil, 1<<40),
-		// Plausible stream count, truncated strings.
-		append(binary.AppendUvarint(nil, 3), 0x05, 'a'),
-		// Zero streams, giant entry count.
-		binary.AppendUvarint(binary.AppendUvarint(nil, 0), 1<<40),
 		// One entry claiming a body far past the frame end.
 		func() []byte {
-			b := binary.AppendUvarint(nil, 0) // no streams
-			b = binary.AppendUvarint(b, 1)    // one entry
+			b := binary.AppendUvarint(nil, 1) // one entry
 			b = append(b, msgToken)
 			b = binary.AppendUvarint(b, 1<<30) // body length lie
 			return append(b, 1, 2, 3)
 		}(),
-		// FT entry with out-of-range stream index.
+		// FT entry whose stamp stops inside the sender stream.
+		append(binary.AppendUvarint(nil, 1), msgTokenFT, 1, 2, 3),
+		// FT entry whose stamp stops inside the sequence number.
 		func() []byte {
 			b := binary.AppendUvarint(nil, 1)
-			b = appendString(b, "s")
-			b = binary.AppendUvarint(b, 1)
 			b = append(b, msgTokenFT)
-			b = binary.AppendUvarint(b, 9) // index 9 of 1
-			b = binary.AppendUvarint(b, 1)
-			b = binary.AppendUvarint(b, 0)
-			return b
+			b = append(b, make([]byte, 16)...)
+			return append(b, 0x80)
 		}(),
 		// Non-batchable kind inside a batch.
 		func() []byte {
-			b := binary.AppendUvarint(nil, 0)
-			b = binary.AppendUvarint(b, 1)
+			b := binary.AppendUvarint(nil, 1)
 			b = append(b, msgResult)
 			return binary.AppendUvarint(b, 0)
 		}(),
 		// Trailing garbage after the declared entries.
 		func() []byte {
 			b := binary.AppendUvarint(nil, 0)
-			b = binary.AppendUvarint(b, 0)
 			return append(b, 0xde, 0xad)
 		}(),
 	}
@@ -215,7 +214,7 @@ func TestBatchDecodeHostile(t *testing.T) {
 			}
 			continue
 		}
-		err := decodeBatch(h, func(byte, string, uint64, []byte) error { return nil })
+		err := decodeBatch(h, func(byte, ft.Stream, uint64, []byte) error { return nil })
 		if err == nil {
 			t.Errorf("case %d: hostile body accepted", i)
 		}

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/core/ft"
 	"repro/internal/core/place"
 )
 
@@ -88,6 +89,9 @@ func (tc *ThreadCollection) Map(spec string) error {
 func (tc *ThreadCollection) MapNodes(nodes ...string) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("dps: collection %q: empty mapping", tc.name)
+	}
+	if tc.app.ftOn && len(nodes) > 1<<ft.ThreadBits {
+		return fmt.Errorf("dps: collection %q: %d threads, over the %d a sender id can name", tc.name, len(nodes), 1<<ft.ThreadBits)
 	}
 	for _, n := range nodes {
 		if !tc.app.hasNode(n) {

@@ -196,3 +196,17 @@ func TestCtxSizeClass(t *testing.T) {
 		t.Fatalf("Ctx is %d bytes, over the 96-byte size class", size)
 	}
 }
+
+// TestEnvelopeSizeClass: an envelope fills its 352-byte size class and a
+// buffered token is 80 bytes, with or without fault tolerance, because a
+// sender stream is two words, no larger than the string it replaced. A
+// stream of {place.Key, uint64} padded them by 32 and 16 bytes, and raised
+// call_fan's alloc_bytes_per_op by 1.7 % (1 989 -> 2 023 B, two 6 s pairs).
+func TestEnvelopeSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(envelope{}); size > 352 {
+		t.Errorf("envelope is %d bytes, over the 352-byte size class", size)
+	}
+	if size := unsafe.Sizeof(bufferedToken{}); size > 80 {
+		t.Errorf("bufferedToken is %d bytes, over 80", size)
+	}
+}

@@ -45,15 +45,12 @@
 package ft
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/core/place"
+	"repro/internal/serial"
 )
 
 // Entry kinds: what the engine-encoded Bytes of a log entry contain.
@@ -68,8 +65,8 @@ const (
 // checkpoint of its destination covers it, replayable if the destination
 // node dies first.
 type Entry struct {
-	// Stream is the full (derived) sender stream the entry was sent on.
-	Stream string
+	// Stream is the derived sender stream the entry was sent on.
+	Stream Stream
 	// Dst is the destination thread instance.
 	Dst place.Key
 	// Seq is the entry's sequence number on the (Stream, Dst) pair.
@@ -81,7 +78,7 @@ type Entry struct {
 	// number there. They power regenerative checkpoints (SnapshotRegen) —
 	// knowing which input each retained output belongs to is what lets a
 	// checkpoint rewind its input cursors instead of shipping the log.
-	InStream string
+	InStream Stream
 	InSeq    uint64
 	// Kind says how to decode Bytes (EntryToken / EntryGroupEnd).
 	Kind byte
@@ -92,7 +89,7 @@ type Entry struct {
 // OutKey identifies one outbound cursor: a derived sender stream paired
 // with its destination instance.
 type OutKey struct {
-	Stream string
+	Stream Stream
 	Dst    place.Key
 }
 
@@ -105,10 +102,10 @@ type OutKey struct {
 // coordinates, tells a checkpoint which inputs it may safely promise to
 // re-execute instead of logging their outputs.
 type ChanMark struct {
-	// InStream is the input stream whose executions feed this channel
-	// ("" poisons the channel: conflicting or unattributed entries were
-	// appended, and regeneration must not trust it).
-	InStream string
+	// InStream is the input stream whose executions feed this channel (the
+	// zero Stream poisons the channel: conflicting or unattributed entries
+	// were appended, and regeneration must not trust it).
+	InStream Stream
 	// CutIn is the highest input sequence whose output on this channel has
 	// been cut from the log.
 	CutIn uint64
@@ -121,10 +118,10 @@ type ChanMark struct {
 // and retention, inbound duplicate filtering. The zero value is not usable;
 // create with NewState. All methods are safe for concurrent use.
 type State struct {
-	stream string
+	stream Stream
 
 	mu  sync.Mutex
-	in  map[string]uint64 // highest inbound seq processed, per sender stream
+	in  map[Stream]uint64 // highest inbound seq processed, per sender stream
 	out map[OutKey]uint64 // last outbound seq assigned, per (stream, destination)
 	log []Entry
 
@@ -134,27 +131,27 @@ type State struct {
 	// later regenerative rewind may go below, because upstream logs may
 	// already be cut to it.
 	chans   map[OutKey]ChanMark
-	shipped map[string]uint64
+	shipped map[Stream]uint64
 }
 
 // NewState creates the fault-tolerance state of a sender identified by
 // stream (see StreamOf / NodeStream).
-func NewState(stream string) *State {
+func NewState(stream Stream) *State {
 	return &State{
 		stream:  stream,
-		in:      make(map[string]uint64),
+		in:      make(map[Stream]uint64),
 		out:     make(map[OutKey]uint64),
 		chans:   make(map[OutKey]ChanMark),
-		shipped: make(map[string]uint64),
+		shipped: make(map[Stream]uint64),
 	}
 }
 
-// Stream returns the sender's base stream identity.
-func (s *State) Stream() string { return s.stream }
+// Stream returns the sender's base stream.
+func (s *State) Stream() Stream { return s.stream }
 
 // NextOut assigns the next outbound sequence number of stream toward dst.
 // stream is a derived stream of this sender (see DerivedStream).
-func (s *State) NextOut(stream string, dst place.Key) uint64 {
+func (s *State) NextOut(stream Stream, dst place.Key) uint64 {
 	k := OutKey{Stream: stream, Dst: dst}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -166,7 +163,7 @@ func (s *State) NextOut(stream string, dst place.Key) uint64 {
 // fresh, recording it if so. A false return means the message was already
 // processed (directly, or reflected through a restored checkpoint) and
 // must be dropped.
-func (s *State) CheckIn(stream string, seq uint64) bool {
+func (s *State) CheckIn(stream Stream, seq uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if seq <= s.in[stream] {
@@ -185,7 +182,7 @@ func (s *State) Append(e Entry) {
 	if !ok {
 		cm.InStream = e.InStream
 	} else if cm.InStream != e.InStream {
-		cm.InStream = "" // poisoned: regeneration must not trust the channel
+		cm.InStream = Stream{} // poisoned: regeneration must not trust the channel
 	}
 	s.chans[k] = cm
 	s.mu.Unlock()
@@ -195,7 +192,7 @@ func (s *State) Append(e Entry) {
 // numbers <= seq (they are covered by a committed checkpoint of dst, or
 // were consumed on a node that never restores). It returns the number of
 // entries dropped.
-func (s *State) Cut(stream string, dst place.Key, seq uint64) int {
+func (s *State) Cut(stream Stream, dst place.Key, seq uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := OutKey{Stream: stream, Dst: dst}
@@ -258,7 +255,7 @@ func (s *State) Snapshot() *Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	r := &Record{
-		In:  make(map[string]uint64, len(s.in)),
+		In:  make(map[Stream]uint64, len(s.in)),
 		Out: make(map[OutKey]uint64, len(s.out)),
 		Log: make([]Entry, len(s.log)),
 	}
@@ -282,7 +279,7 @@ func (s *State) fillMarks(r *Record) {
 	for k, v := range s.chans {
 		r.Chans[k] = v
 	}
-	r.Shipped = make(map[string]uint64, len(s.shipped))
+	r.Shipped = make(map[Stream]uint64, len(s.shipped))
 	for k, v := range s.shipped {
 		r.Shipped[k] = v
 	}
@@ -314,13 +311,13 @@ func (s *State) fillMarks(r *Record) {
 func (s *State) SnapshotRegen() (*Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rewound := make(map[string]uint64, len(s.in))
+	rewound := make(map[Stream]uint64, len(s.in))
 	for st, v := range s.in {
 		rewound[st] = v
 	}
 	for _, e := range s.log {
 		cm, ok := s.chans[OutKey{Stream: e.Stream, Dst: e.Dst}]
-		if !ok || cm.InStream == "" || e.InSeq == 0 {
+		if !ok || cm.InStream == (Stream{}) || e.InSeq == 0 {
 			return nil, false // unattributed output: cannot rewind past it
 		}
 		cur, ok := rewound[cm.InStream]
@@ -332,7 +329,7 @@ func (s *State) SnapshotRegen() (*Record, bool) {
 		}
 	}
 	for k, cm := range s.chans {
-		if cm.InStream == "" {
+		if cm.InStream == (Stream{}) {
 			return nil, false
 		}
 		S, ok := rewound[cm.InStream]
@@ -374,7 +371,7 @@ func (s *State) SnapshotRegen() (*Record, bool) {
 func (s *State) Restore(r *Record) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.in = make(map[string]uint64, len(r.In))
+	s.in = make(map[Stream]uint64, len(r.In))
 	s.out = make(map[OutKey]uint64, len(r.Out))
 	for k, v := range r.In {
 		s.in[k] = v
@@ -387,88 +384,93 @@ func (s *State) Restore(r *Record) {
 	for k, v := range r.Chans {
 		s.chans[k] = v
 	}
-	s.shipped = make(map[string]uint64, len(r.Shipped))
+	s.shipped = make(map[Stream]uint64, len(r.Shipped))
 	for k, v := range r.Shipped {
 		s.shipped[k] = v
 	}
 }
 
-// StreamOf names the base sender stream of a thread instance. Stream
-// identity is logical (collection and thread index), not physical: after a
-// failover the re-executed sends of a restored instance must collide with
-// the originals in every receiver's duplicate filter, wherever both ran.
-func StreamOf(collection string, thread int) string {
-	return fmt.Sprintf("i/%s/%d", collection, thread)
+// Stream is a sender stream: the unit the sequence numbers, the duplicate
+// filters and the retention log are keyed by. It is two words so that a
+// stamp costs no allocation and travels in fixed bytes.
+type Stream struct {
+	// Sender names the sending thread instance or node (StreamOf,
+	// NodeStream). It is logical, not physical: after a rehome or failover
+	// the re-executed sends of a restored instance must collide with the
+	// originals in every receiver's duplicate filter, wherever both ran.
+	Sender uint64
+	// In is the derivation (DerivedStream): zero for a base stream, else a
+	// hash of the input stream whose executions the stream carries.
+	In uint64
 }
 
-// NodeStream names the sender stream of a node's graph-call entry posts,
-// which originate from no thread instance.
-func NodeStream(node string) string { return "n/" + node }
+// ThreadBits is the width of the thread index held in the low bits of an
+// instance's Sender; the bits above it hash the collection's name. A node's
+// Sender hashes the node's name and has the low bits clear.
+const ThreadBits = 24
 
-// ParseInstStream splits a (possibly derived) instance stream back into
-// its collection and thread index, reporting ok=false for node streams
-// and malformed identities. The thread index is the suffix after the last
-// '/': collection names come from Go string literals and may themselves
-// contain slashes. This is the inverse of StreamOf and lives here so the
-// identity format has exactly one owner.
-func ParseInstStream(stream string) (coll string, thread int, ok bool) {
-	stream = BaseStream(stream)
-	if !strings.HasPrefix(stream, "i/") {
-		return "", 0, false
-	}
-	rest := stream[2:]
-	i := strings.LastIndexByte(rest, '/')
-	if i < 0 {
-		return "", 0, false
-	}
-	n, err := strconv.Atoi(rest[i+1:])
-	if err != nil {
-		return "", 0, false
-	}
-	return rest[:i], n, true
+const threadMask = 1<<ThreadBits - 1
+
+// StreamOf returns the base stream of a thread instance, which must be
+// below 1<<ThreadBits.
+func StreamOf(collection string, thread int) Stream {
+	return Stream{Sender: nameID('i', collection) | uint64(thread)}
 }
 
-// ParseNodeStream returns the node of a (possibly derived) node stream,
-// or ok=false for instance streams. The inverse of NodeStream.
-func ParseNodeStream(stream string) (node string, ok bool) {
-	stream = BaseStream(stream)
-	if !strings.HasPrefix(stream, "n/") {
-		return "", false
-	}
-	return stream[2:], true
+// NodeStream returns the stream of a node's graph-call entry posts, which
+// originate from no thread instance.
+func NodeStream(node string) Stream { return Stream{Sender: nameID('n', node)} }
+
+// SplitSender splits a Sender into its name part — StreamOf(collection,
+// 0).Sender or NodeStream(node).Sender, which an application resolves
+// through the table it fills as it declares them — and its thread index.
+func SplitSender(sender uint64) (name uint64, thread int) {
+	return sender &^ threadMask, int(sender & threadMask)
 }
 
-// streamSep separates a base stream from its derivation suffix. A control
-// character cannot appear in collection or node names (Go string literals
-// in practice), so the suffix is unambiguous.
-const streamSep = "\x1f"
+// nameID hashes a kind byte and a name (64-bit FNV-1a, then mixed) into the
+// bits above ThreadBits. It is never zero, so no Sender is.
+func nameID(kind byte, name string) uint64 {
+	h := uint64(14695981039346656037)
+	h = (h ^ uint64(kind)) * 1099511628211
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 1099511628211
+	}
+	if h = mix(h) &^ threadMask; h == 0 {
+		h = threadMask + 1
+	}
+	return h
+}
 
-// DerivedStream names the output stream of an instance executing an input
-// that arrived on inStream. Deriving the output stream from the input
-// stream is the layer's determinant: a restored instance re-executes each
-// input stream in sequence order, but the interleaving ACROSS streams is
-// not reproducible — per-(input-stream) output cursors make the
-// regenerated (sequence → content) binding independent of it. The suffix
-// is a hash, so identities stay short through deep pipelines.
-func DerivedStream(base, inStream string) string {
-	if inStream == "" {
+// mix is the 64-bit finalizer of MurmurHash3: a bijection that spreads
+// every input bit over the whole word.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// DerivedStream returns the output stream of an instance executing an input
+// that arrived on in (the zero Stream: an input that was not sequenced).
+// Deriving the output stream from the input stream is the layer's
+// determinant: a restored instance re-executes each input stream in
+// sequence order, but the interleaving ACROSS streams is not reproducible —
+// per-input-stream output cursors make the regenerated (sequence → content)
+// binding independent of it.
+func DerivedStream(base, in Stream) Stream {
+	if in == (Stream{}) {
 		return base
 	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(inStream))
-	return base + streamSep + strconv.FormatUint(h.Sum64(), 16)
-}
-
-// BaseStream strips a stream's derivation suffix, recovering the sending
-// instance's identity.
-func BaseStream(stream string) string {
-	if i := strings.Index(stream, streamSep); i >= 0 {
-		return stream[:i]
+	if base.In = mix(mix(in.Sender) ^ in.In); base.In == 0 {
+		base.In = 1
 	}
-	return stream
+	return base
 }
 
-// Record is one committed checkpoint of one thread instance.
+// Record is one committed checkpoint of one thread instance. Its wire form
+// is the serial codec's (AppendRecord, DecodeRecord).
 type Record struct {
 	// Key identifies the instance.
 	Key place.Key
@@ -481,222 +483,41 @@ type Record struct {
 	// In / Out / Log are the State snapshot (see State.Snapshot). A
 	// regenerative record (SnapshotRegen) carries rewound In cursors and an
 	// empty Log.
-	In  map[string]uint64
+	In  map[Stream]uint64
 	Out map[OutKey]uint64
 	Log []Entry
 	// Chans / Shipped are the regeneration watermarks, restored verbatim so
 	// a recovered instance keeps taking regenerative checkpoints.
 	Chans   map[OutKey]ChanMark
-	Shipped map[string]uint64
+	Shipped map[Stream]uint64
 }
 
-// Encode appends the record's wire form to b.
-func (r *Record) Encode(b []byte) []byte {
-	b = appendString(b, r.Key.Collection)
-	b = binary.AppendVarint(b, int64(r.Key.Thread))
-	b = binary.AppendUvarint(b, r.Seq)
-	b = appendBytes(b, r.State)
+// records is the registry records are encoded with, holding Record alone.
+var records = func() *serial.Registry {
+	r := serial.NewRegistry()
+	if err := serial.Register[Record](r); err != nil {
+		panic(err)
+	}
+	return r
+}()
 
-	b = binary.AppendUvarint(b, uint64(len(r.In)))
-	for _, k := range sortedStrings(r.In) {
-		b = appendString(b, k)
-		b = binary.AppendUvarint(b, r.In[k])
-	}
-	b = binary.AppendUvarint(b, uint64(len(r.Out)))
-	for _, k := range sortedOutKeys(r.Out) {
-		b = appendString(b, k.Stream)
-		b = appendString(b, k.Dst.Collection)
-		b = binary.AppendVarint(b, int64(k.Dst.Thread))
-		b = binary.AppendUvarint(b, r.Out[k])
-	}
-	b = binary.AppendUvarint(b, uint64(len(r.Log)))
-	for _, e := range r.Log {
-		b = appendString(b, e.Stream)
-		b = appendString(b, e.Dst.Collection)
-		b = binary.AppendVarint(b, int64(e.Dst.Thread))
-		b = binary.AppendUvarint(b, e.Seq)
-		b = binary.AppendUvarint(b, e.CallID)
-		b = appendString(b, e.InStream)
-		b = binary.AppendUvarint(b, e.InSeq)
-		b = append(b, e.Kind)
-		b = appendBytes(b, e.Bytes)
-	}
-	b = binary.AppendUvarint(b, uint64(len(r.Chans)))
-	for _, k := range sortedChanKeys(r.Chans) {
-		cm := r.Chans[k]
-		b = appendString(b, k.Stream)
-		b = appendString(b, k.Dst.Collection)
-		b = binary.AppendVarint(b, int64(k.Dst.Thread))
-		b = appendString(b, cm.InStream)
-		b = binary.AppendUvarint(b, cm.CutIn)
-		b = binary.AppendUvarint(b, cm.CutOut)
-	}
-	b = binary.AppendUvarint(b, uint64(len(r.Shipped)))
-	for _, k := range sortedStrings(r.Shipped) {
-		b = appendString(b, k)
-		b = binary.AppendUvarint(b, r.Shipped[k])
+// AppendRecord appends r's wire form to b.
+func AppendRecord(b []byte, r *Record) []byte {
+	b, err := records.Append(b, r)
+	if err != nil {
+		panic(err) // Record is registered, and r is not nil
 	}
 	return b
 }
 
-// maxRecordItems rejects hostile length claims while decoding.
-const maxRecordItems = 1 << 24
-
-// DecodeRecord parses a record. Returned byte slices are copies; the
-// caller may recycle b.
+// DecodeRecord parses a record from the start of b. Returned byte slices
+// are copies; the caller may recycle b.
 func DecodeRecord(b []byte) (*Record, error) {
-	r := &Record{}
-	var err error
-	var n int64
-	if r.Key.Collection, b, err = readString(b); err != nil {
-		return nil, err
+	v, _, err := records.Unmarshal(b)
+	if err != nil {
+		return nil, fmt.Errorf("ft: bad record: %w", err)
 	}
-	if n, b, err = readVarint(b); err != nil {
-		return nil, err
-	}
-	r.Key.Thread = int(n)
-	var u uint64
-	if u, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	r.Seq = u
-	if r.State, b, err = readBytes(b); err != nil {
-		return nil, err
-	}
-
-	if u, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if u > maxRecordItems {
-		return nil, fmt.Errorf("ft: implausible map size %d", u)
-	}
-	r.In = make(map[string]uint64, u)
-	for i := uint64(0); i < u; i++ {
-		var k string
-		var v uint64
-		if k, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if v, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		r.In[k] = v
-	}
-	if u, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if u > maxRecordItems {
-		return nil, fmt.Errorf("ft: implausible map size %d", u)
-	}
-	r.Out = make(map[OutKey]uint64, u)
-	for i := uint64(0); i < u; i++ {
-		var k OutKey
-		var v uint64
-		if k.Stream, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if k.Dst.Collection, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if n, b, err = readVarint(b); err != nil {
-			return nil, err
-		}
-		k.Dst.Thread = int(n)
-		if v, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		r.Out[k] = v
-	}
-	if u, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if u > maxRecordItems {
-		return nil, fmt.Errorf("ft: implausible log size %d", u)
-	}
-	r.Log = make([]Entry, 0, min(int(u), 4096))
-	for i := uint64(0); i < u; i++ {
-		var e Entry
-		if e.Stream, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if e.Dst.Collection, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if n, b, err = readVarint(b); err != nil {
-			return nil, err
-		}
-		e.Dst.Thread = int(n)
-		if e.Seq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if e.CallID, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if e.InStream, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if e.InSeq, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if len(b) < 1 {
-			return nil, fmt.Errorf("ft: truncated entry kind")
-		}
-		e.Kind, b = b[0], b[1:]
-		if e.Bytes, b, err = readBytes(b); err != nil {
-			return nil, err
-		}
-		r.Log = append(r.Log, e)
-	}
-	if u, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if u > maxRecordItems {
-		return nil, fmt.Errorf("ft: implausible map size %d", u)
-	}
-	r.Chans = make(map[OutKey]ChanMark, u)
-	for i := uint64(0); i < u; i++ {
-		var k OutKey
-		var cm ChanMark
-		if k.Stream, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if k.Dst.Collection, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if n, b, err = readVarint(b); err != nil {
-			return nil, err
-		}
-		k.Dst.Thread = int(n)
-		if cm.InStream, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if cm.CutIn, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		if cm.CutOut, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		r.Chans[k] = cm
-	}
-	if u, b, err = readUvarint(b); err != nil {
-		return nil, err
-	}
-	if u > maxRecordItems {
-		return nil, fmt.Errorf("ft: implausible map size %d", u)
-	}
-	r.Shipped = make(map[string]uint64, u)
-	for i := uint64(0); i < u; i++ {
-		var k string
-		var v uint64
-		if k, b, err = readString(b); err != nil {
-			return nil, err
-		}
-		if v, b, err = readUvarint(b); err != nil {
-			return nil, err
-		}
-		r.Shipped[k] = v
-	}
-	return r, nil
+	return v.(*Record), nil
 }
 
 // Store holds the committed checkpoints of an application, one latest
@@ -776,92 +597,4 @@ func (d *Detector) Dead() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// --- encoding helpers -----------------------------------------------------
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
-func readString(b []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", nil, fmt.Errorf("ft: truncated string")
-	}
-	return string(b[n : n+int(l)]), b[n+int(l):], nil
-}
-
-func appendBytes(b, p []byte) []byte {
-	b = binary.AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
-func readBytes(b []byte) ([]byte, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return nil, nil, fmt.Errorf("ft: truncated bytes")
-	}
-	if l == 0 {
-		return nil, b[n:], nil
-	}
-	out := make([]byte, l)
-	copy(out, b[n:n+int(l)])
-	return out, b[n+int(l):], nil
-}
-
-func readVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("ft: truncated varint")
-	}
-	return v, b[n:], nil
-}
-
-func readUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("ft: truncated uvarint")
-	}
-	return v, b[n:], nil
-}
-
-func sortedStrings(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedOutKeys(m map[OutKey]uint64) []OutKey {
-	out := make([]OutKey, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortOutKeys(out)
-	return out
-}
-
-func sortedChanKeys(m map[OutKey]ChanMark) []OutKey {
-	out := make([]OutKey, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sortOutKeys(out)
-	return out
-}
-
-func sortOutKeys(out []OutKey) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stream != out[j].Stream {
-			return out[i].Stream < out[j].Stream
-		}
-		if out[i].Dst.Collection != out[j].Dst.Collection {
-			return out[i].Dst.Collection < out[j].Dst.Collection
-		}
-		return out[i].Dst.Thread < out[j].Dst.Thread
-	})
 }

@@ -1,7 +1,9 @@
 package ft
 
 import (
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core/place"
@@ -9,10 +11,13 @@ import (
 
 func key(c string, t int) place.Key { return place.Key{Collection: c, Thread: t} }
 
+// Input streams of the tests: senders no test State owns.
+var up, other = NodeStream("up"), NodeStream("other")
+
 func TestSeqAssignmentAndPrefixFilter(t *testing.T) {
 	s := NewState(StreamOf("workers", 3))
 	a, b := key("workers", 0), key("workers", 1)
-	st := DerivedStream(s.Stream(), "n/m")
+	st := DerivedStream(s.Stream(), NodeStream("m"))
 	if got := s.NextOut(st, a); got != 1 {
 		t.Fatalf("first seq = %d", got)
 	}
@@ -37,7 +42,7 @@ func TestSeqAssignmentAndPrefixFilter(t *testing.T) {
 	if !r.CheckIn(st, 4) {
 		t.Fatal("next fresh seq filtered")
 	}
-	if !r.CheckIn("other-stream", 1) {
+	if !r.CheckIn(other, 1) {
 		t.Fatal("streams must be independent")
 	}
 }
@@ -45,8 +50,8 @@ func TestSeqAssignmentAndPrefixFilter(t *testing.T) {
 func TestLogRetentionCutAndReplayOrder(t *testing.T) {
 	s := NewState(StreamOf("w", 0))
 	a := key("c", 1)
-	s1 := DerivedStream(s.Stream(), "in1")
-	s2 := DerivedStream(s.Stream(), "in2")
+	s1 := DerivedStream(s.Stream(), NodeStream("in1"))
+	s2 := DerivedStream(s.Stream(), NodeStream("in2"))
 	// Interleave two derived streams toward one destination.
 	s.Append(Entry{Stream: s1, Dst: a, Seq: 1, Kind: EntryToken})
 	s.Append(Entry{Stream: s2, Dst: a, Seq: 1, Kind: EntryToken})
@@ -63,7 +68,7 @@ func TestLogRetentionCutAndReplayOrder(t *testing.T) {
 	}
 	got := s.EntriesTo(a)
 	want := []struct {
-		stream string
+		stream Stream
 		seq    uint64
 	}{{s2, 1}, {s2, 2}, {s1, 3}}
 	if len(got) != len(want) {
@@ -71,7 +76,7 @@ func TestLogRetentionCutAndReplayOrder(t *testing.T) {
 	}
 	for i, w := range want {
 		if got[i].Stream != w.stream || got[i].Seq != w.seq {
-			t.Fatalf("entry %d = (%q, %d), want (%q, %d) — replay must keep send order",
+			t.Fatalf("entry %d = (%v, %d), want (%v, %d) — replay must keep send order",
 				i, got[i].Stream, got[i].Seq, w.stream, w.seq)
 		}
 	}
@@ -84,10 +89,10 @@ func TestLogRetentionCutAndReplayOrder(t *testing.T) {
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	s := NewState(StreamOf("w", 2))
 	a := key("c", 0)
-	st := DerivedStream(s.Stream(), "n/m")
+	st := DerivedStream(s.Stream(), NodeStream("m"))
 	s.NextOut(st, a)
 	s.NextOut(st, a)
-	s.CheckIn("up", 7)
+	s.CheckIn(up, 7)
 	s.Append(Entry{Stream: st, Dst: a, Seq: 1, CallID: 42, Kind: EntryToken, Bytes: []byte{1, 2, 3}})
 
 	rec := s.Snapshot()
@@ -96,7 +101,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	rec.State = []byte("state")
 
 	// Wire round trip.
-	dec, err := DecodeRecord(rec.Encode(nil))
+	dec, err := DecodeRecord(AppendRecord(nil, rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if got := r2.NextOut(st, a); got != 3 {
 		t.Fatalf("restored counter continues at %d, want 3", got)
 	}
-	if r2.CheckIn("up", 7) {
+	if r2.CheckIn(up, 7) {
 		t.Fatal("restored filter forgot a processed seq")
 	}
 	if got := r2.EntriesTo(a); len(got) != 1 || got[0].CallID != 42 || string(got[0].Bytes) != "\x01\x02\x03" {
@@ -118,22 +123,90 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// fullRecord is a checkpoint with every section filled: a cursor, a
+// counter, a retained entry with its attribution, a channel mark, a floor.
+func fullRecord() *Record {
+	s := NewState(StreamOf("w", 2))
+	a := key("c", 0)
+	st := DerivedStream(s.Stream(), up)
+	s.CheckIn(up, 1)
+	s.Append(Entry{Stream: st, Dst: a, Seq: s.NextOut(st, a), CallID: 42, InStream: up, InSeq: 1, Kind: EntryToken, Bytes: []byte{1, 2, 3}})
+	rec := s.Snapshot()
+	rec.Key, rec.Seq, rec.State = key("w", 2), 9, []byte("state")
+	return rec
+}
+
+// regenRecord is a regenerative checkpoint: cursors and marks, no log.
+func regenRecord() *Record {
+	s := NewState(StreamOf("w", 1))
+	a := key("c", 2)
+	st := DerivedStream(s.Stream(), up)
+	s.CheckIn(up, 1)
+	s.Append(Entry{Stream: st, Dst: a, Seq: s.NextOut(st, a), InStream: up, InSeq: 1, Kind: EntryToken})
+	s.Cut(st, a, 1)
+	rec, ok := s.SnapshotRegen()
+	if !ok {
+		panic("regenerative snapshot refused")
+	}
+	rec.Key, rec.Seq = key("w", 1), 4
+	return rec
+}
+
+// TestDecodeRecordHostile: a record cut anywhere short of its end is
+// rejected, and a length claim far past the bytes present fails before
+// anything is allocated for it.
 func TestDecodeRecordHostile(t *testing.T) {
-	rec := &Record{Key: key("c", 1), Seq: 3, In: map[string]uint64{"s": 1}}
-	full := rec.Encode(nil)
+	full := AppendRecord(nil, fullRecord())
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := DecodeRecord(full[:cut]); err == nil && cut < len(full)-1 {
-			// Some prefixes can decode if the cut lands between optional
-			// trailing sections; a crash is the only unacceptable outcome.
-			continue
+		if _, err := DecodeRecord(full[:cut]); err == nil {
+			t.Errorf("the first %d of a record's %d bytes decoded", cut, len(full))
 		}
 	}
-	// A hostile length claim must not allocate unboundedly.
-	hostile := append([]byte(nil), full...)
-	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f)
-	if _, err := DecodeRecord(hostile); err == nil {
-		t.Log("trailing garbage accepted (tolerated: decoder stops at the log)")
+	// Cut each record just behind the presence byte of its log or of its
+	// shipped floors (a nil map is one byte), then claim 2^40 entries.
+	emptyLog := AppendRecord(nil, &Record{Key: key("c", 1), Log: []Entry{}})
+	emptyShipped := AppendRecord(nil, &Record{Key: key("c", 1), Shipped: map[Stream]uint64{}})
+	for name, prefix := range map[string][]byte{
+		"log":     emptyLog[:len(emptyLog)-3],
+		"shipped": emptyShipped[:len(emptyShipped)-1],
+	} {
+		if prefix[len(prefix)-1] != 1 {
+			t.Fatalf("%s: the prefix does not end at a presence byte: % x", name, prefix)
+		}
+		hostile := binary.AppendUvarint(append([]byte(nil), prefix...), 1<<40)
+		hostile = append(hostile, make([]byte, 16)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeRecord(hostile)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: a claim of 2^40 entries in %d bytes decoded", name, len(hostile))
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 64<<10 {
+			t.Errorf("%s: decoding a %d-byte hostile record allocated %d bytes", name, len(hostile), grew)
+		}
 	}
+}
+
+// FuzzDecodeRecord: no input panics the decoder, and every record it
+// accepts re-encodes to bytes that decode to an equal record.
+func FuzzDecodeRecord(f *testing.F) {
+	f.Add(AppendRecord(nil, fullRecord()))
+	f.Add(AppendRecord(nil, regenRecord()))
+	f.Add(AppendRecord(nil, &Record{}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		rec, err := DecodeRecord(b)
+		if err != nil {
+			return
+		}
+		again, err := DecodeRecord(AppendRecord(nil, rec))
+		if err != nil {
+			t.Fatalf("an accepted record re-encodes to bytes that fail: %v", err)
+		}
+		if !reflect.DeepEqual(rec, again) {
+			t.Fatalf("re-encoded record differs:\n got %+v\nwant %+v", again, rec)
+		}
+	})
 }
 
 func TestStoreCommitOrdering(t *testing.T) {
@@ -184,24 +257,32 @@ func TestDetectorFoldsReports(t *testing.T) {
 
 func TestDerivedStreamProperties(t *testing.T) {
 	base := StreamOf("workers", 1)
-	d1 := DerivedStream(base, "i/main/0")
-	d2 := DerivedStream(base, "i/main/1")
+	d1 := DerivedStream(base, StreamOf("main", 0))
+	d2 := DerivedStream(base, StreamOf("main", 1))
 	if d1 == d2 {
 		t.Fatal("distinct inputs must derive distinct streams")
 	}
-	if d1 != DerivedStream(base, "i/main/0") {
+	if d1 != DerivedStream(base, StreamOf("main", 0)) {
 		t.Fatal("derivation must be deterministic")
 	}
-	if BaseStream(d1) != base || BaseStream(base) != base {
-		t.Fatalf("base recovery failed: %q", BaseStream(d1))
+	if d1.Sender != base.Sender || d1.In == 0 {
+		t.Fatalf("a derived stream keeps its sender and differs from the base: %+v of %+v", d1, base)
 	}
-	if DerivedStream(base, "") != base {
-		t.Fatal("empty input stream must keep the base identity")
+	if DerivedStream(base, Stream{}) != base {
+		t.Fatal("an unsequenced input must keep the base stream")
 	}
-	// Nested derivation stays bounded: deriving from a derived stream
-	// appends one suffix to the base each hop but hashes the whole input.
-	d3 := DerivedStream(StreamOf("next", 0), d1)
-	if BaseStream(d3) != StreamOf("next", 0) {
-		t.Fatalf("nested base recovery failed: %q", d3)
+	// Nested derivation stays two words but hashes the whole input stream,
+	// its derivation included.
+	next := StreamOf("next", 0)
+	if d3 := DerivedStream(next, d1); d3.Sender != next.Sender || d3 == DerivedStream(next, base) {
+		t.Fatalf("nested derivation lost its sender or the input's derivation: %+v", d3)
+	}
+	// A sender resolves to its name and thread; a node never shares an
+	// instance's sender.
+	if name, thread := SplitSender(base.Sender); name != StreamOf("workers", 0).Sender || thread != 1 {
+		t.Fatalf("SplitSender(%#x) = %#x, %d", base.Sender, name, thread)
+	}
+	if NodeStream("workers") == StreamOf("workers", 0) {
+		t.Fatal("a node and a collection of one name share a sender")
 	}
 }

@@ -122,7 +122,7 @@ func (rt *Runtime) ftOutbound(env *envelope, coll string, thread int) {
 	dst := place.Key{Collection: coll, Thread: thread}
 	inStream, inSeq := env.ftInStream, env.ftInSeq
 	env.FTStream = ft.DerivedStream(s.Stream(), inStream)
-	env.ftInStream = ""
+	env.ftInStream = ft.Stream{}
 	env.ftInSeq = 0
 	env.FTSeq = s.NextOut(env.FTStream, dst)
 	var buf []byte
@@ -146,7 +146,7 @@ func (rt *Runtime) ftOutbound(env *envelope, coll string, thread int) {
 
 // ftOutboundGroupEnd stamps and retains a group-end announcement on the
 // opener's derived stream, behind the group's tokens.
-func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream string, inSeq uint64, coll string, thread int) {
+func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream ft.Stream, inSeq uint64, coll string, thread int) {
 	if s == nil {
 		return
 	}
@@ -157,32 +157,34 @@ func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream stri
 		InStream: inStream, InSeq: inSeq, Kind: ft.EntryGroupEnd, Bytes: appendGroupEndFT(nil, m)})
 }
 
-// ftStateFor resolves the local owner of a sender stream: a thread
-// instance's state, or the runtime's node-level state for graph-call entry
-// streams. It returns nil when the stream's instance is not hosted here
-// (it migrated away; the cut is stale and harmlessly dropped).
-func (rt *Runtime) ftStateFor(stream string) *ft.State {
-	if node, ok := ft.ParseNodeStream(stream); ok {
-		if node == rt.name {
+// ftStateFor resolves the local owner of a sender: a thread instance's
+// state, or the runtime's node-level state for graph-call entry streams. It
+// returns nil when the sender is not hosted here (its instance migrated
+// away, or the id names nothing this application declared).
+func (rt *Runtime) ftStateFor(id uint64) *ft.State {
+	s, thread, ok := rt.app.resolveSender(id)
+	switch {
+	case !ok:
+		return nil
+	case s.tc == nil:
+		if s.node == rt.name {
 			return rt.ftNode
 		}
 		return nil
 	}
-	coll, idx, ok := ft.ParseInstStream(stream)
-	if !ok {
-		return nil
+	if inst := rt.lookupInstance(instKey{collection: s.tc.Name(), index: thread}); inst != nil {
+		return inst.ft
 	}
-	inst := rt.lookupInstance(instKey{collection: coll, index: idx})
-	if inst == nil {
-		return nil
-	}
-	return inst.ft
+	return nil
 }
 
-// applyCut truncates the addressed sender log.
+// applyCut truncates the addressed sender log. A cut whose sender is not
+// hosted here is stale (the sender moved on) and is dropped.
 func (rt *Runtime) applyCut(m cutMsg) {
-	if s := rt.ftStateFor(m.Stream); s != nil {
+	if s := rt.ftStateFor(m.Stream.Sender); s != nil {
 		s.Cut(m.Stream, place.Key{Collection: m.DstCollection, Thread: m.DstThread}, m.Seq)
+	} else {
+		atomic.AddInt64(&rt.stats.CutsStale, 1)
 	}
 }
 
@@ -195,21 +197,50 @@ func (rt *Runtime) ftConsumed(bt bufferedToken, inst *threadInstance) {
 	if !rt.app.ftOn || bt.ftSeq == 0 || rt.name != rt.app.MasterNode() {
 		return
 	}
-	if node := rt.ftStreamNode(bt.ftStream); node != "" {
+	if node := rt.ftSenderNode(bt.ftStream.Sender); node != "" {
 		rt.lnk.sendCut(node, cutMsg{Stream: bt.ftStream, DstCollection: inst.tc.Name(), DstThread: inst.index, Seq: bt.ftSeq})
 	}
 }
 
-// ftStreamNode resolves the node currently hosting a sender stream.
-func (rt *Runtime) ftStreamNode(stream string) string {
-	if node, ok := ft.ParseNodeStream(stream); ok {
-		return node
+// ftSenderNode resolves the node currently hosting a sender, or "".
+func (rt *Runtime) ftSenderNode(id uint64) string {
+	s, thread, ok := rt.app.resolveSender(id)
+	if !ok || s.tc == nil {
+		return s.node
 	}
-	coll, idx, ok := ft.ParseInstStream(stream)
-	if !ok {
-		return ""
+	node, _ := s.tc.NodeOf(thread)
+	return node
+}
+
+// sender is what the name part of a sender id stands for: a thread
+// collection, or with tc nil the node named node.
+type sender struct {
+	tc   *ThreadCollection
+	node string
+}
+
+// declareSenderLocked enters the sender id of a node or collection being
+// declared as name into the table resolveSender reads, refusing one whose
+// hash an earlier name already holds; the caller holds app.mu.
+func (app *App) declareSenderLocked(id uint64, name string, s sender) error {
+	if !app.ftOn {
+		return nil
 	}
-	return rt.app.nodeOf(place.Key{Collection: coll, Thread: idx})
+	if _, ok := app.senders[id]; ok {
+		return fmt.Errorf("dps: %q shares a fault-tolerance sender id with an earlier name; rename it", name)
+	}
+	app.senders[id] = s
+	return nil
+}
+
+// resolveSender returns what a sender id names and its thread index; ok is
+// false for an id nothing declared.
+func (app *App) resolveSender(id uint64) (s sender, thread int, ok bool) {
+	name, thread := ft.SplitSender(id)
+	app.mu.Lock()
+	s, ok = app.senders[name]
+	app.mu.Unlock()
+	return s, thread, ok && (s.tc != nil || thread == 0)
 }
 
 // nodeOf returns the node hosting a thread, or "" for an unknown one.
@@ -319,7 +350,7 @@ func (rt *Runtime) commitCheckpoint(rec *ft.Record) {
 		return
 	}
 	for stream, last := range rec.In {
-		if node := rt.ftStreamNode(stream); node != "" {
+		if node := rt.ftSenderNode(stream.Sender); node != "" {
 			rt.lnk.sendCut(node, cutMsg{Stream: stream, DstCollection: rec.Key.Collection, DstThread: rec.Key.Thread, Seq: last})
 		}
 	}
@@ -512,8 +543,8 @@ func mergeReplayEntries(live []*Runtime, key place.Key) []ft.Entry {
 			}
 		}
 		rt.mu.Unlock()
-		perStream := make(map[string][]ft.Entry)
-		var order []string
+		perStream := make(map[ft.Stream][]ft.Entry)
+		var order []ft.Stream
 		for _, s := range states {
 			if s == nil {
 				continue
@@ -594,7 +625,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 		env.Payload = nil // aliases e.Bytes, which the log still owns
 		env.TraceID = traceID
 		if traceID != 0 {
-			rt.traceSpan(traceID, "replay", e.Stream, time.Now().UnixNano(), 0)
+			rt.traceSpan(traceID, "replay", e.Dst.Collection, time.Now().UnixNano(), 0)
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
 		rt.lnk.sendToken(env, to, place.Direct, txSend)

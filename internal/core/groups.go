@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core/flowctl"
+	"repro/internal/core/ft"
 	"repro/internal/core/place"
 	"repro/internal/core/sched"
 )
@@ -134,7 +135,7 @@ type bufferedToken struct {
 	// ftStream / ftSeq carry the token's sender-stream identity when fault
 	// tolerance is enabled, so consumption on the master node can truncate
 	// the sender's retention log (the ack-driven GC hook).
-	ftStream string
+	ftStream ft.Stream
 	ftSeq    uint64
 }
 
@@ -392,6 +393,7 @@ func (rt *Runtime) applyGroupEnd(node *GraphNode, m *groupEndMsg) {
 		return
 	}
 	if m.FTSeq > 0 && inst.ft != nil && !inst.ft.CheckIn(m.FTStream, m.FTSeq) {
+		atomic.AddInt64(&rt.stats.DuplicatesDropped, 1)
 		return
 	}
 	mg := inst.mergeGroup(m.GroupID, m.CallID)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/race"
 	"repro/internal/serial"
@@ -68,13 +69,21 @@ func TestHopAllocationBudget(t *testing.T) {
 	if err := serial.Register[hopTok](reg); err != nil {
 		t.Fatal(err)
 	}
-	app, err := NewLocalApp(Config{ForceSerialize: true, Registry: reg}, "a", "b", "c")
-	if err != nil {
-		t.Fatal(err)
+	newApp := func(cfg Config) *App {
+		app, err := NewLocalApp(cfg, "a", "b", "c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(app.Close)
+		return app
 	}
-	t.Cleanup(app.Close)
+	plain := newApp(Config{ForceSerialize: true, Registry: reg})
+	// Fault tolerance on, with a checkpoint interval no run of the test
+	// reaches: every hop is sequenced and retained, and no checkpoint's own
+	// objects land in the count.
+	sequenced := newApp(Config{ForceSerialize: true, Registry: reg, Checkpoint: time.Hour})
 	in := &hopTok{N: 7}
-	perCall := func(leaves, parts int) float64 {
+	perCall := func(app *App, leaves, parts int) float64 {
 		g := hopGraph(t, app, leaves, parts)
 		call := func() {
 			if out, err := g.Call(context.Background(), in); err != nil || out.(*hopTok).N != 0 {
@@ -86,20 +95,23 @@ func TestHopAllocationBudget(t *testing.T) {
 		}
 		return testing.AllocsPerRun(200, call)
 	}
-	base := perCall(1, 1)
-	t.Logf("a call of split, one leaf, merge allocates %.0f objects", base)
+	base := map[*App]float64{plain: perCall(plain, 1, 1), sequenced: perCall(sequenced, 1, 1)}
+	t.Logf("a call of split, one leaf, merge allocates %.0f objects, %.1f with fault tolerance on", base[plain], base[sequenced])
 	for _, c := range []struct {
 		hop           string
+		app           *App
 		leaves, parts int
 		want          float64
 		what          string
 	}{
-		{"leaf", 2, 1, 2, "the decoded token and the execution's Ctx"},
-		{"split post + leaf + merge consume", 1, 2, 3,
+		{"leaf", plain, 2, 1, 2, "the decoded token and the execution's Ctx"},
+		{"split post + leaf + merge consume", plain, 1, 2, 3,
 			"a leaf hop and the token decoded at the merge; the group's buffer, where the second token of a group is the first to wait, starts from the array the merge instance's previous group handed down"},
+		{"sequenced leaf", sequenced, 2, 1, 6,
+			"a leaf hop, and the retained copy of the sequenced frame, which appendTokenFT builds outside the wire pool in one allocation and three growths; the stream stamp itself allocates nothing"},
 	} {
-		if got := perCall(c.leaves, c.parts) - base; got != c.want {
-			t.Errorf("one more %s hop allocates %.0f objects, want %.0f: %s", c.hop, got, c.want, c.what)
+		if got := perCall(c.app, c.leaves, c.parts) - base[c.app]; got != c.want {
+			t.Errorf("one more %s hop allocates %.2f objects, want %.0f: %s", c.hop, got, c.want, c.what)
 		}
 	}
 }

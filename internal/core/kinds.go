@@ -52,11 +52,11 @@ type wireKind struct {
 	recv     func(l *link, src string, frame []byte) error
 	recycles bool
 	// entry, set exactly for the kinds that may ride in a batch frame,
-	// receives one batch entry: the message body without its kind byte and
-	// stamp, which the frame header and stream dictionary carry.
-	entry func(l *link, src, stream string, seq uint64, body []byte) error
-	// sequenced marks the fault-tolerance framings, whose body follows a
-	// sender stream + sequence number stamp.
+	// receives one batch entry: the message body, and the stamp the entry
+	// carries ahead of it.
+	entry func(l *link, src string, stream ft.Stream, seq uint64, body []byte) error
+	// sequenced marks the fault-tolerance framings, whose body follows an
+	// FT stamp: sender stream and sequence number (appendFTStamp).
 	sequenced bool
 	span      spanRule
 	why       string

@@ -296,23 +296,18 @@ func (l *link) preSend(dst string) *batcher {
 }
 
 // coalesce offers the single frame of a token or group-end to dst's pending
-// batch; stream and seq are the frame's fault-tolerance stamp. The entry is
-// the frame minus its kind byte and stamp — those fold into the batch
-// header and stream dictionary — so a batch of N entries decodes to exactly
-// the messages N singles would. A body too large to gain from coalescing is
-// refused (bulk bypass): the caller transmits the frame alone, in order
-// behind the pending batch like any other.
-func (l *link) coalesce(dst string, frame []byte, stream string, seq uint64) bool {
-	body := frame[1:]
-	if wireKinds[frame[0]].sequenced {
-		body = skipFTStamp(body)
-	}
-	if len(body) >= l.batchLarge {
+// batch, where it becomes one entry (batchEncoder.add), so a batch of N
+// entries decodes to exactly the messages N singles would. A body too large
+// to gain from coalescing is refused (bulk bypass): the caller transmits the
+// frame alone, in order behind the pending batch like any other.
+func (l *link) coalesce(dst string, frame []byte) bool {
+	n := entryHead(frame)
+	if len(frame)-n >= l.batchLarge {
 		return false
 	}
 	b := l.batcherFor(dst)
 	b.mu.Lock()
-	b.addLocked(frame[0], stream, seq, body)
+	b.addLocked(frame[:n], frame[n:])
 	b.mu.Unlock()
 	putWireBuf(frame)
 	return true
@@ -327,8 +322,8 @@ func (b *batcher) timedFlush() {
 
 // addLocked appends one entry and flushes if a size bound tripped; the
 // first entry of a fresh frame arms the age timer.
-func (b *batcher) addLocked(kind byte, stream string, seq uint64, body []byte) {
-	b.enc.add(kind, stream, seq, body)
+func (b *batcher) addLocked(head, body []byte) {
+	b.enc.add(head, body)
 	if b.enc.size() >= b.l.batchBytes || b.enc.tokens >= b.l.batchTokens {
 		b.flushLocked()
 		return
@@ -439,7 +434,7 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) 
 	// frames them alone, so the batch codec and ordinary coalescing stay
 	// byte-identical with tracing on or a remap behind us, the wire span keeps
 	// real timing, and transmit's flush keeps a relay's re-sends in order.
-	coalesced := l.batch && env.TraceID == 0 && lane == place.Direct && l.coalesce(dst, buf, env.FTStream, env.FTSeq)
+	coalesced := l.batch && env.TraceID == 0 && lane == place.Direct && l.coalesce(dst, buf)
 	putEnvelope(env)
 	if !coalesced {
 		l.transmit(dst, buf, tx)
@@ -467,7 +462,7 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	} else {
 		buf = appendGroupEnd(buf, m)
 	}
-	if l.batch && lane == place.Direct && l.coalesce(dst, buf, m.FTStream, m.FTSeq) {
+	if l.batch && lane == place.Direct && l.coalesce(dst, buf) {
 		return
 	}
 	l.transmit(dst, buf, txSend)
@@ -638,7 +633,7 @@ func (l *link) unmarshalOwned(payload, frame []byte) (Token, error) {
 // it carries: it is disposed of here (unmarshalOwned). A batch frame
 // outlives each of its entries and a forwarded wrapper is recycled by
 // handle, so their tokens are copied out (nil).
-func (l *link) recvToken(src, stream string, seq, traceID uint64, lane place.Lane, body, owned []byte) error {
+func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane place.Lane, body, owned []byte) error {
 	env, err := decodeEnvelopeNamed(body, l.rt.app.canonical())
 	if err != nil {
 		return err
@@ -660,17 +655,17 @@ func (l *link) recvToken(src, stream string, seq, traceID uint64, lane place.Lan
 	return nil
 }
 
-func (l *link) recvTokenEntry(src, stream string, seq uint64, body []byte) error {
+func (l *link) recvTokenEntry(src string, stream ft.Stream, seq uint64, body []byte) error {
 	return l.recvToken(src, stream, seq, 0, place.Direct, body, nil)
 }
 
 // readStamp splits the single frame of a batchable kind into its
 // fault-tolerance stamp (zero unless the kind is sequenced) and entry body.
-func readStamp(frame []byte) (stream string, seq uint64, body []byte, err error) {
+func readStamp(frame []byte) (stream ft.Stream, seq uint64, body []byte, err error) {
 	if wireKinds[frame[0]].sequenced {
 		return readFTStamp(frame[1:])
 	}
-	return "", 0, frame[1:], nil
+	return ft.Stream{}, 0, frame[1:], nil
 }
 
 func (l *link) recvLoneToken(src string, frame []byte) error {
@@ -736,7 +731,7 @@ func (l *link) recvForwarded(src string, frame []byte) error {
 	return fmt.Errorf("no forwardable frame inside")
 }
 
-func (l *link) recvGroupEnd(src, stream string, seq uint64, lane place.Lane, body []byte) error {
+func (l *link) recvGroupEnd(src string, stream ft.Stream, seq uint64, lane place.Lane, body []byte) error {
 	m, err := decodeGroupEnd(body)
 	if err != nil {
 		return err
@@ -746,7 +741,7 @@ func (l *link) recvGroupEnd(src, stream string, seq uint64, lane place.Lane, bod
 	return nil
 }
 
-func (l *link) recvGroupEndEntry(src, stream string, seq uint64, body []byte) error {
+func (l *link) recvGroupEndEntry(src string, stream ft.Stream, seq uint64, body []byte) error {
 	return l.recvGroupEnd(src, stream, seq, place.Direct, body)
 }
 
@@ -759,7 +754,7 @@ func (l *link) recvBatch(src string, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	return decodeBatch(body, func(kind byte, stream string, seq uint64, eb []byte) error {
+	return decodeBatch(body, func(kind byte, stream ft.Stream, seq uint64, eb []byte) error {
 		return wireKinds[kind].entry(l, src, stream, seq, eb)
 	})
 }

@@ -29,12 +29,12 @@ func TestWireKindTable(t *testing.T) {
 			t.Errorf("%s: a row gives a reason exactly when it records no span (span %d, why %q)", name, k.span, k.why)
 		}
 		if k.entry != nil {
-			body := []byte{1, 1, 's', 1, kind} // one stream "s", one entry
+			body := []byte{1, kind} // one entry
 			if k.sequenced {
-				body = append(body, 0, 1) // stream index, seq
+				body = appendFTStamp(body, ft.Stream{Sender: 1}, 1)
 			}
 			body = append(body, 0) // empty entry body
-			if err := decodeBatch(body, func(byte, string, uint64, []byte) error { return nil }); err != nil {
+			if err := decodeBatch(body, func(byte, ft.Stream, uint64, []byte) error { return nil }); err != nil {
 				t.Errorf("%s is batchable but decodeBatch refuses it: %v", name, err)
 			}
 		}
@@ -124,7 +124,7 @@ var sendOneOf = map[byte]func(l *link, dst string){
 	msgToken: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Direct, txSend) },
 	msgTokenFT: func(l *link, dst string) {
 		env := tokenEnv()
-		env.FTStream, env.FTSeq = "s", 3
+		env.FTStream, env.FTSeq = ft.Stream{Sender: 1}, 3
 		l.sendToken(env, dst, place.Direct, txSend)
 	},
 	msgTraced: func(l *link, dst string) {
@@ -137,7 +137,7 @@ var sendOneOf = map[byte]func(l *link, dst string){
 		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1}, place.Direct)
 	},
 	msgGroupEndFT: func(l *link, dst string) {
-		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: "s", FTSeq: 4}, place.Direct)
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: ft.Stream{Sender: 1}, FTSeq: 4}, place.Direct)
 	},
 	msgBatch: func(l *link, dst string) {
 		l.sendToken(tokenEnv(), dst, place.Direct, txSend)
@@ -160,7 +160,7 @@ var sendOneOf = map[byte]func(l *link, dst string){
 		l.sendRehome(dst, &rehomeMsg{Epoch: 2, Rec: &ft.Record{Key: place.Key{Collection: "c"}}, Replay: true})
 	},
 	msgCut: func(l *link, dst string) {
-		l.sendCut(dst, cutMsg{Stream: "s", DstCollection: "c", Seq: 9})
+		l.sendCut(dst, cutMsg{Stream: ft.Stream{Sender: 1}, DstCollection: "c", Seq: 9})
 	},
 	msgDeath: func(l *link, dst string) { l.sendDeath(dst, deathMsg{Node: "gone"}) },
 }
@@ -217,7 +217,7 @@ func TestTransmitChokePoint(t *testing.T) {
 				t.Fatal(err)
 			}
 			var entries []byte
-			if err := decodeBatch(body, func(k byte, _ string, _ uint64, _ []byte) error {
+			if err := decodeBatch(body, func(k byte, _ ft.Stream, _ uint64, _ []byte) error {
 				entries = append(entries, k)
 				return nil
 			}); err != nil {

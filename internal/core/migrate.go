@@ -111,7 +111,7 @@ func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int, t
 // routeGroupEnd is routeToken for group-end announcements; sender is the
 // opener instance's fault-tolerance state and inStream/inSeq identify the
 // opener's input (all zero with the layer off).
-func (rt *Runtime) routeGroupEnd(m *groupEndMsg, tc *ThreadCollection, thread int, sender *ft.State, inStream string, inSeq uint64) {
+func (rt *Runtime) routeGroupEnd(m *groupEndMsg, tc *ThreadCollection, thread int, sender *ft.State, inStream ft.Stream, inSeq uint64) {
 	if rt.routeFast() {
 		defer rt.routeFastDone()
 		target, err := tc.NodeOf(thread)

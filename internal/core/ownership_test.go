@@ -9,6 +9,7 @@ import (
 	"time"
 	"unsafe"
 
+	"repro/internal/core/ft"
 	"repro/internal/core/place"
 	"repro/internal/serial"
 	"repro/internal/transport/tcptransport"
@@ -144,7 +145,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			return frame
 		}
 	}
-	sequenced := func(e *envelope) { e.FTStream, e.FTSeq = "s", 3 }
+	sequenced := func(e *envelope) { e.FTStream, e.FTSeq = ft.Stream{Sender: 1}, 3 }
 	traced := func(e *envelope) { e.TraceID = 99 }
 	cases := []struct {
 		name  string

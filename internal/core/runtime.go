@@ -261,6 +261,7 @@ func (rt *Runtime) dispatchToken(g *Flowgraph, node *GraphNode, env *envelope) {
 		inst.exec.Enqueue(workItem{inst: inst, g: g, node: node, env: env})
 	case KindMerge, KindStream:
 		if env.FTSeq > 0 && inst.ft != nil && !inst.ft.CheckIn(env.FTStream, env.FTSeq) {
+			atomic.AddInt64(&rt.stats.DuplicatesDropped, 1)
 			putEnvelope(env)
 			return
 		}
@@ -364,6 +365,7 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 		// through its restored checkpoint) already reflects this token.
 		// Recorded here, under the execution ticket, so cursors never run
 		// ahead of the state a checkpoint item in the same queue captures.
+		atomic.AddInt64(&rt.stats.DuplicatesDropped, 1)
 		c.env = nil
 		putEnvelope(env)
 		return

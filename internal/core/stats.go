@@ -82,6 +82,13 @@ type Stats struct {
 	// FailoversCompleted counts dead-node recoveries coordinated by this
 	// node (the master).
 	FailoversCompleted int64
+	// DuplicatesDropped counts inbound sequenced tokens and group-ends that
+	// the exactly-once prefix filter rejected: copies a failover replay or
+	// a restored instance's re-execution delivered a second time.
+	DuplicatesDropped int64
+	// CutsStale counts log cuts dropped because their sender is not hosted
+	// on this node (it moved on before the cut arrived).
+	CutsStale int64
 	// SendRetries counts transport send attempts repeated inside the
 	// suspect-grace window (Config.SuspectGrace) after a transient failure.
 	SendRetries int64

@@ -3,6 +3,10 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
+
+	"repro/internal/core/ft"
+	"repro/internal/core/place"
 )
 
 // Stats is one declaration that snapshot, Add and the exporter's gauge set
@@ -58,5 +62,39 @@ func TestStatsAddAndSnapshot(t *testing.T) {
 		if got := reflect.ValueOf(live.snapshot()).Elem().Field(i).Int(); got != int64(i)+1 {
 			t.Errorf("snapshot of Stats.%s = %d, want %d", name, got, i+1)
 		}
+	}
+}
+
+// TestExactlyOnceDropsAreCounted: a sequenced frame delivered twice runs
+// once and counts one duplicate, and a cut for a sender this node does not
+// host counts one stale cut.
+func TestExactlyOnceDropsAreCounted(t *testing.T) {
+	l, _, ran := blobLink(t, Config{Checkpoint: time.Hour})
+	frame := func(n int, seq uint64) []byte {
+		env := &envelope{Graph: "g", CallOrigin: "far", Token: newBlob(n, 40), FTStream: ft.NodeStream("far"), FTSeq: seq}
+		b, err := l.appendTokenFrame(nil, env, place.Direct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	l.handle("far", frame(1, 1))
+	l.handle("far", frame(1, 1))
+	l.handle("far", frame(2, 2))
+	// The instance runs its arrivals in order, so the third has run once the
+	// second was judged.
+	if first, next := <-ran, <-ran; first.N != 1 || next.N != 2 {
+		t.Fatalf("ran tokens %d then %d, want 1 then 2", first.N, next.N)
+	}
+	if got := l.rt.Stats().DuplicatesDropped; got != 1 {
+		t.Fatalf("DuplicatesDropped = %d, want 1", got)
+	}
+
+	l.handle("far", appendCut(nil, cutMsg{Stream: ft.StreamOf("blob-work", 3), DstCollection: "blob-work", Seq: 1}))
+	if got := l.rt.Stats().CutsStale; got != 1 {
+		t.Fatalf("CutsStale = %d, want 1", got)
+	}
+	if err := l.rt.app.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -29,6 +29,8 @@ package core
 import (
 	"fmt"
 	"reflect"
+
+	"repro/internal/core/ft"
 )
 
 // Token is a DPS data object: a pointer to a struct whose exported fields
@@ -101,7 +103,7 @@ type envelope struct {
 	// fault-tolerance layer is enabled (zero otherwise): the receiver's
 	// duplicate filter and the sender's retention log key on them. They
 	// travel in the msgTokenFT framing; plain msgToken stays byte-identical.
-	FTStream string
+	FTStream ft.Stream
 	FTSeq    uint64
 	// ftSender is the sending instance's fault-tolerance state (set by the
 	// posting paths, consumed by the routing layer when it assigns FTSeq);
@@ -115,7 +117,7 @@ type envelope struct {
 	// for the retention log; the link layer copies it instead of serializing
 	// the token a second time.
 	ftSender   *ftSender
-	ftInStream string
+	ftInStream ft.Stream
 	ftInSeq    uint64
 	ftWire     []byte
 

@@ -67,7 +67,7 @@ type groupEndMsg struct {
 	CallID uint64
 	// FTStream / FTSeq sequence the announcement on its sender stream when
 	// fault tolerance is enabled (msgGroupEndFT framing); zero otherwise.
-	FTStream string
+	FTStream ft.Stream
 	FTSeq    uint64
 }
 
@@ -184,35 +184,39 @@ func appendEnvelopeHeader(b []byte, e *envelope) []byte {
 	return appendEnvelopeBody(b, e)
 }
 
-// appendTokenFT is the sequenced framing of a token envelope: the sender
-// stream and sequence number travel ahead of the standard header, leaving
-// msgToken byte-identical when fault tolerance is off.
+// appendTokenFT is the sequenced framing of a token envelope: the FT stamp
+// travels ahead of the standard header, leaving msgToken byte-identical when
+// fault tolerance is off.
 func appendTokenFT(b []byte, e *envelope) []byte {
-	b = append(b, msgTokenFT)
-	b = appendString(b, e.FTStream)
-	b = appendUint64(b, e.FTSeq)
+	b = appendFTStamp(append(b, msgTokenFT), e.FTStream, e.FTSeq)
 	return appendEnvelopeBody(b, e)
 }
 
-// readFTStamp parses the sequenced framings' prefix: the sender stream and
-// sequence number that travel ahead of the standard body.
-func readFTStamp(b []byte) (stream string, seq uint64, rest []byte, err error) {
-	if stream, b, err = readString(b); err != nil {
-		return "", 0, nil, err
+// appendFTStamp writes the sequenced framings' prefix: the sender stream's
+// two words in 16 fixed bytes, then the sequence number.
+func appendFTStamp(b []byte, stream ft.Stream, seq uint64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, stream.Sender)
+	b = binary.LittleEndian.AppendUint64(b, stream.In)
+	return appendUint64(b, seq)
+}
+
+// readFTStamp parses appendFTStamp's prefix.
+func readFTStamp(b []byte) (stream ft.Stream, seq uint64, rest []byte, err error) {
+	if len(b) < 16 {
+		return ft.Stream{}, 0, nil, fmt.Errorf("dps: truncated FT stamp")
 	}
-	if seq, b, err = readUint64(b); err != nil {
-		return "", 0, nil, err
+	stream = ft.Stream{Sender: binary.LittleEndian.Uint64(b), In: binary.LittleEndian.Uint64(b[8:])}
+	if seq, b, err = readUint64(b[16:]); err != nil {
+		return ft.Stream{}, 0, nil, err
 	}
 	return stream, seq, b, nil
 }
 
 // skipFTStamp is readFTStamp for a stamp this process encoded itself: it
-// steps over the prefix without validating it or allocating the stream name.
+// steps over the prefix without validating it.
 func skipFTStamp(b []byte) []byte {
-	n, w := binary.Uvarint(b)
-	b = b[w+int(n):]
-	_, w = binary.Uvarint(b)
-	return b[w:]
+	_, w := binary.Uvarint(b[16:])
+	return b[16+w:]
 }
 
 // decodeTokenFT parses a sequenced token message body (stream, sequence,
@@ -333,9 +337,7 @@ func appendGroupEnd(b []byte, m *groupEndMsg) []byte {
 // appendGroupEndFT is the sequenced framing of a group-end announcement
 // (see appendTokenFT).
 func appendGroupEndFT(b []byte, m *groupEndMsg) []byte {
-	b = append(b, msgGroupEndFT)
-	b = appendString(b, m.FTStream)
-	b = appendUint64(b, m.FTSeq)
+	b = appendFTStamp(append(b, msgGroupEndFT), m.FTStream, m.FTSeq)
 	return appendGroupEndBody(b, m)
 }
 
@@ -444,13 +446,13 @@ func decodeResult(b []byte) (*resultMsg, error) {
 
 // appendRehome writes m in its source's framing. A live move's state is
 // appended after the header, mirroring the token path's single-copy layout,
-// and its record follows only when there is one, keeping the envelope
-// byte-identical with fault tolerance off.
+// and its record follows, to the end of the frame, only when there is one,
+// keeping the envelope byte-identical with fault tolerance off.
 func appendRehome(b []byte, m *rehomeMsg) []byte {
 	b = append(b, m.kind())
 	if m.Replay {
 		b = appendUint64(b, m.Epoch)
-		return m.Rec.Encode(b)
+		return ft.AppendRecord(b, m.Rec)
 	}
 	b = appendString(b, m.Key.Collection)
 	b = appendInt(b, m.Key.Thread)
@@ -459,9 +461,7 @@ func appendRehome(b []byte, m *rehomeMsg) []byte {
 	b = binary.AppendUvarint(b, uint64(len(m.State)))
 	b = append(b, m.State...)
 	if m.Rec != nil {
-		rec := m.Rec.Encode(nil)
-		b = binary.AppendUvarint(b, uint64(len(rec)))
-		b = append(b, rec...)
+		b = ft.AppendRecord(b, m.Rec)
 	}
 	return b
 }
@@ -499,13 +499,8 @@ func decodeRehome(kind byte, b []byte) (*rehomeMsg, error) {
 		return nil, fmt.Errorf("dps: truncated migration state")
 	}
 	m.State = b[n : n+int(l)]
-	b = b[n+int(l):]
-	if len(b) > 0 {
-		l, n = binary.Uvarint(b)
-		if n <= 0 || uint64(len(b)-n) < l {
-			return nil, fmt.Errorf("dps: truncated migration ft record")
-		}
-		if m.Rec, err = ft.DecodeRecord(b[n : n+int(l)]); err != nil {
+	if b = b[n+int(l):]; len(b) > 0 {
+		if m.Rec, err = ft.DecodeRecord(b); err != nil {
 			return nil, err
 		}
 	}
@@ -576,8 +571,7 @@ func decodeTracedHeader(b []byte) (traceID uint64, sentNs int64, inner []byte, e
 // --- fault-tolerance messages (ftengine.go) -------------------------------
 
 func appendCheckpoint(b []byte, rec *ft.Record) []byte {
-	b = append(b, msgCheckpoint)
-	return rec.Encode(b)
+	return ft.AppendRecord(append(b, msgCheckpoint), rec)
 }
 
 // deathMsg broadcasts that a node has been declared dead, so every engine
@@ -602,33 +596,28 @@ func decodeDeath(b []byte) (deathMsg, error) {
 // the tokens were consumed on the master node, which never restores
 // (ack-driven GC via the flow-control consumption hook).
 type cutMsg struct {
-	Stream        string // sender stream whose log is truncated
-	DstCollection string // destination instance the entries were sent to
+	Stream        ft.Stream // sender stream whose log is truncated
+	DstCollection string    // destination instance the entries were sent to
 	DstThread     int
 	Seq           uint64
 }
 
 func appendCut(b []byte, m cutMsg) []byte {
-	b = append(b, msgCut)
-	b = appendString(b, m.Stream)
+	b = appendFTStamp(append(b, msgCut), m.Stream, m.Seq)
 	b = appendString(b, m.DstCollection)
-	b = appendInt(b, m.DstThread)
-	return appendUint64(b, m.Seq)
+	return appendInt(b, m.DstThread)
 }
 
 func decodeCut(b []byte) (cutMsg, error) {
 	var m cutMsg
 	var err error
-	if m.Stream, b, err = readString(b); err != nil {
+	if m.Stream, m.Seq, b, err = readFTStamp(b); err != nil {
 		return cutMsg{}, err
 	}
 	if m.DstCollection, b, err = readString(b); err != nil {
 		return cutMsg{}, err
 	}
-	if m.DstThread, b, err = readInt(b); err != nil {
-		return cutMsg{}, err
-	}
-	if m.Seq, _, err = readUint64(b); err != nil {
+	if m.DstThread, _, err = readInt(b); err != nil {
 		return cutMsg{}, err
 	}
 	return m, nil

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"strings"
 	"testing"
+
+	"repro/internal/core/ft"
 )
 
 // frozenWireKinds is the golden name→number table of the engine's wire
@@ -98,5 +101,23 @@ func TestWireKindTableComplete(t *testing.T) {
 	}
 	if found != len(frozenWireKinds) {
 		t.Errorf("wire.go declares %d msg* kinds, frozen table has %d: keep them in lockstep (kinds may be added, never removed — old streams still carry them)", found, len(frozenWireKinds))
+	}
+}
+
+// TestFTStampLayout pins the sequenced framings' stamp: the kind byte, the
+// stream's Sender and In as 8 little-endian bytes each, then the sequence
+// as a uvarint. A cut leads with the same stamp.
+func TestFTStampLayout(t *testing.T) {
+	stream := ft.Stream{Sender: 0x0102030405060708, In: 0x1112131415161718}
+	want := []byte{0, 8, 7, 6, 5, 4, 3, 2, 1, 0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, 0xac, 0x02}
+	for kind, frame := range map[byte][]byte{
+		msgTokenFT:    appendTokenFT(nil, &envelope{FTStream: stream, FTSeq: 300}),
+		msgGroupEndFT: appendGroupEndFT(nil, &groupEndMsg{FTStream: stream, FTSeq: 300}),
+		msgCut:        appendCut(nil, cutMsg{Stream: stream, Seq: 300}),
+	} {
+		want[0] = kind
+		if !bytes.HasPrefix(frame, want) {
+			t.Errorf("kind %d frame starts % x, want % x", kind, frame[:min(len(frame), len(want))], want)
+		}
 	}
 }

@@ -592,7 +592,16 @@ func (cs codecs) compileMap(c *typeCodec, t reflect.Type) error {
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(i, j int) bool { return less(keys.Index(order[i]), keys.Index(order[j])) })
+		if less != nil {
+			sort.Slice(order, func(i, j int) bool { return less(keys.Index(order[i]), keys.Index(order[j])) })
+		} else {
+			// Each key's text is built once, not at every comparison.
+			text := make([]string, len(order))
+			for i := range text {
+				text[i] = fmt.Sprint(keys.Index(i).Interface())
+			}
+			sort.Slice(order, func(i, j int) bool { return text[order[i]] < text[order[j]] })
+		}
 		kp, vp := keys.UnsafePointer(), vals.UnsafePointer()
 		buf = appendLen(buf, len(order))
 		for _, i := range order {
@@ -660,8 +669,8 @@ func (cs codecs) compileMap(c *typeCodec, t reflect.Type) error {
 }
 
 // keyOrder is the order of map keys of type t on the wire: numbers by
-// value, false before true, strings bytewise, and keys of any other kind
-// by their fmt.Sprint text.
+// value, false before true, strings bytewise, and — where it returns nil —
+// keys of any other kind by their fmt.Sprint text.
 func keyOrder(t reflect.Type) func(a, b reflect.Value) bool {
 	switch t.Kind() {
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -675,7 +684,7 @@ func keyOrder(t reflect.Type) func(a, b reflect.Value) bool {
 	case reflect.Bool:
 		return func(a, b reflect.Value) bool { return !a.Bool() && b.Bool() }
 	default:
-		return func(a, b reflect.Value) bool { return fmt.Sprint(a.Interface()) < fmt.Sprint(b.Interface()) }
+		return nil
 	}
 }
 
