@@ -19,8 +19,8 @@ type PoolownConfig struct {
 	PkgSuffixes []string
 	// Pools lists the get/put pairs of the package's pools.
 	Pools []PoolSpec
-	// ExtraGets lists additional functions whose results are pool-owned
-	// (e.g. a decoder that returns a pooled envelope).
+	// ExtraGets lists additional functions or methods whose results are
+	// pool-owned (e.g. a decoder that returns a pooled envelope).
 	ExtraGets []string
 }
 
@@ -85,11 +85,14 @@ func Poolown(cfg PoolownConfig) *Rule {
 	return r
 }
 
-// calleeName is the name of a call to a package-local function: "getBuf"
-// for getBuf(...), "" for anything else.
+// calleeName is the name of a called function or method: "getBuf" for
+// getBuf(...) and for l.getBuf(...), "" for anything else.
 func calleeName(call *ast.CallExpr) string {
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		return id.Name
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name
 	}
 	return ""
 }

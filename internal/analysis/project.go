@@ -32,7 +32,8 @@ func ProjectRules() []*Rule {
 
 		// Pooled wire buffers and envelopes (internal/core/pool.go).
 		// decodeEnvelope and decodeEnvelopeNamed hand out a pooled envelope,
-		// so their result is pool-owned too. And the owning decode's per-call
+		// and link.tokenFrame a wire buffer drawn for the frame it builds,
+		// so their results are pool-owned too. And the owning decode's per-call
 		// state (internal/serial/serial.go): the compiled decoders record
 		// into it, nothing may keep it. The function names are package-local
 		// and distinct, so one rule instance covers both packages.
@@ -43,7 +44,7 @@ func ProjectRules() []*Rule {
 				{Get: "getWireBuf", Put: "putWireBuf"},
 				{Get: "getOwner", Put: "putOwner"},
 			},
-			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed"},
+			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed", "tokenFrame"},
 		}),
 	}
 }

@@ -31,7 +31,7 @@ func TestPoolownGolden(t *testing.T) {
 	runGolden(t, "testdata/poolown", "vettest/poolown", Poolown(PoolownConfig{
 		PkgSuffixes: []string{"poolown"},
 		Pools:       []PoolSpec{{Get: "getBuf", Put: "putBuf"}},
-		ExtraGets:   []string{"decodeBuf"},
+		ExtraGets:   []string{"decodeBuf", "frame"},
 	}))
 }
 

@@ -11,6 +11,10 @@ func wrap(b *buf) *buf        { return b }
 
 type holder struct{ b *buf }
 
+type framer struct{}
+
+func (framer) frame() *buf { return getBuf() }
+
 func ok() {
 	b := getBuf()
 	b.b = append(b.b, 1)
@@ -57,6 +61,11 @@ func retainDecoded(h *holder) {
 
 func retainDerived(h *holder) {
 	b := wrap(getBuf())
+	h.b = b // want "poolown: pooled value b stored into h.b outlives its owner's frame"
+}
+
+func retainMethod(f framer, h *holder) {
+	b := f.frame()
 	h.b = b // want "poolown: pooled value b stored into h.b outlives its owner's frame"
 }
 

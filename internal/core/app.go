@@ -277,10 +277,11 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 		r.SetRelease(putWireBuf)
 	}
 	if b, ok := tr.(transport.Borrower); ok {
-		// The transport allocates per received frame: short frames arrive in
-		// pool buffers instead, which the link gives back once decoded
-		// (link.unmarshalOwned never lets a token keep one).
-		b.SetBorrow(minPooledWireBuf, func() []byte { return getWireBuf(&rt.stats) })
+		// The transport allocates per received frame: every frame under the
+		// largest class arrives in a pool buffer of its class instead, which
+		// the link gives back once decoded (link.unmarshalOwned never lets a
+		// token keep one).
+		b.SetBorrow(maxClassedWireBuf, func(n int) []byte { return getWireBuf(&rt.stats, n) })
 	}
 	tr.SetHandler(rt.lnk.handle)
 	return rt, nil

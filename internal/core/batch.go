@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core/ft"
 )
@@ -72,6 +73,11 @@ func entryHead(frame []byte) int {
 		return len(frame) - len(skipFTStamp(frame[1:]))
 	}
 	return 1
+}
+
+// frameLen is the length of the frame appendFrame assembles.
+func (be *batchEncoder) frameLen() int {
+	return 2 + (bits.Len64(uint64(be.n)|1)+6)/7 + len(be.entries)
 }
 
 // appendFrame assembles the full wire frame into buf. The body assembles

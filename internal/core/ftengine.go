@@ -125,18 +125,18 @@ func (rt *Runtime) ftOutbound(env *envelope, coll string, thread int) {
 	env.ftInStream = ft.Stream{}
 	env.ftInSeq = 0
 	env.FTSeq = s.NextOut(env.FTStream, dst)
-	var buf []byte
-	if env.TraceID != 0 {
-		// Sampled envelopes retain the traced wrapper around the sequenced
-		// frame: the retained encoding IS the wire message, so the trace
-		// context survives retention and failover replay re-sends it intact.
-		buf = appendTracedHeader(nil, env.TraceID, time.Now().UnixNano())
-	}
-	buf = appendTokenFT(buf, env)
-	buf, err := rt.app.reg.Append(buf, env.Token)
+	// Sampled envelopes retain the traced wrapper around the sequenced
+	// frame: the retained encoding IS the wire message, so the trace context
+	// survives retention and failover replay re-sends it intact. The copy is
+	// sized once, from its header and the codec's size pass, and allocated
+	// outside the wire pool: the retention log owns it until a cut.
+	var scratch [frameHeadCap]byte
+	head := appendTokenHead(scratch[:0], env)
+	enc, err := rt.app.reg.Prepare(env.Token)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot retain %T for replay: %w", env.Token, err)})
 	}
+	buf := enc.AppendTo(append(make([]byte, 0, len(head)+enc.Len()), head...))
 	s.Append(ft.Entry{Stream: env.FTStream, Dst: dst, Seq: env.FTSeq, CallID: env.CallID,
 		InStream: inStream, InSeq: inSeq, Kind: ft.EntryToken, Bytes: buf})
 	// The retained encoding IS the wire message; let the link layer copy

@@ -107,8 +107,8 @@ func TestHopAllocationBudget(t *testing.T) {
 		{"leaf", plain, 2, 1, 2, "the decoded token and the execution's Ctx"},
 		{"split post + leaf + merge consume", plain, 1, 2, 3,
 			"a leaf hop and the token decoded at the merge; the group's buffer, where the second token of a group is the first to wait, starts from the array the merge instance's previous group handed down"},
-		{"sequenced leaf", sequenced, 2, 1, 6,
-			"a leaf hop, and the retained copy of the sequenced frame, which appendTokenFT builds outside the wire pool in one allocation and three growths; the stream stamp itself allocates nothing"},
+		{"sequenced leaf", sequenced, 2, 1, 3,
+			"a leaf hop, and the retained copy of the sequenced frame, which ftOutbound sizes from its header and the codec's size pass and allocates once, outside the wire pool; the stream stamp itself allocates nothing"},
 	} {
 		if got := perCall(c.app, c.leaves, c.parts) - base[c.app]; got != c.want {
 			t.Errorf("one more %s hop allocates %.2f objects, want %.0f: %s", c.hop, got, c.want, c.what)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -356,7 +357,7 @@ func (b *batcher) flushLocked() {
 	}
 	stats := &l.rt.stats
 	tokens := int64(b.enc.tokens)
-	buf := b.enc.appendFrame(getWireBuf(stats))
+	buf := b.enc.appendFrame(getWireBuf(stats, b.enc.frameLen()))
 	b.enc.reset()
 	atomic.AddInt64(&stats.FramesBatched, 1)
 	for {
@@ -370,30 +371,48 @@ func (b *batcher) flushLocked() {
 
 // --- outbound: one sender per kind ----------------------------------------
 
-// appendTokenFrame appends env's complete single-token wire frame: the
-// forwarded wrapper when a relay re-sends it, the traced wrapper when the
-// envelope is sampled, then the sequenced or plain framing and the
-// serialized token (a single copy, straight behind the header). Freshly
-// stamped envelopes reuse the retention log's encoding — the wire message
-// byte for byte, which already carries the traced wrapper when sampled
-// (ftOutbound) — instead of serializing the token a second time; copied,
-// because the transport takes ownership of what it sends.
-func (l *link) appendTokenFrame(buf []byte, env *envelope, lane place.Lane) ([]byte, error) {
-	if lane == place.Forwarded {
-		buf = append(buf, msgForwarded)
-	}
-	if env.ftWire != nil {
-		return append(buf, env.ftWire...), nil
-	}
+// frameHeadCap is the stack room a sender builds a frame's header in before
+// it draws the frame's buffer: an envelope header with a few frames, behind
+// a traced wrapper and an FT stamp, fits. A longer one spills to the heap.
+const frameHeadCap = 256
+
+// appendTokenHead appends the framing env's serialized token travels
+// behind: the traced wrapper when the envelope is sampled, then the
+// sequenced or plain envelope header.
+func appendTokenHead(b []byte, env *envelope) []byte {
 	if env.TraceID != 0 {
-		buf = appendTracedHeader(buf, env.TraceID, time.Now().UnixNano())
+		b = appendTracedHeader(b, env.TraceID, time.Now().UnixNano())
 	}
 	if env.FTSeq > 0 {
-		buf = appendTokenFT(buf, env)
-	} else {
-		buf = appendEnvelopeHeader(buf, env)
+		return appendTokenFT(b, env)
 	}
-	return l.reg.Append(buf, env.Token)
+	return appendEnvelopeHeader(b, env)
+}
+
+// tokenFrame returns env's complete single-token wire frame in a wire
+// buffer drawn for its exact length: the forwarded wrapper when a relay
+// re-sends it, then the token's head and the serialized token (a single
+// copy, straight behind the header). Freshly stamped envelopes reuse the
+// retention log's encoding — the wire message byte for byte, which already
+// carries the traced wrapper when sampled (ftOutbound) — instead of
+// serializing the token a second time; copied, because the transport takes
+// ownership of what it sends.
+func (l *link) tokenFrame(env *envelope, lane place.Lane) ([]byte, error) {
+	var scratch [frameHeadCap]byte
+	head := scratch[:0]
+	if lane == place.Forwarded {
+		head = append(head, msgForwarded)
+	}
+	if env.ftWire != nil {
+		buf := append(getWireBuf(&l.rt.stats, len(head)+len(env.ftWire)), head...)
+		return append(buf, env.ftWire...), nil
+	}
+	head = appendTokenHead(head, env)
+	enc, err := l.reg.Prepare(env.Token)
+	if err != nil {
+		return nil, err
+	}
+	return enc.AppendTo(append(getWireBuf(&l.rt.stats, len(head)+enc.Len()), head...)), nil
 }
 
 // sendToken moves an envelope to the node hosting its destination thread:
@@ -425,7 +444,7 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) 
 		putEnvelope(env)
 		return
 	}
-	buf, err := l.appendTokenFrame(getWireBuf(stats), env, lane)
+	buf, err := l.tokenFrame(env, lane)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
 	}
@@ -453,7 +472,7 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	if !wire {
 		return
 	}
-	buf := getWireBuf(&l.rt.stats)
+	buf := getWireBuf(&l.rt.stats, 0)
 	if lane == place.Forwarded {
 		buf = append(buf, msgForwarded)
 	}
@@ -487,11 +506,14 @@ func (l *link) sendResult(env *envelope, tok Token) {
 	if !wire {
 		return
 	}
-	buf, err := l.reg.Append(appendResultHeader(getWireBuf(&l.rt.stats), env.CallID), tok)
+	var scratch [1 + binary.MaxVarintLen64]byte
+	head := appendResultHeader(scratch[:0], env.CallID)
+	enc, err := l.reg.Prepare(tok)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot serialize result: %w", err)})
 	}
-	l.transmit(env.CallOrigin, buf, txSend)
+	buf := append(getWireBuf(&l.rt.stats, len(head)+enc.Len()), head...)
+	l.transmit(env.CallOrigin, enc.AppendTo(buf), txSend)
 }
 
 // sendAck returns a consumption acknowledgement to the split-side node.
@@ -499,7 +521,7 @@ func (l *link) sendAck(dst string, m ackMsg) {
 	if rt, wire := l.route(msgAck, dst); rt != nil {
 		rt.handleAck(m)
 	} else if wire {
-		l.transmit(dst, appendAck(getWireBuf(&l.rt.stats), m), txSend)
+		l.transmit(dst, appendAck(getWireBuf(&l.rt.stats, 0), m), txSend)
 	}
 }
 
@@ -508,7 +530,7 @@ func (l *link) sendRehome(dst string, m *rehomeMsg) {
 	if rt, wire := l.route(m.kind(), dst); rt != nil {
 		rt.installRehomed(m, l.name)
 	} else if wire {
-		l.transmit(dst, appendRehome(getWireBuf(&l.rt.stats), m), txSend)
+		l.transmit(dst, appendRehome(getWireBuf(&l.rt.stats, 0), m), txSend)
 	}
 }
 
@@ -517,7 +539,7 @@ func (l *link) sendFence(dst string, m *fenceMsg) {
 	if rt, wire := l.route(msgFence, dst); rt != nil {
 		rt.deliverFence(m)
 	} else if wire {
-		l.transmit(dst, appendFence(getWireBuf(&l.rt.stats), m), txSend)
+		l.transmit(dst, appendFence(getWireBuf(&l.rt.stats, 0), m), txSend)
 	}
 }
 
@@ -526,7 +548,7 @@ func (l *link) sendCheckpoint(dst string, rec *ft.Record) {
 	if rt, wire := l.route(msgCheckpoint, dst); rt != nil {
 		rt.commitCheckpoint(rec)
 	} else if wire {
-		l.transmit(dst, appendCheckpoint(getWireBuf(&l.rt.stats), rec), txSend)
+		l.transmit(dst, appendCheckpoint(getWireBuf(&l.rt.stats, 0), rec), txSend)
 	}
 }
 
@@ -535,7 +557,7 @@ func (l *link) sendCut(dst string, m cutMsg) {
 	if rt, wire := l.route(msgCut, dst); rt != nil {
 		rt.applyCut(m)
 	} else if wire {
-		l.transmit(dst, appendCut(getWireBuf(&l.rt.stats), m), txSend)
+		l.transmit(dst, appendCut(getWireBuf(&l.rt.stats, 0), m), txSend)
 	}
 }
 
@@ -544,7 +566,7 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 	if rt, wire := l.route(msgDeath, dst); rt != nil {
 		rt.handleDeath(m, l.name)
 	} else if wire {
-		l.transmit(dst, appendDeath(getWireBuf(&l.rt.stats), m), txSend)
+		l.transmit(dst, appendDeath(getWireBuf(&l.rt.stats, 0), m), txSend)
 	}
 }
 
@@ -594,22 +616,24 @@ func (l *link) handle(src string, frame []byte) {
 // unmarshalOwned decodes the token serialized in payload and disposes of
 // frame, the wire buffer payload lies in, which must carry nothing else
 // anyone will read and belong to this link alone. It is the one place where
-// a decoded frame's fate is decided. A frame shorter than minPooledWireBuf
-// is decoded by copy and returns to the wire pool: it may be a pool buffer
-// many times its own length (a Borrower read it into one, or an in-process
-// sender encoded into one), which no token may pin, and if it is not the
-// pool drops it. From minPooledWireBuf up the token's []byte field may have
-// kept a slice of the frame (serial.UnmarshalOwned), and then the frame is
-// the token's memory and the collector's; otherwise it returns to the wire
-// pool. After an error it is left to the collector like every frame that
-// fails to decode.
+// a decoded frame's fate is decided. A frame shorter than maxClassedWireBuf,
+// or in a buffer more than twice its length, is decoded by copy and returns
+// to the wire pool: it is, or may be, a pool buffer (a Borrower read it into
+// one, an in-process sender encoded into one), which no token may pin, and
+// the copy of a field that short costs less than the size class its frame
+// header would push it into. From maxClassedWireBuf up, in a buffer it
+// fills at least half of, the token's []byte field may have kept a slice of
+// the frame (serial.UnmarshalOwned), and then the frame is the token's
+// memory and the collector's; otherwise it returns to the wire pool. After
+// an error it is left to the collector like every frame that fails to
+// decode.
 func (l *link) unmarshalOwned(payload, frame []byte) (Token, error) {
 	var (
 		tok  Token
 		kept bool
 		err  error
 	)
-	if len(frame) < minPooledWireBuf {
+	if len(frame) < maxClassedWireBuf || cap(frame) > 2*len(frame) {
 		tok, _, err = l.reg.Unmarshal(payload)
 	} else {
 		tok, _, kept, err = l.reg.UnmarshalOwned(payload)

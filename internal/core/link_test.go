@@ -64,10 +64,12 @@ type recTransport struct {
 	refused []byte // the last refused buffer itself, not a copy
 
 	limit  int
-	borrow func() []byte
+	borrow func(n int) []byte
 }
 
-func (r *recTransport) SetBorrow(limit int, borrow func() []byte) { r.limit, r.borrow = limit, borrow }
+func (r *recTransport) SetBorrow(limit int, borrow func(n int) []byte) {
+	r.limit, r.borrow = limit, borrow
+}
 
 func (r *recTransport) Local() string                { return "near" }
 func (r *recTransport) SetHandler(transport.Handler) {}
@@ -262,7 +264,7 @@ func TestTransmitChokePoint(t *testing.T) {
 				if (row.fail == failLink) != (app.Err() != nil) {
 					t.Fatalf("application error %v, policy %d", app.Err(), row.fail)
 				}
-				got := getWireBuf(&Stats{})
+				got := getWireBuf(&Stats{}, len(tr.refused))
 				recycled = cap(got) > 0 && &got[:1][0] == &tr.refused[:1][0]
 			}
 			if !recycled {
@@ -329,7 +331,7 @@ func TestForwardedLaneOverWire(t *testing.T) {
 	oth := owner.rt.placeThread(key)
 	oth.Expect()
 	owner.rt.drain(oth, oth.Install(1, 1, ""))
-	direct, err := owner.appendTokenFrame(nil, &envelope{Graph: "g", CallOrigin: "far", Token: &linkTok{N: 1}}, place.Direct)
+	direct, err := owner.tokenFrame(&envelope{Graph: "g", CallOrigin: "far", Token: &linkTok{N: 1}}, place.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}

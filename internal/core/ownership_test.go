@@ -119,28 +119,47 @@ func blobLink(t *testing.T, cfg Config) (l *link, tr *recTransport, ran chan *bl
 // TestFrameOwnershipPerKind: which received frames become their token's
 // bytes and which are copied out of and recycled. A frame that is exactly one
 // token — alone, sequenced, traced — or one result is the link's alone and
-// is kept when it is at least minPooledWireBuf long and the token's byte
-// slice is at least half of it; a shorter one may sit in a pool buffer many
-// times its length (a transport.Borrower read it into one, an in-process
-// sender encoded into one), so it is always copied out of; a forwarded
-// wrapper and a batch frame outlive the entry being decoded, so their tokens
-// are copies and the frame goes back to the pool. Either way a frame is
-// disposed of once: kept and never pooled, or pooled exactly once — and
-// overwritten as it is, which must not reach the delivered token.
+// is kept when it is at least maxClassedWireBuf long, in a buffer it fills at
+// least half of, and the token's byte slice is at least half of it; a
+// shorter one is, or may be, a pool buffer of its class (a
+// transport.Borrower read it into one, an in-process sender encoded into
+// one), so it is always copied out of; a forwarded wrapper and a batch frame
+// outlive the entry being decoded, so their tokens are copies and the frame
+// goes back to the pool. Either way a frame is disposed of once: kept and
+// never pooled, or pooled exactly once — and overwritten as it is, which
+// must not reach the delivered token.
 func TestFrameOwnershipPerKind(t *testing.T) {
-	const big = 3000
+	const (
+		big   = maxClassedWireBuf + 3000 // a keepable token
+		small = 3000                     // one a batch takes in
+	)
 	env := func(tok *blobTok) *envelope {
 		return &envelope{Graph: "g", CallOrigin: "far", Token: tok}
 	}
+	// tokenFrame builds the frame with the link's own sender and hands it
+	// over in a buffer of exactly its length, whatever the pool drew.
 	tokenFrame := func(mod func(*envelope), lane place.Lane, size int) func(*testing.T, *link) []byte {
 		return func(t *testing.T, l *link) []byte {
 			e := env(newBlob(7, size))
 			if mod != nil {
 				mod(e)
 			}
-			frame, err := l.appendTokenFrame(make([]byte, 0, 2*big), e, lane)
+			built, err := l.tokenFrame(e, lane)
 			if err != nil {
 				t.Fatal(err)
+			}
+			frame := make([]byte, len(built))
+			copy(frame, built)
+			return frame
+		}
+	}
+	// frameOf is tokenFrame for a frame of exactly n bytes.
+	frameOf := func(n int) func(*testing.T, *link) []byte {
+		return func(t *testing.T, l *link) []byte {
+			size := n - len(tokenFrame(nil, place.Direct, n)(t, l)) + n
+			frame := tokenFrame(nil, place.Direct, size)(t, l)
+			if len(frame) != n {
+				t.Fatalf("built a frame of %d bytes, want %d", len(frame), n)
 			}
 			return frame
 		}
@@ -157,15 +176,16 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		{"sequenced token", msgTokenFT, tokenFrame(sequenced, place.Direct, big), true},
 		{"traced token", msgTraced, tokenFrame(traced, place.Direct, big), true},
 		{"lone token, no bytes to keep", msgToken, tokenFrame(nil, place.Direct, -1), false},
-		{"short token in a pool buffer", msgToken, tokenFrame(nil, place.Direct, minPooledWireBuf/2), false},
+		{"short token in a pool buffer", msgToken, tokenFrame(nil, place.Direct, small), false},
 		{"short sequenced token in a pool buffer", msgTokenFT, tokenFrame(sequenced, place.Direct, 40), false},
 		{"short traced token in a pool buffer", msgTraced, tokenFrame(traced, place.Direct, 40), false},
-		{"shortest keepable token", msgToken, tokenFrame(nil, place.Direct, minPooledWireBuf), true},
+		{"longest copied token", msgToken, frameOf(maxClassedWireBuf - 1), false},
+		{"shortest keepable token", msgToken, frameOf(maxClassedWireBuf), true},
 		{"forwarded token", msgForwarded, tokenFrame(nil, place.Forwarded, big), false},
 		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big), false},
 		{"batch entry", msgBatch, func(t *testing.T, _ *link) []byte {
 			sender, tr, _ := blobLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			sender.sendToken(env(newBlob(7, big)), "far", place.Direct, txSend)
+			sender.sendToken(env(newBlob(7, small)), "far", place.Direct, txSend)
 			sender.batcherFor("far").timedFlush()
 			frames, _ := tr.take()
 			if len(frames) != 1 {
@@ -204,7 +224,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, err := l.reg.Append(appendResultHeader(make([]byte, 0, 2*big), id), newBlob(7, c.size))
+			frame, err := l.reg.Append(appendResultHeader(make([]byte, 0, big+64), id), newBlob(7, c.size))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -263,12 +283,17 @@ func newTCPApp(t *testing.T, cfg Config, names ...string) (*App, []*tcptransport
 }
 
 // TestShortFramesAreLentFromThePool: a transport that asks (transport.Borrower)
-// is lent wire-pool buffers for frames under minPooledWireBuf, counted like a
-// sender's when the pool has none; the link gives such a frame back once.
+// is lent wire-pool buffers for frames under maxClassedWireBuf, each with
+// room for the frame it is lent for, counted like a sender's when the pool
+// has none; the link gives such a frame back once.
 func TestShortFramesAreLentFromThePool(t *testing.T) {
 	l, tr, ran := blobLink(t, Config{})
-	if tr.limit != minPooledWireBuf || tr.borrow == nil {
-		t.Fatalf("AttachTransport installed limit %d, lender %v; want %d and the wire pool", tr.limit, tr.borrow != nil, minPooledWireBuf)
+	if tr.limit != maxClassedWireBuf || tr.borrow == nil {
+		t.Fatalf("AttachTransport installed limit %d, lender %v; want %d and the wire pool", tr.limit, tr.borrow != nil, maxClassedWireBuf)
+	}
+	built, err := l.tokenFrame(&envelope{Graph: "g", CallOrigin: "far", Token: newBlob(7, 5000)}, place.Direct)
+	if err != nil {
+		t.Fatal(err)
 	}
 	misses := l.rt.Stats().WireBufMisses
 	var buf []byte
@@ -276,14 +301,11 @@ func TestShortFramesAreLentFromThePool(t *testing.T) {
 		if lent == 1<<16 {
 			t.Fatalf("%d buffers lent and none counted as a pool miss", lent)
 		}
-		if buf = tr.borrow(); len(buf) != 0 || cap(buf) < minPooledWireBuf {
-			t.Fatalf("lent a buffer of len %d cap %d, want empty with room for any short frame", len(buf), cap(buf))
+		if buf = tr.borrow(len(built)); len(buf) != 0 || cap(buf) < len(built) {
+			t.Fatalf("lent a buffer of len %d cap %d, want empty with room for the %d-byte frame", len(buf), cap(buf), len(built))
 		}
 	}
-	frame, err := l.appendTokenFrame(buf, &envelope{Graph: "g", CallOrigin: "far", Token: newBlob(7, 100)}, place.Direct)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frame := append(buf, built...)
 	pl := poisonPuts(t)
 	l.handle("far", frame)
 	checkDisposal(t, l, pl, frame, <-ran, false)
@@ -325,11 +347,12 @@ func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok
 // released before the write — shows up as a damaged block or a decode
 // failure, at once or when the results held back are checked again at the
 // end, after the pool has been through many more owners. The blocks under
-// minPooledWireBuf are the ones whose frame is a pool buffer longer than
-// itself — the sender's own on the in-process fabric, one the transport
-// borrowed over TCP — and must come out as copies.
+// maxClassedWireBuf are the ones whose frame is a pool buffer of its class —
+// the sender's own on the in-process fabric, one the transport borrowed over
+// TCP — and must come out as copies; the two around the boundary put their
+// frames on either side of it.
 func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
-	sizes := []int{-1, 0, 9, 200, 600, 1100, 5000, 70000}
+	sizes := []int{-1, 0, 9, 200, 600, 1100, 5000, maxClassedWireBuf - 1, maxClassedWireBuf, 70000}
 	for _, cfg := range []struct {
 		name string
 		cfg  Config
@@ -443,5 +466,73 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 			}
 			t.Logf("%d results held; FramesKept %d, WireBufMisses %d", len(held), st.FramesKept, st.WireBufMisses)
 		})
+	}
+}
+
+// TestKeptFrameNeverPinsAPoolBuffer: on the in-process fabric under
+// ForceSerialize the receiver is handed the sender's own wire buffer, which
+// may be one the pool kept from a much larger token. With 1 MiB buffers
+// pooled before every call, a token — one under maxClassedWireBuf, and one
+// above it whose frame the owning decode would keep if its buffer were
+// tight — must come out with its bytes outside every one of them, at the
+// leaf and in the caller's result.
+func TestKeptFrameNeverPinsAPoolBuffer(t *testing.T) {
+	reg := serial.NewRegistry()
+	if err := serial.Register[blobTok](reg); err != nil {
+		t.Fatal(err)
+	}
+	app, err := NewLocalApp(Config{ForceSerialize: true, Registry: reg}, "a", "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	work, err := NewCollection[struct{}](app, "pin-work")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := work.Map("b"); err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu     sync.Mutex
+		pooled [][]byte
+	)
+	inPooled := func(data []byte) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, big := range pooled {
+			if pointsInto(data, big) {
+				return true
+			}
+		}
+		return false
+	}
+	pinned := make(chan bool, 1)
+	leaf := Leaf[*blobTok, *blobTok]("pin-leaf", func(c *Ctx, in *blobTok) *blobTok {
+		pinned <- inPooled(in.Data)
+		return in
+	})
+	g, err := app.NewFlowgraph("pin", Path(NewNode(leaf, work, MainRoute())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int{2 << 10, 40 << 10} {
+		for i := 0; i < 10; i++ {
+			mu.Lock()
+			for k := 0; k < 4; k++ {
+				big := make([]byte, 0, 1<<20)
+				pooled = append(pooled, big)
+				putWireBuf(big)
+			}
+			mu.Unlock()
+			out, err := g.Call(context.Background(), newBlob(i, size))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := out.(*blobTok)
+			if <-pinned || inPooled(res.Data) || !res.intact() {
+				t.Fatalf("a %d-byte token's bytes lie in a pooled 1 MiB buffer (call %d)", size, i)
+			}
+		}
 	}
 }

@@ -27,6 +27,7 @@ package place
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Key identifies one thread instance cluster-wide: the collection name and
@@ -39,63 +40,74 @@ type Key struct {
 func (k Key) String() string { return fmt.Sprintf("%s[%d]", k.Collection, k.Thread) }
 
 // Table is the epoch-versioned placement of one thread collection:
-// nodes[i] hosts thread i. The zero Table is empty and usable.
+// nodes[i] hosts thread i. The zero Table is empty and usable. Readers —
+// every token routed — load an immutable snapshot and take no lock;
+// writers copy the snapshot under mu and publish the copy.
 type Table struct {
-	mu    sync.RWMutex
+	mu  sync.Mutex // serializes writers
+	cur atomic.Pointer[placement]
+}
+
+// placement is one published version of a Table. Nothing in it changes
+// once stored.
+type placement struct {
 	epoch uint64
 	nodes []string
 }
 
-// Epoch returns the table's current version. Epoch 0 means never mapped.
-func (t *Table) Epoch() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.epoch
+// unplaced is what a Table never set reads.
+var unplaced placement
+
+// load returns the current placement.
+func (t *Table) load() *placement {
+	if p := t.cur.Load(); p != nil {
+		return p
+	}
+	return &unplaced
 }
 
+// Epoch returns the table's current version. Epoch 0 means never mapped.
+func (t *Table) Epoch() uint64 { return t.load().epoch }
+
 // Len returns the number of placed threads.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.nodes)
-}
+func (t *Table) Len() int { return len(t.load().nodes) }
 
 // NodeOf returns the node hosting thread i.
 func (t *Table) NodeOf(i int) (string, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if i < 0 || i >= len(t.nodes) {
+	nodes := t.load().nodes
+	if i < 0 || i >= len(nodes) {
 		return "", false
 	}
-	return t.nodes[i], true
+	return nodes[i], true
 }
 
 // Snapshot returns the epoch and a copy of the full assignment.
 func (t *Table) Snapshot() (uint64, []string) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.epoch, append([]string(nil), t.nodes...)
+	p := t.load()
+	return p.epoch, append([]string(nil), p.nodes...)
 }
 
 // Set replaces the whole assignment and bumps the epoch.
 func (t *Table) Set(nodes []string) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.nodes = append([]string(nil), nodes...)
-	t.epoch++
-	return t.epoch
+	p := &placement{epoch: t.load().epoch + 1, nodes: append([]string(nil), nodes...)}
+	t.cur.Store(p)
+	return p.epoch
 }
 
 // SetThread reassigns one thread and bumps the epoch.
 func (t *Table) SetThread(i int, node string) (uint64, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if i < 0 || i >= len(t.nodes) {
-		return 0, fmt.Errorf("place: thread %d out of range [0,%d)", i, len(t.nodes))
+	old := t.load()
+	if i < 0 || i >= len(old.nodes) {
+		return 0, fmt.Errorf("place: thread %d out of range [0,%d)", i, len(old.nodes))
 	}
-	t.nodes[i] = node
-	t.epoch++
-	return t.epoch, nil
+	p := &placement{epoch: old.epoch + 1, nodes: append([]string(nil), old.nodes...)}
+	p.nodes[i] = node
+	t.cur.Store(p)
+	return p.epoch, nil
 }
 
 // Move is one step of a remap plan: thread From→To.

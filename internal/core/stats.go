@@ -98,8 +98,8 @@ type Stats struct {
 	// instead of returning to the wire pool.
 	FramesKept int64
 	// WireBufMisses counts the wire buffers that had to be allocated because
-	// the pool was empty: for an outbound message, or lent to a
-	// transport.Borrower for a short inbound frame. With FramesKept it
+	// the pool's class was empty: for an outbound message, or lent to a
+	// transport.Borrower for an inbound frame under 32 KiB. With FramesKept it
 	// explains a deployment's allocated bytes per token from /metrics alone.
 	WireBufMisses int64
 	// FramesBatched counts batch frames flushed by the wire-path coalescer

@@ -72,7 +72,7 @@ func TestExactlyOnceDropsAreCounted(t *testing.T) {
 	l, _, ran := blobLink(t, Config{Checkpoint: time.Hour})
 	frame := func(n int, seq uint64) []byte {
 		env := &envelope{Graph: "g", CallOrigin: "far", Token: newBlob(n, 40), FTStream: ft.NodeStream("far"), FTSeq: seq}
-		b, err := l.appendTokenFrame(nil, env, place.Direct)
+		b, err := l.tokenFrame(env, place.Direct)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,13 +13,15 @@
 // parallel service: a client request is split to the owning workers, parts
 // are read in parallel, and the merge assembles the requested sub-grid.
 //
-// Border rows travel without copies. A border read hands out the source
-// band's own first or last row, so a co-located receiver holds a slice of its
-// neighbour's band (a remote one holds a slice of the received frame). That
-// is safe because within an iteration a band writes only its shadow, and the
-// per-iteration done-merge is a barrier: the receiver drops its borders as
-// soon as the rows that read them are computed, so no alias survives into the
-// iteration in which the neighbour overwrites the row.
+// Border rows travel without copies between co-located bands. A border read
+// hands out the source band's own first or last row, so a co-located
+// receiver holds a slice of its neighbour's band. That is safe because
+// within an iteration a band writes only its shadow, and the per-iteration
+// done-merge is a barrier: the receiver drops its borders as soon as the
+// rows that read them are computed, so no alias survives into the iteration
+// in which the neighbour overwrites the row. A remote receiver holds a copy
+// of exactly the row's 4 KiB (a frame under 32 KiB is read into a pooled
+// buffer, and the decoder copies the row out of it).
 package parlife
 
 import (

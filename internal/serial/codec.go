@@ -482,8 +482,11 @@ func decodeBytes(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 		// user reallocates instead of writing into the bytes behind it.
 		s, o.kept = data[used:end:end], true
 	} else {
-		s = make([]byte, l)
-		copy(s, data[used:])
+		// Copying from a named slice of exactly l bytes compiles to one
+		// makeslicecopy, which skips zeroing the new slice first.
+		field := data[used:end]
+		s = make([]byte, len(field))
+		copy(s, field)
 	}
 	*(*[]byte)(p) = s
 	return end, nil

@@ -35,13 +35,11 @@ func (r *Registry) unmarshalReference(data []byte) (any, int, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("serial: truncated type id")
 	}
-	r.mu.RLock()
-	if id >= uint64(len(r.entries)) {
-		r.mu.RUnlock()
+	entries := r.table().entries
+	if id >= uint64(len(entries)) {
 		return nil, 0, fmt.Errorf("serial: unknown type id %d", id)
 	}
-	typ := r.entries[id].typ
-	r.mu.RUnlock()
+	typ := entries[id].typ
 	pv := reflect.New(typ)
 	used, err := decodeValue(data[n:], pv.Elem())
 	if err != nil {

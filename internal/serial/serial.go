@@ -39,8 +39,10 @@ package serial
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -48,8 +50,17 @@ import (
 // process-wide registry (DefaultRegistry) is normally used, matching the
 // paper's global class factory, but independent registries can be created
 // for tests.
+//
+// Readers never lock: every token's encode and decode resolves its type
+// through the current regTable, an immutable snapshot that a registration
+// replaces whole under mu.
 type Registry struct {
-	mu      sync.RWMutex
+	mu  sync.Mutex // serializes registrations
+	tab atomic.Pointer[regTable]
+}
+
+// regTable is one registry snapshot. Nothing in it changes once published.
+type regTable struct {
 	byName  map[string]int
 	byType  map[reflect.Type]int
 	entries []regEntry
@@ -63,11 +74,13 @@ type regEntry struct {
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		byName: make(map[string]int),
-		byType: make(map[reflect.Type]int),
-	}
+	r := &Registry{}
+	r.tab.Store(&regTable{byName: make(map[string]int), byType: make(map[reflect.Type]int)})
+	return r
 }
+
+// table returns the current snapshot.
+func (r *Registry) table() *regTable { return r.tab.Load() }
 
 // DefaultRegistry is the process-wide token registry.
 var DefaultRegistry = NewRegistry()
@@ -88,19 +101,25 @@ func (r *Registry) RegisterName(name string, typ reflect.Type) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if id, ok := r.byName[name]; ok {
-		if r.entries[id].typ != typ {
-			return fmt.Errorf("serial: name %q already registered for %s", name, r.entries[id].typ)
+	old := r.table()
+	if id, ok := old.byName[name]; ok {
+		if old.entries[id].typ != typ {
+			return fmt.Errorf("serial: name %q already registered for %s", name, old.entries[id].typ)
 		}
 		return nil
 	}
-	if _, ok := r.byType[typ]; ok {
+	if _, ok := old.byType[typ]; ok {
 		return fmt.Errorf("serial: type %s already registered", typ)
 	}
-	id := len(r.entries)
-	r.entries = append(r.entries, regEntry{name: name, typ: typ, c: c})
-	r.byName[name] = id
-	r.byType[typ] = id
+	id := len(old.entries)
+	t := &regTable{
+		byName:  maps.Clone(old.byName),
+		byType:  maps.Clone(old.byType),
+		entries: append(old.entries[:id:id], regEntry{name: name, typ: typ, c: c}),
+	}
+	t.byName[name] = id
+	t.byType[typ] = id
+	r.tab.Store(t)
 	return nil
 }
 
@@ -139,9 +158,7 @@ func (r *Registry) IDOf(v any) (int, error) {
 	if typ.Kind() == reflect.Pointer {
 		typ = typ.Elem()
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.byType[typ]
+	id, ok := r.table().byType[typ]
 	if !ok {
 		return 0, fmt.Errorf("serial: type %s not registered", typ)
 	}
@@ -154,57 +171,75 @@ func (r *Registry) NameOf(v any) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.entries[id].name, nil
+	return r.table().entries[id].name, nil
 }
 
 // TypeByName looks up a registered type.
 func (r *Registry) TypeByName(name string) (reflect.Type, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	id, ok := r.byName[name]
+	t := r.table()
+	id, ok := t.byName[name]
 	if !ok {
 		return nil, false
 	}
-	return r.entries[id].typ, true
+	return t.entries[id].typ, true
 }
 
 // Len reports the number of registered types.
 func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
+	return len(r.table().entries)
 }
 
 // Marshal encodes v (a pointer to a registered struct, or the struct value
 // itself) as typeID + payload.
 func (r *Registry) Marshal(v any) ([]byte, error) {
-	id, c, p, err := r.codecOf(v)
+	e, err := r.Prepare(v)
 	if err != nil {
 		return nil, err
 	}
 	// Exact-size preallocation: one allocation, no growth copies.
-	buf := make([]byte, 0, uvarintLen(uint64(id))+c.size(p))
-	buf = binary.AppendUvarint(buf, uint64(id))
-	return c.enc(buf, p), nil
+	return e.AppendTo(make([]byte, 0, e.Len())), nil
 }
 
 // Append is like Marshal but appends to buf, returning the extended slice.
 func (r *Registry) Append(buf []byte, v any) ([]byte, error) {
-	id, c, p, err := r.codecOf(v)
+	e, err := r.Prepare(v)
 	if err != nil {
 		return buf, err
 	}
-	// Grow once to the exact final size before encoding.
-	need := uvarintLen(uint64(id)) + c.size(p)
-	if cap(buf)-len(buf) < need {
-		grown := make([]byte, len(buf), len(buf)+need)
+	return e.AppendTo(buf), nil
+}
+
+// Encoding is a value resolved for encoding and measured: a caller that
+// frames it learns its exact length before choosing a buffer.
+type Encoding struct {
+	id, n int
+	c     *typeCodec
+	p     unsafe.Pointer
+}
+
+// Prepare resolves v (as Marshal accepts it) for encoding and runs the
+// codec's size pass.
+func (r *Registry) Prepare(v any) (Encoding, error) {
+	id, c, p, err := r.codecOf(v)
+	if err != nil {
+		return Encoding{}, err
+	}
+	return Encoding{id: id, n: uvarintLen(uint64(id)) + c.size(p), c: c, p: p}, nil
+}
+
+// Len is the number of bytes AppendTo appends.
+func (e Encoding) Len() int { return e.n }
+
+// AppendTo appends the encoding to buf, growing it at most once, to the
+// exact final size.
+func (e Encoding) AppendTo(buf []byte) []byte {
+	if cap(buf)-len(buf) < e.n {
+		grown := make([]byte, len(buf), len(buf)+e.n)
 		copy(grown, buf)
 		buf = grown
 	}
-	buf = binary.AppendUvarint(buf, uint64(id))
-	return c.enc(buf, p), nil
+	buf = binary.AppendUvarint(buf, uint64(e.id))
+	return e.c.enc(buf, e.p)
 }
 
 // efaceWords mirrors the runtime layout of an interface value holding a
@@ -216,17 +251,12 @@ type efaceWords struct {
 
 // lookup resolves a struct type to its ID and compiled codec.
 func (r *Registry) lookup(st reflect.Type) (int, *typeCodec, error) {
-	r.mu.RLock()
-	id, ok := r.byType[st]
-	var c *typeCodec
-	if ok {
-		c = r.entries[id].c
-	}
-	r.mu.RUnlock()
+	t := r.table()
+	id, ok := t.byType[st]
 	if !ok {
 		return 0, nil, fmt.Errorf("serial: type %s not registered", st)
 	}
-	return id, c, nil
+	return id, t.entries[id].c, nil
 }
 
 // codecOf resolves v to its registered type ID, compiled codec and the
@@ -320,13 +350,11 @@ func (r *Registry) unmarshal(data []byte, o *owner) (any, int, error) {
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("serial: truncated type id")
 	}
-	r.mu.RLock()
-	if id >= uint64(len(r.entries)) {
-		r.mu.RUnlock()
+	entries := r.table().entries
+	if id >= uint64(len(entries)) {
 		return nil, 0, fmt.Errorf("serial: unknown type id %d", id)
 	}
-	e := r.entries[id]
-	r.mu.RUnlock()
+	e := &entries[id]
 	pv := reflect.New(e.typ)
 	used, err := e.c.dec(data[n:], pv.UnsafePointer(), o)
 	if err != nil {
@@ -340,9 +368,6 @@ func (r *Registry) unmarshal(data []byte, o *owner) (any, int, error) {
 // buffers twice. The compiled size pass computes it without building the
 // marshal buffer, so it never allocates for pointer tokens.
 func (r *Registry) EncodedSize(v any) (int, error) {
-	id, c, p, err := r.codecOf(v)
-	if err != nil {
-		return 0, err
-	}
-	return uvarintLen(uint64(id)) + c.size(p), nil
+	e, err := r.Prepare(v)
+	return e.Len(), err
 }

@@ -2,9 +2,11 @@ package serial
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -417,5 +419,59 @@ func BenchmarkMarshalLargeBuffer(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRegistryReadsDuringRegister: encoding and decoding take no lock, so
+// a token must round-trip, and every type counted by Len resolve, while
+// registrations replace the registry's table. Run under -race, which also
+// checks that no published table is written after it is stored.
+func TestRegistryReadsDuringRegister(t *testing.T) {
+	const types = 300
+	r := NewRegistry()
+	if err := Register[nested](r); err != nil {
+		t.Fatal(err)
+	}
+	in := &nested{Name: "row", Vals: []float64{1, 2, 3}}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				buf, err := r.Marshal(in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				out, _, err := r.Unmarshal(buf)
+				if err != nil || !reflect.DeepEqual(out, in) {
+					t.Errorf("round trip gave %v, %v", out, err)
+					return
+				}
+				n := r.Len()
+				if _, ok := r.TypeByName(fmt.Sprintf("gen%d", n-2)); n > 1 && !ok {
+					t.Errorf("Len is %d but type %d does not resolve", n, n-2)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < types; i++ {
+		typ := reflect.StructOf([]reflect.StructField{{Name: fmt.Sprintf("F%d", i), Type: reflect.TypeOf(0)}})
+		if err := r.RegisterName(fmt.Sprintf("gen%d", i), typ); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n := r.Len(); n != types+1 {
+		t.Fatalf("Len = %d after %d registrations", n, types+1)
 	}
 }

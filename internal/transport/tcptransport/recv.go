@@ -30,10 +30,11 @@ type frameReader interface {
 }
 
 // borrowed is where frames shorter than limit are read into
-// (transport.Borrower): get returns a buffer of at least limit capacity.
+// (transport.Borrower): get(n) returns an empty buffer of at least n
+// capacity.
 type borrowed struct {
 	limit int
-	get   func() []byte
+	get   func(n int) []byte
 }
 
 // readFrame reads one [uvarint len][payload] frame into a buffer the caller
@@ -49,7 +50,7 @@ func readFrame(r frameReader, small *borrowed) ([]byte, error) {
 		return nil, fmt.Errorf("tcptransport: frame of %d bytes exceeds limit", size)
 	}
 	if small != nil && size < uint64(small.limit) {
-		buf := small.get()[:size]
+		buf := small.get(int(size))[:size]
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, err
 		}

@@ -86,21 +86,22 @@ func TestOneByteWriterIsReassembled(t *testing.T) {
 
 // TestShortFramesArriveInBorrowedBuffers: with a lender installed
 // (transport.Borrower) a frame shorter than the limit reaches the handler in
-// the front of a lent buffer, intact, and every other frame in a buffer of
-// exactly its own size, as without one.
+// the front of a buffer lent for its size, intact, and every other frame in
+// a buffer of exactly its own size, as without one. The limit is the one
+// the engine installs: the frames under it span two read buffers.
 func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
-	const limit = 256
+	const limit, slack = 32 << 10, 64
 	_, b := startPair(t)
 	var lent [][]byte
-	b.SetBorrow(limit, func() []byte {
-		buf := make([]byte, 0, limit+64) // called on the connection's one reader
+	b.SetBorrow(limit, func(n int) []byte {
+		buf := make([]byte, 0, n+slack) // called on the connection's one reader
 		lent = append(lent, buf)
 		return buf
 	})
-	got := make(chan []byte, 8)
+	got := make(chan []byte, 16)
 	b.SetHandler(func(_ string, p []byte) { got <- p })
 	c := rawSession(t, b.Addr(), "raw", 1)
-	sizes := []int{0, 1, limit - 1, limit, limit + 1, 40, 5000}
+	sizes := []int{0, 1, 40, 5000, 31 << 10, limit - 1, limit, limit + 1, 70000}
 	for i, n := range sizes {
 		if err := writeFrame(c, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
 			t.Fatal(err)
@@ -118,8 +119,8 @@ func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
 			t.Fatalf("frame %d: %d bytes damaged or misframed", i, len(p))
 		}
 		if n < limit {
-			if borrowed++; cap(p) != limit+64 {
-				t.Errorf("a frame of %d bytes arrived in a buffer of capacity %d, want the lent one (%d)", n, cap(p), limit+64)
+			if borrowed++; cap(p) != n+slack {
+				t.Errorf("a frame of %d bytes arrived in a buffer of capacity %d, want the one lent for it (%d)", n, cap(p), n+slack)
 			}
 		} else if cap(p) != n {
 			t.Errorf("a frame of %d bytes arrived in a buffer of capacity %d, want its own size", n, cap(p))

@@ -247,8 +247,9 @@ func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
 func (n *Node) SetRelease(release func(payload []byte)) { n.release.Store(&release) }
 
 // SetBorrow implements transport.Borrower: frames shorter than limit are
-// read into a buffer from borrow and handed to the handler in it.
-func (n *Node) SetBorrow(limit int, borrow func() []byte) {
+// read into a buffer from borrow, sized to the frame, and handed to the
+// handler in it.
+func (n *Node) SetBorrow(limit int, borrow func(int) []byte) {
 	n.borrow.Store(&borrowed{limit: limit, get: borrow})
 }
 

@@ -34,8 +34,8 @@ import (
 // into it). All three implementations satisfy this: each delivered message
 // carries a buffer no other component references afterwards. None draws its
 // receive buffers from a pool of its own that a kept one would be missed by;
-// a Borrower reads short frames into buffers the handler's side lent it, and
-// those are the handler's to give back.
+// a Borrower reads frames under its limit into buffers the handler's side
+// lent it, and those are the handler's to give back.
 type Handler func(src string, payload []byte)
 
 // Colocated is optionally implemented by transports whose endpoints can
@@ -69,22 +69,22 @@ type Releaser interface {
 }
 
 // Borrower is optionally implemented by transports that read each received
-// frame into a buffer of their own, one allocation per frame. For short
-// frames — acknowledgements, group-ends, small tokens — that allocation is
-// most of what receiving costs, and the buffer is too small for the handler
-// to reuse. With SetBorrow the handler's side lends the buffers instead: a
-// frame shorter than limit is read into the front of a buffer returned by
-// borrow, which must have a capacity of at least limit, and reaches the
-// Handler in it — the handler's from then on like any payload, to return to
-// wherever borrow draws from. A buffer borrowed for a frame that then fails
-// to arrive is dropped. Frames of limit bytes and more are unaffected: each
-// still gets a buffer of exactly its size. SetBorrow must be called before
-// SetHandler.
+// frame into a buffer of their own, one allocation per frame. For frames
+// under limit that allocation is most of what receiving costs, and a buffer
+// of exactly a frame's length is one the handler can neither reuse nor hand
+// on without pinning the frame's header. With SetBorrow the handler's side
+// lends the buffers instead: a frame of n < limit bytes is read into the
+// front of a buffer returned by borrow(n), which must have a capacity of at
+// least n, and reaches the Handler in it — the handler's from then on like
+// any payload, to return to wherever borrow draws from. A buffer borrowed
+// for a frame that then fails to arrive is dropped. Frames of limit bytes
+// and more are unaffected: each still gets a buffer of exactly its size.
+// SetBorrow must be called before SetHandler.
 //
 // The in-process fabrics do not implement it: they deliver the sender's own
 // buffer.
 type Borrower interface {
-	SetBorrow(limit int, borrow func() []byte)
+	SetBorrow(limit int, borrow func(n int) []byte)
 }
 
 // Corker is optionally implemented by transports that can hold a sender's
