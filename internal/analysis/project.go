@@ -33,18 +33,19 @@ func ProjectRules() []*Rule {
 		// Pooled wire buffers and envelopes (internal/core/pool.go).
 		// decodeEnvelope and decodeEnvelopeNamed hand out a pooled envelope,
 		// and link.tokenFrame a wire buffer drawn for the frame it builds,
-		// so their results are pool-owned too. And the owning decode's per-call
-		// state (internal/serial/serial.go): the compiled decoders record
-		// into it, nothing may keep it. The function names are package-local
-		// and distinct, so one rule instance covers both packages.
+		// so their results are pool-owned too. A kernel (internal/kernel)
+		// draws the same buffers through an application's lender (borrow)
+		// and makeAppFrame, and gives a received frame back with recycle.
+		// The function names are package-local and distinct, so one rule
+		// instance covers both packages.
 		Poolown(PoolownConfig{
-			PkgSuffixes: []string{"internal/core", "internal/serial"},
+			PkgSuffixes: []string{"internal/core", "internal/kernel"},
 			Pools: []PoolSpec{
 				{Get: "getEnvelope", Put: "putEnvelope"},
 				{Get: "getWireBuf", Put: "putWireBuf"},
-				{Get: "getOwner", Put: "putOwner"},
+				{Get: "borrow", Put: "recycle"},
 			},
-			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed", "tokenFrame"},
+			ExtraGets: []string{"decodeEnvelope", "decodeEnvelopeNamed", "tokenFrame", "makeAppFrame"},
 		}),
 	}
 }

@@ -277,11 +277,9 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 		r.SetRelease(putWireBuf)
 	}
 	if b, ok := tr.(transport.Borrower); ok {
-		// The transport allocates per received frame: every frame under the
-		// largest class arrives in a pool buffer of its class instead, which
-		// the link gives back once decoded (link.unmarshalOwned never lets a
-		// token keep one).
-		b.SetBorrow(maxClassedWireBuf, func(n int) []byte { return getWireBuf(&rt.stats, n) })
+		// The transport allocates per received frame: every frame arrives in
+		// a pool buffer instead, which the link gives back once decoded.
+		b.SetBorrow(func(n int) []byte { return getWireBuf(&rt.stats, n) })
 	}
 	tr.SetHandler(rt.lnk.handle)
 	return rt, nil

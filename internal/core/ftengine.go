@@ -145,7 +145,9 @@ func (rt *Runtime) ftOutbound(env *envelope, coll string, thread int) {
 }
 
 // ftOutboundGroupEnd stamps and retains a group-end announcement on the
-// opener's derived stream, behind the group's tokens.
+// opener's derived stream, behind the group's tokens. The retained copy is
+// the sequenced frame, built on the stack and copied once into an
+// allocation of its length, outside the wire pool like ftOutbound's.
 func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream ft.Stream, inSeq uint64, coll string, thread int) {
 	if s == nil {
 		return
@@ -153,8 +155,10 @@ func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream ft.S
 	dst := place.Key{Collection: coll, Thread: thread}
 	m.FTStream = ft.DerivedStream(s.Stream(), inStream)
 	m.FTSeq = s.NextOut(m.FTStream, dst)
+	var scratch [frameHeadCap]byte
+	frame := appendGroupEndFT(scratch[:0], m)
 	s.Append(ft.Entry{Stream: m.FTStream, Dst: dst, Seq: m.FTSeq, CallID: m.CallID,
-		InStream: inStream, InSeq: inSeq, Kind: ft.EntryGroupEnd, Bytes: appendGroupEndFT(nil, m)})
+		InStream: inStream, InSeq: inSeq, Kind: ft.EntryGroupEnd, Bytes: append(make([]byte, 0, len(frame)), frame...)})
 }
 
 // ftStateFor resolves the local owner of a sender: a thread instance's

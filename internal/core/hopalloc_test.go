@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core/ft"
+	"repro/internal/core/place"
 	"repro/internal/race"
 	"repro/internal/serial"
 )
@@ -113,6 +115,32 @@ func TestHopAllocationBudget(t *testing.T) {
 		if got := perCall(c.app, c.leaves, c.parts) - base[c.app]; got != c.want {
 			t.Errorf("one more %s hop allocates %.2f objects, want %.0f: %s", c.hop, got, c.want, c.what)
 		}
+	}
+}
+
+// TestSequencedGroupEndAllocatesOnce: the retained copy of a sequenced
+// group-end is sized once, like a sequenced token's (ftOutbound), so
+// stamping and retaining one allocates that copy and nothing else.
+func TestSequencedGroupEndAllocatesOnce(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	app, err := NewLocalApp(Config{}, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	rt := app.runtimes["a"]
+	s := ft.NewState(ft.Stream{Sender: 1})
+	m := &groupEndMsg{Graph: "a-graph", Node: 2, Thread: 3, GroupID: 1 << 40, Total: 12, CallID: 1 << 33}
+	in := ft.Stream{Sender: 2, In: 5}
+	if got := testing.AllocsPerRun(1000, func() { rt.ftOutboundGroupEnd(m, s, in, 9, "coll", 1) }); got != 1 {
+		t.Errorf("a sequenced group-end allocates %.0f objects, want 1: its retained copy", got)
+	}
+	e := s.EntriesTo(place.Key{Collection: "coll", Thread: 1})
+	last := e[len(e)-1].Bytes
+	if want := appendGroupEndFT(nil, m); string(last) != string(want) || cap(last) != len(last) {
+		t.Errorf("retained %x (cap %d), want the sequenced frame %x at its exact length", last, cap(last), want)
 	}
 }
 

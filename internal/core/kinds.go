@@ -42,15 +42,9 @@ type wireKind struct {
 	// name labels the kind in diagnostics ("dps: bad <name> from ...").
 	name string
 	// recv decodes one received frame (kind byte included) and delivers the
-	// message to the runtime. Unless recycles is set the frame returns to
-	// the wire pool when recv does; a recycling recv disposes of it itself,
-	// as soon as decoding is done — delivery may run an operation inline,
-	// and the buffer must not sit out of the pool for that long. The
-	// recycling kinds are the frames that are exactly one token or result,
-	// whose bytes the decoded token may take over instead
-	// (link.unmarshalOwned).
-	recv     func(l *link, src string, frame []byte) error
-	recycles bool
+	// message to the runtime, copying out whatever the message keeps: the
+	// frame returns to the wire pool when recv does (link.handle).
+	recv func(l *link, src string, frame []byte) error
 	// entry, set exactly for the kinds that may ride in a batch frame,
 	// receives one batch entry: the message body, and the stamp the entry
 	// carries ahead of it.
@@ -75,15 +69,15 @@ var wireKinds [256]wireKind
 func init() {
 	wireKinds = [256]wireKind{
 		msgToken: {
-			name: "token", recv: (*link).recvLoneToken, recycles: true, entry: (*link).recvTokenEntry,
+			name: "token", recv: (*link).recvLone, entry: (*link).recvTokenEntry,
 			span: spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgTokenFT: {
-			name: "sequenced token", recv: (*link).recvLoneToken, recycles: true, entry: (*link).recvTokenEntry,
+			name: "sequenced token", recv: (*link).recvLone, entry: (*link).recvTokenEntry,
 			sequenced: true, span: spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgTraced: {
-			name: "traced frame", recv: (*link).recvTraced, recycles: true,
+			name: "traced frame", recv: (*link).recvTraced,
 			span: spanWire, suppress: true, fail: failPanic,
 		},
 		msgForwarded: {
@@ -93,12 +87,12 @@ func init() {
 			span: spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgGroupEnd: {
-			name: "group-end", recv: (*link).recvLoneGroupEnd, entry: (*link).recvGroupEndEntry,
+			name: "group-end", recv: (*link).recvLone, entry: (*link).recvGroupEndEntry,
 			span: spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
 		},
 		msgGroupEndFT: {
-			name: "sequenced group-end", recv: (*link).recvLoneGroupEnd, entry: (*link).recvGroupEndEntry,
+			name: "sequenced group-end", recv: (*link).recvLone, entry: (*link).recvGroupEndEntry,
 			sequenced: true,
 			span:      spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
@@ -123,7 +117,7 @@ func init() {
 			suppress: true, fail: failLink,
 		},
 		msgResult: {
-			name: "result", recv: (*link).recvResult, recycles: true,
+			name: "result", recv: (*link).recvResult,
 			span: spanDispatch,
 			// The caller's node died; nobody is waiting for the result.
 			suppress: true, fail: failPanic,

@@ -572,27 +572,27 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 
 // roundTrip marshals and unmarshals a token, exercising the full
 // serialization path for same-node transfers (the ForceSerialize debugging
-// mode).
+// mode). The token is a copy, so the buffer goes to the wire pool like a
+// received frame.
 func (l *link) roundTrip(tok Token) (Token, error) {
 	payload, err := l.reg.Marshal(tok)
 	if err != nil {
 		return nil, fmt.Errorf("dps: cannot serialize %T: %w", tok, err)
 	}
-	out, err := l.unmarshalOwned(payload, payload)
+	out, _, err := l.reg.Unmarshal(payload)
 	if err != nil {
 		return nil, fmt.Errorf("dps: cannot deserialize %T: %w", tok, err)
 	}
+	putWireBuf(payload)
 	return out, nil
 }
 
 // --- inbound --------------------------------------------------------------
 
 // handle is the transport receive entry point. Per the transport ownership
-// contract the frame belongs to this handler once invoked, and it is
-// disposed of exactly once: by the kind's receive function where the table
-// says so (a frame that is one token or one result may become that token's
-// bytes, see unmarshalOwned), into the wire pool here otherwise, every
-// decoded field having been copied out. A frame that fails to decode fails
+// contract the frame belongs to this handler once invoked, and every kind's
+// receive function copies out whatever it keeps, so the frame returns to
+// the wire pool here once it is decoded. A frame that fails to decode fails
 // the application and is left to the collector.
 func (l *link) handle(src string, frame []byte) {
 	if len(frame) == 0 {
@@ -608,66 +608,20 @@ func (l *link) handle(src string, frame []byte) {
 		l.rt.linkFail(fmt.Errorf("dps: bad %s from %q: %w", k.name, src, err))
 		return
 	}
-	if !k.recycles {
-		putWireBuf(frame)
-	}
-}
-
-// unmarshalOwned decodes the token serialized in payload and disposes of
-// frame, the wire buffer payload lies in, which must carry nothing else
-// anyone will read and belong to this link alone. It is the one place where
-// a decoded frame's fate is decided. A frame shorter than maxClassedWireBuf,
-// or in a buffer more than twice its length, is decoded by copy and returns
-// to the wire pool: it is, or may be, a pool buffer (a Borrower read it into
-// one, an in-process sender encoded into one), which no token may pin, and
-// the copy of a field that short costs less than the size class its frame
-// header would push it into. From maxClassedWireBuf up, in a buffer it
-// fills at least half of, the token's []byte field may have kept a slice of
-// the frame (serial.UnmarshalOwned), and then the frame is the token's
-// memory and the collector's; otherwise it returns to the wire pool. After
-// an error it is left to the collector like every frame that fails to
-// decode.
-func (l *link) unmarshalOwned(payload, frame []byte) (Token, error) {
-	var (
-		tok  Token
-		kept bool
-		err  error
-	)
-	if len(frame) < maxClassedWireBuf || cap(frame) > 2*len(frame) {
-		tok, _, err = l.reg.Unmarshal(payload)
-	} else {
-		tok, _, kept, err = l.reg.UnmarshalOwned(payload)
-	}
-	switch {
-	case err != nil:
-		return nil, err
-	case kept:
-		atomic.AddInt64(&l.rt.stats.FramesKept, 1)
-	default:
-		putWireBuf(frame)
-	}
-	return tok, nil
+	putWireBuf(frame)
 }
 
 // recvToken is the one decode-unmarshal-deliver path of every token on the
 // wire: alone in a frame, inside a traced or forwarded wrapper, or as a
 // batch entry. body is the envelope header and serialized token;
-// stream/seq, traceID and lane are what the framing around it carried.
-// owned, when non-nil, is the wire buffer body aliases, this token being all
-// it carries: it is disposed of here (unmarshalOwned). A batch frame
-// outlives each of its entries and a forwarded wrapper is recycled by
-// handle, so their tokens are copied out (nil).
-func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane place.Lane, body, owned []byte) error {
+// stream/seq, traceID and lane are what the framing around it carried. The
+// token is a copy: handle recycles the frame body lies in.
+func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane place.Lane, body []byte) error {
 	env, err := decodeEnvelopeNamed(body, l.rt.app.canonical())
 	if err != nil {
 		return err
 	}
-	var tok Token
-	if owned != nil {
-		tok, err = l.unmarshalOwned(env.Payload, owned)
-	} else {
-		tok, _, err = l.reg.Unmarshal(env.Payload)
-	}
+	tok, _, err := l.reg.Unmarshal(env.Payload)
 	if err != nil {
 		putEnvelope(env)
 		return fmt.Errorf("cannot deserialize token: %w", err)
@@ -680,7 +634,7 @@ func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane
 }
 
 func (l *link) recvTokenEntry(src string, stream ft.Stream, seq uint64, body []byte) error {
-	return l.recvToken(src, stream, seq, 0, place.Direct, body, nil)
+	return l.recvToken(src, stream, seq, 0, place.Direct, body)
 }
 
 // readStamp splits the single frame of a batchable kind into its
@@ -692,18 +646,13 @@ func readStamp(frame []byte) (stream ft.Stream, seq uint64, body []byte, err err
 	return ft.Stream{}, 0, frame[1:], nil
 }
 
-func (l *link) recvLoneToken(src string, frame []byte) error {
-	return l.recvFrame(src, 0, place.Direct, frame, frame)
-}
-
-func (l *link) recvLoneGroupEnd(src string, frame []byte) error {
-	return l.recvFrame(src, 0, place.Direct, frame, nil)
+func (l *link) recvLone(src string, frame []byte) error {
+	return l.recvFrame(src, 0, place.Direct, frame)
 }
 
 // recvFrame receives the single frame of a token or group-end, which may
-// sit inside wrappers; owned is the wire buffer for a token to take over or
-// recycle (nil: the caller recycles it).
-func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame, owned []byte) error {
+// sit inside wrappers.
+func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame []byte) error {
 	stream, seq, body, err := readStamp(frame)
 	if err != nil {
 		return err
@@ -711,11 +660,11 @@ func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame, own
 	if frame[0] == msgGroupEnd || frame[0] == msgGroupEndFT {
 		return l.recvGroupEnd(src, stream, seq, lane, body)
 	}
-	return l.recvToken(src, stream, seq, traceID, lane, body, owned)
+	return l.recvToken(src, stream, seq, traceID, lane, body)
 }
 
 func (l *link) recvTraced(src string, frame []byte) error {
-	return l.recvTracedFrame(src, place.Direct, frame, frame)
+	return l.recvTracedFrame(src, place.Direct, frame)
 }
 
 // recvTracedFrame unwraps a sampled token's frame and records the
@@ -723,7 +672,7 @@ func (l *link) recvTraced(src string, frame []byte) error {
 // Across processes the two clocks are not synchronized, so the duration
 // carries their skew; within one process (the test and bench deployments)
 // they agree.
-func (l *link) recvTracedFrame(src string, lane place.Lane, traced, owned []byte) error {
+func (l *link) recvTracedFrame(src string, lane place.Lane, traced []byte) error {
 	traceID, sentNs, inner, err := decodeTracedHeader(traced[1:])
 	if err != nil {
 		return err
@@ -736,7 +685,7 @@ func (l *link) recvTracedFrame(src string, lane place.Lane, traced, owned []byte
 		d = 0
 	}
 	l.rt.traceSpan(traceID, "wire", src, sentNs, d)
-	return l.recvFrame(src, traceID, lane, inner, owned)
+	return l.recvFrame(src, traceID, lane, inner)
 }
 
 // recvForwarded unwraps what a relay re-sent: the ordinary frame of a token
@@ -747,9 +696,9 @@ func (l *link) recvForwarded(src string, frame []byte) error {
 	if len(frame) > 1 {
 		switch inner := frame[1:]; inner[0] {
 		case msgTraced:
-			return l.recvTracedFrame(src, place.Forwarded, inner, nil)
+			return l.recvTracedFrame(src, place.Forwarded, inner)
 		case msgToken, msgTokenFT, msgGroupEnd, msgGroupEndFT:
-			return l.recvFrame(src, 0, place.Forwarded, inner, nil)
+			return l.recvFrame(src, 0, place.Forwarded, inner)
 		}
 	}
 	return fmt.Errorf("no forwardable frame inside")
@@ -799,7 +748,7 @@ func (l *link) recvResult(src string, frame []byte) error {
 	if err != nil {
 		return err
 	}
-	tok, err := l.unmarshalOwned(m.Payload, frame)
+	tok, _, err := l.reg.Unmarshal(m.Payload)
 	if err != nil {
 		return fmt.Errorf("cannot deserialize result: %w", err)
 	}

@@ -63,13 +63,10 @@ type recTransport struct {
 	refuse  bool
 	refused []byte // the last refused buffer itself, not a copy
 
-	limit  int
 	borrow func(n int) []byte
 }
 
-func (r *recTransport) SetBorrow(limit int, borrow func(n int) []byte) {
-	r.limit, r.borrow = limit, borrow
-}
+func (r *recTransport) SetBorrow(borrow func(n int) []byte) { r.borrow = borrow }
 
 func (r *recTransport) Local() string                { return "near" }
 func (r *recTransport) SetHandler(transport.Handler) {}

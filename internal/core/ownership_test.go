@@ -15,8 +15,8 @@ import (
 	"repro/internal/transport/tcptransport"
 )
 
-// blobTok is a token that is nearly all one byte slice, the shape whose
-// frame the owning decode keeps.
+// blobTok is a token that is nearly all one byte slice: the shape whose
+// bytes a decoder would be most tempted to leave in its frame.
 type blobTok struct {
 	N    int
 	Sum  uint32
@@ -64,9 +64,7 @@ func poisonPuts(t *testing.T) *putLog {
 	return pl
 }
 
-// of counts the puts of any buffer starting inside frame (a receive function
-// may recycle a frame from its first byte, a kernel port from the byte after
-// its own header).
+// of counts the puts of any buffer starting inside frame.
 func (pl *putLog) of(frame []byte) int {
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(frame)))
 	hi := lo + uintptr(cap(frame))
@@ -116,21 +114,14 @@ func blobLink(t *testing.T, cfg Config) (l *link, tr *recTransport, ran chan *bl
 	return l, tr, ran
 }
 
-// TestFrameOwnershipPerKind: which received frames become their token's
-// bytes and which are copied out of and recycled. A frame that is exactly one
-// token — alone, sequenced, traced — or one result is the link's alone and
-// is kept when it is at least maxClassedWireBuf long, in a buffer it fills at
-// least half of, and the token's byte slice is at least half of it; a
-// shorter one is, or may be, a pool buffer of its class (a
-// transport.Borrower read it into one, an in-process sender encoded into
-// one), so it is always copied out of; a forwarded wrapper and a batch frame
-// outlive the entry being decoded, so their tokens are copies and the frame
-// goes back to the pool. Either way a frame is disposed of once: kept and
-// never pooled, or pooled exactly once — and overwritten as it is, which
-// must not reach the delivered token.
+// TestFrameOwnershipPerKind: every received frame — a token alone,
+// sequenced, traced or forwarded, a batch, a result; short or long; in a pool
+// buffer or not — is decoded by copy and given to the wire pool exactly once
+// by handle, and overwritten as it is, which must not reach the delivered
+// token.
 func TestFrameOwnershipPerKind(t *testing.T) {
 	const (
-		big   = maxClassedWireBuf + 3000 // a keepable token
+		big   = maxClassedWireBuf + 3000 // above the classes
 		small = 3000                     // one a batch takes in
 	)
 	env := func(tok *blobTok) *envelope {
@@ -170,19 +161,19 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		name  string
 		kind  byte
 		frame func(*testing.T, *link) []byte
-		kept  bool
 	}{
-		{"lone token", msgToken, tokenFrame(nil, place.Direct, big), true},
-		{"sequenced token", msgTokenFT, tokenFrame(sequenced, place.Direct, big), true},
-		{"traced token", msgTraced, tokenFrame(traced, place.Direct, big), true},
-		{"lone token, no bytes to keep", msgToken, tokenFrame(nil, place.Direct, -1), false},
-		{"short token in a pool buffer", msgToken, tokenFrame(nil, place.Direct, small), false},
-		{"short sequenced token in a pool buffer", msgTokenFT, tokenFrame(sequenced, place.Direct, 40), false},
-		{"short traced token in a pool buffer", msgTraced, tokenFrame(traced, place.Direct, 40), false},
-		{"longest copied token", msgToken, frameOf(maxClassedWireBuf - 1), false},
-		{"shortest keepable token", msgToken, frameOf(maxClassedWireBuf), true},
-		{"forwarded token", msgForwarded, tokenFrame(nil, place.Forwarded, big), false},
-		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big), false},
+		{"lone token", msgToken, tokenFrame(nil, place.Direct, big)},
+		{"sequenced token", msgTokenFT, tokenFrame(sequenced, place.Direct, big)},
+		{"traced token", msgTraced, tokenFrame(traced, place.Direct, big)},
+		{"lone token, no bytes to keep", msgToken, tokenFrame(nil, place.Direct, -1)},
+		{"short token in a pool buffer", msgToken, tokenFrame(nil, place.Direct, small)},
+		{"short sequenced token in a pool buffer", msgTokenFT, tokenFrame(sequenced, place.Direct, 40)},
+		{"short traced token in a pool buffer", msgTraced, tokenFrame(traced, place.Direct, 40)},
+		{"longest copied token", msgToken, frameOf(maxClassedWireBuf - 1)},
+		{"token filling the largest class", msgToken, frameOf(maxClassedWireBuf)},
+		{"1 MiB token", msgToken, tokenFrame(nil, place.Direct, 1<<20)},
+		{"forwarded token", msgForwarded, tokenFrame(nil, place.Forwarded, big)},
+		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big)},
 		{"batch entry", msgBatch, func(t *testing.T, _ *link) []byte {
 			sender, tr, _ := blobLink(t, Config{Batch: true, BatchDelay: time.Hour})
 			sender.sendToken(env(newBlob(7, small)), "far", place.Direct, txSend)
@@ -192,7 +183,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 				t.Fatalf("batching sender emitted %d frames, want one batch frame", len(frames))
 			}
 			return frames[0]
-		}, false},
+		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -209,15 +200,14 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			case <-time.After(5 * time.Second):
 				t.Fatalf("token never delivered (app error: %v)", l.rt.app.Err())
 			}
-			checkDisposal(t, l, pl, frame, got, c.kept)
+			checkDisposal(t, l, pl, frame, got)
 		})
 	}
 
 	for _, c := range []struct {
 		name string
 		size int
-		kept bool
-	}{{"result", big, true}, {"short result in a pool buffer", 40, false}} {
+	}{{"result", big}, {"short result in a pool buffer", 40}} {
 		t.Run(c.name, func(t *testing.T) {
 			l, _, _ := blobLink(t, Config{})
 			id, ce, err := l.rt.app.registerCall(context.Background(), l.rt)
@@ -234,12 +224,12 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			if res.Err != nil {
 				t.Fatal(res.Err)
 			}
-			checkDisposal(t, l, pl, frame, res.Value.(*blobTok), c.kept)
+			checkDisposal(t, l, pl, frame, res.Value.(*blobTok))
 		})
 	}
 
 	// ForceSerialize's same-node round trip decodes a buffer nobody else has
-	// seen: the same rule, through the same helper.
+	// seen: the same rule.
 	t.Run("round trip", func(t *testing.T) {
 		l, _, _ := blobLink(t, Config{ForceSerialize: true})
 		pl := poisonPuts(t)
@@ -253,8 +243,8 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		pl.mu.Lock()
 		puts := len(pl.puts)
 		pl.mu.Unlock()
-		if kept := l.rt.Stats().FramesKept; kept != 1 || puts != 0 {
-			t.Fatalf("FramesKept = %d, %d buffers pooled; want the marshal buffer kept and nothing pooled", kept, puts)
+		if puts != 1 {
+			t.Fatalf("%d buffers pooled; want the marshal buffer, once", puts)
 		}
 	})
 }
@@ -282,38 +272,40 @@ func newTCPApp(t *testing.T, cfg Config, names ...string) (*App, []*tcptransport
 	return app, nodes
 }
 
-// TestShortFramesAreLentFromThePool: a transport that asks (transport.Borrower)
-// is lent wire-pool buffers for frames under maxClassedWireBuf, each with
-// room for the frame it is lent for, counted like a sender's when the pool
-// has none; the link gives such a frame back once.
+// TestShortFramesAreLentFromThePool: a transport that asks
+// (transport.Borrower) is lent wire-pool buffers for every frame, short or
+// long, each with room for the frame it is lent for, counted like a
+// sender's when the pool has none; the link gives such a frame back once.
 func TestShortFramesAreLentFromThePool(t *testing.T) {
-	l, tr, ran := blobLink(t, Config{})
-	if tr.limit != maxClassedWireBuf || tr.borrow == nil {
-		t.Fatalf("AttachTransport installed limit %d, lender %v; want %d and the wire pool", tr.limit, tr.borrow != nil, maxClassedWireBuf)
-	}
-	built, err := l.tokenFrame(&envelope{Graph: "g", CallOrigin: "far", Token: newBlob(7, 5000)}, place.Direct)
-	if err != nil {
-		t.Fatal(err)
-	}
-	misses := l.rt.Stats().WireBufMisses
-	var buf []byte
-	for lent := 0; l.rt.Stats().WireBufMisses == misses; lent++ { // until the pool runs dry
-		if lent == 1<<16 {
-			t.Fatalf("%d buffers lent and none counted as a pool miss", lent)
+	for _, size := range []int{5000, 70000} {
+		l, tr, ran := blobLink(t, Config{})
+		if tr.borrow == nil {
+			t.Fatal("AttachTransport installed no lender")
 		}
-		if buf = tr.borrow(len(built)); len(buf) != 0 || cap(buf) < len(built) {
-			t.Fatalf("lent a buffer of len %d cap %d, want empty with room for the %d-byte frame", len(buf), cap(buf), len(built))
+		built, err := l.tokenFrame(&envelope{Graph: "g", CallOrigin: "far", Token: newBlob(7, size)}, place.Direct)
+		if err != nil {
+			t.Fatal(err)
 		}
+		misses := l.rt.Stats().WireBufMisses
+		var buf []byte
+		for lent := 0; l.rt.Stats().WireBufMisses == misses; lent++ { // until the pool runs dry
+			if lent == 1<<16 {
+				t.Fatalf("%d buffers lent and none counted as a pool miss", lent)
+			}
+			if buf = tr.borrow(len(built)); len(buf) != 0 || cap(buf) < len(built) {
+				t.Fatalf("lent a buffer of len %d cap %d, want empty with room for the %d-byte frame", len(buf), cap(buf), len(built))
+			}
+		}
+		frame := append(buf, built...)
+		pl := poisonPuts(t)
+		l.handle("far", frame)
+		checkDisposal(t, l, pl, frame, <-ran)
 	}
-	frame := append(buf, built...)
-	pl := poisonPuts(t)
-	l.handle("far", frame)
-	checkDisposal(t, l, pl, frame, <-ran, false)
 }
 
 // checkDisposal checks what became of frame after handle decoded got out of
-// it.
-func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok, kept bool) {
+// it: got is intact, a copy, and the frame reached the pool exactly once.
+func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok) {
 	t.Helper()
 	if err := l.rt.app.Err(); err != nil {
 		t.Fatal(err)
@@ -321,38 +313,29 @@ func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok
 	if got.N != 7 || !got.intact() {
 		t.Fatalf("delivered token %d is damaged: its bytes were recycled under it", got.N)
 	}
-	if inside := pointsInto(got.Data, frame); inside != kept {
-		t.Fatalf("token data points into the frame: %v, want %v", inside, kept)
+	if pointsInto(got.Data, frame) {
+		t.Fatal("token data points into the frame")
 	}
-	wantKept, wantPuts := int64(0), 1
-	if kept {
-		wantKept, wantPuts = 1, 0
-		if cap(got.Data) != len(got.Data) {
-			t.Errorf("kept data has len %d cap %d: an append would write into the frame", len(got.Data), cap(got.Data))
-		}
-	}
-	if n := l.rt.Stats().FramesKept; n != wantKept {
-		t.Errorf("FramesKept = %d, want %d", n, wantKept)
-	}
-	if n := pl.of(frame); n != wantPuts {
-		t.Errorf("the frame reached putWireBuf %d times, want %d", n, wantPuts)
+	if n := pl.of(frame); n != 1 {
+		t.Errorf("the frame reached putWireBuf %d times, want once", n)
 	}
 }
 
 // TestPoisonedPoolNeverReachesTokens runs checksummed byte blocks of every
-// size class through split, leaf, merge and result over serialized links
-// while every buffer given to putWireBuf is overwritten on the spot. A
+// size class and above through split, leaf, merge and result over serialized
+// links while every buffer given to putWireBuf is overwritten on the spot. A
 // buffer recycled while something still reads it — a frame pooled before its
-// last field was copied out, a kept frame pooled at all, a sent buffer
-// released before the write — shows up as a damaged block or a decode
-// failure, at once or when the results held back are checked again at the
-// end, after the pool has been through many more owners. The blocks under
-// maxClassedWireBuf are the ones whose frame is a pool buffer of its class —
-// the sender's own on the in-process fabric, one the transport borrowed over
-// TCP — and must come out as copies; the two around the boundary put their
-// frames on either side of it.
+// last field was copied out, a sent buffer released before the write —
+// shows up as a damaged block or a decode failure, at once or when the
+// results held back are checked again at the end, after the pool has been
+// through many more owners. Every frame is a pool buffer — the sender's own
+// on the in-process fabric, one the transport borrowed over TCP — so every
+// block must come out as a copy; the two around maxClassedWireBuf put their
+// frames on either side of the largest class, and the 64 KiB and 1 MiB ones
+// share the pool above it.
 func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
-	sizes := []int{-1, 0, 9, 200, 600, 1100, 5000, maxClassedWireBuf - 1, maxClassedWireBuf, 70000}
+	const resultSize = 70000 // the block the merge returns
+	sizes := []int{-1, 0, 9, 200, 600, 1100, 5000, maxClassedWireBuf - 1, maxClassedWireBuf, 64 << 10, resultSize, 1 << 20}
 	for _, cfg := range []struct {
 		name string
 		cfg  Config
@@ -399,20 +382,20 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 			// received frame's, are what the next hop encodes from.
 			leaf := Leaf[*blobTok, *blobTok]("pass", func(c *Ctx, in *blobTok) *blobTok { return in })
 			merge := Merge[*blobTok, *blobTok]("join", func(c *Ctx, first *blobTok, next func() (*blobTok, bool)) *blobTok {
-				bad, n, largest := 0, 0, first
+				bad, n, res := 0, 0, first
 				for in, ok := first, true; ok; in, ok = next() {
 					n++
 					if !in.intact() {
 						bad++
 					}
-					if len(in.Data) > len(largest.Data) {
-						largest = in
+					if len(in.Data) == resultSize {
+						res = in
 					}
 				}
 				if bad > 0 || n != len(sizes) {
 					return &blobTok{N: -1}
 				}
-				return largest
+				return res
 			})
 			byN := ByKey[*blobTok]("byN", func(in *blobTok) int { return in.N })
 			g, err := app.NewFlowgraph("blocks", Path(
@@ -444,7 +427,7 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 							return
 						}
 						res := out.(*blobTok)
-						if res.N < 0 || !res.intact() || len(res.Data) != 70000 {
+						if res.N < 0 || !res.intact() || len(res.Data) != resultSize {
 							t.Errorf("call returned block %d with %d bytes, intact=%v", res.N, len(res.Data), res.intact())
 							return
 						}
@@ -460,79 +443,7 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 					t.Fatalf("result %d was intact when delivered and is damaged now: its memory went back to the pool", res.N)
 				}
 			}
-			st := app.Stats()
-			if st.FramesKept == 0 {
-				t.Error("no frame was kept: the run did not exercise the owning decode")
-			}
-			t.Logf("%d results held; FramesKept %d, WireBufMisses %d", len(held), st.FramesKept, st.WireBufMisses)
+			t.Logf("%d results held; WireBufMisses %d", len(held), app.Stats().WireBufMisses)
 		})
-	}
-}
-
-// TestKeptFrameNeverPinsAPoolBuffer: on the in-process fabric under
-// ForceSerialize the receiver is handed the sender's own wire buffer, which
-// may be one the pool kept from a much larger token. With 1 MiB buffers
-// pooled before every call, a token — one under maxClassedWireBuf, and one
-// above it whose frame the owning decode would keep if its buffer were
-// tight — must come out with its bytes outside every one of them, at the
-// leaf and in the caller's result.
-func TestKeptFrameNeverPinsAPoolBuffer(t *testing.T) {
-	reg := serial.NewRegistry()
-	if err := serial.Register[blobTok](reg); err != nil {
-		t.Fatal(err)
-	}
-	app, err := NewLocalApp(Config{ForceSerialize: true, Registry: reg}, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(app.Close)
-	work, err := NewCollection[struct{}](app, "pin-work")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := work.Map("b"); err != nil {
-		t.Fatal(err)
-	}
-	var (
-		mu     sync.Mutex
-		pooled [][]byte
-	)
-	inPooled := func(data []byte) bool {
-		mu.Lock()
-		defer mu.Unlock()
-		for _, big := range pooled {
-			if pointsInto(data, big) {
-				return true
-			}
-		}
-		return false
-	}
-	pinned := make(chan bool, 1)
-	leaf := Leaf[*blobTok, *blobTok]("pin-leaf", func(c *Ctx, in *blobTok) *blobTok {
-		pinned <- inPooled(in.Data)
-		return in
-	})
-	g, err := app.NewFlowgraph("pin", Path(NewNode(leaf, work, MainRoute())))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, size := range []int{2 << 10, 40 << 10} {
-		for i := 0; i < 10; i++ {
-			mu.Lock()
-			for k := 0; k < 4; k++ {
-				big := make([]byte, 0, 1<<20)
-				pooled = append(pooled, big)
-				putWireBuf(big)
-			}
-			mu.Unlock()
-			out, err := g.Call(context.Background(), newBlob(i, size))
-			if err != nil {
-				t.Fatal(err)
-			}
-			res := out.(*blobTok)
-			if <-pinned || inPooled(res.Data) || !res.intact() {
-				t.Fatalf("a %d-byte token's bytes lie in a pooled 1 MiB buffer (call %d)", size, i)
-			}
-		}
 	}
 }

@@ -18,8 +18,7 @@ import (
 // files back under the same class.
 //
 // A wire buffer has one owner at a time until it dies, and whoever reads it
-// last disposes of it — back here, or to the garbage collector, never both
-// and never twice:
+// last returns it here, exactly once:
 //
 //   - A sender sizes its frame (header plus the codec's size pass), encodes
 //     into a buffer from getWireBuf and hands it to link.transmit. If the
@@ -29,25 +28,19 @@ import (
 //     transport.Releaser, which App.AttachTransport points at putWireBuf. On
 //     the in-process fabrics the same bytes reach the receiving link, which
 //     is then the last reader.
-//   - A receiving link owns every frame its handler is given. Frames it
-//     decodes by copying go back to the pool when the last field is out.
-//     A frame of at least maxClassedWireBuf bytes that carries one token and
-//     nothing else, in a buffer at most twice its length, is decoded in
-//     place (link.unmarshalOwned): if the token kept a slice of it, the
-//     frame is the token's memory from then on — ordinary garbage-collected
-//     memory, which is why a user may hold such a slice for ever — and is
-//     never pooled; otherwise it is pooled like the rest.
 //   - A transport that would allocate a buffer per received frame borrows
-//     the ones for frames under maxClassedWireBuf from here instead
-//     (transport.Borrower, installed by App.AttachTransport). Such a frame
-//     is the receiving link's like any other and comes back through the
-//     same putWireBuf; no frame that short is ever a token's memory, so a
-//     token holds exactly its own bytes and its frame is drawn again.
+//     it from here instead (transport.Borrower, installed by
+//     App.AttachTransport).
+//   - A receiving link owns every frame its handler is given, decodes every
+//     token and result by copy, and returns the frame here once decoded
+//     (link.handle). No token ever holds a slice of a wire buffer: its
+//     bytes are exactly its own, garbage-collected, so a user may keep them
+//     for ever while the frame is drawn again.
 //
 // With the in-process fabrics both ends share this pool, so steady-state
 // traffic reuses a small set of buffers per class; over TCP the sender's own
-// buffers come back after each write and the frames under maxClassedWireBuf
-// it receives are read into buffers from here.
+// buffers come back after each write and every received frame is read into
+// a buffer from here.
 
 var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 
@@ -75,13 +68,8 @@ const (
 	minPooledWireBuf = 1 << 10
 	// maxClassedWireBuf is the largest class and the Go allocator's largest
 	// size-classed object: below it a buffer of exactly a frame's length
-	// would round up to a size class anyway, and a received frame kept as a
-	// token's bytes would pin its header along with its payload (a 4 KiB
-	// Life row in a 4 864-byte object). So a frame under it is read into a
-	// pool buffer and its token copies out exactly its bytes. From it up
-	// the runtime allocates whole pages, the copy would cost a full pass
-	// over the payload, and a frame is read into a buffer of its own size
-	// and may be kept (link.unmarshalOwned).
+	// would round up to a size class anyway. From it up the runtime
+	// allocates whole pages, and every larger buffer shares one pool.
 	maxClassedWireBuf = 32 << 10
 	// wireClasses is the number of classes: 1, 2, 4, 8, 16 and 32 KiB.
 	wireClasses = 6
@@ -138,8 +126,7 @@ func getWireBuf(st *Stats, n int) []byte {
 
 // putWireBuf recycles a wire buffer once its bytes are fully consumed,
 // filed under the largest class it fills. The caller must be the buffer's
-// only owner: nothing may read it afterwards, and it must not be a frame a
-// decoded token kept a slice of.
+// only owner: nothing may read it afterwards.
 func putWireBuf(b []byte) {
 	if hook := wireBufPutHook.Load(); hook != nil {
 		(*hook)(b)

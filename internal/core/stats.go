@@ -92,15 +92,11 @@ type Stats struct {
 	// SendRetries counts transport send attempts repeated inside the
 	// suspect-grace window (Config.SuspectGrace) after a transient failure.
 	SendRetries int64
-	// FramesKept counts received frames (and ForceSerialize round-trip
-	// buffers) that became token data: the decoded token's []byte field is a
-	// slice of the buffer, which is therefore left to the garbage collector
-	// instead of returning to the wire pool.
-	FramesKept int64
 	// WireBufMisses counts the wire buffers that had to be allocated because
 	// the pool's class was empty: for an outbound message, or lent to a
-	// transport.Borrower for an inbound frame under 32 KiB. With FramesKept it
-	// explains a deployment's allocated bytes per token from /metrics alone.
+	// transport.Borrower for an inbound frame. With every token a copy of
+	// its bytes, it explains a deployment's allocated bytes per token from
+	// /metrics alone.
 	WireBufMisses int64
 	// FramesBatched counts batch frames flushed by the wire-path coalescer
 	// (Config.Batch); zero with batching off.

@@ -83,7 +83,7 @@ func sendControl(node *tcptransport.Node, dst string, kind byte, body []byte) er
 	if ctlKinds[kind].recv == nil {
 		return fmt.Errorf("kernel: control kind %d has no row", kind)
 	}
-	return node.Send(dst, makeAppFrame(controlApp, append([]byte{kind}, body...)))
+	return node.Send(dst, makeAppFrame(nil, controlApp, append([]byte{kind}, body...)))
 }
 
 // appendStrings appends each string length-prefixed.

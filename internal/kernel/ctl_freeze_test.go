@@ -83,7 +83,7 @@ func TestControlHostileBytes(t *testing.T) {
 		}
 	}
 
-	if k.demux("ghost", makeAppFrame(controlApp, nil)); len(ran) != 0 {
+	if k.demux("ghost", makeAppFrame(nil, controlApp, nil)); len(ran) != 0 {
 		t.Errorf("an empty control payload ran rows %v", ran)
 	}
 	for kind := 0; kind < len(ctlKinds); kind++ {
@@ -95,7 +95,7 @@ func TestControlHostileBytes(t *testing.T) {
 			payload := append([]byte{byte(kind)}, body...)
 			for path, deliver := range map[string]func(){
 				"handleControl": func() { k.handleControl("ghost", payload) },
-				"demux":         func() { k.demux("ghost", makeAppFrame(controlApp, payload)) },
+				"demux":         func() { k.demux("ghost", makeAppFrame(nil, controlApp, payload)) },
 			} {
 				ran = nil
 				deliver()

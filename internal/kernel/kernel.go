@@ -3,8 +3,10 @@ package kernel
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -48,6 +50,10 @@ type Kernel struct {
 	pingBackoff map[string]int
 	hbStop      chan struct{}
 	closed      bool
+
+	// release returns a received kernel frame to the pool the node borrowed
+	// it from (appPort.SetRelease); nil until an application installs one.
+	release atomic.Pointer[func([]byte)]
 }
 
 // OnFailover installs the handler invoked when a peer kernel is declared
@@ -225,8 +231,8 @@ func (k *Kernel) peerDied(peer string) {
 }
 
 type pendingMsg struct {
-	src     string
-	payload []byte
+	src            string
+	frame, payload []byte // payload lies in the kernel frame
 }
 
 // maxPending bounds the per-application queue of messages received before
@@ -344,31 +350,35 @@ func (k *Kernel) Transport(appName string) transport.Transport {
 }
 
 // demux routes an incoming kernel frame ("appName" length-prefixed, then
-// payload) to the right application, lazily launching it if needed.
-func (k *Kernel) demux(src string, payload []byte) {
-	appName, rest, err := splitAppFrame(payload)
+// payload) to the right application, lazily launching it if needed. The
+// name is looked up as bytes: only a message queued for an application not
+// yet up makes it a string.
+func (k *Kernel) demux(src string, frame []byte) {
+	name, rest, err := splitAppFrame(frame)
 	if err != nil {
 		return // malformed frame: drop (a real kernel would log)
 	}
-	if appName == controlApp {
-		k.handleControl(src, rest)
+	if string(name) == controlApp {
+		k.handleControl(src, rest) // copies out what it keeps
+		k.recycle(frame)
 		return
 	}
 
 	k.mu.Lock()
-	p, ok := k.ports[appName]
+	p, ok := k.ports[string(name)]
 	if ok && p.hasHandler() {
 		k.mu.Unlock()
-		p.deliver(src, rest)
+		p.deliver(src, frame, rest)
 		return
 	}
+	appName := string(name)
 	factory := k.factories[appName]
 	alreadyLaunched := k.launched[appName]
 	if factory != nil && !alreadyLaunched {
 		k.launched[appName] = true
 	}
 	if len(k.pending[appName]) < maxPending {
-		k.pending[appName] = append(k.pending[appName], pendingMsg{src: src, payload: rest})
+		k.pending[appName] = append(k.pending[appName], pendingMsg{src: src, frame: frame, payload: rest})
 	}
 	k.mu.Unlock()
 
@@ -394,8 +404,16 @@ func (k *Kernel) flushPending(appName string, p *appPort) {
 			return
 		}
 		for _, m := range queue {
-			p.deliver(m.src, m.payload)
+			p.deliver(m.src, m.frame, m.payload)
 		}
+	}
+}
+
+// recycle returns a received kernel frame whose bytes have all been copied
+// out to the pool it was borrowed from, if an application installed one.
+func (k *Kernel) recycle(frame []byte) {
+	if r := k.release.Load(); r != nil {
+		(*r)(frame)
 	}
 }
 
@@ -407,6 +425,7 @@ type appPort struct {
 	mu      sync.Mutex
 	handler transport.Handler
 	release func(payload []byte)
+	borrow  func(n int) []byte
 }
 
 // Local implements transport.Transport: the node name is the kernel name.
@@ -426,13 +445,23 @@ func (p *appPort) hasHandler() bool {
 	return p.handler != nil
 }
 
-func (p *appPort) deliver(src string, payload []byte) {
+// deliver hands the application's payload, which lies in the kernel frame
+// frame, to its handler. An application that lends (transport.Borrower)
+// gets a copy in a buffer from its own lender, and the frame goes back to
+// the pool: the payload itself starts behind the name prefix, so given back
+// it would be filed one class too low. Otherwise the frame is the handler's.
+func (p *appPort) deliver(src string, frame, payload []byte) {
 	p.mu.Lock()
-	h := p.handler
+	h, borrow := p.handler, p.borrow
 	p.mu.Unlock()
-	if h != nil {
-		h(src, payload)
+	if h == nil {
+		return
 	}
+	if borrow != nil {
+		payload = append(borrow(len(payload)), payload...)
+		p.kernel.recycle(frame)
+	}
+	h(src, payload)
 }
 
 // Send implements transport.Transport, framing the payload with the
@@ -453,7 +482,10 @@ func (p *appPort) SendCorked(dst string, payload []byte) error {
 func (p *appPort) Uncork() { p.kernel.node.Uncork() }
 
 func (p *appPort) send(dst string, payload []byte, cork bool) error {
-	frame := makeAppFrame(p.app, payload)
+	p.mu.Lock()
+	borrow := p.borrow
+	p.mu.Unlock()
+	frame := makeAppFrame(borrow, p.app, payload)
 	var err error
 	if cork {
 		err = p.kernel.node.SendCorked(dst, frame)
@@ -474,11 +506,24 @@ func (p *appPort) send(dst string, payload []byte, cork bool) error {
 
 // SetRelease implements transport.Releaser: the frame on the kernel's wire
 // is a copy (makeAppFrame), so an accepted payload has no reader left by the
-// time Send returns.
+// time Send returns. The kernel node releases its own frames, sent and
+// received, through the same function.
 func (p *appPort) SetRelease(release func(payload []byte)) {
 	p.mu.Lock()
 	p.release = release
 	p.mu.Unlock()
+	p.kernel.node.SetRelease(release)
+	p.kernel.release.Store(&release)
+}
+
+// SetBorrow implements transport.Borrower: the kernel node reads its frames
+// into buffers from borrow, and each of this application's payloads is
+// copied out of its frame into one more (deliver).
+func (p *appPort) SetBorrow(borrow func(n int) []byte) {
+	p.mu.Lock()
+	p.borrow = borrow
+	p.mu.Unlock()
+	p.kernel.node.SetBorrow(borrow)
 }
 
 // Close implements transport.Transport (the kernel endpoint stays up).
@@ -487,20 +532,34 @@ func (p *appPort) Close() error { return nil }
 var (
 	_ transport.Transport = (*appPort)(nil)
 	_ transport.Releaser  = (*appPort)(nil)
+	_ transport.Borrower  = (*appPort)(nil)
 	_ transport.Corker    = (*appPort)(nil)
 )
 
-func makeAppFrame(app string, payload []byte) []byte {
-	b := make([]byte, 0, len(app)+len(payload)+4)
+// makeAppFrame frames an application payload for the kernel's wire: the
+// application's name, length-prefixed, then the payload. The frame comes
+// from borrow when the application lends, and the kernel node gives it back
+// through the application's Releaser once written; with a nil borrow it is
+// allocated.
+func makeAppFrame(borrow func(n int) []byte, app string, payload []byte) []byte {
+	n := (bits.Len64(uint64(len(app))|1)+6)/7 + len(app) + len(payload)
+	var b []byte
+	if borrow != nil {
+		b = borrow(n)
+	} else {
+		b = make([]byte, 0, n)
+	}
 	b = binary.AppendUvarint(b, uint64(len(app)))
 	b = append(b, app...)
 	return append(b, payload...)
 }
 
-func splitAppFrame(b []byte) (string, []byte, error) {
+// splitAppFrame returns the application name of a kernel frame and the
+// payload behind it, both slices of b.
+func splitAppFrame(b []byte) (name, payload []byte, err error) {
 	l, n := binary.Uvarint(b)
 	if n <= 0 || uint64(len(b)-n) < l {
-		return "", nil, fmt.Errorf("kernel: malformed app frame")
+		return nil, nil, fmt.Errorf("kernel: malformed app frame")
 	}
-	return string(b[n : n+int(l)]), b[n+int(l):], nil
+	return b[n : n+int(l)], b[n+int(l):], nil
 }

@@ -478,3 +478,24 @@ func TestHeartbeatJitterBounded(t *testing.T) {
 		t.Fatalf("zero interval must yield zero jitter")
 	}
 }
+
+// TestDemuxAllocatesNothing: routing a received frame to an attached
+// application looks its name up as bytes and allocates nothing, whether the
+// application takes the frame itself or lends a buffer for its payload and
+// has the kernel frame released.
+func TestDemuxAllocatesNothing(t *testing.T) {
+	ns := startNS(t)
+	k := startKernel(t, ns, "kA")
+	k.Transport("raw").SetHandler(func(string, []byte) {})
+	lending := k.Transport("lending").(*appPort)
+	lent := make([]byte, 0, 64)
+	lending.SetRelease(func([]byte) {})
+	lending.SetBorrow(func(int) []byte { return lent[:0] })
+	lending.SetHandler(func(string, []byte) {})
+	for _, app := range []string{"raw", "lending"} {
+		frame := makeAppFrame(nil, app, []byte("a payload"))
+		if n := testing.AllocsPerRun(100, func() { k.demux("kB", frame) }); n != 0 {
+			t.Errorf("demuxing a frame for %s allocates %.0f objects, want 0", app, n)
+		}
+	}
+}

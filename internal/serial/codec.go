@@ -18,24 +18,13 @@ type typeCodec struct {
 	// enc appends the wire encoding of the value at p.
 	enc func(buf []byte, p unsafe.Pointer) []byte
 	// dec decodes into the zeroed value at p, returning the bytes consumed.
-	// With a non-nil o the caller has given data away (UnmarshalOwned) and a
-	// large enough []byte field may keep a slice of it; with nil every field
-	// is copied out.
-	dec func(data []byte, p unsafe.Pointer, o *owner) (int, error)
+	// Every field is copied out: nothing decoded refers to data.
+	dec func(data []byte, p unsafe.Pointer) (int, error)
 	// size returns the exact number of bytes enc would append.
 	size func(p unsafe.Pointer) int
 	// fixed is the encoded size when it is the same for every value of the
 	// type (fixed-width primitives, structs of such), else -1.
 	fixed int
-}
-
-// owner is the state of one owning decode.
-type owner struct {
-	// min is the length from which a []byte field aliases the input instead
-	// of copying it: half of the input, rounded up, so at least one.
-	min int
-	// kept records that some field does.
-	kept bool
 }
 
 // sliceHeader mirrors the runtime representation of a slice value.
@@ -126,7 +115,7 @@ func (cs codecs) compile(t reflect.Type) (*typeCodec, error) {
 			n := len(*(*string)(p))
 			return uvarintLen(uint64(n)) + n
 		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 			l, n := binary.Uvarint(data)
 			if n <= 0 || uint64(len(data)-n) < l {
 				return 0, errTruncated("string")
@@ -161,7 +150,7 @@ func (cs codecs) compile(t reflect.Type) (*typeCodec, error) {
 func fixedScalar[T any](c *typeCodec, width int, what string, put func([]byte, T) []byte, get func([]byte) T) {
 	c.fixed = width
 	c.enc = func(buf []byte, p unsafe.Pointer) []byte { return put(buf, *(*T)(p)) }
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		if len(data) < width {
 			return 0, errTruncated(what)
 		}
@@ -211,7 +200,7 @@ func signedCodec[T signed](c *typeCodec, t reflect.Type, slice bool) {
 	if !slice {
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte { return binary.AppendVarint(buf, int64(*(*T)(p))) }
 		c.size = func(p unsafe.Pointer) int { return varintLen(int64(*(*T)(p))) }
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) { return getSigned(data, (*T)(p), t) }
+		c.dec = func(data []byte, p unsafe.Pointer) (int, error) { return getSigned(data, (*T)(p), t) }
 		return
 	}
 	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
@@ -236,7 +225,7 @@ func signedCodec[T signed](c *typeCodec, t reflect.Type, slice bool) {
 		}
 		return n
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		return decodeEach(data, p, t, getSigned[T])
 	}
 }
@@ -260,7 +249,7 @@ func unsignedCodec[T unsigned](c *typeCodec, t reflect.Type, slice bool) {
 	if !slice {
 		c.enc = func(buf []byte, p unsafe.Pointer) []byte { return binary.AppendUvarint(buf, uint64(*(*T)(p))) }
 		c.size = func(p unsafe.Pointer) int { return uvarintLen(uint64(*(*T)(p))) }
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) { return getUnsigned(data, (*T)(p), t) }
+		c.dec = func(data []byte, p unsafe.Pointer) (int, error) { return getUnsigned(data, (*T)(p), t) }
 		return
 	}
 	c.enc = func(buf []byte, p unsafe.Pointer) []byte {
@@ -285,7 +274,7 @@ func unsignedCodec[T unsigned](c *typeCodec, t reflect.Type, slice bool) {
 		}
 		return n
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		return decodeEach(data, p, t, getUnsigned[T])
 	}
 }
@@ -334,7 +323,6 @@ func (cs codecs) compileSlice(c *typeCodec, t reflect.Type) error {
 	switch et.Kind() {
 	case reflect.Uint8:
 		fixedSlice(c, 1, "byte slice", func(buf, s []byte) []byte { return append(buf, s...) }, nil)
-		// decodeBytes may keep a slice of an owned input instead of a copy.
 		c.dec = decodeBytes
 	case reflect.Bool:
 		fixedSlice(c, 1, "bool slice",
@@ -411,7 +399,7 @@ func (cs codecs) compileSlice(c *typeCodec, t reflect.Type) error {
 			}
 			return sz
 		}
-		c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+		c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 			l, used, err := sliceHead(data)
 			if err != nil || l < 0 {
 				return used, err
@@ -419,7 +407,7 @@ func (cs codecs) compileSlice(c *typeCodec, t reflect.Type) error {
 			ms := reflect.MakeSlice(t, l, l)
 			base := ms.UnsafePointer()
 			for i := 0; i < l; i++ {
-				n, err := ec.dec(data[used:], unsafe.Add(base, uintptr(i)*esz), o)
+				n, err := ec.dec(data[used:], unsafe.Add(base, uintptr(i)*esz))
 				if err != nil {
 					return 0, err
 				}
@@ -450,7 +438,7 @@ func fixedSlice[T any](c *typeCodec, width int, what string, put func([]byte, []
 		}
 		return lenSize(len(s)) + width*len(s)
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		l, used, err := sliceHead(data)
 		if err != nil || l < 0 {
 			return used, err
@@ -465,9 +453,9 @@ func fixedSlice[T any](c *typeCodec, width int, what string, put func([]byte, []
 	}
 }
 
-// decodeBytes is the []byte decoder. Given an owner, a field of at least
-// owner.min bytes keeps a slice of data instead of a copy.
-func decodeBytes(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+// decodeBytes is the []byte decoder: the field is a copy of exactly its
+// bytes.
+func decodeBytes(data []byte, p unsafe.Pointer) (int, error) {
 	l, used, err := sliceHead(data)
 	if err != nil || l < 0 {
 		return used, err
@@ -475,21 +463,13 @@ func decodeBytes(data []byte, p unsafe.Pointer, o *owner) (int, error) {
 	if len(data)-used < l {
 		return 0, errTruncated("byte slice")
 	}
-	end := used + l
-	var s []byte
-	if o != nil && l >= o.min {
-		// The capacity stops at the field's last byte: an append by the
-		// user reallocates instead of writing into the bytes behind it.
-		s, o.kept = data[used:end:end], true
-	} else {
-		// Copying from a named slice of exactly l bytes compiles to one
-		// makeslicecopy, which skips zeroing the new slice first.
-		field := data[used:end]
-		s = make([]byte, len(field))
-		copy(s, field)
-	}
+	// Copying from a named slice of exactly l bytes compiles to one
+	// makeslicecopy, which skips zeroing the new slice first.
+	field := data[used : used+l]
+	s := make([]byte, len(field))
+	copy(s, field)
 	*(*[]byte)(p) = s
-	return end, nil
+	return used + l, nil
 }
 
 // sliceHead reads the presence byte and length prefix. A nil slice reports
@@ -543,10 +523,10 @@ func (cs codecs) compileArray(c *typeCodec, t reflect.Type) error {
 		}
 		return sz
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		used := 0
 		for i := 0; i < n; i++ {
-			m, err := ec.dec(data[used:], unsafe.Add(p, uintptr(i)*esz), o)
+			m, err := ec.dec(data[used:], unsafe.Add(p, uintptr(i)*esz))
 			if err != nil {
 				return 0, err
 			}
@@ -561,7 +541,7 @@ func (cs codecs) compileArray(c *typeCodec, t reflect.Type) error {
 // entry count and each entry's key and value, in keyOrder of the keys, so
 // that a map has one encoding. Iterating a map takes reflect: the entries
 // are copied out into arrays of the key and value types and run through
-// their compiled codecs. A decoded entry never keeps a slice of the input.
+// their compiled codecs.
 func (cs codecs) compileMap(c *typeCodec, t reflect.Type) error {
 	kt, vt := t.Key(), t.Elem()
 	kc, err := cs.compile(kt)
@@ -629,7 +609,7 @@ func (cs codecs) compileMap(c *typeCodec, t reflect.Type) error {
 		}
 		return sz
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		if len(data) < 1 {
 			return 0, errTruncated("map presence")
 		}
@@ -654,12 +634,12 @@ func (cs codecs) compileMap(c *typeCodec, t reflect.Type) error {
 			// value is reset. A key needs no reset: comparable types hold
 			// no slices, and every other field is written.
 			v.SetZero()
-			n, err := kc.dec(data[used:], kp, nil)
+			n, err := kc.dec(data[used:], kp)
 			if err != nil {
 				return 0, err
 			}
 			used += n
-			if n, err = vc.dec(data[used:], vp, nil); err != nil {
+			if n, err = vc.dec(data[used:], vp); err != nil {
 				return 0, err
 			}
 			used += n
@@ -711,7 +691,7 @@ func (cs codecs) compilePointer(c *typeCodec, t reflect.Type) error {
 		}
 		return 1 + ec.size(ptr)
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		if len(data) < 1 {
 			return 0, errTruncated("pointer presence")
 		}
@@ -720,7 +700,7 @@ func (cs codecs) compilePointer(c *typeCodec, t reflect.Type) error {
 			return 1, nil
 		}
 		rn := reflect.New(et) // typed allocation, visible to the GC
-		n, err := ec.dec(data[1:], rn.UnsafePointer(), o)
+		n, err := ec.dec(data[1:], rn.UnsafePointer())
 		if err != nil {
 			return 0, err
 		}
@@ -772,10 +752,10 @@ func (cs codecs) compileStruct(c *typeCodec, t reflect.Type) error {
 		}
 		return sz
 	}
-	c.dec = func(data []byte, p unsafe.Pointer, o *owner) (int, error) {
+	c.dec = func(data []byte, p unsafe.Pointer) (int, error) {
 		used := 0
 		for _, f := range fields {
-			n, err := f.c.dec(data[used:], unsafe.Add(p, f.off), o)
+			n, err := f.c.dec(data[used:], unsafe.Add(p, f.off))
 			if err != nil {
 				return 0, fmt.Errorf("field %s: %w", f.name, err)
 			}

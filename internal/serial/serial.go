@@ -306,46 +306,6 @@ func (r *Registry) codecOf(v any) (int, *typeCodec, unsafe.Pointer, error) {
 // pointer to a freshly allocated struct of the registered type. Nothing in
 // the value refers to data afterwards.
 func (r *Registry) Unmarshal(data []byte) (any, int, error) {
-	return r.unmarshal(data, nil)
-}
-
-// UnmarshalOwned is Unmarshal for a caller that gives data away: nobody
-// else reads or writes the buffer, now or later. A []byte field (of any
-// named type, at any depth outside a map) holding at least half of data is
-// then stored as a slice of data, capacity capped at its own end, instead
-// of a copy; kept reports that the value refers to data, which must then
-// be left to the garbage collector. With kept false — always on an error —
-// the buffer is the caller's to reuse. Every length check is Unmarshal's.
-//
-// Half of the input, not a byte count: a kept field pins the whole buffer,
-// so the rule bounds what a value holds to twice the bytes it can use
-// whatever the sizes are. At most one field of a value can qualify (two
-// halves leave no room for the type ID and their own length prefixes).
-func (r *Registry) UnmarshalOwned(data []byte) (v any, n int, kept bool, err error) {
-	o := getOwner((len(data) + 1) / 2)
-	v, n, err = r.unmarshal(data, o)
-	kept = o.kept
-	putOwner(o)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return v, n, kept, nil
-}
-
-// ownerPool recycles the state of owning decodes: the compiled decoders are
-// reached through function values, so an owner on the caller's stack would
-// be moved to the heap on every call.
-var ownerPool = sync.Pool{New: func() any { return new(owner) }}
-
-func getOwner(keepFrom int) *owner {
-	o := ownerPool.Get().(*owner)
-	*o = owner{min: keepFrom}
-	return o
-}
-
-func putOwner(o *owner) { ownerPool.Put(o) }
-
-func (r *Registry) unmarshal(data []byte, o *owner) (any, int, error) {
 	id, n := binary.Uvarint(data)
 	if n <= 0 {
 		return nil, 0, fmt.Errorf("serial: truncated type id")
@@ -356,7 +316,7 @@ func (r *Registry) unmarshal(data []byte, o *owner) (any, int, error) {
 	}
 	e := &entries[id]
 	pv := reflect.New(e.typ)
-	used, err := e.c.dec(data[n:], pv.UnsafePointer(), o)
+	used, err := e.c.dec(data[n:], pv.UnsafePointer())
 	if err != nil {
 		return nil, 0, err
 	}

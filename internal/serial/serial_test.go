@@ -2,9 +2,11 @@ package serial
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +241,63 @@ func TestTruncatedInput(t *testing.T) {
 			// strict prefix must fail since trailing fields are non-zero.
 			t.Fatalf("expected error unmarshalling %d/%d bytes", cut, len(data))
 		}
+	}
+}
+
+// blobToken carries byte slices at every depth a decoder reaches them.
+type blobToken struct {
+	ID    uint8
+	A     []byte
+	Inner struct{ Raw []byte }
+	P     *struct{ Raw []byte }
+	M     map[uint8][]byte
+}
+
+// TestUnmarshalCopiesEveryField: no decoded slice refers to the input, so
+// the caller may overwrite or recycle it the moment Unmarshal returns.
+func TestUnmarshalCopiesEveryField(t *testing.T) {
+	r := NewRegistry()
+	if err := Register[blobToken](r); err != nil {
+		t.Fatal(err)
+	}
+	tok := &blobToken{ID: 1, A: bytes.Repeat([]byte{1}, 64<<10), M: map[uint8][]byte{2: {2, 2}}}
+	tok.Inner.Raw = bytes.Repeat([]byte{3}, 100)
+	tok.P = &struct{ Raw []byte }{Raw: bytes.Repeat([]byte{4}, 5000)}
+	data, err := r.Marshal(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, _, err := r.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] ^= 0xff
+	}
+	if !reflect.DeepEqual(v, tok) {
+		t.Fatal("overwriting the input changed the decoded value")
+	}
+}
+
+// TestUnmarshalClaimedLength: a length prefix is believed only as far as
+// bytes are present, so a hostile claim is refused before it allocates.
+func TestUnmarshalClaimedLength(t *testing.T) {
+	r := NewRegistry()
+	if err := Register[blobToken](r); err != nil {
+		t.Fatal(err)
+	}
+	lie := []byte{0, 1, 1}                           // blobToken, ID 1, A present ...
+	lie = binary.AppendUvarint(lie, 1<<29)           // ... claiming 512 MiB
+	lie = append(lie, bytes.Repeat([]byte{7}, 9)...) // with nine bytes behind the claim
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := r.Unmarshal(lie)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a 512 MiB claim over nine bytes decoded")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Fatalf("a %d-byte input allocated %d bytes", len(lie), grew)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 const (
 	maxFrame = 1 << 30
 	// readChunk is the most a frame's header alone can make the receiver
-	// allocate; beyond it the buffer doubles as payload bytes arrive. At
-	// 1 MiB every frame of the four dps-perf workloads (largest: ring_64k,
-	// 64 KiB) is still read into one allocation of its own size.
+	// allocate or borrow; beyond it the buffer doubles as payload bytes
+	// arrive. At 1 MiB every frame of the four dps-perf workloads (largest:
+	// ring_64k, 64 KiB) is still read into one buffer.
 	readChunk = 1 << 20
 	// readBufSize is each connection's read buffer: one socket read drains
 	// up to this many bytes of frames. dps-perf ring_1k at 16, 32 and 64 KiB
@@ -29,19 +29,12 @@ type frameReader interface {
 	io.ByteReader
 }
 
-// borrowed is where frames shorter than limit are read into
-// (transport.Borrower): get(n) returns an empty buffer of at least n
-// capacity.
-type borrowed struct {
-	limit int
-	get   func(n int) []byte
-}
-
 // readFrame reads one [uvarint len][payload] frame into a buffer the caller
-// owns: one from small when the frame is shorter than small's limit,
-// otherwise (always, with a nil small) one allocated at exactly the frame's
-// size.
-func readFrame(r frameReader, small *borrowed) ([]byte, error) {
+// owns: up to readChunk bytes, one from borrow (or, with a nil borrow, one
+// allocated at exactly the frame's size); above it, buffers that double as
+// the payload arrives, so a claimed size is believed only as far as bytes
+// have come in.
+func readFrame(r frameReader, borrow func(n int) []byte) ([]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -49,19 +42,19 @@ func readFrame(r frameReader, small *borrowed) ([]byte, error) {
 	if size > maxFrame {
 		return nil, fmt.Errorf("tcptransport: frame of %d bytes exceeds limit", size)
 	}
-	if small != nil && size < uint64(small.limit) {
-		buf := small.get(int(size))[:size]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		return buf, nil
+	var buf []byte
+	switch {
+	case size > readChunk:
+		buf = make([]byte, readChunk)
+	case borrow != nil:
+		buf = borrow(int(size))[:size]
+	default:
+		buf = make([]byte, size)
 	}
-	buf := make([]byte, min(size, readChunk))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
 	for uint64(len(buf)) < size {
-		// A claimed size is believed only as far as bytes have arrived.
 		grown := make([]byte, min(size, 2*uint64(len(buf))))
 		k := copy(grown, buf)
 		if _, err := io.ReadFull(r, grown[k:]); err != nil {
@@ -78,7 +71,7 @@ func readFrame(r frameReader, small *borrowed) ([]byte, error) {
 func (n *Node) readLoop(br *bufio.Reader, p *peer, cc *conn) {
 	defer n.untrack(p, cc)
 	for {
-		payload, err := readFrame(br, n.borrow.Load())
+		payload, err := readFrame(br, n.lender())
 		if err != nil {
 			return
 		}

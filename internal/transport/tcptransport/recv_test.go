@@ -85,15 +85,15 @@ func TestOneByteWriterIsReassembled(t *testing.T) {
 }
 
 // TestShortFramesArriveInBorrowedBuffers: with a lender installed
-// (transport.Borrower) a frame shorter than the limit reaches the handler in
-// the front of a buffer lent for its size, intact, and every other frame in
-// a buffer of exactly its own size, as without one. The limit is the one
-// the engine installs: the frames under it span two read buffers.
+// (transport.Borrower) every frame up to readChunk reaches the handler in
+// the front of a buffer lent for its size, intact — on both sides of the
+// wire pool's largest class, across several read buffers — and a longer one
+// in a buffer of exactly its own size, grown as its bytes arrived.
 func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
-	const limit, slack = 32 << 10, 64
+	const slack = 64
 	_, b := startPair(t)
 	var lent [][]byte
-	b.SetBorrow(limit, func(n int) []byte {
+	b.SetBorrow(func(n int) []byte {
 		buf := make([]byte, 0, n+slack) // called on the connection's one reader
 		lent = append(lent, buf)
 		return buf
@@ -101,7 +101,7 @@ func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
 	got := make(chan []byte, 16)
 	b.SetHandler(func(_ string, p []byte) { got <- p })
 	c := rawSession(t, b.Addr(), "raw", 1)
-	sizes := []int{0, 1, 40, 5000, 31 << 10, limit - 1, limit, limit + 1, 70000}
+	sizes := []int{0, 1, 40, 5000, 31 << 10, 32<<10 - 1, 32 << 10, 32<<10 + 1, 70000, readChunk, readChunk + 1}
 	for i, n := range sizes {
 		if err := writeFrame(c, bytes.Repeat([]byte{byte('a' + i)}, n)); err != nil {
 			t.Fatal(err)
@@ -118,7 +118,7 @@ func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
 		if !bytes.Equal(p, bytes.Repeat([]byte{byte('a' + i)}, n)) {
 			t.Fatalf("frame %d: %d bytes damaged or misframed", i, len(p))
 		}
-		if n < limit {
+		if n <= readChunk {
 			if borrowed++; cap(p) != n+slack {
 				t.Errorf("a frame of %d bytes arrived in a buffer of capacity %d, want the one lent for it (%d)", n, cap(p), n+slack)
 			}
@@ -128,7 +128,7 @@ func TestShortFramesArriveInBorrowedBuffers(t *testing.T) {
 	}
 	// The handler has seen the last frame, so the reader is done appending.
 	if len(lent) != borrowed {
-		t.Errorf("%d buffers lent for %d short frames", len(lent), borrowed)
+		t.Errorf("%d buffers lent for %d frames up to readChunk", len(lent), borrowed)
 	}
 }
 

@@ -147,9 +147,9 @@ type Node struct {
 		framesSent, writes, framesQueued, framesCorked, corkTimeouts, dials, retries, framesReceived, reads atomic.Int64
 	}
 	handler atomic.Pointer[transport.Handler]
-	release atomic.Pointer[func([]byte)] // transport.Releaser; nil: payloads are just dropped
-	borrow  atomic.Pointer[borrowed]     // transport.Borrower; nil: every frame is read into a buffer of its own size
-	peers   sync.Map                     // name → *peer; entries are never removed
+	release atomic.Pointer[func([]byte)]     // transport.Releaser; nil: payloads are just dropped
+	borrow  atomic.Pointer[func(int) []byte] // transport.Borrower; nil: every frame is read into a buffer of its own
+	peers   sync.Map                         // name → *peer; entries are never removed
 	closed  atomic.Bool
 	done    chan struct{} // closed by Close: interrupts backoff sleeps
 
@@ -246,11 +246,17 @@ func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
 // included, before the redial) or Close's last flush.
 func (n *Node) SetRelease(release func(payload []byte)) { n.release.Store(&release) }
 
-// SetBorrow implements transport.Borrower: frames shorter than limit are
-// read into a buffer from borrow, sized to the frame, and handed to the
-// handler in it.
-func (n *Node) SetBorrow(limit int, borrow func(int) []byte) {
-	n.borrow.Store(&borrowed{limit: limit, get: borrow})
+// SetBorrow implements transport.Borrower: every frame up to readChunk
+// bytes is read into a buffer from borrow, sized to the frame, and handed
+// to the handler in it.
+func (n *Node) SetBorrow(borrow func(int) []byte) { n.borrow.Store(&borrow) }
+
+// lender is the installed transport.Borrower function, or nil.
+func (n *Node) lender() func(int) []byte {
+	if b := n.borrow.Load(); b != nil {
+		return *b
+	}
+	return nil
 }
 
 // peer returns the state kept per remote node name, creating it on first

@@ -29,13 +29,12 @@ import (
 // Handler consumes an incoming message from a peer node. Ownership of the
 // payload transfers to the handler: the transport must not retain, reuse or
 // redeliver the buffer after the call, so the handler is free to recycle it
-// or to keep it for good (the DPS runtime returns a decoded buffer to its
-// wire-buffer pool, or lets a decoded token's []byte field go on pointing
-// into it). All three implementations satisfy this: each delivered message
-// carries a buffer no other component references afterwards. None draws its
-// receive buffers from a pool of its own that a kept one would be missed by;
-// a Borrower reads frames under its limit into buffers the handler's side
-// lent it, and those are the handler's to give back.
+// (the DPS runtime decodes every message by copy and returns the buffer to
+// its wire-buffer pool). All three implementations satisfy this: each
+// delivered message carries a buffer no other component references
+// afterwards. None draws its receive buffers from a pool of its own; a
+// Borrower reads frames into buffers the handler's side lent it, and those
+// are the handler's to give back.
 type Handler func(src string, payload []byte)
 
 // Colocated is optionally implemented by transports whose endpoints can
@@ -69,22 +68,20 @@ type Releaser interface {
 }
 
 // Borrower is optionally implemented by transports that read each received
-// frame into a buffer of their own, one allocation per frame. For frames
-// under limit that allocation is most of what receiving costs, and a buffer
-// of exactly a frame's length is one the handler can neither reuse nor hand
-// on without pinning the frame's header. With SetBorrow the handler's side
-// lends the buffers instead: a frame of n < limit bytes is read into the
-// front of a buffer returned by borrow(n), which must have a capacity of at
-// least n, and reaches the Handler in it — the handler's from then on like
-// any payload, to return to wherever borrow draws from. A buffer borrowed
-// for a frame that then fails to arrive is dropped. Frames of limit bytes
-// and more are unaffected: each still gets a buffer of exactly its size.
-// SetBorrow must be called before SetHandler.
+// frame into a buffer of their own, one allocation per frame. With
+// SetBorrow the handler's side lends the buffers instead: a frame of n
+// bytes is read into the front of a buffer returned by borrow(n), which
+// must have a capacity of at least n, and reaches the Handler in it — the
+// handler's from then on like any payload, to return to wherever borrow
+// draws from. A buffer borrowed for a frame that then fails to arrive is
+// dropped. The transport bounds what one frame's header may make it
+// borrow; a frame longer than that bound is read in growing buffers of its
+// own. SetBorrow must be called before SetHandler.
 //
 // The in-process fabrics do not implement it: they deliver the sender's own
 // buffer.
 type Borrower interface {
-	SetBorrow(limit int, borrow func(n int) []byte)
+	SetBorrow(borrow func(n int) []byte)
 }
 
 // Corker is optionally implemented by transports that can hold a sender's
