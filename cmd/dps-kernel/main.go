@@ -48,6 +48,7 @@ import (
 	"repro/dps"
 	"repro/internal/kernel"
 	"repro/internal/trace/promtext"
+	"repro/internal/transport/tcptransport"
 )
 
 // Tokens of the demo application.
@@ -146,7 +147,7 @@ func main() {
 	if *metricsListen != "" {
 		// A plain kernel hosts no application yet; the debug server still
 		// exposes process gauges and pprof.
-		if err := startDebugServer(*metricsListen, processMetricsHandler()); err != nil {
+		if err := startDebugServer(*metricsListen, processMetricsHandler(k)); err != nil {
 			fatal(err)
 		}
 	}
@@ -178,15 +179,40 @@ func startDebugServer(addr string, metrics http.Handler) error {
 	return nil
 }
 
-// processMetricsHandler exports process-level gauges for a kernel that is
-// not hosting an application (the engine counters come with the app).
-func processMetricsHandler() http.Handler {
+// processMetricsHandler exports process-level gauges and the kernel's
+// transport counters for a kernel that is not hosting an application (the
+// engine counters come with the app).
+func processMetricsHandler(k *kernel.Kernel) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		enc := &promtext.Encoder{}
 		enc.Gauge("dps_goroutines", "Goroutines in this process.", float64(runtime.NumGoroutine()))
+		transportMetrics(enc, k.TransportStats())
 		w.Header().Set("Content-Type", promtext.ContentType)
 		_, _ = w.Write(enc.Bytes())
 	})
+}
+
+// appMetricsHandler serves an application's metrics followed by the
+// kernel's transport counters.
+func appMetricsHandler(app *dps.App, k *kernel.Kernel) http.Handler {
+	h := app.MetricsHandler()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		enc := &promtext.Encoder{}
+		transportMetrics(enc, k.TransportStats())
+		_, _ = w.Write(enc.Bytes())
+	})
+}
+
+// transportMetrics writes the kernel node's socket counters. Frames sent
+// over writes is how many frames a socket write carried on average; cork
+// timeouts count the corks that the 100 µs backstop let go, not an uncork.
+func transportMetrics(enc *promtext.Encoder, st tcptransport.Stats) {
+	enc.Counter("dps_transport_writes_total", "Socket writes attempted by the kernel's node.", float64(st.Writes))
+	enc.Counter("dps_transport_frames_sent_total", "Frames wholly handed to the kernel's sockets.", float64(st.FramesSent))
+	enc.Counter("dps_transport_frames_corked_total", "Frames held for an uncork (transport.Corker).", float64(st.FramesCorked))
+	enc.Counter("dps_transport_cork_timeouts_total", "Corks let go by the backstop rather than an uncork.", float64(st.CorkTimeouts))
+	enc.Counter("dps_transport_reads_total", "Socket reads by the kernel's node.", float64(st.Reads))
 }
 
 // runDemo builds the tutorial split-compute-merge graph over every kernel
@@ -230,7 +256,7 @@ func runDemo(local *kernel.Kernel, ns string, window int, serve bool, heartbeat 
 	// the application's span rings.
 	local.OnTrace(app.TraceSpans)
 	if metricsListen != "" {
-		if err := startDebugServer(metricsListen, app.MetricsHandler()); err != nil {
+		if err := startDebugServer(metricsListen, appMetricsHandler(app, local)); err != nil {
 			return err
 		}
 	}

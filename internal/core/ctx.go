@@ -46,8 +46,10 @@ type Ctx struct {
 	// executions keep flowing, exactly as the seed's goroutine-per-token
 	// scheme allowed.
 	drainer bool
-	// corked is set while this opener's posts may sit corked in the
-	// transport, waiting for uncork.
+	// corked is set while frames this execution sent after it lost the
+	// drainer role may sit corked in the transport, waiting for uncork.
+	// The drainer role's own corked frames are the role's to let go
+	// (noteCork).
 	corked bool
 }
 
@@ -61,6 +63,13 @@ type Ctx struct {
 // never captures while an operation is suspended mid-body.
 func (c *Ctx) yieldInstLock() {
 	c.uncork()
+	c.releaseInst()
+}
+
+// releaseInst is yieldInstLock after its uncork: it hands off the drainer
+// role and releases the execution lock, and writes nothing to a socket, so
+// it may run under another lock (the flow-control gate's, pushGroupFrame).
+func (c *Ctx) releaseInst() {
 	if c.rt.app.ftOn {
 		c.inst.yielded.Add(1)
 	}
@@ -71,14 +80,33 @@ func (c *Ctx) yieldInstLock() {
 	c.inst.exec.Unlock()
 }
 
-// uncork lets go of what this execution's posts corked in the transport
-// (transport.Corker): the posts of a split or stream body are corked so
-// that each destination's share of the burst leaves in one write, and the
-// burst ends wherever the body blocks (yieldInstLock), once its group-end
-// has joined it (runSimple, runCollector) and when it panics (recoverOp).
-// A body that blocks outside the engine is let go by the transport's
+// noteCork records that a frame this execution sent waits corked in the
+// transport (transport.Corker). Every token and result an execution sends
+// is corked (postOut), so that what a drainer sends back to back leaves in
+// one write per destination. While the execution holds the drainer role the
+// frame is the role's: the drainer's idle step lets it go when the queue
+// runs dry (sched.Instance.WantIdle), and a drainer that corked nothing
+// never uncorks, so it cannot cut another execution's burst short. An
+// execution that lost the role lets go of its own frames (uncork).
+func (c *Ctx) noteCork() {
+	if c.drainer {
+		c.inst.exec.WantIdle()
+	} else {
+		c.corked = true
+	}
+}
+
+// uncork lets go of the frames this execution left corked and, while it
+// holds the drainer role, those of the executions the role ran before it.
+// An execution calls it wherever it blocks (yieldInstLock, and
+// pushGroupFrame before the gate's wait) and when it panics (recoverOp), and
+// at its end once it no longer holds the role (runSimple, runCollector). A
+// body that blocks outside the engine is let go by the transport's
 // backstop.
 func (c *Ctx) uncork() {
+	if c.drainer && c.inst.exec.TakeIdle() {
+		c.corked = true
+	}
 	if c.corked {
 		c.corked = false
 		c.rt.lnk.ck.Uncork()
@@ -214,7 +242,9 @@ func (c *Ctx) postOut(tok Token) {
 	}
 
 	if c.node.id == g.exit {
-		c.rt.lnk.sendResult(c.env, tok)
+		if c.rt.lnk.sendResult(c.env, tok) {
+			c.noteCork()
+		}
 		return
 	}
 
@@ -238,10 +268,6 @@ func (c *Ctx) postOut(tok Token) {
 	}
 
 	isOpenerPost := c.node.op.kind == KindSplit || c.node.op.kind == KindStream
-	tx := txSend
-	if isOpenerPost && c.rt.lnk.ck != nil {
-		tx, c.corked = txCorked, true
-	}
 	if isOpenerPost && succNode.op.kind == KindLeaf {
 		c.rt.credit(g.name, succ, succNode.tc.ThreadCount()).Charge(thread)
 		lastWorker, creditNode = thread, succ
@@ -267,7 +293,9 @@ func (c *Ctx) postOut(tok Token) {
 		env.TraceID = c.env.TraceID
 		c.rt.traceSpan(env.TraceID, "post", c.node.op.name, time.Now().UnixNano(), 0)
 	}
-	c.rt.routeToken(env, succNode.tc, thread, tx)
+	if c.rt.routeToken(env, succNode.tc, thread, txCorked) {
+		c.noteCork()
+	}
 }
 
 // pickRoute evaluates a node's routing function with bounds checking.
@@ -315,6 +343,10 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 	sg.mu.Unlock()
 
 	if !sg.gate.TryAcquire() {
+		// The burst ends here, before the gate's wait and with no lock
+		// held: onStall runs under the gate's mutex, which the ack's read
+		// loop and a cancel need, so it must not write to a socket.
+		c.uncork()
 		// failed must also observe call cancellation: the cancel
 		// bookkeeping can land between our cancellation check and the
 		// gate wait, in which case the context is already detached from
@@ -336,7 +368,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 				stallNs = time.Now().UnixNano()
 			}
 			atomic.AddInt64(&c.rt.stats.WindowStalls, 1)
-			c.yieldInstLock()
+			c.releaseInst()
 		}, failed)
 		if stalled {
 			if stallNs != 0 {

@@ -52,9 +52,11 @@ type link struct {
 	co     transport.Colocated
 	coPeer sync.Map // dst -> *Runtime
 
-	// ck corks an opener's posts so that its burst leaves in one write per
-	// destination (see Ctx.uncork); nil when the transport cannot, or when
-	// Config.Batch has the batcher own bursts instead.
+	// ck corks every token and result an operation execution sends
+	// (txCorked), so that what a drainer sends between two idle steps
+	// leaves in one write per destination (see Ctx.uncork); nil when the
+	// transport cannot, or when Config.Batch has the batcher own bursts
+	// instead.
 	ck transport.Corker
 
 	// Per-destination token coalescing (Config.Batch).
@@ -161,7 +163,7 @@ type txMode uint8
 const (
 	txSend   txMode = iota // Send, behind dst's pending batch (flushed first)
 	txHeld                 // Send, by dst's batcher flushing under its own lock
-	txCorked               // SendCorked: an opener's post, until Ctx.uncork
+	txCorked               // SendCorked, if l.ck: an execution's token or result
 )
 
 // transmit is the link's one exit to the transport: every frame, of every
@@ -171,14 +173,19 @@ const (
 // the batcher lock (preSend), so it can neither overtake nor be overtaken
 // by tokens batched before it; txHeld says the caller is that batcher,
 // flushing under its own lock, and a corked frame keeps its place in the
-// transport's own queue. Stats.BytesSent counts every frame handed to
+// transport's own queue (txCorked is txSend on a link that does not cork).
+// It reports whether the frame waits corked for an uncork. Stats.BytesSent
+// counts every frame handed to
 // the transport. And a frame the transport refused returns to the wire pool
 // (transports release ownership on error; an accepted frame is the
 // transport's, which returns it through transport.Releaser or hands it to
 // the receiving link) before the failure is routed by the kind's policy —
 // past the failure detector, which absorbs faults of peers it is about to
 // declare dead (the retained copies replay during recovery).
-func (l *link) transmit(dst string, buf []byte, tx txMode) {
+func (l *link) transmit(dst string, buf []byte, tx txMode) (corked bool) {
+	if tx == txCorked && l.ck == nil {
+		tx = txSend
+	}
 	var b *batcher
 	if l.batch && tx == txSend {
 		b = l.preSend(dst)
@@ -189,7 +196,7 @@ func (l *link) transmit(dst string, buf []byte, tx txMode) {
 		b.mu.Unlock()
 	}
 	if err == nil {
-		return
+		return tx == txCorked
 	}
 	policy := wireKinds[buf[0]].fail
 	putWireBuf(buf)
@@ -202,6 +209,7 @@ func (l *link) transmit(dst string, buf []byte, tx txMode) {
 	case failLink:
 		l.rt.linkFail(err)
 	}
+	return false
 }
 
 // Grace retry tuning: first backoff and cap. The overall window is
@@ -419,9 +427,10 @@ func (l *link) tokenFrame(env *envelope, lane place.Lane) ([]byte, error) {
 // by pointer inside an address space, bypassing the communication layer
 // (paper §4), serialized into a pooled wire buffer otherwise. The envelope
 // is consumed either way. lane is place.Forwarded when a relay re-sends an
-// arrival to the thread's current owner; tx is txCorked for an opener's
-// post, txSend otherwise.
-func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) {
+// arrival to the thread's current owner; tx is txCorked for an operation
+// execution's post, txSend otherwise. It reports whether the frame waits
+// corked in the transport.
+func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) bool {
 	stats := &l.rt.stats
 	atomic.AddInt64(&stats.TokensPosted, 1)
 	rt, wire := l.route(msgToken, dst)
@@ -438,11 +447,11 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) 
 			env.ftWire = nil // the retention log keeps its own copy
 		}
 		rt.deliverToken(env, l.name, lane)
-		return
+		return false
 	}
 	if !wire {
 		putEnvelope(env)
-		return
+		return false
 	}
 	buf, err := l.tokenFrame(env, lane)
 	if err != nil {
@@ -455,9 +464,7 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) 
 	// real timing, and transmit's flush keeps a relay's re-sends in order.
 	coalesced := l.batch && env.TraceID == 0 && lane == place.Direct && l.coalesce(dst, buf)
 	putEnvelope(env)
-	if !coalesced {
-		l.transmit(dst, buf, tx)
-	}
+	return !coalesced && l.transmit(dst, buf, tx)
 }
 
 // sendGroupEnd announces a completed group's total to the paired merge's
@@ -487,10 +494,13 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	l.transmit(dst, buf, txSend)
 }
 
-// sendResult delivers a graph's final output to the calling node. A result
-// is the latency-sensitive message of the wire path — a caller is blocked on
-// it — so it flushes the destination's pending batch rather than join it.
-func (l *link) sendResult(env *envelope, tok Token) {
+// sendResult delivers a graph's final output to the calling node, corked
+// like the token it is (the executing drainer lets it go when its queue runs
+// dry), and reports whether it waits corked. A result is the
+// latency-sensitive message of the wire path — a caller is blocked on it —
+// so under Config.Batch it flushes the destination's pending batch rather
+// than join it.
+func (l *link) sendResult(env *envelope, tok Token) bool {
 	rt, wire := l.route(msgResult, env.CallOrigin)
 	if rt != nil {
 		if l.force {
@@ -501,10 +511,10 @@ func (l *link) sendResult(env *envelope, tok Token) {
 			tok = out
 		}
 		rt.deliverResult(env.CallID, tok)
-		return
+		return false
 	}
 	if !wire {
-		return
+		return false
 	}
 	var scratch [1 + binary.MaxVarintLen64]byte
 	head := appendResultHeader(scratch[:0], env.CallID)
@@ -513,7 +523,7 @@ func (l *link) sendResult(env *envelope, tok Token) {
 		panic(opError{fmt.Errorf("dps: cannot serialize result: %w", err)})
 	}
 	buf := append(getWireBuf(&l.rt.stats, len(head)+enc.Len()), head...)
-	l.transmit(env.CallOrigin, enc.AppendTo(buf), txSend)
+	return l.transmit(env.CallOrigin, enc.AppendTo(buf), txCorked)
 }
 
 // sendAck returns a consumption acknowledgement to the split-side node.

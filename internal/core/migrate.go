@@ -82,16 +82,15 @@ type placeState struct {
 // destination thread with the coordinator's fence emission, so no post can
 // straddle a placement flip (resolving the old owner but sending after the
 // closing fence). Failures propagate as opError panics, like sendToken; tx
-// is sendToken's.
-func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int, tx txMode) {
+// and the result are sendToken's.
+func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int, tx txMode) (corked bool) {
 	if rt.routeFast() {
 		defer rt.routeFastDone()
 		target, err := tc.NodeOf(thread)
 		if err != nil {
 			panic(opError{err})
 		}
-		rt.lnk.sendToken(env, target, place.Direct, tx)
-		return
+		return rt.lnk.sendToken(env, target, place.Direct, tx)
 	}
 	mu := rt.routeLock(place.Key{Collection: tc.Name(), Thread: thread})
 	mu.Lock()
@@ -105,7 +104,7 @@ func (rt *Runtime) routeToken(env *envelope, tc *ThreadCollection, thread int, t
 		// duplicate filter needs sequence order to match send order.
 		rt.ftOutbound(env, tc.Name(), thread)
 	}
-	rt.lnk.sendToken(env, target, place.Direct, tx)
+	return rt.lnk.sendToken(env, target, place.Direct, tx)
 }
 
 // routeGroupEnd is routeToken for group-end announcements; sender is the

@@ -146,7 +146,12 @@ func newRuntime(app *App, tr transport.Transport, idx int) *Runtime {
 	}
 	rt.groups.init(idx)
 	rt.lnk.init(rt, tr, &app.cfg)
-	rt.sched.Init(rt.runItem)
+	var idle func()
+	if rt.lnk.ck != nil {
+		// A drainer that corked frames lets them go when its queue runs dry.
+		idle = rt.lnk.ck.Uncork
+	}
+	rt.sched.Init(rt.runItem, idle)
 	return rt
 }
 
@@ -390,7 +395,9 @@ func (rt *Runtime) runSimple(it workItem, tk sched.Ticket) (still bool) {
 		rt.traceSpan(env.TraceID, "execute", node.op.name, execNs, time.Now().UnixNano()-execNs)
 	}
 	rt.finishOpener(c)
-	c.uncork()
+	if !c.drainer {
+		c.uncork() // the drainer role's frames wait for its idle step
+	}
 	if node.op.kind == KindLeaf && c.postSeq != 1 {
 		panic(opError{fmt.Errorf("dps: leaf %q posted %d tokens; a leaf posts exactly one", node.op.name, c.postSeq)})
 	}
@@ -447,7 +454,9 @@ func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 		panic(opError{fmt.Errorf("dps: %s %q returned before consuming its group (use next until it reports false)", node.op.kind, node.op.name)})
 	}
 	rt.finishOpener(c)
-	c.uncork()
+	if !c.drainer {
+		c.uncork()
+	}
 	if node.op.kind == KindMerge && c.postSeq != 1 {
 		panic(opError{fmt.Errorf("dps: merge %q posted %d tokens; a merge posts exactly one", node.op.name, c.postSeq)})
 	}

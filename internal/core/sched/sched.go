@@ -24,6 +24,13 @@
 // The paper's progress-while-stalled semantics hold because an operation
 // that is about to block relinquishes the drainer role first
 // (Instance.Relinquish), so queued executions keep flowing while it waits.
+// A drainer that finds its queue empty runs the scheduler's idle step before
+// it gives up the role, if an execution it ran asked for it
+// (Instance.WantIdle), and then looks at the queue again. The engine's idle
+// step lets go of the frames its executions corked in the transport, so a
+// drainer's run of executions leaves in as few socket writes as the queue
+// allows, and a drainer that asked for nothing never runs it.
+//
 // Per-instance FIFO ordering is guaranteed by the tickets, which are
 // reserved under the queue lock at enqueue time: queue order and lock grant
 // order always agree. A ticket is a sequence number on the instance's
@@ -75,7 +82,8 @@ type Stats struct {
 // Scheduler dispatches work items onto per-instance FIFO queues and drains
 // each non-empty queue on a worker of its own.
 type Scheduler[T any] struct {
-	run RunFunc[T]
+	run      RunFunc[T]
+	idleStep func() // the drainers' idle step (Instance.WantIdle)
 
 	queueHighWater atomic.Int64
 	handoffs       atomic.Int64
@@ -157,18 +165,24 @@ type Instance[T any] struct {
 	mu       sync.Mutex
 	queue    Fifo[entry[T]]
 	draining bool // a goroutine owns the right to pop this queue
+	// wantIdle asks for the scheduler's idle step before the drainer role
+	// is given up. It belongs to the role: only its holder reads or writes
+	// it, and it is false whenever nobody holds the role.
+	wantIdle bool
 }
 
 // New creates a scheduler executing items with run. The Config argument stays
 // because internal/perf compiles against it (ROADMAP item 1(a)).
 func New[T any](_ Config, run RunFunc[T]) *Scheduler[T] {
 	s := new(Scheduler[T])
-	s.Init(run)
+	s.Init(run, nil)
 	return s
 }
 
-// Init initializes an embedded (zero-valued) scheduler in place.
-func (s *Scheduler[T]) Init(run RunFunc[T]) { s.run = run }
+// Init initializes an embedded (zero-valued) scheduler in place. idle is
+// the drainers' idle step (Instance.WantIdle); it may be nil only if no
+// execution asks for it.
+func (s *Scheduler[T]) Init(run RunFunc[T], idle func()) { s.run, s.idleStep = run, idle }
 
 // Stats returns a snapshot of the scheduler's counters.
 func (s *Scheduler[T]) Stats() Stats {
@@ -282,6 +296,20 @@ func (inst *Instance[T]) Enqueue(it T) {
 	}
 }
 
+// WantIdle asks the drainer to run the scheduler's idle step when it next
+// finds the queue empty, before it gives up the role. Only the holder of the
+// drainer role calls it, from an execution it runs.
+func (inst *Instance[T]) WantIdle() { inst.wantIdle = true }
+
+// TakeIdle withdraws the request WantIdle made, reporting whether there was
+// one: a holder of the drainer role that is about to give it up runs the
+// idle step itself. Only the holder of the role calls it.
+func (inst *Instance[T]) TakeIdle() bool {
+	want := inst.wantIdle
+	inst.wantIdle = false
+	return want
+}
+
 // Relinquish hands the drainer role off before the holder blocks: queued
 // work continues on another worker, an empty queue just releases the role
 // for the next enqueue. Callers must invoke it before releasing the
@@ -303,14 +331,23 @@ func (inst *Instance[T]) Relinquish() {
 // drainLoop pops queued executions of one instance and runs them inline,
 // starting with the drainer role held, until the queue is empty or the
 // calling goroutine lost the role to a successor (an operation blocked
-// mid-execution and handed it off).
+// mid-execution and handed it off). An empty queue first gets the idle step,
+// if one was asked for, run with the role still held so that the next
+// execution of the instance cannot start before it; the queue is then looked
+// at again.
 func (s *Scheduler[T]) drainLoop(inst *Instance[T]) {
 	for {
 		inst.mu.Lock()
 		if inst.queue.Len() == 0 {
-			inst.draining = false
+			if !inst.wantIdle {
+				inst.draining = false
+				inst.mu.Unlock()
+				return
+			}
 			inst.mu.Unlock()
-			return
+			inst.wantIdle = false
+			s.idleStep()
+			continue
 		}
 		e := inst.queue.Pop()
 		inst.mu.Unlock()

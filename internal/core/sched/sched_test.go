@@ -622,3 +622,59 @@ func BenchmarkEnqueueStream(b *testing.B) {
 		}
 	}
 }
+
+// TestCorkIdleStep: the drainers' idle step, where the engine lets go of
+// the frames its executions corked, runs once for a run of executions that
+// asked for it (WantIdle), when the queue runs dry and with the role still
+// held: an item enqueued from inside the step is run by the same drainer,
+// with no new goroutine. A run whose executions asked for nothing never
+// runs it.
+func TestCorkIdleStep(t *testing.T) {
+	var inst *Instance[int]
+	var steps atomic.Int32
+	ran := make(chan int, 16)
+	s := new(Scheduler[int])
+	s.Init(func(it int, tk Ticket, fromDrainer bool) bool {
+		tk.Wait()
+		if it%2 == 1 {
+			inst.WantIdle()
+		}
+		inst.Unlock()
+		ran <- it
+		return fromDrainer
+	}, func() {
+		if steps.Add(1) == 1 {
+			inst.Enqueue(10)
+		}
+	})
+	defer s.Close()
+	inst = s.NewInstance(0)
+	expect := func(items ...int) {
+		t.Helper()
+		for _, want := range items {
+			if got := <-ran; got != want {
+				t.Fatalf("item %d ran, want %d", got, want)
+			}
+		}
+		awaitParked(t, s, 1)
+	}
+	inst.Lock()
+	for i := 0; i < 4; i++ {
+		inst.Enqueue(i) // 1 and 3 ask
+	}
+	inst.Unlock()
+	expect(0, 1, 2, 3, 10)
+	if n, started := steps.Load(), s.Stats().WorkersStarted; n != 1 || started != 1 {
+		t.Fatalf("%d idle steps on %d goroutines, want one step on one", n, started)
+	}
+	inst.Enqueue(2)
+	expect(2)
+	if n := steps.Load(); n != 1 {
+		t.Fatalf("a run that asked for nothing ran the idle step (%d steps)", n)
+	}
+	inst.Enqueue(5)
+	expect(5)
+	if n := steps.Load(); n != 2 {
+		t.Fatalf("%d idle steps, want a second one", n)
+	}
+}

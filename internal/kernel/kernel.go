@@ -280,6 +280,11 @@ func (k *Kernel) Name() string { return k.name }
 // Addr returns the kernel's TCP address.
 func (k *Kernel) Addr() string { return k.node.Addr() }
 
+// TransportStats returns the counters of the kernel's TCP node, which every
+// application on the kernel and its control plane share: frames over writes
+// is how many frames an average socket write carried.
+func (k *Kernel) TransportStats() tcptransport.Stats { return k.node.Stats() }
+
 // Close unregisters and stops the kernel.
 func (k *Kernel) Close() error {
 	k.mu.Lock()
@@ -471,7 +476,7 @@ func (p *appPort) Send(dst string, payload []byte) error {
 }
 
 // SendCorked implements transport.Corker: the application's frame is corked
-// in the kernel node's outbox, so a split's burst leaves the kernel in one
+// in the kernel node's outbox, so a drainer's burst leaves the kernel in one
 // write per destination, as on a bare tcptransport node.
 func (p *appPort) SendCorked(dst string, payload []byte) error {
 	return p.send(dst, payload, true)

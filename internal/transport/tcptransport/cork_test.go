@@ -1,6 +1,7 @@
 package tcptransport
 
 import (
+	"net"
 	"testing"
 	"time"
 )
@@ -190,4 +191,49 @@ func TestCorkSurvivesWriteInProgress(t *testing.T) {
 	}
 	a.Uncork()
 	checkSeqs(t, got, 2)
+}
+
+// TestCorkedWriteToHungPeerFails: a corked stream is written by its sender
+// through the uncork, so a write that stalls there, on a peer that accepts
+// and never reads, is a failed attempt like the writer's: with no retry
+// budget the outbox fails and the sender hears of it, instead of redialing
+// behind its back after every stalled write.
+func TestCorkedWriteToHungPeerFails(t *testing.T) {
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hung.Close()
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			defer c.Close() // accepted, never read
+		}
+	}()
+	const timeout = 300 * time.Millisecond
+	a, err := Listen("a", "127.0.0.1:0", StaticResolver(map[string]string{"h": hung.Addr().String()}),
+		WithWriteTimeout(timeout), WithRetryBudget(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
+	payload := make([]byte, smallFrame)
+	start := time.Now()
+	for i := 0; ; i++ {
+		if err = a.SendCorked("h", payload); err != nil {
+			break
+		}
+		if i%8 == 7 {
+			a.Uncork()
+		}
+		if time.Since(start) > 20*timeout {
+			t.Fatalf("corked writes to a never-reading peer still accepted after %v (%+v)", time.Since(start), a.Stats())
+		}
+	}
+	if !IsTransient(err) {
+		t.Fatalf("SendCorked to a never-reading peer: %v, want a transient error", err)
+	}
 }

@@ -59,18 +59,16 @@ const (
 	// corkLimit is how many payload bytes SendCorked holds for one
 	// destination before writing them without an uncork; the backstop lets
 	// a cork go streakGap after its first frame. Corking ignores the streak
-	// rule: the engine corks only a split's or stream's posts and uncorks
-	// where the body returns or blocks, so a corked stream is written by
-	// its running poster, corkLimit bytes at a time, and not by a writer
-	// goroutine that may wait for a processor. Against corking only
-	// destinations that were not streamed to, three alternating 8 s rounds
-	// (2 vCPU, go1.24) read ring_1k 103-108 k -> 115-119 k tokens/s,
-	// call_fan 61-64 -> 57-61 us of CPU per call and life_halo 135-140 ->
-	// 135-143 iterations/s. 32 KiB is half the scratch buffer, so a cork
-	// and the frame that ends it fit one write, and it cuts ring_1k's
-	// 64-frame window into two writes. The backstop fired on 0.1 to 0.4 %
-	// of call_fan's calls, each time the split lost its processor between
-	// two posts.
+	// rule: the engine corks every token and result an operation execution
+	// sends, and a drainer uncorks when its queue runs dry, so a drainer's
+	// run of executions is written by the drainer, corkLimit bytes at a
+	// time, and not by a writer goroutine that may wait for a processor.
+	// 32 KiB is half the scratch buffer, so a cork and the frame that ends
+	// it fit one write, and it cuts ring_1k's 64-frame window into two
+	// writes. With every drainer corking (2 vCPU, go1.24), ring_1k's writes
+	// carry 21 frames instead of 10 and call_fan makes 4.8 socket writes
+	// per call instead of 5.3–5.6; the backstop fires on 0.2–0.3 % of
+	// call_fan's calls and 0.12 times per life_halo iteration.
 	corkLimit = 32 << 10
 )
 
@@ -367,11 +365,15 @@ func (p *peer) exhausted(err error) error {
 // releaseLocked ends the caller's ownership of the socket. Frames that
 // queued behind it get one write from the caller first — it is running,
 // the writer would have to be scheduled — and what is left after that, or
-// fails, is the writer's to retry.
+// fails, is the writer's to retry. A failed write counts as the writer's
+// first failed attempt, so a zero retry budget fails the outbox at once.
 func (p *peer) releaseLocked() {
 	closed := p.n.closed.Load()
 	if p.writableLocked() && !closed {
-		_, _ = p.flushOnceLocked(p.n.writeDeadline(time.Now()))
+		if _, err := p.flushOnceLocked(p.n.writeDeadline(time.Now())); err != nil {
+			var bo backoff
+			p.failLocked(err, &bo)
+		}
 	}
 	p.busy = false
 	if p.writableLocked() || closed {
@@ -432,20 +434,29 @@ func (p *peer) drainLocked() {
 			bo = backoff{}
 			continue
 		}
-		d, within := bo.next(n.retryBudget)
-		if !IsTransient(err) {
-			p.failed = err
-		} else if !within {
-			p.failed = p.exhausted(err)
-		}
-		if p.failed != nil {
-			p.cond.Broadcast() // senders blocked at the cap get the error
-		}
+		d := p.failLocked(err, &bo)
 		p.mu.Unlock()
 		n.sleep(d)
 		n.stats.retries.Add(1)
 		p.mu.Lock()
 	}
+}
+
+// failLocked takes a failed write of the outbox's head: past the retry
+// budget, or on a fatal error, the outbox is marked failed and senders
+// blocked at the cap get the error. It returns the pause before the next
+// attempt.
+func (p *peer) failLocked(err error, bo *backoff) time.Duration {
+	d, within := bo.next(p.n.retryBudget)
+	if !IsTransient(err) {
+		p.failed = err
+	} else if !within {
+		p.failed = p.exhausted(err)
+	}
+	if p.failed != nil {
+		p.cond.Broadcast()
+	}
+	return d
 }
 
 // flushOnceLocked makes one attempt to write the head of the outbox, corked

@@ -95,9 +95,10 @@ type Borrower interface {
 // stalled. Uncork writes everything held on the node, whoever corked it;
 // with nothing held it costs an atomic load.
 //
-// The engine corks the posts of a split or stream body and uncorks where
-// the body returns or blocks. The in-process fabrics have no writes to save
-// and do not implement it.
+// The engine corks every token and result an operation execution sends. A
+// drainer uncorks when its queue runs dry, and an execution uncorks where
+// it blocks or panics. The in-process fabrics have no writes to save and do
+// not implement it.
 type Corker interface {
 	SendCorked(dst string, payload []byte) error
 	Uncork()
