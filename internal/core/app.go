@@ -104,16 +104,20 @@ type App struct {
 	cfg Config
 	reg *serial.Registry
 
+	// runtimes is read without a lock (cowTable) and written under mu, which
+	// guards the fields below it.
+	runtimes    cowTable[string, *Runtime]
 	mu          sync.Mutex
-	runtimes    map[string]*Runtime
 	nodeOrder   []string
 	collections map[string]*ThreadCollection
 	graphs      map[string]*Flowgraph
 
-	// names maps every graph and node name the application declared to the
-	// one string it holds for it (see canonical). Replaced whole, under mu,
-	// when a graph or node is added; read without a lock.
-	names atomic.Pointer[map[string]string]
+	// ids resolves every id the wire carries (idTable): republished, under
+	// mu, as each graph, node and collection is declared, and read without a
+	// lock. idHook, set only by tests, replaces ft.NameID as the id a name is
+	// declared under.
+	ids    cowTable[uint64, declared]
+	idHook func(kind byte, name string) uint64
 
 	callSeq atomic.Uint64
 	// callreg is the sharded pending-call table (callreg.go): registration,
@@ -163,10 +167,6 @@ type App struct {
 	ftSuspects chan string
 	ftReported sync.Map // node -> struct{}: reported dead (see died)
 	ftCkptSeq  atomic.Uint64
-	// senders resolves the name part of a sender id (ft.SplitSender) to the
-	// node or collection it hashes (resolveSender); written under mu as each
-	// is declared.
-	senders map[uint64]sender
 
 	cleanup []func()
 }
@@ -203,11 +203,9 @@ func NewApp(cfg Config) *App {
 	app := &App{
 		cfg:         cfg,
 		reg:         cfg.registry(),
-		runtimes:    make(map[string]*Runtime),
 		collections: make(map[string]*ThreadCollection),
 		graphs:      make(map[string]*Flowgraph),
 		ftOn:        cfg.Checkpoint > 0,
-		senders:     make(map[uint64]sender),
 	}
 	app.callreg.initCallRegistry(DefaultCallShards)
 	// Call IDs travel in token envelopes and are consulted on every
@@ -261,16 +259,15 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 	app.mu.Lock()
 	defer app.mu.Unlock()
 	name := tr.Local()
-	if _, ok := app.runtimes[name]; ok {
+	if app.hasNode(name) {
 		return nil, fmt.Errorf("dps: node %q already attached", name)
 	}
-	if err := app.declareSenderLocked(ft.NodeStream(name).Sender, name, sender{node: name}); err != nil {
+	rt := newRuntime(app, tr, len(app.nodeOrder), app.nameID(idNode, name))
+	if err := app.declareLocked(rt.id, name, declared{rt: rt}); err != nil {
 		return nil, err
 	}
-	rt := newRuntime(app, tr, len(app.nodeOrder))
-	app.runtimes[name] = rt
+	app.runtimes.set(name, rt)
 	app.nodeOrder = append(app.nodeOrder, name)
-	app.declareLocked(name)
 	if r, ok := tr.(transport.Releaser); ok {
 		// The transport copies what it sends: the sender's buffer comes back
 		// to the pool it was drawn from (pool.go).
@@ -285,30 +282,73 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 	return rt, nil
 }
 
-// declareLocked adds a graph or node name to the canonical-name table; the
-// caller holds app.mu.
-func (app *App) declareLocked(name string) {
-	old := app.canonical()
-	if _, ok := old[name]; ok {
-		return
-	}
-	names := maps.Clone(old)
-	if names == nil {
-		names = make(map[string]string)
-	}
-	names[name] = name
-	app.names.Store(&names)
+// Kind bytes of the ids (ft.NameID) names are declared under, so a graph, a
+// node and a collection of one name have distinct ids.
+const (
+	idGraph byte = 'g'
+	idNode  byte = 'n'
+	idColl  byte = 'i'
+)
+
+// idTable resolves the ids the wire carries in place of names: every graph,
+// node and collection the application declared, under its id. Kernels that
+// declare the same names derive the same ids, with no agreement needed.
+type idTable = map[uint64]declared
+
+// declared is what one id names; exactly one field is set.
+type declared struct {
+	g  *Flowgraph
+	rt *Runtime
+	tc *ThreadCollection
 }
 
-// canonical returns the table the receive path resolves wire names through
-// (readName): an immutable map holding only names this application declared
-// — its graphs and its nodes — so decoding a token allocates no string for
-// them and nothing a peer sends can grow it.
-func (app *App) canonical() map[string]string {
-	if names := app.names.Load(); names != nil {
-		return *names
+// nameID returns the id a name of kind is declared under.
+func (app *App) nameID(kind byte, name string) uint64 {
+	if app.idHook != nil {
+		return app.idHook(kind, name)
+	}
+	return ft.NameID(kind, name)
+}
+
+// declareLocked publishes the id table with d entered under id, refusing an
+// id an earlier name holds; the caller holds app.mu.
+func (app *App) declareLocked(id uint64, name string, d declared) error {
+	if _, taken := app.ids.load()[id]; taken {
+		return fmt.Errorf("dps: %q has the id of an earlier name; rename it", name)
+	}
+	app.ids.set(id, d)
+	return nil
+}
+
+// cowTable is a map read without a lock and republished whole on every
+// write, which its owner serializes under a lock of its own: lookups on the
+// token path are one atomic load and one map index, and a write, which
+// copies the table, happens once per declaration or instance.
+type cowTable[K comparable, V any] struct{ p atomic.Pointer[map[K]V] }
+
+// load returns the current table, which nobody writes.
+func (t *cowTable[K, V]) load() map[K]V {
+	if m := t.p.Load(); m != nil {
+		return *m
 	}
 	return nil
+}
+
+// set publishes a copy of the table with k mapped to v.
+func (t *cowTable[K, V]) set(k K, v V) {
+	m := maps.Clone(t.load())
+	if m == nil {
+		m = make(map[K]V, 1)
+	}
+	m[k] = v
+	t.p.Store(&m)
+}
+
+// delete publishes a copy of the table without k.
+func (t *cowTable[K, V]) delete(k K) {
+	m := maps.Clone(t.load())
+	delete(m, k)
+	t.p.Store(&m)
 }
 
 // NodeNames lists the application's nodes in attachment order.
@@ -366,13 +406,9 @@ func (app *App) Close() {
 	app.ftStopAll()
 	app.fail(fmt.Errorf("dps: application closed"))
 	app.mu.Lock()
-	rts := make([]*Runtime, 0, len(app.runtimes))
-	for _, rt := range app.runtimes {
-		rts = append(rts, rt)
-	}
 	cleanup := app.cleanup
 	app.mu.Unlock()
-	for _, rt := range rts {
+	for _, rt := range app.runtimes.load() {
 		_ = rt.lnk.tr.Close()
 		// Parked scheduler workers end here; work still in flight, or
 		// arriving during shutdown, runs on goroutines that exit after it.
@@ -403,13 +439,7 @@ func (app *App) fail(err error) {
 		default:
 		}
 	}
-	app.mu.Lock()
-	rts := make([]*Runtime, 0, len(app.runtimes))
-	for _, rt := range app.runtimes {
-		rts = append(rts, rt)
-	}
-	app.mu.Unlock()
-	for _, rt := range rts {
+	for _, rt := range app.runtimes.load() {
 		rt.wakeBlocked()
 	}
 }
@@ -420,7 +450,8 @@ func (app *App) addCollection(tc *ThreadCollection) error {
 	if _, ok := app.collections[tc.name]; ok {
 		return fmt.Errorf("dps: collection %q already exists", tc.name)
 	}
-	if err := app.declareSenderLocked(ft.StreamOf(tc.name, 0).Sender, tc.name, sender{tc: tc}); err != nil {
+	tc.id = app.nameID(idColl, tc.name)
+	if err := app.declareLocked(tc.id, tc.name, declared{tc: tc}); err != nil {
 		return err
 	}
 	app.collections[tc.name] = tc
@@ -433,22 +464,21 @@ func (app *App) addGraph(g *Flowgraph) error {
 	if _, ok := app.graphs[g.name]; ok {
 		return fmt.Errorf("dps: graph %q already exists", g.name)
 	}
+	g.id = app.nameID(idGraph, g.name)
+	if err := app.declareLocked(g.id, g.name, declared{g: g}); err != nil {
+		return err
+	}
 	app.graphs[g.name] = g
-	app.declareLocked(g.name)
 	return nil
 }
 
 func (app *App) hasNode(name string) bool {
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	_, ok := app.runtimes[name]
+	_, ok := app.runtime(name)
 	return ok
 }
 
 func (app *App) runtime(name string) (*Runtime, bool) {
-	app.mu.Lock()
-	defer app.mu.Unlock()
-	rt, ok := app.runtimes[name]
+	rt, ok := app.runtimes.load()[name]
 	return rt, ok
 }
 
@@ -458,7 +488,7 @@ func (app *App) allRuntimes() []*Runtime {
 	defer app.mu.Unlock()
 	rts := make([]*Runtime, 0, len(app.nodeOrder))
 	for _, name := range app.nodeOrder {
-		rts = append(rts, app.runtimes[name])
+		rts = append(rts, app.runtimes.load()[name])
 	}
 	return rts
 }
@@ -596,13 +626,7 @@ func (app *App) cancelCall(id uint64, cause error) {
 	case ce.ch <- CallResult{Err: cause}:
 	default:
 	}
-	app.mu.Lock()
-	rts := make([]*Runtime, 0, len(app.runtimes))
-	for _, rt := range app.runtimes {
-		rts = append(rts, rt)
-	}
-	app.mu.Unlock()
-	for _, rt := range rts {
+	for _, rt := range app.runtimes.load() {
 		rt.wakeBlocked()
 	}
 }

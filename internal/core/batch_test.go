@@ -15,21 +15,21 @@ import (
 
 // randEnvelope builds an envelope with pseudorandom routing fields and a
 // payload of the given size.
-func randEnvelope(rng *rand.Rand, payloadLen int) *envelope {
+func randEnvelope(rng *rand.Rand, ids idTable, payloadLen int) *envelope {
 	p := make([]byte, payloadLen)
 	rng.Read(p)
 	return &envelope{
-		Graph:      fmt.Sprintf("g%d", rng.Intn(3)),
+		Graph:      testGraph(ids, fmt.Sprintf("g%d", rng.Intn(3))),
 		Node:       rng.Intn(8),
 		Thread:     rng.Intn(16),
 		CallID:     rng.Uint64() >> 16,
-		CallOrigin: fmt.Sprintf("node%d", rng.Intn(4)),
+		CallOrigin: testNode(ids, fmt.Sprintf("node%d", rng.Intn(4))),
 		LastWorker: rng.Intn(4) - 1,
 		CreditNode: rng.Intn(4) - 1,
 		Frames: []frame{{
 			GroupID:     rng.Uint64() >> 32,
 			Index:       rng.Intn(1 << 12),
-			Origin:      fmt.Sprintf("node%d", rng.Intn(4)),
+			Origin:      testNode(ids, fmt.Sprintf("node%d", rng.Intn(4))),
 			MergeThread: rng.Intn(8),
 		}},
 		Payload: p,
@@ -75,6 +75,7 @@ func encodeBatchOf(entries []batchEntry) []byte {
 // same bodies byte for byte, same FT stamps.
 func TestBatchRoundTripOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	ids := idTable{}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(12)
 		entries := make([]batchEntry, n)
@@ -83,16 +84,16 @@ func TestBatchRoundTripOracle(t *testing.T) {
 			switch rng.Intn(4) {
 			case 0:
 				e.kind = msgToken
-				e.env = randEnvelope(rng, rng.Intn(512))
+				e.env = randEnvelope(rng, ids, rng.Intn(512))
 			case 1:
 				e.kind = msgTokenFT
-				e.env = randEnvelope(rng, rng.Intn(512))
+				e.env = randEnvelope(rng, ids, rng.Intn(512))
 			case 2:
 				e.kind = msgGroupEnd
-				e.end = &groupEndMsg{Graph: "g", Node: rng.Intn(4), Thread: rng.Intn(4), GroupID: rng.Uint64() >> 32, Total: rng.Intn(100), CallID: rng.Uint64() >> 32}
+				e.end = &groupEndMsg{Graph: testGraph(ids, "g"), Node: rng.Intn(4), Thread: rng.Intn(4), GroupID: rng.Uint64() >> 32, Total: rng.Intn(100), CallID: rng.Uint64() >> 32}
 			case 3:
 				e.kind = msgGroupEndFT
-				e.end = &groupEndMsg{Graph: "g2", Node: 1, Thread: 2, GroupID: 7, Total: 3, CallID: 11}
+				e.end = &groupEndMsg{Graph: testGraph(ids, "g2"), Node: 1, Thread: 2, GroupID: 7, Total: 3, CallID: 11}
 			}
 			entries[i] = e
 		}
@@ -133,7 +134,7 @@ func TestBatchRoundTripOracle(t *testing.T) {
 				if !bytes.Equal(entryBody, single) {
 					return fmt.Errorf("entry %d: body differs from single-frame encoding", i-1)
 				}
-				got, derr := decodeEnvelope(entryBody)
+				got, derr := decodeEnvelope(entryBody, ids)
 				if derr != nil {
 					return derr
 				}
@@ -145,7 +146,7 @@ func TestBatchRoundTripOracle(t *testing.T) {
 				if !bytes.Equal(entryBody, single) {
 					return fmt.Errorf("entry %d: group-end body differs", i-1)
 				}
-				got, derr := decodeGroupEnd(entryBody)
+				got, derr := decodeGroupEnd(entryBody, ids)
 				if derr != nil {
 					return derr
 				}
@@ -237,13 +238,14 @@ func TestBatchDecodeHostile(t *testing.T) {
 	}
 
 	// An envelope header claiming more frames than its bytes could encode
-	// (every frame is at least four bytes) must fail before the frame slice
-	// is allocated: 20 bytes must not buy a 2.6 MB allocation.
-	hdr := appendEnvelopeBody(nil, &envelope{Graph: "g", CallOrigin: "n"})
+	// (every frame is at least minFrameLen bytes) must fail before the frame
+	// slice is allocated: 30 bytes must not buy a 2 MB allocation.
+	ids := idTable{}
+	hdr := appendEnvelopeBody(nil, &envelope{Graph: testGraph(ids, "g"), CallOrigin: testNode(ids, "n")})
 	lie := appendInt(hdr[:len(hdr)-1], 1<<16) // replace the trailing zero frame count
 	lie = append(lie, make([]byte, 8)...)
 	runtime.ReadMemStats(&before)
-	if _, err := decodeEnvelope(lie); err == nil {
+	if _, err := decodeEnvelope(lie, ids); err == nil {
 		t.Error("envelope with a frame count past its own length accepted")
 	}
 	runtime.ReadMemStats(&after)

@@ -107,7 +107,7 @@ func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (ui
 		}
 	}
 	count := entryNode.tc.ThreadCount()
-	ct := rt.credit(g.name, g.entry, count)
+	ct := rt.credit(g, g.entry, count)
 	thread := entryNode.route.pick(tok, RouteCtx{ThreadCount: count, Seq: 0, Outstanding: ct.OutstandingFunc()})
 	if thread < 0 || thread >= count {
 		return 0, nil, fmt.Errorf("dps: graph %q: entry route %q returned thread %d of %d", g.name, entryNode.route.Name(), thread, count)
@@ -117,11 +117,11 @@ func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (ui
 		return 0, nil, fmt.Errorf("dps: graph %q: %w", g.name, err)
 	}
 	env := getEnvelope()
-	env.Graph = g.name
+	env.Graph = g
 	env.Node = g.entry
 	env.Thread = thread
 	env.CallID = id
-	env.CallOrigin = origin
+	env.CallOrigin = rt
 	env.LastWorker = -1
 	env.CreditNode = -1
 	env.Token = tok

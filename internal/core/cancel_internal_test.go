@@ -151,23 +151,19 @@ func waitGroupsReaped(t *testing.T, app *App) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		splitGroups, mergeGroups, credits := 0, 0, 0
-		app.mu.Lock()
-		for _, rt := range app.runtimes {
+		for _, rt := range app.runtimes.load() {
 			splitGroups += len(rt.groups.all())
-			rt.mu.Lock()
-			for _, inst := range rt.threads {
+			for _, inst := range rt.threads.load() {
 				inst.mu.Lock()
 				mergeGroups += len(inst.groups)
 				inst.mu.Unlock()
 			}
-			for _, ct := range rt.credits {
+			for _, ct := range rt.credits.load() {
 				for i := 0; i < 16; i++ {
 					credits += ct.Outstanding(i)
 				}
 			}
-			rt.mu.Unlock()
 		}
-		app.mu.Unlock()
 		if splitGroups == 0 && mergeGroups == 0 && credits == 0 {
 			return
 		}

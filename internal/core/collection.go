@@ -26,6 +26,7 @@ import (
 type ThreadCollection struct {
 	app       *App
 	name      string
+	id        uint64       // the id the collection is declared under (App.declareLocked)
 	stateType reflect.Type // nil for stateless collections
 	newState  func() any
 

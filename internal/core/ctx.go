@@ -269,12 +269,12 @@ func (c *Ctx) postOut(tok Token) {
 
 	isOpenerPost := c.node.op.kind == KindSplit || c.node.op.kind == KindStream
 	if isOpenerPost && succNode.op.kind == KindLeaf {
-		c.rt.credit(g.name, succ, succNode.tc.ThreadCount()).Charge(thread)
+		c.rt.credit(g, succ, succNode.tc.ThreadCount()).Charge(thread)
 		lastWorker, creditNode = thread, succ
 	}
 
 	env := getEnvelope()
-	env.Graph = g.name
+	env.Graph = g
 	env.Node = succ
 	env.Thread = thread
 	env.CallID = c.env.CallID
@@ -304,7 +304,7 @@ func (c *Ctx) pickRoute(succNode *GraphNode, tok Token, seq int, succID int) int
 	if count == 0 {
 		panic(opError{fmt.Errorf("collection %q is not mapped", succNode.tc.Name())})
 	}
-	ct := c.rt.credit(c.graph.name, succID, count)
+	ct := c.rt.credit(c.graph, succID, count)
 	rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()}
 	idx := succNode.route.pick(tok, rc)
 	if idx < 0 || idx >= count {
@@ -330,7 +330,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 			sg.mu.Unlock()
 			panic(opError{fmt.Errorf("collection %q is not mapped", closerNode.tc.Name())})
 		}
-		ct := c.rt.credit(sg.graph.name, sg.closer, count)
+		ct := c.rt.credit(sg.graph, sg.closer, count)
 		rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()}
 		mt := closerNode.route.pick(tok, rc)
 		if mt < 0 || mt >= count {
@@ -387,7 +387,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 	idx := sg.posted
 	sg.posted++
 	sg.mu.Unlock()
-	return frame{GroupID: sg.id, Index: idx, Origin: c.rt.name, MergeThread: mt}
+	return frame{GroupID: sg.id, Index: idx, Origin: c.rt, MergeThread: mt}
 }
 
 // nextIn yields the next token of the group consumed by a merge/stream

@@ -405,32 +405,34 @@ type Stream struct {
 }
 
 // ThreadBits is the width of the thread index held in the low bits of an
-// instance's Sender; the bits above it hash the collection's name. A node's
-// Sender hashes the node's name and has the low bits clear.
+// instance's Sender; the bits above it are the collection's id. A node's
+// Sender is the node's id, whose low bits are clear.
 const ThreadBits = 24
 
 const threadMask = 1<<ThreadBits - 1
 
-// StreamOf returns the base stream of a thread instance, which must be
-// below 1<<ThreadBits.
-func StreamOf(collection string, thread int) Stream {
-	return Stream{Sender: nameID('i', collection) | uint64(thread)}
+// StreamOf returns the base stream of a thread instance: thread, which must
+// be below 1<<ThreadBits, of the collection whose id is coll.
+func StreamOf(coll uint64, thread int) Stream {
+	return Stream{Sender: coll | uint64(thread)}
 }
 
-// NodeStream returns the stream of a node's graph-call entry posts, which
-// originate from no thread instance.
-func NodeStream(node string) Stream { return Stream{Sender: nameID('n', node)} }
+// NodeStream returns the stream of the graph-call entry posts of the node
+// whose id is node; they originate from no thread instance.
+func NodeStream(node uint64) Stream { return Stream{Sender: node} }
 
-// SplitSender splits a Sender into its name part — StreamOf(collection,
-// 0).Sender or NodeStream(node).Sender, which an application resolves
-// through the table it fills as it declares them — and its thread index.
+// SplitSender splits a Sender into its name part — the id of the collection
+// or node, which an application resolves through the table it fills as it
+// declares them — and its thread index.
 func SplitSender(sender uint64) (name uint64, thread int) {
 	return sender &^ threadMask, int(sender & threadMask)
 }
 
-// nameID hashes a kind byte and a name (64-bit FNV-1a, then mixed) into the
-// bits above ThreadBits. It is never zero, so no Sender is.
-func nameID(kind byte, name string) uint64 {
+// NameID hashes a kind byte and a name (64-bit FNV-1a, then mixed) into the
+// bits above ThreadBits: the id under which an application declares a graph,
+// node or collection, and which the wire carries in place of the name. It
+// is never zero, so no Sender is.
+func NameID(kind byte, name string) uint64 {
 	h := uint64(14695981039346656037)
 	h = (h ^ uint64(kind)) * 1099511628211
 	for i := 0; i < len(name); i++ {

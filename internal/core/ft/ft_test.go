@@ -11,13 +11,18 @@ import (
 
 func key(c string, t int) place.Key { return place.Key{Collection: c, Thread: t} }
 
+// streamOf and nodeStream are StreamOf and NodeStream of the ids an
+// application declares a collection and a node under.
+func streamOf(coll string, thread int) Stream { return StreamOf(NameID('i', coll), thread) }
+func nodeStream(node string) Stream           { return NodeStream(NameID('n', node)) }
+
 // Input streams of the tests: senders no test State owns.
-var up, other = NodeStream("up"), NodeStream("other")
+var up, other = nodeStream("up"), nodeStream("other")
 
 func TestSeqAssignmentAndPrefixFilter(t *testing.T) {
-	s := NewState(StreamOf("workers", 3))
+	s := NewState(streamOf("workers", 3))
 	a, b := key("workers", 0), key("workers", 1)
-	st := DerivedStream(s.Stream(), NodeStream("m"))
+	st := DerivedStream(s.Stream(), nodeStream("m"))
 	if got := s.NextOut(st, a); got != 1 {
 		t.Fatalf("first seq = %d", got)
 	}
@@ -28,7 +33,7 @@ func TestSeqAssignmentAndPrefixFilter(t *testing.T) {
 		t.Fatalf("per-destination counters must be independent, got %d", got)
 	}
 
-	r := NewState(StreamOf("main", 0))
+	r := NewState(streamOf("main", 0))
 	for _, seq := range []uint64{1, 2, 3} {
 		if !r.CheckIn(st, seq) {
 			t.Fatalf("fresh seq %d filtered", seq)
@@ -48,10 +53,10 @@ func TestSeqAssignmentAndPrefixFilter(t *testing.T) {
 }
 
 func TestLogRetentionCutAndReplayOrder(t *testing.T) {
-	s := NewState(StreamOf("w", 0))
+	s := NewState(streamOf("w", 0))
 	a := key("c", 1)
-	s1 := DerivedStream(s.Stream(), NodeStream("in1"))
-	s2 := DerivedStream(s.Stream(), NodeStream("in2"))
+	s1 := DerivedStream(s.Stream(), nodeStream("in1"))
+	s2 := DerivedStream(s.Stream(), nodeStream("in2"))
 	// Interleave two derived streams toward one destination.
 	s.Append(Entry{Stream: s1, Dst: a, Seq: 1, Kind: EntryToken})
 	s.Append(Entry{Stream: s2, Dst: a, Seq: 1, Kind: EntryToken})
@@ -87,9 +92,9 @@ func TestLogRetentionCutAndReplayOrder(t *testing.T) {
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	s := NewState(StreamOf("w", 2))
+	s := NewState(streamOf("w", 2))
 	a := key("c", 0)
-	st := DerivedStream(s.Stream(), NodeStream("m"))
+	st := DerivedStream(s.Stream(), nodeStream("m"))
 	s.NextOut(st, a)
 	s.NextOut(st, a)
 	s.CheckIn(up, 7)
@@ -110,7 +115,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 
 	// Restore regenerates the original sequencing.
-	r2 := NewState(StreamOf("w", 2))
+	r2 := NewState(streamOf("w", 2))
 	r2.Restore(dec)
 	if got := r2.NextOut(st, a); got != 3 {
 		t.Fatalf("restored counter continues at %d, want 3", got)
@@ -126,7 +131,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 // fullRecord is a checkpoint with every section filled: a cursor, a
 // counter, a retained entry with its attribution, a channel mark, a floor.
 func fullRecord() *Record {
-	s := NewState(StreamOf("w", 2))
+	s := NewState(streamOf("w", 2))
 	a := key("c", 0)
 	st := DerivedStream(s.Stream(), up)
 	s.CheckIn(up, 1)
@@ -138,7 +143,7 @@ func fullRecord() *Record {
 
 // regenRecord is a regenerative checkpoint: cursors and marks, no log.
 func regenRecord() *Record {
-	s := NewState(StreamOf("w", 1))
+	s := NewState(streamOf("w", 1))
 	a := key("c", 2)
 	st := DerivedStream(s.Stream(), up)
 	s.CheckIn(up, 1)
@@ -256,13 +261,13 @@ func TestDetectorFoldsReports(t *testing.T) {
 }
 
 func TestDerivedStreamProperties(t *testing.T) {
-	base := StreamOf("workers", 1)
-	d1 := DerivedStream(base, StreamOf("main", 0))
-	d2 := DerivedStream(base, StreamOf("main", 1))
+	base := streamOf("workers", 1)
+	d1 := DerivedStream(base, streamOf("main", 0))
+	d2 := DerivedStream(base, streamOf("main", 1))
 	if d1 == d2 {
 		t.Fatal("distinct inputs must derive distinct streams")
 	}
-	if d1 != DerivedStream(base, StreamOf("main", 0)) {
+	if d1 != DerivedStream(base, streamOf("main", 0)) {
 		t.Fatal("derivation must be deterministic")
 	}
 	if d1.Sender != base.Sender || d1.In == 0 {
@@ -273,16 +278,16 @@ func TestDerivedStreamProperties(t *testing.T) {
 	}
 	// Nested derivation stays two words but hashes the whole input stream,
 	// its derivation included.
-	next := StreamOf("next", 0)
+	next := streamOf("next", 0)
 	if d3 := DerivedStream(next, d1); d3.Sender != next.Sender || d3 == DerivedStream(next, base) {
 		t.Fatalf("nested derivation lost its sender or the input's derivation: %+v", d3)
 	}
 	// A sender resolves to its name and thread; a node never shares an
 	// instance's sender.
-	if name, thread := SplitSender(base.Sender); name != StreamOf("workers", 0).Sender || thread != 1 {
+	if name, thread := SplitSender(base.Sender); name != streamOf("workers", 0).Sender || thread != 1 {
 		t.Fatalf("SplitSender(%#x) = %#x, %d", base.Sender, name, thread)
 	}
-	if NodeStream("workers") == StreamOf("workers", 0) {
+	if nodeStream("workers") == streamOf("workers", 0) {
 		t.Fatal("a node and a collection of one name share a sender")
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 func TestSnapshotRegenHappyPath(t *testing.T) {
-	s := NewState(StreamOf("w", 0))
+	s := NewState(streamOf("w", 0))
 	a := key("c", 0)
 	st := DerivedStream(s.Stream(), up)
 	for in := uint64(1); in <= 3; in++ {
@@ -35,7 +35,7 @@ func TestSnapshotRegenHappyPath(t *testing.T) {
 
 	// Restoring the record and re-processing inputs 1..3 must reassign the
 	// exact original sequence numbers.
-	r2 := NewState(StreamOf("w", 0))
+	r2 := NewState(streamOf("w", 0))
 	r2.Restore(rec)
 	for want := uint64(1); want <= 3; want++ {
 		if got := r2.NextOut(st, a); got != want {
@@ -45,7 +45,7 @@ func TestSnapshotRegenHappyPath(t *testing.T) {
 }
 
 func TestSnapshotRegenAfterCut(t *testing.T) {
-	s := NewState(StreamOf("w", 0))
+	s := NewState(streamOf("w", 0))
 	a := key("c", 0)
 	st := DerivedStream(s.Stream(), up)
 	for in := uint64(1); in <= 4; in++ {
@@ -70,7 +70,7 @@ func TestSnapshotRegenAfterCut(t *testing.T) {
 	}
 
 	// The regenerated outputs must reuse sequences 3 and 4.
-	r2 := NewState(StreamOf("w", 0))
+	r2 := NewState(streamOf("w", 0))
 	r2.Restore(rec)
 	if got := r2.NextOut(st, a); got != 3 {
 		t.Fatalf("first regenerated seq = %d, want 3", got)
@@ -81,7 +81,7 @@ func TestSnapshotRegenVetoes(t *testing.T) {
 	a := key("c", 0)
 
 	t.Run("unattributed entry", func(t *testing.T) {
-		s := NewState(StreamOf("w", 0))
+		s := NewState(streamOf("w", 0))
 		st := DerivedStream(s.Stream(), up)
 		s.Append(Entry{Stream: st, Dst: a, Seq: s.NextOut(st, a), Kind: EntryToken}) // InSeq zero
 		if _, ok := s.SnapshotRegen(); ok {
@@ -90,7 +90,7 @@ func TestSnapshotRegenVetoes(t *testing.T) {
 	})
 
 	t.Run("poisoned channel", func(t *testing.T) {
-		s := NewState(StreamOf("w", 0))
+		s := NewState(streamOf("w", 0))
 		st := DerivedStream(s.Stream(), up)
 		// Two different input streams feed one channel: per-channel input
 		// attribution is ambiguous, regeneration must refuse.
@@ -102,7 +102,7 @@ func TestSnapshotRegenVetoes(t *testing.T) {
 	})
 
 	t.Run("cut above the rewind point", func(t *testing.T) {
-		s := NewState(StreamOf("w", 0))
+		s := NewState(streamOf("w", 0))
 		st := DerivedStream(s.Stream(), up)
 		// Input 5's output (seq 1) was cut; input 3's output (seq 2) is still
 		// live, forcing a rewind to 2 — but re-executing input 5 would then
@@ -119,7 +119,7 @@ func TestSnapshotRegenVetoes(t *testing.T) {
 	})
 
 	t.Run("below the shipped floor", func(t *testing.T) {
-		s := NewState(StreamOf("w", 0))
+		s := NewState(streamOf("w", 0))
 		st := DerivedStream(s.Stream(), up)
 		// A full snapshot shipped with in["up"]=2: upstream may truncate its
 		// log to that point, so inputs 1..2 can never be replayed again.
@@ -135,7 +135,7 @@ func TestSnapshotRegenVetoes(t *testing.T) {
 }
 
 func TestRegenRecordRoundTrip(t *testing.T) {
-	s := NewState(StreamOf("w", 1))
+	s := NewState(streamOf("w", 1))
 	a := key("c", 2)
 	st := DerivedStream(s.Stream(), up)
 	for in := uint64(1); in <= 2; in++ {
@@ -171,7 +171,7 @@ func TestRegenRecordRoundTrip(t *testing.T) {
 // TestEntryAttributionRoundTrip pins that InStream/InSeq survive the full
 // record encoding (they ride in the log section).
 func TestEntryAttributionRoundTrip(t *testing.T) {
-	s := NewState(StreamOf("w", 0))
+	s := NewState(streamOf("w", 0))
 	a := key("c", 0)
 	st := DerivedStream(s.Stream(), up)
 	s.Append(Entry{Stream: st, Dst: a, Seq: 1, CallID: 7, InStream: up, InSeq: 9, Kind: EntryToken, Bytes: []byte("b")})

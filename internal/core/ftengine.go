@@ -166,17 +166,17 @@ func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream ft.S
 // returns nil when the sender is not hosted here (its instance migrated
 // away, or the id names nothing this application declared).
 func (rt *Runtime) ftStateFor(id uint64) *ft.State {
-	s, thread, ok := rt.app.resolveSender(id)
+	d, thread, ok := rt.app.resolveSender(id)
 	switch {
 	case !ok:
 		return nil
-	case s.tc == nil:
-		if s.node == rt.name {
+	case d.tc == nil:
+		if d.rt == rt {
 			return rt.ftNode
 		}
 		return nil
 	}
-	if inst := rt.lookupInstance(instKey{collection: s.tc.Name(), index: thread}); inst != nil {
+	if inst := rt.lookupInstance(instKey{coll: d.tc.id, index: thread}); inst != nil {
 		return inst.ft
 	}
 	return nil
@@ -208,43 +208,24 @@ func (rt *Runtime) ftConsumed(bt bufferedToken, inst *threadInstance) {
 
 // ftSenderNode resolves the node currently hosting a sender, or "".
 func (rt *Runtime) ftSenderNode(id uint64) string {
-	s, thread, ok := rt.app.resolveSender(id)
-	if !ok || s.tc == nil {
-		return s.node
+	d, thread, ok := rt.app.resolveSender(id)
+	switch {
+	case !ok:
+		return ""
+	case d.tc == nil:
+		return d.rt.name
 	}
-	node, _ := s.tc.NodeOf(thread)
+	node, _ := d.tc.NodeOf(thread)
 	return node
 }
 
-// sender is what the name part of a sender id stands for: a thread
-// collection, or with tc nil the node named node.
-type sender struct {
-	tc   *ThreadCollection
-	node string
-}
-
-// declareSenderLocked enters the sender id of a node or collection being
-// declared as name into the table resolveSender reads, refusing one whose
-// hash an earlier name already holds; the caller holds app.mu.
-func (app *App) declareSenderLocked(id uint64, name string, s sender) error {
-	if !app.ftOn {
-		return nil
-	}
-	if _, ok := app.senders[id]; ok {
-		return fmt.Errorf("dps: %q shares a fault-tolerance sender id with an earlier name; rename it", name)
-	}
-	app.senders[id] = s
-	return nil
-}
-
-// resolveSender returns what a sender id names and its thread index; ok is
-// false for an id nothing declared.
-func (app *App) resolveSender(id uint64) (s sender, thread int, ok bool) {
+// resolveSender returns what a sender id names — a collection, or with tc
+// nil the node rt — and its thread index; ok is false for an id nothing
+// declared.
+func (app *App) resolveSender(id uint64) (d declared, thread int, ok bool) {
 	name, thread := ft.SplitSender(id)
-	app.mu.Lock()
-	s, ok = app.senders[name]
-	app.mu.Unlock()
-	return s, thread, ok && (s.tc != nil || thread == 0)
+	d = app.ids.load()[name]
+	return d, thread, d.tc != nil || d.rt != nil && thread == 0
 }
 
 // nodeOf returns the node hosting a thread, or "" for an unknown one.
@@ -282,13 +263,7 @@ func (app *App) ftCheckpointLoop() {
 // instance. The item rides the instance's dispatch queue, so it serializes
 // with operation executions like any other work.
 func (rt *Runtime) enqueueCheckpoints() {
-	rt.mu.Lock()
-	insts := make([]*threadInstance, 0, len(rt.threads))
-	for _, inst := range rt.threads {
-		insts = append(insts, inst)
-	}
-	rt.mu.Unlock()
-	for _, inst := range insts {
+	for _, inst := range rt.threads.load() {
 		if inst.ft == nil || !inst.tc.checkpointable() {
 			continue
 		}
@@ -540,13 +515,11 @@ func mergeReplayEntries(live []*Runtime, key place.Key) []ft.Entry {
 	var groups [][]ft.Entry
 	for _, rt := range live {
 		states := []*ft.State{rt.ftNode}
-		rt.mu.Lock()
-		for _, inst := range rt.threads {
+		for _, inst := range rt.threads.load() {
 			if inst.ft != nil {
 				states = append(states, inst.ft)
 			}
 		}
-		rt.mu.Unlock()
 		perStream := make(map[ft.Stream][]ft.Entry)
 		var order []ft.Stream
 		for _, s := range states {
@@ -614,7 +587,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 			}
 			body = body[1:]
 		}
-		env, err := decodeTokenFT(body)
+		env, err := decodeTokenFT(body, rt.app.ids.load())
 		if err != nil {
 			rt.failApp(fmt.Errorf("dps: corrupt retained token: %w", err))
 			return
@@ -634,7 +607,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
 		rt.lnk.sendToken(env, to, place.Direct, txSend)
 	case ft.EntryGroupEnd:
-		m, err := decodeGroupEndFT(e.Bytes[1:])
+		m, err := decodeGroupEndFT(e.Bytes[1:], rt.app.ids.load())
 		if err != nil {
 			rt.failApp(fmt.Errorf("dps: corrupt retained group-end: %w", err))
 			return

@@ -56,6 +56,7 @@ func (b *PathBuilder) Add(nodes ...*GraphNode) *PathBuilder {
 type Flowgraph struct {
 	app  *App
 	name string
+	id   uint64 // the id the graph is declared under (App.declareLocked)
 
 	nodes    []*GraphNode
 	succ     [][]int

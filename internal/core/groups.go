@@ -130,7 +130,7 @@ type bufferedToken struct {
 	tok        Token
 	lastWorker int
 	creditNode int
-	origin     string
+	origin     *Runtime
 	groupID    uint64
 	// ftStream / ftSeq carry the token's sender-stream identity when fault
 	// tolerance is enabled, so consumption on the master node can truncate
@@ -232,7 +232,7 @@ func (rt *Runtime) finishOpener(c *Ctx) {
 	}
 	closerNode := sg.graph.nodes[sg.closer]
 	sg.end = groupEndMsg{
-		Graph:   sg.graph.name,
+		Graph:   sg.graph,
 		Node:    sg.closer,
 		Thread:  mergeThread,
 		GroupID: sg.id,
@@ -305,7 +305,7 @@ func (rt *Runtime) deliverToGroup(inst *threadInstance, g *Flowgraph, node *Grap
 func (rt *Runtime) ackConsumed(bt bufferedToken) {
 	atomic.AddInt64(&rt.stats.AcksSent, 1)
 	m := ackMsg{GroupID: bt.groupID, Worker: bt.lastWorker, RouteNode: bt.creditNode}
-	rt.lnk.sendAck(bt.origin, m)
+	rt.lnk.sendAck(bt.origin.name, m)
 }
 
 // dropEnvelope discards a token of a canceled call. Its top frame is
@@ -355,7 +355,7 @@ func (rt *Runtime) handleAck(m ackMsg) {
 	rt.maybeReapSplit(sg)
 	if m.RouteNode >= 0 && m.RouteNode < len(sg.graph.nodes) {
 		threads := sg.graph.nodes[m.RouteNode].tc.ThreadCount()
-		rt.credit(sg.graph.name, m.RouteNode, threads).Release(m.Worker)
+		rt.credit(sg.graph, m.RouteNode, threads).Release(m.Worker)
 	}
 }
 
@@ -367,12 +367,7 @@ func (rt *Runtime) handleAck(m ackMsg) {
 // recorded call ID. Like tokens, group-ends go through the thread's
 // placement machine once this node has participated in a live remap.
 func (rt *Runtime) handleGroupEnd(m *groupEndMsg, src string, lane place.Lane) {
-	g, ok := rt.app.Graph(m.Graph)
-	if !ok {
-		rt.failApp(fmt.Errorf("dps: group-end for unknown graph %q", m.Graph))
-		return
-	}
-	node := g.nodes[m.Node]
+	node := m.Graph.nodes[m.Node]
 	if rt.place.fastArrive() {
 		rt.applyGroupEnd(node, m)
 		rt.place.arrivals.Add(-1)

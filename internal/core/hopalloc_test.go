@@ -130,9 +130,9 @@ func TestSequencedGroupEndAllocatesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(app.Close)
-	rt := app.runtimes["a"]
+	rt, _ := app.runtime("a")
 	s := ft.NewState(ft.Stream{Sender: 1})
-	m := &groupEndMsg{Graph: "a-graph", Node: 2, Thread: 3, GroupID: 1 << 40, Total: 12, CallID: 1 << 33}
+	m := &groupEndMsg{Graph: testGraph(idTable{}, "a-graph"), Node: 2, Thread: 3, GroupID: 1 << 40, Total: 12, CallID: 1 << 33}
 	in := ft.Stream{Sender: 2, In: 5}
 	if got := testing.AllocsPerRun(1000, func() { rt.ftOutboundGroupEnd(m, s, in, 9, "coll", 1) }); got != 1 {
 		t.Errorf("a sequenced group-end allocates %.0f objects, want 1: its retained copy", got)

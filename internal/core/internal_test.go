@@ -6,9 +6,30 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/core/ft"
 )
 
 // --- wire format ----------------------------------------------------------
+
+// testGraph and testNode declare a graph (of 256 nodes) and a node by name
+// alone into ids, for the codec tests: what the decoders resolve the ids
+// they read through, and what those ids resolve to.
+func testGraph(ids idTable, name string) *Flowgraph {
+	id := ft.NameID(idGraph, name)
+	if ids[id].g == nil {
+		ids[id] = declared{g: &Flowgraph{name: name, id: id, nodes: make([]*GraphNode, 256)}}
+	}
+	return ids[id].g
+}
+
+func testNode(ids idTable, name string) *Runtime {
+	id := ft.NameID(idNode, name)
+	if ids[id].rt == nil {
+		ids[id] = declared{rt: &Runtime{name: name, id: id}}
+	}
+	return ids[id].rt
+}
 
 // sameOnWire compares what the envelope codec carries — the header fields,
 // the frame stack by value and the payload bytes — and nothing of how an
@@ -20,26 +41,36 @@ func sameOnWire(a, b *envelope) bool {
 		slices.Equal(a.Frames, b.Frames) && bytes.Equal(a.Payload, b.Payload)
 }
 
+// encodeEnvelopeHeader, encodeGroupEnd, encodeAck and encodeResult encode
+// a message into a fresh buffer.
+func encodeEnvelopeHeader(e *envelope) []byte { return appendEnvelopeHeader(nil, e) }
+func encodeGroupEnd(m *groupEndMsg) []byte    { return appendGroupEnd(nil, m) }
+func encodeAck(m ackMsg) []byte               { return appendAck(nil, m) }
+func encodeResult(m *resultMsg) []byte {
+	return append(appendResultHeader(nil, m.CallID), m.Payload...)
+}
+
 func TestEnvelopeHeaderRoundTrip(t *testing.T) {
+	ids := idTable{}
 	for _, nframes := range []int{0, 2, inlineFrames, inlineFrames + 1, 3 * inlineFrames} {
 		in := &envelope{
-			Graph:      "g",
+			Graph:      testGraph(ids, "g"),
 			Node:       7,
 			Thread:     3,
 			CallID:     991,
-			CallOrigin: "nodeX",
+			CallOrigin: testNode(ids, "nodeX"),
 			LastWorker: 2,
 			CreditNode: 5,
 		}
 		for i := 0; i < nframes; i++ {
-			in.Frames = append(in.Frames, frame{GroupID: uint64(42 + i), Index: 9 - i, Origin: "node" + string(rune('A'+i)), MergeThread: i % 2})
+			in.Frames = append(in.Frames, frame{GroupID: uint64(42 + i), Index: 9 - i, Origin: testNode(ids, "node"+string(rune('A'+i))), MergeThread: i % 2})
 		}
 		payload := []byte{0xde, 0xad, 0xbe, 0xef}
 		buf := append(encodeEnvelopeHeader(in), payload...)
 		if buf[0] != msgToken {
 			t.Fatalf("kind byte %d", buf[0])
 		}
-		out, err := decodeEnvelope(buf[1:])
+		out, err := decodeEnvelope(buf[1:], ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,19 +87,20 @@ func TestEnvelopeHeaderRoundTrip(t *testing.T) {
 }
 
 func TestQuickEnvelopeRoundTrip(t *testing.T) {
-	f := func(graph string, node, thread int16, callID uint64, origin string, lw, cn int8, gid uint64, idx uint16, fo string, mt int8, payload []byte) bool {
+	ids := idTable{}
+	f := func(graph string, node uint8, thread int16, callID uint64, origin string, lw, cn int8, gid uint64, idx uint16, fo string, mt int8, payload []byte) bool {
 		in := &envelope{
-			Graph:      graph,
+			Graph:      testGraph(ids, graph),
 			Node:       int(node),
 			Thread:     int(thread),
 			CallID:     callID,
-			CallOrigin: origin,
+			CallOrigin: testNode(ids, origin),
 			LastWorker: int(lw),
 			CreditNode: int(cn),
-			Frames:     []frame{{GroupID: gid, Index: int(idx), Origin: fo, MergeThread: int(mt)}},
+			Frames:     []frame{{GroupID: gid, Index: int(idx), Origin: testNode(ids, fo), MergeThread: int(mt)}},
 		}
 		buf := append(encodeEnvelopeHeader(in), payload...)
-		out, err := decodeEnvelope(buf[1:])
+		out, err := decodeEnvelope(buf[1:], ids)
 		if err != nil {
 			return false
 		}
@@ -81,12 +113,13 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestGroupEndRoundTrip(t *testing.T) {
-	in := &groupEndMsg{Graph: "g", Node: 4, Thread: 2, GroupID: 77, Total: 1234, CallID: 9}
+	ids := idTable{}
+	in := &groupEndMsg{Graph: testGraph(ids, "g"), Node: 4, Thread: 2, GroupID: 77, Total: 1234, CallID: 9}
 	buf := encodeGroupEnd(in)
 	if buf[0] != msgGroupEnd {
 		t.Fatal("kind byte wrong")
 	}
-	out, err := decodeGroupEnd(buf[1:])
+	out, err := decodeGroupEnd(buf[1:], ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +129,7 @@ func TestGroupEndRoundTrip(t *testing.T) {
 }
 
 func TestAckRoundTrip(t *testing.T) {
-	in := ackMsg{GroupID: 901, Worker: -1, Graph: "g2", RouteNode: 3}
+	in := ackMsg{GroupID: 901, Worker: -1, RouteNode: 3}
 	buf := encodeAck(in)
 	out, err := decodeAck(buf[1:])
 	if err != nil {
@@ -120,10 +153,11 @@ func TestResultRoundTrip(t *testing.T) {
 }
 
 func TestDecodeTruncatedMessages(t *testing.T) {
-	in := &envelope{Graph: "graph-name", CallOrigin: "origin", Frames: []frame{{Origin: "o"}}}
+	ids := idTable{}
+	in := &envelope{Graph: testGraph(ids, "graph-name"), CallOrigin: testNode(ids, "origin"), Frames: []frame{{Origin: testNode(ids, "o")}}}
 	full := encodeEnvelopeHeader(in)
 	for cut := 1; cut < len(full)-1; cut++ {
-		if _, err := decodeEnvelope(full[1:cut]); err == nil {
+		if _, err := decodeEnvelope(full[1:cut], ids); err == nil {
 			// Some prefixes decode "successfully" as an envelope with fewer
 			// fields set only if the cut happens to land exactly at a field
 			// boundary that satisfies the full structure — not possible here

@@ -501,7 +501,7 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 // so under Config.Batch it flushes the destination's pending batch rather
 // than join it.
 func (l *link) sendResult(env *envelope, tok Token) bool {
-	rt, wire := l.route(msgResult, env.CallOrigin)
+	rt, wire := l.route(msgResult, env.CallOrigin.name)
 	if rt != nil {
 		if l.force {
 			out, err := l.roundTrip(tok)
@@ -523,7 +523,7 @@ func (l *link) sendResult(env *envelope, tok Token) bool {
 		panic(opError{fmt.Errorf("dps: cannot serialize result: %w", err)})
 	}
 	buf := append(getWireBuf(&l.rt.stats, len(head)+enc.Len()), head...)
-	return l.transmit(env.CallOrigin, enc.AppendTo(buf), txCorked)
+	return l.transmit(env.CallOrigin.name, enc.AppendTo(buf), txCorked)
 }
 
 // sendAck returns a consumption acknowledgement to the split-side node.
@@ -627,7 +627,7 @@ func (l *link) handle(src string, frame []byte) {
 // stream/seq, traceID and lane are what the framing around it carried. The
 // token is a copy: handle recycles the frame body lies in.
 func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane place.Lane, body []byte) error {
-	env, err := decodeEnvelopeNamed(body, l.rt.app.canonical())
+	env, err := decodeEnvelope(body, l.rt.app.ids.load())
 	if err != nil {
 		return err
 	}
@@ -715,7 +715,7 @@ func (l *link) recvForwarded(src string, frame []byte) error {
 }
 
 func (l *link) recvGroupEnd(src string, stream ft.Stream, seq uint64, lane place.Lane, body []byte) error {
-	m, err := decodeGroupEnd(body)
+	m, err := decodeGroupEnd(body, l.rt.app.ids.load())
 	if err != nil {
 		return err
 	}

@@ -56,8 +56,9 @@ func TestWireKindTable(t *testing.T) {
 }
 
 // recTransport records the frames a link hands it, or refuses them, and what
-// it was offered as a transport.Borrower.
+// it was offered as a transport.Borrower. Its node is "near" unless named.
 type recTransport struct {
+	name    string
 	mu      sync.Mutex
 	frames  [][]byte
 	refuse  bool
@@ -68,7 +69,12 @@ type recTransport struct {
 
 func (r *recTransport) SetBorrow(borrow func(n int) []byte) { r.borrow = borrow }
 
-func (r *recTransport) Local() string                { return "near" }
+func (r *recTransport) Local() string {
+	if r.name != "" {
+		return r.name
+	}
+	return "near"
+}
 func (r *recTransport) SetHandler(transport.Handler) {}
 func (r *recTransport) Close() error                 { return nil }
 func (r *recTransport) Send(_ string, b []byte) error {
@@ -103,48 +109,66 @@ func newRecordedLink(t *testing.T, cfg Config) (*link, *recTransport, *App) {
 	}
 	tr := &recTransport{}
 	app := NewApp(cfg)
+	t.Cleanup(app.Close)
 	rt, err := app.AttachTransport(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(app.Close)
+	if _, err := app.AttachTransport(&recTransport{name: "far"}); err != nil {
+		t.Fatal(err)
+	}
 	return &rt.lnk, tr, app
 }
 
-func tokenEnv() *envelope {
+// farNode is the recorded link's peer: the node the tests' traffic comes
+// from, and the origin of the calls its tokens belong to.
+func farNode(l *link) *Runtime {
+	rt, _ := l.rt.app.runtime("far")
+	return rt
+}
+
+// tokenEnv is a token of the application's graph "g", called from "far";
+// where the application declares no "g", one declared only by name, which
+// can be sent and not received.
+func tokenEnv(l *link) *envelope {
+	g, ok := l.rt.app.Graph("g")
+	if !ok {
+		g = testGraph(idTable{}, "g")
+	}
 	env := getEnvelope()
-	env.Graph, env.CallOrigin, env.Token = "g", "far", &linkTok{N: 7}
+	env.Graph, env.CallOrigin, env.Token = g, farNode(l), &linkTok{N: 7}
 	return env
 }
 
 // sendOneOf sends one message of each wire kind the link sends to dst
 // through the link's sender for that kind.
 var sendOneOf = map[byte]func(l *link, dst string){
-	msgToken: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Direct, txSend) },
+	msgToken: func(l *link, dst string) { l.sendToken(tokenEnv(l), dst, place.Direct, txSend) },
 	msgTokenFT: func(l *link, dst string) {
-		env := tokenEnv()
+		env := tokenEnv(l)
 		env.FTStream, env.FTSeq = ft.Stream{Sender: 1}, 3
 		l.sendToken(env, dst, place.Direct, txSend)
 	},
 	msgTraced: func(l *link, dst string) {
-		env := tokenEnv()
+		env := tokenEnv(l)
 		env.TraceID = 99
 		l.sendToken(env, dst, place.Direct, txSend)
 	},
-	msgForwarded: func(l *link, dst string) { l.sendToken(tokenEnv(), dst, place.Forwarded, txSend) },
+	msgForwarded: func(l *link, dst string) { l.sendToken(tokenEnv(l), dst, place.Forwarded, txSend) },
 	msgGroupEnd: func(l *link, dst string) {
-		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1}, place.Direct)
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: tokenEnv(l).Graph, Total: 1}, place.Direct)
 	},
 	msgGroupEndFT: func(l *link, dst string) {
-		l.sendGroupEnd(dst, &groupEndMsg{Graph: "g", Total: 1, FTStream: ft.Stream{Sender: 1}, FTSeq: 4}, place.Direct)
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: tokenEnv(l).Graph, Total: 1, FTStream: ft.Stream{Sender: 1}, FTSeq: 4}, place.Direct)
 	},
 	msgBatch: func(l *link, dst string) {
-		l.sendToken(tokenEnv(), dst, place.Direct, txSend)
+		l.sendToken(tokenEnv(l), dst, place.Direct, txSend)
 		l.batcherFor(dst).timedFlush()
 	},
-	msgAck: func(l *link, dst string) { l.sendAck(dst, ackMsg{GroupID: 1, Graph: "g"}) },
+	msgAck: func(l *link, dst string) { l.sendAck(dst, ackMsg{GroupID: 1}) },
 	msgResult: func(l *link, dst string) {
-		l.sendResult(&envelope{CallID: 5, CallOrigin: dst}, &linkTok{N: 1})
+		origin, _ := l.rt.app.runtime(dst)
+		l.sendResult(&envelope{CallID: 5, CallOrigin: origin}, &linkTok{N: 1})
 	},
 	msgMigrate: func(l *link, dst string) {
 		l.sendRehome(dst, &rehomeMsg{Key: place.Key{Collection: "c"}, State: []byte("st")})
@@ -201,7 +225,7 @@ func TestTransmitChokePoint(t *testing.T) {
 			// No age flush: only the sends below and the explicit flush move
 			// the pending batch, however slowly this goroutine is scheduled.
 			l, tr, _ := newRecordedLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			l.sendToken(tokenEnv(), "far", place.Direct, txSend)
+			l.sendToken(tokenEnv(l), "far", place.Direct, txSend)
 			if frames, _ := tr.take(); len(frames) != 0 {
 				t.Fatalf("a lone small token left unbatched: %v", frames)
 			}
@@ -309,7 +333,7 @@ func TestForwardedLaneOverWire(t *testing.T) {
 	if th.Flush("far") != nil {
 		t.Fatal("empty hold flushed something")
 	}
-	env := tokenEnv()
+	env := tokenEnv(relay)
 	env.TraceID = 99
 	relay.rt.deliverToken(env, "sender", place.Direct)
 	frames, _ := relayTr.take()
@@ -328,11 +352,13 @@ func TestForwardedLaneOverWire(t *testing.T) {
 	oth := owner.rt.placeThread(key)
 	oth.Expect()
 	owner.rt.drain(oth, oth.Install(1, 1, ""))
-	direct, err := owner.tokenFrame(&envelope{Graph: "g", CallOrigin: "far", Token: &linkTok{N: 1}}, place.Direct)
+	direct := tokenEnv(owner)
+	direct.Token = &linkTok{N: 1}
+	directFrame, err := owner.tokenFrame(direct, place.Direct)
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner.handle("far", direct)
+	owner.handle("far", directFrame)
 	owner.handle("far", frames[0])
 	if got := <-ran; got != 7 {
 		t.Fatalf("leaf ran token %d first, want the forwarded one (7): the direct token overtook the gate", got)
@@ -361,22 +387,25 @@ func spanKinds(spans []trace.Span) map[string]bool {
 // fail the application with a decode error — no panic, and nothing allocated
 // beyond the frame's own size class.
 func TestForwardedFrameHostile(t *testing.T) {
+	ids := idTable{}
+	g, far := testGraph(ids, "g"), testNode(ids, "far")
 	hostile := map[string][]byte{
 		"truncated wrapper":         {msgForwarded},
 		"unknown inner kind":        {msgForwarded, 200, 1, 2, 3},
-		"non-forwardable inner":     append([]byte{msgForwarded}, appendAck(nil, ackMsg{GroupID: 1, Graph: "g"})...),
+		"non-forwardable inner":     append([]byte{msgForwarded}, appendAck(nil, ackMsg{GroupID: 1})...),
 		"forwarded fence":           append([]byte{msgForwarded}, appendFence(nil, &fenceMsg{Collection: "c", Src: "s", Phase: fenceClose})...),
-		"nested wrapper":            append([]byte{msgForwarded, msgForwarded}, encodeEnvelopeHeader(&envelope{Graph: "g"})...),
+		"nested wrapper":            append([]byte{msgForwarded, msgForwarded}, encodeEnvelopeHeader(&envelope{Graph: g, CallOrigin: far})...),
 		"wrapper inside traced":     append(appendTracedHeader(nil, 9, 1), msgForwarded, msgToken),
 		"truncated inner token":     {msgForwarded, msgToken, 0x05, 'a'},
 		"truncated inner traced":    {msgForwarded, msgTraced, 0x09},
-		"traced around a non-token": append(appendTracedHeader([]byte{msgForwarded}, 9, 1), appendGroupEnd(nil, &groupEndMsg{Graph: "g"})...),
+		"traced around a non-token": append(appendTracedHeader([]byte{msgForwarded}, 9, 1), appendGroupEnd(nil, &groupEndMsg{Graph: g})...),
 		"truncated inner group-end": {msgForwarded, msgGroupEnd, 0x01, 'g'},
 		"inner frame count lie":     append([]byte{msgForwarded}, hostileFrameCount()...),
 	}
 	for name, frame := range hostile {
 		t.Run(name, func(t *testing.T) {
-			l, _, app := newRecordedLink(t, Config{})
+			l, _, _, _ := forwardedLink(t) // declares the ids the frames carry
+			app := l.rt.app
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			l.handle("far", frame)
@@ -406,10 +435,11 @@ func TestFencePhaseRejected(t *testing.T) {
 	}
 }
 
-// hostileFrameCount is a token frame whose envelope claims 65536 group
-// frames with eight bytes behind the claim.
+// hostileFrameCount is a token frame of graph "g" from node "far" whose
+// envelope claims 65536 group frames with eight bytes behind the claim.
 func hostileFrameCount() []byte {
-	hdr := appendEnvelopeBody([]byte{msgToken}, &envelope{Graph: "g", CallOrigin: "n"})
+	ids := idTable{}
+	hdr := appendEnvelopeBody([]byte{msgToken}, &envelope{Graph: testGraph(ids, "g"), CallOrigin: testNode(ids, "far")})
 	lie := appendInt(hdr[:len(hdr)-1], 1<<16)
 	return append(lie, make([]byte, 8)...)
 }

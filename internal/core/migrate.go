@@ -296,7 +296,7 @@ func (rt *Runtime) holdPassThrough(item any) bool {
 	} else {
 		return false
 	}
-	inst := rt.lookupInstance(instKey{collection: it.node.tc.Name(), index: thread})
+	inst := rt.lookupInstance(instKey{coll: it.node.tc.id, index: thread})
 	if inst == nil {
 		return false
 	}
@@ -354,13 +354,13 @@ func (rt *Runtime) deliverDirect(it *placeItem) {
 // placement machine has nothing in flight toward it and no fence handshake
 // outstanding, no execution is queued or running, and no merge group is
 // open.
-func (rt *Runtime) instanceIdle(th *place.Thread, key place.Key) bool {
+func (rt *Runtime) instanceIdle(th *place.Thread, tc *ThreadCollection, thread int) bool {
 	// Machine first: every delivery it cleared is registered in the
 	// instance's in-flight count before the machine stops counting it.
 	if !th.Quiesced() {
 		return false
 	}
-	inst := rt.lookupInstance(instKey{collection: key.Collection, index: key.Thread})
+	inst := rt.lookupInstance(instKey{coll: tc.id, index: thread})
 	if inst == nil {
 		return true
 	}
@@ -378,10 +378,10 @@ func (rt *Runtime) instanceIdle(th *place.Thread, key place.Key) bool {
 
 // waitQuiesce polls until the instance is idle, the context expires, the
 // application fails or this node is reported dead.
-func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, key place.Key) error {
+func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, tc *ThreadCollection, key place.Key) error {
 	delay := 50 * time.Microsecond
 	for {
-		if rt.instanceIdle(th, key) {
+		if rt.instanceIdle(th, tc, key.Thread) {
 			return nil
 		}
 		if err := rt.app.Err(); err != nil {
@@ -409,7 +409,7 @@ func (rt *Runtime) waitQuiesce(ctx context.Context, th *place.Thread, key place.
 // duplicate filter.
 func (rt *Runtime) captureState(tc *ThreadCollection, thread int) (*rehomeMsg, error) {
 	m := &rehomeMsg{Key: place.Key{Collection: tc.Name(), Thread: thread}}
-	ik := instKey{collection: tc.Name(), index: thread}
+	ik := instKey{coll: tc.id, index: thread}
 	inst := rt.lookupInstance(ik)
 	if inst == nil {
 		return m, nil
@@ -424,16 +424,14 @@ func (rt *Runtime) captureState(tc *ThreadCollection, thread int) (*rehomeMsg, e
 		m.Rec = inst.ft.Snapshot()
 	}
 	rt.mu.Lock()
-	delete(rt.threads, ik)
+	rt.threads.delete(ik)
 	rt.mu.Unlock()
 	return m, nil
 }
 
 // lookupInstance returns the local instance, or nil, without creating it.
 func (rt *Runtime) lookupInstance(ik instKey) *threadInstance {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.threads[ik]
+	return rt.threads.load()[ik]
 }
 
 // --- new-owner side: install ----------------------------------------------
@@ -464,7 +462,7 @@ func (rt *Runtime) restoreInstance(key place.Key, state []byte, rec *ft.Record) 
 		inst.state = v
 	}
 	if rt.app.ftOn {
-		inst.ft = ft.NewState(ft.StreamOf(key.Collection, key.Thread))
+		inst.ft = ft.NewState(ft.StreamOf(tc.id, key.Thread))
 		if rec != nil {
 			inst.ft.Restore(rec)
 		}
@@ -495,11 +493,11 @@ func (rt *Runtime) installRehomed(m *rehomeMsg, src string) {
 			}
 		}
 	}
-	ik := instKey{collection: m.Key.Collection, index: m.Key.Thread}
+	ik := instKey{coll: inst.tc.id, index: inst.index}
 	rt.mu.Lock()
-	_, exists := rt.threads[ik]
+	_, exists := rt.threads.load()[ik]
 	if !exists {
-		rt.threads[ik] = inst
+		rt.threads.set(ik, inst)
 	}
 	rt.mu.Unlock()
 	if exists {
@@ -674,7 +672,7 @@ func (app *App) capture(ctx context.Context, mv *move) error {
 	if err := mv.hold.BeginHold(mv.tc.place.Epoch()); err != nil {
 		return fmt.Errorf("dps: thread %s is already migrating", mv.key)
 	}
-	err := mv.old.waitQuiesce(ctx, mv.hold, mv.key)
+	err := mv.old.waitQuiesce(ctx, mv.hold, mv.tc, mv.key)
 	if err == nil {
 		mv.state, err = mv.old.captureState(mv.tc, mv.key.Thread)
 	}

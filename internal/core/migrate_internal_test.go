@@ -202,7 +202,8 @@ func remapWithPartialHold(t *testing.T, app *App) {
 		t.Fatalf("the hold kept %d tokens at the flip; the test needs a partly filled hold (0 < held < %d)", kept, window)
 	}
 	now, _ := app.runtime("node2")
-	inst := now.lookupInstance(instKey{collection: "ph-acc"})
+	accTC, _ := app.Collection("ph-acc")
+	inst := now.lookupInstance(instKey{coll: accTC.id})
 	if inst == nil {
 		t.Fatal("no instance on node2 after the remap")
 	}
@@ -293,7 +294,9 @@ func TestRetargetAfterFailover(t *testing.T) {
 
 	// A stale post reaches the relay as if its sender still resolved w1.
 	env := getEnvelope()
-	env.Graph, env.CallOrigin, env.Token = "rt-g", "m", &retargetTok{Tag: "stale"}
+	env.Graph, _ = app.Graph("rt-g")
+	env.CallOrigin, _ = app.runtime("m")
+	env.Token = &retargetTok{Tag: "stale"}
 	relay.deliverToken(env, "m", place.Direct)
 	if got := <-ran; got != "stale@"+survivor {
 		t.Fatalf("forwarded token ran as %s, want stale@%s", got, survivor)

@@ -124,14 +124,16 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		big   = maxClassedWireBuf + 3000 // above the classes
 		small = 3000                     // one a batch takes in
 	)
-	env := func(tok *blobTok) *envelope {
-		return &envelope{Graph: "g", CallOrigin: "far", Token: tok}
+	env := func(l *link, tok *blobTok) *envelope {
+		e := tokenEnv(l)
+		e.Token = tok
+		return e
 	}
 	// tokenFrame builds the frame with the link's own sender and hands it
 	// over in a buffer of exactly its length, whatever the pool drew.
 	tokenFrame := func(mod func(*envelope), lane place.Lane, size int) func(*testing.T, *link) []byte {
 		return func(t *testing.T, l *link) []byte {
-			e := env(newBlob(7, size))
+			e := env(l, newBlob(7, size))
 			if mod != nil {
 				mod(e)
 			}
@@ -176,7 +178,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big)},
 		{"batch entry", msgBatch, func(t *testing.T, _ *link) []byte {
 			sender, tr, _ := blobLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			sender.sendToken(env(newBlob(7, small)), "far", place.Direct, txSend)
+			sender.sendToken(env(sender, newBlob(7, small)), "far", place.Direct, txSend)
 			sender.batcherFor("far").timedFlush()
 			frames, _ := tr.take()
 			if len(frames) != 1 {
@@ -282,7 +284,9 @@ func TestShortFramesAreLentFromThePool(t *testing.T) {
 		if tr.borrow == nil {
 			t.Fatal("AttachTransport installed no lender")
 		}
-		built, err := l.tokenFrame(&envelope{Graph: "g", CallOrigin: "far", Token: newBlob(7, size)}, place.Direct)
+		env := tokenEnv(l)
+		env.Token = newBlob(7, size)
+		built, err := l.tokenFrame(env, place.Direct)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -37,6 +37,7 @@ type Runtime struct {
 	app     *App
 	lnk     link
 	name    string
+	id      uint64 // the id the node is declared under (App.declareLocked)
 	nodeIdx int
 
 	sched  sched.Scheduler[workItem]
@@ -62,20 +63,24 @@ type Runtime struct {
 	qmu   sync.Mutex
 	qwait trace.Hist
 
+	// threads and credits are read without a lock by every token; mu
+	// serializes their rare writes (an instance created, installed or
+	// retired; a credit tracker's first use), each of which republishes the
+	// table.
 	mu      sync.Mutex
-	threads map[instKey]*threadInstance
-	credits map[creditKey]*flowctl.Credits
+	threads cowTable[instKey, *threadInstance]
+	credits cowTable[creditKey, *flowctl.Credits]
 }
 
-// instKey identifies a thread instance without building a string key on
-// every dispatch.
+// instKey identifies a thread instance by its collection's id.
 type instKey struct {
-	collection string
-	index      int
+	coll  uint64
+	index int
 }
 
+// creditKey identifies a credit tracker by its graph's id and graph node.
 type creditKey struct {
-	graph string
+	graph uint64
 	node  int
 }
 
@@ -131,18 +136,17 @@ type workItem struct {
 	ckpt bool
 }
 
-func newRuntime(app *App, tr transport.Transport, idx int) *Runtime {
+func newRuntime(app *App, tr transport.Transport, idx int, id uint64) *Runtime {
 	rt := &Runtime{
 		app:     app,
 		name:    tr.Local(),
+		id:      id,
 		nodeIdx: idx,
 		window:  app.cfg.Window,
-		threads: make(map[instKey]*threadInstance),
-		credits: make(map[creditKey]*flowctl.Credits),
 		ring:    trace.NewRing(0),
 	}
 	if app.ftOn {
-		rt.ftNode = ft.NewState(ft.NodeStream(rt.name))
+		rt.ftNode = ft.NewState(ft.NodeStream(id))
 	}
 	rt.groups.init(idx)
 	rt.lnk.init(rt, tr, &app.cfg)
@@ -168,10 +172,13 @@ func (rt *Runtime) instance(tc *ThreadCollection, index int) (*threadInstance, e
 	if node != rt.name {
 		return nil, fmt.Errorf("dps: thread %s[%d] is mapped to %q, not %q", tc.Name(), index, node, rt.name)
 	}
-	key := instKey{collection: tc.Name(), index: index}
+	key := instKey{coll: tc.id, index: index}
+	if inst := rt.threads.load()[key]; inst != nil {
+		return inst, nil
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	if inst, ok := rt.threads[key]; ok {
+	if inst := rt.threads.load()[key]; inst != nil {
 		return inst, nil
 	}
 	inst := &threadInstance{
@@ -182,24 +189,27 @@ func (rt *Runtime) instance(tc *ThreadCollection, index int) (*threadInstance, e
 		groups: make(map[uint64]*mergeGroup),
 	}
 	if rt.app.ftOn {
-		inst.ft = ft.NewState(ft.StreamOf(tc.Name(), index))
+		inst.ft = ft.NewState(ft.StreamOf(tc.id, index))
 	}
 	rt.sched.InitInstance(&inst.exec)
-	rt.threads[key] = inst
+	rt.threads.set(key, inst)
 	return inst, nil
 }
 
 // credit returns (creating presized to threads, if needed) the credit
 // tracker of one graph node's collection.
-func (rt *Runtime) credit(graph string, node int, threads int) *flowctl.Credits {
-	key := creditKey{graph: graph, node: node}
+func (rt *Runtime) credit(g *Flowgraph, node int, threads int) *flowctl.Credits {
+	key := creditKey{graph: g.id, node: node}
+	if ct := rt.credits.load()[key]; ct != nil {
+		return ct
+	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	ct, ok := rt.credits[key]
-	if !ok {
-		ct = flowctl.NewCredits(threads)
-		rt.credits[key] = ct
+	if ct := rt.credits.load()[key]; ct != nil {
+		return ct
 	}
+	ct := flowctl.NewCredits(threads)
+	rt.credits.set(key, ct)
 	return ct
 }
 
@@ -217,15 +227,7 @@ func (rt *Runtime) deliverToken(env *envelope, src string, lane place.Lane) {
 		rt.dropEnvelope(env)
 		return
 	}
-	g, ok := rt.app.Graph(env.Graph)
-	if !ok {
-		rt.failApp(fmt.Errorf("dps: unknown graph %q", env.Graph))
-		return
-	}
-	if env.Node < 0 || env.Node >= len(g.nodes) {
-		rt.failApp(fmt.Errorf("dps: graph %q has no node %d", env.Graph, env.Node))
-		return
-	}
+	g := env.Graph
 	node := g.nodes[env.Node]
 	if rt.place.fastArrive() {
 		rt.dispatchToken(g, node, env)
@@ -476,17 +478,11 @@ func (rt *Runtime) wakeBlocked() {
 	for _, sg := range rt.groups.all() {
 		sg.gate.Wake()
 	}
-	rt.mu.Lock()
-	insts := make([]*threadInstance, 0, len(rt.threads))
-	for _, inst := range rt.threads {
-		insts = append(insts, inst)
-	}
-	rt.mu.Unlock()
 	type groupRef struct {
 		id uint64
 		mg *mergeGroup
 	}
-	for _, inst := range insts {
+	for _, inst := range rt.threads.load() {
 		inst.mu.Lock()
 		groups := make([]groupRef, 0, len(inst.groups))
 		for id, mg := range inst.groups {

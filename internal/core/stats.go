@@ -168,14 +168,8 @@ func (rt *Runtime) Stats() *Stats {
 
 // Stats aggregates the counters of every node runtime.
 func (app *App) Stats() *Stats {
-	app.mu.Lock()
-	rts := make([]*Runtime, 0, len(app.runtimes))
-	for _, rt := range app.runtimes {
-		rts = append(rts, rt)
-	}
-	app.mu.Unlock()
 	total := &Stats{}
-	for _, rt := range rts {
+	for _, rt := range app.runtimes.load() {
 		total.Add(rt.Stats())
 	}
 	return total

@@ -71,7 +71,8 @@ func TestStatsAddAndSnapshot(t *testing.T) {
 func TestExactlyOnceDropsAreCounted(t *testing.T) {
 	l, _, ran := blobLink(t, Config{Checkpoint: time.Hour})
 	frame := func(n int, seq uint64) []byte {
-		env := &envelope{Graph: "g", CallOrigin: "far", Token: newBlob(n, 40), FTStream: ft.NodeStream("far"), FTSeq: seq}
+		env := tokenEnv(l)
+		env.Token, env.FTStream, env.FTSeq = newBlob(n, 40), ft.NodeStream(farNode(l).id), seq
 		b, err := l.tokenFrame(env, place.Direct)
 		if err != nil {
 			t.Fatal(err)
@@ -90,7 +91,8 @@ func TestExactlyOnceDropsAreCounted(t *testing.T) {
 		t.Fatalf("DuplicatesDropped = %d, want 1", got)
 	}
 
-	l.handle("far", appendCut(nil, cutMsg{Stream: ft.StreamOf("blob-work", 3), DstCollection: "blob-work", Seq: 1}))
+	work, _ := l.rt.app.Collection("blob-work")
+	l.handle("far", appendCut(nil, cutMsg{Stream: ft.StreamOf(work.id, 3), DstCollection: "blob-work", Seq: 1}))
 	if got := l.rt.Stats().CutsStale; got != 1 {
 		t.Fatalf("CutsStale = %d, want 1", got)
 	}

@@ -65,13 +65,13 @@ func typeOfGeneric[T any]() reflect.Type {
 
 // frame is one level of the split–merge accounting stack carried by every
 // token envelope. A split pushes a frame on each posted token; the paired
-// merge (or stream) pops it. Origin names the cluster node holding the
+// merge (or stream) pops it. Origin is the cluster node holding the
 // split-side window state so that consumption acknowledgements can be
 // routed back for flow control and load balancing.
 type frame struct {
 	GroupID     uint64
 	Index       int
-	Origin      string
+	Origin      *Runtime
 	MergeThread int // thread instance of the paired merge, fixed per group
 }
 
@@ -79,13 +79,14 @@ type frame struct {
 // without a heap array of its own; a deeper stack spills to one.
 const inlineFrames = 3
 
-// envelope is the runtime wrapper around a token in flight.
+// envelope is the runtime wrapper around a token in flight. Its graph and
+// nodes are held as what they name; the wire carries their ids (wire.go).
 type envelope struct {
-	Graph      string
+	Graph      *Flowgraph
 	Node       int // destination graph node id
 	Thread     int // destination thread index in that node's collection
 	CallID     uint64
-	CallOrigin string
+	CallOrigin *Runtime
 	LastWorker int // thread index charged with this token for load balancing
 	CreditNode int // graph node whose credit tracker was charged, -1 if none
 	// Frames is the split-merge accounting stack, innermost group last. It

@@ -56,7 +56,7 @@ const (
 const fenceClose byte = 1
 
 type groupEndMsg struct {
-	Graph   string
+	Graph   *Flowgraph
 	Node    int
 	Thread  int
 	GroupID uint64
@@ -76,8 +76,7 @@ type ackMsg struct {
 	Worker  int
 	// RouteNode identifies the graph node whose load-balancing credits the
 	// worker acknowledgement feeds (the leaf collection between the split
-	// and the merge).
-	Graph     string
+	// and the merge); the group itself names the graph.
 	RouteNode int
 }
 
@@ -125,43 +124,120 @@ type fenceMsg struct {
 	Phase      byte
 }
 
+// wireReader reads a message's fields in order. The first field that does
+// not decode sets err and empties b, so every later read returns a zero
+// value and a decoder checks err once, at its end. It refuses what the
+// encoders never write — a truncated or overflowing varint, one in more
+// bytes than it needs, an id nothing declared — so every message it accepts
+// has exactly one encoding.
+type wireReader struct {
+	b   []byte
+	err error
+}
+
+func (r *wireReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf(format, args...)
+	}
+	r.b = nil
+}
+
+func (r *wireReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || n > 1 && r.b[n-1] == 0 {
+		r.fail("dps: truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// int reads binary.AppendVarint's zig-zag encoding.
+func (r *wireReader) int() int {
+	u := r.uvarint()
+	return int(u>>1) ^ -int(u&1)
+}
+
+// fixed reads 8 little-endian bytes: an id or a word of an FT stream.
+func (r *wireReader) fixed() uint64 {
+	if len(r.b) < 8 {
+		r.fail("dps: truncated message")
+		return 0
+	}
+	v := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return v
+}
+
+// bytes reads a length-prefixed field; it aliases the message.
+func (r *wireReader) bytes() []byte {
+	l := r.uvarint()
+	if uint64(len(r.b)) < l {
+		r.fail("dps: truncated field")
+		return nil
+	}
+	v := r.b[:l]
+	r.b = r.b[l:]
+	return v
+}
+
+func (r *wireReader) string() string { return string(r.bytes()) }
+
+// graph reads a graph id and resolves it through ids.
+func (r *wireReader) graph(ids idTable) *Flowgraph {
+	id := r.fixed()
+	g := ids[id].g
+	if g == nil {
+		r.fail("dps: unknown graph id %#x", id)
+	}
+	return g
+}
+
+// node reads a node id and resolves it through ids.
+func (r *wireReader) node(ids idTable) *Runtime {
+	id := r.fixed()
+	rt := ids[id].rt
+	if rt == nil {
+		r.fail("dps: unknown node id %#x", id)
+	}
+	return rt
+}
+
+// nodeIndex reads the index of a node of g.
+func (r *wireReader) nodeIndex(g *Flowgraph) int {
+	i := r.int()
+	if g != nil && (i < 0 || i >= len(g.nodes)) {
+		r.fail("dps: graph %q has no node %d", g.name, i)
+	}
+	return i
+}
+
+// stamp reads appendFTStamp's prefix.
+func (r *wireReader) stamp() (ft.Stream, uint64) {
+	stream := ft.Stream{Sender: r.fixed(), In: r.fixed()}
+	return stream, r.uvarint()
+}
+
+// end is the decoder's error, refusing bytes behind the message's last field.
+func (r *wireReader) end() error {
+	if len(r.b) > 0 {
+		r.fail("dps: %d trailing bytes", len(r.b))
+	}
+	return r.err
+}
+
 func appendString(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
-func readString(b []byte) (string, []byte, error) {
-	return readName(b, nil)
-}
-
-// readName is readString for a field that nearly always holds a name the
-// receiving application declared itself: one found in names (App.canonical)
-// is returned as the string the application already holds instead of a
-// fresh copy — the map index converts without allocating. An unknown name
-// is copied out as readString would and fails wherever it failed before;
-// the table is never written from here, so no sender can grow it.
-func readName(b []byte, names map[string]string) (string, []byte, error) {
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return "", nil, fmt.Errorf("dps: truncated string")
-	}
-	raw, rest := b[n:n+int(l)], b[n+int(l):]
-	if s, ok := names[string(raw)]; ok {
-		return s, rest, nil
-	}
-	return string(raw), rest, nil
+// appendID writes a graph or node id (App.declareLocked) in 8 fixed bytes.
+func appendID(b []byte, id uint64) []byte {
+	return binary.LittleEndian.AppendUint64(b, id)
 }
 
 func appendInt(b []byte, v int) []byte {
 	return binary.AppendVarint(b, int64(v))
-}
-
-func readInt(b []byte) (int, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("dps: truncated varint")
-	}
-	return int(v), b[n:], nil
 }
 
 func appendUint64(b []byte, v uint64) []byte {
@@ -169,11 +245,9 @@ func appendUint64(b []byte, v uint64) []byte {
 }
 
 func readUint64(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("dps: truncated uvarint")
-	}
-	return v, b[n:], nil
+	r := wireReader{b: b}
+	v := r.uvarint()
+	return v, r.b, r.err
 }
 
 // appendEnvelopeHeader writes the envelope header into b; the serialized
@@ -202,14 +276,9 @@ func appendFTStamp(b []byte, stream ft.Stream, seq uint64) []byte {
 
 // readFTStamp parses appendFTStamp's prefix.
 func readFTStamp(b []byte) (stream ft.Stream, seq uint64, rest []byte, err error) {
-	if len(b) < 16 {
-		return ft.Stream{}, 0, nil, fmt.Errorf("dps: truncated FT stamp")
-	}
-	stream = ft.Stream{Sender: binary.LittleEndian.Uint64(b), In: binary.LittleEndian.Uint64(b[8:])}
-	if seq, b, err = readUint64(b[16:]); err != nil {
-		return ft.Stream{}, 0, nil, err
-	}
-	return stream, seq, b, nil
+	r := wireReader{b: b}
+	stream, seq = r.stamp()
+	return stream, seq, r.b, r.err
 }
 
 // skipFTStamp is readFTStamp for a stamp this process encoded itself: it
@@ -219,114 +288,82 @@ func skipFTStamp(b []byte) []byte {
 	return b[16+w:]
 }
 
-// decodeTokenFT parses a sequenced token message body (stream, sequence,
-// then the standard envelope header; Payload aliases b like decodeEnvelope).
-func decodeTokenFT(b []byte) (*envelope, error) {
-	stream, seq, b, err := readFTStamp(b)
-	if err != nil {
-		return nil, err
-	}
-	e, err := decodeEnvelope(b)
-	if err != nil {
-		return nil, err
-	}
-	e.FTStream, e.FTSeq = stream, seq
-	return e, nil
-}
-
+// appendEnvelopeBody writes the token header: the graph's and the call
+// origin's ids in 8 fixed bytes each, then varints, then the frame stack,
+// each frame leading with its origin's id.
 func appendEnvelopeBody(b []byte, e *envelope) []byte {
-	b = appendString(b, e.Graph)
+	b = appendID(b, e.Graph.id)
+	b = appendID(b, e.CallOrigin.id)
 	b = appendInt(b, e.Node)
 	b = appendInt(b, e.Thread)
 	b = appendUint64(b, e.CallID)
-	b = appendString(b, e.CallOrigin)
 	b = appendInt(b, e.LastWorker)
 	b = appendInt(b, e.CreditNode)
 	b = appendInt(b, len(e.Frames))
 	for _, f := range e.Frames {
+		b = appendID(b, f.Origin.id)
 		b = appendUint64(b, f.GroupID)
 		b = appendInt(b, f.Index)
-		b = appendString(b, f.Origin)
 		b = appendInt(b, f.MergeThread)
 	}
 	return b
 }
 
-// encodeEnvelopeHeader is appendEnvelopeHeader into a fresh buffer.
-func encodeEnvelopeHeader(e *envelope) []byte {
-	return appendEnvelopeHeader(make([]byte, 0, 96), e)
-}
+// minFrameLen is the shortest encoding of a group frame: an id and three
+// one-byte varints.
+const minFrameLen = 8 + 3
 
-// decodeEnvelope parses an envelope header into a pooled envelope. The
+// decodeEnvelope parses an envelope header into a pooled envelope, resolving
+// its graph and node ids through ids (an unknown one is an error). The
 // returned envelope's Payload aliases b; the caller owns both and recycles
 // them (putEnvelope after dispatch, the wire buffer once decoded).
-func decodeEnvelope(b []byte) (*envelope, error) {
-	return decodeEnvelopeNamed(b, nil)
-}
-
-// decodeEnvelopeNamed is decodeEnvelope on a node's receive path: the graph
-// name and the node names of the header (call origin, one origin per group
-// frame) resolve through names (see readName) instead of being allocated
-// once per token per hop.
-func decodeEnvelopeNamed(b []byte, names map[string]string) (*envelope, error) {
+func decodeEnvelope(b []byte, ids idTable) (*envelope, error) {
 	e := getEnvelope()
-	if err := decodeEnvelopeInto(e, b, names); err != nil {
+	if err := decodeEnvelopeInto(e, b, ids); err != nil {
 		putEnvelope(e)
 		return nil, err
 	}
 	return e, nil
 }
 
-func decodeEnvelopeInto(e *envelope, b []byte, names map[string]string) error {
-	var err error
-	if e.Graph, b, err = readName(b, names); err != nil {
-		return err
+func decodeEnvelopeInto(e *envelope, b []byte, ids idTable) error {
+	r := wireReader{b: b}
+	e.Graph = r.graph(ids)
+	e.CallOrigin = r.node(ids)
+	e.Node = r.nodeIndex(e.Graph)
+	e.Thread = r.int()
+	e.CallID = r.uvarint()
+	e.LastWorker = r.int()
+	e.CreditNode = r.int()
+	// The bytes present bound the count before anything is allocated for it.
+	if n := r.int(); n < 0 || n > len(r.b)/minFrameLen {
+		r.fail("dps: implausible frame count %d", n)
+	} else {
+		e.Frames = e.frameStack(n)[:n]
 	}
-	if e.Node, b, err = readInt(b); err != nil {
-		return err
-	}
-	if e.Thread, b, err = readInt(b); err != nil {
-		return err
-	}
-	if e.CallID, b, err = readUint64(b); err != nil {
-		return err
-	}
-	if e.CallOrigin, b, err = readName(b, names); err != nil {
-		return err
-	}
-	if e.LastWorker, b, err = readInt(b); err != nil {
-		return err
-	}
-	if e.CreditNode, b, err = readInt(b); err != nil {
-		return err
-	}
-	var nframes int
-	if nframes, b, err = readInt(b); err != nil {
-		return err
-	}
-	// Every encoded frame is at least four bytes, so the bytes present bound
-	// the count before anything is allocated for it.
-	if nframes < 0 || nframes > 1<<16 || nframes > len(b)/4 {
-		return fmt.Errorf("dps: implausible frame count %d", nframes)
-	}
-	e.Frames = e.frameStack(nframes)[:nframes]
 	for i := range e.Frames {
 		f := &e.Frames[i]
-		if f.GroupID, b, err = readUint64(b); err != nil {
-			return err
-		}
-		if f.Index, b, err = readInt(b); err != nil {
-			return err
-		}
-		if f.Origin, b, err = readName(b, names); err != nil {
-			return err
-		}
-		if f.MergeThread, b, err = readInt(b); err != nil {
-			return err
-		}
+		f.Origin = r.node(ids)
+		f.GroupID = r.uvarint()
+		f.Index = r.int()
+		f.MergeThread = r.int()
 	}
-	e.Payload = b
-	return nil
+	e.Payload = r.b
+	return r.err
+}
+
+// decodeTokenFT parses a sequenced token message body (stream, sequence,
+// then the standard envelope header; Payload aliases b like decodeEnvelope).
+func decodeTokenFT(b []byte, ids idTable) (*envelope, error) {
+	stream, seq, b, err := readFTStamp(b)
+	if err != nil {
+		return nil, err
+	}
+	e, err := decodeEnvelope(b, ids)
+	if err == nil {
+		e.FTStream, e.FTSeq = stream, seq
+	}
+	return e, err
 }
 
 func appendGroupEnd(b []byte, m *groupEndMsg) []byte {
@@ -341,86 +378,57 @@ func appendGroupEndFT(b []byte, m *groupEndMsg) []byte {
 	return appendGroupEndBody(b, m)
 }
 
-func decodeGroupEndFT(b []byte) (*groupEndMsg, error) {
-	stream, seq, b, err := readFTStamp(b)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeGroupEnd(b)
-	if err != nil {
-		return nil, err
-	}
-	m.FTStream, m.FTSeq = stream, seq
-	return m, nil
-}
-
+// appendGroupEndBody writes the group-end header: the graph's id in 8 fixed
+// bytes, then varints.
 func appendGroupEndBody(b []byte, m *groupEndMsg) []byte {
-	b = appendString(b, m.Graph)
+	b = appendID(b, m.Graph.id)
 	b = appendInt(b, m.Node)
 	b = appendInt(b, m.Thread)
 	b = appendUint64(b, m.GroupID)
 	b = appendInt(b, m.Total)
-	b = appendUint64(b, m.CallID)
-	return b
+	return appendUint64(b, m.CallID)
 }
 
-func encodeGroupEnd(m *groupEndMsg) []byte {
-	return appendGroupEnd(nil, m)
-}
-
-func decodeGroupEnd(b []byte) (*groupEndMsg, error) {
-	m := &groupEndMsg{}
-	var err error
-	if m.Graph, b, err = readString(b); err != nil {
-		return nil, err
-	}
-	if m.Node, b, err = readInt(b); err != nil {
-		return nil, err
-	}
-	if m.Thread, b, err = readInt(b); err != nil {
-		return nil, err
-	}
-	if m.GroupID, b, err = readUint64(b); err != nil {
-		return nil, err
-	}
-	if m.Total, b, err = readInt(b); err != nil {
-		return nil, err
-	}
-	if m.CallID, _, err = readUint64(b); err != nil {
+// decodeGroupEnd parses a group-end body, resolving its graph id through
+// ids; the body ends with its last field.
+func decodeGroupEnd(b []byte, ids idTable) (*groupEndMsg, error) {
+	r := wireReader{b: b}
+	m := &groupEndMsg{Graph: r.graph(ids)}
+	m.Node = r.nodeIndex(m.Graph)
+	m.Thread = r.int()
+	m.GroupID = r.uvarint()
+	m.Total = r.int()
+	m.CallID = r.uvarint()
+	if err := r.end(); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
+func decodeGroupEndFT(b []byte, ids idTable) (*groupEndMsg, error) {
+	stream, seq, b, err := readFTStamp(b)
+	if err != nil {
+		return nil, err
+	}
+	m, err := decodeGroupEnd(b, ids)
+	if err == nil {
+		m.FTStream, m.FTSeq = stream, seq
+	}
+	return m, err
+}
+
+// appendAck writes an ack: three varints and no name.
 func appendAck(b []byte, m ackMsg) []byte {
 	b = append(b, msgAck)
 	b = appendUint64(b, m.GroupID)
 	b = appendInt(b, m.Worker)
-	b = appendString(b, m.Graph)
-	b = appendInt(b, m.RouteNode)
-	return b
-}
-
-func encodeAck(m ackMsg) []byte {
-	return appendAck(nil, m)
+	return appendInt(b, m.RouteNode)
 }
 
 func decodeAck(b []byte) (ackMsg, error) {
-	var m ackMsg
-	var err error
-	if m.GroupID, b, err = readUint64(b); err != nil {
-		return ackMsg{}, err
-	}
-	if m.Worker, b, err = readInt(b); err != nil {
-		return ackMsg{}, err
-	}
-	if m.Graph, b, err = readString(b); err != nil {
-		return ackMsg{}, err
-	}
-	if m.RouteNode, _, err = readInt(b); err != nil {
-		return ackMsg{}, err
-	}
-	return m, nil
+	r := wireReader{b: b}
+	m := ackMsg{GroupID: r.uvarint(), Worker: r.int(), RouteNode: r.int()}
+	return m, r.end()
 }
 
 // appendResultHeader writes the result-message header; the serialized
@@ -430,18 +438,11 @@ func appendResultHeader(b []byte, callID uint64) []byte {
 	return appendUint64(b, callID)
 }
 
-func encodeResult(m *resultMsg) []byte {
-	return append(appendResultHeader(nil, m.CallID), m.Payload...)
-}
-
 func decodeResult(b []byte) (*resultMsg, error) {
-	m := &resultMsg{}
-	var err error
-	if m.CallID, b, err = readUint64(b); err != nil {
-		return nil, err
-	}
-	m.Payload = b
-	return m, nil
+	r := wireReader{b: b}
+	m := &resultMsg{CallID: r.uvarint()}
+	m.Payload = r.b
+	return m, r.err
 }
 
 // appendRehome writes m in its source's framing. A live move's state is
@@ -469,38 +470,30 @@ func appendRehome(b []byte, m *rehomeMsg) []byte {
 // decodeRehome parses either framing of a rehome message; kind is the
 // frame's first byte and b the rest. A live move's State aliases b: the
 // caller must fully consume it before recycling the wire buffer.
-func decodeRehome(kind byte, b []byte) (*rehomeMsg, error) {
-	m := &rehomeMsg{Replay: kind == msgReplay}
-	var err error
+func decodeRehome(kind byte, b []byte) (m *rehomeMsg, err error) {
+	r := wireReader{b: b}
+	m = &rehomeMsg{Replay: kind == msgReplay}
 	if m.Replay {
-		if m.Epoch, b, err = readUint64(b); err != nil {
-			return nil, err
+		m.Epoch = r.uvarint()
+		if r.err != nil {
+			return nil, r.err
 		}
-		if m.Rec, err = ft.DecodeRecord(b); err != nil {
+		if m.Rec, err = ft.DecodeRecord(r.b); err != nil {
 			return nil, err
 		}
 		m.Key, m.State = m.Rec.Key, m.Rec.State
 		return m, nil
 	}
-	if m.Key.Collection, b, err = readString(b); err != nil {
-		return nil, err
+	m.Key.Collection = r.string()
+	m.Key.Thread = r.int()
+	m.Epoch = r.uvarint()
+	m.Fences = r.int()
+	m.State = r.bytes()
+	if r.err != nil {
+		return nil, r.err
 	}
-	if m.Key.Thread, b, err = readInt(b); err != nil {
-		return nil, err
-	}
-	if m.Epoch, b, err = readUint64(b); err != nil {
-		return nil, err
-	}
-	if m.Fences, b, err = readInt(b); err != nil {
-		return nil, err
-	}
-	l, n := binary.Uvarint(b)
-	if n <= 0 || uint64(len(b)-n) < l {
-		return nil, fmt.Errorf("dps: truncated migration state")
-	}
-	m.State = b[n : n+int(l)]
-	if b = b[n+int(l):]; len(b) > 0 {
-		if m.Rec, err = ft.DecodeRecord(b); err != nil {
+	if len(r.b) > 0 {
+		if m.Rec, err = ft.DecodeRecord(r.b); err != nil {
 			return nil, err
 		}
 	}
@@ -517,24 +510,15 @@ func appendFence(b []byte, m *fenceMsg) []byte {
 }
 
 func decodeFence(b []byte) (*fenceMsg, error) {
-	m := &fenceMsg{}
-	var err error
-	if m.Collection, b, err = readString(b); err != nil {
-		return nil, err
+	r := wireReader{b: b}
+	m := &fenceMsg{Collection: r.string(), Thread: r.int(), Epoch: r.uvarint(), Src: r.string()}
+	if r.err != nil {
+		return nil, r.err
 	}
-	if m.Thread, b, err = readInt(b); err != nil {
-		return nil, err
-	}
-	if m.Epoch, b, err = readUint64(b); err != nil {
-		return nil, err
-	}
-	if m.Src, b, err = readString(b); err != nil {
-		return nil, err
-	}
-	if len(b) < 1 {
+	if len(r.b) < 1 {
 		return nil, fmt.Errorf("dps: truncated fence")
 	}
-	if m.Phase = b[0]; m.Phase != fenceClose {
+	if m.Phase = r.b[0]; m.Phase != fenceClose {
 		return nil, fmt.Errorf("dps: unknown fence phase %d", m.Phase)
 	}
 	return m, nil
@@ -554,18 +538,15 @@ func appendTracedHeader(b []byte, traceID uint64, sentNs int64) []byte {
 // byte), returning the trace context and the inner frame — which starts
 // with its own kind byte and aliases b.
 func decodeTracedHeader(b []byte) (traceID uint64, sentNs int64, inner []byte, err error) {
-	if traceID, b, err = readUint64(b); err != nil {
-		return 0, 0, nil, err
+	r := wireReader{b: b}
+	traceID, sentNs = r.uvarint(), int64(r.int())
+	if r.err != nil {
+		return 0, 0, nil, r.err
 	}
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, 0, nil, fmt.Errorf("dps: truncated trace header")
-	}
-	b = b[n:]
-	if len(b) == 0 {
+	if len(r.b) == 0 {
 		return 0, 0, nil, fmt.Errorf("dps: empty traced frame")
 	}
-	return traceID, v, b, nil
+	return traceID, sentNs, r.b, nil
 }
 
 // --- fault-tolerance messages (ftengine.go) -------------------------------
@@ -586,8 +567,8 @@ func appendDeath(b []byte, m deathMsg) []byte {
 }
 
 func decodeDeath(b []byte) (deathMsg, error) {
-	node, _, err := readString(b)
-	return deathMsg{Node: node}, err
+	r := wireReader{b: b}
+	return deathMsg{Node: r.string()}, r.err
 }
 
 // cutMsg tells the owner of the sender stream that its retained log
@@ -609,16 +590,9 @@ func appendCut(b []byte, m cutMsg) []byte {
 }
 
 func decodeCut(b []byte) (cutMsg, error) {
+	r := wireReader{b: b}
 	var m cutMsg
-	var err error
-	if m.Stream, m.Seq, b, err = readFTStamp(b); err != nil {
-		return cutMsg{}, err
-	}
-	if m.DstCollection, b, err = readString(b); err != nil {
-		return cutMsg{}, err
-	}
-	if m.DstThread, _, err = readInt(b); err != nil {
-		return cutMsg{}, err
-	}
-	return m, nil
+	m.Stream, m.Seq = r.stamp()
+	m.DstCollection, m.DstThread = r.string(), r.int()
+	return m, r.err
 }

@@ -110,14 +110,48 @@ func TestWireKindTableComplete(t *testing.T) {
 func TestFTStampLayout(t *testing.T) {
 	stream := ft.Stream{Sender: 0x0102030405060708, In: 0x1112131415161718}
 	want := []byte{0, 8, 7, 6, 5, 4, 3, 2, 1, 0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, 0xac, 0x02}
+	g, n := &Flowgraph{}, &Runtime{}
 	for kind, frame := range map[byte][]byte{
-		msgTokenFT:    appendTokenFT(nil, &envelope{FTStream: stream, FTSeq: 300}),
-		msgGroupEndFT: appendGroupEndFT(nil, &groupEndMsg{FTStream: stream, FTSeq: 300}),
+		msgTokenFT:    appendTokenFT(nil, &envelope{Graph: g, CallOrigin: n, FTStream: stream, FTSeq: 300}),
+		msgGroupEndFT: appendGroupEndFT(nil, &groupEndMsg{Graph: g, FTStream: stream, FTSeq: 300}),
 		msgCut:        appendCut(nil, cutMsg{Stream: stream, Seq: 300}),
 	} {
 		want[0] = kind
 		if !bytes.HasPrefix(frame, want) {
 			t.Errorf("kind %d frame starts % x, want % x", kind, frame[:min(len(frame), len(want))], want)
 		}
+	}
+}
+
+// TestHeaderLayout pins the token header, the group-end and the ack byte for
+// byte. A graph or node travels as its id (ft.NameID of a kind byte and its
+// name) in 8 little-endian bytes, the fixed-width fields first; everything
+// else is a varint. A dps-perf ring_1k hop's header (graph "ring", call
+// origin and split on "n0", one group frame, a call id above 1<<63) is 45
+// bytes; it was 32 while the header carried the names.
+func TestHeaderLayout(t *testing.T) {
+	g := &Flowgraph{id: 0x0102030405060708}
+	origin, split := &Runtime{id: 0x1112131415161718}, &Runtime{id: 0x2122232425262728}
+	env := &envelope{Graph: g, Node: 2, Thread: 1, CallID: 300, CallOrigin: origin, LastWorker: -1, CreditNode: 3,
+		Frames: []frame{{GroupID: 7, Index: 64, Origin: split, MergeThread: 0}}}
+	want := []byte{msgToken,
+		8, 7, 6, 5, 4, 3, 2, 1, // graph id
+		0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // call origin id
+		4, 2, 0xac, 0x02, 1, 6, // node, thread, call id, last worker, credit node (zig-zag but the call id)
+		2,                                              // one frame
+		0x28, 0x27, 0x26, 0x25, 0x24, 0x23, 0x22, 0x21, // its origin id
+		7, 0x80, 0x01, 0, // group id, index, merge thread
+	}
+	if got := encodeEnvelopeHeader(env); !bytes.Equal(got, want) {
+		t.Errorf("token header\n got % x\nwant % x", got, want)
+	}
+	end := &groupEndMsg{Graph: g, Node: 3, Thread: 1, GroupID: 7, Total: 64, CallID: 300}
+	want = []byte{msgGroupEnd, 8, 7, 6, 5, 4, 3, 2, 1, 6, 2, 7, 0x80, 0x01, 0xac, 0x02}
+	if got := encodeGroupEnd(end); !bytes.Equal(got, want) {
+		t.Errorf("group-end\n got % x\nwant % x", got, want)
+	}
+	want = []byte{msgAck, 7, 1, 4}
+	if got := encodeAck(ackMsg{GroupID: 7, Worker: -1, RouteNode: 2}); !bytes.Equal(got, want) {
+		t.Errorf("ack\n got % x\nwant % x", got, want)
 	}
 }

@@ -105,6 +105,12 @@ func (w *World) StepN(n int) *World {
 
 // stepRowInto computes the next state of one row given its upper and lower
 // neighbour rows (same width, toroidal column wrap).
+//
+// It is also dps-perf's yardstick for life_halo: lifeYardBody times
+// Band.StepAll, and the workload's time metrics are divided by how much
+// slower than nominal the host ran it. A faster kernel here therefore reads
+// as a faster host, and life_halo's normalised metrics get worse, not
+// better; change it only together with the benchmark.
 func stepRowInto(up, mid, down, dst []uint8) {
 	width := len(mid)
 	for c := 0; c < width; c++ {

@@ -193,6 +193,79 @@ func TestCorkSurvivesWriteInProgress(t *testing.T) {
 	checkSeqs(t, got, 2)
 }
 
+// hungPeer listens on loopback and accepts connections it never reads.
+func hungPeer(t *testing.T) string {
+	t.Helper()
+	hung, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = hung.Close() })
+	go func() {
+		for {
+			c, err := hung.Accept()
+			if err != nil {
+				return
+			}
+			t.Cleanup(func() { _ = c.Close() })
+		}
+	}()
+	return hung.Addr().String()
+}
+
+// TestSendToHungPeerFailsWithinBudget: the retry budget runs from a
+// destination's first failed write to its next good one, whoever makes the
+// attempts — the sender inline, the sender letting corked or queued frames
+// go, or the writer goroutine — so with a budget a peer that accepts and
+// never reads fails every sender within the first stalled write, the budget
+// and the stalled write in progress when it ran out, after a bounded number
+// of dials.
+func TestSendToHungPeerFailsWithinBudget(t *testing.T) {
+	const timeout, budget = 200 * time.Millisecond, 500 * time.Millisecond
+	for _, corked := range []bool{false, true} {
+		name := map[bool]string{false: "Send", true: "SendCorked"}[corked]
+		t.Run(name, func(t *testing.T) {
+			a, err := Listen("a", "127.0.0.1:0", StaticResolver(map[string]string{"h": hungPeer(t)}),
+				WithWriteTimeout(timeout), WithRetryBudget(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = a.Close() })
+			payload := make([]byte, smallFrame)
+			start := time.Now()
+			for i := 0; ; i++ {
+				if corked {
+					err = a.SendCorked("h", payload)
+					if i%8 == 7 {
+						a.Uncork()
+					}
+				} else {
+					err = a.Send("h", payload)
+				}
+				if err != nil {
+					break
+				}
+				if time.Since(start) > 20*timeout {
+					t.Fatalf("%s to a never-reading peer still accepted after %v (%+v)", name, time.Since(start), a.Stats())
+				}
+			}
+			elapsed, st := time.Since(start), a.Stats()
+			t.Logf("%s failed after %v and %d dials: %v", name, elapsed, st.Dials, err)
+			if !IsTransient(err) {
+				t.Fatalf("%s to a never-reading peer: %v, want a transient error", name, err)
+			}
+			if limit := timeout + budget + timeout + time.Second; elapsed > limit {
+				t.Errorf("%s failed after %v, over %v", name, elapsed, limit)
+			}
+			// The first dial, the one after the first stalled write, then one
+			// per write timeout in the budget, rounded up.
+			if limit := int64(3 + budget/timeout); st.Dials > limit {
+				t.Errorf("%s dialed %d times, over %d (%+v)", name, st.Dials, limit, st)
+			}
+		})
+	}
+}
+
 // TestCorkedWriteToHungPeerFails: a corked stream is written by its sender
 // through the uncork, so a write that stalls there, on a peer that accepts
 // and never reads, is a failed attempt like the writer's: with no retry

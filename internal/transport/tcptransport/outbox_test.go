@@ -585,6 +585,61 @@ func TestCloseDeliversQueuedFrames(t *testing.T) {
 	}
 }
 
+// gateConn holds every write after the hello until the test lets it pass,
+// announcing each on entered.
+type gateConn struct {
+	net.Conn
+	writes  int
+	entered chan int
+	pass    chan struct{}
+}
+
+func (g *gateConn) Write(p []byte) (int, error) {
+	if i := g.writes; i > 0 {
+		g.entered <- i
+		<-g.pass
+	}
+	g.writes++
+	return g.Conn.Write(p)
+}
+
+// TestCloseWaitsNoLongerThanTheOwner: Close begins while a sender, letting
+// go of the socket, writes the frames that queued behind its own; Close's
+// wait for that owner ends when the owner lets go, not when the close
+// timeout runs out.
+func TestCloseWaitsNoLongerThanTheOwner(t *testing.T) {
+	a, b := startPair(t)
+	b.SetHandler(func(string, []byte) {})
+	gate := &gateConn{entered: make(chan int), pass: make(chan struct{})}
+	a.dial = func(addr string) (net.Conn, error) {
+		c, err := net.Dial("tcp", addr)
+		gate.Conn = c
+		return gate, err
+	}
+	sent := make(chan error, 1)
+	go func() { sent <- a.Send("b", seqFrame(0, 0, 100)) }()
+	<-gate.entered // the sender owns the socket, inside its own frame's write
+	if err := a.Send("b", seqFrame(0, 1, 100)); err != nil {
+		t.Fatal(err)
+	}
+	gate.pass <- struct{}{}
+	<-gate.entered // the owner, letting go, writes the frame queued behind it
+	closed := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		_ = a.Close()
+		closed <- time.Since(start)
+	}()
+	time.Sleep(50 * time.Millisecond) // Close waits for the owner meanwhile
+	gate.pass <- struct{}{}
+	if err := <-sent; err != nil {
+		t.Fatal(err)
+	}
+	if d := <-closed; d >= closeFlushTimeout/2 {
+		t.Fatalf("Close took %v: it waited out the close timeout for an owner that had let go", d)
+	}
+}
+
 // TestStatsShowCoalescing reads the traffic instead of guessing it: a
 // streaming sender's frames share writes and reads; a sender that pauses
 // between frames writes each one itself, alone.
@@ -600,7 +655,9 @@ func TestStatsShowCoalescing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		waitFor(t, "the stream", 10*time.Second, func() bool { return got.Load() == frames })
+		// A write's frames are counted once the write returns, which can be
+		// after the receiver has them all.
+		waitFor(t, "the stream", 10*time.Second, func() bool { return got.Load() == frames && a.Stats().FramesSent >= frames })
 		sa, sb := a.Stats(), b.Stats()
 		if sa.FramesSent != frames || sb.FramesReceived != frames {
 			t.Fatalf("sent %d, received %d, want %d", sa.FramesSent, sb.FramesReceived, frames)

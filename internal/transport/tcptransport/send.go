@@ -121,6 +121,13 @@ type peer struct {
 	// progress, or left over from one that failed. Changed under mu, read by
 	// the owner during its write.
 	batch [][]byte
+	// bo paces every owner's attempts after a failed write, inline or
+	// queued, and holds the retry budget from the first failure on. Only a
+	// write that succeeds on a connection up for a whole budget resets it:
+	// a peer that accepts and never reads takes the first writes of every
+	// new connection into its socket buffer, and that is not progress. The
+	// owner's.
+	bo backoff
 	// The owner's buffers for laying out one write.
 	scratch []byte
 	iov     [][]byte
@@ -335,20 +342,18 @@ func (p *peer) writableLocked() bool {
 func (p *peer) sendInline(payload []byte, now time.Time) error {
 	n := p.n
 	one := [1][]byte{payload}
-	var bo backoff
 	for {
 		_, err := n.write(p, one[:], n.writeDeadline(now))
 		if err == nil || !IsTransient(err) {
 			return err
 		}
-		d, within := bo.next(n.retryBudget)
+		d, within := p.bo.next(n.retryBudget)
 		if !within {
 			return p.exhausted(err)
 		}
 		if !n.sleep(d) {
 			return ErrClosed
 		}
-		n.stats.retries.Add(1)
 		now = time.Now()
 	}
 }
@@ -365,18 +370,18 @@ func (p *peer) exhausted(err error) error {
 // releaseLocked ends the caller's ownership of the socket. Frames that
 // queued behind it get one write from the caller first — it is running,
 // the writer would have to be scheduled — and what is left after that, or
-// fails, is the writer's to retry. A failed write counts as the writer's
-// first failed attempt, so a zero retry budget fails the outbox at once.
+// fails, is the writer's to retry. A failed write spends the retry budget
+// like the writer's own attempts, so a zero budget fails the outbox at once.
 func (p *peer) releaseLocked() {
-	closed := p.n.closed.Load()
-	if p.writableLocked() && !closed {
+	if p.writableLocked() && !p.n.closed.Load() {
 		if _, err := p.flushOnceLocked(p.n.writeDeadline(time.Now())); err != nil {
-			var bo backoff
-			p.failLocked(err, &bo)
+			p.failLocked(err)
 		}
 	}
 	p.busy = false
-	if p.writableLocked() || closed {
+	// closed is read again: Close may have begun during the flush, and its
+	// shutdown waits for this owner to let go.
+	if p.writableLocked() || p.n.closed.Load() {
 		p.wakeWriterLocked()
 	}
 }
@@ -424,20 +429,17 @@ func (p *peer) writeLoop() {
 // destination is back.
 func (p *peer) drainLocked() {
 	n := p.n
-	var bo backoff
 	for !n.closed.Load() {
 		wrote, err := p.flushOnceLocked(n.writeDeadline(time.Now()))
 		if !wrote {
 			return
 		}
 		if err == nil {
-			bo = backoff{}
 			continue
 		}
-		d := p.failLocked(err, &bo)
+		d := p.failLocked(err)
 		p.mu.Unlock()
 		n.sleep(d)
-		n.stats.retries.Add(1)
 		p.mu.Lock()
 	}
 }
@@ -446,8 +448,8 @@ func (p *peer) drainLocked() {
 // budget, or on a fatal error, the outbox is marked failed and senders
 // blocked at the cap get the error. It returns the pause before the next
 // attempt.
-func (p *peer) failLocked(err error, bo *backoff) time.Duration {
-	d, within := bo.next(p.n.retryBudget)
+func (p *peer) failLocked(err error) time.Duration {
+	d, within := p.bo.next(p.n.retryBudget)
 	if !IsTransient(err) {
 		p.failed = err
 	} else if !within {
@@ -568,6 +570,9 @@ func (p *peer) shutdown() {
 // dies with its session and the frames before it are never sent again.
 // Only the socket's owner calls it.
 func (n *Node) write(p *peer, frames [][]byte, deadline time.Time) (int, error) {
+	if p.bo.step != 0 {
+		n.stats.retries.Add(1) // a write since the last failure counts against the budget
+	}
 	cc, err := n.connTo(p)
 	if err != nil {
 		return 0, err
@@ -591,7 +596,11 @@ func (n *Node) write(p *peer, frames [][]byte, deadline time.Time) (int, error) 
 	}
 	n.stats.writes.Add(1)
 	k := len(frames)
-	if err != nil {
+	if err == nil {
+		if p.bo.step != 0 && time.Since(cc.opened) >= n.retryBudget {
+			p.bo = backoff{}
+		}
+	} else {
 		n.dropConn(p, cc)
 		k = 0
 		for _, f := range frames {

@@ -177,6 +177,7 @@ type conn struct {
 	inbound bool
 	epoch   uint64
 	probe   liveness
+	opened  time.Time
 }
 
 // Listen starts a node listening on addr (e.g. "127.0.0.1:0"). The returned
@@ -488,7 +489,7 @@ var (
 )
 
 func newConn(c net.Conn, inbound bool, epoch uint64) *conn {
-	cc := &conn{c: c, inbound: inbound, epoch: epoch}
+	cc := &conn{c: c, inbound: inbound, epoch: epoch, opened: time.Now()}
 	cc.probe.arm(c)
 	return cc
 }
