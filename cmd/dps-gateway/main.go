@@ -75,7 +75,6 @@ type gatewayConfig struct {
 	deadline    time.Duration // per-call deadline
 	maxInflight int           // admission budget (0 = unbounded)
 	window      int           // per-split flow-control window (0 = default)
-	batch       bool          // coalesce small tokens into wire frames
 	traceSample float64       // fraction of calls to trace (0 = off)
 }
 
@@ -120,9 +119,6 @@ func newGateway(cfg gatewayConfig) (*gateway, error) {
 	opts := []dps.Option{
 		dps.WithMaxInFlightCalls(cfg.maxInflight),
 		dps.WithWindow(cfg.window),
-	}
-	if cfg.batch {
-		opts = append(opts, dps.WithBatch(0, 0, 0))
 	}
 	if cfg.traceSample > 0 {
 		opts = append(opts, dps.WithTraceSampling(cfg.traceSample))
@@ -274,7 +270,6 @@ func main() {
 	deadline := flag.Duration("deadline", 2*time.Second, "per-call deadline")
 	maxInflight := flag.Int("max-inflight", 2048, "in-flight call budget; beyond it calls shed with 429 (0 = unbounded)")
 	window := flag.Int("window", 0, "per-split flow-control window (0 = engine default)")
-	batch := flag.Bool("batch", true, "coalesce small tokens into wire frames")
 	traceSample := flag.Float64("trace-sample", 0, "fraction of calls to trace (0..1); sampled timelines via App.TraceSpans")
 	flag.Parse()
 
@@ -283,7 +278,6 @@ func main() {
 		deadline:    *deadline,
 		maxInflight: *maxInflight,
 		window:      *window,
-		batch:       *batch,
 		traceSample: *traceSample,
 	})
 	if err != nil {

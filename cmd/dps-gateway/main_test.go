@@ -23,7 +23,6 @@ func TestGatewayEndToEnd(t *testing.T) {
 		nodes:       3,
 		deadline:    10 * time.Second,
 		maxInflight: 256,
-		batch:       true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -120,26 +120,14 @@ func WithSuspectGrace(window time.Duration) Option {
 	}
 }
 
-// WithBatch turns on per-destination token coalescing on the wire path:
-// outbound tokens and group-ends bound for the same node accumulate into
-// one batch frame, flushed when it fills (maxBytes payload bytes or
-// maxTokens entries), when delay elapses, or immediately when a
-// latency-sensitive message (call result, ack, fence, checkpoint) needs the
-// lane. With fault tolerance on, per-token sequence stamps fold into one
-// batch header, collapsing the per-token framing overhead of bulk streams.
-// Zero values select the engine defaults. Off by default: without this
-// option every wire frame is byte-identical to the unbatched engine.
+// WithBatch does nothing: every token and result an execution sends is
+// corked, so a split's burst already leaves in one socket write per
+// destination, and the batch frames this option used to turn on are gone.
+//
+// Deprecated: it is kept only until the benchmark's batched-ring workload,
+// which names it, is retired.
 func WithBatch(maxBytes, maxTokens int, delay time.Duration) Option {
-	return func(c *config) error {
-		if maxBytes < 0 || maxTokens < 0 || delay < 0 {
-			return fmt.Errorf("dps: negative batch bound (%d bytes, %d tokens, %v)", maxBytes, maxTokens, delay)
-		}
-		c.engine.Batch = true
-		c.engine.BatchMaxBytes = maxBytes
-		c.engine.BatchMaxTokens = maxTokens
-		c.engine.BatchDelay = delay
-		return nil
-	}
+	return func(*config) error { return nil }
 }
 
 // WithTraceSampling enables per-token distributed tracing for the given

@@ -9,7 +9,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/dps"
 	"repro/internal/core"
 )
 
@@ -20,10 +22,6 @@ import (
 // shortens them.
 var (
 	engineConfigFields = []string{
-		"Batch",
-		"BatchDelay",
-		"BatchMaxBytes",
-		"BatchMaxTokens",
 		"Checkpoint",
 		"ForceSerialize",
 		"MaxInFlightCalls",
@@ -77,5 +75,26 @@ func TestOptionSurface(t *testing.T) {
 	slices.Sort(opts)
 	if !slices.Equal(opts, publicOptions) {
 		t.Errorf("package dps exports %d options %v\nchecked-in surface: %d %v", len(opts), opts, len(publicOptions), publicOptions)
+	}
+}
+
+// TestWithBatchChangesNothing: the retired option builds the same engine
+// configuration as leaving it out, whatever its arguments and whatever
+// other options surround it.
+func TestWithBatchChangesNothing(t *testing.T) {
+	for _, base := range [][]dps.Option{nil, {dps.WithWindow(4), dps.WithCheckpoint(time.Second)}} {
+		want, err := dps.EngineConfig(base...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, batch := range []dps.Option{dps.WithBatch(0, 0, 0), dps.WithBatch(1<<20, 64, time.Millisecond), dps.WithBatch(-1, -1, -1)} {
+			got, err := dps.EngineConfig(append(slices.Clone(base), batch)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("with WithBatch: %+v\nwithout: %+v", got, want)
+			}
+		}
 	}
 }

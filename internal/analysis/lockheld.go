@@ -171,7 +171,7 @@ func isMutexExpr(p *Pass, expr ast.Expr) bool {
 	return true
 }
 
-// render prints an expression compactly ("b.mu", "l.batchers").
+// render prints an expression compactly ("b.mu", "l.coPeer").
 func render(fset *token.FileSet, expr ast.Expr) string {
 	var buf bytes.Buffer
 	if err := printer.Fprint(&buf, fset, expr); err != nil {

@@ -26,8 +26,8 @@ func ProjectRules() []*Rule {
 		ProjectBoundary(),
 
 		// *Locked discipline (tcptransport's peer and node methods, the
-		// callers of App.declareLocked, link.go's batcher, and any future
-		// adopter of the convention): project-wide, the convention is global.
+		// callers of App.declareLocked, and any future adopter of the
+		// convention): project-wide, the convention is global.
 		Lockheld(),
 
 		// Pooled wire buffers and envelopes (internal/core/pool.go).

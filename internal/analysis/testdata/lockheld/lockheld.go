@@ -3,55 +3,55 @@ package fixture
 
 import "sync"
 
-type batcher struct {
+type buffer struct {
 	mu  sync.Mutex
 	buf []int
 }
 
-func (b *batcher) addLocked(v int) { b.buf = append(b.buf, v) }
+func (b *buffer) addLocked(v int) { b.buf = append(b.buf, v) }
 
-func (b *batcher) flushLocked() []int {
+func (b *buffer) flushLocked() []int {
 	b.addLocked(0) // ok: *Locked sibling on the same receiver
 	out := b.buf
 	b.buf = nil
 	return out
 }
 
-func (b *batcher) add(v int) {
+func (b *buffer) add(v int) {
 	b.mu.Lock()
 	b.addLocked(v) // ok: b.mu held
 	b.mu.Unlock()
 }
 
-func (b *batcher) addDeferred(v int) {
+func (b *buffer) addDeferred(v int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.addLocked(v) // ok: the deferred unlock releases at return
 }
 
-func (b *batcher) addRacy(v int) {
+func (b *buffer) addRacy(v int) {
 	b.addLocked(v) // want "lockheld: b.addLocked requires b's mutex held"
 }
 
-func (b *batcher) addAfterUnlock(v int) {
+func (b *buffer) addAfterUnlock(v int) {
 	b.mu.Lock()
 	b.mu.Unlock()
 	b.addLocked(v) // want "lockheld: b.addLocked requires b's mutex held"
 }
 
-func (b *batcher) addOther(other *batcher, v int) {
+func (b *buffer) addOther(other *buffer, v int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	other.addLocked(v) // want "lockheld: other.addLocked requires other's mutex held"
 }
 
-func (b *batcher) spawn() {
+func (b *buffer) spawn() {
 	go func() {
 		b.addLocked(1) // want "lockheld: b.addLocked requires b's mutex held"
 	}()
 }
 
-func (b *batcher) withLock() {
+func (b *buffer) withLock() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	func() {
@@ -78,7 +78,7 @@ func callsHelperBare() {
 	helperLocked() // want "lockheld: helperLocked is only safe with the lock held"
 }
 
-func callsHelperHeld(b *batcher) {
+func callsHelperHeld(b *buffer) {
 	b.mu.Lock()
 	helperLocked() // ok: a lock is held on the path
 	b.mu.Unlock()

@@ -154,39 +154,3 @@ func TestSoak(t *testing.T) {
 			run.name, res.Calls, res.Failovers, res.Retries, res.Injected, res.Recovery.Max())
 	}
 }
-
-// TestRingCrashBatched re-runs the one-crash ring soak with wire batching
-// on: exactly-once delivery and the single failover must survive whole batch frames stalling in partitions and
-// replaying after the crash.
-func TestRingCrashBatched(t *testing.T) {
-	res, err := RunRing(Spec{Seed: 11, Span: 2 * time.Second, Crashes: 1, Batch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failovers != 1 {
-		t.Fatalf("Failovers = %d, want 1", res.Failovers)
-	}
-	if res.Stats.FramesBatched == 0 {
-		t.Fatal("batched run flushed no batch frames")
-	}
-	t.Logf("ring crash batched: %d calls, %d batch frames, recovery %v",
-		res.Calls, res.Stats.FramesBatched, res.Recovery.Max())
-}
-
-// TestParlifeBatchedByteIdentical: the end-to-end exactly-once oracle (the
-// world matches a clean replay byte for byte) with batching on and a crash
-// landing mid-run.
-func TestParlifeBatchedByteIdentical(t *testing.T) {
-	res, err := RunParlife(Spec{Seed: 3, Span: time.Second, Crashes: 1, Batch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failovers != 1 {
-		t.Fatalf("Failovers = %d, want 1", res.Failovers)
-	}
-	if res.Stats.FramesBatched == 0 {
-		t.Fatal("batched run flushed no batch frames")
-	}
-	t.Logf("life crash batched: %d iterations, %d batch frames, recovery %v",
-		res.Calls, res.Stats.FramesBatched, res.Recovery.Max())
-}

@@ -27,41 +27,6 @@ type Spec struct {
 	// workload's victim count); zero gives a transient-only schedule that
 	// must end with zero failovers.
 	Crashes int
-	// Batch runs the workload with wire batching on (Config.Batch): the
-	// same invariants — exactly one failover per crash, zero failed calls,
-	// byte-identical replay — must hold when whole batch frames stall in
-	// partitions and replay after crashes.
-	Batch bool
-}
-
-// engineCfg applies the spec's wire-path toggles to a workload config.
-// Chaos runs always sample calls, so the traced wire wrapper rides through
-// partitions and crash replays and the injector can demand that a call
-// traced through a crash shows its replay spans connected to live execution
-// elsewhere. Plain runs sample everything; batched runs sample a quarter —
-// sampled tokens bypass the batcher by design (a traced frame must keep its
-// wire position), so full sampling would leave the batch path untested.
-func (spec Spec) engineCfg(cfg core.Config) core.Config {
-	if spec.Batch {
-		cfg.Batch = true
-		cfg.TraceSample = 0.25
-	} else {
-		cfg.TraceSample = 1
-	}
-	return cfg
-}
-
-// strictReplayTrace reports whether every replayed token is guaranteed to be
-// sampled (full sampling): only then can a missing replay span be treated as
-// an invariant violation rather than a sampling miss.
-func (spec Spec) strictReplayTrace() bool { return !spec.Batch }
-
-// workloadName tags results of batched runs.
-func (spec Spec) workloadName(base string) string {
-	if spec.Batch {
-		return base + "+batch"
-	}
-	return base
 }
 
 // Result is one completed chaos run with its invariants already checked.
@@ -86,14 +51,13 @@ type injector struct {
 	sched    Schedule
 	net      *simnet.Network
 	app      *core.App
-	strict   bool // full sampling: replayed tokens must leave replay spans
 	recovery trace.Hist
 	err      error
 	done     chan struct{}
 }
 
-func startInjector(sched Schedule, net *simnet.Network, app *core.App, strict bool) *injector {
-	inj := &injector{sched: sched, net: net, app: app, strict: strict, done: make(chan struct{})}
+func startInjector(sched Schedule, net *simnet.Network, app *core.App) *injector {
+	inj := &injector{sched: sched, net: net, app: app, done: make(chan struct{})}
 	go inj.run()
 	return inj
 }
@@ -160,13 +124,11 @@ func (inj *injector) checkReplayTraced(replayedBefore int64) error {
 		return nil // nothing was in the retention window; no spans to demand
 	}
 	deadline := time.Now().Add(2 * time.Second)
-	sawReplay := false
 	for {
 		for _, span := range inj.app.TraceSpans(0) {
 			if span.Kind != "replay" {
 				continue
 			}
-			sawReplay = true
 			for _, other := range inj.app.TraceSpans(span.Trace) {
 				if other.Kind != "replay" && other.Node != span.Node {
 					return nil
@@ -174,11 +136,6 @@ func (inj *injector) checkReplayTraced(replayedBefore int64) error {
 			}
 		}
 		if time.Now().After(deadline) {
-			if !inj.strict && !sawReplay {
-				// Partial sampling: every replayed token may have been
-				// unsampled, leaving nothing to connect. Not a violation.
-				return nil
-			}
 			return fmt.Errorf("chaos: recovery replayed tokens but no trace connects a replay span to live spans on another node")
 		}
 		time.Sleep(5 * time.Millisecond)
@@ -224,7 +181,7 @@ func RunRing(spec Spec) (*Result, error) {
 		nodes[i] = fmt.Sprintf("ring%d", i)
 	}
 	sched := Random(spec.Seed, nodes, spec.Span, spec.Crashes)
-	appCfg := spec.engineCfg(core.Config{Window: 64, Checkpoint: 2 * time.Millisecond, SuspectGrace: Grace})
+	appCfg := core.Config{Window: 64, Checkpoint: 2 * time.Millisecond, SuspectGrace: Grace, TraceSample: 1}
 
 	var (
 		inj      *injector
@@ -234,7 +191,7 @@ func RunRing(spec Spec) (*Result, error) {
 	)
 	hook := func(net *simnet.Network, app *core.App) func() {
 		net.SeedFaults(spec.Seed)
-		inj = startInjector(sched, net, app, spec.strictReplayTrace())
+		inj = startInjector(sched, net, app)
 		return func() {
 			injErr = inj.wait()
 			final = app.Stats()
@@ -249,7 +206,7 @@ func RunRing(spec Spec) (*Result, error) {
 		return nil, injErr
 	}
 	out := &Result{
-		Workload:  spec.workloadName("ring"),
+		Workload:  "ring",
 		Schedule:  sched,
 		Calls:     calls,
 		Failovers: final.FailoversCompleted,
@@ -278,7 +235,7 @@ func RunParlife(spec Spec) (*Result, error) {
 	nodes := []string{"n0", "n1", "n2"}
 	workerNodes := []string{"n1", "n2", "n1", "n2"}
 	sched := Random(spec.Seed, nodes, spec.Span, spec.Crashes)
-	appCfg := spec.engineCfg(core.Config{Window: 16, Checkpoint: 2 * time.Millisecond, SuspectGrace: Grace})
+	appCfg := core.Config{Window: 16, Checkpoint: 2 * time.Millisecond, SuspectGrace: Grace, TraceSample: 1}
 
 	seedWorld := life.NewWorld(width, height)
 	wrng := rand.New(rand.NewSource(spec.Seed))
@@ -314,7 +271,7 @@ func RunParlife(spec Spec) (*Result, error) {
 		var inj *injector
 		if sched != nil {
 			net.SeedFaults(sched.Seed)
-			inj = startInjector(*sched, net, app, spec.strictReplayTrace())
+			inj = startInjector(*sched, net, app)
 		}
 		sw := trace.StartStopwatch()
 		if sched != nil {
@@ -357,7 +314,7 @@ func RunParlife(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("chaos(life): world after %d iterations under faults differs from undisturbed run\n%s", iters, sched)
 	}
 	out := &Result{
-		Workload:  spec.workloadName("life"),
+		Workload:  "life",
 		Schedule:  sched,
 		Calls:     iters,
 		Failovers: stats.FailoversCompleted,

@@ -37,24 +37,6 @@ type Config struct {
 	// semantics. Zero disables the layer entirely; the token hot paths and
 	// wire formats are then untouched.
 	Checkpoint time.Duration
-	// Batch turns on per-destination token coalescing on the wire path:
-	// outbound tokens and group-ends bound for the same node accumulate
-	// into one batch frame (msgBatch), flushed when it reaches BatchMaxBytes
-	// or BatchMaxTokens, when BatchDelay elapses, or when a
-	// latency-sensitive message (result, ack, fence, checkpoint, ...) needs
-	// the lane. Off by default: with Batch false no msgBatch frame is ever
-	// emitted and every wire frame stays byte-identical to the unbatched
-	// engine.
-	Batch bool
-	// BatchMaxBytes bounds one batch frame's payload bytes; zero selects
-	// DefaultBatchMaxBytes.
-	BatchMaxBytes int
-	// BatchMaxTokens bounds the entries coalesced into one batch frame;
-	// zero selects DefaultBatchMaxTokens.
-	BatchMaxTokens int
-	// BatchDelay bounds how long a non-full batch may wait for more
-	// traffic; zero selects DefaultBatchDelay.
-	BatchDelay time.Duration
 	// MaxInFlightCalls is the admission budget: the number of graph calls
 	// that may be pending (registered and unsettled) at any moment across
 	// the application. At the budget new calls are shed at admission with
@@ -66,7 +48,7 @@ type Config struct {
 	// TraceSample enables per-token distributed tracing: each admitted call
 	// is sampled with this probability (0..1), and a sampled call's
 	// envelopes carry its trace ID — the call ID — across splits, merges,
-	// batched lanes, migrations and failover replays, while every runtime
+	// migrations and failover replays, while every runtime
 	// they touch records spans into its ring buffer (App.TraceSpans).
 	// Unsampled calls pay one comparison per span point and nothing else,
 	// and the wire stays byte-identical: only sampled envelopes travel in

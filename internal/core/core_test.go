@@ -328,3 +328,25 @@ func TestThreadStatePersistsAcrossTokens(t *testing.T) {
 		t.Fatalf("distributed state sums to %d, want 45", got)
 	}
 }
+
+// TestColocatedFastPath: without ForceSerialize, co-located nodes of one
+// process hand tokens over by pointer — no serialization, no wire frames.
+func TestColocatedFastPath(t *testing.T) {
+	app := newLocalApp(t, core.Config{}, "node0", "node1", "node2")
+	g := buildUppercase(t, app, "upper", "node1*2 node2")
+	in := "colocated lanes"
+	out, err := callWithin(g, app.MasterNode(), &StringToken{Str: in}, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out.(*StringToken).Str; got != strings.ToUpper(in) {
+		t.Fatalf("got %q", got)
+	}
+	st := app.Stats()
+	if st.TokensRemote != 0 {
+		t.Fatalf("%d tokens serialized between co-located nodes", st.TokensRemote)
+	}
+	if st.TokensLocal == 0 {
+		t.Fatal("no pointer-handoff deliveries counted")
+	}
+}

@@ -63,8 +63,7 @@ func callCork(t *testing.T, g *Flowgraph, in *corkTok) (Token, error) {
 // two remote nodes writes its parts in one write per destination, plus one
 // per backstop firing (a slow run, e.g. under the race detector, may lose
 // its processor between two posts). The split's drainer uncorks when its
-// queue runs dry, so not every burst waits for the backstop. With
-// Config.Batch the batcher owns the burst and nothing is corked.
+// queue runs dry, so not every burst waits for the backstop.
 func TestCorkSplitWritesPerDestination(t *testing.T) {
 	const width, dests, calls = 8, 2, 20
 	fan := func(c *Ctx, in *corkTok, post func(*corkTok)) {
@@ -72,48 +71,40 @@ func TestCorkSplitWritesPerDestination(t *testing.T) {
 			post(&corkTok{N: i})
 		}
 	}
-	for _, batch := range []bool{false, true} {
-		g, nodes := corkGraph(t, Config{Batch: batch}, "b*2 c*2", fan, func(*corkTok) {})
-		a := nodes[0]
-		for i := 0; i < 3; i++ { // dial a→b and a→c
-			if _, err := callCork(t, g, &corkTok{N: width}); err != nil {
-				t.Fatal(err)
-			}
+	g, nodes := corkGraph(t, Config{}, "b*2 c*2", fan, func(*corkTok) {})
+	a := nodes[0]
+	for i := 0; i < 3; i++ { // dial a→b and a→c
+		if _, err := callCork(t, g, &corkTok{N: width}); err != nil {
+			t.Fatal(err)
 		}
-		var writes, corked, timeouts, frames int64
-		for i := 0; i < calls; i++ {
-			before := a.Stats()
-			out, err := callCork(t, g, &corkTok{N: width})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out.(*corkTok).N != width {
-				t.Fatalf("merge saw %d parts, want %d", out.(*corkTok).N, width)
-			}
-			after := a.Stats()
-			writes += after.Writes - before.Writes
-			corked += after.FramesCorked - before.FramesCorked
-			timeouts += after.CorkTimeouts - before.CorkTimeouts
-			frames += after.FramesSent - before.FramesSent
+	}
+	var writes, corked, timeouts, frames int64
+	for i := 0; i < calls; i++ {
+		before := a.Stats()
+		out, err := callCork(t, g, &corkTok{N: width})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Logf("batch=%v: %d calls, %d frames in %d writes, %d corked, %d backstop firings", batch, calls, frames, writes, corked, timeouts)
-		if batch {
-			if corked != 0 {
-				t.Fatalf("Config.Batch: %d frames corked, want none", corked)
-			}
-			continue
+		if out.(*corkTok).N != width {
+			t.Fatalf("merge saw %d parts, want %d", out.(*corkTok).N, width)
 		}
-		// A backstop firing while a write is in progress leaves the frames
-		// it let go queued, and the rest of that burst joins them.
-		if width*calls-corked > width*timeouts {
-			t.Fatalf("%d of %d parts corked with %d backstop firings", corked, width*calls, timeouts)
-		}
-		if writes > dests*calls+timeouts {
-			t.Fatalf("%d writes for %d calls with %d backstop firings: want at most %d per call plus one per firing", writes, calls, timeouts, dests)
-		}
-		if timeouts >= dests*calls {
-			t.Fatalf("%d backstop firings for %d bursts: the split's drainer does not uncork", timeouts, dests*calls)
-		}
+		after := a.Stats()
+		writes += after.Writes - before.Writes
+		corked += after.FramesCorked - before.FramesCorked
+		timeouts += after.CorkTimeouts - before.CorkTimeouts
+		frames += after.FramesSent - before.FramesSent
+	}
+	t.Logf("%d calls, %d frames in %d writes, %d corked, %d backstop firings", calls, frames, writes, corked, timeouts)
+	// A backstop firing while a write is in progress leaves the frames
+	// it let go queued, and the rest of that burst joins them.
+	if width*calls-corked > width*timeouts {
+		t.Fatalf("%d of %d parts corked with %d backstop firings", corked, width*calls, timeouts)
+	}
+	if writes > dests*calls+timeouts {
+		t.Fatalf("%d writes for %d calls with %d backstop firings: want at most %d per call plus one per firing", writes, calls, timeouts, dests)
+	}
+	if timeouts >= dests*calls {
+		t.Fatalf("%d backstop firings for %d bursts: the split's drainer does not uncork", timeouts, dests*calls)
 	}
 }
 

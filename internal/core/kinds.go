@@ -4,10 +4,10 @@ import "repro/internal/core/ft"
 
 // This file is the engine's wire-kind table: everything the link layer
 // knows about a message kind beyond its byte encoding (wire.go) is one row
-// here, and the receive dispatch (link.handle), the batch decoder
-// (decodeBatch), the outbound route choice (link.route) and the transmit
-// path's failure handling (link.transmit) all read it. A kind without a row
-// cannot be sent or received, so the properties below hold by construction.
+// here, and the receive dispatch (link.handle), the outbound route choice
+// (link.route) and the transmit path's failure handling (link.transmit) all
+// read it. A kind without a row cannot be sent or received, so the
+// properties below hold by construction.
 
 // spanRule is a kind's observability decision: how a sampled call passing
 // through the kind shows up in its timeline.
@@ -45,10 +45,6 @@ type wireKind struct {
 	// message to the runtime, copying out whatever the message keeps: the
 	// frame returns to the wire pool when recv does (link.handle).
 	recv func(l *link, src string, frame []byte) error
-	// entry, set exactly for the kinds that may ride in a batch frame,
-	// receives one batch entry: the message body, and the stamp the entry
-	// carries ahead of it.
-	entry func(l *link, src string, stream ft.Stream, seq uint64, body []byte) error
 	// sequenced marks the fault-tolerance framings, whose body follows an
 	// FT stamp: sender stream and sequence number (appendFTStamp).
 	sequenced bool
@@ -69,11 +65,11 @@ var wireKinds [256]wireKind
 func init() {
 	wireKinds = [256]wireKind{
 		msgToken: {
-			name: "token", recv: (*link).recvLone, entry: (*link).recvTokenEntry,
+			name: "token", recv: (*link).recvLone,
 			span: spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgTokenFT: {
-			name: "sequenced token", recv: (*link).recvLone, entry: (*link).recvTokenEntry,
+			name: "sequenced token", recv: (*link).recvLone,
 			sequenced: true, span: spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgTraced: {
@@ -87,20 +83,15 @@ func init() {
 			span: spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgGroupEnd: {
-			name: "group-end", recv: (*link).recvLone, entry: (*link).recvGroupEndEntry,
+			name: "group-end", recv: (*link).recvLone,
 			span: spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
 		},
 		msgGroupEndFT: {
-			name: "sequenced group-end", recv: (*link).recvLone, entry: (*link).recvGroupEndEntry,
+			name: "sequenced group-end", recv: (*link).recvLone,
 			sequenced: true,
 			span:      spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
-		},
-		msgBatch: {
-			// Entries re-enter the token and group-end paths one by one.
-			name: "batch frame", recv: (*link).recvBatch,
-			span: spanDispatch, suppress: true, fail: failLink,
 		},
 		msgAck: {
 			name: "ack",

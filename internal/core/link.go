@@ -55,31 +55,9 @@ type link struct {
 	// ck corks every token and result an operation execution sends
 	// (txCorked), so that what a drainer sends between two idle steps
 	// leaves in one write per destination (see Ctx.uncork); nil when the
-	// transport cannot, or when Config.Batch has the batcher own bursts
-	// instead.
+	// transport cannot.
 	ck transport.Corker
-
-	// Per-destination token coalescing (Config.Batch).
-	batch       bool
-	batchBytes  int
-	batchTokens int
-	batchLarge  int // entry bodies this big skip coalescing (single frame)
-	batchDelay  time.Duration
-	bmu         sync.Mutex
-	batchers    map[string]*batcher
 }
-
-// Batching defaults, selected when Config.Batch is set and the matching
-// knob is zero: flush a destination's pending frame once it holds 64
-// tokens or 128 KiB of entries, or 500µs after its first entry — late
-// enough to coalesce a split's burst, early enough to stay invisible next
-// to real network latency. Latency-sensitive messages flush sooner
-// (preSend).
-const (
-	DefaultBatchMaxBytes  = 128 << 10
-	DefaultBatchMaxTokens = 64
-	DefaultBatchDelay     = 500 * time.Microsecond
-)
 
 func (l *link) init(rt *Runtime, tr transport.Transport, cfg *Config) {
 	l.tr = tr
@@ -92,29 +70,7 @@ func (l *link) init(rt *Runtime, tr transport.Transport, cfg *Config) {
 	if !cfg.ForceSerialize {
 		l.co, _ = tr.(transport.Colocated)
 	}
-	if !cfg.Batch {
-		l.ck, _ = tr.(transport.Corker)
-	}
-	if cfg.Batch {
-		l.batch = true
-		l.batchBytes = cfg.BatchMaxBytes
-		if l.batchBytes <= 0 {
-			l.batchBytes = DefaultBatchMaxBytes
-		}
-		l.batchTokens = cfg.BatchMaxTokens
-		if l.batchTokens <= 0 {
-			l.batchTokens = DefaultBatchMaxTokens
-		}
-		l.batchDelay = cfg.BatchDelay
-		if l.batchDelay <= 0 {
-			l.batchDelay = DefaultBatchDelay
-		}
-		// Bulk bypass cutoff: a body within a factor of 16 of the frame
-		// bound dwarfs the per-frame overhead batching saves, and staging
-		// it through the entries buffer would only add copies.
-		l.batchLarge = l.batchBytes / 16
-		l.batchers = make(map[string]*batcher)
-	}
+	l.ck, _ = tr.(transport.Corker)
 }
 
 // --- outbound: route, transmit --------------------------------------------
@@ -161,22 +117,18 @@ func (l *link) suppressed(kind byte, dst string) bool {
 type txMode uint8
 
 const (
-	txSend   txMode = iota // Send, behind dst's pending batch (flushed first)
-	txHeld                 // Send, by dst's batcher flushing under its own lock
+	txSend   txMode = iota // Send
 	txCorked               // SendCorked, if l.ck: an execution's token or result
 )
 
 // transmit is the link's one exit to the transport: every frame, of every
 // kind, leaves through it, which is what makes three properties hold by
-// construction. Wire order equals send order: a frame that is not itself a
-// flushed batch flushes the destination's pending batch and goes out under
-// the batcher lock (preSend), so it can neither overtake nor be overtaken
-// by tokens batched before it; txHeld says the caller is that batcher,
-// flushing under its own lock, and a corked frame keeps its place in the
-// transport's own queue (txCorked is txSend on a link that does not cork).
-// It reports whether the frame waits corked for an uncork. Stats.BytesSent
-// counts every frame handed to
-// the transport. And a frame the transport refused returns to the wire pool
+// construction. Wire order equals send order: each frame goes straight to
+// the transport, and a corked frame keeps its place in the transport's own
+// queue (transport.Corker is FIFO with Send; txCorked is txSend on a link
+// that does not cork). It reports whether the frame waits corked for an
+// uncork. Stats.BytesSent counts every frame handed to the transport. And a
+// frame the transport refused returns to the wire pool
 // (transports release ownership on error; an accepted frame is the
 // transport's, which returns it through transport.Releaser or hands it to
 // the receiving link) before the failure is routed by the kind's policy —
@@ -186,15 +138,8 @@ func (l *link) transmit(dst string, buf []byte, tx txMode) (corked bool) {
 	if tx == txCorked && l.ck == nil {
 		tx = txSend
 	}
-	var b *batcher
-	if l.batch && tx == txSend {
-		b = l.preSend(dst)
-	}
 	atomic.AddInt64(&l.rt.stats.BytesSent, int64(len(buf)))
 	err := l.trSend(dst, buf, tx == txCorked)
-	if b != nil {
-		b.mu.Unlock()
-	}
 	if err == nil {
 		return tx == txCorked
 	}
@@ -261,120 +206,6 @@ func (l *link) trSend(dst string, buf []byte, cork bool) error {
 			return nil
 		}
 	}
-}
-
-// --- outbound: batching ---------------------------------------------------
-
-// batcher coalesces the batchable traffic of one destination (Config.Batch).
-// Its mutex is the per-destination ordering domain of the batched wire
-// path: batchable sends append under it, and every other send to the same
-// destination flushes and transmits while holding it (preSend), so wire
-// order is exactly send order even though batched entries leave late.
-type batcher struct {
-	l   *link
-	dst string
-
-	mu    sync.Mutex
-	enc   batchEncoder
-	timer *time.Timer
-	armed bool
-}
-
-func (l *link) batcherFor(dst string) *batcher {
-	l.bmu.Lock()
-	defer l.bmu.Unlock()
-	b := l.batchers[dst]
-	if b == nil {
-		b = &batcher{l: l, dst: dst}
-		l.batchers[dst] = b
-	}
-	return b
-}
-
-// preSend flushes dst's pending batch and returns its batcher locked, for
-// transmit to unlock once its own frame is out. Nil for a self-send, which
-// no batch can be pending for.
-func (l *link) preSend(dst string) *batcher {
-	if dst == l.name {
-		return nil
-	}
-	b := l.batcherFor(dst)
-	b.mu.Lock()
-	b.flushLocked()
-	return b
-}
-
-// coalesce offers the single frame of a token or group-end to dst's pending
-// batch, where it becomes one entry (batchEncoder.add), so a batch of N
-// entries decodes to exactly the messages N singles would. A body too large
-// to gain from coalescing is refused (bulk bypass): the caller transmits the
-// frame alone, in order behind the pending batch like any other.
-func (l *link) coalesce(dst string, frame []byte) bool {
-	n := entryHead(frame)
-	if len(frame)-n >= l.batchLarge {
-		return false
-	}
-	b := l.batcherFor(dst)
-	b.mu.Lock()
-	b.addLocked(frame[:n], frame[n:])
-	b.mu.Unlock()
-	putWireBuf(frame)
-	return true
-}
-
-func (b *batcher) timedFlush() {
-	b.mu.Lock()
-	b.armed = false
-	b.flushLocked()
-	b.mu.Unlock()
-}
-
-// addLocked appends one entry and flushes if a size bound tripped; the
-// first entry of a fresh frame arms the age timer.
-func (b *batcher) addLocked(head, body []byte) {
-	b.enc.add(head, body)
-	if b.enc.size() >= b.l.batchBytes || b.enc.tokens >= b.l.batchTokens {
-		b.flushLocked()
-		return
-	}
-	if !b.armed {
-		b.armed = true
-		if b.timer == nil {
-			b.timer = time.AfterFunc(b.l.batchDelay, b.timedFlush)
-		} else {
-			b.timer.Reset(b.l.batchDelay)
-		}
-	}
-}
-
-// flushLocked assembles and transmits the pending frame. It cannot panic —
-// the age timer calls it from its own goroutine — because msgBatch's
-// failure policy is linkFail.
-func (b *batcher) flushLocked() {
-	if b.enc.empty() {
-		return
-	}
-	l := b.l
-	if b.armed {
-		b.armed = false
-		b.timer.Stop()
-	}
-	if l.suppressed(msgBatch, b.dst) {
-		b.enc.reset()
-		return
-	}
-	stats := &l.rt.stats
-	tokens := int64(b.enc.tokens)
-	buf := b.enc.appendFrame(getWireBuf(stats, b.enc.frameLen()))
-	b.enc.reset()
-	atomic.AddInt64(&stats.FramesBatched, 1)
-	for {
-		cur := atomic.LoadInt64(&stats.TokensPerFrame)
-		if tokens <= cur || atomic.CompareAndSwapInt64(&stats.TokensPerFrame, cur, tokens) {
-			break
-		}
-	}
-	l.transmit(b.dst, buf, txHeld)
 }
 
 // --- outbound: one sender per kind ----------------------------------------
@@ -458,18 +289,12 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) 
 		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
 	}
 	atomic.AddInt64(&stats.TokensRemote, 1)
-	// Sampled and forwarded tokens never join a batch frame: their wrapper
-	// frames them alone, so the batch codec and ordinary coalescing stay
-	// byte-identical with tracing on or a remap behind us, the wire span keeps
-	// real timing, and transmit's flush keeps a relay's re-sends in order.
-	coalesced := l.batch && env.TraceID == 0 && lane == place.Direct && l.coalesce(dst, buf)
 	putEnvelope(env)
-	return !coalesced && l.transmit(dst, buf, tx)
+	return l.transmit(dst, buf, tx)
 }
 
 // sendGroupEnd announces a completed group's total to the paired merge's
-// node, behind the group's tokens (batched with them under Config.Batch,
-// unless a relay is forwarding it).
+// node, behind the group's tokens.
 func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	rt, wire := l.route(msgGroupEnd, dst)
 	if rt != nil {
@@ -488,18 +313,12 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	} else {
 		buf = appendGroupEnd(buf, m)
 	}
-	if l.batch && lane == place.Direct && l.coalesce(dst, buf) {
-		return
-	}
 	l.transmit(dst, buf, txSend)
 }
 
 // sendResult delivers a graph's final output to the calling node, corked
 // like the token it is (the executing drainer lets it go when its queue runs
-// dry), and reports whether it waits corked. A result is the
-// latency-sensitive message of the wire path — a caller is blocked on it —
-// so under Config.Batch it flushes the destination's pending batch rather
-// than join it.
+// dry), and reports whether it waits corked.
 func (l *link) sendResult(env *envelope, tok Token) bool {
 	rt, wire := l.route(msgResult, env.CallOrigin.name)
 	if rt != nil {
@@ -622,8 +441,7 @@ func (l *link) handle(src string, frame []byte) {
 }
 
 // recvToken is the one decode-unmarshal-deliver path of every token on the
-// wire: alone in a frame, inside a traced or forwarded wrapper, or as a
-// batch entry. body is the envelope header and serialized token;
+// wire: alone in a frame, or inside a traced or forwarded wrapper. body is the envelope header and serialized token;
 // stream/seq, traceID and lane are what the framing around it carried. The
 // token is a copy: handle recycles the frame body lies in.
 func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane place.Lane, body []byte) error {
@@ -643,12 +461,8 @@ func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane
 	return nil
 }
 
-func (l *link) recvTokenEntry(src string, stream ft.Stream, seq uint64, body []byte) error {
-	return l.recvToken(src, stream, seq, 0, place.Direct, body)
-}
-
-// readStamp splits the single frame of a batchable kind into its
-// fault-tolerance stamp (zero unless the kind is sequenced) and entry body.
+// readStamp splits the single frame of a token or group-end into its
+// fault-tolerance stamp (zero unless the kind is sequenced) and body.
 func readStamp(frame []byte) (stream ft.Stream, seq uint64, body []byte, err error) {
 	if wireKinds[frame[0]].sequenced {
 		return readFTStamp(frame[1:])
@@ -722,24 +536,6 @@ func (l *link) recvGroupEnd(src string, stream ft.Stream, seq uint64, lane place
 	m.FTStream, m.FTSeq = stream, seq
 	l.rt.handleGroupEnd(m, src, lane)
 	return nil
-}
-
-func (l *link) recvGroupEndEntry(src string, stream ft.Stream, seq uint64, body []byte) error {
-	return l.recvGroupEnd(src, stream, seq, place.Direct, body)
-}
-
-// recvBatch decodes one batch frame and delivers its entries in frame
-// order — which is send order, so the receiver-side FIFO assumptions
-// (prefix duplicate filters, group-end-after-tokens) hold exactly as they
-// do for singles.
-func (l *link) recvBatch(src string, frame []byte) error {
-	body, err := decodeBatchFrame(frame[1:])
-	if err != nil {
-		return err
-	}
-	return decodeBatch(body, func(kind byte, stream ft.Stream, seq uint64, eb []byte) error {
-		return wireKinds[kind].entry(l, src, stream, seq, eb)
-	})
 }
 
 // recvRehome receives either framing of a rehome message. A live move's

@@ -2,11 +2,11 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core/ft"
 	"repro/internal/core/place"
@@ -17,26 +17,22 @@ import (
 
 // TestWireKindTable checks the declaration the link layer is driven by:
 // every kind constant (frozenWireKinds is held complete against wire.go by
-// the freeze tests) has a complete row, every batchable row passes the
-// batch decoder's kind check, and a byte without a row is rejected.
+// the freeze tests) but the reserved msgBatch has a complete row, and a byte
+// without a row — msgBatch's included — is rejected.
 func TestWireKindTable(t *testing.T) {
 	for name, kind := range frozenWireKinds {
 		k := wireKinds[kind]
+		if kind == msgBatch {
+			if k.recv != nil || k.fail != 0 {
+				t.Errorf("%s is reserved: it has a row %+v, want none", name, k)
+			}
+			continue
+		}
 		if k.name == "" || k.recv == nil || k.span == 0 || (k.fail == 0) != (kind == msgPing) {
 			t.Errorf("%s: incomplete row %+v (name, recv, span and, for every kind the link sends, fail are mandatory)", name, k)
 		}
 		if (k.span == spanNone) != (k.why != "") {
 			t.Errorf("%s: a row gives a reason exactly when it records no span (span %d, why %q)", name, k.span, k.why)
-		}
-		if k.entry != nil {
-			body := []byte{1, kind} // one entry
-			if k.sequenced {
-				body = appendFTStamp(body, ft.Stream{Sender: 1}, 1)
-			}
-			body = append(body, 0) // empty entry body
-			if err := decodeBatch(body, func(byte, ft.Stream, uint64, []byte) error { return nil }); err != nil {
-				t.Errorf("%s is batchable but decodeBatch refuses it: %v", name, err)
-			}
 		}
 	}
 	known := make(map[byte]bool)
@@ -48,10 +44,12 @@ func TestWireKindTable(t *testing.T) {
 			t.Errorf("kind byte %d has a row but no msg* constant", kind)
 		}
 	}
-	l, _, app := newRecordedLink(t, Config{})
-	l.handle("far", []byte{200})
-	if err := app.Err(); err == nil || !strings.Contains(err.Error(), "unknown message kind 200") {
-		t.Errorf("frame of kind 200: app error %v, want unknown message kind", err)
+	for _, kind := range []byte{msgBatch, 200} {
+		l, _, app := newRecordedLink(t, Config{})
+		l.handle("far", []byte{kind, 1, 0})
+		if err := app.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown message kind %d", kind)) {
+			t.Errorf("frame of kind %d: app error %v, want unknown message kind", kind, err)
+		}
 	}
 }
 
@@ -161,10 +159,6 @@ var sendOneOf = map[byte]func(l *link, dst string){
 	msgGroupEndFT: func(l *link, dst string) {
 		l.sendGroupEnd(dst, &groupEndMsg{Graph: tokenEnv(l).Graph, Total: 1, FTStream: ft.Stream{Sender: 1}, FTSeq: 4}, place.Direct)
 	},
-	msgBatch: func(l *link, dst string) {
-		l.sendToken(tokenEnv(l), dst, place.Direct, txSend)
-		l.batcherFor(dst).timedFlush()
-	},
 	msgAck: func(l *link, dst string) { l.sendAck(dst, ackMsg{GroupID: 1}) },
 	msgResult: func(l *link, dst string) {
 		origin, _ := l.rt.app.runtime(dst)
@@ -203,61 +197,28 @@ func TestTransmitChokePoint(t *testing.T) {
 		}
 
 		// (a) BytesSent grows by exactly the bytes the transport saw.
-		if kind != msgBatch { // batch frames only exist with batching on
-			t.Run(name+"/bytes", func(t *testing.T) {
-				l, tr, _ := newRecordedLink(t, Config{})
-				send(l, "far")
-				frames, seen := tr.take()
-				if len(frames) != 1 || frames[0][0] != kind {
-					t.Fatalf("transport saw %d frames (first kind %v), want one frame of kind %d", len(frames), frames, kind)
-				}
-				if got := l.rt.Stats().BytesSent; got != seen {
-					t.Errorf("BytesSent = %d, transport saw %d bytes", got, seen)
-				}
-			})
-		}
-
-		// (b) With batching on, a token batched earlier reaches the transport
-		// first — in a batch frame flushed ahead of this kind's own frame, or
-		// (batchable kinds) as an earlier entry of the same batch frame — and
-		// the byte accounting still matches.
-		t.Run(name+"/order", func(t *testing.T) {
-			// No age flush: only the sends below and the explicit flush move
-			// the pending batch, however slowly this goroutine is scheduled.
-			l, tr, _ := newRecordedLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			l.sendToken(tokenEnv(l), "far", place.Direct, txSend)
-			if frames, _ := tr.take(); len(frames) != 0 {
-				t.Fatalf("a lone small token left unbatched: %v", frames)
-			}
+		t.Run(name+"/bytes", func(t *testing.T) {
+			l, tr, _ := newRecordedLink(t, Config{})
 			send(l, "far")
-			l.batcherFor("far").timedFlush()
 			frames, seen := tr.take()
-			if len(frames) == 0 || frames[0][0] != msgBatch {
-				t.Fatalf("first frame on the wire is not the pending batch: %v", frames)
+			if len(frames) != 1 || frames[0][0] != kind {
+				t.Fatalf("transport saw %d frames (first kind %v), want one frame of kind %d", len(frames), frames, kind)
 			}
-			body, err := decodeBatchFrame(frames[0][1:])
-			if err != nil {
-				t.Fatal(err)
+			if got := l.rt.Stats().BytesSent; got != seen {
+				t.Errorf("BytesSent = %d, transport saw %d bytes", got, seen)
 			}
-			var entries []byte
-			if err := decodeBatch(body, func(k byte, _ ft.Stream, _ uint64, _ []byte) error {
-				entries = append(entries, k)
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if entries[0] != msgToken {
-				t.Errorf("batch entries %v: the earlier token is not first", entries)
-			}
-			switch {
-			case row.entry != nil || kind == msgBatch:
-				if len(frames) != 1 || len(entries) != 2 {
-					t.Errorf("batchable kind: %d frames, entries %v; want one batch frame of two entries", len(frames), entries)
-				}
-			default:
-				if len(frames) != 2 || len(entries) != 1 || frames[1][0] != kind {
-					t.Errorf("got %d frames, batch entries %v; want the batch then one frame of kind %d", len(frames), entries, kind)
-				}
+		})
+
+		// (b) Wire order is send order: a token an execution sent earlier
+		// reaches the transport first, this kind's frame right behind it,
+		// and the byte accounting covers both.
+		t.Run(name+"/order", func(t *testing.T) {
+			l, tr, _ := newRecordedLink(t, Config{})
+			l.sendToken(tokenEnv(l), "far", place.Direct, txCorked)
+			send(l, "far")
+			frames, seen := tr.take()
+			if len(frames) != 2 || frames[0][0] != msgToken || frames[1][0] != kind {
+				t.Fatalf("transport saw %v, want the earlier token then one frame of kind %d", frames, kind)
 			}
 			if got := l.rt.Stats().BytesSent; got != seen {
 				t.Errorf("BytesSent = %d, transport saw %d bytes", got, seen)
@@ -269,7 +230,7 @@ func TestTransmitChokePoint(t *testing.T) {
 		// does so on purpose under the race detector), so the pool check
 		// retries; code that never recycles never passes it.
 		t.Run(name+"/failure", func(t *testing.T) {
-			l, tr, app := newRecordedLink(t, Config{Batch: kind == msgBatch})
+			l, tr, app := newRecordedLink(t, Config{})
 			tr.refuse = true
 			recycled := false
 			for attempt := 0; attempt < 20 && !recycled; attempt++ {

@@ -115,14 +115,14 @@ func blobLink(t *testing.T, cfg Config) (l *link, tr *recTransport, ran chan *bl
 }
 
 // TestFrameOwnershipPerKind: every received frame — a token alone,
-// sequenced, traced or forwarded, a batch, a result; short or long; in a pool
+// sequenced, traced or forwarded, a result; short or long; in a pool
 // buffer or not — is decoded by copy and given to the wire pool exactly once
 // by handle, and overwritten as it is, which must not reach the delivered
 // token.
 func TestFrameOwnershipPerKind(t *testing.T) {
 	const (
 		big   = maxClassedWireBuf + 3000 // above the classes
-		small = 3000                     // one a batch takes in
+		small = 3000                     // within the classes
 	)
 	env := func(l *link, tok *blobTok) *envelope {
 		e := tokenEnv(l)
@@ -176,16 +176,6 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		{"1 MiB token", msgToken, tokenFrame(nil, place.Direct, 1<<20)},
 		{"forwarded token", msgForwarded, tokenFrame(nil, place.Forwarded, big)},
 		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big)},
-		{"batch entry", msgBatch, func(t *testing.T, _ *link) []byte {
-			sender, tr, _ := blobLink(t, Config{Batch: true, BatchDelay: time.Hour})
-			sender.sendToken(env(sender, newBlob(7, small)), "far", place.Direct, txSend)
-			sender.batcherFor("far").timedFlush()
-			frames, _ := tr.take()
-			if len(frames) != 1 {
-				t.Fatalf("batching sender emitted %d frames, want one batch frame", len(frames))
-			}
-			return frames[0]
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -346,7 +336,6 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 		tcp  bool
 	}{
 		{"default", Config{ForceSerialize: true}, false},
-		{"batched", Config{ForceSerialize: true, Batch: true}, false},
 		{"traced", Config{ForceSerialize: true, TraceSample: 1}, false},
 		{"tcp", Config{}, true},
 	} {

@@ -23,7 +23,7 @@ type Stats struct {
 	// TokensRemote counts tokens serialized and sent over the transport.
 	TokensRemote int64
 	// BytesSent counts the bytes of every engine frame handed to the
-	// transport: tokens, batch frames and every control kind alike.
+	// transport: tokens and every control kind alike.
 	BytesSent int64
 	// GroupsOpened counts split/stream groups created on the node.
 	GroupsOpened int64
@@ -98,12 +98,11 @@ type Stats struct {
 	// its bytes, it explains a deployment's allocated bytes per token from
 	// /metrics alone.
 	WireBufMisses int64
-	// FramesBatched counts batch frames flushed by the wire-path coalescer
-	// (Config.Batch); zero with batching off.
+	// FramesBatched always reads 0: the engine sends no batch frames.
+	//
+	// Deprecated: nothing increments it; it is kept only until the
+	// benchmark's batched-ring workload, which reads it, is retired.
 	FramesBatched int64
-	// TokensPerFrame is the largest number of tokens coalesced into one
-	// batch frame. Aggregation takes the maximum, like QueueHighWater.
-	TokensPerFrame int64 `stat:"max"`
 }
 
 // statsMax marks, by field index, the Stats fields tagged stat:"max".

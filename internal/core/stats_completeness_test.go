@@ -26,7 +26,7 @@ func TestStatsDeclaration(t *testing.T) {
 			t.Errorf("Stats.%s has tag stat:%q; the only aggregation tag is \"max\"", f.Name, tag)
 		}
 	}
-	want := map[string]bool{"QueueHighWater": true, "TokensPerFrame": true}
+	want := map[string]bool{"QueueHighWater": true}
 	if got := StatsHighWater(); !reflect.DeepEqual(got, want) {
 		t.Errorf("high-water fields = %v, want %v", got, want)
 	}

@@ -29,17 +29,15 @@ const (
 	msgCut        byte = 12 // log truncation: entries to an instance are durable
 	msgPing       byte = 13 // probe frame (linkSuspect's self-send); receivers discard it
 
-	// msgBatch coalesces tokens and group-ends bound for one destination
-	// node into a single transport frame (Config.Batch; see link.go). With
-	// batching off no msgBatch frame is ever emitted and every other kind
-	// stays byte-identical.
+	// msgBatch is reserved: it numbered a batch frame the engine no longer
+	// sends. A receiver refuses it as an unknown kind.
 	msgBatch byte = 14
 
 	// msgTraced wraps the ordinary frame of a sampled envelope with its
 	// trace context: [msgTraced][traceID][sentNs][inner frame]. Only sampled
 	// traffic is wrapped (Config.TraceSample), so with tracing off — or for
 	// the unsampled majority with it on — every kind above stays
-	// byte-identical, the same discipline as the FT framings and msgBatch.
+	// byte-identical, the same discipline as the FT framings.
 	msgTraced byte = 15
 
 	// msgForwarded wraps the ordinary frame of a token or group-end that a
@@ -279,13 +277,6 @@ func readFTStamp(b []byte) (stream ft.Stream, seq uint64, rest []byte, err error
 	r := wireReader{b: b}
 	stream, seq = r.stamp()
 	return stream, seq, r.b, r.err
-}
-
-// skipFTStamp is readFTStamp for a stamp this process encoded itself: it
-// steps over the prefix without validating it.
-func skipFTStamp(b []byte) []byte {
-	_, w := binary.Uvarint(b[16:])
-	return b[16+w:]
 }
 
 // appendEnvelopeBody writes the token header: the graph's and the call

@@ -162,8 +162,8 @@ func (k *Kernel) recvRemap(_ string, body []byte) {
 
 func (k *Kernel) recvPong(src string, _ []byte) {
 	k.mu.Lock()
-	if k.lastSeen != nil {
-		k.lastSeen[src] = time.Now()
+	if p := k.probes[src]; p != nil {
+		p.waiting, p.missed = time.Time{}, 0
 	}
 	k.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package kernel
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -61,6 +62,38 @@ func TestHeartbeatDetectsDeadKernel(t *testing.T) {
 	case peer := <-deadA:
 		t.Fatalf("spurious death of %q", peer)
 	case <-time.After(150 * time.Millisecond):
+	}
+}
+
+// TestHeartbeatLateRoundsAccuseNoLivePeer: a prober whose rounds run late —
+// every other one by eight intervals, as when its goroutine is starved —
+// declares no peer dead that answers its next ping.
+func TestHeartbeatLateRoundsAccuseNoLivePeer(t *testing.T) {
+	ns := startNS(t)
+	ka := startKernel(t, ns, "late-a")
+	startKernel(t, ns, "late-b")
+	dead := make(chan string, 4)
+	ka.OnFailover(func(peer string) { dead <- peer })
+
+	const interval = 25 * time.Millisecond
+	var rounds atomic.Int32
+	ka.roundHook = func() {
+		if rounds.Add(1)%2 == 0 {
+			time.Sleep(8 * interval)
+		}
+	}
+	ka.StartHeartbeat(interval, 3)
+	for rounds.Load() < 10 {
+		select {
+		case peer := <-dead:
+			t.Fatalf("round %d: a late round declared %q dead", rounds.Load(), peer)
+		case <-time.After(interval):
+		}
+	}
+	ka.mu.Lock()
+	defer ka.mu.Unlock()
+	if p := ka.probes["late-b"]; p == nil || p.missed != 0 {
+		t.Fatalf("late-b's probe %+v: want one with no miss counted", p)
 	}
 }
 

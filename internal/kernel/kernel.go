@@ -40,16 +40,11 @@ type Kernel struct {
 	onFailover func(peer string)
 	onTrace    func(id uint64) []trace.Span
 	traceWait  map[uint64]chan []trace.Span // collections in flight (CollectTrace)
-	lastSeen   map[string]time.Time         // heartbeat: last pong (or discovery) per peer
+	probes     map[string]*probe            // heartbeat: one per peer seen
 	deadPeers  map[string]bool
-	pinging    map[string]bool // one heartbeat send in flight per peer
-	// Missed-pong backoff: pingSkip[peer] rounds are skipped before the
-	// next probe of a silent peer, doubling (pingBackoff) up to a cap below
-	// the death deadline — a restarting peer is probed gently, not hammered.
-	pingSkip    map[string]int
-	pingBackoff map[string]int
-	hbStop      chan struct{}
-	closed      bool
+	hbStop     chan struct{}
+	roundHook  func() // tests: runs before each heartbeat round
+	closed     bool
 
 	// release returns a received kernel frame to the pool the node borrowed
 	// it from (appPort.SetRelease); nil until an application installs one.
@@ -66,9 +61,23 @@ func (k *Kernel) OnFailover(fn func(peer string)) {
 	k.mu.Unlock()
 }
 
+// probe is the heartbeat's record of one peer.
+type probe struct {
+	// waiting is when the oldest unanswered ping to the peer was sent, or
+	// when a miss was last counted against it; zero while every ping sent
+	// has been answered.
+	waiting time.Time
+	missed  int  // full rounds a sent ping has stayed unanswered
+	sending bool // a ping send is in progress: one at a time per peer
+	// Missed-pong backoff: skip rounds are skipped before the next ping of
+	// a silent peer, doubling (backoff) up to a cap below misses — a
+	// restarting peer is probed gently, not hammered.
+	skip, backoff int
+}
+
 // StartHeartbeat begins probing every kernel registered with the name
-// server at the given interval. A peer that answers no ping for misses
-// consecutive intervals is declared dead: the kernel fires its OnFailover
+// server at the given interval. A peer that leaves a ping unanswered for
+// misses full rounds is declared dead: the kernel fires its OnFailover
 // handler and broadcasts a death notice so every other kernel converges.
 // Newly registered kernels are picked up on the next round. Heartbeats
 // stop when the kernel closes.
@@ -82,9 +91,10 @@ func (k *Kernel) StartHeartbeat(interval time.Duration, misses int) {
 		return
 	}
 	k.hbStop = make(chan struct{})
-	k.lastSeen = make(map[string]time.Time)
+	k.probes = make(map[string]*probe)
 	k.deadPeers = make(map[string]bool)
 	stop := k.hbStop
+	hook := k.roundHook
 	k.mu.Unlock()
 
 	go func() {
@@ -95,89 +105,90 @@ func (k *Kernel) StartHeartbeat(interval time.Duration, misses int) {
 			case <-stop:
 				return
 			case <-t.C:
+				if hook != nil {
+					hook()
+				}
 				k.heartbeatRound(interval, misses)
 			}
 		}
 	}()
 }
 
-// heartbeatRound pings the current name-server peers and declares the
-// silent ones dead.
+// heartbeatRound judges the pings sent so far and pings the current
+// name-server peers. A peer is judged only on pings that were sent: each
+// full round a sent ping stays unanswered counts one miss, so a round that
+// runs late — its goroutine starved, or the pong handler — counts at most
+// one, and a peer that answers its next ping is accused of nothing.
 func (k *Kernel) heartbeatRound(interval time.Duration, misses int) {
-	grace := time.Duration(misses) * interval
 	names, err := ListNames(k.nsAddr)
 	if err != nil {
 		return
 	}
 	now := time.Now()
-	var dead []string
+	var dead, ping []string
 	k.mu.Lock()
 	for peer := range names {
 		if peer == k.name || k.deadPeers[peer] {
 			continue
 		}
-		if _, ok := k.lastSeen[peer]; !ok {
-			k.lastSeen[peer] = now // discovery grace period
+		p := k.probes[peer]
+		if p == nil {
+			p = new(probe)
+			k.probes[peer] = p
 		}
-		if now.Sub(k.lastSeen[peer]) > grace {
-			dead = append(dead, peer)
+		if !p.waiting.IsZero() && now.Sub(p.waiting) >= interval {
+			p.missed++
+			p.waiting = now
+			if p.missed >= misses {
+				dead = append(dead, peer)
+				continue
+			}
 		}
+		if p.sending {
+			continue
+		}
+		if p.missed == 0 {
+			p.skip, p.backoff = 0, 0
+		} else if p.skip > 0 {
+			p.skip--
+			continue
+		} else {
+			p.backoff = nextPingBackoff(p.backoff, misses)
+			p.skip = p.backoff
+		}
+		p.sending = true
+		ping = append(ping, peer)
 	}
 	k.mu.Unlock()
 	for _, peer := range dead {
 		k.peerDied(peer)
 	}
-	// Ping after the age check, so a peer has a full round to answer. A
-	// failing send is itself a strike: lastSeen simply stays old. Pings go
-	// out concurrently, one in flight per peer — a peer whose TCP dial
-	// blocks for seconds must not stall the round and starve the healthy
-	// peers' pings into false-positive deaths. A peer that missed its last
-	// pong is backed off (doubling rounds skipped, capped below the death
-	// deadline) instead of hammered while it restarts.
-	k.mu.Lock()
-	if k.pinging == nil {
-		k.pinging = make(map[string]bool)
-	}
-	if k.pingSkip == nil {
-		k.pingSkip = make(map[string]int)
-		k.pingBackoff = make(map[string]int)
-	}
-	peers := make([]string, 0, len(names))
-	for peer := range names {
-		if peer == k.name || k.deadPeers[peer] || k.pinging[peer] {
-			continue
-		}
-		if now.Sub(k.lastSeen[peer]) <= interval {
-			// Answering within a round: probe normally again.
-			delete(k.pingSkip, peer)
-			delete(k.pingBackoff, peer)
-		} else if k.pingSkip[peer] > 0 {
-			k.pingSkip[peer]--
-			continue
-		} else {
-			k.pingBackoff[peer] = nextPingBackoff(k.pingBackoff[peer], misses)
-			k.pingSkip[peer] = k.pingBackoff[peer]
-		}
-		k.pinging[peer] = true
-		peers = append(peers, peer)
-	}
-	k.mu.Unlock()
-	for _, peer := range peers {
+	// Pings go out concurrently, one in flight per peer — a peer whose TCP
+	// dial blocks for seconds must not stall the round and starve the
+	// healthy peers' pings. A ping counts as sent once its send starts, so
+	// a failing or blocked send is a ping that goes unanswered.
+	for _, peer := range ping {
 		// Per-peer jitter staggers the probes inside the round, so a fleet
 		// of kernels does not synchronize its pings into periodic bursts.
 		go func(peer string, delay time.Duration) {
 			time.Sleep(delay)
+			k.mu.Lock()
+			p := k.probes[peer]
+			if p.waiting.IsZero() {
+				p.waiting = time.Now()
+			}
+			k.mu.Unlock()
 			_ = sendControl(k.node, peer, ctlPing, nil)
 			k.mu.Lock()
-			delete(k.pinging, peer)
+			p.sending = false
 			k.mu.Unlock()
 		}(peer, heartbeatJitter(interval))
 	}
 }
 
 // nextPingBackoff doubles the rounds skipped between probes of a silent
-// peer, capped so the peer is still probed before the misses*interval
-// death deadline can expire without a single probe in between.
+// peer, capped below misses so the peer is still probed before it can be
+// declared dead.
 func nextPingBackoff(prev, misses int) int {
 	next := prev * 2
 	if next == 0 {
@@ -214,8 +225,8 @@ func (k *Kernel) peerDied(peer string) {
 	}
 	k.deadPeers[peer] = true
 	fn := k.onFailover
-	alive := make([]string, 0, len(k.lastSeen))
-	for p := range k.lastSeen {
+	alive := make([]string, 0, len(k.probes))
+	for p := range k.probes {
 		if p != peer && !k.deadPeers[p] {
 			alive = append(alive, p)
 		}

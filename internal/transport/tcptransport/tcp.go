@@ -115,7 +115,7 @@ func WithWriteTimeout(d time.Duration) Option {
 }
 
 // Stats counts a node's traffic since Listen. Frames over writes (reads)
-// is how far the send (receive) path coalesces; FramesQueued is how many
+// is how many frames one socket write (read) carries; FramesQueued is how many
 // frames took the outbox rather than the caller's own write.
 type Stats struct {
 	FramesSent   int64 // frames wholly handed to the kernel
