@@ -106,17 +106,17 @@ func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (ui
 			return 0, nil, fmt.Errorf("dps: graph %q: collection %q is not mapped", g.name, n.tc.Name())
 		}
 	}
-	count := entryNode.tc.ThreadCount()
-	ct := rt.credit(g, g.entry, count)
-	thread := entryNode.route.pick(tok, RouteCtx{ThreadCount: count, Seq: 0, Outstanding: ct.OutstandingFunc()})
-	if thread < 0 || thread >= count {
-		return 0, nil, fmt.Errorf("dps: graph %q: entry route %q returned thread %d of %d", g.name, entryNode.route.Name(), thread, count)
+	thread, err := rt.routeThread(g, g.entry, tok, 0)
+	if err != nil {
+		return 0, nil, fmt.Errorf("dps: graph %q: entry %w", g.name, err)
 	}
 	id, ce, err := app.registerCall(ctx, rt)
 	if err != nil {
 		return 0, nil, fmt.Errorf("dps: graph %q: %w", g.name, err)
 	}
-	env := getEnvelope()
+	// The entry envelope lives on this stack, borrowed by the send like an
+	// execution's post (Ctx.postOut).
+	var env envelope
 	env.Graph = g
 	env.Node = g.entry
 	env.Thread = thread
@@ -133,7 +133,7 @@ func (g *Flowgraph) startCall(ctx context.Context, origin string, tok Token) (ui
 		env.TraceID = id
 		rt.traceSpan(id, "post", g.name, ce.start, 0)
 	}
-	if err := rt.routeSafe(env, entryNode.tc, thread); err != nil {
+	if err := rt.routeSafe(&env, entryNode.tc, thread); err != nil {
 		app.completeCall(id, CallResult{Err: err})
 	}
 	return id, ce, nil

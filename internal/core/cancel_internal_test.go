@@ -380,3 +380,75 @@ func TestCancelUnwindDuringBookkeeping(t *testing.T) {
 		t.Fatalf("application failed: %v", err)
 	}
 }
+
+// TestCancelCountsDroppedTokens: the tokens of a canceled call left queued
+// behind another call's blocked execution are discarded unexecuted when
+// their turn comes, each counted once in Stats.TokensDropped.
+func TestCancelCountsDroppedTokens(t *testing.T) {
+	app, err := NewLocalApp(Config{}, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	main, work := MustCollection[struct{}](app, "drop-main"), MustCollection[struct{}](app, "drop-work")
+	for _, tc := range []*ThreadCollection{main, work} {
+		if err := tc.Map("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const queued = 5
+	hold, posted := make(chan struct{}), make(chan struct{}, 1)
+	var ran atomic.Int64
+	// A call of N posts N tokens, or one that blocks its leaf for N = 0.
+	split := Split[*nestTok, *nestTok]("drop-split", func(c *Ctx, in *nestTok, post func(*nestTok)) {
+		if in.N == 0 {
+			post(&nestTok{N: -1})
+			return
+		}
+		for i := 0; i < in.N; i++ {
+			post(&nestTok{N: i})
+		}
+		posted <- struct{}{}
+	})
+	leaf := Leaf[*nestTok, *nestTok]("drop-leaf", func(c *Ctx, in *nestTok) *nestTok {
+		if in.N < 0 {
+			<-hold
+		} else {
+			ran.Add(1)
+		}
+		return in
+	})
+	merge := Merge[*nestTok, *nestSum]("drop-merge", func(c *Ctx, first *nestTok, next func() (*nestTok, bool)) *nestSum {
+		n := 1
+		for _, ok := next(); ok; _, ok = next() {
+			n++
+		}
+		return &nestSum{Sum: n}
+	})
+	g, err := app.NewFlowgraph("drop", Path(NewNode(split, main, MainRoute()), NewNode(leaf, work, MainRoute()), NewNode(merge, main, MainRoute())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker, err := g.CallAsync(context.Background(), &nestTok{N: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	canceled, err := g.CallAsync(ctx, &nestTok{N: queued})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-posted // every token of the second call waits behind the blocked leaf
+	cancel()
+	if res := <-canceled; !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("canceled call returned %v, want context.Canceled", res.Err)
+	}
+	close(hold)
+	if res := <-blocker; res.Err != nil || res.Value.(*nestSum).Sum != 1 {
+		t.Fatalf("blocking call returned %v, %v", res.Value, res.Err)
+	}
+	waitGroupsReaped(t, app)
+	if got := app.Stats().TokensDropped; got != queued || ran.Load() != 0 {
+		t.Fatalf("TokensDropped = %d with %d of the canceled call's tokens executed, want %d and none", got, ran.Load(), queued)
+	}
+}

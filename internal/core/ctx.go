@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -16,11 +17,13 @@ import (
 // its window on one main thread.
 //
 // A Ctx and the post function handed to a body belong to the goroutine
-// running that body: posting from another goroutine, or after the body
-// returned, is not supported. The rule makes each split group's
-// flow-control gate single-poster — only the opener's execution acquires
-// slots on it (pushGroupFrame), acknowledgements only release them — so a
-// gate never has two waiters and needs no policy for ordering them.
+// running that body: posting from another goroutine is not supported, and
+// a post, next, CallGraph or GroupIndex after the body returned panics
+// with "dps: Ctx used after its operation returned". The rule makes each
+// split group's flow-control gate single-poster — only the opener's
+// execution acquires slots on it (pushGroupFrame), acknowledgements only
+// release them — so a gate never has two waiters and needs no policy for
+// ordering them.
 type Ctx struct {
 	rt    *Runtime
 	inst  *threadInstance
@@ -51,6 +54,18 @@ type Ctx struct {
 	// The drainer role's own corked frames are the role's to let go
 	// (noteCork).
 	corked bool
+}
+
+// errStaleCtx is what a Ctx used after its execution returned panics with.
+var errStaleCtx = errors.New("dps: Ctx used after its operation returned")
+
+// live panics with errStaleCtx, before anything is touched, once the Ctx's
+// execution has returned (it drops its envelope then): a stale Ctx must
+// neither post into nor unlock for the execution running by that time.
+func (c *Ctx) live() {
+	if c.env == nil {
+		panic(errStaleCtx)
+	}
 }
 
 // yieldInstLock releases the thread's FIFO execution lock because the
@@ -143,6 +158,7 @@ func (c *Ctx) App() *App { return c.rt.app }
 // GroupIndex returns the index of the current input token within its group
 // (the posting order assigned by the split), or -1 outside a group.
 func (c *Ctx) GroupIndex() int {
+	c.live()
 	if fr, ok := c.env.topFrame(); ok {
 		return fr.Index
 	}
@@ -158,6 +174,7 @@ func (c *Ctx) GroupIndex() int {
 // like CallFrom, the execution waiting for the result watches that context
 // itself (awaitCall), with the thread released meanwhile.
 func (c *Ctx) CallGraph(g *Flowgraph, tok Token) (Token, error) {
+	c.live()
 	origin := c.rt.name
 	if g.app != c.rt.app {
 		// Foreign application: its result returns to its own master node
@@ -201,6 +218,7 @@ func (c *Ctx) checkCanceled() {
 // push a frame of their group (blocking on the flow-control gate), and
 // merges pop the completed group's frame.
 func (c *Ctx) postOut(tok Token) {
+	c.live()
 	if tok == nil {
 		panic(opError{fmt.Errorf("posted nil token")})
 	}
@@ -216,7 +234,7 @@ func (c *Ctx) postOut(tok Token) {
 	// The output's frame stack is the part of the input's it carries on
 	// plus, for an opener, the frame of the group being posted into. It is
 	// copied into the output's envelope below, never shared with the input's.
-	carried := c.env.Frames
+	carried := c.env.frames()
 	var pushed []frame
 	lastWorker, creditNode := -1, -1
 	switch c.node.op.kind {
@@ -263,17 +281,21 @@ func (c *Ctx) postOut(tok Token) {
 		default:
 			panic(opError{fmt.Errorf("no group frame routing into %s %q", succNode.op.kind, succNode.op.name)})
 		}
-	} else {
-		thread = c.pickRoute(succNode, tok, seq, succ)
+	} else if thread, err = c.rt.routeThread(g, succ, tok, seq); err != nil {
+		panic(opError{err})
 	}
 
+	// An opener's post to a leaf is charged to the leaf's credit tracker,
+	// which its route reads; a fixed route reads none, so none is charged.
 	isOpenerPost := c.node.op.kind == KindSplit || c.node.op.kind == KindStream
-	if isOpenerPost && succNode.op.kind == KindLeaf {
+	if isOpenerPost && succNode.op.kind == KindLeaf && !succNode.route.fixed {
 		c.rt.credit(g, succ, succNode.tc.ThreadCount()).Charge(thread)
 		lastWorker, creditNode = thread, succ
 	}
 
-	env := getEnvelope()
+	// The output envelope lives on this stack: routeToken borrows it, and a
+	// by-pointer delivery takes a pooled copy (link.sendToken).
+	var env envelope
 	env.Graph = g
 	env.Node = succ
 	env.Thread = thread
@@ -281,7 +303,8 @@ func (c *Ctx) postOut(tok Token) {
 	env.CallOrigin = c.env.CallOrigin
 	env.LastWorker = lastWorker
 	env.CreditNode = creditNode
-	env.Frames = append(append(env.frameStack(len(carried)+len(pushed)), carried...), pushed...)
+	fs := env.newFrames(len(carried) + len(pushed))
+	copy(fs[copy(fs, carried):], pushed)
 	env.Token = tok
 	env.ftSender = c.inst.ft        // nil unless fault tolerance is enabled
 	env.ftInStream = c.env.FTStream // the execution's input stream (determinant)
@@ -293,24 +316,9 @@ func (c *Ctx) postOut(tok Token) {
 		env.TraceID = c.env.TraceID
 		c.rt.traceSpan(env.TraceID, "post", c.node.op.name, time.Now().UnixNano(), 0)
 	}
-	if c.rt.routeToken(env, succNode.tc, thread, txCorked) {
+	if c.rt.routeToken(&env, succNode.tc, thread, txCorked) {
 		c.noteCork()
 	}
-}
-
-// pickRoute evaluates a node's routing function with bounds checking.
-func (c *Ctx) pickRoute(succNode *GraphNode, tok Token, seq int, succID int) int {
-	count := succNode.tc.ThreadCount()
-	if count == 0 {
-		panic(opError{fmt.Errorf("collection %q is not mapped", succNode.tc.Name())})
-	}
-	ct := c.rt.credit(c.graph, succID, count)
-	rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()}
-	idx := succNode.route.pick(tok, rc)
-	if idx < 0 || idx >= count {
-		panic(opError{fmt.Errorf("route %q returned thread %d for collection %q of %d threads", succNode.route.Name(), idx, succNode.tc.Name(), count)})
-	}
-	return idx
 }
 
 // pushGroupFrame allocates the next index in the execution's open group,
@@ -324,18 +332,10 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 	}
 	sg.mu.Lock()
 	if sg.mergeThread < 0 {
-		closerNode := sg.graph.nodes[sg.closer]
-		count := closerNode.tc.ThreadCount()
-		if count == 0 {
+		mt, err := c.rt.routeThread(sg.graph, sg.closer, tok, seq)
+		if err != nil {
 			sg.mu.Unlock()
-			panic(opError{fmt.Errorf("collection %q is not mapped", closerNode.tc.Name())})
-		}
-		ct := c.rt.credit(sg.graph, sg.closer, count)
-		rc := RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()}
-		mt := closerNode.route.pick(tok, rc)
-		if mt < 0 || mt >= count {
-			sg.mu.Unlock()
-			panic(opError{fmt.Errorf("route %q returned thread %d for collection %q of %d threads", closerNode.route.Name(), mt, closerNode.tc.Name(), count)})
+			panic(opError{err})
 		}
 		sg.mergeThread = mt
 	}
@@ -393,6 +393,7 @@ func (c *Ctx) pushGroupFrame(tok Token, seq int) frame {
 // nextIn yields the next token of the group consumed by a merge/stream
 // execution, acknowledging consumption to the split side.
 func (c *Ctx) nextIn() (Token, bool) {
+	c.live()
 	mg := c.mg
 	if mg == nil {
 		panic(opError{fmt.Errorf("dps: %s %q must not call next", c.node.op.kind, c.node.op.name)})

@@ -42,7 +42,7 @@ func TestDeepFrameStackThroughEveryKind(t *testing.T) {
 	// note records the depth and storage of the executing operation's input
 	// stack, checking the storage rule on the way.
 	note := func(c *Ctx, want int) {
-		fr := c.env.Frames
+		fr := c.env.frames()
 		if len(fr) != want {
 			t.Errorf("%s %q runs with %d frames, want %d", c.node.op.kind, c.node.op.name, len(fr), want)
 		}

@@ -605,6 +605,7 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 			rt.traceSpan(traceID, "replay", e.Dst.Collection, time.Now().UnixNano(), 0)
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
+		defer putEnvelope(env) // sendToken borrows it
 		rt.lnk.sendToken(env, to, place.Direct, txSend)
 	case ft.EntryGroupEnd:
 		m, err := decodeGroupEndFT(e.Bytes[1:], rt.app.ids.load())

@@ -192,8 +192,8 @@ func (rt *Runtime) openGroup(c *Ctx, opener int, sg *splitGroup) *splitGroup {
 	var outer *frame
 	switch c.node.op.kind {
 	case KindStream:
-		if n := len(c.env.Frames); n >= 2 {
-			outer = &c.env.Frames[n-2]
+		if fs := c.env.frames(); len(fs) >= 2 {
+			outer = &fs[len(fs)-2]
 		}
 	default:
 		if fr, ok := c.env.topFrame(); ok {
@@ -313,6 +313,7 @@ func (rt *Runtime) ackConsumed(bt bufferedToken) {
 // split-side window slot and load-balancing credit release and the group
 // can be reaped; the call's entry token (no frames yet) needs no ack.
 func (rt *Runtime) dropEnvelope(env *envelope) {
+	atomic.AddInt64(&rt.stats.TokensDropped, 1)
 	if fr, ok := env.topFrame(); ok {
 		rt.ackConsumed(bufferedToken{
 			lastWorker: env.LastWorker,
@@ -334,6 +335,7 @@ func (rt *Runtime) retireMergeGroup(inst *threadInstance, mg *mergeGroup, groupI
 	buf, mg.buf = mg.buf, buf
 	mg.mu.Unlock()
 	for buf.Len() > 0 {
+		atomic.AddInt64(&rt.stats.TokensDropped, 1)
 		rt.ackConsumed(buf.Pop())
 	}
 	inst.mu.Lock()

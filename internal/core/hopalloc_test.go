@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -191,10 +192,10 @@ func TestCallWatcherAllocations(t *testing.T) {
 // TestRetainedCtxStaysWithItsExecution: the one object an execution allocates
 // is the Ctx its body is handed, and it is never reused — so a body that
 // keeps the pointer (or the post function bound to it) past its return holds
-// a finished execution and nothing else. A stale post does what it did
-// before executions lived inside their Ctx: it finds the execution's
-// envelope gone and panics in the caller's goroutine; it cannot post into
-// the call that is running by then.
+// a finished execution and nothing else. A stale post finds the execution's
+// envelope gone and panics in the caller's goroutine with errStaleCtx
+// before it touches anything; it cannot post into the call that is running
+// by then.
 func TestRetainedCtxStaysWithItsExecution(t *testing.T) {
 	reg := serial.NewRegistry()
 	if err := serial.Register[hopTok](reg); err != nil {
@@ -250,19 +251,140 @@ func TestRetainedCtxStaysWithItsExecution(t *testing.T) {
 		t.Fatalf("the finished execution's Ctx reads call %d, input %v, envelope %p; want its own call and input and no envelope",
 			stale.c.callID, stale.c.in, stale.c.env)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("a post through a finished execution's Ctx went somewhere")
-			}
-		}()
-		stale.post(&hopTok{N: 666})
-	}()
+	for what, use := range map[string]func(){
+		"post":       func() { stale.post(&hopTok{N: 666}) },
+		"GroupIndex": func() { stale.c.GroupIndex() },
+	} {
+		if r := staleUse(use); r != errStaleCtx {
+			t.Errorf("%s through a finished execution's Ctx panicked with %v, want %q", what, r, errStaleCtx)
+		}
+	}
 	close(release)
 	if out := <-second; out == nil || out.(*hopTok).N != 20 {
 		t.Fatalf("the running call returned %v, want its own result", out)
 	}
 	if err := app.Err(); err != nil {
 		t.Fatalf("the stale post failed the application: %v", err)
+	}
+}
+
+// staleUse runs use and returns what it panicked with.
+func staleUse(use func()) (r any) {
+	defer func() { r = recover() }()
+	use()
+	return nil
+}
+
+// TestStaleCtxCallGraphStartsNoCall: CallGraph through a finished
+// execution's Ctx panics with errStaleCtx before it starts anything. It
+// used to start a real call and then unlock the thread's execution lock
+// under the execution running by then, so the next queued execution ran
+// beside it.
+func TestStaleCtxCallGraphStartsNoCall(t *testing.T) {
+	app, err := NewLocalApp(Config{}, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	keep, other := MustCollection[struct{}](app, "stale-keep"), MustCollection[struct{}](app, "stale-other")
+	for _, tc := range []*ThreadCollection{keep, other} {
+		if err := tc.Map("a"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var targetRuns atomic.Int64
+	target, err := app.NewFlowgraph("stale-target", Path(NewNode(Leaf[*hopTok, *hopTok]("stale-target", func(c *Ctx, in *hopTok) *hopTok {
+		targetRuns.Add(1)
+		return in
+	}), other, MainRoute())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first *Ctx
+	entered, release, ranThird := make(chan struct{}), make(chan struct{}), make(chan struct{}, 1)
+	g, err := app.NewFlowgraph("stale-keep", Path(NewNode(Leaf[*hopTok, *hopTok]("stale-keeper", func(c *Ctx, in *hopTok) *hopTok {
+		switch in.N {
+		case 1:
+			first = c
+		case 2:
+			entered <- struct{}{}
+			<-release
+		case 3:
+			ranThird <- struct{}{}
+		}
+		return in
+	}), keep, MainRoute())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Call(context.Background(), &hopTok{N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	live, err := g.CallAsync(context.Background(), &hopTok{N: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	third, err := g.CallAsync(context.Background(), &hopTok{N: 3}) // queued behind the live execution
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := app.Stats().CallsAdmitted
+	if r := staleUse(func() { first.CallGraph(target, &hopTok{N: 666}) }); r != errStaleCtx {
+		t.Fatalf("CallGraph through a finished execution's Ctx panicked with %v, want %q", r, errStaleCtx)
+	}
+	if got := app.Stats().CallsAdmitted; got != admitted || targetRuns.Load() != 0 {
+		t.Fatalf("the stale CallGraph admitted %d call(s) and ran the target %d time(s), want none", got-admitted, targetRuns.Load())
+	}
+	select {
+	case <-ranThird:
+		t.Fatal("the next queued execution ran beside the live one: the stale CallGraph released the thread's lock")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	for _, ch := range []<-chan CallResult{live, third} {
+		if res := <-ch; res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if err := app.Err(); err != nil {
+		t.Fatalf("the stale CallGraph failed the application: %v", err)
+	}
+}
+
+// TestHopPoolEnvelopeDraws: a leaf hop draws one envelope, the receiver's,
+// decoded from its frame; the post's own lives on the poster's stack and
+// the send only borrows it (it used to draw one more there and put it back
+// once serialized). Three inproc nodes under ForceSerialize, so every hop
+// crosses a transport; counted as the difference between graphs of one and
+// two leaves.
+func TestHopPoolEnvelopeDraws(t *testing.T) {
+	reg := serial.NewRegistry()
+	if err := serial.Register[hopTok](reg); err != nil {
+		t.Fatal(err)
+	}
+	app, err := NewLocalApp(Config{ForceSerialize: true, Registry: reg}, "a", "b", "c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(app.Close)
+	var draws atomic.Int64
+	count := func() { draws.Add(1) }
+	envelopeGetHook.Store(&count)
+	t.Cleanup(func() { envelopeGetHook.Store(nil) })
+	const calls = 100
+	perCall := func(leaves int) int64 {
+		g := hopGraph(t, app, leaves, 1)
+		before := draws.Load()
+		for i := 0; i < calls; i++ {
+			if _, err := g.Call(context.Background(), &hopTok{N: 7}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return draws.Load() - before
+	}
+	one, two := perCall(1), perCall(2)
+	if got := float64(two-one) / calls; got != 1 {
+		t.Errorf("one more leaf hop draws %.2f envelopes, want 1 (a call of one leaf draws %.2f)", got, float64(one)/calls)
 	}
 }

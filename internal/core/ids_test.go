@@ -316,8 +316,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 	n0, n1 := testNode(ids, "n0"), testNode(ids, "n1")
 	for frames := 0; frames <= inlineFrames+1; frames++ {
 		e := &envelope{Graph: g, Node: 2, Thread: 1, CallID: 1 << 60, CallOrigin: n0, LastWorker: -1, CreditNode: 1}
-		for i := 0; i < frames; i++ {
-			e.Frames = append(e.Frames, frame{GroupID: 1<<48 | uint64(i), Index: 4999, Origin: n1, MergeThread: i})
+		fs := e.newFrames(frames)
+		for i := range fs {
+			fs[i] = frame{GroupID: 1<<48 | uint64(i), Index: 4999, Origin: n1, MergeThread: i}
 		}
 		f.Add(append(appendEnvelopeHeader(nil, e), "payload"...))
 	}
@@ -339,7 +340,7 @@ func FuzzDecodeEnvelope(f *testing.F) {
 				return
 			}
 			defer putEnvelope(e)
-			if n := cap(e.Frames); n > inlineFrames && n > len(body)/minFrameLen {
+			if n := cap(e.frames()); n > inlineFrames && n > len(body)/minFrameLen {
 				t.Fatalf("%d bytes bought a stack of %d frames", len(body), n)
 			}
 			if again := append(appendEnvelopeHeader(nil, e), e.Payload...); !bytes.Equal(again, b) {

@@ -38,7 +38,13 @@ func sameOnWire(a, b *envelope) bool {
 	return a.Graph == b.Graph && a.Node == b.Node && a.Thread == b.Thread &&
 		a.CallID == b.CallID && a.CallOrigin == b.CallOrigin &&
 		a.LastWorker == b.LastWorker && a.CreditNode == b.CreditNode &&
-		slices.Equal(a.Frames, b.Frames) && bytes.Equal(a.Payload, b.Payload)
+		slices.Equal(a.frames(), b.frames()) && bytes.Equal(a.Payload, b.Payload)
+}
+
+// withFrames sets e's frame stack to a copy of fs and returns e.
+func withFrames(e *envelope, fs ...frame) *envelope {
+	copy(e.newFrames(len(fs)), fs)
+	return e
 }
 
 // encodeEnvelopeHeader, encodeGroupEnd, encodeAck and encodeResult encode
@@ -62,8 +68,9 @@ func TestEnvelopeHeaderRoundTrip(t *testing.T) {
 			LastWorker: 2,
 			CreditNode: 5,
 		}
-		for i := 0; i < nframes; i++ {
-			in.Frames = append(in.Frames, frame{GroupID: uint64(42 + i), Index: 9 - i, Origin: testNode(ids, "node"+string(rune('A'+i))), MergeThread: i % 2})
+		fs := in.newFrames(nframes)
+		for i := range fs {
+			fs[i] = frame{GroupID: uint64(42 + i), Index: 9 - i, Origin: testNode(ids, "node"+string(rune('A'+i))), MergeThread: i % 2}
 		}
 		payload := []byte{0xde, 0xad, 0xbe, 0xef}
 		buf := append(encodeEnvelopeHeader(in), payload...)
@@ -79,7 +86,7 @@ func TestEnvelopeHeaderRoundTrip(t *testing.T) {
 			t.Fatalf("%d frames: got %+v want %+v", nframes, out, in)
 		}
 		// The decoder fills the envelope's own array while the stack fits.
-		if inline := nframes > 0 && &out.Frames[0] == &out.inline[0]; inline != (nframes > 0 && nframes <= inlineFrames) {
+		if inline := nframes > 0 && &out.frames()[0] == &out.inline[0]; inline != (nframes > 0 && nframes <= inlineFrames) {
 			t.Errorf("%d frames decoded into the inline array: %v", nframes, inline)
 		}
 		putEnvelope(out)
@@ -97,8 +104,8 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 			CallOrigin: testNode(ids, origin),
 			LastWorker: int(lw),
 			CreditNode: int(cn),
-			Frames:     []frame{{GroupID: gid, Index: int(idx), Origin: testNode(ids, fo), MergeThread: int(mt)}},
 		}
+		withFrames(in, frame{GroupID: gid, Index: int(idx), Origin: testNode(ids, fo), MergeThread: int(mt)})
 		buf := append(encodeEnvelopeHeader(in), payload...)
 		out, err := decodeEnvelope(buf[1:], ids)
 		if err != nil {
@@ -154,7 +161,7 @@ func TestResultRoundTrip(t *testing.T) {
 
 func TestDecodeTruncatedMessages(t *testing.T) {
 	ids := idTable{}
-	in := &envelope{Graph: testGraph(ids, "graph-name"), CallOrigin: testNode(ids, "origin"), Frames: []frame{{Origin: testNode(ids, "o")}}}
+	in := withFrames(&envelope{Graph: testGraph(ids, "graph-name"), CallOrigin: testNode(ids, "origin")}, frame{Origin: testNode(ids, "o")})
 	full := encodeEnvelopeHeader(in)
 	for cut := 1; cut < len(full)-1; cut++ {
 		if _, err := decodeEnvelope(full[1:cut], ids); err == nil {

@@ -254,34 +254,38 @@ func (l *link) tokenFrame(env *envelope, lane place.Lane) ([]byte, error) {
 	return enc.AppendTo(append(getWireBuf(&l.rt.stats, len(head)+enc.Len()), head...)), nil
 }
 
-// sendToken moves an envelope to the node hosting its destination thread:
-// by pointer inside an address space, bypassing the communication layer
-// (paper §4), serialized into a pooled wire buffer otherwise. The envelope
-// is consumed either way. lane is place.Forwarded when a relay re-sends an
-// arrival to the thread's current owner; tx is txCorked for an operation
-// execution's post, txSend otherwise. It reports whether the frame waits
-// corked in the transport.
+// sendToken moves the token env carries to the node hosting its destination
+// thread: by pointer inside an address space, bypassing the communication
+// layer (paper §4), serialized into a pooled wire buffer otherwise. The
+// envelope is borrowed: sendToken only reads it, and the caller keeps it —
+// an execution's post builds it on its stack (Ctx.postOut) — so a by-pointer
+// delivery hands the receiving runtime a pooled copy. lane is
+// place.Forwarded when a relay re-sends an arrival to the thread's current
+// owner; tx is txCorked for an operation execution's post, txSend
+// otherwise. It reports whether the frame waits corked in the transport.
 func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) bool {
 	stats := &l.rt.stats
 	atomic.AddInt64(&stats.TokensPosted, 1)
 	rt, wire := l.route(msgToken, dst)
 	if rt != nil {
+		tok := env.Token
 		if l.force {
 			// ForceSerialize: full marshalling, then local delivery.
-			tok, err := l.roundTrip(env.Token)
-			if err != nil {
+			var err error
+			if tok, err = l.roundTrip(tok); err != nil {
 				panic(opError{err})
 			}
-			env.Token = tok
 		} else {
 			atomic.AddInt64(&stats.TokensLocal, 1)
-			env.ftWire = nil // the retention log keeps its own copy
 		}
-		rt.deliverToken(env, l.name, lane)
+		d := getEnvelope()
+		*d = *env
+		d.Token = tok
+		d.ftWire = nil // the retention log keeps its own copy
+		rt.deliverToken(d, l.name, lane)
 		return false
 	}
 	if !wire {
-		putEnvelope(env)
 		return false
 	}
 	buf, err := l.tokenFrame(env, lane)
@@ -289,7 +293,6 @@ func (l *link) sendToken(env *envelope, dst string, lane place.Lane, tx txMode) 
 		panic(opError{fmt.Errorf("dps: cannot serialize %T: %w", env.Token, err)})
 	}
 	atomic.AddInt64(&stats.TokensRemote, 1)
-	putEnvelope(env)
 	return l.transmit(dst, buf, tx)
 }
 

@@ -317,6 +317,7 @@ func (rt *Runtime) forwardItem(it *placeItem, target string) {
 		if it.env.TraceID != 0 {
 			rt.traceSpan(it.env.TraceID, "forward", target, time.Now().UnixNano(), 0)
 		}
+		defer putEnvelope(it.env) // sendToken borrows it
 		rt.lnk.sendToken(it.env, target, place.Forwarded, txSend)
 	case it.ge != nil:
 		atomic.AddInt64(&rt.stats.TokensForwarded, 1)

@@ -8,14 +8,19 @@ import (
 
 // Pools for the two per-token allocations of the dispatch hot path: the
 // envelope wrapper and the wire buffer. Envelopes cycle strictly inside one
-// process (posted -> dispatched -> executed -> recycled).
+// process (delivered -> dispatched -> executed -> recycled); a post's own
+// envelope is not drawn from here but built on the poster's stack and
+// borrowed by the send (link.sendToken), so a hop draws one envelope: the
+// receiver's, decoded from the frame or copied for a by-pointer delivery.
 //
 // Wire buffers come in power-of-two classes from minPooledWireBuf to
 // maxClassedWireBuf, plus one pool for everything larger. A draw names the
 // length of the frame about to be built and comes from the smallest class
 // that holds it, so a 40-byte ack never carries off a buffer a large token
 // left behind; a miss allocates the class's full capacity, so the buffer
-// files back under the same class.
+// files back under the same class. A classed buffer is pooled as a pointer
+// to an array of the class's size, one pool operation per get or put;
+// holders (wireBufHolders) exist only for the buffers above 32 KiB.
 //
 // A wire buffer has one owner at a time until it dies, and whoever reads it
 // last returns it here, exactly once:
@@ -44,14 +49,21 @@ import (
 
 var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 
+// envelopeGetHook, set only by tests, sees every envelope draw.
+var envelopeGetHook atomic.Pointer[func()]
+
 // getEnvelope returns a zeroed envelope.
 func getEnvelope() *envelope {
+	if hook := envelopeGetHook.Load(); hook != nil {
+		(*hook)()
+	}
 	return envelopePool.Get().(*envelope)
 }
 
 // putEnvelope recycles an envelope whose execution has completed. Its frame
-// stack goes with it: no other envelope holds a slice of it (postOut copies
-// the frames an output carries on into the output's own envelope).
+// stack goes with it: the stack is held by value, and a spilled array is
+// never written once filled, so an envelope copied whole (link.sendToken)
+// may share it.
 func putEnvelope(e *envelope) {
 	*e = envelope{}
 	envelopePool.Put(e)
@@ -80,13 +92,14 @@ const (
 	maxPooledWireBuf = 8 << 20
 )
 
-// wireBufPools holds *[]byte, not []byte: putting a slice in a sync.Pool
-// boxes its header, one 24-byte allocation per put, and with the sender's
-// put added to the receiver's that is two per frame. The emptied holders
-// cycle through wireBufHolders instead (same run as above, every size kept:
-// boxed 137.3 allocs per call, holders 127.6). Index k < wireClasses holds
-// buffers of capacity minPooledWireBuf<<k up to (not including) the next
-// class; the last pool holds every buffer above maxClassedWireBuf.
+// wireBufPools[k] for k < wireClasses holds the buffers of class k as
+// pointers to arrays of the class's capacity, minPooledWireBuf<<k bytes: a
+// pointer goes into a sync.Pool as it is, so a get or a put is one pool
+// operation. A buffer between two classes is filed under the smaller and
+// comes back with that class's capacity. The last pool holds every buffer
+// above maxClassedWireBuf; their capacities vary, so it keeps *[]byte
+// holders, which cycle through wireBufHolders: putting a slice in a
+// sync.Pool would box its header, one 24-byte allocation per put.
 var (
 	wireBufPools   [wireClasses + 1]sync.Pool
 	wireBufHolders sync.Pool
@@ -109,11 +122,7 @@ func getWireBuf(st *Stats, n int) []byte {
 		k = bits.Len(uint(n-1)) - bits.Len(minPooledWireBuf-1)
 	}
 	if v := wireBufPools[k].Get(); v != nil {
-		h := v.(*[]byte)
-		b := *h
-		*h = nil
-		wireBufHolders.Put(h)
-		if cap(b) >= n { // only a buffer of the unclassed pool can be short
+		if b := pooledWireBuf(v); cap(b) >= n { // only a buffer of the unclassed pool can be short
 			return b
 		}
 	}
@@ -122,6 +131,29 @@ func getWireBuf(st *Stats, n int) []byte {
 		n = minPooledWireBuf << k
 	}
 	return make([]byte, 0, n)
+}
+
+// pooledWireBuf is the empty buffer a wire pool entry holds.
+func pooledWireBuf(v any) []byte {
+	switch p := v.(type) {
+	case *[minPooledWireBuf << 0]byte:
+		return p[:0]
+	case *[minPooledWireBuf << 1]byte:
+		return p[:0]
+	case *[minPooledWireBuf << 2]byte:
+		return p[:0]
+	case *[minPooledWireBuf << 3]byte:
+		return p[:0]
+	case *[minPooledWireBuf << 4]byte:
+		return p[:0]
+	case *[minPooledWireBuf << 5]byte:
+		return p[:0]
+	}
+	h := v.(*[]byte)
+	b := *h
+	*h = nil
+	wireBufHolders.Put(h)
+	return b
 }
 
 // putWireBuf recycles a wire buffer once its bytes are fully consumed,
@@ -135,14 +167,28 @@ func putWireBuf(b []byte) {
 	if c < minPooledWireBuf || c > maxPooledWireBuf {
 		return
 	}
-	k := wireClasses
-	if c <= maxClassedWireBuf {
-		k = bits.Len(uint(c)) - bits.Len(minPooledWireBuf)
+	if c > maxClassedWireBuf {
+		h, _ := wireBufHolders.Get().(*[]byte)
+		if h == nil {
+			h = new([]byte)
+		}
+		*h = b[:0]
+		wireBufPools[wireClasses].Put(h)
+		return
 	}
-	h, _ := wireBufHolders.Get().(*[]byte)
-	if h == nil {
-		h = new([]byte)
+	// The conversions cannot fail: a buffer of class k holds its capacity.
+	switch k := bits.Len(uint(c)) - bits.Len(minPooledWireBuf); k {
+	case 0:
+		wireBufPools[k].Put((*[minPooledWireBuf << 0]byte)(b[:minPooledWireBuf<<0]))
+	case 1:
+		wireBufPools[k].Put((*[minPooledWireBuf << 1]byte)(b[:minPooledWireBuf<<1]))
+	case 2:
+		wireBufPools[k].Put((*[minPooledWireBuf << 2]byte)(b[:minPooledWireBuf<<2]))
+	case 3:
+		wireBufPools[k].Put((*[minPooledWireBuf << 3]byte)(b[:minPooledWireBuf<<3]))
+	case 4:
+		wireBufPools[k].Put((*[minPooledWireBuf << 4]byte)(b[:minPooledWireBuf<<4]))
+	default:
+		wireBufPools[k].Put((*[minPooledWireBuf << 5]byte)(b[:minPooledWireBuf<<5]))
 	}
-	*h = b[:0]
-	wireBufPools[k].Put(h)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -82,5 +83,38 @@ func TestWireBufClasses(t *testing.T) {
 				t.Fatalf("a buffer of capacity %d was drawn for %d bytes", c.capacity, c.notFrom)
 			}
 		})
+	}
+}
+
+// TestHopPoolClassedWireBufCycle: a classed wire buffer is pooled as a
+// pointer to an array of its class's size, so putWireBuf files it with one
+// Put and getWireBuf takes it back with one Get — no holder drawn or
+// returned either way — whole: same bytes, the class's capacity, and
+// nothing allocated.
+func TestHopPoolClassedWireBufCycle(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector: which buffer a draw returns is left to chance")
+	}
+	for k := 0; k < wireClasses; k++ {
+		size := minPooledWireBuf << k
+		for wireBufPools[k].Get() != nil {
+		}
+		b := make([]byte, 0, size)
+		p := unsafe.SliceData(b[:1])
+		putWireBuf(b)
+		v := wireBufPools[k].Get()
+		if rv := reflect.ValueOf(v); rv.Kind() != reflect.Pointer || rv.Type().Elem() != reflect.ArrayOf(size, reflect.TypeOf(byte(0))) || rv.UnsafePointer() != unsafe.Pointer(p) {
+			t.Fatalf("class %d holds a %T, want the buffer itself as a *[%d]byte", k, v, size)
+		}
+		wireBufPools[k].Put(v)
+		st := &Stats{}
+		got := getWireBuf(st, size)
+		if unsafe.SliceData(got[:1]) != p || len(got) != 0 || cap(got) != size || st.WireBufMisses != 0 {
+			t.Fatalf("class %d drew len %d cap %d (the pooled buffer: %v, %d misses), want the pooled buffer empty with cap %d",
+				k, len(got), cap(got), unsafe.SliceData(got[:1]) == p, st.WireBufMisses, size)
+		}
+		if n := testing.AllocsPerRun(100, func() { putWireBuf(getWireBuf(st, size)) }); n != 0 {
+			t.Errorf("a get/put cycle of class %d allocates %.1f objects", k, n)
+		}
 	}
 }

@@ -25,6 +25,11 @@ type RouteCtx struct {
 type Route struct {
 	name string
 	pick func(tok Token, rc RouteCtx) int
+	// fixed marks a ToThread route, which always picks thread and is
+	// resolved from the Route alone (Runtime.routeThread): it has no pick
+	// function and reads no credits.
+	fixed  bool
+	thread int
 }
 
 // RouteFn builds a route from a function of the token and the routing
@@ -37,12 +42,11 @@ func RouteFn(name string, pick func(tok Token, rc RouteCtx) int) *Route {
 func (r *Route) Name() string { return r.name }
 
 // ToThread always routes to a fixed thread index; index 0 is the paper's
-// "main thread" route.
+// "main thread" route. A fixed-thread route reads no credits: the engine
+// keeps no load-balancing tracker for a node it routes to, and charges
+// none for the tokens a split posts there.
 func ToThread(i int) *Route {
-	return &Route{
-		name: fmt.Sprintf("to-thread-%d", i),
-		pick: func(Token, RouteCtx) int { return i },
-	}
+	return &Route{name: fmt.Sprintf("to-thread-%d", i), fixed: true, thread: i}
 }
 
 // MainRoute routes every token to thread 0 of the target collection.

@@ -213,6 +213,28 @@ func (rt *Runtime) credit(g *Flowgraph, node int, threads int) *flowctl.Credits 
 	return ct
 }
 
+// routeThread returns the thread the route of g's node id picks for tok,
+// the seq-th post of its execution, checked against the size of the node's
+// collection. A fixed route (ToThread) is resolved from the Route alone;
+// any other is handed the outstanding counts of the node's credit tracker,
+// whose only reader it is.
+func (rt *Runtime) routeThread(g *Flowgraph, id int, tok Token, seq int) (int, error) {
+	n := g.nodes[id]
+	count := n.tc.ThreadCount()
+	if count == 0 {
+		return 0, fmt.Errorf("collection %q is not mapped", n.tc.Name())
+	}
+	idx := n.route.thread
+	if !n.route.fixed {
+		ct := rt.credit(g, id, count)
+		idx = n.route.pick(tok, RouteCtx{ThreadCount: count, Seq: seq, Outstanding: ct.OutstandingFunc()})
+	}
+	if idx < 0 || idx >= count {
+		return 0, fmt.Errorf("route %q returned thread %d for collection %q of %d threads", n.route.Name(), idx, n.tc.Name(), count)
+	}
+	return idx, nil
+}
+
 // --- inbound traffic and failure hooks of the link layer -----------------
 
 // deliverToken hands an envelope (token decoded) to its destination thread
@@ -423,6 +445,7 @@ func (rt *Runtime) runCollector(it workItem, tk sched.Ticket) (still bool) {
 	if rt.app.callAborted(firstEnv.CallID) {
 		// Canceled while queued: never start the collector. Acknowledge
 		// the first token and retire the group's merge-side state.
+		atomic.AddInt64(&rt.stats.TokensDropped, 1)
 		rt.ackConsumed(first)
 		rt.retireMergeGroup(inst, mg, first.groupID)
 		c.env = nil

@@ -43,6 +43,10 @@ type Stats struct {
 	// their result arrived (context.DeadlineExceeded), attributed to the
 	// call's origin node.
 	CallsExpired int64
+	// TokensDropped counts the tokens of canceled calls discarded unexecuted
+	// on the node: on arrival, from a dispatch queue, or buffered for a merge
+	// group that is retired. Each is acknowledged as if consumed.
+	TokensDropped int64
 	// QueueHighWater is the deepest per-instance dispatch queue observed by
 	// the scheduler layer: the most tokens that ever waited for one thread
 	// (the queue has no cap). Aggregation takes the maximum, not the sum.

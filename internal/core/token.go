@@ -89,16 +89,19 @@ type envelope struct {
 	CallOrigin *Runtime
 	LastWorker int // thread index charged with this token for load balancing
 	CreditNode int // graph node whose credit tracker was charged, -1 if none
-	// Frames is the split-merge accounting stack, innermost group last. It
-	// is this envelope's alone — built by frameStack, never a slice of
-	// another envelope's — so recycling one envelope cannot touch the stack
-	// of another.
-	Frames  []frame
+
 	Token   Token // set on the local fast path
 	Payload []byte
 
-	// inline backs Frames while the stack fits (frameStack).
-	inline [inlineFrames]frame
+	// The split-merge accounting stack, innermost group last, is held by
+	// value (frames, newFrames): the first nframes entries of inline while
+	// they fit, spill beyond that. No field points into the envelope
+	// itself, so one can live on its poster's stack (Ctx.postOut) and be
+	// copied whole (link.sendToken), and recycling one envelope cannot
+	// touch the stack of another.
+	nframes int
+	inline  [inlineFrames]frame
+	spill   []frame
 
 	// FTStream / FTSeq identify the token on its sender stream when the
 	// fault-tolerance layer is enabled (zero otherwise): the receiver's
@@ -133,19 +136,30 @@ type envelope struct {
 	traceEnqNs int64
 }
 
-// frameStack returns an empty stack with room for n frames: the envelope's
-// own array when they fit, a heap array beyond that. The caller appends the
-// frames and stores the result in e.Frames.
-func (e *envelope) frameStack(n int) []frame {
-	if n <= len(e.inline) {
-		return e.inline[:0]
+// frames returns the envelope's frame stack, innermost group last.
+func (e *envelope) frames() []frame {
+	if e.nframes > inlineFrames {
+		return e.spill
 	}
-	return make([]frame, 0, n)
+	return e.inline[:e.nframes]
+}
+
+// newFrames replaces the frame stack with n frames for the caller to fill:
+// the envelope's own array when they fit, a heap array beyond that.
+func (e *envelope) newFrames(n int) []frame {
+	e.nframes = n
+	if n <= inlineFrames {
+		e.spill = nil
+		return e.inline[:n]
+	}
+	e.spill = make([]frame, n)
+	return e.spill
 }
 
 func (e *envelope) topFrame() (*frame, bool) {
-	if len(e.Frames) == 0 {
+	fs := e.frames()
+	if len(fs) == 0 {
 		return nil, false
 	}
-	return &e.Frames[len(e.Frames)-1], true
+	return &fs[len(fs)-1], true
 }

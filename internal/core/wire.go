@@ -290,8 +290,9 @@ func appendEnvelopeBody(b []byte, e *envelope) []byte {
 	b = appendUint64(b, e.CallID)
 	b = appendInt(b, e.LastWorker)
 	b = appendInt(b, e.CreditNode)
-	b = appendInt(b, len(e.Frames))
-	for _, f := range e.Frames {
+	fs := e.frames()
+	b = appendInt(b, len(fs))
+	for _, f := range fs {
 		b = appendID(b, f.Origin.id)
 		b = appendUint64(b, f.GroupID)
 		b = appendInt(b, f.Index)
@@ -327,13 +328,14 @@ func decodeEnvelopeInto(e *envelope, b []byte, ids idTable) error {
 	e.LastWorker = r.int()
 	e.CreditNode = r.int()
 	// The bytes present bound the count before anything is allocated for it.
+	var fs []frame
 	if n := r.int(); n < 0 || n > len(r.b)/minFrameLen {
 		r.fail("dps: implausible frame count %d", n)
 	} else {
-		e.Frames = e.frameStack(n)[:n]
+		fs = e.newFrames(n)
 	}
-	for i := range e.Frames {
-		f := &e.Frames[i]
+	for i := range fs {
+		f := &fs[i]
 		f.Origin = r.node(ids)
 		f.GroupID = r.uvarint()
 		f.Index = r.int()

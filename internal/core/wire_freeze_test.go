@@ -132,8 +132,8 @@ func TestFTStampLayout(t *testing.T) {
 func TestHeaderLayout(t *testing.T) {
 	g := &Flowgraph{id: 0x0102030405060708}
 	origin, split := &Runtime{id: 0x1112131415161718}, &Runtime{id: 0x2122232425262728}
-	env := &envelope{Graph: g, Node: 2, Thread: 1, CallID: 300, CallOrigin: origin, LastWorker: -1, CreditNode: 3,
-		Frames: []frame{{GroupID: 7, Index: 64, Origin: split, MergeThread: 0}}}
+	env := withFrames(&envelope{Graph: g, Node: 2, Thread: 1, CallID: 300, CallOrigin: origin, LastWorker: -1, CreditNode: 3},
+		frame{GroupID: 7, Index: 64, Origin: split, MergeThread: 0})
 	want := []byte{msgToken,
 		8, 7, 6, 5, 4, 3, 2, 1, // graph id
 		0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, // call origin id

@@ -174,7 +174,7 @@ func TestCorkSurvivesWriteInProgress(t *testing.T) {
 	p.busy = true
 	p.batch = append(p.batch, inFlight)
 	p.qBytes += len(inFlight)
-	if _, err := p.admitLocked(time.Now(), corked, true); err != nil {
+	if _, err := p.admitLocked(time.Since(a.start), corked, true); err != nil {
 		t.Fatal(err)
 	}
 	held := p.corked

@@ -105,7 +105,7 @@ type peer struct {
 	failed    error
 	hasWriter bool // the writer goroutine was started
 	streak    int
-	last      time.Time // of the previous Send
+	last      time.Duration // of the previous Send, since the node started
 	// corked counts the payload bytes SendCorked holds for an uncork.
 	// While it is non-zero every frame in q is a corked one, and no write
 	// takes them; a batch being written is not held back.
@@ -196,14 +196,14 @@ func (n *Node) Uncork() {
 
 func (n *Node) send(dst string, payload []byte, cork bool) error {
 	p := n.peer(dst)
-	now := time.Now()
+	now := time.Since(n.start)
 	p.mu.Lock()
 	inline, err := p.admitLocked(now, payload, cork)
 	p.mu.Unlock()
 	if !inline {
 		return err
 	}
-	if err = p.sendInline(payload, now); err == nil {
+	if err = p.sendInline(payload); err == nil {
 		n.released(payload)
 	}
 	p.mu.Lock()
@@ -216,7 +216,7 @@ func (n *Node) send(dst string, payload []byte, cork bool) error {
 // socket's owner and is to write the frame itself (inline), or the frame
 // has joined the outbox (nil), corked if cork allows it, or it is refused
 // with the outbox's error.
-func (p *peer) admitLocked(now time.Time, payload []byte, cork bool) (inline bool, err error) {
+func (p *peer) admitLocked(now time.Duration, payload []byte, cork bool) (inline bool, err error) {
 	n := p.n
 	streaming := p.noteSendLocked(now, len(payload))
 	for p.qBytes >= outboxCap && p.failed == nil && !n.closed.Load() {
@@ -317,10 +317,10 @@ func (p *peer) backstopFired() {
 	p.mu.Unlock()
 }
 
-// noteSendLocked records a Send at now and reports whether the destination
-// is being streamed to.
-func (p *peer) noteSendLocked(now time.Time, size int) bool {
-	if size > smallFrame || now.Sub(p.last) > streakGap {
+// noteSendLocked records a Send of size bytes at now, the time since the
+// node started, and reports whether the destination is being streamed to.
+func (p *peer) noteSendLocked(now time.Duration, size int) bool {
+	if size > smallFrame || now-p.last > streakGap {
 		p.streak = 0
 	} else if p.streak < streakLen {
 		p.streak++
@@ -339,11 +339,11 @@ func (p *peer) writableLocked() bool {
 
 // sendInline writes one frame as the socket's owner, retrying within the
 // budget like the writer does.
-func (p *peer) sendInline(payload []byte, now time.Time) error {
+func (p *peer) sendInline(payload []byte) error {
 	n := p.n
 	one := [1][]byte{payload}
 	for {
-		_, err := n.write(p, one[:], n.writeDeadline(now))
+		_, err := n.write(p, one[:], n.writeDeadline())
 		if err == nil || !IsTransient(err) {
 			return err
 		}
@@ -354,7 +354,6 @@ func (p *peer) sendInline(payload []byte, now time.Time) error {
 		if !n.sleep(d) {
 			return ErrClosed
 		}
-		now = time.Now()
 	}
 }
 
@@ -374,7 +373,7 @@ func (p *peer) exhausted(err error) error {
 // like the writer's own attempts, so a zero budget fails the outbox at once.
 func (p *peer) releaseLocked() {
 	if p.writableLocked() && !p.n.closed.Load() {
-		if _, err := p.flushOnceLocked(p.n.writeDeadline(time.Now())); err != nil {
+		if _, err := p.flushOnceLocked(p.n.writeDeadline()); err != nil {
 			p.failLocked(err)
 		}
 	}
@@ -430,7 +429,7 @@ func (p *peer) writeLoop() {
 func (p *peer) drainLocked() {
 	n := p.n
 	for !n.closed.Load() {
-		wrote, err := p.flushOnceLocked(n.writeDeadline(time.Now()))
+		wrote, err := p.flushOnceLocked(n.writeDeadline())
 		if !wrote {
 			return
 		}
@@ -627,12 +626,13 @@ func (n *Node) released(payloads ...[]byte) {
 	}
 }
 
-// writeDeadline is the deadline of a write starting at now; zero for none.
-func (n *Node) writeDeadline(now time.Time) time.Time {
+// writeDeadline is the deadline of a write starting now; zero for none. It
+// is the one wall-clock read of a Send.
+func (n *Node) writeDeadline() time.Time {
 	if n.writeTimeout <= 0 {
 		return time.Time{}
 	}
-	return now.Add(n.writeTimeout)
+	return time.Now().Add(n.writeTimeout)
 }
 
 // assemble lays frames out for one write: every header, and every payload

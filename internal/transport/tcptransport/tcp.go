@@ -139,6 +139,9 @@ type Node struct {
 	resolve      Resolver
 	retryBudget  time.Duration
 	writeTimeout time.Duration
+	// start is when the node was made; a Send reads its clock as the
+	// monotonic time since (time.Since), which costs half of time.Now.
+	start time.Time
 	// dial opens the socket to a resolved address; tests substitute
 	// scripted connections.
 	dial func(addr string) (net.Conn, error)
@@ -194,6 +197,7 @@ func Listen(name, addr string, resolve Resolver, opts ...Option) (*Node, error) 
 		resolve:      resolve,
 		retryBudget:  DefaultRetryBudget,
 		writeTimeout: DefaultWriteTimeout,
+		start:        time.Now(),
 		dial:         func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
 		done:         make(chan struct{}),
 		socks:        make(map[net.Conn]struct{}),
@@ -266,7 +270,7 @@ func (n *Node) peer(name string) *peer {
 	if p, ok := n.peers.Load(name); ok {
 		return p.(*peer)
 	}
-	p := &peer{n: n, name: name}
+	p := &peer{n: n, name: name, last: -streakGap - 1} // a first Send follows no other
 	p.cond.L = &p.mu
 	if prev, loaded := n.peers.LoadOrStore(name, p); loaded {
 		return prev.(*peer)
