@@ -103,25 +103,8 @@ func TestFTOptionErrors(t *testing.T) {
 	if _, err := dps.NewLocal(dps.WithCheckpoint(-time.Second)); err == nil {
 		t.Fatal("negative checkpoint interval accepted")
 	}
-	if _, err := dps.NewLocal(dps.WithSuspectGrace(-time.Second)); err == nil {
-		t.Fatal("negative suspect grace accepted")
-	}
-	if _, err := dps.NewLocal(dps.WithSuspectGrace(time.Second)); err == nil {
-		t.Fatal("WithSuspectGrace without WithCheckpoint accepted (there is no detector to grace)")
-	}
 	app := newApp(t, dps.WithNodes("a", "b"))
 	if err := app.FailNode("b"); err == nil {
 		t.Fatal("FailNode without WithCheckpoint accepted")
 	}
-}
-
-// TestWithSuspectGraceAccepted: the full option set composes — grace with
-// checkpointing builds and runs a trivial call.
-func TestWithSuspectGraceAccepted(t *testing.T) {
-	app := newApp(t,
-		dps.WithNodes("a", "b"),
-		dps.WithCheckpoint(5*time.Millisecond),
-		dps.WithSuspectGrace(100*time.Millisecond),
-	)
-	_ = app
 }

@@ -22,9 +22,6 @@ func buildConfig(opts []Option) (*config, error) {
 			return nil, err
 		}
 	}
-	if cfg.engine.SuspectGrace > 0 && cfg.engine.Checkpoint == 0 {
-		return nil, fmt.Errorf("dps: WithSuspectGrace requires WithCheckpoint (there is no failure detector to grace without the recovery layer)")
-	}
 	return cfg, nil
 }
 
@@ -97,25 +94,6 @@ func WithCheckpoint(interval time.Duration) Option {
 			return fmt.Errorf("dps: negative checkpoint interval %v", interval)
 		}
 		c.engine.Checkpoint = interval
-		return nil
-	}
-}
-
-// WithSuspectGrace sets the detector's suspect→confirm grace window: a
-// failing transport send is retried with capped exponential backoff and
-// jitter for up to this window before the destination may be declared
-// dead. Transient faults — a peer process restarting, a refused dial, a
-// partition that heals — are absorbed by the retries and never trigger a
-// failover; a real crash exhausts the window and recovers as usual, delayed
-// by at most the grace.
-// Requires WithCheckpoint (without the recovery layer there is no detector
-// to grace). Zero keeps the immediate-suspect behaviour.
-func WithSuspectGrace(window time.Duration) Option {
-	return func(c *config) error {
-		if window < 0 {
-			return fmt.Errorf("dps: negative suspect grace %v", window)
-		}
-		c.engine.SuspectGrace = window
 		return nil
 	}
 }

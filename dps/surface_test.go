@@ -26,7 +26,6 @@ var (
 		"ForceSerialize",
 		"MaxInFlightCalls",
 		"Registry",
-		"SuspectGrace",
 		"TraceSample",
 		"Window",
 	}
@@ -37,7 +36,6 @@ var (
 		"WithMaxInFlightCalls",
 		"WithNodes",
 		"WithRegistry",
-		"WithSuspectGrace",
 		"WithTraceSampling",
 		"WithWindow",
 	}

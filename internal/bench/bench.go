@@ -692,7 +692,7 @@ func Figure15(opt Options) (*Report, error) {
 // Chaos soaks two real workloads — the Figure 6 ring and the §5 Game of
 // Life — under seeded randomized fault schedules (delivery jitter,
 // transient send errors, healing partitions, node crashes) and reports
-// what the resilience stack absorbed: engine send retries, injected
+// what the resilience stack absorbed: transport send retries, injected
 // errors consumed, failovers, and crash-to-recovered latency. The
 // invariants are enforced inside the harness (internal/chaos): zero
 // failed calls, exactly one failover per crash, none for transients, and
@@ -754,7 +754,7 @@ func Chaos(opt Options) (*Report, error) {
 		Notes: []string{
 			"check (enforced in-harness): every call completes, transient faults cause zero failovers, every crash exactly one.",
 			"check (enforced in-harness): the life world after crash-recovery is byte-identical to an undisturbed replay.",
-			"recovery is bounded below by the suspect grace (250ms): detection is passive, a failing send must exhaust its retries.",
+			"detection is passive: a crash is seen at the first send to it; send errors and partitions are retried inside the simulated transport for up to 250ms and never reach the detector.",
 			"schedules are deterministic from the seed; rerun with the same -seed to reproduce a failure.",
 		},
 	}, nil

@@ -112,20 +112,16 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// Grace is the suspect→confirm window the chaos workloads configure
-// (core.Config.SuspectGrace); Random keeps every transient fault well
-// inside it so only crashes may surface as failovers.
-const Grace = 250 * time.Millisecond
-
 // Random derives a randomized schedule from a seed. nodes is the
 // workload's full node list with the master first; the master is never a
 // victim (its death is unrecoverable by design — it hosts calls and the
 // recovery coordinator). Up to crashes distinct non-master nodes die,
 // capped at len(nodes)-2 so at least one worker node survives. Transient
-// faults — jitter, send-error bursts, partitions healed within Grace —
-// land in the first part of span; crashes land after every partition has
-// healed, so a blocked injector can never stretch a partition past the
-// grace window.
+// faults — jitter, send-error bursts, partitions healed well within
+// transport.SimRetryBudget — land in the first part of span, so the
+// senders' retries absorb them and only crashes may surface as failovers;
+// crashes land after every partition has healed, so a blocked injector can
+// never stretch a partition past the retry budget.
 func Random(seed int64, nodes []string, span time.Duration, crashes int) Schedule {
 	if len(nodes) < 2 {
 		panic("chaos: need a master and at least one victim node")
@@ -171,14 +167,14 @@ func Random(seed int64, nodes []string, span time.Duration, crashes int) Schedul
 				a, b = b, a
 			}
 			// One partition window per pair, so windows never overlap and
-			// chain into an open stretch longer than the grace.
+			// chain into an open stretch longer than the retry budget.
 			if used[[2]string{a, b}] {
 				continue
 			}
 			used[[2]string{a, b}] = true
 			cut := at(0.05, 0.2)
-			// Healed in well under Grace, so the retrying senders get
-			// through before anyone is declared dead.
+			// Healed in well under the retry budget, so the retrying
+			// senders get through before anyone is declared dead.
 			heal := cut + time.Duration(30+rng.Intn(50))*time.Millisecond
 			faults = append(faults,
 				Fault{At: cut, Kind: Partition, A: a, B: b},

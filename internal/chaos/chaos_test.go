@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"testing"
 	"time"
+
+	"repro/internal/transport"
 )
 
 var testNodes = []string{"m0", "v1", "v2", "v3"}
@@ -26,8 +28,8 @@ func TestRandomScheduleShape(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		s := Random(seed, testNodes, 2*time.Second, 3)
 		// The master is never crashed or partitioned, crashes are capped so
-		// a victim survives, and every partition heals within Grace before
-		// the first crash.
+		// a victim survives, and every partition heals within the SimNodes'
+		// retry budget before the first crash.
 		crashed := map[string]bool{}
 		open := map[[2]string]time.Duration{}
 		var firstCrash time.Duration = 1 << 62
@@ -54,9 +56,9 @@ func TestRandomScheduleShape(t *testing.T) {
 				if !ok {
 					t.Fatalf("seed %d: heal without partition:\n%s", seed, s)
 				}
-				if f.At-cut >= Grace {
-					t.Fatalf("seed %d: partition of %s/%s open %v >= grace %v:\n%s",
-						seed, f.A, f.B, f.At-cut, Grace, s)
+				if f.At-cut >= transport.SimRetryBudget {
+					t.Fatalf("seed %d: partition of %s/%s open %v >= retry budget %v:\n%s",
+						seed, f.A, f.B, f.At-cut, transport.SimRetryBudget, s)
 				}
 				if f.At > firstCrash {
 					t.Fatalf("seed %d: heal at %v after first crash at %v:\n%s",

@@ -20,8 +20,8 @@ type Spec struct {
 	// Seed derives the fault schedule and the network's jitter draws.
 	Seed int64
 	// Span is how long the workload keeps issuing calls while faults land.
-	// Keep it at a second or more when Crashes > 0, so detection (bounded
-	// by Grace) and recovery fit inside the run.
+	// Keep it at a second or more when Crashes > 0, so the schedule's
+	// faults and each crash's recovery fit inside the run.
 	Span time.Duration
 	// Crashes is the number of node crashes to schedule (capped by the
 	// workload's victim count); zero gives a transient-only schedule that
@@ -35,11 +35,11 @@ type Result struct {
 	Schedule  Schedule
 	Calls     int   // completed graph calls (ring) or iterations (life)
 	Failovers int64 // must equal Schedule.Crashes()
-	Retries   int64 // engine send retries absorbed inside the grace window
+	Retries   int64 // send attempts the SimNodes repeated after a transient fault
 	Injected  int64 // injected transient send errors actually consumed
 	// Recovery holds the crash-to-failover-completed latency, one sample
-	// per crash (detection is passive, so this is bounded below by Grace),
-	// as a mergeable percentile histogram.
+	// per crash (detection is passive: a crash is seen at the first send
+	// to it), as a mergeable percentile histogram.
 	Recovery trace.Hist
 	Stats    *core.Stats
 	Elapsed  time.Duration
@@ -181,21 +181,23 @@ func RunRing(spec Spec) (*Result, error) {
 		nodes[i] = fmt.Sprintf("ring%d", i)
 	}
 	sched := Random(spec.Seed, nodes, spec.Span, spec.Crashes)
-	appCfg := core.Config{Window: 64, Checkpoint: 2 * time.Millisecond, SuspectGrace: Grace, TraceSample: 1}
+	appCfg := core.Config{Window: 64, Checkpoint: 2 * time.Millisecond, TraceSample: 1}
 
 	var (
 		inj      *injector
 		injErr   error
 		final    *core.Stats
 		injected int64
+		retries  int64
 	)
-	hook := func(net *simnet.Network, app *core.App) func() {
+	hook := func(net *simnet.Network, app *core.App, trs []transport.Transport) func() {
 		net.SeedFaults(spec.Seed)
 		inj = startInjector(sched, net, app)
 		return func() {
 			injErr = inj.wait()
 			final = app.Stats()
 			injected = net.InjectedSendErrors()
+			retries = transport.SimRetries(trs)
 		}
 	}
 	res, calls, err := ringbench.RunDPSChaos(ringCfg, ringNodes, blocksPerCall, blockSize, appCfg, spec.Span, hook)
@@ -210,7 +212,7 @@ func RunRing(spec Spec) (*Result, error) {
 		Schedule:  sched,
 		Calls:     calls,
 		Failovers: final.FailoversCompleted,
-		Retries:   final.SendRetries,
+		Retries:   retries,
 		Injected:  injected,
 		Recovery:  inj.recovery,
 		Stats:     final,
@@ -235,7 +237,7 @@ func RunParlife(spec Spec) (*Result, error) {
 	nodes := []string{"n0", "n1", "n2"}
 	workerNodes := []string{"n1", "n2", "n1", "n2"}
 	sched := Random(spec.Seed, nodes, spec.Span, spec.Crashes)
-	appCfg := core.Config{Window: 16, Checkpoint: 2 * time.Millisecond, SuspectGrace: Grace, TraceSample: 1}
+	appCfg := core.Config{Window: 16, Checkpoint: 2 * time.Millisecond, TraceSample: 1}
 
 	seedWorld := life.NewWorld(width, height)
 	wrng := rand.New(rand.NewSource(spec.Seed))
@@ -245,28 +247,30 @@ func RunParlife(spec Spec) (*Result, error) {
 		}
 	}
 
-	run := func(sched *Schedule, iters int) (*life.World, int, *core.Stats, int64, trace.Hist, time.Duration, error) {
+	// run iterates the world on a fresh cluster, under sched for spec.Span
+	// or, with no schedule, for iters iterations.
+	run := func(sched *Schedule, iters int) (*life.World, *Result, error) {
 		net := simnet.New(ringCfg)
 		defer net.Close()
 		trs, err := transport.SimNodes(net, nodes...)
 		if err != nil {
-			return nil, 0, nil, 0, trace.Hist{}, 0, err
+			return nil, nil, err
 		}
 		app, err := core.NewAppOn(appCfg, trs...)
 		if err != nil {
-			return nil, 0, nil, 0, trace.Hist{}, 0, err
+			return nil, nil, err
 		}
 		defer app.Close()
 		sim, err := parlife.New(app, width, height, parlife.Options{
 			Name: "chaos", Workers: workers, WorkerNodes: workerNodes,
 		})
 		if err != nil {
-			return nil, 0, nil, 0, trace.Hist{}, 0, err
+			return nil, nil, err
 		}
 		w := life.NewWorld(width, height)
 		copy(w.Cells, seedWorld.Cells)
 		if err := sim.Load(w); err != nil {
-			return nil, 0, nil, 0, trace.Hist{}, 0, err
+			return nil, nil, err
 		}
 		var inj *injector
 		if sched != nil {
@@ -278,51 +282,43 @@ func RunParlife(spec Spec) (*Result, error) {
 			// Disturbed run: iterate for the span, however far that gets.
 			for sim.Iter() == 0 || sw.Elapsed() < spec.Span {
 				if err := sim.Step(true); err != nil {
-					return nil, sim.Iter(), nil, 0, trace.Hist{}, 0, fmt.Errorf("step %d: %w", sim.Iter()+1, err)
+					return nil, nil, fmt.Errorf("step %d: %w", sim.Iter()+1, err)
 				}
 			}
 		} else if err := sim.StepN(iters, true); err != nil {
-			return nil, sim.Iter(), nil, 0, trace.Hist{}, 0, err
+			return nil, nil, err
 		}
-		elapsed := sw.Elapsed()
+		res := &Result{Workload: "life", Calls: sim.Iter(), Elapsed: sw.Elapsed()}
 		out, err := sim.Gather()
 		if err != nil {
-			return nil, sim.Iter(), nil, 0, trace.Hist{}, 0, fmt.Errorf("gather: %w", err)
+			return nil, nil, fmt.Errorf("gather: %w", err)
 		}
 		if err := app.Err(); err != nil {
-			return nil, sim.Iter(), nil, 0, trace.Hist{}, 0, err
+			return nil, nil, err
 		}
-		var recovery trace.Hist
 		if inj != nil {
 			if err := inj.wait(); err != nil {
-				return nil, sim.Iter(), nil, 0, trace.Hist{}, 0, err
+				return nil, nil, err
 			}
-			recovery = inj.recovery
+			res.Schedule, res.Recovery = *sched, inj.recovery
 		}
-		return out, sim.Iter(), app.Stats(), net.InjectedSendErrors(), recovery, elapsed, nil
+		res.Stats = app.Stats()
+		res.Failovers = res.Stats.FailoversCompleted
+		res.Retries = transport.SimRetries(trs)
+		res.Injected = net.InjectedSendErrors()
+		return out, res, nil
 	}
 
-	disturbed, iters, stats, injected, recovery, elapsed, err := run(&sched, 0)
+	disturbed, out, err := run(&sched, 0)
 	if err != nil {
 		return nil, fmt.Errorf("chaos(life): %w\n%s", err, sched)
 	}
-	clean, _, _, _, _, _, err := run(nil, iters)
+	clean, _, err := run(nil, out.Calls)
 	if err != nil {
 		return nil, fmt.Errorf("chaos(life): clean replay: %w", err)
 	}
 	if !bytes.Equal(clean.Cells, disturbed.Cells) {
-		return nil, fmt.Errorf("chaos(life): world after %d iterations under faults differs from undisturbed run\n%s", iters, sched)
-	}
-	out := &Result{
-		Workload:  "life",
-		Schedule:  sched,
-		Calls:     iters,
-		Failovers: stats.FailoversCompleted,
-		Retries:   stats.SendRetries,
-		Injected:  injected,
-		Recovery:  recovery,
-		Stats:     stats,
-		Elapsed:   elapsed,
+		return nil, fmt.Errorf("chaos(life): world after %d iterations under faults differs from undisturbed run\n%s", out.Calls, sched)
 	}
 	if err := checkInvariants(out); err != nil {
 		return nil, err

@@ -54,15 +54,6 @@ type Config struct {
 	// and the wire stays byte-identical: only sampled envelopes travel in
 	// the msgTraced wrapper (wire.go). Zero disables tracing entirely.
 	TraceSample float64
-	// SuspectGrace turns "first send error = death" into graceful
-	// degradation: a failing transport send is retried with capped
-	// exponential backoff and jitter for up to this window before the
-	// failure detector may declare the destination suspect. Transient
-	// faults — a peer restarting, a partition that heals, an injected send
-	// error — are absorbed by the retries; a real crash exhausts the window
-	// and fails over as before, delayed by at most the grace. Zero keeps the
-	// immediate-suspect behaviour.
-	SuspectGrace time.Duration
 	// Registry is the token type registry; nil selects serial.DefaultRegistry.
 	Registry *serial.Registry
 }

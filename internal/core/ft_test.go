@@ -50,6 +50,7 @@ var (
 type ftHarness struct {
 	app     *core.App
 	net     *simnet.Network
+	trs     []transport.Transport
 	workers *core.ThreadCollection
 	work    *core.Flowgraph
 	probe   *core.Flowgraph
@@ -108,7 +109,7 @@ func newFTHarnessOn(t *testing.T, net *simnet.Network, cfg core.Config, workerMa
 			}
 			return out
 		})
-	h := &ftHarness{app: app, net: net, workers: workers}
+	h := &ftHarness{app: app, net: net, trs: trs, workers: workers}
 	h.work, err = app.NewFlowgraph("ft-work-graph", core.Path(
 		core.NewNode(split, main, core.MainRoute()),
 		core.NewNode(work, workers, core.ByKey[*FTItem]("ft-to-worker", func(in *FTItem) int { return in.Worker })),

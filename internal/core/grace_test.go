@@ -6,15 +6,16 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/transport"
 )
 
 // TestSuspectGraceAbsorbsTransientFaults injects short bursts of send
-// errors on the busy links of a checkpointed pipeline configured with a
-// suspect grace window: every burst must be absorbed by in-grace retries
-// — zero failovers, zero failed calls, exactly-once worker state — and
-// the retries must show up in the stats.
+// errors on the busy links of a checkpointed pipeline: every burst must be
+// absorbed by the transport's own retries before the failure detector
+// hears of it — zero failovers, zero failed calls, exactly-once worker
+// state — and the retries must show up in the SimNodes' counts.
 func TestSuspectGraceAbsorbsTransientFaults(t *testing.T) {
-	cfg := core.Config{Window: 4, Checkpoint: 2 * time.Millisecond, SuspectGrace: 250 * time.Millisecond}
+	cfg := core.Config{Window: 4, Checkpoint: 2 * time.Millisecond}
 	h := newFTHarness(t, cfg, "w1*2 w2*2", "m", "w1", "w2")
 
 	const rounds, perCall = 20, 16
@@ -50,20 +51,21 @@ func TestSuspectGraceAbsorbsTransientFaults(t *testing.T) {
 	if s.FailoversCompleted != 0 {
 		t.Errorf("transient faults escalated into %d failovers", s.FailoversCompleted)
 	}
-	if s.SendRetries == 0 {
-		t.Error("no send retries recorded — the bursts were not absorbed by the grace window")
+	retries := transport.SimRetries(h.trs)
+	if retries == 0 {
+		t.Error("no send retries recorded — the bursts were not absorbed by the transport")
 	}
 	if injected := h.net.InjectedSendErrors(); injected == 0 {
 		t.Error("no injected errors were consumed — the bursts landed on idle links")
 	}
-	t.Logf("absorbed %d injected errors with %d retries", h.net.InjectedSendErrors(), s.SendRetries)
+	t.Logf("absorbed %d injected errors with %d retries", h.net.InjectedSendErrors(), retries)
 }
 
-// TestSuspectGraceCrashStillFailsOver: the grace window must delay, not
-// disable, failure detection — a real crash exhausts the retries and the
+// TestSuspectGraceCrashStillFailsOver: the transport's retries must not
+// hide a real crash — a send to the crashed node fails at once, and the
 // node fails over exactly once, with every call still completing.
 func TestSuspectGraceCrashStillFailsOver(t *testing.T) {
-	cfg := core.Config{Window: 4, Checkpoint: 2 * time.Millisecond, SuspectGrace: 100 * time.Millisecond}
+	cfg := core.Config{Window: 4, Checkpoint: 2 * time.Millisecond}
 	h := newFTHarness(t, cfg, "w1*2 w2*2", "m", "w1", "w2")
 
 	const rounds, perCall = 16, 12
@@ -106,5 +108,27 @@ func TestSuspectGraceCrashStillFailsOver(t *testing.T) {
 		if node == "w2" {
 			t.Errorf("thread %d still placed on the dead node", i)
 		}
+	}
+}
+
+// TestRetryAbsorbsSendErrorsWithoutFT: with fault tolerance off a send
+// error is the application's failure, so a burst of transient ones must
+// never reach the engine — the transport retries them and every call
+// completes.
+func TestRetryAbsorbsSendErrorsWithoutFT(t *testing.T) {
+	h := newFTHarness(t, core.Config{Window: 4}, "w1*2 w2*2", "m", "w1", "w2")
+	for r := 0; r < 8; r++ {
+		if r%2 == 1 {
+			h.net.FailNextSends("m", "w1", 3)
+			h.net.FailNextSends("w2", "m", 2)
+		}
+		h.call(t, r*100, 8)
+	}
+	if err := h.app.Err(); err != nil {
+		t.Fatalf("application failed: %v", err)
+	}
+	if h.net.InjectedSendErrors() == 0 || transport.SimRetries(h.trs) == 0 {
+		t.Errorf("%d injected errors, %d retries: the bursts were not exercised",
+			h.net.InjectedSendErrors(), transport.SimRetries(h.trs))
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +40,8 @@ type link struct {
 	reg   *serial.Registry
 	rt    *Runtime // the node runtime this link serves
 	name  string
-	force bool          // ForceSerialize: marshal even same-node transfers
-	ftOn  bool          // fault tolerance enabled: consult linkDown/linkSuspect
-	grace time.Duration // SuspectGrace: retry window for failing sends
+	force bool // ForceSerialize: marshal even same-node transfers
+	ftOn  bool // fault tolerance enabled: consult linkDown/linkSuspect
 
 	// Colocated fast path: co attests that a destination's transport
 	// endpoint shares this address space (nil: the transport cannot tell, or
@@ -66,7 +64,6 @@ func (l *link) init(rt *Runtime, tr transport.Transport, cfg *Config) {
 	l.name = tr.Local()
 	l.force = cfg.ForceSerialize
 	l.ftOn = rt.app.ftOn
-	l.grace = cfg.SuspectGrace
 	if !cfg.ForceSerialize {
 		l.co, _ = tr.(transport.Colocated)
 	}
@@ -133,13 +130,20 @@ const (
 // transport's, which returns it through transport.Releaser or hands it to
 // the receiving link) before the failure is routed by the kind's policy —
 // past the failure detector, which absorbs faults of peers it is about to
-// declare dead (the retained copies replay during recovery).
+// declare dead (the retained copies replay during recovery). The frame is
+// sent once: a transport retries its transient faults itself, so its error
+// is final (transport.Transport.Send).
 func (l *link) transmit(dst string, buf []byte, tx txMode) (corked bool) {
 	if tx == txCorked && l.ck == nil {
 		tx = txSend
 	}
 	atomic.AddInt64(&l.rt.stats.BytesSent, int64(len(buf)))
-	err := l.trSend(dst, buf, tx == txCorked)
+	var err error
+	if tx == txCorked {
+		err = l.ck.SendCorked(dst, buf)
+	} else {
+		err = l.tr.Send(dst, buf)
+	}
 	if err == nil {
 		return tx == txCorked
 	}
@@ -155,57 +159,6 @@ func (l *link) transmit(dst string, buf []byte, tx txMode) (corked bool) {
 		l.rt.linkFail(err)
 	}
 	return false
-}
-
-// Grace retry tuning: first backoff and cap. The overall window is
-// Config.SuspectGrace.
-const (
-	graceRetryBase = time.Millisecond
-	graceRetryCap  = 50 * time.Millisecond
-)
-
-// trSend hands one frame to the transport, corked if cork is set, retrying
-// transient failures (uncorked) with capped exponential backoff and jitter
-// until the suspect-grace window closes. On success the payload's ownership has transferred to the
-// transport; on error it remains with the caller (transports release
-// ownership on failure), which is what makes retrying the same buffer
-// sound. A destination declared dead mid-retry aborts the loop — the
-// failure detector already owns the fault, and transmit absorbs the error
-// so the retained copy replays.
-//
-// Successful sends take the single branch on the error and pay nothing
-// else; the grace machinery only runs once a send has already failed.
-// Sequenced posts hold their route lock across the retries, so the grace
-// window also bounds how long one fault can stall a route.
-func (l *link) trSend(dst string, buf []byte, cork bool) error {
-	var err error
-	if cork {
-		err = l.ck.SendCorked(dst, buf)
-	} else {
-		err = l.tr.Send(dst, buf)
-	}
-	if err == nil || l.grace <= 0 {
-		return err
-	}
-	deadline := time.Now().Add(l.grace)
-	backoff := graceRetryBase
-	for {
-		if l.ftOn && l.rt.linkDown(dst) {
-			return err
-		}
-		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		if time.Now().Add(d).After(deadline) {
-			return err
-		}
-		time.Sleep(d)
-		if backoff < graceRetryCap {
-			backoff *= 2
-		}
-		atomic.AddInt64(&l.rt.stats.SendRetries, 1)
-		if err = l.tr.Send(dst, buf); err == nil {
-			return nil
-		}
-	}
 }
 
 // --- outbound: one sender per kind ----------------------------------------

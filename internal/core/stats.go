@@ -93,9 +93,6 @@ type Stats struct {
 	// CutsStale counts log cuts dropped because their sender is not hosted
 	// on this node (it moved on before the cut arrived).
 	CutsStale int64
-	// SendRetries counts transport send attempts repeated inside the
-	// suspect-grace window (Config.SuspectGrace) after a transient failure.
-	SendRetries int64
 	// WireBufMisses counts the wire buffers that had to be allocated because
 	// the pool's class was empty: for an outbound message, or lent to a
 	// transport.Borrower for an inbound frame. With every token a copy of

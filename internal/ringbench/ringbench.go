@@ -101,7 +101,7 @@ func RunDPSRebalance(cfg simnet.Config, ringNodes, totalBytes, blockSize int, ap
 	}
 	net := simnet.New(cfg)
 	defer net.Close()
-	app, g, names, single, err := buildRing(net, appCfg, ringNodes)
+	app, g, trs, single, err := buildRing(net, appCfg, ringNodes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -121,13 +121,13 @@ func RunDPSRebalance(cfg simnet.Config, ringNodes, totalBytes, blockSize int, ap
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			defer cancel()
 			tc := single[spec.Hop]
-			if err := tc.RemapThread(ctx, 0, names[spec.To]); err != nil {
+			if err := tc.RemapThread(ctx, 0, trs[spec.To].Local()); err != nil {
 				remapErr = err
 				return
 			}
 			if spec.Back {
 				time.Sleep(spec.After)
-				remapErr = tc.RemapThread(ctx, 0, names[spec.Hop])
+				remapErr = tc.RemapThread(ctx, 0, trs[spec.Hop].Local())
 			}
 		}()
 	} else {
@@ -162,8 +162,9 @@ func RunDPSRebalance(cfg simnet.Config, ringNodes, totalBytes, blockSize int, ap
 
 // buildRing constructs the Figure 6 ring application on an existing
 // simulated network: a split on node 0 posting the blocks, forwarding
-// leaves on nodes 1..n-1, and the collecting merge back on node 0.
-func buildRing(net *simnet.Network, appCfg core.Config, ringNodes int) (*core.App, *core.Flowgraph, []string, []*core.ThreadCollection, error) {
+// leaves on nodes 1..n-1, and the collecting merge back on node 0. It
+// returns the nodes' transports in ring order.
+func buildRing(net *simnet.Network, appCfg core.Config, ringNodes int) (*core.App, *core.Flowgraph, []transport.Transport, []*core.ThreadCollection, error) {
 	names := make([]string, ringNodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("ring%d", i)
@@ -219,7 +220,7 @@ func buildRing(net *simnet.Network, appCfg core.Config, ringNodes int) (*core.Ap
 		app.Close()
 		return nil, nil, nil, nil, err
 	}
-	return app, g, names, single, nil
+	return app, g, trs, single, nil
 }
 
 // FailoverSpec asks the DPS ring run to crash one forwarding hop's node
@@ -246,7 +247,7 @@ func RunDPSFailover(cfg simnet.Config, ringNodes, totalBytes, blockSize int, app
 	}
 	net := simnet.New(cfg)
 	defer net.Close()
-	app, g, names, _, err := buildRing(net, appCfg, ringNodes)
+	app, g, trs, _, err := buildRing(net, appCfg, ringNodes)
 	if err != nil {
 		return Result{}, err
 	}
@@ -260,7 +261,7 @@ func RunDPSFailover(cfg simnet.Config, ringNodes, totalBytes, blockSize int, app
 	go func() {
 		time.Sleep(spec.After)
 		crashAt := time.Now()
-		net.Crash(names[spec.Hop])
+		net.Crash(trs[spec.Hop].Local())
 		// Recovery completes when the failover counter moves; poll it with
 		// a deadline — if the crash landed after the run already finished,
 		// passive detection never fires and the poll would spin forever.
@@ -304,25 +305,25 @@ func RunDPSFailover(cfg simnet.Config, ringNodes, totalBytes, blockSize int, app
 
 // RunDPSChaos drives the DPS ring with repeated calls for at least span,
 // while a caller-provided hook injects faults into the simulated network
-// underneath. The hook runs once the application is up and returns a stop
-// function joined before teardown (a nil hook just soaks the ring). Every
-// call's merge total is checked against blocksPerCall — a lost or
-// duplicated block fails the run. Returns the aggregate result and the
+// underneath. The hook runs once the application is up, with the nodes'
+// transports, and returns a stop function joined before teardown (a nil
+// hook just soaks the ring). Every call's merge total is checked against
+// blocksPerCall — a lost or duplicated block fails the run. Returns the aggregate result and the
 // number of completed calls.
-func RunDPSChaos(cfg simnet.Config, ringNodes, blocksPerCall, blockSize int, appCfg core.Config, span time.Duration, hook func(*simnet.Network, *core.App) (stop func())) (Result, int, error) {
+func RunDPSChaos(cfg simnet.Config, ringNodes, blocksPerCall, blockSize int, appCfg core.Config, span time.Duration, hook func(*simnet.Network, *core.App, []transport.Transport) (stop func())) (Result, int, error) {
 	if ringNodes < 2 {
 		return Result{}, 0, fmt.Errorf("ringbench: need at least 2 nodes")
 	}
 	net := simnet.New(cfg)
 	defer net.Close()
-	app, g, _, _, err := buildRing(net, appCfg, ringNodes)
+	app, g, trs, _, err := buildRing(net, appCfg, ringNodes)
 	if err != nil {
 		return Result{}, 0, err
 	}
 	defer app.Close()
 
 	if hook != nil {
-		stop := hook(net, app)
+		stop := hook(net, app, trs)
 		if stop != nil {
 			defer stop()
 		}

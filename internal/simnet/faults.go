@@ -14,10 +14,15 @@ import (
 	"time"
 )
 
-// ErrInjected is the sentinel wrapped by every transient send error
-// injected with FailNextSends; errors.Is distinguishes injected faults
-// from modelled ones (crash, partition, closed node).
-var ErrInjected = errors.New("simnet: injected transient send error")
+// The two transient send errors: a sender that retries gets through once
+// the fault clears. Any other Send error (unknown or crashed destination,
+// closed sender) is permanent.
+var (
+	// ErrInjected is wrapped by every error injected with FailNextSends.
+	ErrInjected = errors.New("simnet: injected transient send error")
+	// ErrPartitioned is wrapped by every Send across a cut link.
+	ErrPartitioned = errors.New("simnet: partitioned")
+)
 
 // dirKey is a directed node pair (faults are per link direction, unlike
 // partitions, which cut both ways).

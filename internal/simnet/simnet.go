@@ -300,7 +300,7 @@ func (nd *Node) Send(to string, payload []byte) error {
 		return fmt.Errorf("simnet: unknown destination %q", to)
 	}
 	if parted {
-		return fmt.Errorf("simnet: %q and %q are partitioned", nd.name, to)
+		return fmt.Errorf("simnet: send %s -> %s: %w", nd.name, to, ErrPartitioned)
 	}
 	if err := nd.net.injectSendFault(nd.name, to); err != nil {
 		return err

@@ -1,26 +1,35 @@
 package transport
 
 import (
+	"errors"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/simnet"
 )
 
+// SimRetryBudget is how long a SimNode retries a transient send fault (an
+// injected error or a partition) before its Send returns the error.
+const SimRetryBudget = 250 * time.Millisecond
+
 // SimNode adapts a simnet.Node to the Transport interface. Messages pay the
 // modelled NIC and latency costs of the virtual cluster.
 type SimNode struct {
-	node *simnet.Node
+	node    *simnet.Node
+	retries atomic.Int64
+	done    chan struct{} // closed by Close: ends retries
+	once    sync.Once
 
 	mu      sync.Mutex
 	handler Handler
 	started bool
 	wg      sync.WaitGroup
-	once    sync.Once
 }
 
 // NewSimNode wraps an existing simnet node.
 func NewSimNode(node *simnet.Node) *SimNode {
-	return &SimNode{node: node}
+	return &SimNode{node: node, done: make(chan struct{})}
 }
 
 // SimNodes adds one node per name to net and wraps each, in order.
@@ -68,13 +77,42 @@ func (s *SimNode) pump() {
 	}
 }
 
-// Send implements Transport.
+// Send implements Transport. A transient fault (simnet.ErrInjected,
+// simnet.ErrPartitioned) is retried, paced by a Backoff, for up to
+// SimRetryBudget; an unknown or crashed destination and a closed sender fail
+// at once.
 func (s *SimNode) Send(dst string, payload []byte) error {
-	return s.node.Send(dst, payload)
+	err := s.node.Send(dst, payload)
+	var bo Backoff
+	for err != nil && (errors.Is(err, simnet.ErrInjected) || errors.Is(err, simnet.ErrPartitioned)) {
+		d, within := bo.Next(SimRetryBudget)
+		if !within || !Pause(d, s.done) {
+			return err
+		}
+		s.retries.Add(1)
+		err = s.node.Send(dst, payload)
+	}
+	return err
 }
 
-// Close implements Transport. The underlying simnet node is owned by the
-// Network and closed with it; Close here only stops accepting new work.
-func (s *SimNode) Close() error { return nil }
+// SimRetries sums, over the SimNodes among trs, the send attempts repeated
+// after a transient fault.
+func SimRetries(trs []Transport) int64 {
+	var n int64
+	for _, tr := range trs {
+		if s, ok := tr.(*SimNode); ok {
+			n += s.retries.Load()
+		}
+	}
+	return n
+}
+
+// Close implements Transport. It ends a retry in progress at its pause, and
+// a later Send makes one attempt. The underlying simnet node is owned by the
+// Network and closed with it.
+func (s *SimNode) Close() error {
+	s.once.Do(func() { close(s.done) })
+	return nil
+}
 
 var _ Transport = (*SimNode)(nil)

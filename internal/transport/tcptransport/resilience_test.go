@@ -11,7 +11,7 @@ import (
 )
 
 // TestErrorClassification pins the transient/fatal split Send's retry
-// loop and the engine's suspect grace rely on.
+// loop relies on.
 func TestErrorClassification(t *testing.T) {
 	cases := []struct {
 		err       error

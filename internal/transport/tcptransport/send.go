@@ -4,11 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/transport"
 )
 
 // The send path's fixed points. None is configurable; each carries the
@@ -127,7 +128,7 @@ type peer struct {
 	// a peer that accepts and never reads takes the first writes of every
 	// new connection into its socket buffer, and that is not progress. The
 	// owner's.
-	bo backoff
+	bo transport.Backoff
 	// The owner's buffers for laying out one write.
 	scratch []byte
 	iov     [][]byte
@@ -347,11 +348,11 @@ func (p *peer) sendInline(payload []byte) error {
 		if err == nil || !IsTransient(err) {
 			return err
 		}
-		d, within := p.bo.next(n.retryBudget)
+		d, within := p.bo.Next(n.retryBudget)
 		if !within {
 			return p.exhausted(err)
 		}
-		if !n.sleep(d) {
+		if !transport.Pause(d, n.done) {
 			return ErrClosed
 		}
 	}
@@ -438,7 +439,7 @@ func (p *peer) drainLocked() {
 		}
 		d := p.failLocked(err)
 		p.mu.Unlock()
-		n.sleep(d)
+		transport.Pause(d, n.done)
 		p.mu.Lock()
 	}
 }
@@ -448,7 +449,7 @@ func (p *peer) drainLocked() {
 // blocked at the cap get the error. It returns the pause before the next
 // attempt.
 func (p *peer) failLocked(err error) time.Duration {
-	d, within := p.bo.next(p.n.retryBudget)
+	d, within := p.bo.Next(p.n.retryBudget)
 	if !IsTransient(err) {
 		p.failed = err
 	} else if !within {
@@ -569,7 +570,7 @@ func (p *peer) shutdown() {
 // dies with its session and the frames before it are never sent again.
 // Only the socket's owner calls it.
 func (n *Node) write(p *peer, frames [][]byte, deadline time.Time) (int, error) {
-	if p.bo.step != 0 {
+	if p.bo.Failing() {
 		n.stats.retries.Add(1) // a write since the last failure counts against the budget
 	}
 	cc, err := n.connTo(p)
@@ -596,8 +597,8 @@ func (n *Node) write(p *peer, frames [][]byte, deadline time.Time) (int, error) 
 	n.stats.writes.Add(1)
 	k := len(frames)
 	if err == nil {
-		if p.bo.step != 0 && time.Since(cc.opened) >= n.retryBudget {
-			p.bo = backoff{}
+		if p.bo.Failing() && time.Since(cc.opened) >= n.retryBudget {
+			p.bo = transport.Backoff{}
 		}
 	} else {
 		n.dropConn(p, cc)
@@ -673,37 +674,3 @@ func appendFrame(dst, payload []byte) []byte {
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
-
-// backoff paces the attempts that follow a failed write: capped exponential
-// steps with full jitter, so senders that failed together do not redial in
-// lockstep, inside an overall budget counted from the first failure.
-type backoff struct {
-	step     time.Duration
-	deadline time.Time
-}
-
-// next returns the pause before the next attempt and whether that attempt
-// still falls within the budget.
-func (b *backoff) next(budget time.Duration) (time.Duration, bool) {
-	if b.step == 0 {
-		b.step = retryBase
-		b.deadline = time.Now().Add(budget)
-	}
-	d := b.step/2 + time.Duration(rand.Int63n(int64(b.step/2)+1))
-	if b.step < retryCap {
-		b.step *= 2
-	}
-	return d, budget > 0 && !time.Now().Add(d).After(b.deadline)
-}
-
-// sleep pauses for d, or until the node closes (false).
-func (n *Node) sleep(d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-n.done:
-		return false
-	}
-}

@@ -9,8 +9,8 @@
 //
 //   - Send classifies errors as transient (refused dials, resets, broken
 //     pipes, timeouts) or fatal (closed node, resolver failure) and redials
-//     transient ones with capped exponential backoff plus jitter before
-//     surfacing anything to the failure detector;
+//     transient ones, paced by transport.Backoff, before surfacing
+//     anything to the failure detector;
 //   - every connection handshake carries a session epoch, monotonic across
 //     process restarts, so a receiver detects reconnects, rejects frames of
 //     superseded sessions, and the per-sender FIFO contract the engine's
@@ -67,9 +67,9 @@ func (e *FatalError) Error() string { return e.Err.Error() }
 func (e *FatalError) Unwrap() error { return e.Err }
 
 // IsTransient reports whether a Send error may clear by itself (and was,
-// or could be, retried). The engine's suspect-grace window retries
-// transient failures before feeding the failure detector; fatal ones
-// surface immediately.
+// or could be, retried). Send retries transient failures within the retry
+// budget; fatal ones surface immediately. Either way the error Send
+// returns is final.
 func IsTransient(err error) bool {
 	if err == nil {
 		return false
@@ -81,14 +81,11 @@ func IsTransient(err error) bool {
 	return !errors.Is(err, ErrClosed)
 }
 
-// Send retry tuning: first backoff, cap, and the default overall budget.
+// Send tuning: the default retry budget and timeouts. Retries are paced by
+// transport.Backoff.
 const (
-	retryBase = 2 * time.Millisecond
-	retryCap  = 100 * time.Millisecond
-	// DefaultRetryBudget bounds the redial loop for transient failures. It
-	// is deliberately shorter than typical detector grace windows: the
-	// transport absorbs the blip, the engine's suspect grace absorbs the
-	// outage.
+	// DefaultRetryBudget bounds the redial loop for transient failures; an
+	// error Send returns after it is final (see transport.Transport.Send).
 	DefaultRetryBudget = 2 * time.Second
 	// DefaultWriteTimeout bounds one socket write; a peer that accepts the
 	// connection but stops reading surfaces as a send error after at most

@@ -5,8 +5,8 @@
 // implementations:
 //
 //   - Inproc: all nodes in one process, direct handoff (unit tests, local mode);
-//   - Sim (package simtransport): virtual cluster over internal/simnet
-//     (the experiment substrate);
+//   - SimNode: virtual cluster over internal/simnet (the experiment
+//     substrate);
 //   - TCP (package tcptransport): real sockets via net, used by the kernel
 //     runtime (cmd/dps-kernel).
 //
@@ -23,7 +23,9 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
+	"time"
 )
 
 // Handler consumes an incoming message from a peer node. Ownership of the
@@ -124,12 +126,64 @@ type Transport interface {
 	// return means "accepted and will not be dropped while this node is
 	// open", and the first non-nil return after a fault is when the
 	// caller learns of it.
+	//
+	// Every transport follows one retry rule: Send absorbs transient
+	// faults (a refused dial, a reset connection, a healed partition)
+	// within its own retry budget, paced by a Backoff, and any error it
+	// returns is final. The caller sends once and treats an error as the
+	// destination's failure.
 	Send(dst string, payload []byte) error
 	// SetHandler installs the receive callback. Must be called before any
 	// peer sends to this node.
 	SetHandler(h Handler)
 	// Close detaches the node.
 	Close() error
+}
+
+// Backoff paces the attempts that follow a failed send: capped exponential
+// steps, each pause drawn from the step's upper half so senders that failed
+// together do not retry in lockstep, inside an overall budget counted from
+// the first failure. The zero value has seen no failure; assigning
+// Backoff{} resets it.
+type Backoff struct {
+	step     time.Duration
+	deadline time.Time
+}
+
+// Retry pacing: the first step and the cap.
+const (
+	retryBase = 2 * time.Millisecond
+	retryCap  = 100 * time.Millisecond
+)
+
+// Next returns the pause before the next attempt and whether that attempt
+// still falls within the budget.
+func (b *Backoff) Next(budget time.Duration) (time.Duration, bool) {
+	if b.step == 0 {
+		b.step = retryBase
+		b.deadline = time.Now().Add(budget)
+	}
+	d := b.step/2 + time.Duration(rand.Int63n(int64(b.step/2)+1))
+	if b.step < retryCap {
+		b.step *= 2
+	}
+	return d, budget > 0 && !time.Now().Add(d).After(b.deadline)
+}
+
+// Failing reports whether Next was called since b was made or reset.
+func (b *Backoff) Failing() bool { return b.step != 0 }
+
+// Pause sleeps for d, the pause Next returned, or until done is closed
+// (false): a closing node stops retrying at once.
+func Pause(d time.Duration, done <-chan struct{}) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-done:
+		return false
+	}
 }
 
 // Inproc is an in-process fabric connecting any number of nodes with direct
