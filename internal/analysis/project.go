@@ -31,7 +31,7 @@ func ProjectRules() []*Rule {
 		Lockheld(),
 
 		// Pooled wire buffers and envelopes (internal/core/pool.go).
-		// decodeEnvelope hands out a pooled envelope,
+		// decodeToken hands out a pooled envelope,
 		// and link.tokenFrame a wire buffer drawn for the frame it builds,
 		// so their results are pool-owned too. A kernel (internal/kernel)
 		// draws the same buffers through an application's lender (borrow)
@@ -45,7 +45,7 @@ func ProjectRules() []*Rule {
 				{Get: "getWireBuf", Put: "putWireBuf"},
 				{Get: "borrow", Put: "recycle"},
 			},
-			ExtraGets: []string{"decodeEnvelope", "tokenFrame", "makeAppFrame"},
+			ExtraGets: []string{"decodeToken", "tokenFrame", "makeAppFrame"},
 		}),
 	}
 }

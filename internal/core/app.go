@@ -51,8 +51,9 @@ type Config struct {
 	// migrations and failover replays, while every runtime
 	// they touch records spans into its ring buffer (App.TraceSpans).
 	// Unsampled calls pay one comparison per span point and nothing else,
-	// and the wire stays byte-identical: only sampled envelopes travel in
-	// the msgTraced wrapper (wire.go). Zero disables tracing entirely.
+	// and the wire stays byte-identical: only a sampled envelope's frame
+	// carries flagTraced and the trace context (wire.go). Zero disables
+	// tracing entirely.
 	TraceSample float64
 	// Registry is the token type registry; nil selects serial.DefaultRegistry.
 	Registry *serial.Registry

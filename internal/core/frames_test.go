@@ -16,7 +16,7 @@ type deepTok struct{ Path, Sum int }
 // postOut of each operation kind: the splits push the stack from 0 to 4
 // frames, a leaf carries 4 on, a stream pops one and pushes its own, and the
 // merges pop back down to none. Every hop is serialized, so each stack is
-// rebuilt by decodeEnvelopeInto and copied by postOut — inline up to three
+// rebuilt by decodeToken and copied by postOut — inline up to three
 // frames, on the heap beyond.
 func TestDeepFrameStackThroughEveryKind(t *testing.T) {
 	const depth = inlineFrames + 1

@@ -125,13 +125,13 @@ func (rt *Runtime) ftOutbound(env *envelope, coll string, thread int) {
 	env.ftInStream = ft.Stream{}
 	env.ftInSeq = 0
 	env.FTSeq = s.NextOut(env.FTStream, dst)
-	// Sampled envelopes retain the traced wrapper around the sequenced
-	// frame: the retained encoding IS the wire message, so the trace context
-	// survives retention and failover replay re-sends it intact. The copy is
-	// sized once, from its header and the codec's size pass, and allocated
-	// outside the wire pool: the retention log owns it until a cut.
+	// The retained encoding IS the wire message, stamped and, for a sampled
+	// envelope, traced, so the trace context survives retention and failover
+	// replay re-sends it intact. The copy is sized once, from its header and
+	// the codec's size pass, and allocated outside the wire pool: the
+	// retention log owns it until a cut.
 	var scratch [frameHeadCap]byte
-	head := appendTokenHead(scratch[:0], env)
+	head := appendToken(scratch[:0], env, place.Direct, sendClock(env.TraceID))
 	enc, err := rt.app.reg.Prepare(env.Token)
 	if err != nil {
 		panic(opError{fmt.Errorf("dps: cannot retain %T for replay: %w", env.Token, err)})
@@ -156,7 +156,7 @@ func (rt *Runtime) ftOutboundGroupEnd(m *groupEndMsg, s *ft.State, inStream ft.S
 	m.FTStream = ft.DerivedStream(s.Stream(), inStream)
 	m.FTSeq = s.NextOut(m.FTStream, dst)
 	var scratch [frameHeadCap]byte
-	frame := appendGroupEndFT(scratch[:0], m)
+	frame := appendGroupEnd(scratch[:0], m, place.Direct)
 	s.Append(ft.Entry{Stream: m.FTStream, Dst: dst, Seq: m.FTSeq, CallID: m.CallID,
 		InStream: inStream, InSeq: inSeq, Kind: ft.EntryGroupEnd, Bytes: append(make([]byte, 0, len(frame)), frame...)})
 }
@@ -573,21 +573,9 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 	defer recoverOpError(rt.failApp)
 	switch e.Kind {
 	case ft.EntryToken:
-		body := e.Bytes[1:]
-		var traceID uint64
-		if e.Bytes[0] == msgTraced {
-			// A sampled token's retained encoding carries the traced wrapper
-			// (ftOutbound): recover the trace context, then decode the inner
-			// sequenced frame past its kind byte. The re-send below re-wraps
-			// with a fresh transmit clock.
-			var err error
-			if traceID, _, body, err = decodeTracedHeader(body); err != nil {
-				rt.failApp(fmt.Errorf("dps: corrupt retained trace header: %w", err))
-				return
-			}
-			body = body[1:]
-		}
-		env, err := decodeTokenFT(body, rt.app.ids.load())
+		// The retained frame is stamped and, when sampled, traced
+		// (ftOutbound); the re-send below frames it with a fresh send clock.
+		env, _, err := decodeToken(e.Bytes, rt.app.ids.load())
 		if err != nil {
 			rt.failApp(fmt.Errorf("dps: corrupt retained token: %w", err))
 			return
@@ -600,15 +588,14 @@ func (rt *Runtime) resendEntry(e ft.Entry, to string) {
 		}
 		env.Token = tok
 		env.Payload = nil // aliases e.Bytes, which the log still owns
-		env.TraceID = traceID
-		if traceID != 0 {
-			rt.traceSpan(traceID, "replay", e.Dst.Collection, time.Now().UnixNano(), 0)
+		if env.TraceID != 0 {
+			rt.traceSpan(env.TraceID, "replay", e.Dst.Collection, time.Now().UnixNano(), 0)
 		}
 		atomic.AddInt64(&rt.stats.TokensReplayed, 1)
 		defer putEnvelope(env) // sendToken borrows it
 		rt.lnk.sendToken(env, to, place.Direct, txSend)
 	case ft.EntryGroupEnd:
-		m, err := decodeGroupEndFT(e.Bytes[1:], rt.app.ids.load())
+		m, err := decodeGroupEnd(e.Bytes, rt.app.ids.load())
 		if err != nil {
 			rt.failApp(fmt.Errorf("dps: corrupt retained group-end: %w", err))
 			return

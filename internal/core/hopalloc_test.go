@@ -140,8 +140,8 @@ func TestSequencedGroupEndAllocatesOnce(t *testing.T) {
 	}
 	e := s.EntriesTo(place.Key{Collection: "coll", Thread: 1})
 	last := e[len(e)-1].Bytes
-	if want := appendGroupEndFT(nil, m); string(last) != string(want) || cap(last) != len(last) {
-		t.Errorf("retained %x (cap %d), want the sequenced frame %x at its exact length", last, cap(last), want)
+	if want := appendGroupEnd(nil, m, place.Direct); string(last) != string(want) || want[0] != msgGroupEnd|flagStamped || cap(last) != len(last) {
+		t.Errorf("retained %x (cap %d), want the stamped frame %x at its exact length", last, cap(last), want)
 	}
 }
 

@@ -304,38 +304,57 @@ func TestIDTableRemapRepublishes(t *testing.T) {
 	}
 }
 
-// FuzzDecodeEnvelope holds the token header, group-end and ack decoders to
-// their encoders. The input's first byte is the message kind. No input
-// panics a decoder or buys a frame stack its bytes could not encode; an id
-// the table does not hold is an error, so with an empty table every token
-// and group-end is refused; and every accepted message re-encodes to
-// exactly its input.
+// FuzzDecodeEnvelope holds the decoders of tokens, group-ends, acks,
+// fences, cuts and death notices to their encoders. The input is a frame,
+// its first byte a kind with any flags; it is decoded only when kindOf
+// accepts that byte, as link.handle decodes it (TestKindFlags holds kindOf
+// to the flags each kind accepts). No input panics a decoder or buys a
+// frame stack its bytes could not encode; an id the table does not hold is
+// an error, so with an empty table every token and group-end is refused;
+// and every accepted message re-encodes to exactly its input, its flags and
+// their fields included.
 func FuzzDecodeEnvelope(f *testing.F) {
 	ids := idTable{}
 	g := testGraph(ids, "ring")
 	n0, n1 := testNode(ids, "n0"), testNode(ids, "n1")
-	for frames := 0; frames <= inlineFrames+1; frames++ {
-		e := &envelope{Graph: g, Node: 2, Thread: 1, CallID: 1 << 60, CallOrigin: n0, LastWorker: -1, CreditNode: 1}
-		fs := e.newFrames(frames)
-		for i := range fs {
-			fs[i] = frame{GroupID: 1<<48 | uint64(i), Index: 4999, Origin: n1, MergeThread: i}
+	stream := ft.Stream{Sender: 1<<40 | 3, In: 7}
+	for _, lane := range []place.Lane{place.Direct, place.Forwarded} {
+		for _, seq := range []uint64{0, 300} {
+			for _, traceID := range []uint64{0, 1 << 50} {
+				for frames := 0; frames <= inlineFrames+1; frames++ {
+					e := &envelope{Graph: g, Node: 2, Thread: 1, CallID: 1 << 60, CallOrigin: n0, LastWorker: -1, CreditNode: 1,
+						FTStream: stream, FTSeq: seq, TraceID: traceID}
+					fs := e.newFrames(frames)
+					for i := range fs {
+						fs[i] = frame{GroupID: 1<<48 | uint64(i), Index: 4999, Origin: n1, MergeThread: i}
+					}
+					f.Add(append(appendToken(nil, e, lane, -12345), "payload"...))
+				}
+			}
+			f.Add(appendGroupEnd(nil, &groupEndMsg{Graph: g, Node: 3, Thread: 1, GroupID: 7, Total: 5000, CallID: 1 << 60, FTStream: stream, FTSeq: seq}, lane))
 		}
-		f.Add(append(appendEnvelopeHeader(nil, e), "payload"...))
 	}
-	f.Add(appendGroupEnd(nil, &groupEndMsg{Graph: g, Node: 3, Thread: 1, GroupID: 7, Total: 5000, CallID: 1 << 60}))
 	f.Add(appendAck(nil, ackMsg{GroupID: 1 << 48, Worker: -1, RouteNode: 1}))
+	f.Add(appendFence(nil, &fenceMsg{Collection: "c", Thread: 3, Epoch: 9, Src: "n0", Phase: fenceClose}))
+	f.Add(appendCut(nil, cutMsg{Stream: stream, DstCollection: "c", DstThread: 2, Seq: 300}))
+	f.Add(appendDeath(nil, deathMsg{Node: "n1"}))
+	// A flag the kind refuses, and a flagged field that is zero.
+	f.Add(append([]byte{msgGroupEnd | flagTraced, 1, 0}, encodeGroupEnd(&groupEndMsg{Graph: g})[1:]...))
+	f.Add(append([]byte{msgAck | flagForwarded}, encodeAck(ackMsg{GroupID: 1})[1:]...))
+	f.Add(append(appendFTStamp([]byte{msgToken | flagStamped}, stream, 0), encodeEnvelopeHeader(&envelope{Graph: g, CallOrigin: n0})[1:]...))
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if len(b) == 0 {
+		if len(b) == 0 || kindOf(b[0]) == nil {
 			return
 		}
-		body := b[1:]
-		switch b[0] {
+		body, lane := b[1:], laneOf(b[0])
+		var again []byte
+		switch b[0] & kindMask {
 		case msgToken:
-			if e, err := decodeEnvelope(body, idTable{}); err == nil {
+			if e, _, err := decodeToken(b, idTable{}); err == nil {
 				putEnvelope(e)
 				t.Fatal("a token header decoded against an empty id table")
 			}
-			e, err := decodeEnvelope(body, ids)
+			e, sentNs, err := decodeToken(b, ids)
 			if err != nil {
 				return
 			}
@@ -343,28 +362,45 @@ func FuzzDecodeEnvelope(f *testing.F) {
 			if n := cap(e.frames()); n > inlineFrames && n > len(body)/minFrameLen {
 				t.Fatalf("%d bytes bought a stack of %d frames", len(body), n)
 			}
-			if again := append(appendEnvelopeHeader(nil, e), e.Payload...); !bytes.Equal(again, b) {
-				t.Fatalf("token header re-encodes as % x, was % x", again, b)
-			}
+			again = append(appendToken(nil, e, lane, sentNs), e.Payload...)
 		case msgGroupEnd:
-			if _, err := decodeGroupEnd(body, idTable{}); err == nil {
+			if _, err := decodeGroupEnd(b, idTable{}); err == nil {
 				t.Fatal("a group-end decoded against an empty id table")
 			}
-			m, err := decodeGroupEnd(body, ids)
+			m, err := decodeGroupEnd(b, ids)
 			if err != nil {
 				return
 			}
-			if again := appendGroupEnd(nil, m); !bytes.Equal(again, b) {
-				t.Fatalf("group-end re-encodes as % x, was % x", again, b)
-			}
+			again = appendGroupEnd(nil, m, lane)
 		case msgAck:
 			m, err := decodeAck(body)
 			if err != nil {
 				return
 			}
-			if again := appendAck(nil, m); !bytes.Equal(again, b) {
-				t.Fatalf("ack re-encodes as % x, was % x", again, b)
+			again = appendAck(nil, m)
+		case msgFence:
+			m, err := decodeFence(body)
+			if err != nil {
+				return
 			}
+			again = appendFence(nil, m)
+		case msgCut:
+			m, err := decodeCut(body)
+			if err != nil {
+				return
+			}
+			again = appendCut(nil, m)
+		case msgDeath:
+			m, err := decodeDeath(body)
+			if err != nil {
+				return
+			}
+			again = appendDeath(nil, m)
+		default:
+			return
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("kind %d re-encodes as % x, was % x", b[0], again, b)
 		}
 	})
 }

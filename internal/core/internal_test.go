@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core/ft"
+	"repro/internal/core/place"
 )
 
 // --- wire format ----------------------------------------------------------
@@ -48,9 +49,9 @@ func withFrames(e *envelope, fs ...frame) *envelope {
 }
 
 // encodeEnvelopeHeader, encodeGroupEnd, encodeAck and encodeResult encode
-// a message into a fresh buffer.
-func encodeEnvelopeHeader(e *envelope) []byte { return appendEnvelopeHeader(nil, e) }
-func encodeGroupEnd(m *groupEndMsg) []byte    { return appendGroupEnd(nil, m) }
+// a plain message (no flag) into a fresh buffer.
+func encodeEnvelopeHeader(e *envelope) []byte { return appendToken(nil, e, place.Direct, 0) }
+func encodeGroupEnd(m *groupEndMsg) []byte    { return appendGroupEnd(nil, m, place.Direct) }
 func encodeAck(m ackMsg) []byte               { return appendAck(nil, m) }
 func encodeResult(m *resultMsg) []byte {
 	return append(appendResultHeader(nil, m.CallID), m.Payload...)
@@ -77,7 +78,7 @@ func TestEnvelopeHeaderRoundTrip(t *testing.T) {
 		if buf[0] != msgToken {
 			t.Fatalf("kind byte %d", buf[0])
 		}
-		out, err := decodeEnvelope(buf[1:], ids)
+		out, _, err := decodeToken(buf, ids)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func TestQuickEnvelopeRoundTrip(t *testing.T) {
 		}
 		withFrames(in, frame{GroupID: gid, Index: int(idx), Origin: testNode(ids, fo), MergeThread: int(mt)})
 		buf := append(encodeEnvelopeHeader(in), payload...)
-		out, err := decodeEnvelope(buf[1:], ids)
+		out, _, err := decodeToken(buf, ids)
 		if err != nil {
 			return false
 		}
@@ -126,7 +127,7 @@ func TestGroupEndRoundTrip(t *testing.T) {
 	if buf[0] != msgGroupEnd {
 		t.Fatal("kind byte wrong")
 	}
-	out, err := decodeGroupEnd(buf[1:], ids)
+	out, err := decodeGroupEnd(buf, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestDecodeTruncatedMessages(t *testing.T) {
 	in := withFrames(&envelope{Graph: testGraph(ids, "graph-name"), CallOrigin: testNode(ids, "origin")}, frame{Origin: testNode(ids, "o")})
 	full := encodeEnvelopeHeader(in)
 	for cut := 1; cut < len(full)-1; cut++ {
-		if _, err := decodeEnvelope(full[1:cut], ids); err == nil {
+		if _, _, err := decodeToken(full[:cut], ids); err == nil {
 			// Some prefixes decode "successfully" as an envelope with fewer
 			// fields set only if the cut happens to land exactly at a field
 			// boundary that satisfies the full structure — not possible here

@@ -15,7 +15,6 @@ type spanRule uint8
 
 const (
 	_            spanRule = iota
-	spanWire              // the receive path records the transfer's wire span
 	spanDispatch          // delivers into instrumented dispatch (queue/execute spans per token, the result span at call completion)
 	spanNone              // records nothing; the row's why says why the kind needs no span
 )
@@ -45,11 +44,11 @@ type wireKind struct {
 	// message to the runtime, copying out whatever the message keeps: the
 	// frame returns to the wire pool when recv does (link.handle).
 	recv func(l *link, src string, frame []byte) error
-	// sequenced marks the fault-tolerance framings, whose body follows an
-	// FT stamp: sender stream and sequence number (appendFTStamp).
-	sequenced bool
-	span      spanRule
-	why       string
+	// flags are the flag bits (wire.go) the kind byte may carry; a frame
+	// with any other is refused like a byte without a row (kindOf).
+	flags byte
+	span  spanRule
+	why   string
 	// suppress: a destination declared dead gets none of this kind (the
 	// retained copies replay during recovery, or nobody is left to care).
 	suppress bool
@@ -57,40 +56,33 @@ type wireKind struct {
 	fail failPolicy
 }
 
-// wireKinds is indexed by the kind byte; a byte with no row has a nil recv.
-// It is filled by init because the receive functions consult the table
-// themselves.
-var wireKinds [256]wireKind
+// wireKinds is indexed by a kind byte's kind bits; a kind with no row has a
+// nil recv. It is filled by init because the receive functions consult the
+// table themselves.
+var wireKinds [kindMask + 1]wireKind
+
+// kindOf returns the row of a frame's first byte b, or nil when its kind has
+// no row or b carries a flag the kind does not accept.
+func kindOf(b byte) *wireKind {
+	k := &wireKinds[b&kindMask]
+	if k.recv == nil || b&^kindMask&^k.flags != 0 {
+		return nil
+	}
+	return k
+}
 
 func init() {
-	wireKinds = [256]wireKind{
+	wireKinds = [kindMask + 1]wireKind{
 		msgToken: {
-			name: "token", recv: (*link).recvLone,
-			span: spanDispatch, suppress: true, fail: failPanic,
-		},
-		msgTokenFT: {
-			name: "sequenced token", recv: (*link).recvLone,
-			sequenced: true, span: spanDispatch, suppress: true, fail: failPanic,
-		},
-		msgTraced: {
-			name: "traced frame", recv: (*link).recvTraced,
-			span: spanWire, suppress: true, fail: failPanic,
-		},
-		msgForwarded: {
-			// The inner frame re-enters the token and group-end paths on the
-			// forwarded lane.
-			name: "forwarded frame", recv: (*link).recvForwarded,
-			span: spanDispatch, suppress: true, fail: failPanic,
+			// A traced token's receive also records its wire span.
+			name: "token", recv: (*link).recvToken,
+			flags: flagStamped | flagTraced | flagForwarded,
+			span:  spanDispatch, suppress: true, fail: failPanic,
 		},
 		msgGroupEnd: {
-			name: "group-end", recv: (*link).recvLone,
-			span: spanNone, why: "group accounting only; the group's tokens carry the trace",
-			suppress: true, fail: failPanic,
-		},
-		msgGroupEndFT: {
-			name: "sequenced group-end", recv: (*link).recvLone,
-			sequenced: true,
-			span:      spanNone, why: "group accounting only; the group's tokens carry the trace",
+			name: "group-end", recv: (*link).recvGroupEnd,
+			flags: flagStamped | flagForwarded,
+			span:  spanNone, why: "group accounting only; the group's tokens carry the trace",
 			suppress: true, fail: failPanic,
 		},
 		msgAck: {

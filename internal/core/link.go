@@ -23,10 +23,11 @@ import (
 // Outbound, every kind makes the local / colocated / remote choice in route
 // and reaches the transport through transmit. Inbound, handle dispatches
 // through the table into the runtime. Tokens and group-ends are delivered
-// with the transport-level source node and their lane — the placement
-// layer's fence gates are per sender and never hold what a relay forwarded
-// (fences themselves name their original sender in the message, as
-// forwarding rewrites the transport source).
+// with the transport-level source node and their lane, read from the kind
+// byte's flagForwarded — the placement layer's fence gates are per sender
+// and never hold what a relay forwarded (fences themselves name their
+// original sender in the message, as forwarding rewrites the transport
+// source).
 //
 // The runtime's linkDown and linkSuspect are the fault-tolerance hooks:
 // traffic to a node declared dead is suppressed (retained copies replay
@@ -107,7 +108,7 @@ func (l *link) route(kind byte, dst string) (rt *Runtime, wire bool) {
 // because a node has been declared dead. It is a branch on a local bool
 // while fault tolerance is off.
 func (l *link) suppressed(kind byte, dst string) bool {
-	return l.ftOn && wireKinds[kind].suppress && l.rt.linkDown(dst)
+	return l.ftOn && wireKinds[kind&kindMask].suppress && l.rt.linkDown(dst)
 }
 
 // txMode says how transmit hands a frame to the transport.
@@ -147,7 +148,7 @@ func (l *link) transmit(dst string, buf []byte, tx txMode) (corked bool) {
 	if err == nil {
 		return tx == txCorked
 	}
-	policy := wireKinds[buf[0]].fail
+	policy := wireKinds[buf[0]&kindMask].fail
 	putWireBuf(buf)
 	if l.ftOn && l.rt.linkSuspect(dst, err) {
 		return
@@ -164,42 +165,36 @@ func (l *link) transmit(dst string, buf []byte, tx txMode) (corked bool) {
 // --- outbound: one sender per kind ----------------------------------------
 
 // frameHeadCap is the stack room a sender builds a frame's header in before
-// it draws the frame's buffer: an envelope header with a few frames, behind
-// a traced wrapper and an FT stamp, fits. A longer one spills to the heap.
+// it draws the frame's buffer: a token's head and header with a few frames
+// fits. A longer one spills to the heap.
 const frameHeadCap = 256
 
-// appendTokenHead appends the framing env's serialized token travels
-// behind: the traced wrapper when the envelope is sampled, then the
-// sequenced or plain envelope header.
-func appendTokenHead(b []byte, env *envelope) []byte {
-	if env.TraceID != 0 {
-		b = appendTracedHeader(b, env.TraceID, time.Now().UnixNano())
+// sendClock is the send clock a frame of a token sampled under traceID
+// carries: none for an unsampled one.
+func sendClock(traceID uint64) int64 {
+	if traceID == 0 {
+		return 0
 	}
-	if env.FTSeq > 0 {
-		return appendTokenFT(b, env)
-	}
-	return appendEnvelopeHeader(b, env)
+	return time.Now().UnixNano()
 }
 
 // tokenFrame returns env's complete single-token wire frame in a wire
-// buffer drawn for its exact length: the forwarded wrapper when a relay
-// re-sends it, then the token's head and the serialized token (a single
-// copy, straight behind the header). Freshly stamped envelopes reuse the
-// retention log's encoding — the wire message byte for byte, which already
-// carries the traced wrapper when sampled (ftOutbound) — instead of
-// serializing the token a second time; copied, because the transport takes
-// ownership of what it sends.
+// buffer drawn for its exact length: its head and header (appendToken) and
+// the serialized token, a single copy straight behind them. Freshly
+// stamped envelopes reuse the retention log's encoding — the wire message
+// byte for byte (ftOutbound) — instead of serializing the token a second
+// time; copied, because the transport takes ownership of what it sends,
+// with flagForwarded set when a relay re-sends it.
 func (l *link) tokenFrame(env *envelope, lane place.Lane) ([]byte, error) {
-	var scratch [frameHeadCap]byte
-	head := scratch[:0]
-	if lane == place.Forwarded {
-		head = append(head, msgForwarded)
-	}
 	if env.ftWire != nil {
-		buf := append(getWireBuf(&l.rt.stats, len(head)+len(env.ftWire)), head...)
-		return append(buf, env.ftWire...), nil
+		buf := append(getWireBuf(&l.rt.stats, len(env.ftWire)), env.ftWire...)
+		if lane == place.Forwarded {
+			buf[0] |= flagForwarded
+		}
+		return buf, nil
 	}
-	head = appendTokenHead(head, env)
+	var scratch [frameHeadCap]byte
+	head := appendToken(scratch[:0], env, lane, sendClock(env.TraceID))
 	enc, err := l.reg.Prepare(env.Token)
 	if err != nil {
 		return nil, err
@@ -260,16 +255,7 @@ func (l *link) sendGroupEnd(dst string, m *groupEndMsg, lane place.Lane) {
 	if !wire {
 		return
 	}
-	buf := getWireBuf(&l.rt.stats, 0)
-	if lane == place.Forwarded {
-		buf = append(buf, msgForwarded)
-	}
-	if m.FTSeq > 0 {
-		buf = appendGroupEndFT(buf, m)
-	} else {
-		buf = appendGroupEnd(buf, m)
-	}
-	l.transmit(dst, buf, txSend)
+	l.transmit(dst, appendGroupEnd(getWireBuf(&l.rt.stats, 0), m, lane), txSend)
 }
 
 // sendResult delivers a graph's final output to the calling node, corked
@@ -384,8 +370,8 @@ func (l *link) handle(src string, frame []byte) {
 		l.rt.linkFail(fmt.Errorf("dps: empty message from %q", src))
 		return
 	}
-	k := &wireKinds[frame[0]]
-	if k.recv == nil {
+	k := kindOf(frame[0])
+	if k == nil {
 		l.rt.linkFail(fmt.Errorf("dps: unknown message kind %d from %q", frame[0], src))
 		return
 	}
@@ -396,14 +382,27 @@ func (l *link) handle(src string, frame []byte) {
 	putWireBuf(frame)
 }
 
+// laneOf is the lane a token or group-end frame arrives on.
+func laneOf(kind byte) place.Lane {
+	if kind&flagForwarded != 0 {
+		return place.Forwarded
+	}
+	return place.Direct
+}
+
 // recvToken is the one decode-unmarshal-deliver path of every token on the
-// wire: alone in a frame, or inside a traced or forwarded wrapper. body is the envelope header and serialized token;
-// stream/seq, traceID and lane are what the framing around it carried. The
-// token is a copy: handle recycles the frame body lies in.
-func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane place.Lane, body []byte) error {
-	env, err := decodeEnvelope(body, l.rt.app.ids.load())
+// wire, whatever flags its kind byte carries. A traced frame first records
+// the receiver-side wire span: sender transmit clock to receiver decode
+// clock. Across processes the two clocks are not synchronized, so the
+// duration carries their skew; within one process (the test and bench
+// deployments) they agree. The token is a copy: handle recycles the frame.
+func (l *link) recvToken(src string, frame []byte) error {
+	env, sentNs, err := decodeToken(frame, l.rt.app.ids.load())
 	if err != nil {
 		return err
+	}
+	if env.TraceID != 0 {
+		l.rt.traceSpan(env.TraceID, "wire", src, sentNs, max(time.Now().UnixNano()-sentNs, 0))
 	}
 	tok, _, err := l.reg.Unmarshal(env.Payload)
 	if err != nil {
@@ -412,86 +411,16 @@ func (l *link) recvToken(src string, stream ft.Stream, seq, traceID uint64, lane
 	}
 	env.Token = tok
 	env.Payload = nil // aliases the wire buffer
-	env.FTStream, env.FTSeq, env.TraceID = stream, seq, traceID
-	l.rt.deliverToken(env, src, lane)
+	l.rt.deliverToken(env, src, laneOf(frame[0]))
 	return nil
 }
 
-// readStamp splits the single frame of a token or group-end into its
-// fault-tolerance stamp (zero unless the kind is sequenced) and body.
-func readStamp(frame []byte) (stream ft.Stream, seq uint64, body []byte, err error) {
-	if wireKinds[frame[0]].sequenced {
-		return readFTStamp(frame[1:])
+func (l *link) recvGroupEnd(src string, frame []byte) error {
+	m, err := decodeGroupEnd(frame, l.rt.app.ids.load())
+	if err == nil {
+		l.rt.handleGroupEnd(m, src, laneOf(frame[0]))
 	}
-	return ft.Stream{}, 0, frame[1:], nil
-}
-
-func (l *link) recvLone(src string, frame []byte) error {
-	return l.recvFrame(src, 0, place.Direct, frame)
-}
-
-// recvFrame receives the single frame of a token or group-end, which may
-// sit inside wrappers.
-func (l *link) recvFrame(src string, traceID uint64, lane place.Lane, frame []byte) error {
-	stream, seq, body, err := readStamp(frame)
-	if err != nil {
-		return err
-	}
-	if frame[0] == msgGroupEnd || frame[0] == msgGroupEndFT {
-		return l.recvGroupEnd(src, stream, seq, lane, body)
-	}
-	return l.recvToken(src, stream, seq, traceID, lane, body)
-}
-
-func (l *link) recvTraced(src string, frame []byte) error {
-	return l.recvTracedFrame(src, place.Direct, frame)
-}
-
-// recvTracedFrame unwraps a sampled token's frame and records the
-// receiver-side wire span: sender transmit clock to receiver decode clock.
-// Across processes the two clocks are not synchronized, so the duration
-// carries their skew; within one process (the test and bench deployments)
-// they agree.
-func (l *link) recvTracedFrame(src string, lane place.Lane, traced []byte) error {
-	traceID, sentNs, inner, err := decodeTracedHeader(traced[1:])
-	if err != nil {
-		return err
-	}
-	if inner[0] != msgToken && inner[0] != msgTokenFT {
-		return fmt.Errorf("unexpected inner kind %d", inner[0])
-	}
-	d := time.Now().UnixNano() - sentNs
-	if d < 0 {
-		d = 0
-	}
-	l.rt.traceSpan(traceID, "wire", src, sentNs, d)
-	return l.recvFrame(src, traceID, lane, inner)
-}
-
-// recvForwarded unwraps what a relay re-sent: the ordinary frame of a token
-// (sampled or not) or group-end, delivered on the forwarded lane. Nothing
-// else travels in this wrapper — fences name their sender themselves — so
-// any other inner kind, a second wrapper included, is refused.
-func (l *link) recvForwarded(src string, frame []byte) error {
-	if len(frame) > 1 {
-		switch inner := frame[1:]; inner[0] {
-		case msgTraced:
-			return l.recvTracedFrame(src, place.Forwarded, inner)
-		case msgToken, msgTokenFT, msgGroupEnd, msgGroupEndFT:
-			return l.recvFrame(src, 0, place.Forwarded, inner)
-		}
-	}
-	return fmt.Errorf("no forwardable frame inside")
-}
-
-func (l *link) recvGroupEnd(src string, stream ft.Stream, seq uint64, lane place.Lane, body []byte) error {
-	m, err := decodeGroupEnd(body, l.rt.app.ids.load())
-	if err != nil {
-		return err
-	}
-	m.FTStream, m.FTSeq = stream, seq
-	l.rt.handleGroupEnd(m, src, lane)
-	return nil
+	return err
 }
 
 // recvRehome receives either framing of a rehome message. A live move's

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -15,14 +16,18 @@ import (
 	"repro/internal/transport"
 )
 
+// reservedWireKinds are the frozen numbers no longer sent: the batch frame,
+// and the sequenced, traced and forwarded framings that are flags now.
+var reservedWireKinds = []byte{msgTokenFT, msgGroupEndFT, msgBatch, msgTraced, msgForwarded}
+
 // TestWireKindTable checks the declaration the link layer is driven by:
 // every kind constant (frozenWireKinds is held complete against wire.go by
-// the freeze tests) but the reserved msgBatch has a complete row, and a byte
-// without a row — msgBatch's included — is rejected.
+// the freeze tests) but the reserved ones has a complete row, and a byte
+// without a row — each reserved kind's included — is rejected.
 func TestWireKindTable(t *testing.T) {
 	for name, kind := range frozenWireKinds {
 		k := wireKinds[kind]
-		if kind == msgBatch {
+		if slices.Contains(reservedWireKinds, kind) {
 			if k.recv != nil || k.fail != 0 {
 				t.Errorf("%s is reserved: it has a row %+v, want none", name, k)
 			}
@@ -44,11 +49,34 @@ func TestWireKindTable(t *testing.T) {
 			t.Errorf("kind byte %d has a row but no msg* constant", kind)
 		}
 	}
-	for _, kind := range []byte{msgBatch, 200} {
+	for _, kind := range append(slices.Clone(reservedWireKinds), 200) {
 		l, _, app := newRecordedLink(t, Config{})
 		l.handle("far", []byte{kind, 1, 0})
 		if err := app.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown message kind %d", kind)) {
 			t.Errorf("frame of kind %d: app error %v, want unknown message kind", kind, err)
+		}
+	}
+}
+
+// TestKindFlags holds the flags column to the framings: a token accepts
+// every flag, a group-end the stamp and the forwarded lane, any other kind
+// none. kindOf accepts exactly those bytes, and link.handle refuses every
+// other byte of a kind with a row as an unknown kind, naming the whole byte.
+func TestKindFlags(t *testing.T) {
+	accepts := map[byte]byte{msgToken: flagStamped | flagTraced | flagForwarded, msgGroupEnd: flagStamped | flagForwarded}
+	for b := 0; b < 256; b++ {
+		kind, flags := byte(b)&kindMask, byte(b)&^kindMask
+		rowed := wireKinds[kind].recv != nil
+		want := rowed && flags&^accepts[kind] == 0
+		if got := kindOf(byte(b)) != nil; got != want {
+			t.Errorf("kindOf(%#x) accepts it: %v, want %v", b, got, want)
+		}
+		if rowed && !want {
+			l, _, app := newRecordedLink(t, Config{})
+			l.handle("far", []byte{byte(b), 1, 0})
+			if err := app.Err(); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("unknown message kind %d ", b)) {
+				t.Errorf("frame of kind byte %#x: app error %v, want unknown message kind %d", b, err, b)
+			}
 		}
 	}
 }
@@ -139,62 +167,70 @@ func tokenEnv(l *link) *envelope {
 }
 
 // sendOneOf sends one message of each wire kind the link sends to dst
-// through the link's sender for that kind.
-var sendOneOf = map[byte]func(l *link, dst string){
-	msgToken: func(l *link, dst string) { l.sendToken(tokenEnv(l), dst, place.Direct, txSend) },
-	msgTokenFT: func(l *link, dst string) {
+// through the link's sender for that kind, and one of each flagged framing
+// of a token or group-end, named after the retired kind that carried it.
+// kind is the frame's expected first byte.
+var sendOneOf = map[string]struct {
+	kind byte
+	send func(l *link, dst string)
+}{
+	"msgToken": {msgToken, func(l *link, dst string) { l.sendToken(tokenEnv(l), dst, place.Direct, txSend) }},
+	"msgTokenFT": {msgToken | flagStamped, func(l *link, dst string) {
 		env := tokenEnv(l)
 		env.FTStream, env.FTSeq = ft.Stream{Sender: 1}, 3
 		l.sendToken(env, dst, place.Direct, txSend)
-	},
-	msgTraced: func(l *link, dst string) {
+	}},
+	"msgTraced": {msgToken | flagTraced, func(l *link, dst string) {
 		env := tokenEnv(l)
 		env.TraceID = 99
 		l.sendToken(env, dst, place.Direct, txSend)
-	},
-	msgForwarded: func(l *link, dst string) { l.sendToken(tokenEnv(l), dst, place.Forwarded, txSend) },
-	msgGroupEnd: func(l *link, dst string) {
+	}},
+	"msgForwarded": {msgToken | flagForwarded, func(l *link, dst string) { l.sendToken(tokenEnv(l), dst, place.Forwarded, txSend) }},
+	"msgGroupEnd": {msgGroupEnd, func(l *link, dst string) {
 		l.sendGroupEnd(dst, &groupEndMsg{Graph: tokenEnv(l).Graph, Total: 1}, place.Direct)
-	},
-	msgGroupEndFT: func(l *link, dst string) {
+	}},
+	"msgGroupEndFT": {msgGroupEnd | flagStamped, func(l *link, dst string) {
 		l.sendGroupEnd(dst, &groupEndMsg{Graph: tokenEnv(l).Graph, Total: 1, FTStream: ft.Stream{Sender: 1}, FTSeq: 4}, place.Direct)
-	},
-	msgAck: func(l *link, dst string) { l.sendAck(dst, ackMsg{GroupID: 1}) },
-	msgResult: func(l *link, dst string) {
+	}},
+	"forwardedGroupEnd": {msgGroupEnd | flagForwarded, func(l *link, dst string) {
+		l.sendGroupEnd(dst, &groupEndMsg{Graph: tokenEnv(l).Graph, Total: 1}, place.Forwarded)
+	}},
+	"msgAck": {msgAck, func(l *link, dst string) { l.sendAck(dst, ackMsg{GroupID: 1}) }},
+	"msgResult": {msgResult, func(l *link, dst string) {
 		origin, _ := l.rt.app.runtime(dst)
 		l.sendResult(&envelope{CallID: 5, CallOrigin: origin}, &linkTok{N: 1})
-	},
-	msgMigrate: func(l *link, dst string) {
+	}},
+	"msgMigrate": {msgMigrate, func(l *link, dst string) {
 		l.sendRehome(dst, &rehomeMsg{Key: place.Key{Collection: "c"}, State: []byte("st")})
-	},
-	msgFence: func(l *link, dst string) {
+	}},
+	"msgFence": {msgFence, func(l *link, dst string) {
 		l.sendFence(dst, &fenceMsg{Collection: "c", Src: "near", Phase: fenceClose})
-	},
-	msgCheckpoint: func(l *link, dst string) {
+	}},
+	"msgCheckpoint": {msgCheckpoint, func(l *link, dst string) {
 		l.sendCheckpoint(dst, &ft.Record{Key: place.Key{Collection: "c"}})
-	},
-	msgReplay: func(l *link, dst string) {
+	}},
+	"msgReplay": {msgReplay, func(l *link, dst string) {
 		l.sendRehome(dst, &rehomeMsg{Epoch: 2, Rec: &ft.Record{Key: place.Key{Collection: "c"}}, Replay: true})
-	},
-	msgCut: func(l *link, dst string) {
+	}},
+	"msgCut": {msgCut, func(l *link, dst string) {
 		l.sendCut(dst, cutMsg{Stream: ft.Stream{Sender: 1}, DstCollection: "c", Seq: 9})
-	},
-	msgDeath: func(l *link, dst string) { l.sendDeath(dst, deathMsg{Node: "gone"}) },
+	}},
+	"msgDeath": {msgDeath, func(l *link, dst string) { l.sendDeath(dst, deathMsg{Node: "gone"}) }},
 }
 
-// TestTransmitChokePoint drives every row of the kind table through the
-// link's one transmit path and a recording transport.
+// TestTransmitChokePoint drives every row of the kind table, and every
+// flagged framing, through the link's one transmit path and a recording
+// transport.
 func TestTransmitChokePoint(t *testing.T) {
 	for name, kind := range frozenWireKinds {
-		name, kind, row := name, kind, wireKinds[kind]
-		send := sendOneOf[kind]
-		if row.fail == 0 {
-			continue // receive-only: the link has no sender for it
-		}
-		if send == nil {
+		// A row without a fail policy is receive-only: the link has no
+		// sender for it.
+		if c, ok := sendOneOf[name]; wireKinds[kind].fail != 0 && (!ok || c.kind != kind) {
 			t.Errorf("%s: no sender in this test; add one with the kind's table row", name)
-			continue
 		}
+	}
+	for name, c := range sendOneOf {
+		name, kind, send, row := name, c.kind, c.send, wireKinds[c.kind&kindMask]
 
 		// (a) BytesSent grows by exactly the bytes the transport saw.
 		t.Run(name+"/bytes", func(t *testing.T) {
@@ -281,8 +317,7 @@ func forwardedLink(t *testing.T) (l *link, tr *recTransport, key place.Key, ran 
 
 // TestForwardedLaneOverWire follows a sampled token through a relay and the
 // wire to the thread's new owner: the relay records the forward span and
-// wraps the frame (forwarded outside traced outside the token), and the new
-// owner — gating every sender — delivers it with its trace ID while a direct
+// sends the token flagged forwarded and traced, and the new owner — gating every sender — delivers it with its trace ID while a direct
 // token under the relay's own name waits behind the gate.
 func TestForwardedLaneOverWire(t *testing.T) {
 	relay, relayTr, key, _ := forwardedLink(t)
@@ -298,8 +333,8 @@ func TestForwardedLaneOverWire(t *testing.T) {
 	env.TraceID = 99
 	relay.rt.deliverToken(env, "sender", place.Direct)
 	frames, _ := relayTr.take()
-	if len(frames) != 1 || frames[0][0] != msgForwarded || frames[0][1] != msgTraced {
-		t.Fatalf("relay sent %v, want one forwarded traced frame", frames)
+	if len(frames) != 1 || frames[0][0] != msgToken|flagTraced|flagForwarded {
+		t.Fatalf("relay sent %v, want one forwarded traced token", frames)
 	}
 	if got := relay.rt.Stats().TokensForwarded; got != 1 {
 		t.Fatalf("TokensForwarded = %d, want 1", got)
@@ -344,38 +379,47 @@ func spanKinds(spans []trace.Span) map[string]bool {
 	return kinds
 }
 
-// TestForwardedFrameHostile feeds the forwarded wrapper lies: every one must
-// fail the application with a decode error — no panic, and nothing allocated
-// beyond the frame's own size class.
+// TestForwardedFrameHostile feeds the forwarded lane lies: a flag the kind
+// refuses is an unknown kind, and every other lie fails the application
+// with a decode error — no panic, and nothing allocated beyond the frame's
+// own size class.
 func TestForwardedFrameHostile(t *testing.T) {
 	ids := idTable{}
 	g, far := testGraph(ids, "g"), testNode(ids, "far")
-	hostile := map[string][]byte{
-		"truncated wrapper":         {msgForwarded},
-		"unknown inner kind":        {msgForwarded, 200, 1, 2, 3},
-		"non-forwardable inner":     append([]byte{msgForwarded}, appendAck(nil, ackMsg{GroupID: 1})...),
-		"forwarded fence":           append([]byte{msgForwarded}, appendFence(nil, &fenceMsg{Collection: "c", Src: "s", Phase: fenceClose})...),
-		"nested wrapper":            append([]byte{msgForwarded, msgForwarded}, encodeEnvelopeHeader(&envelope{Graph: g, CallOrigin: far})...),
-		"wrapper inside traced":     append(appendTracedHeader(nil, 9, 1), msgForwarded, msgToken),
-		"truncated inner token":     {msgForwarded, msgToken, 0x05, 'a'},
-		"truncated inner traced":    {msgForwarded, msgTraced, 0x09},
-		"traced around a non-token": append(appendTracedHeader([]byte{msgForwarded}, 9, 1), appendGroupEnd(nil, &groupEndMsg{Graph: g})...),
-		"truncated inner group-end": {msgForwarded, msgGroupEnd, 0x01, 'g'},
-		"inner frame count lie":     append([]byte{msgForwarded}, hostileFrameCount()...),
+	token := encodeEnvelopeHeader(&envelope{Graph: g, CallOrigin: far})[1:]
+	const unknown = "unknown message kind"
+	hostile := map[string]struct {
+		frame []byte
+		want  string
+	}{
+		"truncated wrapper":         {[]byte{msgToken | flagForwarded}, "bad "},
+		"unknown inner kind":        {[]byte{msgBatch | flagForwarded, 1, 2, 3}, unknown},
+		"non-forwardable inner":     {append([]byte{msgAck | flagForwarded}, encodeAck(ackMsg{GroupID: 1})[1:]...), unknown},
+		"forwarded fence":           {append([]byte{msgFence | flagForwarded}, appendFence(nil, &fenceMsg{Collection: "c", Src: "s", Phase: fenceClose})[1:]...), unknown},
+		"a flag the kind refuses":   {append([]byte{msgResult | flagStamped}, appendFTStamp(nil, ft.Stream{Sender: 1}, 1)...), unknown},
+		"wrapper inside traced":     {appendHead(nil, msgToken, place.Forwarded, ft.Stream{}, 0, 9, 1), "bad "},
+		"truncated inner token":     {[]byte{msgToken | flagForwarded, 0x05, 'a'}, "bad "},
+		"truncated inner traced":    {[]byte{msgToken | flagTraced | flagForwarded, 0x09}, "bad "},
+		"traced around a non-token": {append([]byte{msgGroupEnd | flagTraced | flagForwarded, 9, 1}, encodeGroupEnd(&groupEndMsg{Graph: g})[1:]...), unknown},
+		"truncated inner group-end": {[]byte{msgGroupEnd | flagForwarded, 0x01, 'g'}, "bad "},
+		"inner frame count lie":     {append([]byte{msgToken | flagForwarded}, hostileFrameCount()[1:]...), "bad "},
+		"truncated stamp":           {[]byte{msgToken | flagStamped | flagForwarded, 1, 2, 3}, "bad "},
+		"stamped with sequence 0":   {append(appendFTStamp([]byte{msgGroupEnd | flagStamped | flagForwarded}, ft.Stream{Sender: 1}, 0), encodeGroupEnd(&groupEndMsg{Graph: g})[1:]...), "bad "},
+		"traced with trace id 0":    {append([]byte{msgToken | flagTraced | flagForwarded, 0, 2}, token...), "bad "},
 	}
-	for name, frame := range hostile {
+	for name, c := range hostile {
 		t.Run(name, func(t *testing.T) {
 			l, _, _, _ := forwardedLink(t) // declares the ids the frames carry
 			app := l.rt.app
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			l.handle("far", frame)
+			l.handle("far", c.frame)
 			runtime.ReadMemStats(&after)
-			if err := app.Err(); err == nil || !strings.Contains(err.Error(), "bad ") {
-				t.Fatalf("application error %v, want a decode failure", err)
+			if err := app.Err(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("application error %v, want %q", err, c.want)
 			}
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
-				t.Errorf("a %d-byte hostile frame allocated %d bytes", len(frame), grew)
+				t.Errorf("a %d-byte hostile frame allocated %d bytes", len(c.frame), grew)
 			}
 		})
 	}
@@ -396,11 +440,27 @@ func TestFencePhaseRejected(t *testing.T) {
 	}
 }
 
+// TestControlTrailingBytes: a fence, cut or death notice ends with its
+// last field, so a byte behind it is a bad frame, not ignored.
+func TestControlTrailingBytes(t *testing.T) {
+	for name, frame := range map[string][]byte{
+		"fence": appendFence(nil, &fenceMsg{Collection: "c", Epoch: 1, Src: "far", Phase: fenceClose}),
+		"cut":   appendCut(nil, cutMsg{Stream: ft.Stream{Sender: 1}, DstCollection: "c", Seq: 9}),
+		"death": appendDeath(nil, deathMsg{Node: "gone"}),
+	} {
+		l, _, app := newRecordedLink(t, Config{})
+		l.handle("far", append(frame, 0))
+		if err := app.Err(); err == nil || !strings.Contains(err.Error(), "1 trailing bytes") {
+			t.Errorf("%s with a trailing byte: application error %v, want a trailing-bytes decode failure", name, err)
+		}
+	}
+}
+
 // hostileFrameCount is a token frame of graph "g" from node "far" whose
 // envelope claims 65536 group frames with eight bytes behind the claim.
 func hostileFrameCount() []byte {
 	ids := idTable{}
-	hdr := appendEnvelopeBody([]byte{msgToken}, &envelope{Graph: testGraph(ids, "g"), CallOrigin: testNode(ids, "far")})
+	hdr := encodeEnvelopeHeader(&envelope{Graph: testGraph(ids, "g"), CallOrigin: testNode(ids, "far")})
 	lie := appendInt(hdr[:len(hdr)-1], 1<<16)
 	return append(lie, make([]byte, 8)...)
 }

@@ -165,17 +165,17 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 		frame func(*testing.T, *link) []byte
 	}{
 		{"lone token", msgToken, tokenFrame(nil, place.Direct, big)},
-		{"sequenced token", msgTokenFT, tokenFrame(sequenced, place.Direct, big)},
-		{"traced token", msgTraced, tokenFrame(traced, place.Direct, big)},
+		{"sequenced token", msgToken | flagStamped, tokenFrame(sequenced, place.Direct, big)},
+		{"traced token", msgToken | flagTraced, tokenFrame(traced, place.Direct, big)},
 		{"lone token, no bytes to keep", msgToken, tokenFrame(nil, place.Direct, -1)},
 		{"short token in a pool buffer", msgToken, tokenFrame(nil, place.Direct, small)},
-		{"short sequenced token in a pool buffer", msgTokenFT, tokenFrame(sequenced, place.Direct, 40)},
-		{"short traced token in a pool buffer", msgTraced, tokenFrame(traced, place.Direct, 40)},
+		{"short sequenced token in a pool buffer", msgToken | flagStamped, tokenFrame(sequenced, place.Direct, 40)},
+		{"short traced token in a pool buffer", msgToken | flagTraced, tokenFrame(traced, place.Direct, 40)},
 		{"longest copied token", msgToken, frameOf(maxClassedWireBuf - 1)},
 		{"token filling the largest class", msgToken, frameOf(maxClassedWireBuf)},
 		{"1 MiB token", msgToken, tokenFrame(nil, place.Direct, 1<<20)},
-		{"forwarded token", msgForwarded, tokenFrame(nil, place.Forwarded, big)},
-		{"forwarded traced token", msgForwarded, tokenFrame(traced, place.Forwarded, big)},
+		{"forwarded token", msgToken | flagForwarded, tokenFrame(nil, place.Forwarded, big)},
+		{"forwarded traced token", msgToken | flagTraced | flagForwarded, tokenFrame(traced, place.Forwarded, big)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -106,7 +106,8 @@ type envelope struct {
 	// FTStream / FTSeq identify the token on its sender stream when the
 	// fault-tolerance layer is enabled (zero otherwise): the receiver's
 	// duplicate filter and the sender's retention log key on them. They
-	// travel in the msgTokenFT framing; plain msgToken stays byte-identical.
+	// travel behind a msgToken kind byte flagged flagStamped; an unstamped
+	// token stays byte-identical.
 	FTStream ft.Stream
 	FTSeq    uint64
 	// ftSender is the sending instance's fault-tolerance state (set by the
@@ -127,11 +128,11 @@ type envelope struct {
 
 	// TraceID is the sampled call's trace identifier (zero: unsampled, which
 	// is the hot path — every span-recording site gates on it before touching
-	// clocks or rings). It never enters the base wire encodings; remote
-	// transfers of sampled envelopes wrap the ordinary frame in msgTraced, so
-	// the wire stays byte-identical with tracing off. traceEnqNs is the
-	// dispatch-enqueue timestamp backing the queue-wait span; both clear with
-	// the rest of the struct in putEnvelope.
+	// clocks or rings). A sampled envelope's frame is flagged flagTraced and
+	// carries it ahead of the header, so the wire stays byte-identical with
+	// tracing off. traceEnqNs is the dispatch-enqueue timestamp backing the
+	// queue-wait span; both clear with the rest of the struct in
+	// putEnvelope.
 	TraceID    uint64
 	traceEnqNs int64
 }

@@ -9,7 +9,11 @@ import (
 )
 
 // Wire message kinds exchanged between node runtimes. Per-sender FIFO is
-// guaranteed by the transport, as with the paper's TCP connections.
+// guaranteed by the transport, as with the paper's TCP connections. A
+// frame's first byte holds its kind in the low five bits (kindMask); the
+// three bits above are flags announcing optional fields of a token or
+// group-end (appendHead), so with every flag clear a frame is the plain
+// message byte for byte.
 const (
 	msgToken    byte = 1 // an envelope carrying a serialized data object
 	msgGroupEnd byte = 2 // split finished: announces the group's token count
@@ -18,34 +22,34 @@ const (
 	msgMigrate  byte = 5 // live rehome: the captured instance, old owner -> new owner
 	msgFence    byte = 6 // route-change fence of a live rehome
 
-	// Fault-tolerance messages (internal/core/ft, ftengine.go). The plain
-	// kinds above stay byte-identical with the layer disabled: sequenced
-	// traffic uses the two *FT framings instead of growing msgToken.
+	// Fault-tolerance messages (internal/core/ft, ftengine.go).
 	msgCheckpoint byte = 7  // checkpoint record travelling to the store (master)
 	msgReplay     byte = 8  // checkpoint rehome: checkpoint record -> new owner
 	msgDeath      byte = 9  // failure broadcast: a node has been declared dead
-	msgTokenFT    byte = 10 // msgToken prefixed with its sender stream + sequence
-	msgGroupEndFT byte = 11 // msgGroupEnd prefixed with stream + sequence
 	msgCut        byte = 12 // log truncation: entries to an instance are durable
 	msgPing       byte = 13 // probe frame (linkSuspect's self-send); receivers discard it
 
-	// msgBatch is reserved: it numbered a batch frame the engine no longer
-	// sends. A receiver refuses it as an unknown kind.
-	msgBatch byte = 14
+	// Reserved numbers, never to be reused: wireKinds has no row for them,
+	// so a receiver refuses each as an unknown kind. 10 and 11 numbered the
+	// sequenced token and group-end, 15 and 16 the traced and forwarded
+	// wrappers (all four now flags of msgToken and msgGroupEnd), 14 a batch
+	// frame the engine no longer sends.
+	msgTokenFT    byte = 10
+	msgGroupEndFT byte = 11
+	msgBatch      byte = 14
+	msgTraced     byte = 15
+	msgForwarded  byte = 16
+)
 
-	// msgTraced wraps the ordinary frame of a sampled envelope with its
-	// trace context: [msgTraced][traceID][sentNs][inner frame]. Only sampled
-	// traffic is wrapped (Config.TraceSample), so with tracing off — or for
-	// the unsampled majority with it on — every kind above stays
-	// byte-identical, the same discipline as the FT framings.
-	msgTraced byte = 15
-
-	// msgForwarded wraps the ordinary frame of a token or group-end that a
-	// node the thread has migrated away from re-sends to its current owner:
-	// [msgForwarded][inner frame]. The owner must tell such traffic from the
-	// relay's own posts (only those wait in a fence gate). A run that never
-	// remaps a thread under traffic emits none.
-	msgForwarded byte = 16
+// kindMask selects the kind of a frame's first byte. Each bit above it
+// announces optional fields written between the kind byte and the message
+// body, in the order of the bits; a kind's row in wireKinds lists the flags
+// it accepts, and a receiver refuses any other.
+const (
+	kindMask      byte = 0x1f
+	flagStamped   byte = 0x20 // FT sender stream (16 fixed bytes) and uvarint sequence
+	flagTraced    byte = 0x40 // uvarint trace id and varint send clock; tokens only
+	flagForwarded byte = 0x80 // a relay re-sent the frame (place.Forwarded); no field
 )
 
 // fenceClose is the one fence phase: the closing fence a sender emits down
@@ -64,7 +68,7 @@ type groupEndMsg struct {
 	// materializing merge state nobody will consume.
 	CallID uint64
 	// FTStream / FTSeq sequence the announcement on its sender stream when
-	// fault tolerance is enabled (msgGroupEndFT framing); zero otherwise.
+	// fault tolerance is enabled (flagStamped); zero otherwise.
 	FTStream ft.Stream
 	FTSeq    uint64
 }
@@ -181,6 +185,16 @@ func (r *wireReader) bytes() []byte {
 
 func (r *wireReader) string() string { return string(r.bytes()) }
 
+func (r *wireReader) byte() byte {
+	if len(r.b) < 1 {
+		r.fail("dps: truncated message")
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
 // graph reads a graph id and resolves it through ids.
 func (r *wireReader) graph(ids idTable) *Flowgraph {
 	id := r.fixed()
@@ -210,10 +224,26 @@ func (r *wireReader) nodeIndex(g *Flowgraph) int {
 	return i
 }
 
-// stamp reads appendFTStamp's prefix.
+// stamp reads appendFTStamp's fields.
 func (r *wireReader) stamp() (ft.Stream, uint64) {
 	stream := ft.Stream{Sender: r.fixed(), In: r.fixed()}
 	return stream, r.uvarint()
+}
+
+// head reads the optional fields appendHead wrote behind kind byte b. A
+// flagged field is never zero, since appendHead flags only a non-zero one.
+func (r *wireReader) head(b byte) (stream ft.Stream, seq, traceID uint64, sentNs int64) {
+	if b&flagStamped != 0 {
+		if stream, seq = r.stamp(); seq == 0 {
+			r.fail("dps: stamped frame with sequence 0")
+		}
+	}
+	if b&flagTraced != 0 {
+		if traceID, sentNs = r.uvarint(), int64(r.int()); traceID == 0 {
+			r.fail("dps: traced frame with trace id 0")
+		}
+	}
+	return stream, seq, traceID, sentNs
 }
 
 // end is the decoder's error, refusing bytes behind the message's last field.
@@ -242,47 +272,46 @@ func appendUint64(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
 }
 
-func readUint64(b []byte) (uint64, []byte, error) {
-	r := wireReader{b: b}
-	v := r.uvarint()
-	return v, r.b, r.err
+// appendHead writes the kind byte of a token or group-end with its flags,
+// then the optional fields they announce, in the flags' order: the FT stamp
+// when seq is non-zero, the trace context when traceID is (sentNs, the
+// sender's clock, backs the receiver's wire span), nothing but the bit for
+// the forwarded lane. The message body follows.
+func appendHead(b []byte, kind byte, lane place.Lane, stream ft.Stream, seq, traceID uint64, sentNs int64) []byte {
+	if seq > 0 {
+		kind |= flagStamped
+	}
+	if traceID != 0 {
+		kind |= flagTraced
+	}
+	if lane == place.Forwarded {
+		kind |= flagForwarded
+	}
+	b = append(b, kind)
+	if seq > 0 {
+		b = appendFTStamp(b, stream, seq)
+	}
+	if traceID != 0 {
+		b = binary.AppendVarint(appendUint64(b, traceID), sentNs)
+	}
+	return b
 }
 
-// appendEnvelopeHeader writes the envelope header into b; the serialized
-// token payload is appended directly afterwards by the caller, avoiding an
-// intermediate copy of potentially large data objects.
-func appendEnvelopeHeader(b []byte, e *envelope) []byte {
-	b = append(b, msgToken)
-	return appendEnvelopeBody(b, e)
-}
-
-// appendTokenFT is the sequenced framing of a token envelope: the FT stamp
-// travels ahead of the standard header, leaving msgToken byte-identical when
-// fault tolerance is off.
-func appendTokenFT(b []byte, e *envelope) []byte {
-	b = appendFTStamp(append(b, msgTokenFT), e.FTStream, e.FTSeq)
-	return appendEnvelopeBody(b, e)
-}
-
-// appendFTStamp writes the sequenced framings' prefix: the sender stream's
-// two words in 16 fixed bytes, then the sequence number.
+// appendFTStamp writes the stamp of a sequenced frame or a cut: the sender
+// stream's two words in 16 fixed bytes, then the sequence number.
 func appendFTStamp(b []byte, stream ft.Stream, seq uint64) []byte {
 	b = binary.LittleEndian.AppendUint64(b, stream.Sender)
 	b = binary.LittleEndian.AppendUint64(b, stream.In)
 	return appendUint64(b, seq)
 }
 
-// readFTStamp parses appendFTStamp's prefix.
-func readFTStamp(b []byte) (stream ft.Stream, seq uint64, rest []byte, err error) {
-	r := wireReader{b: b}
-	stream, seq = r.stamp()
-	return stream, seq, r.b, r.err
-}
-
-// appendEnvelopeBody writes the token header: the graph's and the call
+// appendToken writes e's frame up to its serialized token, which the
+// caller appends directly afterwards, avoiding an intermediate copy of
+// potentially large data objects: the head, then the graph's and the call
 // origin's ids in 8 fixed bytes each, then varints, then the frame stack,
 // each frame leading with its origin's id.
-func appendEnvelopeBody(b []byte, e *envelope) []byte {
+func appendToken(b []byte, e *envelope, lane place.Lane, sentNs int64) []byte {
+	b = appendHead(b, msgToken, lane, e.FTStream, e.FTSeq, e.TraceID, sentNs)
 	b = appendID(b, e.Graph.id)
 	b = appendID(b, e.CallOrigin.id)
 	b = appendInt(b, e.Node)
@@ -305,21 +334,16 @@ func appendEnvelopeBody(b []byte, e *envelope) []byte {
 // one-byte varints.
 const minFrameLen = 8 + 3
 
-// decodeEnvelope parses an envelope header into a pooled envelope, resolving
-// its graph and node ids through ids (an unknown one is an error). The
-// returned envelope's Payload aliases b; the caller owns both and recycles
-// them (putEnvelope after dispatch, the wire buffer once decoded).
-func decodeEnvelope(b []byte, ids idTable) (*envelope, error) {
+// decodeToken parses a token frame b into a pooled envelope, resolving its
+// graph and node ids through ids (an unknown one is an error), and returns
+// the send clock of a traced frame. The envelope's Payload aliases b;
+// the caller owns both and recycles them (putEnvelope after dispatch, the
+// wire buffer once decoded).
+func decodeToken(b []byte, ids idTable) (*envelope, int64, error) {
 	e := getEnvelope()
-	if err := decodeEnvelopeInto(e, b, ids); err != nil {
-		putEnvelope(e)
-		return nil, err
-	}
-	return e, nil
-}
-
-func decodeEnvelopeInto(e *envelope, b []byte, ids idTable) error {
-	r := wireReader{b: b}
+	r := wireReader{b: b[1:]}
+	var sentNs int64
+	e.FTStream, e.FTSeq, e.TraceID, sentNs = r.head(b[0])
 	e.Graph = r.graph(ids)
 	e.CallOrigin = r.node(ids)
 	e.Node = r.nodeIndex(e.Graph)
@@ -341,39 +365,18 @@ func decodeEnvelopeInto(e *envelope, b []byte, ids idTable) error {
 		f.Index = r.int()
 		f.MergeThread = r.int()
 	}
+	if r.err != nil {
+		putEnvelope(e)
+		return nil, 0, r.err
+	}
 	e.Payload = r.b
-	return r.err
+	return e, sentNs, nil
 }
 
-// decodeTokenFT parses a sequenced token message body (stream, sequence,
-// then the standard envelope header; Payload aliases b like decodeEnvelope).
-func decodeTokenFT(b []byte, ids idTable) (*envelope, error) {
-	stream, seq, b, err := readFTStamp(b)
-	if err != nil {
-		return nil, err
-	}
-	e, err := decodeEnvelope(b, ids)
-	if err == nil {
-		e.FTStream, e.FTSeq = stream, seq
-	}
-	return e, err
-}
-
-func appendGroupEnd(b []byte, m *groupEndMsg) []byte {
-	b = append(b, msgGroupEnd)
-	return appendGroupEndBody(b, m)
-}
-
-// appendGroupEndFT is the sequenced framing of a group-end announcement
-// (see appendTokenFT).
-func appendGroupEndFT(b []byte, m *groupEndMsg) []byte {
-	b = appendFTStamp(append(b, msgGroupEndFT), m.FTStream, m.FTSeq)
-	return appendGroupEndBody(b, m)
-}
-
-// appendGroupEndBody writes the group-end header: the graph's id in 8 fixed
-// bytes, then varints.
-func appendGroupEndBody(b []byte, m *groupEndMsg) []byte {
+// appendGroupEnd writes a group-end frame: the head, then the graph's id in
+// 8 fixed bytes, then varints.
+func appendGroupEnd(b []byte, m *groupEndMsg, lane place.Lane) []byte {
+	b = appendHead(b, msgGroupEnd, lane, m.FTStream, m.FTSeq, 0, 0)
 	b = appendID(b, m.Graph.id)
 	b = appendInt(b, m.Node)
 	b = appendInt(b, m.Thread)
@@ -382,11 +385,13 @@ func appendGroupEndBody(b []byte, m *groupEndMsg) []byte {
 	return appendUint64(b, m.CallID)
 }
 
-// decodeGroupEnd parses a group-end body, resolving its graph id through
-// ids; the body ends with its last field.
+// decodeGroupEnd parses a group-end frame, resolving its graph id through
+// ids; the frame ends with its last field.
 func decodeGroupEnd(b []byte, ids idTable) (*groupEndMsg, error) {
-	r := wireReader{b: b}
-	m := &groupEndMsg{Graph: r.graph(ids)}
+	r := wireReader{b: b[1:]}
+	m := &groupEndMsg{}
+	m.FTStream, m.FTSeq, _, _ = r.head(b[0])
+	m.Graph = r.graph(ids)
 	m.Node = r.nodeIndex(m.Graph)
 	m.Thread = r.int()
 	m.GroupID = r.uvarint()
@@ -396,18 +401,6 @@ func decodeGroupEnd(b []byte, ids idTable) (*groupEndMsg, error) {
 		return nil, err
 	}
 	return m, nil
-}
-
-func decodeGroupEndFT(b []byte, ids idTable) (*groupEndMsg, error) {
-	stream, seq, b, err := readFTStamp(b)
-	if err != nil {
-		return nil, err
-	}
-	m, err := decodeGroupEnd(b, ids)
-	if err == nil {
-		m.FTStream, m.FTSeq = stream, seq
-	}
-	return m, err
 }
 
 // appendAck writes an ack: three varints and no name.
@@ -504,42 +497,14 @@ func appendFence(b []byte, m *fenceMsg) []byte {
 
 func decodeFence(b []byte) (*fenceMsg, error) {
 	r := wireReader{b: b}
-	m := &fenceMsg{Collection: r.string(), Thread: r.int(), Epoch: r.uvarint(), Src: r.string()}
-	if r.err != nil {
-		return nil, r.err
+	m := &fenceMsg{Collection: r.string(), Thread: r.int(), Epoch: r.uvarint(), Src: r.string(), Phase: r.byte()}
+	if r.err == nil && m.Phase != fenceClose {
+		r.fail("dps: unknown fence phase %d", m.Phase)
 	}
-	if len(r.b) < 1 {
-		return nil, fmt.Errorf("dps: truncated fence")
-	}
-	if m.Phase = r.b[0]; m.Phase != fenceClose {
-		return nil, fmt.Errorf("dps: unknown fence phase %d", m.Phase)
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return m, nil
-}
-
-// appendTracedHeader writes the trace-context prefix of a sampled
-// envelope's wire frame; the inner frame (any ordinary kind) is appended
-// directly afterwards by the caller. sentNs is the sender's clock at
-// transmit time, backing the receiver-recorded wire span.
-func appendTracedHeader(b []byte, traceID uint64, sentNs int64) []byte {
-	b = append(b, msgTraced)
-	b = appendUint64(b, traceID)
-	return binary.AppendVarint(b, sentNs)
-}
-
-// decodeTracedHeader parses a msgTraced body (the frame minus its kind
-// byte), returning the trace context and the inner frame — which starts
-// with its own kind byte and aliases b.
-func decodeTracedHeader(b []byte) (traceID uint64, sentNs int64, inner []byte, err error) {
-	r := wireReader{b: b}
-	traceID, sentNs = r.uvarint(), int64(r.int())
-	if r.err != nil {
-		return 0, 0, nil, r.err
-	}
-	if len(r.b) == 0 {
-		return 0, 0, nil, fmt.Errorf("dps: empty traced frame")
-	}
-	return traceID, sentNs, r.b, nil
 }
 
 // --- fault-tolerance messages (ftengine.go) -------------------------------
@@ -561,7 +526,8 @@ func appendDeath(b []byte, m deathMsg) []byte {
 
 func decodeDeath(b []byte) (deathMsg, error) {
 	r := wireReader{b: b}
-	return deathMsg{Node: r.string()}, r.err
+	m := deathMsg{Node: r.string()}
+	return m, r.end()
 }
 
 // cutMsg tells the owner of the sender stream that its retained log
@@ -587,5 +553,5 @@ func decodeCut(b []byte) (cutMsg, error) {
 	var m cutMsg
 	m.Stream, m.Seq = r.stamp()
 	m.DstCollection, m.DstThread = r.string(), r.int()
-	return m, r.err
+	return m, r.end()
 }

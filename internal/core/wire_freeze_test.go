@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core/ft"
+	"repro/internal/core/place"
 )
 
 // frozenWireKinds is the golden name→number table of the engine's wire
@@ -104,17 +105,18 @@ func TestWireKindTableComplete(t *testing.T) {
 	}
 }
 
-// TestFTStampLayout pins the sequenced framings' stamp: the kind byte, the
-// stream's Sender and In as 8 little-endian bytes each, then the sequence
-// as a uvarint. A cut leads with the same stamp.
+// TestFTStampLayout pins the stamp of a sequenced token or group-end: the
+// kind byte with flagStamped (0x20) set, the stream's Sender and In as 8
+// little-endian bytes each, then the sequence as a uvarint. A cut leads
+// with the same stamp behind its plain kind byte.
 func TestFTStampLayout(t *testing.T) {
 	stream := ft.Stream{Sender: 0x0102030405060708, In: 0x1112131415161718}
 	want := []byte{0, 8, 7, 6, 5, 4, 3, 2, 1, 0x18, 0x17, 0x16, 0x15, 0x14, 0x13, 0x12, 0x11, 0xac, 0x02}
 	g, n := &Flowgraph{}, &Runtime{}
 	for kind, frame := range map[byte][]byte{
-		msgTokenFT:    appendTokenFT(nil, &envelope{Graph: g, CallOrigin: n, FTStream: stream, FTSeq: 300}),
-		msgGroupEndFT: appendGroupEndFT(nil, &groupEndMsg{Graph: g, FTStream: stream, FTSeq: 300}),
-		msgCut:        appendCut(nil, cutMsg{Stream: stream, Seq: 300}),
+		0x21:   appendToken(nil, &envelope{Graph: g, CallOrigin: n, FTStream: stream, FTSeq: 300}, place.Direct, 0),
+		0x22:   appendGroupEnd(nil, &groupEndMsg{Graph: g, FTStream: stream, FTSeq: 300}, place.Direct),
+		msgCut: appendCut(nil, cutMsg{Stream: stream, Seq: 300}),
 	} {
 		want[0] = kind
 		if !bytes.HasPrefix(frame, want) {
@@ -124,11 +126,12 @@ func TestFTStampLayout(t *testing.T) {
 }
 
 // TestHeaderLayout pins the token header, the group-end and the ack byte for
-// byte. A graph or node travels as its id (ft.NameID of a kind byte and its
-// name) in 8 little-endian bytes, the fixed-width fields first; everything
-// else is a varint. A dps-perf ring_1k hop's header (graph "ring", call
-// origin and split on "n0", one group frame, a call id above 1<<63) is 45
-// bytes; it was 32 while the header carried the names.
+// byte, and a token with every flag set. A graph or node travels as its id
+// (ft.NameID of a kind byte and its name) in 8 little-endian bytes, the
+// fixed-width fields first; everything else is a varint. A dps-perf ring_1k
+// hop's header (graph "ring", call origin and split on "n0", one group
+// frame, a call id above 1<<63) is 45 bytes; it was 32 while the header
+// carried the names.
 func TestHeaderLayout(t *testing.T) {
 	g := &Flowgraph{id: 0x0102030405060708}
 	origin, split := &Runtime{id: 0x1112131415161718}, &Runtime{id: 0x2122232425262728}
@@ -144,6 +147,17 @@ func TestHeaderLayout(t *testing.T) {
 	}
 	if got := encodeEnvelopeHeader(env); !bytes.Equal(got, want) {
 		t.Errorf("token header\n got % x\nwant % x", got, want)
+	}
+	// The flags' fields sit between the kind byte and the same header.
+	env.FTStream, env.FTSeq, env.TraceID = ft.Stream{Sender: 0x3132333435363738, In: 0x4142434445464748}, 300, 42
+	flagged := append([]byte{0xe1, // msgToken | flagStamped | flagTraced | flagForwarded
+		0x38, 0x37, 0x36, 0x35, 0x34, 0x33, 0x32, 0x31, // stream sender
+		0x48, 0x47, 0x46, 0x45, 0x44, 0x43, 0x42, 0x41, // stream in
+		0xac, 0x02, // sequence
+		42, 0xd0, 0x0f, // trace id, send clock 1000 (zig-zag)
+	}, want[1:]...)
+	if got := appendToken(nil, env, place.Forwarded, 1000); !bytes.Equal(got, flagged) {
+		t.Errorf("stamped, traced and forwarded token\n got % x\nwant % x", got, flagged)
 	}
 	end := &groupEndMsg{Graph: g, Node: 3, Thread: 1, GroupID: 7, Total: 64, CallID: 300}
 	want = []byte{msgGroupEnd, 8, 7, 6, 5, 4, 3, 2, 1, 6, 2, 7, 0x80, 0x01, 0xac, 0x02}

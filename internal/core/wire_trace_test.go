@@ -3,45 +3,53 @@ package core
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/core/place"
 )
 
-// TestTracedHeaderRoundTrip pins the msgTraced wrapper codec: the trace
-// context survives the wire and the inner frame comes back byte-identical,
-// starting at its own kind byte.
+// TestTracedHeaderRoundTrip pins the flagTraced fields of a token frame:
+// the trace context survives the wire, and the rest of the frame is the
+// plain token's header and payload byte for byte.
 func TestTracedHeaderRoundTrip(t *testing.T) {
-	inner := []byte{msgToken, 0x01, 0x02, 0x03, 0x04}
-	frame := appendTracedHeader(nil, 0xdeadbeefcafe, -12345)
-	frame = append(frame, inner...)
-	if frame[0] != msgTraced {
-		t.Fatalf("kind byte = %d, want msgTraced (%d)", frame[0], msgTraced)
+	ids := idTable{}
+	e := &envelope{Graph: testGraph(ids, "g"), CallOrigin: testNode(ids, "far")}
+	plain := append(encodeEnvelopeHeader(e), 0x01, 0x02)
+	e.TraceID = 0xdeadbeefcafe
+	frame := append(appendToken(nil, e, place.Direct, -12345), 0x01, 0x02)
+	if frame[0] != msgToken|flagTraced {
+		t.Fatalf("kind byte = %#x, want msgToken|flagTraced (%#x)", frame[0], msgToken|flagTraced)
 	}
-	id, sentNs, got, err := decodeTracedHeader(frame[1:])
+	got, sentNs, err := decodeToken(frame, ids)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if id != 0xdeadbeefcafe {
-		t.Errorf("trace id = %#x, want %#x", id, uint64(0xdeadbeefcafe))
+	defer putEnvelope(got)
+	if got.TraceID != 0xdeadbeefcafe {
+		t.Errorf("trace id = %#x, want %#x", got.TraceID, uint64(0xdeadbeefcafe))
 	}
 	if sentNs != -12345 {
 		t.Errorf("sentNs = %d, want -12345", sentNs)
 	}
-	if !bytes.Equal(got, inner) {
-		t.Errorf("inner frame = %x, want %x", got, inner)
+	if rest := frame[len(frame)-len(plain)+1:]; !bytes.Equal(rest, plain[1:]) {
+		t.Errorf("frame past the trace fields = %x, want the plain token's %x", rest, plain[1:])
 	}
 }
 
-// TestTracedHeaderTruncation: every strict prefix of the header must fail to
-// decode rather than yield a bogus context or an empty inner frame. The
-// trace id forces a multi-byte uvarint so mid-varint cuts are exercised.
+// TestTracedHeaderTruncation: a frame cut anywhere in its trace fields
+// must fail to decode rather than yield a bogus context. The trace id
+// forces a multi-byte uvarint so mid-varint cuts are exercised.
 func TestTracedHeaderTruncation(t *testing.T) {
-	header := appendTracedHeader(nil, 1<<60, 1<<50)
-	frame := append(append([]byte{}, header...), msgToken, 0x09)
-	for n := 1; n <= len(header); n++ {
-		if _, _, _, err := decodeTracedHeader(frame[1:n]); err == nil {
-			t.Errorf("truncated body of %d bytes decoded without error", n-1)
+	ids := idTable{}
+	e := &envelope{Graph: testGraph(ids, "g"), CallOrigin: testNode(ids, "far"), TraceID: 1 << 60}
+	head := appendHead(nil, msgToken, place.Direct, e.FTStream, 0, e.TraceID, 1<<50)
+	for n := 1; n <= len(head); n++ {
+		if _, _, err := decodeToken(head[:n], ids); err == nil {
+			t.Errorf("frame cut to %d bytes decoded without error", n)
 		}
 	}
-	if _, _, inner, err := decodeTracedHeader(frame[1:]); err != nil || len(inner) != 2 {
-		t.Fatalf("full frame: inner=%x err=%v", inner, err)
+	got, _, err := decodeToken(appendToken(nil, e, place.Direct, 1<<50), ids)
+	if err != nil || got.TraceID != 1<<60 {
+		t.Fatalf("full frame: %+v, err=%v", got, err)
 	}
+	putEnvelope(got)
 }
