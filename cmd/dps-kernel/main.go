@@ -213,6 +213,7 @@ func transportMetrics(enc *promtext.Encoder, st tcptransport.Stats) {
 	enc.Counter("dps_transport_frames_corked_total", "Frames held for an uncork (transport.Corker).", float64(st.FramesCorked))
 	enc.Counter("dps_transport_cork_timeouts_total", "Corks let go by the backstop rather than an uncork.", float64(st.CorkTimeouts))
 	enc.Counter("dps_transport_reads_total", "Socket reads by the kernel's node.", float64(st.Reads))
+	enc.Counter("dps_transport_frames_discarded_total", "Frames read whole on a connection a newer session of the same peer had superseded, and dropped.", float64(st.FramesDiscarded))
 	enc.Counter("dps_transport_dials_total", "Outbound connection attempts by the kernel's node.", float64(st.Dials))
 	enc.Counter("dps_transport_retries_total", "Send attempts repeated after a transient failure, within the retry budget.", float64(st.Retries))
 }

@@ -33,7 +33,7 @@ func TestMetricsCarryTransportCounters(t *testing.T) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 		body := rec.Body.String()
-		for _, metric := range []string{"writes", "frames_sent", "frames_corked", "cork_timeouts", "reads", "dials", "retries"} {
+		for _, metric := range []string{"writes", "frames_sent", "frames_corked", "cork_timeouts", "reads", "frames_discarded", "dials", "retries"} {
 			if !strings.Contains(body, "\ndps_transport_"+metric+"_total ") {
 				t.Errorf("%s: no dps_transport_%s_total in\n%s", name, metric, body)
 			}

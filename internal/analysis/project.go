@@ -34,8 +34,10 @@ func ProjectRules() []*Rule {
 		// decodeToken hands out a pooled envelope,
 		// and link.tokenFrame a wire buffer drawn for the frame it builds,
 		// so their results are pool-owned too. A kernel (internal/kernel)
-		// draws the same buffers through an application's lender (borrow)
-		// and makeAppFrame, and gives a received frame back with recycle.
+		// draws the same buffers for the app frames it sends through an
+		// application's lender (borrow, inside makeAppFrame), and gives
+		// what it is done with back through the application's release. A
+		// received frame is only lent, so no receive path puts anything.
 		// The function names are package-local and distinct, so one rule
 		// instance covers both packages.
 		Poolown(PoolownConfig{
@@ -43,7 +45,7 @@ func ProjectRules() []*Rule {
 			Pools: []PoolSpec{
 				{Get: "getEnvelope", Put: "putEnvelope"},
 				{Get: "getWireBuf", Put: "putWireBuf"},
-				{Get: "borrow", Put: "recycle"},
+				{Get: "borrow", Put: "release"},
 			},
 			ExtraGets: []string{"decodeToken", "tokenFrame", "makeAppFrame"},
 		}),

@@ -243,13 +243,13 @@ func (app *App) AttachTransport(tr transport.Transport) (*Runtime, error) {
 	app.runtimes.set(name, rt)
 	app.nodeOrder = append(app.nodeOrder, name)
 	if r, ok := tr.(transport.Releaser); ok {
-		// The transport copies what it sends: the sender's buffer comes back
-		// to the pool it was drawn from (pool.go).
+		// The transport says when a sent buffer has no reader left: it comes
+		// back to the pool it was drawn from (pool.go).
 		r.SetRelease(putWireBuf)
 	}
 	if b, ok := tr.(transport.Borrower); ok {
-		// The transport allocates per received frame: every frame arrives in
-		// a pool buffer instead, which the link gives back once decoded.
+		// The transport builds a frame of its own around what it sends: it
+		// draws that frame from the pool too, and releases it once written.
 		b.SetBorrow(func(n int) []byte { return getWireBuf(&rt.stats, n) })
 	}
 	tr.SetHandler(rt.lnk.handle)

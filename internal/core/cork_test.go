@@ -26,7 +26,7 @@ var _ = serial.MustRegister[corkTok]()
 // merge (on a), over one tcptransport node per name; the leaf runs body.
 func corkGraph(t *testing.T, cfg Config, workers string, split func(c *Ctx, in *corkTok, post func(*corkTok)), body func(*corkTok)) (*Flowgraph, []*tcptransport.Node) {
 	t.Helper()
-	app, nodes := newTCPApp(t, cfg, "a", "b", "c")
+	app, nodes := newTCPApp(t, cfg, nil, "a", "b", "c")
 	t.Cleanup(app.Close)
 	main, work := MustCollection[struct{}](app, "main"), MustCollection[struct{}](app, "work")
 	if err := main.Map("a"); err != nil {

@@ -343,8 +343,7 @@ func (l *link) sendDeath(dst string, m deathMsg) {
 
 // roundTrip marshals and unmarshals a token, exercising the full
 // serialization path for same-node transfers (the ForceSerialize debugging
-// mode). The token is a copy, so the buffer goes to the wire pool like a
-// received frame.
+// mode). The token is a copy, so the buffer goes back to the wire pool.
 func (l *link) roundTrip(tok Token) (Token, error) {
 	payload, err := l.reg.Marshal(tok)
 	if err != nil {
@@ -360,11 +359,10 @@ func (l *link) roundTrip(tok Token) (Token, error) {
 
 // --- inbound --------------------------------------------------------------
 
-// handle is the transport receive entry point. Per the transport ownership
-// contract the frame belongs to this handler once invoked, and every kind's
-// receive function copies out whatever it keeps, so the frame returns to
-// the wire pool here once it is decoded. A frame that fails to decode fails
-// the application and is left to the collector.
+// handle is the transport receive entry point. The frame is lent for the
+// call (transport.Handler): every kind's receive function copies out
+// whatever it keeps, and the transport reuses or releases the frame once
+// handle returns. A frame that fails to decode fails the application.
 func (l *link) handle(src string, frame []byte) {
 	if len(frame) == 0 {
 		l.rt.linkFail(fmt.Errorf("dps: empty message from %q", src))
@@ -377,9 +375,7 @@ func (l *link) handle(src string, frame []byte) {
 	}
 	if err := k.recv(l, src, frame); err != nil {
 		l.rt.linkFail(fmt.Errorf("dps: bad %s from %q: %w", k.name, src, err))
-		return
 	}
-	putWireBuf(frame)
 }
 
 // laneOf is the lane a token or group-end frame arrives on.
@@ -395,7 +391,7 @@ func laneOf(kind byte) place.Lane {
 // the receiver-side wire span: sender transmit clock to receiver decode
 // clock. Across processes the two clocks are not synchronized, so the
 // duration carries their skew; within one process (the test and bench
-// deployments) they agree. The token is a copy: handle recycles the frame.
+// deployments) they agree. The token is a copy: the frame is only lent.
 func (l *link) recvToken(src string, frame []byte) error {
 	env, sentNs, err := decodeToken(frame, l.rt.app.ids.load())
 	if err != nil {
@@ -424,8 +420,8 @@ func (l *link) recvGroupEnd(src string, frame []byte) error {
 }
 
 // recvRehome receives either framing of a rehome message. A live move's
-// state aliases the frame; the install deserializes it synchronously, before
-// the frame is recycled.
+// state aliases the frame; the install deserializes it synchronously, while
+// the frame is still lent.
 func (l *link) recvRehome(src string, frame []byte) error {
 	m, err := decodeRehome(frame[0], frame[1:])
 	if err == nil {

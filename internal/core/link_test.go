@@ -81,19 +81,15 @@ func TestKindFlags(t *testing.T) {
 	}
 }
 
-// recTransport records the frames a link hands it, or refuses them, and what
-// it was offered as a transport.Borrower. Its node is "near" unless named.
+// recTransport records the frames a link hands it, or refuses them. Its
+// node is "near" unless named.
 type recTransport struct {
 	name    string
 	mu      sync.Mutex
 	frames  [][]byte
 	refuse  bool
 	refused []byte // the last refused buffer itself, not a copy
-
-	borrow func(n int) []byte
 }
-
-func (r *recTransport) SetBorrow(borrow func(n int) []byte) { r.borrow = borrow }
 
 func (r *recTransport) Local() string {
 	if r.name != "" {

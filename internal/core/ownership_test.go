@@ -12,6 +12,7 @@ import (
 	"repro/internal/core/ft"
 	"repro/internal/core/place"
 	"repro/internal/serial"
+	"repro/internal/transport"
 	"repro/internal/transport/tcptransport"
 )
 
@@ -116,9 +117,9 @@ func blobLink(t *testing.T, cfg Config) (l *link, tr *recTransport, ran chan *bl
 
 // TestFrameOwnershipPerKind: every received frame — a token alone,
 // sequenced, traced or forwarded, a result; short or long; in a pool
-// buffer or not — is decoded by copy and given to the wire pool exactly once
-// by handle, and overwritten as it is, which must not reach the delivered
-// token.
+// buffer or not — is only lent to handle: it is decoded by copy, handle
+// gives nothing to the wire pool, and the frame overwritten once handle
+// returns, as its transport may, must not reach the delivered token.
 func TestFrameOwnershipPerKind(t *testing.T) {
 	const (
 		big   = maxClassedWireBuf + 3000 // above the classes
@@ -186,6 +187,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			}
 			pl := poisonPuts(t)
 			l.handle("far", frame)
+			poison(frame)
 			var got *blobTok
 			select {
 			case got = <-ran:
@@ -212,6 +214,7 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 			}
 			pl := poisonPuts(t)
 			l.handle("far", frame)
+			poison(frame)
 			res := <-ce.ch
 			if res.Err != nil {
 				t.Fatal(res.Err)
@@ -242,10 +245,10 @@ func TestFrameOwnershipPerKind(t *testing.T) {
 }
 
 // newTCPApp attaches one tcptransport node per name, on loopback: every
-// cross-node message is a real socket write and a frame read back into a
-// buffer of the receiving transport's choosing. The nodes are returned in
-// the order of names.
-func newTCPApp(t *testing.T, cfg Config, names ...string) (*App, []*tcptransport.Node) {
+// cross-node message is a real socket write and a frame read back into the
+// receiving connection's buffer. The nodes are returned in the order of
+// names; wrap, if not nil, stands between each node and the App.
+func newTCPApp(t *testing.T, cfg Config, wrap func(transport.Transport) transport.Transport, names ...string) (*App, []*tcptransport.Node) {
 	t.Helper()
 	app := NewApp(cfg)
 	table := map[string]string{}
@@ -256,7 +259,11 @@ func newTCPApp(t *testing.T, cfg Config, names ...string) (*App, []*tcptransport
 			t.Fatal(err)
 		}
 		table[name] = n.Addr()
-		if _, err := app.AttachTransport(n); err != nil {
+		var tr transport.Transport = n
+		if wrap != nil {
+			tr = wrap(n)
+		}
+		if _, err := app.AttachTransport(tr); err != nil {
 			t.Fatal(err)
 		}
 		nodes = append(nodes, n)
@@ -264,54 +271,70 @@ func newTCPApp(t *testing.T, cfg Config, names ...string) (*App, []*tcptransport
 	return app, nodes
 }
 
-// TestShortFramesAreLentFromThePool: a transport that asks
-// (transport.Borrower) is lent wire-pool buffers for every frame, short or
-// long, each with room for the frame it is lent for, counted like a
-// sender's when the pool has none; the link gives such a frame back once.
-func TestShortFramesAreLentFromThePool(t *testing.T) {
-	for _, size := range []int{5000, 70000} {
-		l, tr, ran := blobLink(t, Config{})
-		if tr.borrow == nil {
-			t.Fatal("AttachTransport installed no lender")
-		}
-		env := tokenEnv(l)
-		env.Token = newBlob(7, size)
-		built, err := l.tokenFrame(env, place.Direct)
-		if err != nil {
-			t.Fatal(err)
-		}
-		misses := l.rt.Stats().WireBufMisses
-		var buf []byte
-		for lent := 0; l.rt.Stats().WireBufMisses == misses; lent++ { // until the pool runs dry
-			if lent == 1<<16 {
-				t.Fatalf("%d buffers lent and none counted as a pool miss", lent)
-			}
-			if buf = tr.borrow(len(built)); len(buf) != 0 || cap(buf) < len(built) {
-				t.Fatalf("lent a buffer of len %d cap %d, want empty with room for the %d-byte frame", len(buf), cap(buf), len(built))
-			}
-		}
-		frame := append(buf, built...)
-		pl := poisonPuts(t)
-		l.handle("far", frame)
-		checkDisposal(t, l, pl, frame, <-ran)
+// lentWatch stands between a transport and the App: after sees every
+// payload the transport lends the handler, once the handler has returned.
+// It forwards what else the engine asks of a transport, except Colocated,
+// so a wrapped in-process node carries every message as a frame.
+type lentWatch struct {
+	transport.Transport
+	after func(p []byte)
+}
+
+func (w *lentWatch) SetHandler(h transport.Handler) {
+	w.Transport.SetHandler(func(src string, p []byte) {
+		h(src, p)
+		w.after(p)
+	})
+}
+
+func (w *lentWatch) SetRelease(release func([]byte)) {
+	if r, ok := w.Transport.(transport.Releaser); ok {
+		r.SetRelease(release)
+	}
+}
+
+func (w *lentWatch) SetBorrow(borrow func(int) []byte) {
+	if b, ok := w.Transport.(transport.Borrower); ok {
+		b.SetBorrow(borrow)
+	}
+}
+
+func (w *lentWatch) SendCorked(dst string, payload []byte) error {
+	if c, ok := w.Transport.(transport.Corker); ok {
+		return c.SendCorked(dst, payload)
+	}
+	return w.Transport.Send(dst, payload)
+}
+
+func (w *lentWatch) Uncork() {
+	if c, ok := w.Transport.(transport.Corker); ok {
+		c.Uncork()
+	}
+}
+
+// poison overwrites a lent payload, as its transport may do at any time
+// once the handler has returned.
+func poison(p []byte) {
+	for i := range p {
+		p[i] = 0xA5
 	}
 }
 
 // checkDisposal checks what became of frame after handle decoded got out of
-// it: got is intact, a copy, and the frame reached the pool exactly once.
+// it: got is intact and a copy, and handle gave the frame to no pool.
 func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok) {
 	t.Helper()
 	if err := l.rt.app.Err(); err != nil {
 		t.Fatal(err)
 	}
 	if got.N != 7 || !got.intact() {
-		t.Fatalf("delivered token %d is damaged: its bytes were recycled under it", got.N)
+		t.Fatalf("delivered token %d is damaged: it kept bytes of the lent frame", got.N)
 	}
 	if pointsInto(got.Data, frame) {
 		t.Fatal("token data points into the frame")
 	}
-	if n := pl.of(frame); n != 1 {
-		t.Errorf("the frame reached putWireBuf %d times, want once", n)
+	if n := pl.of(frame); n != 0 {
+		t.Errorf("handle gave the lent frame to putWireBuf %d times", n)
 	}
 }
 
@@ -322,11 +345,12 @@ func checkDisposal(t *testing.T, l *link, pl *putLog, frame []byte, got *blobTok
 // last field was copied out, a sent buffer released before the write —
 // shows up as a damaged block or a decode failure, at once or when the
 // results held back are checked again at the end, after the pool has been
-// through many more owners. Every frame is a pool buffer — the sender's own
-// on the in-process fabric, one the transport borrowed over TCP — so every
-// block must come out as a copy; the two around maxClassedWireBuf put their
-// frames on either side of the largest class, and the 64 KiB and 1 MiB ones
-// share the pool above it.
+// through many more owners. On the in-process fabric every frame is the
+// sender's pool buffer, released once the receiving handler returns; over
+// TCP it lies in the connection's read buffer, and is overwritten here as
+// soon as the handler returns. Either way every block must come out as a
+// copy; the two around maxClassedWireBuf put their frames on either side of
+// the largest class, and the 64 KiB and 1 MiB ones share the pool above it.
 func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 	const resultSize = 70000 // the block the merge returns
 	sizes := []int{-1, 0, 9, 200, 600, 1100, 5000, maxClassedWireBuf - 1, maxClassedWireBuf, 64 << 10, resultSize, 1 << 20}
@@ -347,7 +371,9 @@ func TestPoisonedPoolNeverReachesTokens(t *testing.T) {
 			var app *App
 			var err error
 			if cfg.tcp {
-				app, _ = newTCPApp(t, cfg.cfg, "a", "b", "c")
+				app, _ = newTCPApp(t, cfg.cfg, func(tr transport.Transport) transport.Transport {
+					return &lentWatch{Transport: tr, after: poison}
+				}, "a", "b", "c")
 			} else if app, err = NewLocalApp(cfg.cfg, "a", "b", "c"); err != nil {
 				t.Fatal(err)
 			}

@@ -27,25 +27,12 @@ import (
 //
 //   - A sender sizes its frame (header plus the codec's size pass), encodes
 //     into a buffer from getWireBuf and hands it to link.transmit. If the
-//     transport refuses it, transmit puts it back. If the transport copies
-//     it out (tcptransport into the socket, a kernel port into its own
-//     frame) the transport is the last reader and returns it through
-//     transport.Releaser, which App.AttachTransport points at putWireBuf. On
-//     the in-process fabrics the same bytes reach the receiving link, which
-//     is then the last reader.
-//   - A transport that would allocate a buffer per received frame borrows
-//     it from here instead (transport.Borrower, installed by
-//     App.AttachTransport).
-//   - A receiving link owns every frame its handler is given, decodes every
-//     token and result by copy, and returns the frame here once decoded
-//     (link.handle). No token ever holds a slice of a wire buffer: its
-//     bytes are exactly its own, garbage-collected, so a user may keep them
-//     for ever while the frame is drawn again.
-//
-// With the in-process fabrics both ends share this pool, so steady-state
-// traffic reuses a small set of buffers per class; over TCP the sender's own
-// buffers come back after each write and every received frame is read into
-// a buffer from here.
+//     transport refuses it, transmit puts it back; otherwise the transport
+//     returns it through transport.Releaser (App.AttachTransport points it
+//     at putWireBuf) once it has no reader left.
+//   - A received frame is only lent to the link, which decodes every token
+//     and result by copy and gives nothing back here. A token's bytes are
+//     its own, so a user may keep them for ever.
 
 var envelopePool = sync.Pool{New: func() any { return new(envelope) }}
 

@@ -94,8 +94,8 @@ type Stats struct {
 	// on this node (it moved on before the cut arrived).
 	CutsStale int64
 	// WireBufMisses counts the wire buffers that had to be allocated because
-	// the pool's class was empty: for an outbound message, or lent to a
-	// transport.Borrower for an inbound frame. With every token a copy of
+	// the pool's class was empty: for an outbound message, or for the frame
+	// a transport.Borrower builds around one. With every token a copy of
 	// its bytes, it explains a deployment's allocated bytes per token from
 	// /metrics alone.
 	WireBufMisses int64

@@ -34,21 +34,21 @@ var (
 	_ = dps.Register[raDone]()
 )
 
-// lentSet remembers every buffer a transport was lent for a received frame
-// (transport.Borrower), and keeps each alive, so that no other allocation
-// can take its address while the test asks whether a token's bytes lie in
-// one.
+// lentSet remembers every payload a transport lent its handler, and keeps
+// each alive, so that no other allocation can take its address while the
+// test asks whether a token's bytes lie in one.
 type lentSet struct {
 	mu   sync.Mutex
-	bufs map[*byte]int // first byte → capacity
+	bufs map[*byte]int // first byte → capacity; the key keeps the buffer alive
 }
 
 func (ls *lentSet) add(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
+	first := unsafe.SliceData(b[:1])
 	ls.mu.Lock()
-	ls.bufs[unsafe.SliceData(b[:1])] = cap(b)
+	ls.bufs[first] = max(ls.bufs[first], cap(b))
 	ls.mu.Unlock()
 }
 
@@ -68,20 +68,25 @@ func (ls *lentSet) holds(data []byte) bool {
 	return false
 }
 
-// lendWatch is a transport that borrows its receive buffers, with every
-// buffer it is lent recorded in lent. It forwards the rest of what the
-// engine asks of a transport.
+// lendWatch is a transport whose every payload lent to the handler is
+// recorded in lent. It forwards the rest of what the engine asks of a
+// transport.
 type lendWatch struct {
 	transport.Transport
 	lent *lentSet
 }
 
-func (w lendWatch) SetBorrow(borrow func(n int) []byte) {
-	w.Transport.(transport.Borrower).SetBorrow(func(n int) []byte {
-		b := borrow(n)
-		w.lent.add(b)
-		return b
+func (w lendWatch) SetHandler(h transport.Handler) {
+	w.Transport.SetHandler(func(src string, p []byte) {
+		w.lent.add(p)
+		h(src, p)
 	})
+}
+
+func (w lendWatch) SetBorrow(borrow func(n int) []byte) {
+	if b, ok := w.Transport.(transport.Borrower); ok {
+		b.SetBorrow(borrow)
+	}
 }
 
 func (w lendWatch) SetRelease(release func([]byte)) {
@@ -211,9 +216,9 @@ func ringAllocs(t *testing.T, app *dps.App, lent *lentSet, nodes ...string) (per
 // TestRingOverTCPAllocationBudget is the ring on three real TCP nodes —
 // split on ra0, forward on ra1 and ra2, merge on ra0 — and counts what one
 // block costs the allocator: every block crosses three sockets, and each
-// crossing reads the frame into a wire-pool buffer and copies the block's
-// bytes out of it, allocating exactly its 64 KiB and nothing else of the
-// block's size. With the test's own 64 KiB per block that is four payloads
+// crossing lends the frame from the connection's overflow buffer (a block's
+// frame is longer than the read buffer) and copies the block's bytes out of
+// it, allocating exactly its 64 KiB and nothing else of the block's size. With the test's own 64 KiB per block that is four payloads
 // (4.06 measured); the bound of 4.5 leaves room for the small objects and
 // for a pool that the collector empties now and then. While frames of
 // 32 KiB and more were read into buffers of their own and kept as the
@@ -261,11 +266,10 @@ func TestRingOverTCPAllocationBudget(t *testing.T) {
 
 // TestRingOverKernelsAllocationBudget is the ring through two kernels, the
 // paper's runtime environment: split on rk0, forward on rk1, merge on rk0,
-// each block crossing two kernel sockets. Both kernels' nodes read their
-// frames into wire-pool buffers, each application payload is copied out of
-// its kernel frame into one more, and each hop allocates only the block's
-// own 64 KiB: three payloads a block with the test's own. Measured 3.03
-// payloads and 8.3 objects; the bounds are 3.5 and 10. While the kernel's
+// each block crossing two kernel sockets. Each kernel lends an application
+// payload where it lies in its connection's buffer, and each hop allocates
+// only the block's own 64 KiB: three payloads a block with the test's own.
+// Measured 3.04 payloads and 8.6 objects; the bounds are 3.5 and 10. While the kernel's
 // application port lent no buffers, each hop allocated a kernel frame and a
 // sub-slice of it stayed the block's bytes: 5.53 payloads and 12.7 objects
 // a block. Under the race detector sync.Pool drops every fourth Put, and a

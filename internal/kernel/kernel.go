@@ -1,12 +1,12 @@
 package kernel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/trace"
@@ -45,10 +45,6 @@ type Kernel struct {
 	hbStop     chan struct{}
 	roundHook  func() // tests: runs before each heartbeat round
 	closed     bool
-
-	// release returns a received kernel frame to the pool the node borrowed
-	// it from (appPort.SetRelease); nil until an application installs one.
-	release atomic.Pointer[func([]byte)]
 }
 
 // OnFailover installs the handler invoked when a peer kernel is declared
@@ -241,9 +237,11 @@ func (k *Kernel) peerDied(peer string) {
 	}
 }
 
+// pendingMsg is a message queued for an application not launched yet: a
+// copy, since the frame it came in is only lent to demux.
 type pendingMsg struct {
-	src            string
-	frame, payload []byte // payload lies in the kernel frame
+	src     string
+	payload []byte
 }
 
 // maxPending bounds the per-application queue of messages received before
@@ -367,8 +365,9 @@ func (k *Kernel) Transport(appName string) transport.Transport {
 
 // demux routes an incoming kernel frame ("appName" length-prefixed, then
 // payload) to the right application, lazily launching it if needed. The
+// frame is lent for the call, and so is the payload handed on in it. The
 // name is looked up as bytes: only a message queued for an application not
-// yet up makes it a string.
+// yet up makes it a string, and its payload a copy.
 func (k *Kernel) demux(src string, frame []byte) {
 	name, rest, err := splitAppFrame(frame)
 	if err != nil {
@@ -376,7 +375,6 @@ func (k *Kernel) demux(src string, frame []byte) {
 	}
 	if string(name) == controlApp {
 		k.handleControl(src, rest) // copies out what it keeps
-		k.recycle(frame)
 		return
 	}
 
@@ -384,7 +382,7 @@ func (k *Kernel) demux(src string, frame []byte) {
 	p, ok := k.ports[string(name)]
 	if ok && p.hasHandler() {
 		k.mu.Unlock()
-		p.deliver(src, frame, rest)
+		p.deliver(src, rest)
 		return
 	}
 	appName := string(name)
@@ -394,7 +392,7 @@ func (k *Kernel) demux(src string, frame []byte) {
 		k.launched[appName] = true
 	}
 	if len(k.pending[appName]) < maxPending {
-		k.pending[appName] = append(k.pending[appName], pendingMsg{src: src, frame: frame, payload: rest})
+		k.pending[appName] = append(k.pending[appName], pendingMsg{src: src, payload: bytes.Clone(rest)})
 	}
 	k.mu.Unlock()
 
@@ -420,16 +418,8 @@ func (k *Kernel) flushPending(appName string, p *appPort) {
 			return
 		}
 		for _, m := range queue {
-			p.deliver(m.src, m.frame, m.payload)
+			p.deliver(m.src, m.payload)
 		}
-	}
-}
-
-// recycle returns a received kernel frame whose bytes have all been copied
-// out to the pool it was borrowed from, if an application installed one.
-func (k *Kernel) recycle(frame []byte) {
-	if r := k.release.Load(); r != nil {
-		(*r)(frame)
 	}
 }
 
@@ -461,23 +451,15 @@ func (p *appPort) hasHandler() bool {
 	return p.handler != nil
 }
 
-// deliver hands the application's payload, which lies in the kernel frame
-// frame, to its handler. An application that lends (transport.Borrower)
-// gets a copy in a buffer from its own lender, and the frame goes back to
-// the pool: the payload itself starts behind the name prefix, so given back
-// it would be filed one class too low. Otherwise the frame is the handler's.
-func (p *appPort) deliver(src string, frame, payload []byte) {
+// deliver lends the application's payload to its handler where it lies,
+// behind the name prefix of the kernel frame.
+func (p *appPort) deliver(src string, payload []byte) {
 	p.mu.Lock()
-	h, borrow := p.handler, p.borrow
+	h := p.handler
 	p.mu.Unlock()
-	if h == nil {
-		return
+	if h != nil {
+		h(src, payload)
 	}
-	if borrow != nil {
-		payload = append(borrow(len(payload)), payload...)
-		p.kernel.recycle(frame)
-	}
-	h(src, payload)
 }
 
 // Send implements transport.Transport, framing the payload with the
@@ -522,24 +504,21 @@ func (p *appPort) send(dst string, payload []byte, cork bool) error {
 
 // SetRelease implements transport.Releaser: the frame on the kernel's wire
 // is a copy (makeAppFrame), so an accepted payload has no reader left by the
-// time Send returns. The kernel node releases its own frames, sent and
-// received, through the same function.
+// time Send returns. The kernel node releases the frames it writes through
+// the same function.
 func (p *appPort) SetRelease(release func(payload []byte)) {
 	p.mu.Lock()
 	p.release = release
 	p.mu.Unlock()
 	p.kernel.node.SetRelease(release)
-	p.kernel.release.Store(&release)
 }
 
-// SetBorrow implements transport.Borrower: the kernel node reads its frames
-// into buffers from borrow, and each of this application's payloads is
-// copied out of its frame into one more (deliver).
+// SetBorrow implements transport.Borrower: each of this application's
+// kernel frames is built in a buffer from borrow (makeAppFrame).
 func (p *appPort) SetBorrow(borrow func(n int) []byte) {
 	p.mu.Lock()
 	p.borrow = borrow
 	p.mu.Unlock()
-	p.kernel.node.SetBorrow(borrow)
 }
 
 // Close implements transport.Transport (the kernel endpoint stays up).

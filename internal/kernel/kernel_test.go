@@ -480,9 +480,9 @@ func TestHeartbeatJitterBounded(t *testing.T) {
 }
 
 // TestDemuxAllocatesNothing: routing a received frame to an attached
-// application looks its name up as bytes and allocates nothing, whether the
-// application takes the frame itself or lends a buffer for its payload and
-// has the kernel frame released.
+// application looks its name up as bytes and lends the payload where it
+// lies, allocating nothing, whether or not the application lends the
+// buffers of its own frames (transport.Borrower).
 func TestDemuxAllocatesNothing(t *testing.T) {
 	ns := startNS(t)
 	k := startKernel(t, ns, "kA")

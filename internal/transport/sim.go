@@ -23,6 +23,7 @@ type SimNode struct {
 
 	mu      sync.Mutex
 	handler Handler
+	release func(payload []byte)
 	started bool
 	wg      sync.WaitGroup
 }
@@ -66,15 +67,26 @@ func (s *SimNode) pump() {
 		select {
 		case m := <-s.node.Inbox():
 			s.mu.Lock()
-			h := s.handler
+			h, release := s.handler, s.release
 			s.mu.Unlock()
 			if h != nil {
 				h(m.From, m.Payload)
+			}
+			if release != nil {
+				release(m.Payload)
 			}
 		case <-s.node.Done():
 			return
 		}
 	}
+}
+
+// SetRelease implements Releaser: every payload delivered to this node is
+// released through release once its handler has returned.
+func (s *SimNode) SetRelease(release func(payload []byte)) {
+	s.mu.Lock()
+	s.release = release
+	s.mu.Unlock()
 }
 
 // Send implements Transport. A transient fault (simnet.ErrInjected,
@@ -115,4 +127,7 @@ func (s *SimNode) Close() error {
 	return nil
 }
 
-var _ Transport = (*SimNode)(nil)
+var (
+	_ Transport = (*SimNode)(nil)
+	_ Releaser  = (*SimNode)(nil)
+)

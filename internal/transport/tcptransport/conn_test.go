@@ -1,7 +1,7 @@
 package tcptransport
 
 import (
-	"bufio"
+	"bytes"
 	"io"
 	"net"
 	"runtime"
@@ -19,8 +19,8 @@ func TestSimultaneousDialLosesNothing(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		a, b := rendezvousPair(t)
 		fromA, fromB := make(chan []byte, 1), make(chan []byte, 1)
-		b.SetHandler(func(_ string, p []byte) { fromA <- p })
-		a.SetHandler(func(_ string, p []byte) { fromB <- p })
+		b.SetHandler(func(_ string, p []byte) { fromA <- bytes.Clone(p) })
+		a.SetHandler(func(_ string, p []byte) { fromB <- bytes.Clone(p) })
 		crossSend(t, a, b, fromA, fromB)
 		// Closed together: this test is about delivery, the next about Close.
 		done := make(chan struct{})
@@ -53,7 +53,7 @@ func TestLostDialRaceKeepsSocketReadable(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = b.Close() })
 	got := make(chan []byte, 1)
-	b.SetHandler(func(_ string, p []byte) { got <- p })
+	b.SetHandler(func(_ string, p []byte) { got <- bytes.Clone(p) })
 
 	// b starts a send: past its "no connection yet" check, not yet dialing.
 	sent := make(chan error, 1)
@@ -70,11 +70,11 @@ func TestLostDialRaceKeepsSocketReadable(t *testing.T) {
 	}
 	defer y.Close()
 	_ = y.SetDeadline(time.Now().Add(5 * time.Second))
-	yr := bufio.NewReader(y)
-	if name, err := readFrame(yr, nil); err != nil || string(name) != "b" {
+	yr := testReader(y)
+	if name, err := yr.next(); err != nil || string(name) != "b" {
 		t.Fatalf("hello on b's dial: %q, %v", name, err)
 	}
-	if _, err := readFrame(yr, nil); err != nil {
+	if _, err := yr.next(); err != nil {
 		t.Fatalf("epoch on b's dial: %v", err)
 	}
 	// b sends on the connection it registered ...
@@ -82,7 +82,7 @@ func TestLostDialRaceKeepsSocketReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = x.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if f, err := readFrame(bufio.NewReader(x), nil); err != nil || string(f) != "b to a" {
+	if f, err := testReader(x).next(); err != nil || string(f) != "b to a" {
 		t.Fatalf("on a's dial: %q, %v", f, err)
 	}
 	// ... and a on the one b dialed, which b must not have closed.
@@ -121,8 +121,8 @@ func TestCloseDoesNotWaitForPeer(t *testing.T) {
 		a, b := rendezvousPair(t)
 		t.Cleanup(func() { _ = b.Close() })
 		fromA, fromB := make(chan []byte, 1), make(chan []byte, 1)
-		b.SetHandler(func(_ string, p []byte) { fromA <- p })
-		a.SetHandler(func(_ string, p []byte) { fromB <- p })
+		b.SetHandler(func(_ string, p []byte) { fromA <- bytes.Clone(p) })
+		a.SetHandler(func(_ string, p []byte) { fromB <- bytes.Clone(p) })
 		crossSend(t, a, b, fromA, fromB)
 		if d := a.Stats().Dials + b.Stats().Dials; d != 2 {
 			t.Fatalf("%d dials, want the double connection of a simultaneous open", d)
@@ -143,7 +143,7 @@ func TestCloseDoesNotWaitForPeer(t *testing.T) {
 		}
 		t.Cleanup(func() { _ = b.Close() })
 		got := make(chan []byte, 1)
-		b.SetHandler(func(_ string, p []byte) { got <- p })
+		b.SetHandler(func(_ string, p []byte) { got <- bytes.Clone(p) })
 		if err := b.Send("a", []byte("over b's dial")); err != nil {
 			t.Fatal(err)
 		}

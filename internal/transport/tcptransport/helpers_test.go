@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -14,6 +15,9 @@ func writeFrame(w io.Writer, payload []byte) error {
 	_, err := w.Write(appendFrame(nil, payload))
 	return err
 }
+
+// testReader parses the frames of r as a connection's reader does.
+func testReader(r io.Reader) *frameReader { return newFrameReader(r, new(atomic.Int64)) }
 
 // rawSession dials addr as a hand-rolled peer and completes the handshake.
 func rawSession(t *testing.T, addr, name string, epoch uint64) net.Conn {

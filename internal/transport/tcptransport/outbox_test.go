@@ -1,7 +1,6 @@
 package tcptransport
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
@@ -12,7 +11,7 @@ import (
 	"time"
 )
 
-// collector gathers a receiver's frames in arrival order.
+// collector gathers copies of a receiver's frames in arrival order.
 type collector struct {
 	mu     sync.Mutex
 	frames [][]byte
@@ -20,7 +19,7 @@ type collector struct {
 
 func (c *collector) handle(_ string, p []byte) {
 	c.mu.Lock()
-	c.frames = append(c.frames, p)
+	c.frames = append(c.frames, bytes.Clone(p))
 	c.mu.Unlock()
 }
 
@@ -732,16 +731,17 @@ func TestBatchIsSingleFramesBackToBack(t *testing.T) {
 		}
 		defer c.Close()
 		_ = c.SetReadDeadline(time.Now().Add(10 * time.Second))
-		br := bufio.NewReader(c)
-		name, _ := readFrame(br, nil)
-		epoch, _ := readFrame(br, nil)
-		got := appendFrame(appendFrame(nil, name), epoch)
-		rest := make([]byte, len(body))
-		if _, err := io.ReadFull(br, rest); err != nil {
-			read <- nil
-			return
+		r := testReader(c)
+		var got []byte
+		for i := 0; i < 2+count; i++ { // name, epoch, then the frames
+			f, err := r.next()
+			if err != nil {
+				read <- nil
+				return
+			}
+			got = appendFrame(got, f)
 		}
-		read <- append(got, rest...)
+		read <- got
 	}()
 	for seq := uint32(0); seq < count; seq++ {
 		if err := a.Send("raw", seqFrame(7, seq, 33)); err != nil {

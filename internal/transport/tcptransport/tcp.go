@@ -22,11 +22,10 @@
 //
 // The file split follows the data: tcp.go owns nodes, handshakes and the
 // connection registry, send.go the per-destination send path (inline write,
-// outbox or cork), recv.go the buffered receive loop.
+// outbox or cork), recv.go the receive loop, which parses frames in place.
 package tcptransport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -126,7 +125,10 @@ type Stats struct {
 	Dials          int64 // outbound connection attempts
 	Retries        int64 // attempts repeated after a transient failure
 	FramesReceived int64 // frames delivered to the handler
-	Reads          int64 // socket reads
+	// FramesDiscarded counts the frames dropped, each with its connection,
+	// because a newer session of the same peer had superseded it.
+	FramesDiscarded int64
+	Reads           int64 // socket reads
 }
 
 // Node is one TCP-attached cluster endpoint.
@@ -144,12 +146,11 @@ type Node struct {
 	dial func(addr string) (net.Conn, error)
 
 	stats struct {
-		framesSent, writes, framesQueued, framesCorked, corkTimeouts, dials, retries, framesReceived, reads atomic.Int64
+		framesSent, writes, framesQueued, framesCorked, corkTimeouts, dials, retries, framesReceived, framesDiscarded, reads atomic.Int64
 	}
 	handler atomic.Pointer[transport.Handler]
-	release atomic.Pointer[func([]byte)]     // transport.Releaser; nil: payloads are just dropped
-	borrow  atomic.Pointer[func(int) []byte] // transport.Borrower; nil: every frame is read into a buffer of its own
-	peers   sync.Map                         // name → *peer; entries are never removed
+	release atomic.Pointer[func([]byte)] // transport.Releaser; nil: payloads are just dropped
+	peers   sync.Map                     // name → *peer; entries are never removed
 	closed  atomic.Bool
 	done    chan struct{} // closed by Close: interrupts backoff sleeps
 
@@ -217,15 +218,16 @@ func (n *Node) Local() string { return n.name }
 func (n *Node) Stats() Stats {
 	s := &n.stats
 	return Stats{
-		FramesSent:     s.framesSent.Load(),
-		Writes:         s.writes.Load(),
-		FramesQueued:   s.framesQueued.Load(),
-		FramesCorked:   s.framesCorked.Load(),
-		CorkTimeouts:   s.corkTimeouts.Load(),
-		Dials:          s.dials.Load(),
-		Retries:        s.retries.Load(),
-		FramesReceived: s.framesReceived.Load(),
-		Reads:          s.reads.Load(),
+		FramesSent:      s.framesSent.Load(),
+		Writes:          s.writes.Load(),
+		FramesQueued:    s.framesQueued.Load(),
+		FramesCorked:    s.framesCorked.Load(),
+		CorkTimeouts:    s.corkTimeouts.Load(),
+		Dials:           s.dials.Load(),
+		Retries:         s.retries.Load(),
+		FramesReceived:  s.framesReceived.Load(),
+		FramesDiscarded: s.framesDiscarded.Load(),
+		Reads:           s.reads.Load(),
 	}
 }
 
@@ -239,7 +241,8 @@ func (n *Node) SessionEpoch(name string) uint64 {
 	return 0
 }
 
-// SetHandler implements transport.Transport.
+// SetHandler implements transport.Transport. Every frame is lent to h from
+// its connection's read or overflow buffer (recv.go).
 func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
 
 // SetRelease implements transport.Releaser: release is called once for each
@@ -247,19 +250,6 @@ func (n *Node) SetHandler(h transport.Handler) { n.handler.Store(&h) }
 // the caller's own write, the outbox's write (the frames ahead of a torn one
 // included, before the redial) or Close's last flush.
 func (n *Node) SetRelease(release func(payload []byte)) { n.release.Store(&release) }
-
-// SetBorrow implements transport.Borrower: every frame up to readChunk
-// bytes is read into a buffer from borrow, sized to the frame, and handed
-// to the handler in it.
-func (n *Node) SetBorrow(borrow func(int) []byte) { n.borrow.Store(&borrow) }
-
-// lender is the installed transport.Borrower function, or nil.
-func (n *Node) lender() func(int) []byte {
-	if b := n.borrow.Load(); b != nil {
-		return *b
-	}
-	return nil
-}
 
 // peer returns the state kept per remote node name, creating it on first
 // use.
@@ -322,8 +312,8 @@ func (n *Node) dropConn(p *peer, cc *conn) {
 // supersedes — and closes — the previous inbound connection, so frames of
 // the old session can never interleave with the new stream.
 func (n *Node) serveConn(c net.Conn) {
-	br := n.reader(c)
-	name, epoch, err := readHello(br)
+	fr := newFrameReader(c, &n.stats.reads)
+	name, epoch, err := readHello(fr)
 	if err != nil {
 		_ = c.Close()
 		return
@@ -352,17 +342,18 @@ func (n *Node) serveConn(c net.Conn) {
 	p.conn.CompareAndSwap(nil, cc)
 	n.mu.Unlock()
 
-	n.readLoop(br, p, cc)
+	n.readLoop(fr, p, cc)
 }
 
 // readHello reads a connection's first two frames: the dialer's name and
 // its session epoch.
-func readHello(br *bufio.Reader) (name string, epoch uint64, err error) {
-	nameBuf, err := readFrame(br, nil)
+func readHello(fr *frameReader) (name string, epoch uint64, err error) {
+	nameBuf, err := fr.next()
 	if err != nil {
 		return "", 0, err
 	}
-	epochBuf, err := readFrame(br, nil)
+	name = string(nameBuf)
+	epochBuf, err := fr.next()
 	if err != nil {
 		return "", 0, err
 	}
@@ -377,7 +368,7 @@ func readHello(br *bufio.Reader) (name string, epoch uint64, err error) {
 	if len(epochBuf) > k && epochBuf[k] != 0 {
 		return "", 0, errors.New("tcptransport: unsupported session flags")
 	}
-	return string(nameBuf), epoch, nil
+	return name, epoch, nil
 }
 
 // nextEpochLocked assigns the session epoch for a fresh outbound
@@ -449,7 +440,7 @@ func (n *Node) connTo(p *peer) (*conn, error) {
 	n.mu.Unlock()
 	go func() {
 		defer n.wg.Done()
-		n.readLoop(n.reader(c), p, cc)
+		n.readLoop(newFrameReader(c, &n.stats.reads), p, cc)
 	}()
 	return use, nil
 }
@@ -485,7 +476,6 @@ func (n *Node) Close() error {
 var (
 	_ transport.Transport = (*Node)(nil)
 	_ transport.Releaser  = (*Node)(nil)
-	_ transport.Borrower  = (*Node)(nil)
 	_ transport.Corker    = (*Node)(nil)
 )
 
@@ -493,10 +483,4 @@ func newConn(c net.Conn, inbound bool, epoch uint64) *conn {
 	cc := &conn{c: c, inbound: inbound, epoch: epoch, opened: time.Now()}
 	cc.probe.arm(c)
 	return cc
-}
-
-// reader wraps a socket in the connection's one buffered reader, counting
-// the reads that reach the socket.
-func (n *Node) reader(c net.Conn) *bufio.Reader {
-	return bufio.NewReaderSize(&countedReader{r: c, n: &n.stats.reads}, readBufSize)
 }

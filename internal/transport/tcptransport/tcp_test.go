@@ -51,8 +51,8 @@ func TestBidirectionalSingleConnection(t *testing.T) {
 	a, b := startPair(t)
 	fromA := make(chan []byte, 10)
 	fromB := make(chan []byte, 10)
-	a.SetHandler(func(src string, payload []byte) { fromB <- payload })
-	b.SetHandler(func(src string, payload []byte) { fromA <- payload })
+	a.SetHandler(func(src string, payload []byte) { fromB <- bytes.Clone(payload) })
+	b.SetHandler(func(src string, payload []byte) { fromA <- bytes.Clone(payload) })
 
 	if err := a.Send("b", []byte("ping")); err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestLargePayload(t *testing.T) {
 	a, b := startPair(t)
 	payload := bytes.Repeat([]byte{0xAB}, 4<<20)
 	got := make(chan []byte, 1)
-	b.SetHandler(func(src string, p []byte) { got <- p })
+	b.SetHandler(func(src string, p []byte) { got <- bytes.Clone(p) })
 	a.SetHandler(func(src string, payload []byte) {})
 	if err := a.Send("b", payload); err != nil {
 		t.Fatal(err)
@@ -241,8 +241,9 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	r := testReader(&buf)
 	for _, p := range payloads {
-		got, err := readFrame(&buf, nil)
+		got, err := r.next()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,6 +14,12 @@
 // invoked sequentially per source (FIFO per sender), mirroring TCP stream
 // ordering assumed by the DPS controller.
 //
+// Payload ownership has one rule. A sent payload is the transport's once
+// Send accepts it, and comes back through the sender's Releaser when the
+// transport has no further use for it. A received payload is lent to the
+// Handler for the call: the transport reuses its bytes once the Handler
+// returns, so a Handler copies out whatever it keeps.
+//
 // Optional interfaces extend Send. One is Corker, which lets a sender cork
 // a burst so that it leaves in one write. SendCorked takes ownership of a
 // payload as Send does and keeps FIFO order with Send. It holds a frame
@@ -28,15 +34,9 @@ import (
 	"time"
 )
 
-// Handler consumes an incoming message from a peer node. Ownership of the
-// payload transfers to the handler: the transport must not retain, reuse or
-// redeliver the buffer after the call, so the handler is free to recycle it
-// (the DPS runtime decodes every message by copy and returns the buffer to
-// its wire-buffer pool). All three implementations satisfy this: each
-// delivered message carries a buffer no other component references
-// afterwards. None draws its receive buffers from a pool of its own; a
-// Borrower reads frames into buffers the handler's side lent it, and those
-// are the handler's to give back.
+// Handler consumes an incoming message from a peer node. The payload is
+// lent for the call: the transport reuses or releases it once the Handler
+// returns, so the Handler copies out whatever it keeps.
 type Handler func(src string, payload []byte)
 
 // Colocated is optionally implemented by transports whose endpoints can
@@ -51,37 +51,27 @@ type Colocated interface {
 	Colocated(dst string) bool
 }
 
-// Releaser is optionally implemented by transports that copy a payload out
-// (into a socket, into a frame of their own) instead of handing the same
-// bytes to the receiving Handler. Such a transport is the last reader of
-// every payload it accepts, and only it knows when: the function installed
-// with SetRelease is called exactly once for each payload whose Send
-// returned nil, as soon as the transport has no further use for it, and
-// never for a payload whose Send returned an error (that one stays the
-// caller's). A payload still unwritten when the node closes is not
+// Releaser is optionally implemented by transports that know when a sent
+// payload has no reader left: the function installed with SetRelease is
+// called exactly once for each payload whose Send returned nil, as soon as
+// the transport has no further use for it, and never for a payload whose
+// Send returned an error (that one stays the caller's). tcptransport
+// releases a payload once it is written; the in-process fabrics release it
+// through the receiving node's function once its Handler has returned. A
+// payload still unwritten when the node closes, or lost in flight, is not
 // released. With no function installed nothing is called, and a sender may
 // then pass the same bytes to Send again after it returns. SetRelease must
 // be called before the first Send.
-//
-// The in-process fabrics do not implement it: there the receiver is the
-// last reader and disposes of the buffer under the Handler contract.
 type Releaser interface {
 	SetRelease(release func(payload []byte))
 }
 
-// Borrower is optionally implemented by transports that read each received
-// frame into a buffer of their own, one allocation per frame. With
-// SetBorrow the handler's side lends the buffers instead: a frame of n
-// bytes is read into the front of a buffer returned by borrow(n), which
-// must have a capacity of at least n, and reaches the Handler in it — the
-// handler's from then on like any payload, to return to wherever borrow
-// draws from. A buffer borrowed for a frame that then fails to arrive is
-// dropped. The transport bounds what one frame's header may make it
-// borrow; a frame longer than that bound is read in growing buffers of its
-// own. SetBorrow must be called before SetHandler.
-//
-// The in-process fabrics do not implement it: they deliver the sender's own
-// buffer.
+// Borrower is optionally implemented by transports that build a frame of
+// their own around each sent payload (a kernel's application port). With
+// SetBorrow the sender's side lends the buffers for those frames: borrow(n)
+// returns an empty buffer with room for n bytes, which the transport gives
+// back through the Releaser function once written. SetBorrow must be called
+// before the first Send.
 type Borrower interface {
 	SetBorrow(borrow func(n int) []byte)
 }
@@ -206,6 +196,7 @@ type InprocNode struct {
 
 	mu      sync.Mutex
 	handler Handler
+	release func(payload []byte)
 	queue   chan inMsg
 	done    chan struct{}
 	once    sync.Once
@@ -254,27 +245,28 @@ func (n *InprocNode) loop() {
 	for {
 		select {
 		case m := <-n.queue:
-			n.mu.Lock()
-			h := n.handler
-			n.mu.Unlock()
-			if h != nil {
-				h(m.src, m.payload)
-			}
-		case <-n.done:
-			for {
-				select {
-				case m := <-n.queue:
-					n.mu.Lock()
-					h := n.handler
-					n.mu.Unlock()
-					if h != nil {
-						h(m.src, m.payload)
-					}
-				default:
-					return
-				}
+			n.deliver(m)
+		case <-n.done: // drain what was queued, then stop
+			select {
+			case m := <-n.queue:
+				n.deliver(m)
+			default:
+				return
 			}
 		}
+	}
+}
+
+// deliver lends a payload to the handler and releases it once it returns.
+func (n *InprocNode) deliver(m inMsg) {
+	n.mu.Lock()
+	h, release := n.handler, n.release
+	n.mu.Unlock()
+	if h != nil {
+		h(m.src, m.payload)
+	}
+	if release != nil {
+		release(m.payload)
 	}
 }
 
@@ -285,6 +277,14 @@ func (n *InprocNode) Local() string { return n.name }
 func (n *InprocNode) SetHandler(h Handler) {
 	n.mu.Lock()
 	n.handler = h
+	n.mu.Unlock()
+}
+
+// SetRelease implements Releaser: every payload delivered to this node is
+// released through release once its handler has returned.
+func (n *InprocNode) SetRelease(release func(payload []byte)) {
+	n.mu.Lock()
+	n.release = release
 	n.mu.Unlock()
 }
 
@@ -325,4 +325,7 @@ func (n *InprocNode) Close() error {
 	return nil
 }
 
-var _ Transport = (*InprocNode)(nil)
+var (
+	_ Transport = (*InprocNode)(nil)
+	_ Releaser  = (*InprocNode)(nil)
+)
